@@ -1,28 +1,15 @@
-//! Shared helpers: control block, raw word access to simulated FRAM,
-//! self-validating ("hardened") checkpoint banks, and the dirty-word
-//! delta journal that makes checkpoints incremental.
-//!
-//! The hardened-bank helpers implement the same detect-or-die protocol
-//! as the TICS runtime for every baseline that claims memory
-//! consistency: each double-buffered bank carries a monotonic sequence
-//! number, its payload length, and a CRC-32; staging is verified by
-//! read-back (a brown-out can corrupt multi-word burst stores), and
-//! boot-time selection falls back to the older valid bank — or degrades
-//! to a fresh start — rather than executing from a corrupted
-//! checkpoint. The naive MementOS-style runtime deliberately does *not*
-//! use them: it is the experiment's un-hardened control.
-//!
-//! The delta journal extends the same seq/len/CRC record format to
-//! *incremental* checkpoints (DiCA-style): a committed full bank
-//! anchors a chain of delta records, each carrying only the words the
-//! dirty-word write monitor observed changing since the previous
-//! commit. Restore replays the full image first (wiping uncommitted
-//! writes), then the chain in sequence order — so reconstruction stays
-//! O(image) and a broken chain degrades to the longest valid prefix
-//! with a journaled [`TraceEvent::Recovery`].
+//! The baselines' shared FRAM layout: a small control block at the
+//! runtime-area base and, for every baseline that claims memory
+//! consistency, the [`tics_vm::persist`] banks and delta journal right
+//! after it. The protocol itself lives in `persist`; the naive
+//! MementOS-style runtime uses only the control block — it is the
+//! experiments' un-hardened control.
 
-use tics_mcu::{Addr, Crc32};
-use tics_trace::TraceEvent;
+use tics_mcu::{Addr, Registers};
+use tics_vm::persist::{
+    init_control, journal_capacity, pack_misc, unpack_misc, BankFormat, BankPair, DeltaChain, Misc,
+    DELTA_MISC,
+};
 use tics_vm::{Machine, VmError};
 
 type Result<T> = std::result::Result<T, VmError>;
@@ -30,509 +17,68 @@ type Result<T> = std::result::Result<T, VmError>;
 /// Magic marking an initialized control block.
 const MAGIC: u32 = 0xBA5E_C001;
 
+/// Control block: `u32` magic, `u32` valid-bank flag (0 = none, 1 = A,
+/// 2 = B), `u32` scratch word (undo count or similar), `u64` delta-chain
+/// base and `u64` delta-chain tip.
+pub(crate) const FLAG: u32 = 4;
+/// Offset of the control block's scratch word.
+pub(crate) const SCRATCH: u32 = 8;
+const DELTA_BASE: u32 = 12;
+const DELTA_TIP: u32 = 20;
 /// Size of the control block in bytes.
 pub(crate) const CTRL_SIZE: u32 = 28;
 
-/// A small persistent control block in simulated FRAM: `u32` magic,
-/// `u32` valid-buffer flag (0 = none, 1 = A, 2 = B), `u32` scratch word
-/// (undo count or similar), `u64` delta-chain base (sequence number of
-/// the full bank the delta chain extends) and `u64` delta-chain tip
-/// (highest committed delta sequence; 0 = no chain).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CtrlBlock {
-    base: Addr,
+/// Initializes the control block at `base` on the first boot of an image.
+pub(crate) fn init_ctrl(m: &mut Machine, base: Addr) -> Result<()> {
+    init_control(m, base, MAGIC, CTRL_SIZE)
 }
 
-impl CtrlBlock {
-    pub(crate) fn new(base: Addr) -> CtrlBlock {
-        CtrlBlock { base }
-    }
-
-    /// Initializes the block if this is the first boot on the image.
-    pub(crate) fn init_if_needed(&self, m: &mut Machine) -> Result<()> {
-        if peek_u32(m, self.base)? != MAGIC {
-            poke_u32(m, self.base, MAGIC)?;
-            poke_u32(m, self.base.offset(4), 0)?;
-            poke_u32(m, self.base.offset(8), 0)?;
-            poke_u64(m, self.base.offset(12), 0)?;
-            poke_u64(m, self.base.offset(20), 0)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn flag(&self, m: &Machine) -> Result<u32> {
-        peek_u32(m, self.base.offset(4))
-    }
-
-    pub(crate) fn set_flag(&self, m: &mut Machine, v: u32) -> Result<()> {
-        poke_u32(m, self.base.offset(4), v)
-    }
-
-    pub(crate) fn scratch(&self, m: &Machine) -> Result<u32> {
-        peek_u32(m, self.base.offset(8))
-    }
-
-    pub(crate) fn set_scratch(&self, m: &mut Machine, v: u32) -> Result<()> {
-        poke_u32(m, self.base.offset(8), v)
-    }
-
-    /// Sequence number of the full bank the delta chain extends.
-    pub(crate) fn delta_base(&self, m: &Machine) -> Result<u64> {
-        peek_u64(m, self.base.offset(12))
-    }
-
-    /// Highest committed delta sequence (0 = no chain). Both delta
-    /// words are 8-byte pokes — within the atomic-store size, so their
-    /// updates are single corruption-immune stores.
-    pub(crate) fn delta_tip(&self, m: &Machine) -> Result<u64> {
-        peek_u64(m, self.base.offset(20))
-    }
-
-    pub(crate) fn set_delta_base(&self, m: &mut Machine, v: u64) -> Result<()> {
-        poke_u64(m, self.base.offset(12), v)
-    }
-
-    pub(crate) fn set_delta_tip(&self, m: &mut Machine, v: u64) -> Result<()> {
-        poke_u64(m, self.base.offset(20), v)
-    }
-}
-
-pub(crate) fn peek_u32(m: &Machine, a: Addr) -> Result<u32> {
-    let b = m.mem.peek_slice(a, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-pub(crate) fn poke_u32(m: &mut Machine, a: Addr, v: u32) -> Result<()> {
-    m.mem.poke_bytes(a, &v.to_le_bytes())?;
-    Ok(())
-}
-
-pub(crate) fn peek_u64(m: &Machine, a: Addr) -> Result<u64> {
-    let b = m.mem.peek_slice(a, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-}
-
-pub(crate) fn poke_u64(m: &mut Machine, a: Addr, v: u64) -> Result<()> {
-    m.mem.poke_bytes(a, &v.to_le_bytes())?;
-    Ok(())
-}
-
-/// Per-bank hardening header: `u64` sequence number (never 0 for a
-/// committed bank), `u32` payload length, `u32` CRC-32 over sequence +
-/// length + payload.
-pub(crate) const BANK_HEADER: u32 = 16;
-
-/// Read-back verification attempts for staging/restore pokes. Each
-/// attempt re-draws the corruption RNG, so retries converge whenever
-/// the per-store corruption probability is below 1.
-const VERIFY_ATTEMPTS: u32 = 16;
-
-/// Pokes `bytes` at `a` and reads them back, retrying until the write
-/// landed intact. Returns `false` if corruption defeated every attempt.
-pub(crate) fn verified_poke(m: &mut Machine, a: Addr, bytes: &[u8]) -> Result<bool> {
-    for _ in 0..VERIFY_ATTEMPTS {
-        m.mem.poke_bytes(a, bytes)?;
-        if m.mem.peek_slice(a, bytes.len() as u32)? == bytes {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-fn bank_crc(seq: u64, payload: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(&seq.to_le_bytes());
-    h.update(&(payload.len() as u32).to_le_bytes());
-    h.update(payload);
-    h.finish()
-}
-
-/// Stages `payload` into bank `buf` under sequence number `seq`, CRC
-/// stamped, with read-back verification. Returns `false` if corruption
-/// defeated every staging attempt (the bank must not become the restore
-/// point; the previously committed bank is untouched). Header and
-/// payload are poked separately so no temporary bank image is built.
-pub(crate) fn stage_bank(m: &mut Machine, buf: Addr, seq: u64, payload: &[u8]) -> Result<bool> {
-    let mut head = [0u8; BANK_HEADER as usize];
-    head[0..8].copy_from_slice(&seq.to_le_bytes());
-    head[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[12..16].copy_from_slice(&bank_crc(seq, payload).to_le_bytes());
-    Ok(verified_poke(m, buf, &head)? && verified_poke(m, buf.offset(BANK_HEADER), payload)?)
-}
-
-/// Validates bank `buf`: nonzero sequence, sane payload length (at most
-/// `max_payload`), matching CRC. Returns the sequence number if valid.
-pub(crate) fn validate_bank(m: &Machine, buf: Addr, max_payload: u32) -> Result<Option<u64>> {
-    let head = m.mem.peek_slice(buf, BANK_HEADER)?;
-    let seq = u64::from_le_bytes(head[0..8].try_into().expect("8-byte seq"));
-    let len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte len"));
-    let stored = u32::from_le_bytes(head[12..16].try_into().expect("4-byte crc"));
-    if seq == 0 || len > max_payload {
-        return Ok(None);
-    }
-    let payload = m.mem.peek_slice(buf.offset(BANK_HEADER), len)?;
-    if bank_crc(seq, payload) != stored {
-        return Ok(None);
-    }
-    Ok(Some(seq))
-}
-
-/// Copies a validated bank's payload into `out` (a reusable scratch
-/// buffer — the steady state allocates nothing).
-pub(crate) fn bank_payload_into(m: &Machine, buf: Addr, out: &mut Vec<u8>) -> Result<()> {
-    let len = peek_u32(m, buf.offset(8))?;
-    out.clear();
-    out.extend_from_slice(m.mem.peek_slice(buf.offset(BANK_HEADER), len)?);
-    Ok(())
-}
-
-/// A committed bank's sequence number (validated at commit; re-checked
-/// by CRC at every boot-time selection).
-pub(crate) fn bank_seq(m: &Machine, buf: Addr) -> Result<u64> {
-    peek_u64(m, buf)
-}
-
-/// Boot-time bank selection for the detect-or-die protocol.
-pub(crate) enum BankChoice {
-    /// No committed checkpoint: plain restart.
-    None,
-    /// Restore from this bank.
-    Bank(Addr),
-    /// Both banks invalid: the flag was cleared and a fresh-start
-    /// [`TraceEvent::Recovery`] emitted — restart with globals
-    /// re-initialized.
-    FreshStart,
-}
-
-/// Validates the active bank and self-heals: an invalid active bank
-/// falls back to the other valid bank (repairing the flag and emitting
-/// a [`TraceEvent::Recovery`]); with neither bank valid the flag is
-/// cleared and recovery degrades to a fresh start.
-pub(crate) fn select_bank(
+/// Lays out a hardened baseline's persistent area — control block, then
+/// two sealed banks of `max_payload` payload bytes, then the delta
+/// journal — and places `chain` on it. Fails with `Load(what)` unless
+/// `extra` more bytes after the journal still fit in FRAM; otherwise
+/// initializes the control block and returns the banks and the first
+/// byte past the journal.
+pub(crate) fn attach_hardened(
     m: &mut Machine,
-    ctrl: CtrlBlock,
-    buf_a: Addr,
-    buf_b: Addr,
     max_payload: u32,
-) -> Result<BankChoice> {
-    let flag = ctrl.flag(m)?;
-    if flag == 0 {
-        return Ok(BankChoice::None);
+    extra: u32,
+    chain: &mut DeltaChain,
+    what: &str,
+) -> Result<(BankPair, Addr)> {
+    let base = m.runtime_area_base();
+    let banks = BankPair::new(
+        base.offset(CTRL_SIZE),
+        base.offset(FLAG),
+        base.offset(DELTA_BASE),
+        BankFormat::Sealed,
+        max_payload,
+    );
+    let capacity = journal_capacity(banks.bank_bytes());
+    chain.place(banks.end(), capacity, base.offset(DELTA_TIP));
+    let end = banks.end().offset(capacity);
+    if !m.mem.layout().fram.contains(Addr(end.raw() + extra - 1)) {
+        return Err(VmError::Load(what.into()));
     }
-    let v_a = validate_bank(m, buf_a, max_payload)?;
-    let v_b = validate_bank(m, buf_b, max_payload)?;
-    let active_valid = match flag {
-        1 => v_a.is_some(),
-        2 => v_b.is_some(),
-        _ => false, // corrupt flag: fall through to highest-seq repair
-    };
-    if active_valid {
-        return Ok(BankChoice::Bank(if flag == 1 { buf_a } else { buf_b }));
-    }
-    let best = match (v_a, v_b) {
-        (Some(a), Some(b)) => Some(if a >= b { 1 } else { 2 }),
-        (Some(_), None) => Some(1),
-        (None, Some(_)) => Some(2),
-        (None, None) => None,
-    };
-    match best {
-        Some(w) => {
-            ctrl.set_flag(m, w)?;
-            m.emit(TraceEvent::Recovery {
-                invalid_banks: 1,
-                fresh_start: false,
-            });
-            Ok(BankChoice::Bank(if w == 1 { buf_a } else { buf_b }))
-        }
-        None => {
-            ctrl.set_flag(m, 0)?;
-            m.emit(TraceEvent::Recovery {
-                invalid_banks: 2,
-                fresh_start: true,
-            });
-            Ok(BankChoice::FreshStart)
-        }
-    }
+    init_ctrl(m, base)?;
+    Ok((banks, end))
 }
 
-// ---------------------------------------------------------------------
-// Dirty-word delta journal
-// ---------------------------------------------------------------------
-
-/// Journal capacity for a runtime whose full bank occupies `buf_bytes`:
-/// roomy enough for many small deltas between full images, bounded so
-/// restore-time chain replay stays O(image).
-pub(crate) fn journal_capacity(buf_bytes: u32) -> u32 {
-    (2 * buf_bytes).clamp(1_024, 8_192)
+/// Primes `chain` cold under the baselines' sequence rule: past the
+/// newest bank that validates, published or not.
+pub(crate) fn prime_cold(m: &Machine, banks: &BankPair, chain: &mut DeltaChain) -> Result<()> {
+    chain.prime_cold(m, banks.newest_valid_seq(m)?)
 }
 
-/// Host-side cache of the delta chain's write cursor. The persistent
-/// truth lives in the control block (`delta_base`/`delta_tip`) and the
-/// journal records themselves; this cache is rebuilt from them on every
-/// boot, so it carries no state a real MCU would lose at power failure.
-#[derive(Debug, Default)]
-pub(crate) struct DeltaJournal {
-    /// First byte of the journal region (FRAM).
-    pub(crate) base: Addr,
-    /// Journal region length in bytes.
-    pub(crate) capacity: u32,
-    /// Staging offset for the next record (end of the committed chain).
-    write_off: u32,
-    /// Next commit sequence number; 0 = cold (forces a full image,
-    /// which re-primes). Sequence numbers are burned by *attempts*, not
-    /// commits, so a staged-but-uncommitted record can never collide
-    /// with a later committed one at the same chain position.
-    next_seq: u64,
-    /// Whether a committed full bank anchors the chain. Deltas are only
-    /// taken while anchored; everything else falls back to full images.
-    anchored: bool,
-    /// Reusable payload staging buffer — checkpoint paths allocate
-    /// nothing in steady state.
-    pub(crate) scratch: Vec<u8>,
-    /// Reusable misc-block buffer for boot-time chain replay.
-    pub(crate) misc: Vec<u8>,
+/// A baseline misc block: the `u32` misc length, the registers, and a
+/// runtime-defined length word (live stack or frame bytes).
+pub(crate) fn misc(m: &Machine, len: u32) -> Misc {
+    let [pc, sp, fp, sr] = m.regs.to_words();
+    pack_misc([DELTA_MISC - 4, pc, sp, fp, sr, len])
 }
 
-impl DeltaJournal {
-    pub(crate) fn place(&mut self, base: Addr, capacity: u32) {
-        self.base = base;
-        self.capacity = capacity;
-    }
-
-    /// Forgets the cached chain state (placement included), keeping the
-    /// staging allocations — for a runtime recycled onto a fresh device.
-    pub(crate) fn recycle(&mut self) {
-        self.base = Addr(0);
-        self.capacity = 0;
-        self.write_off = 0;
-        self.next_seq = 0;
-        self.anchored = false;
-        self.scratch.clear();
-        self.misc.clear();
-    }
-
-    pub(crate) fn is_cold(&self) -> bool {
-        self.next_seq == 0
-    }
-
-    /// Re-primes the cache from non-volatile state alone (no chain
-    /// walk): next sequence past everything ever committed, chain not
-    /// anchored — the next checkpoint is a full image.
-    pub(crate) fn prime_cold(
-        &mut self,
-        m: &Machine,
-        ctrl: CtrlBlock,
-        buf_a: Addr,
-        buf_b: Addr,
-        max_payload: u32,
-    ) -> Result<()> {
-        let a = validate_bank(m, buf_a, max_payload)?.unwrap_or(0);
-        let b = validate_bank(m, buf_b, max_payload)?.unwrap_or(0);
-        let tip = ctrl.delta_tip(m)?;
-        self.prime(a.max(b).max(tip) + 1, 0, false);
-        Ok(())
-    }
-
-    /// Installs boot-derived chain state: `next_seq` for the next
-    /// commit, the staging offset at the end of the valid chain, and
-    /// whether the chain may be extended with further deltas.
-    pub(crate) fn prime(&mut self, next_seq: u64, write_off: u32, anchored: bool) {
-        self.next_seq = next_seq;
-        self.write_off = write_off;
-        self.anchored = anchored;
-    }
-
-    /// Burns and returns the sequence number for a commit attempt.
-    pub(crate) fn take_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    /// Whether an incremental record of `record_bytes` (header included)
-    /// may extend the chain. `full_bytes` is the runtime's full-image
-    /// payload size: the chain is byte-capped at roughly one full image
-    /// — every boot replays the whole chain after the full-image
-    /// restore, so an unbounded chain would inflate the restore charge
-    /// past what a short on-period can cover (the exact livelock
-    /// incremental checkpointing exists to prevent).
-    pub(crate) fn can_delta(&self, record_bytes: u32, full_bytes: u32) -> bool {
-        let cap = self.capacity.min(full_bytes.max(512));
-        self.anchored && !self.is_cold() && self.write_off + record_bytes <= cap
-    }
-
-    /// Staging address for the next record.
-    pub(crate) fn record_addr(&self) -> Addr {
-        self.base.offset(self.write_off)
-    }
-
-    /// A delta record of `record_bytes` was committed (tip advanced).
-    pub(crate) fn committed_delta(&mut self, record_bytes: u32) {
-        self.write_off += record_bytes;
-    }
-
-    /// A full bank was committed: the chain restarts empty.
-    pub(crate) fn committed_full(&mut self) {
-        self.write_off = 0;
-        self.anchored = true;
-    }
-}
-
-/// Number of dirty words the write monitor currently reports over
-/// `regions` — each becomes one 8-byte `(address, value)` delta entry.
-pub(crate) fn dirty_words(m: &Machine, regions: &[(Addr, u32)]) -> u32 {
-    regions
-        .iter()
-        .map(|&(start, len)| m.mem.count_dirty_words(start, len))
-        .sum()
-}
-
-/// Builds a delta payload into `out`: `u32` misc length, the
-/// runtime-specific misc block (registers and friends), then one
-/// `(u32 address, u32 value)` entry per dirty word. Word values at
-/// region edges are clamped — the entry address is the first byte
-/// inside the region and the value carries only the in-region bytes,
-/// zero-padded, so replay (which clamps identically against the same
-/// deterministic region list) never touches memory outside the
-/// checkpointed regions.
-pub(crate) fn build_delta_payload(
-    m: &Machine,
-    misc: &[u8],
-    regions: &[(Addr, u32)],
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    out.extend_from_slice(&(misc.len() as u32).to_le_bytes());
-    out.extend_from_slice(misc);
-    for &(start, len) in regions {
-        if len == 0 {
-            continue;
-        }
-        let end = start.0 + len;
-        m.mem.for_each_dirty_word(start, len, |w| {
-            let lo = w.0.max(start.0);
-            let n = (w.0 + 4).min(end) - lo;
-            let src = m
-                .mem
-                .peek_slice(Addr(lo), n)
-                .expect("dirty word inside a mapped checkpoint region");
-            let mut val = [0u8; 4];
-            val[..n as usize].copy_from_slice(src);
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&val);
-        });
-    }
-}
-
-/// Where a chain walk ended.
-pub(crate) struct ChainEnd {
-    /// First byte past the last valid record — the next staging offset.
-    pub(crate) next_off: u32,
-    /// Last valid sequence in the chain (the bank's if no record was).
-    pub(crate) last_seq: u64,
-    /// The tip claimed more records than were valid: the chain was
-    /// truncated to its longest valid prefix.
-    pub(crate) broken: bool,
-    /// Total record bytes (headers included) replayed.
-    pub(crate) bytes: u32,
-}
-
-/// Replays the delta chain anchored at `bank_seq` after a full-image
-/// restore: records are validated (seq/len/CRC plus structural sanity)
-/// and must carry consecutive sequence numbers `bank_seq+1..=tip`; each
-/// valid record's word entries are applied in order and its misc block
-/// is copied into `misc_out` (the last one wins — it holds the
-/// registers at that commit). A record that fails validation ends the
-/// walk with `broken = true`; the state is then the longest valid
-/// prefix, which is itself a committed checkpoint.
-pub(crate) fn replay_chain(
-    m: &mut Machine,
-    journal: Addr,
-    capacity: u32,
-    bank_seq: u64,
-    tip: u64,
-    regions: &[(Addr, u32)],
-    misc_out: &mut Vec<u8>,
-) -> Result<ChainEnd> {
-    let mut off = 0u32;
-    let mut last_seq = bank_seq;
-    let mut bytes = 0u32;
-    let mut expected = bank_seq + 1;
-    while expected <= tip {
-        let Some((rec_len, misc_len)) = validate_record(m, journal, capacity, off, expected)?
-        else {
-            return Ok(ChainEnd {
-                next_off: off,
-                last_seq,
-                broken: true,
-                bytes,
-            });
-        };
-        let rec = journal.offset(off);
-        // Misc block: the last valid record's copy wins.
-        misc_out.clear();
-        misc_out.extend_from_slice(
-            m.mem
-                .peek_slice(rec.offset(BANK_HEADER + 4), misc_len)?,
-        );
-        // Word entries, clamped against the same region list the
-        // capture side used.
-        let mut p = 4 + misc_len;
-        while p + 8 <= rec_len {
-            let e = m.mem.peek_slice(rec.offset(BANK_HEADER + p), 8)?;
-            let lo = u32::from_le_bytes(e[0..4].try_into().expect("4-byte addr"));
-            let val: [u8; 4] = e[4..8].try_into().expect("4-byte value");
-            if let Some(&(start, len)) = regions
-                .iter()
-                .find(|&&(start, len)| lo >= start.0 && lo < start.0 + len)
-            {
-                let n = ((lo & !3) + 4).min(start.0 + len) - lo;
-                m.mem.poke_bytes(Addr(lo), &val[..n as usize])?;
-            }
-            p += 8;
-        }
-        last_seq = expected;
-        expected += 1;
-        bytes += BANK_HEADER + rec_len;
-        off += BANK_HEADER + rec_len;
-    }
-    Ok(ChainEnd {
-        next_off: off,
-        last_seq,
-        broken: false,
-        bytes,
-    })
-}
-
-/// Validates the delta record at journal offset `off`: in-bounds,
-/// seq/len/CRC valid, sequence exactly `expected`, and structurally a
-/// delta payload (misc length in bounds, whole number of 8-byte word
-/// entries). Returns `(payload_len, misc_len)` if valid.
-fn validate_record(
-    m: &Machine,
-    journal: Addr,
-    capacity: u32,
-    off: u32,
-    expected: u64,
-) -> Result<Option<(u32, u32)>> {
-    if off + BANK_HEADER > capacity {
-        return Ok(None);
-    }
-    let rec = journal.offset(off);
-    let max_payload = capacity - off - BANK_HEADER;
-    let Some(seq) = validate_bank(m, rec, max_payload)? else {
-        return Ok(None);
-    };
-    if seq != expected {
-        return Ok(None);
-    }
-    let len = peek_u32(m, rec.offset(8))?;
-    if len < 4 {
-        return Ok(None);
-    }
-    let misc_len = peek_u32(m, rec.offset(BANK_HEADER))?;
-    if 4 + misc_len > len || (len - 4 - misc_len) % 8 != 0 {
-        return Ok(None);
-    }
-    Ok(Some((len, misc_len)))
+/// The registers and length word of a baseline misc block.
+pub(crate) fn unpack(misc: &Misc) -> (Registers, u32) {
+    let [_, pc, sp, fp, sr, len] = unpack_misc(misc);
+    (Registers::from_words([pc, sp, fp, sr]), len)
 }

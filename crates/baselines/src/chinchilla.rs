@@ -1,6 +1,6 @@
 //! Chinchilla-style adaptive checkpointing over promoted statics.
 
-use tics_mcu::{Addr, Registers};
+use tics_mcu::Addr;
 use tics_minic::isa::CkptSite;
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
@@ -9,11 +9,9 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use crate::bufs::{
-    bank_payload_into, bank_seq, build_delta_payload, dirty_words, journal_capacity, replay_chain,
-    select_bank, stage_bank, verified_poke, BankChoice, CtrlBlock, DeltaJournal, BANK_HEADER,
-    CTRL_SIZE,
-};
+use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+
+use crate::bufs;
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -33,11 +31,8 @@ type Result<T> = std::result::Result<T, VmError>;
 pub struct ChinchillaRuntime {
     min_interval_us: u64,
     last_ckpt_at: u64,
-    ctrl: Option<CtrlBlock>,
-    buf_a: Addr,
-    buf_b: Addr,
-    buf_bytes: u32,
-    journal: DeltaJournal,
+    banks: Option<BankPair>,
+    chain: DeltaChain,
     tx: TxDriver,
 }
 
@@ -49,38 +44,28 @@ impl ChinchillaRuntime {
         ChinchillaRuntime {
             min_interval_us,
             last_ckpt_at: 0,
-            ctrl: None,
-            buf_a: Addr(0),
-            buf_b: Addr(0),
-            buf_bytes: 0,
-            journal: DeltaJournal::default(),
+            banks: None,
+            chain: DeltaChain::default(),
             tx: TxDriver::default(),
         }
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<CtrlBlock> {
-        if let Some(c) = self.ctrl {
-            return Ok(c);
+    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
+        if let Some(b) = self.banks {
+            return Ok(b);
         }
-        let base = m.runtime_area_base();
-        let sram = m.mem.layout().sram;
-        let statics = m.loaded().program.globals_size;
-        self.buf_bytes = BANK_HEADER + 16 + 4 + sram.len() + statics;
-        self.buf_a = base.offset(CTRL_SIZE);
-        self.buf_b = self.buf_a.offset(self.buf_bytes);
-        let journal_bytes = journal_capacity(self.buf_bytes);
-        self.journal
-            .place(self.buf_b.offset(self.buf_bytes), journal_bytes);
-        let end = self.buf_b.offset(self.buf_bytes + journal_bytes);
-        if !m.mem.layout().fram.contains(Addr(end.raw() - 1)) {
-            return Err(VmError::Load(
-                "chinchilla double buffers do not fit in FRAM (statics too large)".into(),
-            ));
-        }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
-        self.ctrl = Some(ctrl);
-        Ok(ctrl)
+        // A bank holds the registers, the used-stack length, the stack
+        // and the entire static area.
+        let max_payload = 16 + 4 + m.mem.layout().sram.len() + m.loaded().program.globals_size;
+        let (banks, _) = bufs::attach_hardened(
+            m,
+            max_payload,
+            0,
+            &mut self.chain,
+            "chinchilla double buffers do not fit in FRAM (statics too large)",
+        )?;
+        self.banks = Some(banks);
+        Ok(banks)
     }
 
     /// The delta capture/replay regions: the whole SRAM window (a fixed
@@ -94,98 +79,50 @@ impl ChinchillaRuntime {
         ]
     }
 
+    /// The full-image parts: the live stack prefix and the statics.
+    fn images(m: &Machine, used: u32) -> [(Addr, u32); 2] {
+        [
+            (m.mem.layout().sram.start, used),
+            (m.data_base(), m.loaded().program.globals_size),
+        ]
+    }
+
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        let banks = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
-        let sram = m.mem.layout().sram;
-        let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
-        let statics_len = m.loaded().program.globals_size;
-        let max_payload = self.buf_bytes - BANK_HEADER;
-        if self.journal.is_cold() {
-            self.journal
-                .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
+        let used = m.regs.sp.raw().saturating_sub(m.mem.layout().sram.start.raw());
+        if self.chain.is_cold() {
+            bufs::prime_cold(m, &banks, &mut self.chain)?;
         }
-        let mut misc = [0u8; 20];
-        for (i, w) in m.regs.to_words().iter().enumerate() {
-            misc[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        misc[16..20].copy_from_slice(&used.to_le_bytes());
         let regions = Self::regions(m);
-        let full_bytes = 20 + used + statics_len;
-        let delta_payload = 4 + 20 + 8 * dirty_words(m, &regions);
-        if self.journal.can_delta(BANK_HEADER + delta_payload, full_bytes)
-            && 4 * delta_payload < 3 * full_bytes
-        {
-            let seq = self.journal.take_seq();
-            build_delta_payload(m, &misc, &regions, &mut self.journal.scratch);
-            let staged = stage_bank(m, self.journal.record_addr(), seq, &self.journal.scratch)?;
-            let plen = self.journal.scratch.len() as u32;
-            let costs = m.mem.costs();
-            let cost = costs.ckpt_base
-                + costs.ckpt_seg_fixed
-                + costs.ckpt_seg_per_byte * u64::from(plen);
-            self.last_ckpt_at = m.cycles();
-            if !m.charge_atomic(cost) {
-                return Ok(()); // died mid-commit: previous checkpoint stands
-            }
-            if !staged {
-                // Corruption defeated staging: skip this commit; the
-                // chain tip is untouched, so restores still replay to
-                // the previous committed state.
-                return Ok(());
-            }
-            ctrl.set_delta_tip(m, seq)?;
-            self.journal.committed_delta(BANK_HEADER + plen);
-            for (start, len) in regions {
-                m.mem.clear_dirty(start, len);
-            }
-            m.emit(TraceEvent::CheckpointCommit {
-                cause,
-                bytes: u64::from(plen),
-            });
-            return Ok(());
-        }
-        let target = if ctrl.flag(m)? == 1 { 2 } else { 1 };
-        let buf = if target == 1 { self.buf_a } else { self.buf_b };
-        let seq = self.journal.take_seq();
-        self.journal.scratch.clear();
-        self.journal.scratch.extend_from_slice(&misc);
-        if used > 0 {
-            self.journal
-                .scratch
-                .extend_from_slice(m.mem.peek_slice(sram.start, used)?);
-        }
-        if statics_len > 0 {
-            self.journal
-                .scratch
-                .extend_from_slice(m.mem.peek_slice(m.data_base(), statics_len)?);
-        }
-        let staged = stage_bank(m, buf, seq, &self.journal.scratch)?;
+        let full_bytes = 20 + used + m.loaded().program.globals_size;
+        let staged = self.chain.stage(
+            m,
+            &banks,
+            full_bytes,
+            &bufs::misc(m, used),
+            &regions,
+            &Self::images(m, used),
+        )?;
+        let bytes = staged.delta.unwrap_or(full_bytes);
         let costs = m.mem.costs();
-        let cost = costs.ckpt_base
-            + costs.ckpt_seg_fixed
-            + costs.ckpt_seg_per_byte * u64::from(full_bytes);
+        let cost =
+            costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
         self.last_ckpt_at = m.cycles();
         if !m.charge_atomic(cost) {
             return Ok(()); // died mid-commit: previous checkpoint stands
         }
-        if !staged {
-            // Corruption defeated staging: skip this commit. Restores
-            // replace the whole state image, so continuing from the
-            // previous checkpoint stays consistent.
+        if !staged.verified {
+            // Corruption defeated staging: skip this commit. The
+            // published bank and chain tip are untouched, so restores
+            // still reach the previous committed state.
             return Ok(());
         }
-        ctrl.set_flag(m, target)?;
-        ctrl.set_delta_base(m, seq)?;
-        ctrl.set_delta_tip(m, 0)?;
-        self.journal.committed_full();
-        for (start, len) in regions {
-            m.mem.clear_dirty(start, len);
-        }
+        self.chain.publish(m, &banks, &staged, &regions)?;
         m.emit(TraceEvent::CheckpointCommit {
             cause,
-            bytes: u64::from(full_bytes),
+            bytes: u64::from(bytes),
         });
         Ok(())
     }
@@ -236,127 +173,46 @@ impl IntermittentRuntime for ChinchillaRuntime {
 
     fn recycle(&mut self) {
         self.last_ckpt_at = 0;
-        self.ctrl = None;
-        self.buf_a = Addr(0);
-        self.buf_b = Addr(0);
-        self.buf_bytes = 0;
-        self.journal.recycle();
+        self.banks = None;
+        self.chain.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let ctrl = self.attach(m)?;
+        let banks = self.attach(m)?;
         self.last_ckpt_at = m.cycles();
-        let max_payload = self.buf_bytes - BANK_HEADER;
-        let buf = match select_bank(m, ctrl, self.buf_a, self.buf_b, max_payload)? {
-            BankChoice::None | BankChoice::FreshStart => {
-                // No (valid) checkpoint, so the committed image is the
-                // pristine load image. Chinchilla's versioned memory
-                // discards uncommitted writes — and the promoted locals
-                // are `nv` by construction, outside the executor's
-                // volatile-only reinit — so *all* statics must go back
-                // to their initializers here.
-                m.init_globals(true)?;
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: false,
-                });
-            }
-            BankChoice::Bank(buf) => buf,
+        let BankChoice::Bank { addr, seq } = banks.select(m)? else {
+            // No (valid) checkpoint, so the committed image is the
+            // pristine load image. Chinchilla's versioned memory
+            // discards uncommitted writes — and the promoted locals are
+            // `nv` by construction, outside the executor's volatile-only
+            // reinit — so *all* statics must go back to their
+            // initializers here.
+            m.init_globals(true)?;
+            bufs::prime_cold(m, &banks, &mut self.chain)?;
+            return Ok(ResumeAction::Restart {
+                reinit_globals: false,
+            });
         };
         // Full-image restore first: rewriting the live stack prefix and
         // the entire statics area wipes any uncommitted stores there.
-        bank_payload_into(m, buf, &mut self.journal.scratch)?;
-        let mut words = [0u32; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(
-                self.journal.scratch[4 * i..4 * i + 4]
-                    .try_into()
-                    .expect("reg word"),
-            );
-        }
-        let used = u32::from_le_bytes(
-            self.journal.scratch[16..20]
-                .try_into()
-                .expect("used len"),
-        );
-        let sram = m.mem.layout().sram;
-        if used > 0
-            && !verified_poke(m, sram.start, &self.journal.scratch[20..(20 + used) as usize])?
-        {
-            return Err(VmError::Trap(
-                "Chinchilla: stack restore failed read-back verification".into(),
-            ));
-        }
-        let statics_len = m.loaded().program.globals_size;
-        if statics_len > 0
-            && !verified_poke(m, m.data_base(), &self.journal.scratch[(20 + used) as usize..])?
-        {
-            return Err(VmError::Trap(
-                "Chinchilla: statics restore failed read-back verification".into(),
-            ));
-        }
         // Then the delta chain, if one extends this bank generation.
-        let base_seq = bank_seq(m, buf)?;
-        let chain_base = ctrl.delta_base(m)?;
-        let tip = ctrl.delta_tip(m)?;
-        let regions = Self::regions(m);
-        let mut replayed = 0u64;
-        if chain_base == base_seq && tip > base_seq {
-            let end = replay_chain(
-                m,
-                self.journal.base,
-                self.journal.capacity,
-                base_seq,
-                tip,
-                &regions,
-                &mut self.journal.misc,
-            )?;
-            if end.last_seq > base_seq {
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = u32::from_le_bytes(
-                        self.journal.misc[4 * i..4 * i + 4]
-                            .try_into()
-                            .expect("reg word"),
-                    );
-                }
-            }
-            replayed = u64::from(end.bytes);
-            if end.broken {
-                m.emit(TraceEvent::Recovery {
-                    invalid_banks: 1,
-                    fresh_start: false,
-                });
-                self.journal
-                    .prime(tip.max(end.last_seq) + 1, end.next_off, false);
-            } else {
-                self.journal.prime(end.last_seq + 1, end.next_off, true);
-            }
-        } else if chain_base == base_seq {
-            self.journal.prime(base_seq.max(tip) + 1, 0, true);
-        } else {
-            // The chain belongs to a different bank generation (bank
-            // fallback restored an older image): unusable, next
-            // checkpoint re-anchors with a full image.
-            self.journal
-                .prime(base_seq.max(chain_base).max(tip) + 1, 0, false);
+        let mut misc = self.chain.load(m, &banks, addr)?;
+        let used = bufs::unpack(&misc).1;
+        if !self.chain.restore_images(m, &Self::images(m, used))? {
+            return Err(VmError::Trap(
+                "Chinchilla: checkpoint restore failed read-back verification".into(),
+            ));
         }
-        m.regs = Registers::from_words(words);
-        // The restored regions now equal the committed image: ack them.
-        for (start, len) in regions {
-            m.mem.clear_dirty(start, len);
-        }
+        let replayed = self.chain.resume(m, &banks, seq, &Self::regions(m), &mut misc)?;
+        m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
+        let bytes = u64::from(20 + used + m.loaded().program.globals_size + replayed);
         let costs = m.mem.costs();
-        let cost = costs.restore_base
-            + costs.restore_seg_fixed
-            + costs.restore_seg_per_byte * (u64::from(20 + used + statics_len) + replayed);
+        let cost = costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
         let _ = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(20 + used + statics_len) + replayed,
-        });
+        m.emit(TraceEvent::Restore { bytes });
         Ok(ResumeAction::Restored)
     }
 
@@ -509,7 +365,7 @@ mod tests {
     }
 
     fn clobber(m: &mut Machine, buf: Addr) {
-        let a = buf.offset(BANK_HEADER + 2);
+        let a = buf.offset(tics_vm::persist::DELTA_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x10]).unwrap();
     }
@@ -524,13 +380,13 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let ctrl = rt.ctrl.unwrap();
-        let flag = ctrl.flag(&m).unwrap();
+        let banks = rt.banks.unwrap();
+        let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a checkpoint must have committed");
         let (active, other) = if flag == 1 {
-            (rt.buf_a, rt.buf_b)
+            (banks.a, banks.b)
         } else {
-            (rt.buf_b, rt.buf_a)
+            (banks.b, banks.a)
         };
         clobber(&mut m, active);
         let action = rt.on_boot(&mut m).unwrap();
@@ -548,6 +404,6 @@ mod tests {
         ));
         assert_eq!(m.stats().recoveries, 2);
         assert_eq!(m.stats().fresh_starts, 1);
-        assert_eq!(ctrl.flag(&m).unwrap(), 0);
+        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), 0);
     }
 }

@@ -9,7 +9,7 @@ use tics_vm::{
     VmError,
 };
 
-use crate::bufs::{peek_u32, poke_u32, CtrlBlock, CTRL_SIZE};
+use crate::bufs::{init_ctrl, CTRL_SIZE, FLAG};
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -33,7 +33,8 @@ pub struct NaiveCheckpoint {
     /// hysteresis).
     min_interval_us: u64,
     last_ckpt_at: u64,
-    ctrl: Option<CtrlBlock>,
+    /// Valid-buffer flag word of the control block, once attached.
+    flag: Option<Addr>,
     buf_a: Addr,
     buf_b: Addr,
     buf_bytes: u32,
@@ -49,7 +50,7 @@ impl NaiveCheckpoint {
         NaiveCheckpoint {
             min_interval_us,
             last_ckpt_at: 0,
-            ctrl: None,
+            flag: None,
             buf_a: Addr(0),
             buf_b: Addr(0),
             buf_bytes: 0,
@@ -67,9 +68,9 @@ impl NaiveCheckpoint {
         Ok(())
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<CtrlBlock> {
-        if let Some(c) = self.ctrl {
-            return Ok(c);
+    fn attach(&mut self, m: &mut Machine) -> Result<Addr> {
+        if let Some(f) = self.flag {
+            return Ok(f);
         }
         let base = m.runtime_area_base();
         let sram = m.mem.layout().sram;
@@ -84,25 +85,24 @@ impl NaiveCheckpoint {
                 "naive checkpoint buffers do not fit in FRAM".into(),
             ));
         }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
-        self.ctrl = Some(ctrl);
-        Ok(ctrl)
+        init_ctrl(m, base)?;
+        self.flag = Some(base.offset(FLAG));
+        Ok(base.offset(FLAG))
     }
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        let flag = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
-        let target = if ctrl.flag(m)? == 1 { 2 } else { 1 };
+        let target: u32 = if m.mem.peek_word(flag)? == 1 { 2 } else { 1 };
         let buf = if target == 1 { self.buf_a } else { self.buf_b };
         let sram = m.mem.layout().sram;
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
         let words = m.regs.to_words();
         for (i, w) in words.iter().enumerate() {
-            poke_u32(m, buf.offset(4 * i as u32), *w)?;
+            m.mem.poke_bytes(buf.offset(4 * i as u32), &w.to_le_bytes())?;
         }
-        poke_u32(m, buf.offset(16), used)?;
+        m.mem.poke_bytes(buf.offset(16), &used.to_le_bytes())?;
         if used > 0 {
             self.copy_via_scratch(m, sram.start, buf.offset(20), used)?;
         }
@@ -121,7 +121,7 @@ impl NaiveCheckpoint {
         if !m.charge_atomic(cost) {
             return Ok(());
         }
-        ctrl.set_flag(m, target)?;
+        m.mem.poke_bytes(flag, &target.to_le_bytes())?;
         m.emit(TraceEvent::CheckpointCommit {
             cause,
             bytes: u64::from(bytes),
@@ -169,7 +169,7 @@ impl IntermittentRuntime for NaiveCheckpoint {
 
     fn recycle(&mut self) {
         self.last_ckpt_at = 0;
-        self.ctrl = None;
+        self.flag = None;
         self.buf_a = Addr(0);
         self.buf_b = Addr(0);
         self.buf_bytes = 0;
@@ -177,9 +177,9 @@ impl IntermittentRuntime for NaiveCheckpoint {
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let ctrl = self.attach(m)?;
+        let flag = self.attach(m)?;
         self.last_ckpt_at = m.cycles();
-        let flag = ctrl.flag(m)?;
+        let flag = m.mem.peek_word(flag)?;
         if flag == 0 {
             return Ok(ResumeAction::Restart {
                 reinit_globals: true,
@@ -188,9 +188,9 @@ impl IntermittentRuntime for NaiveCheckpoint {
         let buf = if flag == 1 { self.buf_a } else { self.buf_b };
         let mut words = [0u32; 4];
         for (i, w) in words.iter_mut().enumerate() {
-            *w = peek_u32(m, buf.offset(4 * i as u32))?;
+            *w = m.mem.peek_word(buf.offset(4 * i as u32))?;
         }
-        let used = peek_u32(m, buf.offset(16))?;
+        let used = m.mem.peek_word(buf.offset(16))?;
         let sram = m.mem.layout().sram;
         if used > 0 {
             self.copy_via_scratch(m, buf.offset(20), sram.start, used)?;

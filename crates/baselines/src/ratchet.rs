@@ -1,6 +1,6 @@
 //! Ratchet-style idempotent-boundary register checkpointing.
 
-use tics_mcu::{Addr, Region, Registers};
+use tics_mcu::{Addr, Region};
 use tics_minic::isa::CkptSite;
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
@@ -9,11 +9,9 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use crate::bufs::{
-    bank_payload_into, bank_seq, build_delta_payload, dirty_words, journal_capacity, replay_chain,
-    select_bank, stage_bank, verified_poke, BankChoice, CtrlBlock, DeltaJournal, BANK_HEADER,
-    CTRL_SIZE,
-};
+use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+
+use crate::bufs;
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -29,16 +27,11 @@ type Result<T> = std::result::Result<T, VmError>;
 #[derive(Debug)]
 pub struct RatchetRuntime {
     stack_bytes: u32,
-    ctrl: Option<CtrlBlock>,
-    buf_a: Addr,
-    buf_b: Addr,
-    max_payload: u32,
+    banks: Option<BankPair>,
     stack: Region,
-    journal: DeltaJournal,
-    /// Frame window `(fp, frame_len)` the open delta chain covers; a
-    /// boundary with a different window forces a full image so every
-    /// record in a chain shares the bank's region.
-    anchor: Option<(Addr, u32)>,
+    /// Delta chain over the frame window `(fp, frame_len)`: a boundary
+    /// with a different window forces a full image.
+    chain: DeltaChain,
     tx: TxDriver,
 }
 
@@ -48,101 +41,48 @@ impl RatchetRuntime {
     pub fn new(stack_bytes: u32) -> RatchetRuntime {
         RatchetRuntime {
             stack_bytes,
-            ctrl: None,
-            buf_a: Addr(0),
-            buf_b: Addr(0),
-            max_payload: 0,
+            banks: None,
             stack: Region::with_len(Addr(0), 0),
-            journal: DeltaJournal::default(),
-            anchor: None,
+            chain: DeltaChain::default(),
             tx: TxDriver::default(),
         }
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<CtrlBlock> {
-        if let Some(c) = self.ctrl {
-            return Ok(c);
+    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
+        if let Some(b) = self.banks {
+            return Ok(b);
         }
-        let base = m.runtime_area_base();
-        // A buffer holds the registers, the frame length, and the current
+        // A bank holds the registers, the frame length, and the current
         // frame image — this VM's analog of Ratchet's renamed register
         // set (operand scratch lives in the frame here, not in registers).
-        self.max_payload = 16 + 4 + m.loaded().program.max_frame_size();
-        let buf_bytes = BANK_HEADER + self.max_payload;
-        self.buf_a = base.offset(CTRL_SIZE);
-        self.buf_b = self.buf_a.offset(buf_bytes);
-        let journal_bytes = journal_capacity(buf_bytes);
-        self.journal
-            .place(self.buf_b.offset(buf_bytes), journal_bytes);
-        let stack_start = self.buf_b.offset(buf_bytes + journal_bytes);
+        let max_payload = 16 + 4 + m.loaded().program.max_frame_size();
+        let (banks, stack_start) = bufs::attach_hardened(
+            m,
+            max_payload,
+            self.stack_bytes,
+            &mut self.chain,
+            "ratchet FRAM stack does not fit",
+        )?;
         self.stack = Region::with_len(stack_start, self.stack_bytes);
-        if !m.mem.layout().fram.contains(Addr(self.stack.end.raw() - 1)) {
-            return Err(VmError::Load("ratchet FRAM stack does not fit".into()));
-        }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
-        self.ctrl = Some(ctrl);
-        Ok(ctrl)
+        self.banks = Some(banks);
+        Ok(banks)
     }
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        let banks = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
         let frame_len = m.regs.sp.raw().saturating_sub(m.regs.fp.raw());
-        let fp = m.regs.fp;
-        if self.journal.is_cold() {
-            self.journal
-                .prime_cold(m, ctrl, self.buf_a, self.buf_b, self.max_payload)?;
+        if self.chain.is_cold() {
+            bufs::prime_cold(m, &banks, &mut self.chain)?;
         }
-        let mut misc = [0u8; 20];
-        for (i, w) in m.regs.to_words().iter().enumerate() {
-            misc[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        misc[16..20].copy_from_slice(&frame_len.to_le_bytes());
-        let region = [(fp, frame_len)];
-        // Incremental commit: only the words the write monitor saw
-        // changing since the last commit, while the frame window is
-        // stable and the record is meaningfully smaller than a full
-        // frame image.
-        let delta_payload = 4 + 20 + 8 * dirty_words(m, &region);
-        if self.anchor == Some((fp, frame_len))
-            && self.journal.can_delta(BANK_HEADER + delta_payload, 20 + frame_len)
-            && 4 * delta_payload < 3 * (20 + frame_len)
-        {
-            let seq = self.journal.take_seq();
-            build_delta_payload(m, &misc, &region, &mut self.journal.scratch);
-            if !stage_bank(m, self.journal.record_addr(), seq, &self.journal.scratch)? {
-                return Err(VmError::Trap(
-                    "Ratchet: boundary checkpoint failed read-back verification".into(),
-                ));
-            }
-            let plen = self.journal.scratch.len() as u32;
-            let cost = m.mem.costs().ckpt_base + u64::from(plen) / 4;
-            if !m.charge_atomic(cost) {
-                return Ok(());
-            }
-            ctrl.set_delta_tip(m, seq)?;
-            self.journal.committed_delta(BANK_HEADER + plen);
-            m.mem.clear_dirty(fp, frame_len);
-            m.emit(TraceEvent::CheckpointCommit {
-                cause,
-                bytes: u64::from(plen),
-            });
-            return Ok(());
-        }
-        // Full image into the inactive bank.
-        let target = if ctrl.flag(m)? == 1 { 2 } else { 1 };
-        let buf = if target == 1 { self.buf_a } else { self.buf_b };
-        let seq = self.journal.take_seq();
-        self.journal.scratch.clear();
-        self.journal.scratch.extend_from_slice(&misc);
-        if frame_len > 0 {
-            self.journal
-                .scratch
-                .extend_from_slice(m.mem.peek_slice(fp, frame_len)?);
-        }
-        if !stage_bank(m, buf, seq, &self.journal.scratch)? {
+        // Incremental commit while the frame window is stable: only the
+        // words the write monitor saw changing since the last commit.
+        let region = [(m.regs.fp, frame_len)];
+        let staged =
+            self.chain
+                .stage(m, &banks, 20 + frame_len, &bufs::misc(m, frame_len), &region, &region)?;
+        if !staged.verified {
             // Ratchet's consistency *is* the boundary checkpoint: a
             // skipped commit before a WAR-closing store would silently
             // violate idempotence on the next reboot. Die loudly.
@@ -152,19 +92,14 @@ impl RatchetRuntime {
         }
         // Bounded by the largest frame — effectively constant, unlike
         // stack- or statics-sized checkpoints.
-        let cost = m.mem.costs().ckpt_base + u64::from(frame_len) / 4;
+        let cost = m.mem.costs().ckpt_base + u64::from(staged.delta.unwrap_or(frame_len)) / 4;
         if !m.charge_atomic(cost) {
             return Ok(());
         }
-        ctrl.set_flag(m, target)?;
-        ctrl.set_delta_base(m, seq)?;
-        ctrl.set_delta_tip(m, 0)?;
-        self.journal.committed_full();
-        m.mem.clear_dirty(fp, frame_len);
-        self.anchor = Some((fp, frame_len));
+        self.chain.publish(m, &banks, &staged, &region)?;
         m.emit(TraceEvent::CheckpointCommit {
             cause,
-            bytes: u64::from(16 + 4 + frame_len),
+            bytes: u64::from(staged.delta.unwrap_or(20 + frame_len)),
         });
         Ok(())
     }
@@ -209,123 +144,41 @@ impl IntermittentRuntime for RatchetRuntime {
     }
 
     fn recycle(&mut self) {
-        self.ctrl = None;
-        self.buf_a = Addr(0);
-        self.buf_b = Addr(0);
-        self.max_payload = 0;
+        self.banks = None;
         self.stack = Region::with_len(Addr(0), 0);
-        self.journal.recycle();
-        self.anchor = None;
+        self.chain.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let ctrl = self.attach(m)?;
-        self.anchor = None;
-        let buf = match select_bank(m, ctrl, self.buf_a, self.buf_b, self.max_payload)? {
-            BankChoice::None => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, self.max_payload)?;
+        let banks = self.attach(m)?;
+        let (addr, seq) = match banks.select(m)? {
+            BankChoice::Bank { addr, seq } => (addr, seq),
+            choice => {
+                bufs::prime_cold(m, &banks, &mut self.chain)?;
                 return Ok(ResumeAction::Restart {
-                    reinit_globals: false,
+                    reinit_globals: choice == BankChoice::FreshStart,
                 });
             }
-            BankChoice::FreshStart => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, self.max_payload)?;
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: true,
-                });
-            }
-            BankChoice::Bank(buf) => buf,
         };
         // Full-image restore first: rewriting the whole frame window
-        // wipes any uncommitted stores inside it.
-        bank_payload_into(m, buf, &mut self.journal.scratch)?;
-        let mut words = [0u32; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(
-                self.journal.scratch[4 * i..4 * i + 4]
-                    .try_into()
-                    .expect("reg word"),
-            );
-        }
-        m.regs = Registers::from_words(words);
-        let frame_len = u32::from_le_bytes(
-            self.journal.scratch[16..20]
-                .try_into()
-                .expect("frame len"),
-        );
-        let fp = m.regs.fp;
-        if frame_len > 0
-            && !verified_poke(m, fp, &self.journal.scratch[20..20 + frame_len as usize])?
-        {
+        // wipes any uncommitted stores inside it. Then the delta chain,
+        // if one extends this bank generation.
+        let mut misc = self.chain.load(m, &banks, addr)?;
+        let (regs, frame_len) = bufs::unpack(&misc);
+        let region = [(regs.fp, frame_len)];
+        if !self.chain.restore_images(m, &region)? {
             return Err(VmError::Trap(
                 "Ratchet: checkpoint restore failed read-back verification".into(),
             ));
         }
-        // Then the delta chain, if one extends this bank generation.
-        let base_seq = bank_seq(m, buf)?;
-        let chain_base = ctrl.delta_base(m)?;
-        let tip = ctrl.delta_tip(m)?;
-        let region = [(fp, frame_len)];
-        let mut replayed = 0u64;
-        if chain_base == base_seq && tip > base_seq {
-            let end = replay_chain(
-                m,
-                self.journal.base,
-                self.journal.capacity,
-                base_seq,
-                tip,
-                &region,
-                &mut self.journal.misc,
-            )?;
-            if end.last_seq > base_seq {
-                let mut words = [0u32; 4];
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = u32::from_le_bytes(
-                        self.journal.misc[4 * i..4 * i + 4]
-                            .try_into()
-                            .expect("reg word"),
-                    );
-                }
-                m.regs = Registers::from_words(words);
-            }
-            replayed = u64::from(end.bytes);
-            if end.broken {
-                // The tip claimed records the journal no longer holds
-                // intact: resume from the longest valid prefix (itself
-                // a committed checkpoint) and journal the detection.
-                m.emit(TraceEvent::Recovery {
-                    invalid_banks: 1,
-                    fresh_start: false,
-                });
-                self.journal
-                    .prime(tip.max(end.last_seq) + 1, end.next_off, false);
-            } else {
-                self.journal.prime(end.last_seq + 1, end.next_off, true);
-                self.anchor = Some((fp, frame_len));
-            }
-        } else if chain_base == base_seq {
-            // Bank is the chain base with no deltas yet: extendable.
-            self.journal.prime(base_seq.max(tip) + 1, 0, true);
-            self.anchor = Some((fp, frame_len));
-        } else {
-            // The chain belongs to a different bank generation (bank
-            // fallback restored an older image): unusable, next
-            // checkpoint re-anchors with a full image.
-            self.journal
-                .prime(base_seq.max(chain_base).max(tip) + 1, 0, false);
-        }
-        // The restored window now equals the committed image: ack it.
-        m.mem.clear_dirty(fp, frame_len);
+        let replayed = self.chain.resume(m, &banks, seq, &region, &mut misc)?;
+        m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let _ = m.charge_atomic(
-            m.mem.costs().restore_base + (u64::from(frame_len) + replayed) / 4,
-        );
+        let _ = m.charge_atomic(m.mem.costs().restore_base + u64::from(frame_len + replayed) / 4);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(16 + 4 + frame_len) + replayed,
+            bytes: u64::from(20 + frame_len + replayed),
         });
         Ok(ResumeAction::Restored)
     }
@@ -454,7 +307,7 @@ mod tests {
     }
 
     fn clobber(m: &mut Machine, buf: Addr) {
-        let a = buf.offset(BANK_HEADER + 2);
+        let a = buf.offset(tics_vm::persist::DELTA_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x10]).unwrap();
     }
@@ -469,20 +322,20 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let ctrl = rt.ctrl.unwrap();
-        let flag = ctrl.flag(&m).unwrap();
+        let banks = rt.banks.unwrap();
+        let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a checkpoint must have committed");
         let (active, other) = if flag == 1 {
-            (rt.buf_a, rt.buf_b)
+            (banks.a, banks.b)
         } else {
-            (rt.buf_b, rt.buf_a)
+            (banks.b, banks.a)
         };
         // Corrupt the active bank: boot detects it and falls back.
         clobber(&mut m, active);
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(action, ResumeAction::Restored));
         assert_eq!(m.stats().recoveries, 1);
-        assert_eq!(ctrl.flag(&m).unwrap(), if flag == 1 { 2 } else { 1 });
+        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), if flag == 1 { 2 } else { 1 });
         // Corrupt the fallback too: recovery degrades to a fresh start.
         clobber(&mut m, other);
         let action = rt.on_boot(&mut m).unwrap();
@@ -494,6 +347,6 @@ mod tests {
         ));
         assert_eq!(m.stats().recoveries, 2);
         assert_eq!(m.stats().fresh_starts, 1);
-        assert_eq!(ctrl.flag(&m).unwrap(), 0);
+        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), 0);
     }
 }

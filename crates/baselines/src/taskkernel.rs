@@ -1,6 +1,6 @@
 //! Task-based kernels: Alpaca, InK, and MayFly.
 
-use tics_mcu::{Addr, Registers};
+use tics_mcu::Addr;
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
@@ -9,11 +9,9 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use crate::bufs::{
-    bank_payload_into, bank_seq, build_delta_payload, dirty_words, journal_capacity, peek_u32,
-    poke_u32, replay_chain, select_bank, stage_bank, verified_poke, BankChoice, CtrlBlock,
-    DeltaJournal, BANK_HEADER, CTRL_SIZE,
-};
+use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+
+use crate::bufs;
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -90,12 +88,12 @@ pub struct TaskKernel {
     flavor: TaskFlavor,
     undo_capacity: u32,
     undo_count: u32,
-    ctrl: Option<CtrlBlock>,
-    buf_a: Addr,
-    buf_b: Addr,
+    banks: Option<BankPair>,
+    /// Control-block word holding the persistent undo count.
+    undo_count_word: Addr,
     ts_base: Addr,
     undo_base: Addr,
-    journal: DeltaJournal,
+    chain: DeltaChain,
     tx: TxDriver,
 }
 
@@ -114,12 +112,11 @@ impl TaskKernel {
             flavor,
             undo_capacity,
             undo_count: 0,
-            ctrl: None,
-            buf_a: Addr(0),
-            buf_b: Addr(0),
+            banks: None,
+            undo_count_word: Addr(0),
             ts_base: Addr(0),
             undo_base: Addr(0),
-            journal: DeltaJournal::default(),
+            chain: DeltaChain::default(),
             tx: TxDriver::default(),
         }
     }
@@ -130,145 +127,92 @@ impl TaskKernel {
         self.flavor
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<CtrlBlock> {
-        if let Some(c) = self.ctrl {
-            return Ok(c);
+    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
+        if let Some(b) = self.banks {
+            return Ok(b);
         }
-        let base = m.runtime_area_base();
-        let sram = m.mem.layout().sram;
-        let buf_bytes = BANK_HEADER + 16 + 4 + sram.len();
-        self.buf_a = base.offset(CTRL_SIZE);
-        self.buf_b = self.buf_a.offset(buf_bytes);
-        let journal_bytes = journal_capacity(buf_bytes);
-        self.journal
-            .place(self.buf_b.offset(buf_bytes), journal_bytes);
-        self.ts_base = self.buf_b.offset(buf_bytes + journal_bytes);
-        self.undo_base = self
-            .ts_base
-            .offset(8 * m.loaded().program.annotated.len() as u32);
-        let end = self.undo_base.offset(8 * self.undo_capacity);
-        if !m.mem.layout().fram.contains(Addr(end.raw() - 1)) {
-            return Err(VmError::Load(
-                "task kernel buffers do not fit in FRAM".into(),
-            ));
-        }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
-        self.ctrl = Some(ctrl);
-        Ok(ctrl)
+        // A bank holds the registers, the used-stack length and the
+        // stack; the timestamp table and the undo log follow the journal.
+        let sram = m.mem.layout().sram.len();
+        let timestamps = 8 * m.loaded().program.annotated.len() as u32;
+        let (banks, end) = bufs::attach_hardened(
+            m,
+            16 + 4 + sram,
+            timestamps + 8 * self.undo_capacity,
+            &mut self.chain,
+            "task kernel buffers do not fit in FRAM",
+        )?;
+        self.undo_count_word = m.runtime_area_base().offset(bufs::SCRATCH);
+        self.ts_base = end;
+        self.undo_base = end.offset(timestamps);
+        self.banks = Some(banks);
+        Ok(banks)
     }
 
     /// Commit at a task boundary: the undo log becomes the committed
     /// state and a fresh dispatcher checkpoint is taken.
     fn commit_boundary(&mut self, m: &mut Machine) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        let banks = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
         let sram = m.mem.layout().sram;
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
-        let max_payload = 16 + 4 + sram.len();
-        if self.journal.is_cold() {
-            self.journal
-                .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
+        if self.chain.is_cold() {
+            bufs::prime_cold(m, &banks, &mut self.chain)?;
         }
-        let mut misc = [0u8; 20];
-        for (i, w) in m.regs.to_words().iter().enumerate() {
-            misc[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        misc[16..20].copy_from_slice(&used.to_le_bytes());
         // The dispatcher checkpoint covers the whole SRAM window (a
         // fixed superset of the live `[0, used)` prefix, so every chain
         // record shares the bank's region).
         let region = [(sram.start, sram.len())];
         let full_bytes = 20 + used;
-        let delta_payload = 4 + 20 + 8 * dirty_words(m, &region);
-        if self.journal.can_delta(BANK_HEADER + delta_payload, full_bytes)
-            && 4 * delta_payload < 3 * full_bytes
-        {
-            let seq = self.journal.take_seq();
-            build_delta_payload(m, &misc, &region, &mut self.journal.scratch);
-            let staged = stage_bank(m, self.journal.record_addr(), seq, &self.journal.scratch)?;
-            let plen = self.journal.scratch.len() as u32;
-            let costs = m.mem.costs();
-            let cost = costs.ckpt_base
-                + costs.ckpt_seg_fixed
-                + costs.ckpt_seg_per_byte * u64::from(plen);
-            if !m.charge_atomic(cost) {
-                return Ok(());
-            }
-            if !staged {
-                // Corruption defeated staging: skip this boundary
-                // commit. The chain tip is untouched and the undo log
-                // keeps privatizing, so a reboot rolls back to the
-                // still-valid previous checkpoint.
-                return Ok(());
-            }
-            ctrl.set_delta_tip(m, seq)?;
-            self.journal.committed_delta(BANK_HEADER + plen);
-            m.mem.clear_dirty(sram.start, sram.len());
-            self.undo_count = 0;
-            ctrl.set_scratch(m, 0)?;
-            m.emit(TraceEvent::CheckpointCommit {
-                cause: CkptCause::Site,
-                bytes: u64::from(plen),
-            });
-            return Ok(());
-        }
-        let target = if ctrl.flag(m)? == 1 { 2 } else { 1 };
-        let buf = if target == 1 { self.buf_a } else { self.buf_b };
-        let seq = self.journal.take_seq();
-        self.journal.scratch.clear();
-        self.journal.scratch.extend_from_slice(&misc);
-        if used > 0 {
-            self.journal
-                .scratch
-                .extend_from_slice(m.mem.peek_slice(sram.start, used)?);
-        }
-        let staged = stage_bank(m, buf, seq, &self.journal.scratch)?;
+        let staged = self.chain.stage(
+            m,
+            &banks,
+            full_bytes,
+            &bufs::misc(m, used),
+            &region,
+            &[(sram.start, used)],
+        )?;
+        let bytes = staged.delta.unwrap_or(full_bytes);
         let costs = m.mem.costs();
-        let cost = costs.ckpt_base
-            + costs.ckpt_seg_fixed
-            + costs.ckpt_seg_per_byte * u64::from(full_bytes);
+        let cost =
+            costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
         if !m.charge_atomic(cost) {
             return Ok(());
         }
-        if !staged {
+        if !staged.verified {
             // Corruption defeated staging: skip this boundary commit.
             // The undo log keeps privatizing past the boundary, so a
             // reboot rolls back to the still-valid previous checkpoint.
             return Ok(());
         }
-        ctrl.set_flag(m, target)?;
-        ctrl.set_delta_base(m, seq)?;
-        ctrl.set_delta_tip(m, 0)?;
-        self.journal.committed_full();
-        m.mem.clear_dirty(sram.start, sram.len());
+        self.chain.publish(m, &banks, &staged, &region)?;
         self.undo_count = 0;
-        ctrl.set_scratch(m, 0)?;
+        m.mem.poke_bytes(self.undo_count_word, &0u32.to_le_bytes())?;
         m.emit(TraceEvent::CheckpointCommit {
             cause: CkptCause::Site,
-            bytes: u64::from(full_bytes),
+            bytes: u64::from(bytes),
         });
         Ok(())
     }
 
     fn rollback_all(&mut self, m: &mut Machine) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        self.attach(m)?;
         let mut span = m.span(SpanKind::Rollback);
         let m = &mut *span;
-        self.undo_count = ctrl.scratch(m)?;
-        let mut i = self.undo_count;
+        let mut i = m.mem.peek_word(self.undo_count_word)?;
         while i > 0 {
             i -= 1;
             let slot = self.undo_base.offset(8 * i);
-            let addr = Addr(peek_u32(m, slot)?);
-            let old = peek_u32(m, slot.offset(4))?;
-            poke_u32(m, addr, old)?;
+            let addr = Addr(m.mem.peek_word(slot)?);
+            let old = m.mem.peek_word(slot.offset(4))?;
+            m.mem.poke_bytes(addr, &old.to_le_bytes())?;
             m.mem.add_cycles(m.mem.costs().rollback_cost(4));
             m.emit(TraceEvent::Rollback { bytes: 4 });
         }
         self.undo_count = 0;
-        ctrl.set_scratch(m, 0)
+        m.mem.poke_bytes(self.undo_count_word, &0u32.to_le_bytes())?;
+        Ok(())
     }
 
     fn supports_time(&self) -> bool {
@@ -322,116 +266,50 @@ impl IntermittentRuntime for TaskKernel {
 
     fn recycle(&mut self) {
         self.undo_count = 0;
-        self.ctrl = None;
-        self.buf_a = Addr(0);
-        self.buf_b = Addr(0);
+        self.banks = None;
+        self.undo_count_word = Addr(0);
         self.ts_base = Addr(0);
         self.undo_base = Addr(0);
-        self.journal.recycle();
+        self.chain.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let ctrl = self.attach(m)?;
+        let banks = self.attach(m)?;
         // Writes of the interrupted task are rolled back: the task
         // restarts idempotently from its boundary.
         self.rollback_all(m)?;
-        let sram = m.mem.layout().sram;
-        let max_payload = 16 + 4 + sram.len();
-        let buf = match select_bank(m, ctrl, self.buf_a, self.buf_b, max_payload)? {
-            BankChoice::None => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
+        let (addr, seq) = match banks.select(m)? {
+            BankChoice::Bank { addr, seq } => (addr, seq),
+            choice => {
+                bufs::prime_cold(m, &banks, &mut self.chain)?;
                 return Ok(ResumeAction::Restart {
-                    reinit_globals: false,
+                    reinit_globals: choice == BankChoice::FreshStart,
                 });
             }
-            BankChoice::FreshStart => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: true,
-                });
-            }
-            BankChoice::Bank(buf) => buf,
         };
         // Full-image restore first, then the delta chain (if one
         // extends this bank generation).
-        bank_payload_into(m, buf, &mut self.journal.scratch)?;
-        let mut words = [0u32; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(
-                self.journal.scratch[4 * i..4 * i + 4]
-                    .try_into()
-                    .expect("reg word"),
-            );
-        }
-        let used = u32::from_le_bytes(
-            self.journal.scratch[16..20]
-                .try_into()
-                .expect("used len"),
-        );
-        if used > 0
-            && !verified_poke(m, sram.start, &self.journal.scratch[20..(20 + used) as usize])?
-        {
+        let mut misc = self.chain.load(m, &banks, addr)?;
+        let used = bufs::unpack(&misc).1;
+        let sram = m.mem.layout().sram;
+        if !self.chain.restore_images(m, &[(sram.start, used)])? {
             return Err(VmError::Trap(format!(
                 "{}: stack restore failed read-back verification",
                 self.flavor.name()
             )));
         }
-        let base_seq = bank_seq(m, buf)?;
-        let chain_base = ctrl.delta_base(m)?;
-        let tip = ctrl.delta_tip(m)?;
-        let region = [(sram.start, sram.len())];
-        let mut replayed = 0u64;
-        if chain_base == base_seq && tip > base_seq {
-            let end = replay_chain(
-                m,
-                self.journal.base,
-                self.journal.capacity,
-                base_seq,
-                tip,
-                &region,
-                &mut self.journal.misc,
-            )?;
-            if end.last_seq > base_seq {
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = u32::from_le_bytes(
-                        self.journal.misc[4 * i..4 * i + 4]
-                            .try_into()
-                            .expect("reg word"),
-                    );
-                }
-            }
-            replayed = u64::from(end.bytes);
-            if end.broken {
-                m.emit(TraceEvent::Recovery {
-                    invalid_banks: 1,
-                    fresh_start: false,
-                });
-                self.journal
-                    .prime(tip.max(end.last_seq) + 1, end.next_off, false);
-            } else {
-                self.journal.prime(end.last_seq + 1, end.next_off, true);
-            }
-        } else if chain_base == base_seq {
-            self.journal.prime(base_seq.max(tip) + 1, 0, true);
-        } else {
-            self.journal
-                .prime(base_seq.max(chain_base).max(tip) + 1, 0, false);
-        }
-        m.regs = Registers::from_words(words);
-        m.mem.clear_dirty(sram.start, sram.len());
+        let replayed = self
+            .chain
+            .resume(m, &banks, seq, &[(sram.start, sram.len())], &mut misc)?;
+        m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
+        let bytes = u64::from(20 + used + replayed);
         let costs = m.mem.costs();
-        let cost = costs.restore_base
-            + costs.restore_seg_fixed
-            + costs.restore_seg_per_byte * (u64::from(20 + used) + replayed);
+        let cost = costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
         let _ = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(20 + used) + replayed,
-        });
+        m.emit(TraceEvent::Restore { bytes });
         Ok(ResumeAction::Restored)
     }
 
@@ -461,7 +339,7 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
-        let ctrl = self.attach(m)?;
+        self.attach(m)?;
         // Only task-shared state (the FRAM data segment) is privatized.
         let data_start = m.data_base();
         let data_end = data_start.offset(m.loaded().program.globals_size);
@@ -481,12 +359,13 @@ impl IntermittentRuntime for TaskKernel {
         }
         let mut span = m.span(SpanKind::UndoLog);
         let m = &mut *span;
-        let old = peek_u32(m, addr)?;
+        let old = m.mem.peek_word(addr)?;
         let slot = self.undo_base.offset(8 * self.undo_count);
-        poke_u32(m, slot, addr.raw())?;
-        poke_u32(m, slot.offset(4), old)?;
+        m.mem.poke_bytes(slot, &addr.raw().to_le_bytes())?;
+        m.mem.poke_bytes(slot.offset(4), &old.to_le_bytes())?;
         self.undo_count += 1;
-        ctrl.set_scratch(m, self.undo_count)?;
+        m.mem
+            .poke_bytes(self.undo_count_word, &self.undo_count.to_le_bytes())?;
         m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
         m.emit(TraceEvent::UndoAppend {
             bytes: u64::from(len),
@@ -720,7 +599,7 @@ mod tests {
     }
 
     fn clobber(m: &mut Machine, buf: Addr) {
-        let a = buf.offset(BANK_HEADER + 2);
+        let a = buf.offset(tics_vm::persist::DELTA_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x10]).unwrap();
     }
@@ -736,19 +615,19 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let ctrl = rt.ctrl.unwrap();
-        let flag = ctrl.flag(&m).unwrap();
+        let banks = rt.banks.unwrap();
+        let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a boundary must have committed");
         let (active, other) = if flag == 1 {
-            (rt.buf_a, rt.buf_b)
+            (banks.a, banks.b)
         } else {
-            (rt.buf_b, rt.buf_a)
+            (banks.b, banks.a)
         };
         clobber(&mut m, active);
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(action, ResumeAction::Restored));
         assert_eq!(m.stats().recoveries, 1);
-        assert_eq!(ctrl.flag(&m).unwrap(), if flag == 1 { 2 } else { 1 });
+        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), if flag == 1 { 2 } else { 1 });
         clobber(&mut m, other);
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(
@@ -759,7 +638,7 @@ mod tests {
         ));
         assert_eq!(m.stats().recoveries, 2);
         assert_eq!(m.stats().fresh_starts, 1);
-        assert_eq!(ctrl.flag(&m).unwrap(), 0);
+        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), 0);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! - `--out PATH` — baseline path (default `BENCH_fleet.json`).
 //! - `--no-write` — run and report without touching the baseline.
 //!
-//! To refresh the committed baseline (CI checks at 2000 devices):
-//! `cargo run --release -p tics-bench --bin exp_fleet -- --devices 2000`
+//! To refresh the committed baseline (CI checks at 1400 devices):
+//! `cargo run --release -p tics-bench --bin exp_fleet -- --devices 1400`
 //! and commit the rewritten `BENCH_fleet.json`.
 
 use std::process::ExitCode;

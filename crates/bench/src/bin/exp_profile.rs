@@ -165,7 +165,7 @@ fn measure_checkpoint_delta(seg: u32) -> Option<(u64, u64)> {
     let full = spans.iter().map(|&(_, b)| b).max()?;
     let deltas: Vec<(u64, u64)> = spans.into_iter().filter(|&(_, b)| b < full).collect();
     let model = average(deltas.iter().map(|&(_, b)| {
-        let plen = u32::try_from(b).expect("delta fits u32") - tics_core::DELTA_HEADER;
+        let plen = u32::try_from(b).expect("delta fits u32") - tics_vm::persist::DELTA_HEADER;
         CostModel::default().checkpoint_cost(plen)
     }))?;
     let measured = average(deltas.iter().map(|&(c, _)| c))?;

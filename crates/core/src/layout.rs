@@ -2,6 +2,7 @@
 
 use tics_mcu::{Addr, Region};
 use tics_minic::program::Program;
+use tics_vm::persist::{journal_capacity, BankFormat, BankPair};
 
 use crate::config::TicsConfig;
 
@@ -30,31 +31,6 @@ pub mod ctrl {
     pub const SIZE: u32 = 40;
 }
 
-/// Offsets within one checkpoint buffer (bank).
-///
-/// Each bank is self-validating: it carries a monotonic sequence number
-/// and a CRC-32 over everything except the CRC field itself. The CRC is
-/// stamped during phase 1 of the two-phase commit and checked before
-/// any restore — a bank whose staging writes were corrupted by a
-/// brown-out fails validation instead of being trusted.
-pub mod ckpt {
-    /// 4 × `u32` register image (pc, sp, fp, sr).
-    pub const REGS: u32 = 0;
-    /// `u32` atomic-region depth at checkpoint time.
-    pub const ATOMIC_DEPTH: u32 = 16;
-    /// `u32` working-segment index at checkpoint time.
-    pub const WORKING_SEG: u32 = 20;
-    /// `u64` per-bank monotonic commit sequence number (never 0 for a
-    /// committed bank — 0 marks a bank that has never been written).
-    pub const SEQ: u32 = 24;
-    /// `u32` CRC-32 over the header (minus this field) + segment image.
-    pub const CRC: u32 = 32;
-    /// Start of the working-segment image.
-    pub const SEG_IMAGE: u32 = 36;
-    /// Header bytes before the segment image.
-    pub const HEADER: u32 = 36;
-}
-
 /// Resolved addresses of every persistent runtime structure.
 ///
 /// Laid out immediately after the program's data segment:
@@ -64,10 +40,10 @@ pub mod ckpt {
 pub struct RuntimeLayout {
     /// Control block base.
     pub control: Addr,
-    /// Checkpoint buffer A base.
-    pub ckpt_a: Addr,
-    /// Checkpoint buffer B base.
-    pub ckpt_b: Addr,
+    /// Checkpoint banks A and B: misc-first banks
+    /// ([`BankFormat::MiscFirst`]) of registers, atomic depth, working
+    /// segment, sequence number and CRC, then the segment image.
+    pub banks: BankPair,
     /// Delta journal base (incremental checkpoint records).
     pub journal: Addr,
     /// Delta journal capacity in bytes.
@@ -97,15 +73,17 @@ impl RuntimeLayout {
     /// `base` (normally `Machine::runtime_area_base()`).
     #[must_use]
     pub fn compute(base: Addr, config: &TicsConfig, program: &Program) -> RuntimeLayout {
-        let ckpt_buf_bytes = ckpt::HEADER + config.seg_size;
         let control = base;
-        let ckpt_a = control.offset(ctrl::SIZE);
-        let ckpt_b = ckpt_a.offset(ckpt_buf_bytes);
-        // The delta journal sits right after the banks: roomy enough for
-        // many incremental records between full images, bounded so
-        // boot-time chain replay stays O(image).
-        let journal = ckpt_b.offset(ckpt_buf_bytes);
-        let journal_capacity = (2 * ckpt_buf_bytes).clamp(1_024, 8_192);
+        let banks = BankPair::new(
+            control.offset(ctrl::SIZE),
+            control.offset(ctrl::CKPT_FLAG),
+            control.offset(ctrl::DELTA_BASE),
+            BankFormat::MiscFirst,
+            config.seg_size,
+        );
+        // The delta journal sits right after the banks.
+        let journal = banks.end();
+        let journal_capacity = journal_capacity(banks.bank_bytes());
         let timestamps = journal.offset(journal_capacity);
         let undo = timestamps.offset(8 * program.annotated.len() as u32);
         let io_capacity = if config.virtualize_io { 32 } else { 0 };
@@ -114,8 +92,7 @@ impl RuntimeLayout {
         let end = segments.offset(config.segment_array_bytes());
         RuntimeLayout {
             control,
-            ckpt_a,
-            ckpt_b,
+            banks,
             journal,
             journal_capacity,
             timestamps,
@@ -148,20 +125,6 @@ impl RuntimeLayout {
             return None;
         }
         Some((addr.raw() - self.segments.raw()) / self.seg_size)
-    }
-
-    /// Checkpoint buffer base for flag value 1 (A) or 2 (B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `which` is not 1 or 2.
-    #[must_use]
-    pub fn ckpt_buffer(&self, which: u32) -> Addr {
-        match which {
-            1 => self.ckpt_a,
-            2 => self.ckpt_b,
-            other => panic!("checkpoint buffer id must be 1 or 2, got {other}"),
-        }
     }
 
     /// Timestamp slot of annotated variable `var`.
@@ -206,17 +169,17 @@ mod tests {
     #[test]
     fn regions_are_disjoint_and_ordered() {
         let l = layout();
-        assert!(l.control < l.ckpt_a);
-        assert!(l.ckpt_a < l.ckpt_b);
-        assert!(l.ckpt_b < l.journal);
+        assert!(l.control < l.banks.a);
+        assert!(l.banks.a < l.banks.b);
+        assert!(l.banks.b < l.journal);
         assert!(l.journal < l.timestamps);
         assert!(l.timestamps < l.undo);
         assert!(l.undo < l.segments);
         assert!(l.segments < l.end);
         // Checkpoint buffers hold header + a full segment.
-        assert_eq!(l.ckpt_b.raw() - l.ckpt_a.raw(), ckpt::HEADER + 256);
+        assert_eq!(l.banks.b.raw() - l.banks.a.raw(), 36 + 256);
         // The journal sits between the banks and the timestamp table.
-        assert_eq!(l.journal.raw() - l.ckpt_b.raw(), ckpt::HEADER + 256);
+        assert_eq!(l.journal.raw() - l.banks.b.raw(), 36 + 256);
         assert_eq!(l.timestamps.raw() - l.journal.raw(), l.journal_capacity);
         assert_eq!(l.journal_capacity, 1_024);
     }
@@ -252,7 +215,7 @@ mod tests {
         let l = layout();
         assert_eq!(l.timestamp_slot(0), l.timestamps);
         assert_eq!(l.undo_slot(2), l.undo.offset(16));
-        assert_eq!(l.ckpt_buffer(1), l.ckpt_a);
-        assert_eq!(l.ckpt_buffer(2), l.ckpt_b);
+        assert_eq!(l.banks.bank(1), l.banks.a);
+        assert_eq!(l.banks.bank(2), l.banks.b);
     }
 }

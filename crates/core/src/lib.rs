@@ -59,4 +59,4 @@ pub mod runtime;
 
 pub use config::TicsConfig;
 pub use layout::RuntimeLayout;
-pub use runtime::{ctrl_flag, TicsRuntime, DELTA_HEADER};
+pub use runtime::{ctrl_flag, TicsRuntime};

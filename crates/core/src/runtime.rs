@@ -1,16 +1,19 @@
 //! The TICS [`IntermittentRuntime`] implementation.
 
-use tics_mcu::{Addr, Crc32};
+use tics_mcu::{Addr, Registers};
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
+use tics_vm::persist::{
+    init_control, pack_misc, unpack_misc, BankChoice, DeltaChain, Misc, DELTA_HEADER,
+};
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, ResumeAction, RuntimeCapabilities, TxDriver,
     VmError,
 };
 
 use crate::config::TicsConfig;
-use crate::layout::{ckpt, ctrl, RuntimeLayout, MAGIC};
+use crate::layout::{ctrl, RuntimeLayout, MAGIC};
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -39,21 +42,6 @@ enum CommitOutcome {
     VerifyAbort,
 }
 
-/// Read-back verification attempts for staging / restore pokes. Each
-/// attempt re-draws the corruption RNG, so retries converge whenever the
-/// per-store corruption probability is below 1.
-const VERIFY_ATTEMPTS: u32 = 16;
-
-/// Delta record header: `u64` sequence, `u32` payload length, `u32`
-/// CRC-32 over sequence + length + payload. Public so profilers can
-/// recover a record's payload length from its committed byte count.
-pub const DELTA_HEADER: u32 = 16;
-
-/// Fixed misc block of every delta payload: 4 × `u32` registers,
-/// `u32` atomic depth, `u32` working segment — the bank header fields a
-/// restore needs, re-captured at each incremental commit.
-const DELTA_MISC: u32 = 24;
-
 /// The TICS runtime: stack segmentation, undo-log memory consistency,
 /// double-buffered checkpoints, and time-sensitivity semantics.
 ///
@@ -74,20 +62,8 @@ pub struct TicsRuntime {
     pending_shrink_ckpt: bool,
     expires_block: Option<ExpiresBlock>,
     tx: TxDriver,
-    /// Next commit sequence number (cache of the delta-chain cursor);
-    /// 0 = cold, re-primed from the control block. Sequence numbers are
-    /// burned by *attempts*, not commits, so a staged-but-uncommitted
-    /// record can never collide with a later committed one.
-    journal_next_seq: u64,
-    /// Staging offset of the next delta record (end of the chain).
-    journal_write_off: u32,
-    /// Whether a committed full bank anchors the chain — deltas are
-    /// only taken while anchored and while the working segment still
-    /// matches the anchoring bank's.
-    journal_anchored: bool,
-    /// Reusable staging buffer — commit/restore allocate nothing in
-    /// steady state.
-    scratch: Vec<u8>,
+    /// Delta-chain cursor over the FRAM journal (rebuilt at every boot).
+    chain: DeltaChain,
 }
 
 impl TicsRuntime {
@@ -106,10 +82,7 @@ impl TicsRuntime {
             pending_shrink_ckpt: false,
             expires_block: None,
             tx: TxDriver::default(),
-            journal_next_seq: 0,
-            journal_write_off: 0,
-            journal_anchored: false,
-            scratch: Vec::new(),
+            chain: DeltaChain::default(),
         }
     }
 
@@ -137,134 +110,27 @@ impl TicsRuntime {
                 m.mem.layout().fram
             )));
         }
-        if m.mem
-            .peek_bytes(l.control, 4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            != Ok(MAGIC)
-        {
-            // First boot on this image: initialize the control block.
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::MAGIC), &MAGIC.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::CKPT_FLAG), &0u32.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::CKPT_SEQ), &0u64.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::UNDO_COUNT), &0u32.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::DELTA_BASE), &0u64.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::DELTA_TIP), &0u64.to_le_bytes())?;
-        }
+        init_control(m, l.control, MAGIC, ctrl::SIZE)?;
+        self.chain.place(
+            l.journal,
+            l.journal_capacity,
+            l.control.offset(ctrl::DELTA_TIP),
+        );
         self.layout = Some(l);
         Ok(l)
     }
 
-    fn peek_u32(m: &Machine, a: Addr) -> Result<u32> {
-        let b = m.mem.peek_bytes(a, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn poke_u32(m: &mut Machine, a: Addr, v: u32) -> Result<()> {
-        m.mem.poke_bytes(a, &v.to_le_bytes())?;
-        Ok(())
-    }
-
     fn set_undo_count(&mut self, m: &mut Machine, l: &RuntimeLayout, n: u32) -> Result<()> {
         self.undo_count = n;
-        Self::poke_u32(m, l.control.offset(ctrl::UNDO_COUNT), n)
-    }
-
-    /// CRC-32 over a full bank image with the CRC field itself skipped.
-    fn bank_crc(bank: &[u8]) -> u32 {
-        let mut h = Crc32::new();
-        h.update(&bank[..ckpt::CRC as usize]);
-        h.update(&bank[ckpt::SEG_IMAGE as usize..]);
-        h.finish()
-    }
-
-    /// CRC-32 over a delta record: sequence + length + payload.
-    fn record_crc(seq: u64, payload: &[u8]) -> u32 {
-        let mut h = Crc32::new();
-        h.update(&seq.to_le_bytes());
-        h.update(&(payload.len() as u32).to_le_bytes());
-        h.update(payload);
-        h.finish()
-    }
-
-    /// Re-primes the delta-chain cursor from non-volatile state alone:
-    /// next sequence past everything ever committed, chain not anchored
-    /// — the next checkpoint is a full image.
-    fn prime_journal_cold(&mut self, m: &Machine, l: &RuntimeLayout) -> Result<()> {
-        let seq = m.mem.peek_u64(l.control.offset(ctrl::CKPT_SEQ))?;
-        let tip = m.mem.peek_u64(l.control.offset(ctrl::DELTA_TIP))?;
-        self.journal_next_seq = seq.max(tip) + 1;
-        self.journal_write_off = 0;
-        self.journal_anchored = false;
+        m.mem.poke_bytes(l.control.offset(ctrl::UNDO_COUNT), &n.to_le_bytes())?;
         Ok(())
     }
 
-    /// Validates the delta record at journal offset `off`: in bounds,
-    /// sequence exactly `expected`, structurally a delta payload (misc
-    /// block plus a whole number of 8-byte word entries), CRC intact.
-    /// Returns the payload length if valid.
-    fn validate_delta_record(
-        m: &Machine,
-        l: &RuntimeLayout,
-        off: u32,
-        expected: u64,
-    ) -> Result<Option<u32>> {
-        if off + DELTA_HEADER > l.journal_capacity {
-            return Ok(None);
-        }
-        let rec = l.journal.offset(off);
-        let head = m.mem.peek_slice(rec, DELTA_HEADER)?;
-        let seq = u64::from_le_bytes(head[0..8].try_into().expect("8-byte seq"));
-        let len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte len"));
-        let stored = u32::from_le_bytes(head[12..16].try_into().expect("4-byte crc"));
-        if seq != expected
-            || len < DELTA_MISC
-            || !(len - DELTA_MISC).is_multiple_of(8)
-            || off + DELTA_HEADER + len > l.journal_capacity
-        {
-            return Ok(None);
-        }
-        let payload = m.mem.peek_slice(rec.offset(DELTA_HEADER), len)?;
-        if Self::record_crc(seq, payload) != stored {
-            return Ok(None);
-        }
-        Ok(Some(len))
-    }
-
-    /// Pokes `bytes` at `a` and reads them back, retrying until the
-    /// write actually landed intact. Multi-word burst stores can be
-    /// bit-flipped or dropped by a brown-out ([`tics_mcu::CorruptionModel`]);
-    /// read-back verification is what makes a *committed* bank
-    /// trustworthy. Returns `false` if every attempt was corrupted.
-    fn verified_poke(m: &mut Machine, a: Addr, bytes: &[u8]) -> Result<bool> {
-        for _ in 0..VERIFY_ATTEMPTS {
-            m.mem.poke_bytes(a, bytes)?;
-            if m.mem.peek_slice(a, bytes.len() as u32)? == bytes {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Validates checkpoint bank `which` (1 or 2): a committed bank has a
-    /// nonzero sequence number and a matching CRC. Returns the sequence
-    /// number if valid.
-    fn validate_bank(m: &Machine, l: &RuntimeLayout, which: u32) -> Result<Option<u64>> {
-        let buf = l.ckpt_buffer(which);
-        let bank = m.mem.peek_slice(buf, ckpt::HEADER + l.seg_size)?;
-        let s = ckpt::SEQ as usize;
-        let c = ckpt::CRC as usize;
-        let seq = u64::from_le_bytes(bank[s..s + 8].try_into().expect("8-byte seq"));
-        let stored = u32::from_le_bytes(bank[c..c + 4].try_into().expect("4-byte crc"));
-        if seq == 0 || Self::bank_crc(bank) != stored {
-            return Ok(None);
-        }
-        Ok(Some(seq))
+    /// The misc block of a bank or delta record: registers, atomic
+    /// depth, working segment.
+    fn misc(&self, m: &Machine) -> Misc {
+        let [pc, sp, fp, sr] = m.regs.to_words();
+        pack_misc([pc, sp, fp, sr, self.atomic_depth, self.working_seg])
     }
 
     /// Commits a checkpoint (two-phase, §4): either a *full* image —
@@ -279,139 +145,45 @@ impl TicsRuntime {
         let l = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
-        if self.journal_next_seq == 0 {
-            self.prime_journal_cold(m, &l)?;
+        if self.chain.is_cold() {
+            let floor = m.mem.peek_u64(l.control.offset(ctrl::CKPT_SEQ))?;
+            self.chain.prime_cold(m, floor)?;
         }
         let seg = l.segment(self.working_seg);
-        let full_bytes = ckpt::HEADER + l.seg_size;
-        let dirty = m.mem.count_dirty_words(seg.start, l.seg_size);
-        let plen = DELTA_MISC + 8 * dirty;
-        // Incremental path: the chain must be anchored by a committed
-        // full image of this very segment, the record must fit the
-        // journal, and the delta must be meaningfully smaller than a
-        // full image — so restore stays O(image): one full-image
-        // restore plus a bounded chain replay.
-        // The chain is byte-capped well below the journal's capacity:
-        // every boot replays the whole chain after the full-image
-        // restore, so unbounded chains would inflate the restore charge
-        // past what a short on-period can cover — the exact livelock
-        // incremental checkpointing exists to prevent.
-        let chain_cap = l.journal_capacity.min(full_bytes.max(512));
-        let take_delta = self.journal_anchored
-            && self.last_ckpt_seg == Some(self.working_seg)
-            && self.journal_write_off + DELTA_HEADER + plen <= chain_cap
-            && 4 * plen < 3 * full_bytes;
-        // Sequence numbers are burned per attempt (shared between full
-        // banks and delta records), so an aborted attempt can never
-        // collide with a later committed record.
-        let seq = self.journal_next_seq;
-        self.journal_next_seq += 1;
-        let committed_bytes;
-        if take_delta {
-            // Phase 1: stage the delta record — the misc block (the
-            // bank-header fields a restore needs) plus one
-            // (address, value) entry per dirty word — at the end of the
-            // chain, CRC-stamped and read-back verified.
-            self.scratch.clear();
-            for w in m.regs.to_words() {
-                self.scratch.extend_from_slice(&w.to_le_bytes());
-            }
-            self.scratch
-                .extend_from_slice(&self.atomic_depth.to_le_bytes());
-            self.scratch
-                .extend_from_slice(&self.working_seg.to_le_bytes());
-            {
-                let scratch = &mut self.scratch;
-                let seg_end = seg.start.raw() + l.seg_size;
-                m.mem.for_each_dirty_word(seg.start, l.seg_size, |w| {
-                    let lo = w.raw().max(seg.start.raw());
-                    let n = (w.raw() + 4).min(seg_end) - lo;
-                    let src = m
-                        .mem
-                        .peek_slice(Addr(lo), n)
-                        .expect("dirty word inside the working segment");
-                    let mut val = [0u8; 4];
-                    val[..n as usize].copy_from_slice(src);
-                    scratch.extend_from_slice(&lo.to_le_bytes());
-                    scratch.extend_from_slice(&val);
-                });
-            }
-            let rec = l.journal.offset(self.journal_write_off);
-            let mut head = [0u8; DELTA_HEADER as usize];
-            head[0..8].copy_from_slice(&seq.to_le_bytes());
-            head[8..12].copy_from_slice(&(self.scratch.len() as u32).to_le_bytes());
-            head[12..16].copy_from_slice(&Self::record_crc(seq, &self.scratch).to_le_bytes());
-            if !(Self::verified_poke(m, rec, &head)?
-                && Self::verified_poke(m, rec.offset(DELTA_HEADER), &self.scratch)?)
-            {
-                // Corruption defeated every staging attempt. Abort
-                // cleanly: the committed chain is untouched.
-                return Ok(CommitOutcome::VerifyAbort);
-            }
-            // Phase 2: the 8-byte tip store makes the record part of
-            // the restore point — but only if the energy budget covers
-            // the whole commit.
-            let cost = m.mem.costs().checkpoint_cost(plen);
-            if !m.charge_atomic(cost) {
-                return Ok(CommitOutcome::EnergyAbort);
-            }
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::DELTA_TIP), &seq.to_le_bytes())?;
-            self.journal_write_off += DELTA_HEADER + plen;
-            committed_bytes = u64::from(DELTA_HEADER + plen);
-        } else {
-            let active = Self::peek_u32(m, l.control.offset(ctrl::CKPT_FLAG))?;
-            let target = if active == 1 { 2 } else { 1 };
-            let buf = l.ckpt_buffer(target);
-            // Phase 1: assemble the whole bank host-side (registers,
-            // runtime state, sequence number, CRC, segment image), then
-            // stage it into the inactive buffer with read-back
-            // verification — a brown-out can corrupt the multi-word
-            // burst store, and a corrupted bank must never become the
-            // restore point.
-            self.scratch.clear();
-            for w in m.regs.to_words() {
-                self.scratch.extend_from_slice(&w.to_le_bytes());
-            }
-            self.scratch
-                .extend_from_slice(&self.atomic_depth.to_le_bytes());
-            self.scratch
-                .extend_from_slice(&self.working_seg.to_le_bytes());
-            self.scratch.extend_from_slice(&seq.to_le_bytes());
-            self.scratch.extend_from_slice(&[0u8; 4]); // CRC, stamped below
-            self.scratch
-                .extend_from_slice(m.mem.peek_slice(seg.start, l.seg_size)?);
-            let crc = Self::bank_crc(&self.scratch);
-            self.scratch[ckpt::CRC as usize..ckpt::SEG_IMAGE as usize]
-                .copy_from_slice(&crc.to_le_bytes());
-            if !Self::verified_poke(m, buf, &self.scratch)? {
-                // Corruption defeated every staging attempt. Abort
-                // cleanly: the previous checkpoint and the undo log are
-                // intact.
-                return Ok(CommitOutcome::VerifyAbort);
-            }
-            // Phase 2: a single flag write makes it the restore point —
-            // but only if the energy budget covers the whole commit.
-            // Dying mid-commit leaves the previous checkpoint valid.
-            let cost = m.mem.costs().checkpoint_cost(l.seg_size);
-            if !m.charge_atomic(cost) {
-                return Ok(CommitOutcome::EnergyAbort);
-            }
-            Self::poke_u32(m, l.control.offset(ctrl::CKPT_FLAG), target)?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::CKPT_SEQ), &seq.to_le_bytes())?;
-            // The new full image anchors a fresh (empty) delta chain.
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::DELTA_BASE), &seq.to_le_bytes())?;
-            m.mem
-                .poke_bytes(l.control.offset(ctrl::DELTA_TIP), &0u64.to_le_bytes())?;
-            self.journal_write_off = 0;
-            self.journal_anchored = true;
-            committed_bytes = u64::from(full_bytes);
+        let region = [(seg.start, l.seg_size)];
+        let full_bytes = l.banks.bank_bytes();
+        // Phase 1: stage a delta record (while a published full image of
+        // this very segment anchors the chain) or a full bank into the
+        // inactive buffer, CRC-stamped and verified by read-back.
+        let misc = self.misc(m);
+        let staged = self
+            .chain
+            .stage(m, &l.banks, full_bytes, &misc, &region, &region)?;
+        if !staged.verified {
+            // Corruption defeated every staging attempt. Abort cleanly:
+            // the previous checkpoint and the undo log are intact.
+            return Ok(CommitOutcome::VerifyAbort);
         }
-        // The words this commit captured are clean again, and the log
-        // only needs to undo writes newer than this checkpoint.
-        m.mem.clear_dirty(seg.start, l.seg_size);
+        // Phase 2: ≤ 8-byte stores make it the restore point — but only
+        // if the energy budget covers the whole commit. Dying mid-commit
+        // leaves the previous checkpoint valid.
+        let cost = m
+            .mem
+            .costs()
+            .checkpoint_cost(staged.delta.unwrap_or(l.seg_size));
+        if !m.charge_atomic(cost) {
+            return Ok(CommitOutcome::EnergyAbort);
+        }
+        self.chain.publish(m, &l.banks, &staged, &region)?;
+        let committed_bytes = match staged.delta {
+            Some(plen) => u64::from(DELTA_HEADER + plen),
+            None => {
+                m.mem
+                    .poke_bytes(l.control.offset(ctrl::CKPT_SEQ), &staged.seq.to_le_bytes())?;
+                u64::from(full_bytes)
+            }
+        };
+        // The log only needs to undo writes newer than this checkpoint.
         self.set_undo_count(m, &l, 0)?;
         self.last_ckpt_seg = Some(self.working_seg);
         m.emit(TraceEvent::CheckpointCommit {
@@ -422,12 +194,13 @@ impl TicsRuntime {
         // buffered send now becomes externally visible, exactly once.
         if self.io_count > 0 {
             for i in 0..self.io_count {
-                let v = Self::peek_u32(m, l.io_slot(i))? as i32;
+                let v = m.mem.peek_i32(l.io_slot(i))?;
                 m.record_send(v);
                 m.mem.add_cycles(8);
             }
             self.io_count = 0;
-            Self::poke_u32(m, l.control.offset(ctrl::IO_COUNT), 0)?;
+            m.mem
+                .poke_bytes(l.control.offset(ctrl::IO_COUNT), &0u32.to_le_bytes())?;
         }
         Ok(CommitOutcome::Committed)
     }
@@ -441,9 +214,9 @@ impl TicsRuntime {
         while i > mark {
             i -= 1;
             let slot = l.undo_slot(i);
-            let addr = Addr(Self::peek_u32(m, slot)?);
-            let old = Self::peek_u32(m, slot.offset(4))?;
-            Self::poke_u32(m, addr, old)?;
+            let addr = Addr(m.mem.peek_word(slot)?);
+            let old = m.mem.peek_word(slot.offset(4))?;
+            m.mem.poke_bytes(addr, &old.to_le_bytes())?;
             m.mem.add_cycles(m.mem.costs().rollback_cost(4));
             m.emit(TraceEvent::Rollback { bytes: 4 });
         }
@@ -495,10 +268,7 @@ impl IntermittentRuntime for TicsRuntime {
         self.pending_shrink_ckpt = false;
         self.expires_block = None;
         self.tx.recycle();
-        self.journal_next_seq = 0;
-        self.journal_write_off = 0;
-        self.journal_anchored = false;
-        self.scratch.clear();
+        self.chain.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
@@ -510,184 +280,54 @@ impl IntermittentRuntime for TicsRuntime {
         // Buffered-but-uncommitted transmissions die with the failure —
         // the execution that produced them is being rolled back.
         self.io_count = 0;
-        Self::poke_u32(m, l.control.offset(ctrl::IO_COUNT), 0)?;
+        m.mem
+            .poke_bytes(l.control.offset(ctrl::IO_COUNT), &0u32.to_le_bytes())?;
         // Anything written after the last checkpoint is rolled back
         // before execution resumes (§3.1.2).
-        self.undo_count = Self::peek_u32(m, l.control.offset(ctrl::UNDO_COUNT))?;
+        self.undo_count = m.mem.peek_word(l.control.offset(ctrl::UNDO_COUNT))?;
         self.rollback_to_mark(m, 0)?;
-        let flag = Self::peek_u32(m, l.control.offset(ctrl::CKPT_FLAG))?;
-        if flag == 0 {
-            // No committed checkpoint (a fully staged bank whose flag
-            // never flipped is an *uncommitted* checkpoint and must not
-            // be restored): plain restart, not a recovery.
-            self.working_seg = 0;
-            self.last_ckpt_seg = None;
-            self.prime_journal_cold(m, &l)?;
-            return Ok(ResumeAction::Restart {
-                reinit_globals: false,
-            });
-        }
         // Validate before trusting: the bank's CRC catches any corruption
-        // the staging write-back verification could not have seen (e.g.
-        // FRAM disturbed after commit, or a clobbered image planted by a
-        // fault-injection harness).
-        let v_a = Self::validate_bank(m, &l, 1)?;
-        let v_b = Self::validate_bank(m, &l, 2)?;
-        let active_valid = match flag {
-            1 => v_a.is_some(),
-            2 => v_b.is_some(),
-            _ => false, // corrupt flag: fall through to highest-seq repair
-        };
-        let restore_from = if active_valid {
-            flag
-        } else {
-            // Self-healing fallback: prefer the valid bank with the
-            // highest sequence number; with neither valid, degrade
-            // gracefully to a fresh start rather than executing from a
-            // corrupted checkpoint.
-            let best = match (v_a, v_b) {
-                (Some(a), Some(b)) => Some(if a >= b { 1 } else { 2 }),
-                (Some(_), None) => Some(1),
-                (None, Some(_)) => Some(2),
-                (None, None) => None,
-            };
-            match best {
-                Some(w) => {
-                    Self::poke_u32(m, l.control.offset(ctrl::CKPT_FLAG), w)?;
-                    m.emit(TraceEvent::Recovery {
-                        invalid_banks: 1,
-                        fresh_start: false,
-                    });
-                    w
-                }
-                None => {
-                    Self::poke_u32(m, l.control.offset(ctrl::CKPT_FLAG), 0)?;
-                    m.emit(TraceEvent::Recovery {
-                        invalid_banks: 2,
-                        fresh_start: true,
-                    });
-                    self.working_seg = 0;
-                    self.last_ckpt_seg = None;
-                    self.prime_journal_cold(m, &l)?;
-                    return Ok(ResumeAction::Restart {
-                        reinit_globals: true,
-                    });
-                }
+        // the staging read-back could not have seen (e.g. FRAM disturbed
+        // after commit, or a clobbered image planted by a fault-injection
+        // harness).
+        let (bank, bank_seq) = match l.banks.select(m)? {
+            BankChoice::Bank { addr, seq } => (addr, seq),
+            choice => {
+                self.working_seg = 0;
+                self.last_ckpt_seg = None;
+                // Cold floor: the last published bank's sequence number.
+                let floor = m.mem.peek_u64(l.control.offset(ctrl::CKPT_SEQ))?;
+                self.chain.prime_cold(m, floor)?;
+                return Ok(ResumeAction::Restart {
+                    reinit_globals: choice == BankChoice::FreshStart,
+                });
             }
         };
-        let buf = l.ckpt_buffer(restore_from);
-        let bank_seq = match restore_from {
-            1 => v_a,
-            _ => v_b,
-        }
-        .expect("selected bank passed validation");
-        let mut words = [0u32; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = Self::peek_u32(m, buf.offset(ckpt::REGS + 4 * i as u32))?;
-        }
-        self.atomic_depth = Self::peek_u32(m, buf.offset(ckpt::ATOMIC_DEPTH))?;
-        self.working_seg = Self::peek_u32(m, buf.offset(ckpt::WORKING_SEG))?;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
+        let mut misc = self.chain.load(m, &l.banks, bank)?;
+        self.working_seg = unpack_misc(&misc)[5];
         let seg = l.segment(self.working_seg);
+        let region = [(seg.start, l.seg_size)];
         // The full image restores the *entire* segment, wiping every
         // uncommitted store — the precondition for replaying the delta
         // chain on top of it.
-        self.scratch.clear();
-        self.scratch
-            .extend_from_slice(m.mem.peek_slice(buf.offset(ckpt::SEG_IMAGE), l.seg_size)?);
-        if !Self::verified_poke(m, seg.start, &self.scratch)? {
+        if !self.chain.restore_images(m, &region)? {
             return Err(VmError::Trap(
                 "checkpoint restore failed read-back verification".into(),
             ));
         }
-        let chain_base = m.mem.peek_u64(l.control.offset(ctrl::DELTA_BASE))?;
-        let tip = m.mem.peek_u64(l.control.offset(ctrl::DELTA_TIP))?;
-        let mut replayed = 0u32;
-        if chain_base == bank_seq && tip > bank_seq {
-            // Replay the delta chain in sequence order. Each record is
-            // validated before it is trusted; a record that fails ends
-            // the walk — the state is then the longest valid prefix,
-            // itself a committed checkpoint — with a journaled
-            // Recovery, never a silent restore of stale words.
-            let seg_end = seg.start.raw() + l.seg_size;
-            let mut off = 0u32;
-            let mut last = bank_seq;
-            let mut expected = bank_seq + 1;
-            let mut broken = false;
-            let mut last_misc: Option<[u8; DELTA_MISC as usize]> = None;
-            while expected <= tip {
-                let Some(plen) = Self::validate_delta_record(m, &l, off, expected)? else {
-                    broken = true;
-                    break;
-                };
-                let rec = l.journal.offset(off);
-                let mut misc = [0u8; DELTA_MISC as usize];
-                misc.copy_from_slice(m.mem.peek_slice(rec.offset(DELTA_HEADER), DELTA_MISC)?);
-                last_misc = Some(misc);
-                let mut p = DELTA_MISC;
-                while p + 8 <= plen {
-                    let e = m.mem.peek_slice(rec.offset(DELTA_HEADER + p), 8)?;
-                    let lo = u32::from_le_bytes(e[0..4].try_into().expect("4-byte addr"));
-                    let val: [u8; 4] = e[4..8].try_into().expect("4-byte value");
-                    if lo >= seg.start.raw() && lo < seg_end {
-                        let n = ((lo & !3) + 4).min(seg_end) - lo;
-                        m.mem.poke_bytes(Addr(lo), &val[..n as usize])?;
-                    }
-                    p += 8;
-                }
-                last = expected;
-                expected += 1;
-                replayed += DELTA_HEADER + plen;
-                off += DELTA_HEADER + plen;
-            }
-            if let Some(misc) = last_misc {
-                // The last valid record's misc block holds the
-                // registers at that commit.
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = u32::from_le_bytes(
-                        misc[4 * i..4 * i + 4].try_into().expect("4-byte word"),
-                    );
-                }
-                self.atomic_depth =
-                    u32::from_le_bytes(misc[16..20].try_into().expect("4-byte depth"));
-            }
-            if broken {
-                m.emit(TraceEvent::Recovery {
-                    invalid_banks: 1,
-                    fresh_start: false,
-                });
-                self.journal_next_seq = tip.max(last) + 1;
-                self.journal_write_off = off;
-                self.journal_anchored = false;
-            } else {
-                self.journal_next_seq = last + 1;
-                self.journal_write_off = off;
-                self.journal_anchored = true;
-            }
-        } else if chain_base == bank_seq {
-            // Empty chain anchored at this bank: extendable in place.
-            self.journal_next_seq = bank_seq.max(tip) + 1;
-            self.journal_write_off = 0;
-            self.journal_anchored = true;
-        } else {
-            // The chain belongs to a different full image (e.g. the
-            // active bank was corrupted and restore fell back to the
-            // older one): ignore it; the next checkpoint is a full
-            // image that re-anchors the chain.
-            self.journal_next_seq = bank_seq.max(chain_base).max(tip) + 1;
-            self.journal_write_off = 0;
-            self.journal_anchored = false;
-        }
-        m.mem.clear_dirty(seg.start, l.seg_size);
-        m.regs = tics_mcu::Registers::from_words(words);
+        let replayed = self.chain.resume(m, &l.banks, bank_seq, &region, &mut misc)?;
+        let [pc, sp, fp, sr, depth, _] = unpack_misc(&misc);
+        m.regs = Registers::from_words([pc, sp, fp, sr]);
+        self.atomic_depth = depth;
         self.last_ckpt_seg = Some(self.working_seg);
         // A restore whose cost exceeds the on-period dies mid-way; the
         // executor injects the failure before any instruction runs.
         let cost = m.mem.costs().restore_cost(l.seg_size + replayed);
         let _completed = m.charge_atomic(cost);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(ckpt::HEADER + l.seg_size) + u64::from(replayed),
+            bytes: u64::from(l.banks.bank_bytes() + replayed),
         });
         Ok(ResumeAction::Restored)
     }
@@ -742,7 +382,7 @@ impl IntermittentRuntime for TicsRuntime {
 
     fn free_frame(&mut self, m: &mut Machine, fp: Addr) -> Result<()> {
         let l = self.attach(m)?;
-        let caller_fp = Addr(Self::peek_u32(m, fp.offset(4))?);
+        let caller_fp = Addr(m.mem.peek_word(fp.offset(4))?);
         let (Some(cur), Some(caller)) = (l.segment_of(fp), l.segment_of(caller_fp)) else {
             return Ok(()); // bottom frame (caller fp is 0)
         };
@@ -805,10 +445,10 @@ impl IntermittentRuntime for TicsRuntime {
         }
         let mut span = m.span(SpanKind::UndoLog);
         let m = &mut *span;
-        let old = Self::peek_u32(m, addr)?;
+        let old = m.mem.peek_word(addr)?;
         let slot = l.undo_slot(self.undo_count);
-        Self::poke_u32(m, slot, addr.raw())?;
-        Self::poke_u32(m, slot.offset(4), old)?;
+        m.mem.poke_bytes(slot, &addr.raw().to_le_bytes())?;
+        m.mem.poke_bytes(slot.offset(4), &old.to_le_bytes())?;
         let n = self.undo_count + 1;
         self.set_undo_count(m, &l, n)?;
         m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
@@ -1009,9 +649,10 @@ impl IntermittentRuntime for TicsRuntime {
                 }
             }
         }
-        Self::poke_u32(m, l.io_slot(self.io_count), value as u32)?;
+        m.mem.poke_i32(l.io_slot(self.io_count), value)?;
         self.io_count += 1;
-        Self::poke_u32(m, l.control.offset(ctrl::IO_COUNT), self.io_count)?;
+        m.mem
+            .poke_bytes(l.control.offset(ctrl::IO_COUNT), &self.io_count.to_le_bytes())?;
         m.mem.add_cycles(16);
         Ok(true)
     }
@@ -1024,7 +665,7 @@ impl IntermittentRuntime for TicsRuntime {
 #[must_use]
 pub fn ctrl_flag(m: &Machine, rt: &TicsRuntime) -> Option<u32> {
     let l = rt.layout()?;
-    TicsRuntime::peek_u32(m, l.control.offset(ctrl::CKPT_FLAG)).ok()
+    m.mem.peek_word(l.banks.flag).ok()
 }
 
 #[cfg(test)]
@@ -1403,7 +1044,7 @@ mod tests {
         assert_eq!(m.stats().checkpoints, 2);
         // After two full checkpoints the flag points at buffer B (2).
         let l = rt.layout().unwrap();
-        let flag = TicsRuntime::peek_u32(&m, l.control.offset(ctrl::CKPT_FLAG)).unwrap();
+        let flag = m.mem.peek_word(l.banks.flag).unwrap();
         assert_eq!(flag, 2);
     }
 
@@ -1422,7 +1063,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.exit_code(), Some(1225));
         assert_eq!(m.stats().checkpoints, 50);
-        let full = f64::from(ckpt::HEADER + rt.config().seg_size);
+        let full = f64::from(rt.layout().unwrap().banks.bank_bytes());
         let mean = m.stats().mean_checkpoint_bytes().unwrap();
         assert!(
             mean < full / 2.0,
@@ -1522,7 +1163,7 @@ mod tests {
 
     fn clobber_bank(m: &mut Machine, rt: &TicsRuntime, which: u32) {
         let l = rt.layout().unwrap();
-        let a = l.ckpt_buffer(which).offset(ckpt::SEG_IMAGE + 3);
+        let a = l.banks.bank(which).offset(l.banks.format.header() + 3);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x40]).unwrap();
     }
@@ -1578,7 +1219,7 @@ mod tests {
         // must stay a plain restart even though the bank's CRC is valid.
         let (mut m, mut rt) = machine_with_two_committed_banks();
         let l = *rt.layout().unwrap();
-        TicsRuntime::poke_u32(&mut m, l.control.offset(ctrl::CKPT_FLAG), 0).unwrap();
+        m.mem.poke_bytes(l.banks.flag, &0u32.to_le_bytes()).unwrap();
         let action = rt.on_boot(&mut m).unwrap();
         assert_eq!(
             action,

@@ -912,7 +912,7 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn peek_i32(&self, addr: Addr) -> Result<i32, MemoryError> {
-        let b = self.peek_bytes(addr, 4)?;
+        let b = self.slice(addr, 4)?;
         Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
@@ -922,10 +922,8 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn peek_u64(&self, addr: Addr) -> Result<u64, MemoryError> {
-        let b = self.peek_bytes(addr, 8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        let b = self.slice(addr, 8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
     /// Debugger-style write: no cycles, no traffic statistics. Exempt

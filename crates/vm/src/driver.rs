@@ -12,7 +12,9 @@
 //! [`TxDriver`] closes the gap with a small FRAM **transaction journal**
 //! at the top of FRAM, using the same two-phase discipline as the
 //! checkpoint banks: a CRC-stamped descriptor (id, attempt counter) is
-//! staged with read-back verification, then a *single atomic word* flips
+//! staged with read-back verification
+//! ([`persist::verified_poke`](crate::persist::verified_poke)), then a
+//! *single atomic word* flips
 //! the slot state (`inflight` → `committed`). Single-word stores are
 //! never torn or corrupted ([`tics_mcu::ATOMIC_STORE_BYTES`]), so the
 //! journal is itself crash-consistent.
@@ -41,6 +43,7 @@ use tics_trace::{SpanKind, TraceEvent};
 
 use crate::error::VmError;
 use crate::machine::Machine;
+use crate::persist::verified_poke;
 use crate::Result;
 
 /// Journal capacity: concurrent live descriptors (one in flight plus
@@ -65,11 +68,6 @@ const SLOT_ID: u32 = 0;
 const SLOT_ATTEMPTS: u32 = 4;
 const SLOT_CRC: u32 = 8;
 const SLOT_STATE: u32 = 12;
-
-/// Read-back retries for staged descriptor writes before trapping: the
-/// corruption model flips bits in multi-word bursts, so every staged
-/// write is verified like a checkpoint bank.
-const VERIFY_ATTEMPTS: usize = 16;
 
 /// Flat cycle cost of scanning the journal (`tx_begin` / reconcile).
 const JOURNAL_SCAN_CYCLES: u64 = 48;
@@ -228,21 +226,17 @@ impl TxDriver {
     /// corruption model defeats every attempt — the journal must never
     /// hold an unverified descriptor.
     fn write_descriptor(m: &mut Machine, idx: u32, id: u32, attempts: u32) -> Result<()> {
-        let a = Self::slot_addr(m, idx);
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend_from_slice(&id.to_le_bytes());
-        bytes.extend_from_slice(&attempts.to_le_bytes());
-        bytes.extend_from_slice(&Self::descriptor_crc(id, attempts).to_le_bytes());
-        for _ in 0..VERIFY_ATTEMPTS {
-            m.mem.poke_bytes(a, &bytes)?;
-            if m.mem.peek_slice(a, 12)? == bytes.as_slice() {
-                m.mem.add_cycles(12);
-                return Ok(());
-            }
+        let mut bytes = [0u8; 12];
+        bytes[0..4].copy_from_slice(&id.to_le_bytes());
+        bytes[4..8].copy_from_slice(&attempts.to_le_bytes());
+        bytes[8..12].copy_from_slice(&Self::descriptor_crc(id, attempts).to_le_bytes());
+        if !verified_poke(m, Self::slot_addr(m, idx), &bytes)? {
+            return Err(VmError::Trap(format!(
+                "tx journal descriptor write for id {id} failed read-back verification"
+            )));
         }
-        Err(VmError::Trap(format!(
-            "tx journal descriptor write for id {id} failed read-back verification"
-        )))
+        m.mem.add_cycles(12);
+        Ok(())
     }
 
     /// Boot-time reconciliation: classifies every descriptor the previous

@@ -45,6 +45,7 @@ pub mod error;
 pub mod exec;
 pub mod loaded;
 pub mod machine;
+pub mod persist;
 pub mod runtime;
 pub mod stats;
 

@@ -1,0 +1,759 @@
+//! Crash-consistent persistence: the one commit/restore protocol behind
+//! every hardened runtime (TICS, Ratchet, Chinchilla, the task kernels)
+//! and the staging of the peripheral transaction journal.
+//!
+//! Checkpoints are double-buffered and committed in two phases (§4 of
+//! the paper). Phase 1 *stages* a self-validating image — a monotonic
+//! sequence number plus a CRC-32 — where no restore reads it yet, and
+//! verifies it by read-back ([`verified_poke`]): a brown-out can flip or
+//! drop any store longer than the controller's 8-byte atomic write
+//! buffer ([`tics_mcu::CorruptionModel`]). Phase 2 *publishes* it with
+//! stores of at most 8 bytes, which are never torn or corrupted. Boot
+//! validates before it trusts anything, and degrades to an older valid
+//! image or a declared fresh start — each journaled as a
+//! [`TraceEvent::Recovery`] — instead of running on corrupted state.
+//!
+//! Three pieces:
+//!
+//! * [`verified_poke`] — staging with read-back verification.
+//! * [`BankPair`] — two full-image banks, a `u32` flag word (0 =
+//!   nothing published, 1 = bank A, 2 = bank B) and a `u64` word holding
+//!   the published bank's sequence number: boot-time selection with
+//!   older-bank fallback or fresh start.
+//! * [`DeltaChain`] — DiCA-style incremental records chained off the
+//!   published bank, each carrying only the words the dirty-word write
+//!   monitor saw change since the previous commit. The published bank's
+//!   sequence number is the chain's base; a `u64` tip word names the
+//!   last published record.
+//!
+//! # On-FRAM formats
+//!
+//! A *sealed record* is `[u64 seq | u32 len | u32 crc]` followed by `len`
+//! payload bytes; the CRC covers sequence, length and payload. Every
+//! delta record is one, with a payload of the [`DELTA_MISC`]-byte misc
+//! block (six caller-defined words: registers and the runtime state a
+//! restore needs) and one `(u32 addr, u32 value)` entry per dirty word.
+//! Full banks come in two [`BankFormat`]s, the only place the families
+//! differ.
+//!
+//! # Policy stays with the caller
+//!
+//! Nothing here opens a span, charges a cycle or picks an abort policy.
+//! Each runtime orders stage → `charge_atomic` → publish itself, keeps
+//! its own cost formulas and byte counts, and chooses what to do with an
+//! unverified stage. Commit and restore allocate nothing in steady
+//! state: the chain owns the staging buffer.
+
+use tics_mcu::{Addr, Crc32};
+use tics_trace::TraceEvent;
+
+use crate::machine::Machine;
+use crate::Result;
+
+/// Read-back verification attempts per staged store. Each attempt
+/// re-draws the corruption RNG, so retries converge whenever the
+/// per-store corruption probability is below 1.
+pub const VERIFY_ATTEMPTS: u32 = 16;
+
+/// Sealed-record header: `u64` sequence, `u32` payload length, `u32`
+/// CRC-32. Public so profilers can recover a delta record's payload
+/// length from its committed byte count.
+pub const DELTA_HEADER: u32 = 16;
+
+/// Misc block leading every delta payload (and every bank).
+pub const DELTA_MISC: u32 = 24;
+
+/// A misc block: six little-endian `u32` words whose meaning the caller
+/// defines. The last published record's copy wins at restore.
+pub type Misc = [u8; DELTA_MISC as usize];
+
+/// [`BankFormat::MiscFirst`] offsets: sequence, CRC, image.
+const MF_SEQ: usize = DELTA_MISC as usize;
+const MF_CRC: usize = MF_SEQ + 8;
+const MF_IMAGE: usize = MF_CRC + 4;
+
+/// Packs six words into a misc block.
+#[must_use]
+pub fn pack_misc(words: [u32; 6]) -> Misc {
+    let mut misc = [0u8; DELTA_MISC as usize];
+    for (chunk, w) in misc.chunks_exact_mut(4).zip(words) {
+        chunk.copy_from_slice(&w.to_le_bytes());
+    }
+    misc
+}
+
+/// Unpacks a misc block into its six words.
+#[must_use]
+pub fn unpack_misc(misc: &Misc) -> [u32; 6] {
+    std::array::from_fn(|i| le_u32(misc, 4 * i))
+}
+
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte word"))
+}
+
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8-byte word"))
+}
+
+/// Pokes `bytes` at `a` and reads them back, retrying until the store
+/// landed intact. Returns `false` if corruption defeated all
+/// [`VERIFY_ATTEMPTS`]; what that means is the caller's policy.
+///
+/// # Errors
+///
+/// Propagates unmapped-address errors.
+pub fn verified_poke(m: &mut Machine, a: Addr, bytes: &[u8]) -> Result<bool> {
+    for _ in 0..VERIFY_ATTEMPTS {
+        m.mem.poke_bytes(a, bytes)?;
+        if m.mem.peek_slice(a, bytes.len() as u32)? == bytes {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Initializes a control block on the first boot of an image: the magic
+/// word at `base`, then zeroes up to `base + size`. Every store is at
+/// most 8 bytes, so none can be corrupted.
+///
+/// # Errors
+///
+/// Propagates unmapped-address errors.
+pub fn init_control(m: &mut Machine, base: Addr, magic: u32, size: u32) -> Result<()> {
+    if m.mem.peek_word(base) != Ok(magic) {
+        m.mem.poke_bytes(base, &magic.to_le_bytes())?;
+        for off in (4..size).step_by(8) {
+            m.mem
+                .poke_bytes(base.offset(off), &[0u8; 8][..(size - off).min(8) as usize])?;
+        }
+    }
+    Ok(())
+}
+
+/// Journal capacity for full banks of `bank_bytes`: roomy enough for
+/// many small records between full images, bounded so boot-time chain
+/// replay stays O(image).
+#[must_use]
+pub fn journal_capacity(bank_bytes: u32) -> u32 {
+    (2 * bank_bytes).clamp(1_024, 8_192)
+}
+
+/// The sealed-record header for `payload` under sequence number `seq`.
+fn seal(seq: u64, payload: &[u8]) -> [u8; DELTA_HEADER as usize] {
+    let len = (payload.len() as u32).to_le_bytes();
+    let mut h = Crc32::new();
+    h.update(&seq.to_le_bytes());
+    h.update(&len);
+    h.update(payload);
+    let mut head = [0u8; DELTA_HEADER as usize];
+    head[0..8].copy_from_slice(&seq.to_le_bytes());
+    head[8..12].copy_from_slice(&len);
+    head[12..16].copy_from_slice(&h.finish().to_le_bytes());
+    head
+}
+
+/// Validates the sealed record at `at`: nonzero sequence, payload of at
+/// most `max_payload` bytes, matching CRC. Returns `(seq, len)`.
+fn open_sealed(m: &Machine, at: Addr, max_payload: u32) -> Result<Option<(u64, u32)>> {
+    let head = m.mem.peek_slice(at, DELTA_HEADER)?;
+    let (seq, len) = (le_u64(head, 0), le_u32(head, 8));
+    if seq == 0 || len > max_payload {
+        return Ok(None);
+    }
+    let stored = le_u32(head, 12);
+    let payload = m.mem.peek_slice(at.offset(DELTA_HEADER), len)?;
+    Ok((le_u32(&seal(seq, payload), 12) == stored).then_some((seq, len)))
+}
+
+/// CRC-32 of a [`BankFormat::MiscFirst`] bank, skipping its own field.
+fn misc_first_crc(bank: &[u8]) -> u32 {
+    let mut h = Crc32::new();
+    h.update(&bank[..MF_CRC]);
+    h.update(&bank[MF_IMAGE..]);
+    h.finish()
+}
+
+/// The on-FRAM layout of a full bank — the one thing the runtime
+/// families do differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BankFormat {
+    /// `[misc | u64 seq | u32 crc | image]` with an image of exactly
+    /// `max_payload` bytes and a CRC over every byte but its own field,
+    /// staged as one poke (TICS).
+    MiscFirst,
+    /// A sealed record whose payload is `misc[4..]` then the image, at
+    /// most `max_payload` bytes, staged as two pokes: header, then
+    /// payload (the hardened baselines, whose misc block starts with a
+    /// `u32` length word that the bank leaves implicit).
+    Sealed,
+}
+
+impl BankFormat {
+    /// Header bytes before the image (`MiscFirst`) or payload (`Sealed`).
+    #[must_use]
+    pub const fn header(self) -> u32 {
+        match self {
+            BankFormat::MiscFirst => MF_IMAGE as u32,
+            BankFormat::Sealed => DELTA_HEADER,
+        }
+    }
+}
+
+/// Boot-time outcome of [`BankPair::select`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BankChoice {
+    /// Nothing was ever published: a plain restart, not a recovery. (A
+    /// fully staged bank whose flag never flipped is uncommitted and
+    /// must not be restored.)
+    None,
+    /// Restore from the bank at `addr`, whose sequence number is `seq`.
+    Bank {
+        /// Bank base address.
+        addr: Addr,
+        /// The bank's validated sequence number.
+        seq: u64,
+    },
+    /// Neither bank validated: the flag was cleared and a fresh-start
+    /// [`TraceEvent::Recovery`] journaled. Restart with globals
+    /// re-initialized.
+    FreshStart,
+}
+
+/// Two self-validating full-image banks plus the words naming the
+/// published one. Bank B directly follows bank A.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankPair {
+    /// Bank A (flag value 1).
+    pub a: Addr,
+    /// Bank B (flag value 2).
+    pub b: Addr,
+    /// `u32` flag word: 0 = nothing published, 1 = A, 2 = B.
+    pub flag: Addr,
+    /// `u64` word: sequence number of the last published bank — the
+    /// base the delta chain extends.
+    pub published_seq: Addr,
+    /// On-FRAM bank layout.
+    pub format: BankFormat,
+    /// Bytes after each bank's header: the exact image length
+    /// (`MiscFirst`) or the payload cap (`Sealed`).
+    pub max_payload: u32,
+}
+
+impl BankPair {
+    /// Banks at `a` and right after it, published through `flag` and
+    /// `published_seq`.
+    #[must_use]
+    pub fn new(
+        a: Addr,
+        flag: Addr,
+        published_seq: Addr,
+        format: BankFormat,
+        max_payload: u32,
+    ) -> BankPair {
+        let b = a.offset(format.header() + max_payload);
+        BankPair {
+            a,
+            b,
+            flag,
+            published_seq,
+            format,
+            max_payload,
+        }
+    }
+
+    /// Bytes one bank occupies.
+    #[must_use]
+    pub fn bank_bytes(&self) -> u32 {
+        self.format.header() + self.max_payload
+    }
+
+    /// First byte past bank B.
+    #[must_use]
+    pub fn end(&self) -> Addr {
+        self.b.offset(self.bank_bytes())
+    }
+
+    /// Base of bank `which` (1 = A, anything else = B).
+    #[must_use]
+    pub fn bank(&self, which: u32) -> Addr {
+        if which == 1 {
+            self.a
+        } else {
+            self.b
+        }
+    }
+
+    /// Validates the bank at `bank`: nonzero sequence number, sane
+    /// length, matching CRC. Returns the sequence number if valid.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn validate(&self, m: &Machine, bank: Addr) -> Result<Option<u64>> {
+        match self.format {
+            BankFormat::MiscFirst => {
+                let img = m.mem.peek_slice(bank, self.bank_bytes())?;
+                let seq = le_u64(img, MF_SEQ);
+                Ok((seq != 0 && misc_first_crc(img) == le_u32(img, MF_CRC)).then_some(seq))
+            }
+            BankFormat::Sealed => Ok(open_sealed(m, bank, self.max_payload)?.map(|(seq, _)| seq)),
+        }
+    }
+
+    /// The higher valid sequence number of the two banks (0 if neither
+    /// validates) — the baselines' cold-start sequence floor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn newest_valid_seq(&self, m: &Machine) -> Result<u64> {
+        let a = self.validate(m, self.a)?.unwrap_or(0);
+        Ok(a.max(self.validate(m, self.b)?.unwrap_or(0)))
+    }
+
+    /// Boot-time selection: the published bank if it validates; else the
+    /// other valid bank with the highest sequence number (repairing the
+    /// flag, journaling a [`TraceEvent::Recovery`]); with neither valid,
+    /// the flag is cleared and recovery degrades to a declared fresh
+    /// start. A bank newer than the published sequence number was staged
+    /// but never published, so it never counts as valid here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn select(&self, m: &mut Machine) -> Result<BankChoice> {
+        let flag = m.mem.peek_word(self.flag)?;
+        if flag == 0 {
+            return Ok(BankChoice::None);
+        }
+        let published = m.mem.peek_u64(self.published_seq)?;
+        let v_a = self.validate(m, self.a)?.filter(|&s| s <= published);
+        let v_b = self.validate(m, self.b)?.filter(|&s| s <= published);
+        // A corrupt flag validates neither bank: fall through to repair.
+        let active = match flag {
+            1 => v_a,
+            2 => v_b,
+            _ => None,
+        };
+        if let Some(seq) = active {
+            return Ok(BankChoice::Bank {
+                addr: self.bank(flag),
+                seq,
+            });
+        }
+        let best = match (v_a, v_b) {
+            (Some(a), Some(b)) if a >= b => Some((1u32, a)),
+            (Some(a), None) => Some((1, a)),
+            (_, Some(b)) => Some((2, b)),
+            (None, None) => None,
+        };
+        let Some((which, seq)) = best else {
+            // Nothing published survives. Forget the published sequence
+            // too, and scrub both banks' sequence numbers, so a bank that
+            // was staged but never published cannot pass for an older
+            // published one after the next publish.
+            let seq_at = match self.format {
+                BankFormat::MiscFirst => MF_SEQ as u32,
+                BankFormat::Sealed => 0,
+            };
+            for word in [
+                self.a.offset(seq_at),
+                self.b.offset(seq_at),
+                self.published_seq,
+            ] {
+                m.mem.poke_bytes(word, &0u64.to_le_bytes())?;
+            }
+            m.mem.poke_bytes(self.flag, &0u32.to_le_bytes())?;
+            m.emit(TraceEvent::Recovery {
+                invalid_banks: 2,
+                fresh_start: true,
+            });
+            return Ok(BankChoice::FreshStart);
+        };
+        m.mem.poke_bytes(self.flag, &which.to_le_bytes())?;
+        m.emit(TraceEvent::Recovery {
+            invalid_banks: 1,
+            fresh_start: false,
+        });
+        Ok(BankChoice::Bank {
+            addr: self.bank(which),
+            seq,
+        })
+    }
+
+    /// Stages a full image into `bank`: the misc block, then each of
+    /// `images` copied out of memory, sealed under `seq`. Returns whether
+    /// read-back verification accepted every byte.
+    fn stage(
+        &self,
+        m: &mut Machine,
+        bank: Addr,
+        seq: u64,
+        misc: &Misc,
+        images: &[(Addr, u32)],
+        scratch: &mut Vec<u8>,
+    ) -> Result<bool> {
+        scratch.clear();
+        match self.format {
+            BankFormat::MiscFirst => {
+                scratch.extend_from_slice(misc);
+                scratch.extend_from_slice(&seq.to_le_bytes());
+                scratch.extend_from_slice(&[0u8; 4]); // CRC, stamped below
+            }
+            BankFormat::Sealed => scratch.extend_from_slice(&misc[4..]),
+        }
+        for &(start, len) in images {
+            if len > 0 {
+                scratch.extend_from_slice(m.mem.peek_slice(start, len)?);
+            }
+        }
+        match self.format {
+            BankFormat::MiscFirst => {
+                let crc = misc_first_crc(scratch);
+                scratch[MF_CRC..MF_IMAGE].copy_from_slice(&crc.to_le_bytes());
+                verified_poke(m, bank, scratch)
+            }
+            BankFormat::Sealed => Ok(verified_poke(m, bank, &seal(seq, scratch))?
+                && verified_poke(m, bank.offset(DELTA_HEADER), scratch)?),
+        }
+    }
+}
+
+/// A staged but not yet published commit attempt.
+#[must_use]
+#[derive(Debug, Clone, Copy)]
+pub struct Staged {
+    /// Sequence number the attempt burned.
+    pub seq: u64,
+    /// `Some(payload bytes)` for a delta record, `None` for a full bank.
+    pub delta: Option<u32>,
+    /// Whether read-back verification accepted every staged byte (a
+    /// full bank is also refused while the flag word is corrupt). An
+    /// unverified stage must not be published.
+    pub verified: bool,
+    /// Flag value that publishes a full bank.
+    target: u32,
+}
+
+/// The delta chain and its write cursor.
+///
+/// The persistent truth is the banks' published-sequence word (the
+/// chain's base), the tip word and the records themselves; the cursor
+/// here is rebuilt from them at every boot
+/// ([`DeltaChain::resume`], [`DeltaChain::prime_cold`]), so it carries
+/// no state a real MCU would lose at a power failure.
+#[derive(Debug, Default)]
+pub struct DeltaChain {
+    /// First byte of the journal region.
+    journal: Addr,
+    /// Journal length in bytes.
+    capacity: u32,
+    /// `u64` word: last published record's sequence (0 = none).
+    tip_word: Addr,
+    /// Staging offset for the next record (end of the valid chain).
+    write_off: u32,
+    /// Next commit sequence number; 0 = cold. Sequence numbers are
+    /// burned by *attempts* (shared by banks and records), so within one
+    /// power-on period a staged but unpublished record never collides
+    /// with a later published one.
+    next_seq: u64,
+    /// First checkpoint region of the published bank the chain extends:
+    /// records are appended only while the caller checkpoints the same
+    /// regions.
+    anchor: Option<(Addr, u32)>,
+    /// Reusable staging buffer.
+    scratch: Vec<u8>,
+}
+
+impl DeltaChain {
+    /// Places the journal (`capacity` bytes at `journal`) and the chain's
+    /// tip word.
+    pub fn place(&mut self, journal: Addr, capacity: u32, tip_word: Addr) {
+        self.journal = journal;
+        self.capacity = capacity;
+        self.tip_word = tip_word;
+    }
+
+    /// Forgets placement and cursor, keeping the staging allocation —
+    /// for a runtime recycled onto a fresh device.
+    pub fn recycle(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        *self = DeltaChain {
+            scratch,
+            ..DeltaChain::default()
+        };
+    }
+
+    /// Whether the cursor must be primed before the next commit.
+    #[must_use]
+    pub fn is_cold(&self) -> bool {
+        self.next_seq == 0
+    }
+
+    /// Primes the cursor without walking the chain: the next sequence
+    /// number is past both `floor` (the caller's committed-sequence
+    /// rule) and the tip, and the chain is unanchored, so the next
+    /// commit is a full image.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn prime_cold(&mut self, m: &Machine, floor: u64) -> Result<()> {
+        let tip = m.mem.peek_u64(self.tip_word)?;
+        self.prime(floor.max(tip) + 1, 0, None);
+        Ok(())
+    }
+
+    fn prime(&mut self, next_seq: u64, write_off: u32, anchor: Option<(Addr, u32)>) {
+        self.next_seq = next_seq;
+        self.write_off = write_off;
+        self.anchor = anchor;
+    }
+
+    /// Stages one commit attempt over the checkpoint `regions` (the first
+    /// is the chain's anchor). A delta record is taken when the chain is
+    /// anchored on these very regions, the record fits under the chain's
+    /// byte cap, and it is meaningfully smaller than a full image of
+    /// `full_bytes`; otherwise a full bank of `misc` plus `images` goes
+    /// to the inactive bank of `banks`.
+    ///
+    /// The chain is capped at about one full image: every boot replays
+    /// the whole chain after the full-image restore, so an unbounded
+    /// chain would inflate the restore charge past what a short
+    /// on-period can cover — the livelock incremental checkpointing
+    /// exists to prevent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn stage(
+        &mut self,
+        m: &mut Machine,
+        banks: &BankPair,
+        full_bytes: u32,
+        misc: &Misc,
+        regions: &[(Addr, u32)],
+        images: &[(Addr, u32)],
+    ) -> Result<Staged> {
+        let dirty: u32 = regions
+            .iter()
+            .map(|&(start, len)| m.mem.count_dirty_words(start, len))
+            .sum();
+        let plen = DELTA_MISC + 8 * dirty;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let cap = self.capacity.min(full_bytes.max(512));
+        if self.anchor == regions.first().copied()
+            && self.write_off + DELTA_HEADER + plen <= cap
+            && 4 * plen < 3 * full_bytes
+        {
+            self.build_delta(m, misc, regions);
+            let rec = self.journal.offset(self.write_off);
+            let verified = verified_poke(m, rec, &seal(seq, &self.scratch))?
+                && verified_poke(m, rec.offset(DELTA_HEADER), &self.scratch)?;
+            return Ok(Staged {
+                seq,
+                delta: Some(self.scratch.len() as u32),
+                verified,
+                target: 0,
+            });
+        }
+        let flag = m.mem.peek_word(banks.flag)?;
+        let target = if flag == 1 { 2 } else { 1 };
+        // A corrupt flag no longer names the published bank, so the
+        // stage could overwrite it: refuse until a boot repairs the flag.
+        let verified = flag <= 2
+            && banks.stage(m, banks.bank(target), seq, misc, images, &mut self.scratch)?;
+        Ok(Staged {
+            seq,
+            delta: None,
+            verified,
+            target,
+        })
+    }
+
+    /// Builds a delta payload: `misc`, then one `(address, value)` entry
+    /// per dirty word. Words straddling a region edge are clamped — the
+    /// entry address is the first in-region byte and the value carries
+    /// only in-region bytes, zero-padded — so replay, which clamps
+    /// identically against the same regions, never writes outside them.
+    fn build_delta(&mut self, m: &Machine, misc: &Misc, regions: &[(Addr, u32)]) {
+        let out = &mut self.scratch;
+        out.clear();
+        out.extend_from_slice(misc);
+        for &(start, len) in regions {
+            let end = start.raw() + len;
+            m.mem.for_each_dirty_word(start, len, |w| {
+                let lo = w.raw().max(start.raw());
+                let n = (w.raw() + 4).min(end) - lo;
+                let src = m
+                    .mem
+                    .peek_slice(Addr(lo), n)
+                    .expect("dirty word inside a mapped checkpoint region");
+                let mut val = [0u8; 4];
+                val[..n as usize].copy_from_slice(src);
+                out.extend_from_slice(&lo.to_le_bytes());
+                out.extend_from_slice(&val);
+            });
+        }
+    }
+
+    /// Publishes a verified stage with ≤ 8-byte stores — the tip word for
+    /// a record; the flag, then an empty chain anchored on `regions`, for
+    /// a bank — and marks `regions` clean.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn publish(
+        &mut self,
+        m: &mut Machine,
+        banks: &BankPair,
+        staged: &Staged,
+        regions: &[(Addr, u32)],
+    ) -> Result<()> {
+        debug_assert!(staged.verified, "publishing an unverified stage");
+        if let Some(plen) = staged.delta {
+            m.mem.poke_bytes(self.tip_word, &staged.seq.to_le_bytes())?;
+            self.write_off += DELTA_HEADER + plen;
+        } else {
+            m.mem.poke_bytes(banks.flag, &staged.target.to_le_bytes())?;
+            m.mem
+                .poke_bytes(banks.published_seq, &staged.seq.to_le_bytes())?;
+            m.mem.poke_bytes(self.tip_word, &0u64.to_le_bytes())?;
+            self.write_off = 0;
+            self.anchor = regions.first().copied();
+        }
+        for &(start, len) in regions {
+            m.mem.clear_dirty(start, len);
+        }
+        Ok(())
+    }
+
+    /// Reads the bank at `bank`: returns its misc block and keeps its
+    /// image bytes for [`DeltaChain::restore_images`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn load(&mut self, m: &Machine, banks: &BankPair, bank: Addr) -> Result<Misc> {
+        let mut misc = [0u8; DELTA_MISC as usize];
+        self.scratch.clear();
+        match banks.format {
+            BankFormat::MiscFirst => {
+                let img = m.mem.peek_slice(bank, banks.bank_bytes())?;
+                misc.copy_from_slice(&img[..MF_SEQ]);
+                self.scratch.extend_from_slice(&img[MF_IMAGE..]);
+            }
+            BankFormat::Sealed => {
+                let len = m.mem.peek_word(bank.offset(8))?;
+                let payload = m.mem.peek_slice(bank.offset(DELTA_HEADER), len)?;
+                let (head, image) = payload.split_at(DELTA_MISC as usize - 4);
+                misc[..4].copy_from_slice(&(DELTA_MISC - 4).to_le_bytes());
+                misc[4..].copy_from_slice(head);
+                self.scratch.extend_from_slice(image);
+            }
+        }
+        Ok(misc)
+    }
+
+    /// Writes the loaded image back over `images`, in order, with
+    /// read-back verification. Returns `false` if corruption defeated it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn restore_images(&self, m: &mut Machine, images: &[(Addr, u32)]) -> Result<bool> {
+        let mut off = 0;
+        for &(start, len) in images.iter().filter(|&&(_, len)| len > 0) {
+            let end = off + len as usize;
+            if !verified_poke(m, start, &self.scratch[off..end])? {
+                return Ok(false);
+            }
+            off = end;
+        }
+        Ok(true)
+    }
+
+    /// Resumes the chain after the bank of `banks` with sequence
+    /// `bank_seq` was restored over `regions` (which wiped every
+    /// unpublished store).
+    ///
+    /// If the chain extends that bank, its records are validated and
+    /// replayed in order `bank_seq + 1 ..= tip`, and the last valid
+    /// record's misc block replaces `misc`. A record that fails
+    /// validation ends the walk at the longest valid prefix — itself a
+    /// published checkpoint — with a journaled [`TraceEvent::Recovery`].
+    /// A chain of another bank generation (after a fallback to the
+    /// older bank) is ignored. The cursor is primed to extend the chain
+    /// only if it was intact; otherwise the next commit is a full image.
+    /// Marks `regions` clean and returns the record bytes replayed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn resume(
+        &mut self,
+        m: &mut Machine,
+        banks: &BankPair,
+        bank_seq: u64,
+        regions: &[(Addr, u32)],
+        misc: &mut Misc,
+    ) -> Result<u32> {
+        let chain_base = m.mem.peek_u64(banks.published_seq)?;
+        let tip = m.mem.peek_u64(self.tip_word)?;
+        let (mut off, mut last, mut intact) = (0u32, bank_seq, chain_base == bank_seq);
+        while intact && last < tip {
+            let Some(len) = self.validate_record(m, off, last + 1)? else {
+                m.emit(TraceEvent::Recovery {
+                    invalid_banks: 1,
+                    fresh_start: false,
+                });
+                intact = false;
+                break;
+            };
+            let rec = self.journal.offset(off + DELTA_HEADER);
+            misc.copy_from_slice(m.mem.peek_slice(rec, DELTA_MISC)?);
+            for p in (DELTA_MISC..len).step_by(8) {
+                let e = m.mem.peek_slice(rec.offset(p), 8)?;
+                let (lo, val) = (le_u32(e, 0), le_u32(e, 4).to_le_bytes());
+                let hit = regions
+                    .iter()
+                    .find(|&&(start, len)| lo >= start.raw() && lo < start.raw() + len);
+                if let Some(&(start, len)) = hit {
+                    let n = ((lo & !3) + 4).min(start.raw() + len) - lo;
+                    m.mem.poke_bytes(Addr(lo), &val[..n as usize])?;
+                }
+            }
+            last += 1;
+            off += DELTA_HEADER + len;
+        }
+        let next = bank_seq.max(chain_base).max(tip).max(last) + 1;
+        self.prime(next, off, regions.first().copied().filter(|_| intact));
+        for &(start, len) in regions {
+            m.mem.clear_dirty(start, len);
+        }
+        Ok(off)
+    }
+
+    /// Validates the record at journal offset `off`: a sealed record in
+    /// bounds, sequence exactly `expected`, and structurally a delta
+    /// payload (misc block plus whole 8-byte entries). Returns the
+    /// payload length.
+    fn validate_record(&self, m: &Machine, off: u32, expected: u64) -> Result<Option<u32>> {
+        if off + DELTA_HEADER > self.capacity {
+            return Ok(None);
+        }
+        let room = self.capacity - off - DELTA_HEADER;
+        Ok(match open_sealed(m, self.journal.offset(off), room)? {
+            Some((seq, len))
+                if seq == expected && len >= DELTA_MISC && (len - DELTA_MISC).is_multiple_of(8) =>
+            {
+                Some(len)
+            }
+            _ => None,
+        })
+    }
+}

@@ -1,0 +1,327 @@
+//! Property test for the crash-consistent persistence primitive
+//! (`tics_vm::persist`): seeded splitmix64 schedules interleave full and
+//! delta commits with torn program stores, brown-out bit flips and
+//! dropped staging stores (`CorruptionModel`), unpublished (aborted)
+//! commits, and direct clobbers of banks, delta records and the flag
+//! word, then reboot and check what boot hands back. It must be one of:
+//!
+//! * the last published state (no `Recovery` journaled);
+//! * an older published state, with a journaled `Recovery`;
+//! * a declared fresh start.
+//!
+//! It must never be a state that was never published. Both bank
+//! layouts run through the same schedule.
+//!
+//! The flag word is the commit point itself and carries no CRC: a
+//! clobber to another in-range value (0, 1, 2) is indistinguishable
+//! from a publish by construction, so flag clobbers here draw
+//! out-of-range values, which boot must detect.
+
+use std::collections::HashSet;
+
+use tics_mcu::{Addr, CorruptionModel};
+use tics_minic::{compile, opt::OptLevel};
+use tics_vm::persist::{
+    init_control, journal_capacity, pack_misc, BankChoice, BankFormat, BankPair, DeltaChain, Misc,
+    DELTA_MISC,
+};
+use tics_vm::{Machine, MachineConfig};
+
+/// splitmix64 — the schedule's seed stream, fixed so every run replays
+/// the exact same schedule.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Control block: `u32` magic, `u32` flag, `u64` published sequence,
+/// `u64` chain tip.
+const MAGIC: u32 = 0x7E57_C0DE;
+const FLAG: u32 = 4;
+const PUBLISHED: u32 = 8;
+const TIP: u32 = 16;
+const CTRL: u32 = 24;
+/// Bytes of checkpointed state (a window at the start of SRAM).
+const REGION: u32 = 96;
+
+const SEEDS: u64 = 64;
+const STEPS: usize = 400;
+
+/// What boot handed back, counted so the schedule provably reaches
+/// every outcome.
+#[derive(Debug, Default)]
+struct Tally {
+    full_commits: u64,
+    delta_commits: u64,
+    unverified_stages: u64,
+    exact_boots: u64,
+    recovered_latest: u64,
+    recovered_older: u64,
+    fresh_starts: u64,
+}
+
+struct Rig {
+    m: Machine,
+    banks: BankPair,
+    chain: DeltaChain,
+    journal: Addr,
+    capacity: u32,
+    region: [(Addr, u32); 1],
+    rng: u64,
+}
+
+impl Rig {
+    fn new(format: BankFormat, seed: u64) -> Rig {
+        let prog = compile("int main() { return 0; }", OptLevel::O1).unwrap();
+        let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
+        let base = m.runtime_area_base();
+        init_control(&mut m, base, MAGIC, CTRL).unwrap();
+        // A sealed bank also stores the misc block minus its length word.
+        let max_payload = match format {
+            BankFormat::MiscFirst => REGION,
+            BankFormat::Sealed => DELTA_MISC - 4 + REGION,
+        };
+        let banks = BankPair::new(
+            base.offset(CTRL),
+            base.offset(FLAG),
+            base.offset(PUBLISHED),
+            format,
+            max_payload,
+        );
+        let capacity = journal_capacity(banks.bank_bytes());
+        let region = [(m.mem.layout().sram.start, REGION)];
+        let mut rig = Rig {
+            m,
+            banks,
+            chain: DeltaChain::default(),
+            journal: banks.end(),
+            capacity,
+            region,
+            rng: seed,
+        };
+        rig.lose_power();
+        rig
+    }
+
+    fn next(&mut self) -> u64 {
+        splitmix64(&mut self.rng)
+    }
+
+    /// Host state is volatile: a reboot rebuilds the cursor from FRAM.
+    fn lose_power(&mut self) {
+        self.chain = DeltaChain::default();
+        let base = self.m.runtime_area_base();
+        self.chain
+            .place(self.journal, self.capacity, base.offset(TIP));
+        // The volatile window decays to garbage.
+        let (start, len) = self.region[0];
+        let junk: Vec<u8> = (0..len).map(|_| self.next() as u8).collect();
+        self.m.mem.poke_bytes(start, &junk).unwrap();
+    }
+
+    /// Cold-start sequence floor: the MiscFirst (TICS) family trusts the
+    /// published-sequence word, the sealed (baseline) family the newest
+    /// valid bank.
+    fn prime_cold(&mut self) {
+        let floor = match self.banks.format {
+            BankFormat::MiscFirst => self.m.mem.peek_u64(self.banks.published_seq).unwrap(),
+            BankFormat::Sealed => self.banks.newest_valid_seq(&self.m).unwrap(),
+        };
+        self.chain.prime_cold(&self.m, floor).unwrap();
+    }
+
+    /// The state a restore must reproduce: misc block plus region bytes.
+    fn state(&self, misc: &Misc) -> Vec<u8> {
+        let (start, len) = self.region[0];
+        let mut s = misc.to_vec();
+        s.extend_from_slice(self.m.mem.peek_slice(start, len).unwrap());
+        s
+    }
+
+    /// Program stores into the window: whole words, or a multi-word
+    /// burst torn at a power cut armed inside it.
+    fn mutate(&mut self) {
+        let (start, len) = self.region[0];
+        let words = 1 + self.next() % 3;
+        for _ in 0..words {
+            let at = start.offset(4 * (self.next() as u32 % (len / 4 - 3)));
+            let v = self.next().to_le_bytes();
+            if self.next().is_multiple_of(3) {
+                let cut = self.m.cycles() + self.next() % 12;
+                self.m.mem.set_power_cut(Some(cut));
+                self.m.mem.write_bytes(at, &v).unwrap();
+                self.m.mem.set_power_cut(None);
+            } else {
+                self.m.mem.poke_bytes(at, &v[..4]).unwrap();
+            }
+        }
+    }
+
+    fn flip_bit(&mut self, base: Addr, span: u32) {
+        let a = base.offset(self.next() as u32 % span);
+        let b = self.m.mem.peek_slice(a, 1).unwrap()[0];
+        let bit = 1u8 << (self.next() % 8);
+        self.m.mem.poke_bytes(a, &[b ^ bit]).unwrap();
+    }
+}
+
+fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
+    let mut rig = Rig::new(format, seed);
+    assert_eq!(rig.banks.select(&mut rig.m).unwrap(), BankChoice::None);
+    rig.prime_cold();
+    let full_bytes = match format {
+        BankFormat::MiscFirst => rig.banks.bank_bytes(),
+        BankFormat::Sealed => DELTA_MISC - 4 + REGION,
+    };
+    // The restore point boot must reproduce (None = nothing published
+    // since the last declared fresh start), and every state ever
+    // published — the only states a recovery may fall back to.
+    let mut current: Option<Vec<u8>> = None;
+    let mut published: HashSet<Vec<u8>> = HashSet::new();
+
+    for step in 0..STEPS {
+        match rig.next() % 16 {
+            0..=5 => rig.mutate(),
+            6..=10 => {
+                // A commit attempt under brown-out corruption of its
+                // staging stores; sealed misc blocks lead with their
+                // length word.
+                let r = rig.next();
+                let lead = match format {
+                    BankFormat::MiscFirst => r as u32,
+                    BankFormat::Sealed => DELTA_MISC - 4,
+                };
+                let misc = pack_misc([lead, r as u32, (r >> 32) as u32, step as u32, 7, 9]);
+                let rate = [0.0, 0.2, 0.6, 0.95][rig.next() as usize % 4];
+                let model = CorruptionModel::new(u64::MAX, rate * 0.6, rate * 0.4, rig.next());
+                rig.m.mem.set_corruption(Some(model));
+                rig.m.mem.set_power_cut(Some(rig.m.cycles() + 1));
+                let staged = rig
+                    .chain
+                    .stage(
+                        &mut rig.m,
+                        &rig.banks,
+                        full_bytes,
+                        &misc,
+                        &rig.region,
+                        &rig.region,
+                    )
+                    .unwrap();
+                rig.m.mem.set_power_cut(None);
+                rig.m.mem.set_corruption(None);
+                if !staged.verified {
+                    tally.unverified_stages += 1;
+                    continue;
+                }
+                // One attempt in eight dies on the energy gate: staged
+                // and verified, never published.
+                if rig.next().is_multiple_of(8) {
+                    continue;
+                }
+                rig.chain
+                    .publish(&mut rig.m, &rig.banks, &staged, &rig.region)
+                    .unwrap();
+                if staged.delta.is_some() {
+                    tally.delta_commits += 1;
+                } else {
+                    tally.full_commits += 1;
+                }
+                let s = rig.state(&misc);
+                published.insert(s.clone());
+                current = Some(s);
+            }
+            11 => {
+                let bank = if rig.next().is_multiple_of(2) {
+                    rig.banks.a
+                } else {
+                    rig.banks.b
+                };
+                rig.flip_bit(bank, rig.banks.bank_bytes());
+            }
+            12 => rig.flip_bit(rig.journal, 512),
+            13 => {
+                let bad = 3 + rig.next() as u32 % 1_000;
+                rig.m
+                    .mem
+                    .poke_bytes(rig.banks.flag, &bad.to_le_bytes())
+                    .unwrap();
+            }
+            _ => {
+                rig.lose_power();
+                let recoveries = rig.m.stats().recoveries;
+                let fresh = rig.m.stats().fresh_starts;
+                let ctx = format!("{format:?} seed {seed:#x} step {step}");
+                match rig.banks.select(&mut rig.m).unwrap() {
+                    BankChoice::None => {
+                        assert!(current.is_none(), "{ctx}: published state silently lost");
+                        assert_eq!(rig.m.stats().recoveries, recoveries, "{ctx}");
+                        rig.prime_cold();
+                    }
+                    BankChoice::FreshStart => {
+                        assert_eq!(rig.m.stats().fresh_starts, fresh + 1, "{ctx}: undeclared");
+                        tally.fresh_starts += 1;
+                        current = None;
+                        rig.prime_cold();
+                    }
+                    BankChoice::Bank { addr, seq } => {
+                        let mut misc = rig.chain.load(&rig.m, &rig.banks, addr).unwrap();
+                        assert!(rig.chain.restore_images(&mut rig.m, &rig.region).unwrap());
+                        rig.chain
+                            .resume(&mut rig.m, &rig.banks, seq, &rig.region, &mut misc)
+                            .unwrap();
+                        let got = rig.state(&misc);
+                        if rig.m.stats().recoveries == recoveries {
+                            assert_eq!(
+                                Some(&got),
+                                current.as_ref(),
+                                "{ctx}: boot without Recovery must restore the last \
+                                 published state"
+                            );
+                            tally.exact_boots += 1;
+                        } else {
+                            assert!(
+                                published.contains(&got),
+                                "{ctx}: recovery restored a state that was never published"
+                            );
+                            if Some(&got) == current.as_ref() {
+                                tally.recovered_latest += 1;
+                            } else {
+                                tally.recovered_older += 1;
+                            }
+                        }
+                        current = Some(got);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn boot_yields_only_published_states_or_declared_recovery() {
+    for format in [BankFormat::MiscFirst, BankFormat::Sealed] {
+        let mut tally = Tally::default();
+        let mut seeds = 0x9E25_1577_0000_0001u64;
+        for _ in 0..SEEDS {
+            let seed = splitmix64(&mut seeds);
+            run_schedule(format, seed, &mut tally);
+        }
+        // Every outcome class must actually occur, or the schedule is
+        // too gentle to prove anything.
+        let t = &tally;
+        for (what, n) in [
+            ("full commits", t.full_commits),
+            ("delta commits", t.delta_commits),
+            ("unverified stages", t.unverified_stages),
+            ("exact boots", t.exact_boots),
+            ("recoveries to the latest state", t.recovered_latest),
+            ("recoveries to an older state", t.recovered_older),
+            ("declared fresh starts", t.fresh_starts),
+        ] {
+            assert!(n > 0, "{format:?}: no {what} in {t:?}");
+        }
+    }
+}
