@@ -112,7 +112,7 @@ impl NaiveCheckpoint {
             self.copy_via_scratch(m, data_base, buf.offset(20 + sram.len()), globals_len)?;
         }
         let bytes = 20 + used + globals_len;
-        let costs = m.mem.costs().clone();
+        let costs = m.mem.costs();
         let cost =
             costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
         self.last_ckpt_at = m.cycles();
@@ -203,12 +203,11 @@ impl IntermittentRuntime for NaiveCheckpoint {
         m.regs = Registers::from_words(words);
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let costs = m.mem.costs().clone();
-        m.mem.add_cycles(
-            costs.restore_base
-                + costs.restore_seg_fixed
-                + costs.restore_seg_per_byte * u64::from(20 + used + globals_len),
-        );
+        let costs = m.mem.costs();
+        let cost = costs.restore_base
+            + costs.restore_seg_fixed
+            + costs.restore_seg_per_byte * u64::from(20 + used + globals_len);
+        m.mem.add_cycles(cost);
         m.emit(TraceEvent::Restore {
             bytes: u64::from(20 + used + globals_len),
         });

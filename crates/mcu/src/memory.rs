@@ -143,6 +143,17 @@ enum StoreFate {
     Drop,
 }
 
+/// Where the bytes of a cycle-accounted store come from.
+enum StoreSrc<'a> {
+    /// A caller buffer ([`Memory::write_bytes`]).
+    Bytes(&'a [u8]),
+    /// One repeated byte ([`Memory::fill`]).
+    Fill(u8),
+    /// Simulated memory itself ([`Memory::copy`]): the region (`true`
+    /// for SRAM) and region-relative offset of the source range.
+    Within(bool, usize),
+}
+
 /// Number of `u64` bitmap limbs needed to cover `region_bytes` of
 /// memory at one bit per 4-byte word.
 fn dirty_len(region_bytes: u32) -> usize {
@@ -151,17 +162,22 @@ fn dirty_len(region_bytes: u32) -> usize {
 
 /// Single-store twin of [`mark_dirty_bits`] for the word fast paths: a
 /// 4-byte store at region-relative byte offset `off` touches word
-/// `off / 4`, and — when unaligned — `(off + 3) / 4` as well.
+/// `off / 4`, and — only when unaligned — `off / 4 + 1` as well, so an
+/// aligned store is one read-modify-write of one limb.
 #[inline(always)]
 fn mark_word_dirty(bits: &mut [u64], off: usize) {
-    let first = off >> 2;
-    let last = (off + 3) >> 2;
-    bits[first >> 6] |= 1u64 << (first & 63);
-    bits[last >> 6] |= 1u64 << (last & 63);
+    let w = off >> 2;
+    bits[w >> 6] |= 1u64 << (w & 63);
+    if off & 3 != 0 {
+        let next = w + 1;
+        bits[next >> 6] |= 1u64 << (next & 63);
+    }
 }
 
 /// Sets the dirty bits for every word a store of `len` bytes at
-/// region-relative byte offset `off` touches.
+/// region-relative byte offset `off` touches, a whole `u64` limb at a
+/// time: the first limb takes the bits from word `first` up, the last
+/// the bits up to word `last`, and every limb in between is set whole.
 #[inline]
 fn mark_dirty_bits(bits: &mut [u64], off: u32, len: u32) {
     if len == 0 {
@@ -169,8 +185,15 @@ fn mark_dirty_bits(bits: &mut [u64], off: u32, len: u32) {
     }
     let first = (off / 4) as usize;
     let last = ((off + len - 1) / 4) as usize;
-    for w in first..=last {
-        bits[w >> 6] |= 1u64 << (w & 63);
+    let head = !0u64 << (first & 63);
+    let tail = !0u64 >> (63 - (last & 63));
+    let (fl, ll) = (first >> 6, last >> 6);
+    if fl == ll {
+        bits[fl] |= head & tail;
+    } else {
+        bits[fl] |= head;
+        bits[fl + 1..ll].fill(!0);
+        bits[ll] |= tail;
     }
 }
 
@@ -474,52 +497,37 @@ impl Memory {
         (affordable_words as u32).saturating_mul(4).min(len)
     }
 
-    fn slice(&self, addr: Addr, len: u32) -> Result<&[u8], MemoryError> {
-        if self.layout.sram.contains_range(addr, len) {
-            let off = (addr.0 - self.layout.sram.start.0) as usize;
-            Ok(&self.sram[off..off + len as usize])
-        } else if self.layout.fram.contains_range(addr, len) {
-            let off = (addr.0 - self.layout.fram.start.0) as usize;
-            Ok(&self.fram[off..off + len as usize])
-        } else {
-            Err(MemoryError::Unmapped { addr, len })
-        }
-    }
-
-    fn slice_mut(&mut self, addr: Addr, len: u32) -> Result<&mut [u8], MemoryError> {
-        if self.layout.sram.contains_range(addr, len) {
-            let off = (addr.0 - self.layout.sram.start.0) as usize;
-            Ok(&mut self.sram[off..off + len as usize])
-        } else if self.layout.fram.contains_range(addr, len) {
-            let off = (addr.0 - self.layout.fram.start.0) as usize;
-            Ok(&mut self.fram[off..off + len as usize])
-        } else {
-            Err(MemoryError::Unmapped { addr, len })
-        }
-    }
-
-    /// Marks the dirty bits for a store of `len` bytes at `addr` that
-    /// actually landed. Callers pass the *committed* length (zero for
-    /// dropped stores), so the bitmap only ever covers words whose
-    /// contents may differ from the last checkpoint image.
+    /// Resolves `[addr, addr + len)` to its region (`true` for SRAM) and
+    /// the region-relative byte offset of `addr`.
     #[inline]
-    fn mark_dirty(&mut self, addr: Addr, len: u32) {
-        if len == 0 {
-            return;
-        }
+    fn locate(&self, addr: Addr, len: u32) -> Result<(bool, usize), MemoryError> {
         if self.layout.sram.contains_range(addr, len) {
-            mark_dirty_bits(
-                &mut self.sram_dirty,
-                addr.0 - self.layout.sram.start.0,
-                len,
-            );
+            Ok((true, (addr.0 - self.layout.sram.start.0) as usize))
         } else if self.layout.fram.contains_range(addr, len) {
-            mark_dirty_bits(
-                &mut self.fram_dirty,
-                addr.0 - self.layout.fram.start.0,
-                len,
-            );
+            Ok((false, (addr.0 - self.layout.fram.start.0) as usize))
+        } else {
+            Err(MemoryError::Unmapped { addr, len })
         }
+    }
+
+    fn slice(&self, addr: Addr, len: u32) -> Result<&[u8], MemoryError> {
+        let (volatile, off) = self.locate(addr, len)?;
+        let region = if volatile { &self.sram } else { &self.fram };
+        Ok(&region[off..off + len as usize])
+    }
+
+    /// Marks the dirty bits for a store of `len` bytes at region-relative
+    /// offset `off` that actually landed. Callers pass the *committed*
+    /// length (zero for dropped stores), so the bitmap only ever covers
+    /// words whose contents may differ from the last checkpoint image.
+    #[inline]
+    fn mark_dirty(&mut self, volatile: bool, off: usize, len: u32) {
+        let bits = if volatile {
+            &mut self.sram_dirty
+        } else {
+            &mut self.fram_dirty
+        };
+        mark_dirty_bits(bits, off as u32, len);
     }
 
     fn charge_read(&mut self, addr: Addr, len: u32) {
@@ -570,29 +578,47 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if the range is not fully mapped.
     pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) -> Result<(), MemoryError> {
-        let len = buf.len() as u32;
+        self.store(addr, buf.len() as u32, StoreSrc::Bytes(buf))
+    }
+
+    /// The one cycle-accounted store path behind [`Memory::write_bytes`],
+    /// [`Memory::fill`] and [`Memory::copy`]: torn-prefix truncation,
+    /// one brown-out fate draw, dirty marking of what landed, and the
+    /// full write charge.
+    fn store(&mut self, addr: Addr, len: u32, src: StoreSrc<'_>) -> Result<(), MemoryError> {
         let committed = self.committed_prefix(addr, len) as usize;
         let fate = self.store_fate(committed);
         // Bounds-check the whole range — the MCU decodes the access before
         // the bus starts moving words, so an unmapped tail still faults.
-        let dst = self.slice_mut(addr, len)?;
+        let (volatile, off) = self.locate(addr, len)?;
+        let (dst, other) = if volatile {
+            (&mut self.sram, &self.fram)
+        } else {
+            (&mut self.fram, &self.sram)
+        };
         let mut landed = committed as u32;
-        match fate {
-            StoreFate::Keep => dst[..committed].copy_from_slice(&buf[..committed]),
-            StoreFate::Flip { offset, mask } => {
-                dst[..committed].copy_from_slice(&buf[..committed]);
-                dst[offset] ^= mask;
-                self.stats.corrupted_writes += 1;
+        if let StoreFate::Drop = fate {
+            landed = 0;
+            self.stats.corrupted_writes += 1;
+        } else {
+            let to = off..off + committed;
+            match src {
+                StoreSrc::Bytes(buf) => dst[to].copy_from_slice(&buf[..committed]),
+                StoreSrc::Fill(value) => dst[to].fill(value),
+                StoreSrc::Within(sv, so) if sv == volatile => {
+                    dst.copy_within(so..so + committed, off);
+                }
+                StoreSrc::Within(_, so) => dst[to].copy_from_slice(&other[so..so + committed]),
             }
-            StoreFate::Drop => {
-                landed = 0;
+            if let StoreFate::Flip { offset, mask } = fate {
+                dst[off + offset] ^= mask;
                 self.stats.corrupted_writes += 1;
             }
         }
         if committed < len as usize {
             self.stats.torn_writes += 1;
         }
-        self.mark_dirty(addr, landed);
+        self.mark_dirty(volatile, off, landed);
         self.charge_write(addr, len);
         Ok(())
     }
@@ -849,9 +875,12 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if either range is not mapped.
     pub fn copy(&mut self, src: Addr, dst: Addr, len: u32) -> Result<(), MemoryError> {
-        let mut buf = vec![0u8; len as usize];
-        self.read_bytes(src, &mut buf)?;
-        self.write_bytes(dst, &buf)
+        // Exactly `read_bytes` into a buffer then `write_bytes` of it:
+        // the read is charged first, and `copy_within` moves the source
+        // bytes as they were before the store, overlap or not.
+        let (volatile, off) = self.locate(src, len)?;
+        self.charge_read(src, len);
+        self.store(dst, len, StoreSrc::Within(volatile, off))
     }
 
     /// Fills `len` bytes at `addr` with `value`. Subject to the same
@@ -861,28 +890,7 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if the range is not mapped.
     pub fn fill(&mut self, addr: Addr, len: u32, value: u8) -> Result<(), MemoryError> {
-        let committed = self.committed_prefix(addr, len) as usize;
-        let fate = self.store_fate(committed);
-        let dst = self.slice_mut(addr, len)?;
-        let mut landed = committed as u32;
-        match fate {
-            StoreFate::Keep => dst[..committed].fill(value),
-            StoreFate::Flip { offset, mask } => {
-                dst[..committed].fill(value);
-                dst[offset] ^= mask;
-                self.stats.corrupted_writes += 1;
-            }
-            StoreFate::Drop => {
-                landed = 0;
-                self.stats.corrupted_writes += 1;
-            }
-        }
-        if committed < len as usize {
-            self.stats.torn_writes += 1;
-        }
-        self.mark_dirty(addr, landed);
-        self.charge_write(addr, len);
-        Ok(())
+        self.store(addr, len, StoreSrc::Fill(value))
     }
 
     /// Debugger-style read: no cycles, no statistics.
@@ -938,8 +946,15 @@ impl Memory {
     /// Returns [`MemoryError::Unmapped`] if the range is not mapped.
     pub fn poke_bytes(&mut self, addr: Addr, buf: &[u8]) -> Result<(), MemoryError> {
         let fate = self.store_fate(buf.len());
-        let dst = self.slice_mut(addr, buf.len() as u32)?;
-        let mut landed = buf.len() as u32;
+        let len = buf.len() as u32;
+        let (volatile, off) = self.locate(addr, len)?;
+        let region = if volatile {
+            &mut self.sram
+        } else {
+            &mut self.fram
+        };
+        let dst = &mut region[off..off + buf.len()];
+        let mut landed = len;
         match fate {
             StoreFate::Keep => dst.copy_from_slice(buf),
             StoreFate::Flip { offset, mask } => {
@@ -952,7 +967,7 @@ impl Memory {
                 self.stats.corrupted_writes += 1;
             }
         }
-        self.mark_dirty(addr, landed);
+        self.mark_dirty(volatile, off, landed);
         Ok(())
     }
 
@@ -1313,6 +1328,68 @@ mod tests {
     }
 
     #[test]
+    fn copy_matches_read_then_write() {
+        // `copy` must be indistinguishable from `read_bytes` into a buffer
+        // followed by `write_bytes` of it: contents, torn prefix, brown-out
+        // fate (and RNG position), dirty words, stats, cycles and errors —
+        // for overlapping, cross-region and unmapped ranges.
+        let l = MemoryLayout::default();
+        let (s, f) = (l.sram.start, l.fram.start);
+        let cases = [
+            (f.offset(8), f.offset(30), 200),
+            (f.offset(30), f.offset(8), 200),
+            (f.offset(3), f.offset(3), 64),
+            (s.offset(5), f.offset(1), 300),
+            (f.offset(2), s.offset(9), 300),
+            (f, Addr(4), 16),
+            (Addr(4), f, 16),
+        ];
+        let (mut corrupted, mut torn) = (0, 0);
+        for seed in 0..12u64 {
+            for &(src, dst, len) in &cases {
+                let setup = || {
+                    let mut m = mem();
+                    let bytes: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 1) as u8).collect();
+                    m.poke_bytes(s, &bytes).unwrap();
+                    m.poke_bytes(f, &bytes).unwrap();
+                    m.clear_dirty(s, l.sram.len());
+                    m.clear_dirty(f, l.fram.len());
+                    if seed % 3 != 0 {
+                        m.set_corruption(Some(CorruptionModel::new(u64::MAX, 0.4, 0.3, seed)));
+                    }
+                    if seed % 4 != 3 {
+                        m.set_power_cut(Some(m.cycles() + 40 * seed));
+                    }
+                    m
+                };
+                let mut a = setup();
+                let mut b = setup();
+                let got = a.copy(src, dst, len);
+                let want = (|| {
+                    let mut buf = vec![0u8; len as usize];
+                    b.read_bytes(src, &mut buf)?;
+                    b.write_bytes(dst, &buf)
+                })();
+                let case = format!("seed {seed}, {src} -> {dst}, {len} bytes");
+                assert_eq!(got, want, "{case}");
+                assert_eq!(a.sram, b.sram, "{case}");
+                assert_eq!(a.fram, b.fram, "{case}");
+                assert_eq!(all_dirty_words(&a), all_dirty_words(&b), "{case}");
+                assert_eq!(a.stats(), b.stats(), "{case}");
+                assert_eq!(a.cycles(), b.cycles(), "{case}");
+                assert_eq!(a.span_cycles_all(), b.span_cycles_all(), "{case}");
+                assert_eq!(a.corrupt_rng, b.corrupt_rng, "{case}");
+                corrupted += a.stats().corrupted_writes;
+                torn += a.stats().torn_writes;
+            }
+        }
+        assert!(
+            corrupted > 0 && torn > 0,
+            "the grid must exercise fates and tears"
+        );
+    }
+
+    #[test]
     fn peek_poke_do_not_charge() {
         let mut m = mem();
         let a = m.layout().fram.start;
@@ -1419,7 +1496,10 @@ mod tests {
         let a = m.layout().fram.start;
         m.set_power_cut(Some(0));
         m.poke_bytes(a, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        assert_eq!(m.peek_u64(a).unwrap(), u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
+        assert_eq!(
+            m.peek_u64(a).unwrap(),
+            u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8])
+        );
         assert_eq!(m.stats().torn_writes, 0);
     }
 
@@ -1611,10 +1691,7 @@ mod tests {
             })
             .collect();
         for &(a, v) in &ops {
-            assert_eq!(
-                slow.write_u32(a, v).is_ok(),
-                fast.write_word(a, v).is_ok()
-            );
+            assert_eq!(slow.write_u32(a, v).is_ok(), fast.write_word(a, v).is_ok());
             assert_eq!(slow.read_u32(a).ok(), fast.read_word(a).ok());
         }
         // Error cases must agree too (and charge nothing in either path).
@@ -1776,7 +1853,17 @@ mod tests {
             } else {
                 (l.sram.start, l.sram.len())
             };
-            let addr = base.offset(((r >> 8) as u32 % (limit - 64)) & !3);
+            // Half the stores start unaligned, and one in eight bulk
+            // stores spans 1 KiB (several bitmap limbs).
+            let align = if r & 2 == 0 { !3 } else { !0 };
+            let addr = base.offset(((r >> 8) as u32 % (limit - 1100)) & align);
+            let bulk = |short: u32| {
+                if (r >> 50) & 7 == 0 {
+                    1024
+                } else {
+                    4 + (r >> 20) as u32 % short
+                }
+            };
             match (r >> 40) % 6 {
                 0 => {
                     m.write_u32(addr, r as u32).unwrap();
@@ -1787,20 +1874,21 @@ mod tests {
                     note(&mut targeted, addr, 4);
                 }
                 2 => {
-                    let len = 4 + (r >> 20) as u32 % 48;
+                    let len = bulk(48);
                     let buf: Vec<u8> = (0..len).map(|i| (r as u8).wrapping_add(i as u8)).collect();
                     m.write_bytes(addr, &buf).unwrap();
                     note(&mut targeted, addr, len);
                 }
                 3 => {
-                    let len = 4 + (r >> 20) as u32 % 32;
+                    let len = bulk(32);
                     m.fill(addr, len, r as u8).unwrap();
                     note(&mut targeted, addr, len);
                 }
                 4 => {
-                    let buf = (r ^ 0x5A5A).to_le_bytes();
+                    let len = bulk(8);
+                    let buf: Vec<u8> = (0..len).map(|i| (r >> 3) as u8 ^ i as u8).collect();
                     m.poke_bytes(addr, &buf).unwrap();
-                    note(&mut targeted, addr, 8);
+                    note(&mut targeted, addr, len);
                 }
                 _ => {
                     let mut bm = m.word_burst();
@@ -1854,6 +1942,46 @@ mod tests {
         };
         check(&sram0, &sram1, l.sram.start.0);
         check(&fram0, &fram1, l.fram.start.0);
+    }
+
+    /// Every word index a store of `len` bytes at region offset `off`
+    /// touches, marked one bit at a time.
+    fn reference_marks(bits: &mut [u64], off: u32, len: u32) {
+        if len == 0 {
+            return;
+        }
+        for w in (off / 4)..=((off + len - 1) / 4) {
+            bits[(w / 64) as usize] |= 1 << (w % 64);
+        }
+    }
+
+    #[test]
+    fn limb_masks_match_per_word_marking_exhaustively() {
+        // Every start alignment within and across limbs, empty,
+        // single-limb and 3+-limb spans, and spans ending on limb edges,
+        // over both a clean bitmap and one with bits already set.
+        for background in [0, 0x0123_4567_89AB_CDEF] {
+            for off in 0..=300u32 {
+                for len in 0..=700u32 {
+                    let mut got = [background; 8];
+                    let mut want = [background; 8];
+                    mark_dirty_bits(&mut got, off, len);
+                    reference_marks(&mut want, off, len);
+                    assert_eq!(got, want, "off {off}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_marks_match_per_word_marking() {
+        for off in 0..=600usize {
+            let mut got = [0u64; 8];
+            let mut want = [0u64; 8];
+            mark_word_dirty(&mut got, off);
+            reference_marks(&mut want, off as u32, 4);
+            assert_eq!(got, want, "off {off}");
+        }
     }
 
     #[test]
