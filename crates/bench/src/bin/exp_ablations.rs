@@ -18,7 +18,9 @@
 use tics_apps::workload::ar_trace;
 use tics_apps::{ar, build_app, App, SystemUnderTest};
 use tics_bench::count_violations;
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::experiment::{Experiment, SWEEP};
+use tics_bench::journal::CellStatus;
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_clock::RemanenceTimer;
 use tics_core::{TicsConfig, TicsRuntime};
@@ -170,11 +172,11 @@ fn run_timekeeper_error(cell: &Cell) -> Result<CellOutput, String> {
     .with("discards", m.stats().expired_data_discards))
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("ablations", &SWEEP);
     println!("TICS design-choice ablations\n");
 
-    let mut sweep = Sweep::new("ablations").args(args);
+    let mut sweep = exp.sweep();
     for mult in [1i64, 2, 4, 8] {
         sweep = sweep.cell(
             Cell::new(App::Bc, SystemUnderTest::Tics)
@@ -222,7 +224,7 @@ fn main() {
                 .param("error_pct", error_pct),
         );
     }
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         match cell.param_str("ablation") {
             "segment_size" => run_segment_size(cell),
             "undo_capacity" => run_undo_capacity(cell),
@@ -242,7 +244,7 @@ fn main() {
     println!("— segment size (BC, continuous power) —");
     println!("{:>8} {:>8} {:>12}", "seg (B)", "ckpts", "cycles");
     for r in rows_of("segment_size") {
-        assert_eq!(r.status, tics_bench::journal::CellStatus::Ok, "{}", r.outcome);
+        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
         println!(
             "{:>8} {:>8} {:>12}",
             r.metric_u64("x").unwrap_or(0),
@@ -253,7 +255,7 @@ fn main() {
     println!("\n— undo-log capacity (CF, continuous power) —");
     println!("{:>10} {:>8} {:>12}", "entries", "ckpts", "cycles");
     for r in rows_of("undo_capacity") {
-        assert_eq!(r.status, tics_bench::journal::CellStatus::Ok, "{}", r.outcome);
+        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
         println!(
             "{:>10} {:>8} {:>12}",
             r.metric_u64("x").unwrap_or(0),
@@ -275,7 +277,7 @@ fn main() {
     println!("\n— timekeeper accuracy (AR violations vs remanence-timer error) —");
     println!("{:>10} {:>12} {:>12}", "error", "violations", "discards");
     for r in rows_of("timekeeper_error") {
-        assert_eq!(r.status, tics_bench::journal::CellStatus::Ok, "{}", r.outcome);
+        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
         println!(
             "{:>10} {:>12} {:>12}",
             r.metric("x").and_then(Json::as_str).unwrap_or("?"),
@@ -311,5 +313,5 @@ fn main() {
             })
             .collect(),
     );
-    tics_bench::write_json("ablations", &samples);
+    exp.finish(&samples)
 }

@@ -28,10 +28,10 @@
 //!    degrading back to full-image commits.
 //!
 //! Flags: `--quick` (reduced measurement time for CI), `--check`
-//! (compare against the committed baseline), `--out PATH` (baseline
-//! path, default `BENCH_interpreter.json`), `--no-write` (measure and
-//! check only). The sweep is deliberately single-threaded: wall-clock
-//! throughput is the measurement, so cells must not contend for cores.
+//! (compare against the committed baseline), `--no-write` (leave the
+//! baseline untouched). The sweep is deliberately single-threaded:
+//! wall-clock throughput is the measurement, so cells must not contend
+//! for cores.
 //!
 //! To refresh the committed baseline after interpreter work:
 //! `cargo run --release -p tics-bench --bin exp_bench` and commit the
@@ -41,6 +41,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use tics_apps::SystemUnderTest;
+use tics_bench::experiment::Experiment;
 use tics_bench::fault::{build_fault_program, FaultProgram};
 use tics_bench::periph::{build_periph_program, PeriphWorkload};
 use tics_bench::Json;
@@ -212,19 +213,11 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let no_write = args.iter().any(|a| a == "--no-write");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_interpreter.json".to_string(), Clone::clone);
+    let mut exp = Experiment::from_env("bench_interpreter", &["--quick", "--check", "--no-write"]);
+    let quick = exp.args.quick;
     let min_host_ms: u64 = if quick { 40 } else { 120 };
 
     let mut cells: Vec<CellResult> = Vec::new();
-    let mut mismatches = 0u32;
     let sweep_started = Instant::now();
 
     for program in FaultProgram::ALL {
@@ -238,30 +231,8 @@ fn main() -> ExitCode {
                     measure(&prog, system, supply, DispatchEngine::Reference, min_host_ms);
                 let decoded = measure(&prog, system, supply, DispatchEngine::Decoded, min_host_ms);
 
-                // Differential smoke: the engines must agree on every
-                // observable of the (deterministic) first run.
-                if reference.outcome != decoded.outcome
-                    || reference.cycles != decoded.cycles
-                    || reference.instructions != decoded.instructions
-                    || reference.checkpoint_bytes != decoded.checkpoint_bytes
-                    || reference.trace != decoded.trace
-                {
-                    eprintln!(
-                        "ENGINE MISMATCH {}/{}/{}: ref=({}, {} cy, {} in, {} ev) dec=({}, {} cy, {} in, {} ev)",
-                        program.name(),
-                        system.name(),
-                        supply.label(),
-                        reference.outcome,
-                        reference.cycles,
-                        reference.instructions,
-                        reference.trace.len(),
-                        decoded.outcome,
-                        decoded.cycles,
-                        decoded.instructions,
-                        decoded.trace.len(),
-                    );
-                    mismatches += 1;
-                }
+                let cell = format!("{}/{}/{}", program.name(), system.name(), supply.label());
+                check_engines(&mut exp, &cell, &reference, &decoded);
 
                 cells.push(CellResult {
                     program: program.name(),
@@ -298,31 +269,12 @@ fn main() -> ExitCode {
                 let reference = measure(&prog, system, supply, DispatchEngine::Reference, 0);
                 let decoded = measure(&prog, system, supply, DispatchEngine::Decoded, 0);
                 periph_cells += 1;
-                if reference.outcome != decoded.outcome
-                    || reference.cycles != decoded.cycles
-                    || reference.instructions != decoded.instructions
-                    || reference.trace != decoded.trace
-                {
-                    eprintln!(
-                        "ENGINE MISMATCH (periph) {}/{}/{}: ref=({}, {} cy, {} in, {} ev) dec=({}, {} cy, {} in, {} ev)",
-                        workload.name(),
-                        system.name(),
-                        supply.label(),
-                        reference.outcome,
-                        reference.cycles,
-                        reference.instructions,
-                        reference.trace.len(),
-                        decoded.outcome,
-                        decoded.cycles,
-                        decoded.instructions,
-                        decoded.trace.len(),
-                    );
-                    mismatches += 1;
-                }
+                let cell = format!("{}/{}/{}", workload.name(), system.name(), supply.label());
+                check_engines(&mut exp, &cell, &reference, &decoded);
             }
         }
     }
-    println!("periph differential smoke: {periph_cells} cells, {mismatches} mismatches so far");
+    println!("periph differential smoke: {periph_cells} cells");
 
     let geomean_all = geomean(cells.iter().map(|c| c.speedup));
     let geomean_fast = geomean(cells.iter().filter(|c| c.hook_free).map(|c| c.speedup));
@@ -405,54 +357,36 @@ fn main() -> ExitCode {
         )
         .build();
 
-    // Results copy for artifact upload alongside the other experiments.
-    tics_bench::write_json("bench_interpreter", &json);
-
-    let mut regressions = 0u32;
-    if check {
-        match std::fs::read_to_string(&out_path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(baseline) => regressions = check_against(&baseline, &cells),
-                Err(e) => {
-                    eprintln!("cannot parse baseline {out_path}: {e:?}");
-                    regressions = 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {out_path}: {e}");
-                regressions = 1;
-            }
-        }
-    } else if !no_write {
-        if let Err(e) = std::fs::write(&out_path, json.to_pretty()) {
-            eprintln!("cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("baseline written to {out_path}");
-    }
-
-    if mismatches > 0 {
-        eprintln!("{mismatches} engine mismatch(es)");
-        return ExitCode::FAILURE;
-    }
-    if regressions > 0 {
-        eprintln!(
-            "{regressions} cell(s) regressed against the baseline (speedup or checkpoint \
-             traffic; re-baseline with `cargo run --release -p tics-bench --bin exp_bench` \
-             if intended)"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    exp.baseline("BENCH_interpreter.json", &json, |baseline| check_against(baseline, &cells));
+    // The results copy is uploaded as a CI artifact alongside the others.
+    exp.finish(&json)
 }
 
-/// Compares measured speedups against the committed baseline. Cells are
-/// matched by (program, system, supply); unmatched cells on either side
-/// are reported but only regressions fail.
-fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
+/// Fails the `engine equivalence` gate unless both engines agree on the
+/// outcome, cycles, instructions, checkpoint traffic and trace stream of
+/// the (deterministic) first run.
+fn check_engines(exp: &mut Experiment, cell: &str, reference: &EngineRun, decoded: &EngineRun) {
+    let equal = reference.outcome == decoded.outcome
+        && reference.cycles == decoded.cycles
+        && reference.instructions == decoded.instructions
+        && reference.checkpoint_bytes == decoded.checkpoint_bytes
+        && reference.trace == decoded.trace;
+    exp.check("engine equivalence", equal, || {
+        let sig = |r: &EngineRun| {
+            let (cycles, instructions, events) = (r.cycles, r.instructions, r.trace.len());
+            format!("({}, {cycles} cy, {instructions} in, {events} ev)", r.outcome)
+        };
+        format!("{cell}: ref={} dec={}", sig(reference), sig(decoded))
+    });
+}
+
+/// Compares measured speedups against the committed baseline and returns
+/// one line per regression. Cells are matched by (program, system,
+/// supply); unmatched cells on either side are reported but only
+/// regressions fail.
+fn check_against(baseline: &Json, cells: &[CellResult]) -> Vec<String> {
     let Some(rows) = baseline.get("cells").and_then(Json::as_arr) else {
-        eprintln!("baseline has no cells array");
-        return 1;
+        return vec!["baseline has no cells array".to_string()];
     };
     let baseline_row = |c: &CellResult| -> Option<&Json> {
         rows.iter().find(|row| {
@@ -461,7 +395,7 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
                 && row.get("supply").and_then(Json::as_str) == Some(c.supply)
         })
     };
-    let mut regressions = 0u32;
+    let mut regressions = Vec::new();
     for c in cells {
         let Some(row) = baseline_row(c) else {
             println!("note: cell {}/{}/{} not in baseline", c.program, c.system, c.supply);
@@ -469,16 +403,15 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
         };
         if let Some(base) = row.get("speedup").and_then(Json::as_f64) {
             if c.speedup < base * CHECK_TOLERANCE {
-                eprintln!(
-                    "REGRESSION {}/{}/{}: speedup {:.2}x < {:.0}% of baseline {:.2}x",
+                regressions.push(format!(
+                    "{}/{}/{}: speedup {:.2}x < {:.0}% of baseline {:.2}x",
                     c.program,
                     c.system,
                     c.supply,
                     c.speedup,
                     CHECK_TOLERANCE * 100.0,
                     base,
-                );
-                regressions += 1;
+                ));
             }
         }
         // Checkpoint traffic is simulated (deterministic), so the gate
@@ -487,16 +420,15 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
         // baseline refresh records it.
         if let Some(base_bytes) = row.get("checkpoint_bytes").and_then(Json::as_f64) {
             if base_bytes > 0.0 && c.checkpoint_bytes as f64 > base_bytes * CKPT_BYTES_TOLERANCE {
-                eprintln!(
-                    "REGRESSION {}/{}/{}: checkpoint traffic {} B > {:.0}% of baseline {:.0} B",
+                regressions.push(format!(
+                    "{}/{}/{}: checkpoint traffic {} B > {:.0}% of baseline {:.0} B",
                     c.program,
                     c.system,
                     c.supply,
                     c.checkpoint_bytes,
                     CKPT_BYTES_TOLERANCE * 100.0,
                     base_bytes,
-                );
-                regressions += 1;
+                ));
             }
         }
     }
@@ -508,17 +440,13 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
         Some(base) => {
             let measured = geomean(cells.iter().map(|c| c.speedup));
             if measured < base * GEOMEAN_TOLERANCE {
-                eprintln!(
-                    "REGRESSION geomean: speedup {measured:.2}x < {:.0}% of baseline {base:.2}x",
+                regressions.push(format!(
+                    "geomean: speedup {measured:.2}x < {:.0}% of baseline {base:.2}x",
                     GEOMEAN_TOLERANCE * 100.0,
-                );
-                regressions += 1;
+                ));
             }
         }
-        None => {
-            eprintln!("baseline has no summary.geomean_speedup");
-            regressions += 1;
-        }
+        None => regressions.push("baseline has no summary.geomean_speedup".to_string()),
     }
     regressions
 }

@@ -15,20 +15,22 @@
 //! *fail* — if it stops failing, the corruption model has gone soft and
 //! the whole experiment is vacuous.
 //!
-//! `--quick` runs a reduced CI grid; `--threads N` / `--journal PATH` /
-//! `--cell-timeout-ms N` / `--resume` as usual.
+//! `--quick` runs a reduced CI grid.
 
-use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::experiment::{claims_consistency, Experiment, SWEEP};
 use tics_bench::fault::{
     build_fault_program, golden_run, run_chaos_cell, FaultProgram, CHAOS_WINDOW,
 };
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 
-fn main() {
-    let args = SweepArgs::parse_env();
-    let quick = args.rest.iter().any(|a| a == "--quick");
+/// The gate every consistency-claiming runtime's cells fold into.
+const CLAIMS: &str = "detect-or-die claims";
+
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("chaos", &[&SWEEP[..], &["--quick"]].concat());
+    let quick = exp.args.quick;
     println!(
         "Chaos: brown-out corruption (window {CHAOS_WINDOW} cycles) vs the \
          detect-or-die oracle\n"
@@ -61,7 +63,7 @@ fn main() {
     let rates: &[f64] = if quick { &[0.4] } else { &[0.15, 0.3, 0.5] };
     let trials = if quick { 16 } else { 32 };
 
-    let mut sweep = Sweep::new("chaos").args(args);
+    let mut sweep = exp.sweep();
     for &rate in rates {
         for &system in systems {
             for &p in programs {
@@ -75,7 +77,7 @@ fn main() {
         }
     }
 
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         let program = FaultProgram::from_name(cell.param_str("program"))
             .ok_or_else(|| "unknown corpus program".to_string())?;
         let rate = cell
@@ -93,9 +95,7 @@ fn main() {
             }
         };
         let golden = golden_run(&prog, cell.system)?;
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
+        let claims = claims_consistency(cell.system);
         let report = run_chaos_cell(&prog, cell.system, &golden, rate, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.corrupted_state > 0 {
@@ -139,10 +139,9 @@ fn main() {
         row.metric(k).and_then(Json::as_u64).unwrap_or(0)
     };
     let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
     let mut naive_corrupted_state = 0u64;
     let mut naive_trials = 0u64;
-    for row in outcome.ok_rows() {
+    for row in exp.claim_rows(CLAIMS, &outcome) {
         if row.metric("supported").and_then(Json::as_bool) != Some(true) {
             println!("{:<15} {:<11} {}", row.app, row.system, row.outcome);
             continue;
@@ -164,16 +163,16 @@ fn main() {
             row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
             row.metric_f64("mean_reboots_to_recover").unwrap_or(0.0),
         );
-        if claims && corrupted_state > 0 {
-            claim_failures.push(format!(
+        exp.check(CLAIMS, !(claims && corrupted_state > 0), || {
+            format!(
                 "{} x {} @ rate {rate}: {corrupted_state} corrupted-state trials — {}",
                 row.app,
                 row.system,
                 row.metric("corruption_detail")
                     .and_then(Json::as_str)
                     .unwrap_or("no detail"),
-            ));
-        }
+            )
+        });
         if row.system == SystemUnderTest::Mementos.name() {
             naive_corrupted_state += corrupted_state;
             naive_trials += metric_u64(row, "trials");
@@ -205,31 +204,11 @@ fn main() {
                 .build(),
         );
     }
-    println!("\n{}", outcome.summary);
-
-    tics_bench::write_json("chaos", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes silently consumed corruption:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if naive_corrupted_state == 0 {
-        eprintln!(
-            "\nFAIL: the un-hardened naive control produced no corrupted-state \
-             verdict in {naive_trials} trials — the corruption model is not biting"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "\nDetect-or-die holds: every consistency-claiming runtime healed or \
-         trapped on all corrupted checkpoints; the naive control silently \
-         corrupted {naive_corrupted_state} trials."
-    );
+    exp.check("naive control bites", naive_corrupted_state > 0, || {
+        format!(
+            "the un-hardened naive control produced no corrupted-state verdict in \
+             {naive_trials} trials — the corruption model is not biting"
+        )
+    });
+    exp.finish(&Json::Arr(matrix))
 }

@@ -11,15 +11,15 @@
 //! and the headline demonstration — naive checkpointing diverges on a
 //! plan TICS survives — must reproduce.
 //!
-//! `--quick` runs a reduced CI grid; `--threads N` as usual.
+//! `--quick` runs a reduced CI grid.
 
-use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::experiment::{claims_consistency, Experiment, SWEEP};
 use tics_bench::fault::{
     build_fault_program, cuts_string, fault_budget_us, golden_run, judge, parse_cuts, run_fault_cell,
     run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS, OFF_US,
 };
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_energy::FaultPlan;
 
@@ -30,13 +30,12 @@ fn strategy_from(name: &str) -> Strategy {
         .unwrap_or(Strategy::Stride)
 }
 
-fn system_from(name: &str) -> Option<SystemUnderTest> {
-    SystemUnderTest::ALL.into_iter().find(|s| s.name() == name)
-}
+/// The gate every consistency-claiming runtime's cells fold into.
+const CLAIMS: &str = "consistency claims";
 
-fn main() {
-    let args = SweepArgs::parse_env();
-    let quick = args.rest.iter().any(|a| a == "--quick");
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("fault", &[&SWEEP[..], &["--quick"]].concat());
+    let quick = exp.args.quick;
     println!("Fault injection: adversarial cut points vs the consistency oracle\n");
 
     let programs: &[FaultProgram] = if quick {
@@ -63,7 +62,7 @@ fn main() {
     };
     let (stride_trials, random_trials) = if quick { (40, 12) } else { (200, 64) };
 
-    let mut sweep = Sweep::new("fault").args(args);
+    let mut sweep = exp.sweep();
     for &p in programs {
         for &system in systems {
             for &strategy in strategies {
@@ -77,7 +76,7 @@ fn main() {
         }
     }
 
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         let program = FaultProgram::from_name(cell.param_str("program"))
             .ok_or_else(|| "unknown corpus program".to_string())?;
         let strategy = strategy_from(cell.param_str("strategy"));
@@ -97,9 +96,7 @@ fn main() {
             Strategy::Random => random_trials,
             Strategy::Probe => 0, // probe brings its own period ladder
         };
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
+        let claims = claims_consistency(cell.system);
         let report = run_fault_cell(&prog, cell.system, &golden, strategy, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.violations > 0 {
@@ -150,9 +147,8 @@ fn main() {
             .map(ToString::to_string)
     };
     let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
     let mut naive_demo: Option<(FaultProgram, Vec<u64>, u64)> = None;
-    for row in outcome.ok_rows() {
+    for row in exp.claim_rows(CLAIMS, &outcome) {
         let supported = row.metric("supported").and_then(Json::as_bool) == Some(true);
         if !supported {
             println!(
@@ -178,15 +174,15 @@ fn main() {
             shrunk,
         );
         let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
-        if claims && violations > 0 {
-            claim_failures.push(format!(
+        exp.check(CLAIMS, !(claims && violations > 0), || {
+            format!(
                 "{} x {} ({strategy}): {violations} violations, cuts [{}] — {}",
                 row.app,
                 row.system,
                 shrunk,
                 metric_str(row, "violation_detail").unwrap_or_default(),
-            ));
-        }
+            )
+        });
         // First shrunk naive divergence becomes the headline demo.
         if naive_demo.is_none() && row.system == SystemUnderTest::Mementos.name() && violations > 0
         {
@@ -217,13 +213,11 @@ fn main() {
                 .build(),
         );
     }
-    println!("\n{}", outcome.summary);
-
     // ---- headline demo: naive diverges, TICS survives the same plan ----
     let mut demo_ok = false;
     if let Some((program, cuts, off_us)) = &naive_demo {
         let plan = FaultPlan::new(cuts.clone(), *off_us);
-        let tics = system_from("TICS").expect("TICS is a system");
+        let tics = SystemUnderTest::Tics;
         match build_fault_program(*program, tics).and_then(|prog| {
             let golden = golden_run(&prog, tics)?;
             Ok((
@@ -247,26 +241,11 @@ fn main() {
             Err(e) => println!("\ndemo: TICS replay failed to build: {e}"),
         }
     }
-
-    tics_bench::write_json("fault", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes violated the oracle:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if naive_demo.is_none() {
-        eprintln!("\nFAIL: no reproducible naive-mementos divergence found");
-        failed = true;
-    } else if !demo_ok {
-        eprintln!("\nFAIL: TICS did not survive the shrunk naive-divergence plan");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("\nTable 5 memory-consistency column holds under adversarial fault injection.");
+    exp.check("naive divergence demo", naive_demo.is_some(), || {
+        "no reproducible naive-mementos divergence found".to_string()
+    });
+    exp.check("naive divergence demo", naive_demo.is_none() || demo_ok, || {
+        "TICS did not survive the shrunk naive-divergence plan".to_string()
+    });
+    exp.finish(&Json::Arr(matrix))
 }

@@ -10,26 +10,27 @@
 
 use tics_apps::study;
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::JournalRow;
 use tics_bench::reviewer::review;
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 
 const COHORT: u32 = 90;
 const SEED: u64 = 0x000F_1610;
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("fig10", &SWEEP);
     println!("Figure 10 (proxy): bug localization, TICS style vs InK style");
     println!("(cohort of {COHORT} seeded synthetic reviewers — see DESIGN.md)\n");
 
     let programs = study::all_programs();
-    let mut sweep = Sweep::new("fig10").seed(SEED).args(args);
+    let mut sweep = exp.sweep().seed(SEED);
     for (i, _) in programs.iter().enumerate() {
         sweep = sweep.cell(Cell::new(App::Ar, SystemUnderTest::Tics).param("prog_index", i));
     }
     let programs_ref = &programs;
-    let outcome = sweep.run_with(move |cell| {
+    let outcome = exp.run(sweep, move |cell| {
         let i = usize::try_from(cell.param_i64("prog_index")).expect("index");
         let p = &programs_ref[i];
         let o = review(p, COHORT, SEED);
@@ -106,11 +107,10 @@ fn main() {
             ink.metric_f64("accuracy_pct").unwrap_or(0.0),
             ink.metric_f64("mean_time").unwrap_or(f64::MAX),
         );
-        assert!(
-            t_acc > i_acc && t_time < i_time,
-            "{name}: proxy must reproduce the Figure 10 direction"
-        );
+        exp.check("paper shape", t_acc > i_acc && t_time < i_time, || {
+            format!("{name}: the proxy must reproduce the Figure 10 direction")
+        });
         println!("{name}: TICS {t_acc:.0}% in {t_time:.0}s vs InK {i_acc:.0}% in {i_time:.0}s");
     }
-    tics_bench::write_json("fig10", &Json::Arr(table));
+    exp.finish(&Json::Arr(table))
 }

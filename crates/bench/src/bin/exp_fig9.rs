@@ -18,8 +18,9 @@
 
 use tics_apps::workload::ar_trace;
 use tics_apps::{ar, build_app, App, SystemUnderTest};
+use tics_bench::experiment::{Experiment, PANEL, SWEEP};
 use tics_bench::journal::{CellStatus, JournalRow};
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::ContinuousPower;
@@ -151,7 +152,14 @@ fn cycles_of(r: &JournalRow) -> Option<u64> {
     (r.status == CellStatus::Ok).then_some(r.cycles)
 }
 
-fn print_left(rows: &[JournalRow], points: &mut Vec<Json>) {
+/// Fails the `runs` gate unless `r` ran.
+fn require_ok(exp: &mut Experiment, r: &JournalRow, label: &str) {
+    exp.check("runs", r.status == CellStatus::Ok, || {
+        format!("{} {label}: {}", r.app, r.outcome)
+    });
+}
+
+fn print_left(exp: &mut Experiment, rows: &[JournalRow], points: &mut Vec<Json>) {
     println!("— left: TICS vs Chinchilla across optimization levels —");
     println!(
         "{:<4} {:<4} {:>12} {:>14} {:>10}",
@@ -162,8 +170,8 @@ fn print_left(rows: &[JournalRow], points: &mut Vec<Json>) {
             let plain = find(rows, "left", app, &format!("plain-{opt}"));
             let tics = find(rows, "left", app, &format!("TICS-{opt}"));
             let chin = find(rows, "left", app, &format!("Chinchilla-{opt}"));
-            assert_eq!(plain.status, CellStatus::Ok, "plain runs: {}", plain.outcome);
-            assert_eq!(tics.status, CellStatus::Ok, "TICS runs: {}", tics.outcome);
+            require_ok(exp, plain, &format!("plain-{opt}"));
+            require_ok(exp, tics, &format!("TICS-{opt}"));
             println!(
                 "{:<4} {:<4} {:>12} {:>14} {:>10}",
                 app.name(),
@@ -192,7 +200,7 @@ fn print_left(rows: &[JournalRow], points: &mut Vec<Json>) {
     println!();
 }
 
-fn print_center(rows: &[JournalRow], points: &mut Vec<Json>) {
+fn print_center(exp: &mut Experiment, rows: &[JournalRow], points: &mut Vec<Json>) {
     println!("— center: TICS checkpoints vs working-stack size —");
     println!(
         "{:<4} {:<10} {:>10} {:>12}",
@@ -201,7 +209,7 @@ fn print_center(rows: &[JournalRow], points: &mut Vec<Json>) {
     for app in APPS {
         for label in ["S1", "S2", "S1*", "S2*"] {
             let r = find(rows, "center", app, label);
-            assert_eq!(r.status, CellStatus::Ok, "{label} runs: {}", r.outcome);
+            require_ok(exp, r, label);
             let seg = r.metric_u64("seg_bytes").unwrap_or(0);
             println!(
                 "{:<4} {:<10} {:>10} {:>12}",
@@ -225,7 +233,7 @@ fn print_center(rows: &[JournalRow], points: &mut Vec<Json>) {
     println!();
 }
 
-fn print_right(rows: &[JournalRow], points: &mut Vec<Json>) {
+fn print_right(exp: &mut Experiment, rows: &[JournalRow], points: &mut Vec<Json>) {
     println!("— right: TICS vs naive and task-based systems —");
     println!(
         "{:<4} {:<12} {:>12} {:>10}",
@@ -243,7 +251,7 @@ fn print_right(rows: &[JournalRow], points: &mut Vec<Json>) {
         ] {
             let r = find(rows, "right", app, label);
             if label.starts_with("TICS") {
-                assert_eq!(r.status, CellStatus::Ok, "{label} runs: {}", r.outcome);
+                require_ok(exp, r, label);
             }
             println!(
                 "{:<4} {:<12} {:>12} {:>10}",
@@ -272,17 +280,13 @@ fn print_right(rows: &[JournalRow], points: &mut Vec<Json>) {
     }
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
-    let panel = args.rest.first().cloned().unwrap_or_default();
-    if !matches!(panel.as_str(), "" | "left" | "center" | "right") {
-        eprintln!("error: unknown panel {panel:?}: expected left, center, or right");
-        std::process::exit(2);
-    }
-    let want = |p: &str| panel.is_empty() || panel == p;
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("fig9", &[&SWEEP[..], &[PANEL]].concat());
+    let panel = exp.args.panel.clone();
+    let want = |p: &str| panel.as_ref().is_none_or(|panel| panel == p);
     println!("Figure 9: benchmark performance ({SCALE} work items per app)\n");
 
-    let mut sweep = Sweep::new("fig9").args(args);
+    let mut sweep = exp.sweep();
     if want("left") {
         for app in APPS {
             for opt in OptLevel::ALL {
@@ -343,7 +347,7 @@ fn main() {
         }
     }
 
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         if cell.system == SystemUnderTest::Tics && cell.param_str("panel") != "left" {
             run_tics_config(cell)
         } else {
@@ -353,13 +357,13 @@ fn main() {
 
     let mut points = Vec::new();
     if want("left") {
-        print_left(&outcome.rows, &mut points);
+        print_left(&mut exp, &outcome.rows, &mut points);
     }
     if want("center") {
-        print_center(&outcome.rows, &mut points);
+        print_center(&mut exp, &outcome.rows, &mut points);
     }
     if want("right") {
-        print_right(&outcome.rows, &mut points);
+        print_right(&mut exp, &outcome.rows, &mut points);
     }
-    tics_bench::write_json("fig9", &Json::Arr(points));
+    exp.finish(&Json::Arr(points))
 }

@@ -28,7 +28,6 @@
 //!   against the committed `BENCH_fleet.json`. Instruction counts are
 //!   simulated (host-independent) and engine-invariant, so equality is
 //!   exact; a mismatch means device behavior changed.
-//! - `--out PATH` — baseline path (default `BENCH_fleet.json`).
 //! - `--no-write` — run and report without touching the baseline.
 //!
 //! To refresh the committed baseline (CI checks at 1400 devices):
@@ -38,9 +37,11 @@
 use std::process::ExitCode;
 
 use tics_apps::{build_app, App, SystemUnderTest};
+use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::fleet::{run_shard, FleetSpec, ShardStats};
+use tics_bench::journal::CellStatus;
 use tics_bench::sweep::splitmix64;
-use tics_bench::{Cell, CellOutput, ClockKind, Json, SupplySpec, Sweep, SweepArgs};
+use tics_bench::{Cell, CellOutput, ClockKind, Json, SupplySpec};
 use tics_minic::opt::OptLevel;
 use tics_vm::DispatchEngine;
 
@@ -87,50 +88,6 @@ fn system_fleet_seed(canonical_index: usize) -> u64 {
     splitmix64(FLEET_SEED ^ splitmix64(canonical_index as u64 + 0x51))
 }
 
-struct Flags {
-    devices: u64,
-    check: bool,
-    no_write: bool,
-    out_path: String,
-}
-
-fn parse_flags(rest: &[String]) -> Flags {
-    let mut flags = Flags {
-        devices: DEFAULT_DEVICES,
-        check: false,
-        no_write: false,
-        out_path: "BENCH_fleet.json".to_string(),
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--devices" {
-            match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => flags.devices = n,
-                _ => eprintln!("warning: --devices needs a positive integer"),
-            }
-        } else if let Some(v) = arg.strip_prefix("--devices=") {
-            match v.parse::<u64>() {
-                Ok(n) if n >= 1 => flags.devices = n,
-                _ => eprintln!("warning: --devices needs a positive integer"),
-            }
-        } else if arg == "--check" {
-            flags.check = true;
-        } else if arg == "--no-write" {
-            flags.no_write = true;
-        } else if arg == "--out" {
-            match it.next() {
-                Some(p) => flags.out_path = p.clone(),
-                None => eprintln!("warning: --out needs a path"),
-            }
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            flags.out_path = v.to_string();
-        } else {
-            eprintln!("warning: unknown argument {arg:?}");
-        }
-    }
-    flags
-}
-
 /// Formats a percentile's bucket bounds compactly (`lo..hi µs`-style).
 fn fmt_bounds(b: Option<(u64, u64)>) -> String {
     match b {
@@ -148,9 +105,8 @@ fn percentile_json(h: &tics_bench::StreamingHistogram, p: f64) -> Json {
 }
 
 fn main() -> ExitCode {
-    let mut args = SweepArgs::parse_env();
-    let flags = parse_flags(&args.rest);
-    args.rest.clear();
+    let accepted = [&SWEEP[..], &["--devices", "--check", "--no-write"]].concat();
+    let mut exp = Experiment::from_env("fleet", &accepted);
 
     // Probe the capability matrix once: a system joins the fleet iff it
     // can host the app at all (the same feasibility rule every other
@@ -172,11 +128,12 @@ fn main() -> ExitCode {
         eprintln!("no system can host {}", FLEET_APP.name());
         return ExitCode::FAILURE;
     }
-    let per_system = (flags.devices / feasible.len() as u64).max(1);
+    let devices = exp.args.devices.unwrap_or(DEFAULT_DEVICES);
+    let per_system = (devices / feasible.len() as u64).max(1);
 
     // One cell per (system, shard). The shard carries its device range
     // in params; everything else is deterministic cell coordinates.
-    let mut sweep = Sweep::new("fleet").args(args);
+    let mut sweep = exp.sweep();
     for (canonical, system) in &feasible {
         let fleet_seed = system_fleet_seed(*canonical);
         let shards = per_system.div_ceil(SHARD_DEVICES);
@@ -207,7 +164,7 @@ fn main() -> ExitCode {
         sweep.len(),
     );
 
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         let fleet_seed =
             u64::from_str_radix(cell.param_str("fleet_seed").trim_start_matches("0x"), 16)
                 .map_err(|e| format!("bad fleet_seed param: {e}"))?;
@@ -238,33 +195,28 @@ fn main() -> ExitCode {
 
     // Fold the journal rows (fresh and resumed alike) back into
     // per-system fleet aggregates, in shard order.
-    let mut failed = 0u32;
     let mut fleets: Vec<(SystemUnderTest, ShardStats)> = Vec::new();
     for (_, system) in &feasible {
         let mut rows: Vec<_> = outcome
-            .ok_rows()
+            .rows
+            .iter()
             .filter(|r| r.system == system.name())
             .collect();
         rows.sort_by_key(|r| r.shard);
         let mut total = ShardStats::new(0);
         for row in rows {
-            match ShardStats::from_extra(&row.extra) {
-                Some(shard) => total.merge(&shard),
-                None => {
-                    eprintln!(
-                        "malformed shard row {}/{:?} in journal",
-                        row.system, row.shard
-                    );
-                    failed += 1;
-                }
+            let shard = (row.status == CellStatus::Ok)
+                .then(|| ShardStats::from_extra(&row.extra))
+                .flatten();
+            exp.check("shards", shard.is_some(), || {
+                format!("shard {}/{:?} did not fold: {}", row.system, row.shard, row.outcome)
+            });
+            if let Some(shard) = shard {
+                total.merge(&shard);
             }
         }
         fleets.push((*system, total));
     }
-    failed += u32::try_from(
-        outcome.rows.len() - outcome.ok_rows().count(),
-    )
-    .unwrap_or(u32::MAX);
 
     let devices_per_sec = if outcome.summary.wall_s > 0.0 {
         total_devices as f64 / outcome.summary.wall_s
@@ -315,46 +267,9 @@ fn main() -> ExitCode {
         "{} devices in {:.1}s wall = {:.0} devices/sec on {} thread(s)",
         total_devices, outcome.summary.wall_s, devices_per_sec, outcome.summary.threads
     );
-    println!("{}", outcome.summary);
-
     let json = fleet_json(&fleets, total_devices, devices_per_sec);
-    tics_bench::write_json("fleet", &json);
-
-    let mut regressions = 0u32;
-    if flags.check {
-        match std::fs::read_to_string(&flags.out_path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(baseline) => regressions = check_against(&baseline, &fleets),
-                Err(e) => {
-                    eprintln!("cannot parse baseline {}: {e:?}", flags.out_path);
-                    regressions = 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", flags.out_path);
-                regressions = 1;
-            }
-        }
-    } else if !flags.no_write {
-        if let Err(e) = std::fs::write(&flags.out_path, json.to_pretty()) {
-            eprintln!("cannot write {}: {e}", flags.out_path);
-            return ExitCode::FAILURE;
-        }
-        println!("baseline written to {}", flags.out_path);
-    }
-
-    if failed > 0 {
-        eprintln!("{failed} shard(s) failed or were malformed");
-        return ExitCode::FAILURE;
-    }
-    if regressions > 0 {
-        eprintln!(
-            "{regressions} system(s) diverged from the baseline (refresh with \
-             `cargo run --release -p tics-bench --bin exp_fleet -- --devices N` if intended)"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    exp.baseline("BENCH_fleet.json", &json, |baseline| check_against(baseline, &fleets));
+    exp.finish(&json)
 }
 
 fn fleet_json(
@@ -399,36 +314,34 @@ fn fleet_json(
 }
 
 /// Exact-equality gate on the simulated, host-independent per-system
-/// totals. `devices` mismatches are reported as a usage error (the
-/// baseline was generated at a different `--devices`), instruction or
-/// violation mismatches as real divergence.
-fn check_against(baseline: &Json, fleets: &[(SystemUnderTest, ShardStats)]) -> u32 {
+/// totals; returns one line per mismatch. `devices` mismatches are
+/// reported as a usage error (the baseline was generated at a different
+/// `--devices`), instruction or violation mismatches as real divergence
+/// (refresh with `exp_fleet --devices N` if intended).
+fn check_against(baseline: &Json, fleets: &[(SystemUnderTest, ShardStats)]) -> Vec<String> {
     let Some(rows) = baseline.get("systems").and_then(Json::as_arr) else {
-        eprintln!("baseline has no systems array");
-        return 1;
+        return vec!["baseline has no systems array".to_string()];
     };
     let baseline_devices = baseline.get("total_devices").and_then(Json::as_u64);
-    let mut regressions = 0u32;
+    let mut regressions = Vec::new();
     for (system, f) in fleets {
         let Some(row) = rows
             .iter()
             .find(|r| r.get("system").and_then(Json::as_str) == Some(system.name()))
         else {
-            eprintln!("system {} not in baseline", system.name());
-            regressions += 1;
+            regressions.push(format!("system {} not in baseline", system.name()));
             continue;
         };
         let field = |k: &str| row.get(k).and_then(Json::as_u64);
         if field("devices") != Some(f.devices) {
-            eprintln!(
+            regressions.push(format!(
                 "DEVICE-COUNT MISMATCH {}: baseline ran {:?} devices, this run {} — \
                  re-run with `--devices {}` to compare against the committed baseline",
                 system.name(),
                 field("devices"),
                 f.devices,
                 baseline_devices.unwrap_or(0),
-            );
-            regressions += 1;
+            ));
             continue;
         }
         for (key, got) in [
@@ -437,15 +350,14 @@ fn check_against(baseline: &Json, fleets: &[(SystemUnderTest, ShardStats)]) -> u
             ("fleet_power_failures", f.power_failures),
         ] {
             if field(key) != Some(got) {
-                eprintln!(
+                regressions.push(format!(
                     "DIVERGENCE {}: {} = {} but baseline has {:?} — per-device behavior \
                      changed",
                     system.name(),
                     key,
                     got,
                     field(key),
-                );
-                regressions += 1;
+                ));
             }
         }
     }

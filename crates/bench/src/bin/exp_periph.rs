@@ -23,18 +23,20 @@
 //! frames, prints, served readings, cut schedule) lands in
 //! `results/periph_wire_<workload>_<system>[_rNN].json`.
 //!
-//! `--quick` runs a reduced CI grid; `--threads N` / `--journal PATH` /
-//! `--cell-timeout-ms N` / `--resume` as usual.
+//! `--quick` runs a reduced CI grid.
 
-use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::experiment::{claims_consistency, write_result, Experiment, SWEEP};
 use tics_bench::periph::{build_periph_program, periph_golden, run_periph_cell, PeriphWorkload};
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 
-fn main() {
-    let args = SweepArgs::parse_env();
-    let quick = args.rest.iter().any(|a| a == "--quick");
+/// The gate every consistency-claiming runtime's cells fold into.
+const CLAIMS: &str = "detect-or-recover claims";
+
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("periph", &[&SWEEP[..], &["--quick"]].concat());
+    let quick = exp.args.quick;
     println!("Torn-wire peripherals vs the detect-or-recover oracle\n");
 
     let workloads: &[PeriphWorkload] = if quick {
@@ -55,7 +57,7 @@ fn main() {
     let rates: &[f64] = if quick { &[0.0] } else { &[0.0, 0.3] };
     let trials = if quick { 8 } else { 24 };
 
-    let mut sweep = Sweep::new("periph").args(args);
+    let mut sweep = exp.sweep();
     for &rate in rates {
         for &system in systems {
             for &w in workloads {
@@ -69,7 +71,7 @@ fn main() {
         }
     }
 
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         let workload = PeriphWorkload::from_name(cell.param_str("workload"))
             .ok_or_else(|| "unknown workload".to_string())?;
         let rate = cell
@@ -87,9 +89,7 @@ fn main() {
             }
         };
         let golden = periph_golden(&prog, cell.system)?;
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
+        let claims = claims_consistency(cell.system);
         let report = run_periph_cell(workload, &prog, cell.system, &golden, rate, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.violations > 0 {
@@ -140,13 +140,12 @@ fn main() {
         row.metric(k).and_then(Json::as_u64).unwrap_or(0)
     };
     let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
     let mut control_violations: [(SystemUnderTest, u64); 2] = [
         (SystemUnderTest::PlainC, 0),
         (SystemUnderTest::Mementos, 0),
     ];
     let mut control_trials = 0u64;
-    for row in outcome.ok_rows() {
+    for row in exp.claim_rows(CLAIMS, &outcome) {
         let workload = row.app.as_str();
         if row.metric("supported").and_then(Json::as_bool) != Some(true) {
             println!("{:<16} {:<11} {}", workload, row.system, row.outcome);
@@ -170,24 +169,24 @@ fn main() {
             metric_u64(row, "txn_skips"),
             row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
         );
-        if claims && violations > 0 {
-            claim_failures.push(format!(
+        let claim_broken = claims && violations > 0;
+        exp.check(CLAIMS, !claim_broken, || {
+            format!(
                 "{workload} x {} @ rate {rate}: {violations} violations — {}",
                 row.system,
                 row.metric("violation_detail")
                     .and_then(Json::as_str)
                     .unwrap_or("no detail"),
-            ));
+            )
+        });
+        if claim_broken {
             if let Some(exhibit) = row.metric("wire_exhibit") {
                 let tag = if rate > 0.0 {
                     format!("_r{:02}", (rate * 100.0).round() as u32)
                 } else {
                     String::new()
                 };
-                tics_bench::write_json(
-                    &format!("periph_wire_{workload}_{}{tag}", row.system),
-                    exhibit,
-                );
+                write_result(&format!("periph_wire_{workload}_{}{tag}", row.system), exhibit);
             }
         }
         for (control, count) in &mut control_violations {
@@ -224,38 +223,14 @@ fn main() {
         }
         matrix.push(entry.build());
     }
-    println!("\n{}", outcome.summary);
-
-    tics_bench::write_json("periph", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes replayed torn I/O:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
+    for (control, count) in control_violations {
+        exp.check("controls bite", count > 0, || {
+            format!(
+                "un-hardened control {} produced no torn-wire violation in \
+                 {control_trials} control trials — the torn-wire model is not biting",
+                control.name()
+            )
+        });
     }
-    let soft: Vec<String> = control_violations
-        .iter()
-        .filter(|(_, count)| *count == 0)
-        .map(|(control, _)| control.name().to_string())
-        .collect();
-    if !soft.is_empty() {
-        eprintln!(
-            "\nFAIL: un-hardened control(s) {} produced no torn-wire violation \
-             in {control_trials} control trials — the torn-wire model is not biting",
-            soft.join(", ")
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    let naive_total: u64 = control_violations.iter().map(|(_, c)| c).sum();
-    println!(
-        "\nDetect-or-recover holds: every consistency-claiming runtime kept its \
-         transactions exactly-once on the wire; the un-hardened controls \
-         replayed torn I/O in {naive_total} trials."
-    );
+    exp.finish(&Json::Arr(matrix))
 }

@@ -22,12 +22,12 @@
 //!    detailed mode and writes its trace as `chrome://tracing` /
 //!    Perfetto JSON.
 
-use std::path::PathBuf;
-use std::process::ExitCode;
-
+use std::path::Path;
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::experiment::{Experiment, SWEEP};
+use tics_bench::journal::CellStatus;
 use tics_bench::runner::RunConfig;
-use tics_bench::sweep::{default_runner, Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
+use tics_bench::sweep::{default_runner, Cell, CellOutput, SupplySpec};
 use tics_bench::Json;
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{ContinuousPower, PowerSupply, RecordedTrace};
@@ -346,18 +346,6 @@ fn micro_ops() -> Vec<MicroOp> {
 // Chrome trace export
 // ---------------------------------------------------------------------
 
-fn parse_app(name: &str) -> Option<App> {
-    [App::Ar, App::Bc, App::Cuckoo, App::Ghm, App::GhmTinyos]
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-}
-
-fn parse_system(name: &str) -> Option<SystemUnderTest> {
-    SystemUnderTest::ALL
-        .into_iter()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
-}
-
 /// `run_app` keeps sweeps lean (timeline events only), so the export
 /// path builds the machine itself with detail recording on.
 fn run_app_detailed(
@@ -393,8 +381,8 @@ fn run_app_detailed(
 }
 
 /// Re-runs one app × system cell in detailed mode and writes its trace
-/// as Chrome `chrome://tracing` JSON. Returns false on failure.
-fn export_trace(path: &PathBuf, app: App, system: SystemUnderTest) -> bool {
+/// as Chrome `chrome://tracing` JSON.
+fn export_trace(path: &Path, app: App, system: SystemUnderTest) -> Result<(), String> {
     let mut cell = Cell::new(app, system)
         .supply(SupplySpec::Periodic {
             on_us: 100_000,
@@ -404,76 +392,29 @@ fn export_trace(path: &PathBuf, app: App, system: SystemUnderTest) -> bool {
         .budget(2_000_000_000);
     cell.seed = 0x0071_2ACE;
     let mut supply = cell.supply.build(cell.seed);
-    match run_app_detailed(app, system, &cell.run_config(), supply.as_mut()) {
-        Ok(records) => {
-            let json = chrome_trace_json(&records);
-            match std::fs::write(path, &json) {
-                Ok(()) => {
-                    println!(
-                        "(wrote {} — {} records; load in chrome://tracing or Perfetto)",
-                        path.display(),
-                        records.len()
-                    );
-                    true
-                }
-                Err(e) => {
-                    eprintln!("error: could not write {}: {e}", path.display());
-                    false
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!(
-                "error: trace cell {}:{} failed: {e}",
-                app.name(),
-                system.name()
-            );
-            false
-        }
-    }
+    let records = run_app_detailed(app, system, &cell.run_config(), supply.as_mut())
+        .map_err(|e| format!("trace cell {}:{} failed: {e}", app.name(), system.name()))?;
+    std::fs::write(path, chrome_trace_json(&records))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    println!(
+        "(wrote {} — {} records; load in chrome://tracing or Perfetto)",
+        path.display(),
+        records.len()
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Main
 // ---------------------------------------------------------------------
 
-fn main() -> ExitCode {
-    let mut args = SweepArgs::parse_env();
-    // Pull --trace-out / --trace-cell out of the unconsumed args.
-    let mut trace_out: Option<PathBuf> = None;
-    let mut trace_cell = (App::Ar, SystemUnderTest::Tics);
-    let rest = std::mem::take(&mut args.rest);
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--trace-out" {
-            trace_out = it.next().map(PathBuf::from);
-        } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            trace_out = Some(PathBuf::from(v));
-        } else if a == "--trace-cell" || a.starts_with("--trace-cell=") {
-            let v = a
-                .strip_prefix("--trace-cell=")
-                .map(ToString::to_string)
-                .or_else(|| it.next());
-            let Some(v) = v else {
-                eprintln!("warning: --trace-cell needs APP:SYSTEM");
-                continue;
-            };
-            match v.split_once(':') {
-                Some((a_s, s_s)) => match (parse_app(a_s), parse_system(s_s)) {
-                    (Some(a), Some(s)) => trace_cell = (a, s),
-                    _ => eprintln!("warning: unknown trace cell {v:?}"),
-                },
-                None => eprintln!("warning: --trace-cell wants APP:SYSTEM, got {v:?}"),
-            }
-        } else {
-            args.rest.push(a);
-        }
-    }
-
+fn main() -> std::process::ExitCode {
+    let accepted = [&SWEEP[..], &["--trace-out", "--trace-cell"]].concat();
+    let mut exp = Experiment::from_env("profile", &accepted);
     println!("Profile: Table 4 from attributed spans + Figure-9-style cycle breakdown\n");
 
     let ops = micro_ops();
-    let mut sweep = Sweep::new("profile").args(args);
+    let mut sweep = exp.sweep();
     for (i, op) in ops.iter().enumerate() {
         sweep = sweep.cell(
             Cell::new(App::Bc, SystemUnderTest::Tics)
@@ -500,7 +441,7 @@ fn main() -> ExitCode {
     }
 
     let ops_ref = &ops;
-    let outcome = sweep.run_with(move |cell| {
+    let outcome = exp.run(sweep, move |cell| {
         if cell.param_str("phase") == "table4" {
             let i = usize::try_from(cell.param_i64("op_index")).expect("index");
             let measured = (ops_ref[i].measure)();
@@ -518,8 +459,6 @@ fn main() -> ExitCode {
             default_runner(cell)
         }
     });
-
-    let mut failures = 0usize;
 
     // --- Table 4 cross-check -----------------------------------------
     println!(
@@ -540,9 +479,9 @@ fn main() -> ExitCode {
         let model = row.metric_u64("model_us").unwrap_or(0);
         let measured = row.metric_u64("measured_us");
         let ok = measured.is_some_and(|m| m.abs_diff(model) <= 1);
-        if !ok {
-            failures += 1;
-        }
+        exp.check("table4 within ±1 cycle", ok, || {
+            format!("{operation} ({configuration}): model {model}, spans {measured:?}")
+        });
         println!(
             "{:<24} {:<12} {:>8} {:>10} {:>4}",
             operation,
@@ -574,18 +513,16 @@ fn main() -> ExitCode {
         .iter()
         .filter(|r| r.metric("phase").and_then(Json::as_str) == Some("fig9"))
     {
-        if row.status != tics_bench::journal::CellStatus::Ok {
+        if row.status != CellStatus::Ok {
             // Infeasible app × system combinations are the paper's red
-            // crosses; panicked cells count against us below.
+            // crosses; panicked cells fail the `cells` gate.
             continue;
         }
         let total: u64 = row.spans.iter().sum();
+        exp.check("span identity", total == row.cycles, || {
+            format!("{} x {}: sum(spans) = {total} != cycles = {}", row.app, row.system, row.cycles)
+        });
         if total != row.cycles {
-            eprintln!(
-                "SPAN IDENTITY VIOLATION: {} x {}: sum(spans) = {total} != cycles = {}",
-                row.app, row.system, row.cycles
-            );
-            failures += 1;
             continue;
         }
         let pct = |k: SpanKind| -> f64 {
@@ -626,33 +563,15 @@ fn main() -> ExitCode {
         );
     }
 
-    if outcome.summary.panicked > 0 {
-        eprintln!("error: {} cell(s) panicked", outcome.summary.panicked);
-        failures += outcome.summary.panicked;
+    if let Some(path) = &exp.args.trace_out {
+        let (app, system) = exp.args.trace_cell.unwrap_or((App::Ar, SystemUnderTest::Tics));
+        let exported = export_trace(path, app, system);
+        exp.check("trace export", exported.is_ok(), || exported.unwrap_err());
     }
-
-    tics_bench::write_json(
-        "profile",
+    exp.finish(
         &Json::obj()
             .field("table4_from_spans", Json::Arr(table))
             .field("breakdown", Json::Arr(breakdown))
             .build(),
-    );
-
-    if let Some(path) = &trace_out {
-        if !export_trace(path, trace_cell.0, trace_cell.1) {
-            failures += 1;
-        }
-    }
-
-    if failures > 0 {
-        eprintln!("\nexp_profile: {failures} failure(s)");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "\nAll span-derived costs within ±1 cycle of the model; \
-             span-total identity holds on every cell."
-        );
-        ExitCode::SUCCESS
-    }
+    )
 }

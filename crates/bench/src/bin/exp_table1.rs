@@ -9,8 +9,9 @@
 //! evidence.
 
 use tics_apps::{build_app, ghm, App, SystemUnderTest};
+use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::JournalRow;
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
+use tics_bench::sweep::{Cell, CellOutput, SupplySpec};
 use tics_bench::Json;
 use tics_energy::{DutyCycleTrace, PowerSupply, RecordedTrace};
 use tics_minic::opt::OptLevel;
@@ -104,8 +105,8 @@ fn row_for<'a>(rows: &'a [JournalRow], duty: u32, variant: &str) -> &'a JournalR
         .expect("row exists")
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("table1", &SWEEP);
     println!("Table 1: GHM routine completions under intermittent power");
     println!(
         "(window {} s, reset pattern period {} ms)\n",
@@ -113,7 +114,7 @@ fn main() {
         PERIOD_US / 1_000
     );
 
-    let mut sweep = Sweep::new("table1").seed(77).args(args);
+    let mut sweep = exp.sweep().seed(77);
     for duty in [4u32, 48, 100] {
         for (app, system) in [
             (App::Ghm, SystemUnderTest::PlainC),
@@ -140,7 +141,7 @@ fn main() {
             );
         }
     }
-    let outcome = sweep.run_with(run_cell);
+    let outcome = exp.run(sweep, run_cell);
 
     println!(
         "{:>5}  {:<16} {:>8} {:>8} {:>8} {:>8}  consistent",
@@ -187,5 +188,5 @@ fn main() {
             println!("!! unexpected: TICS inconsistent at {duty}%");
         }
     }
-    tics_bench::write_json("table1", &Json::Arr(table));
+    exp.finish(&Json::Arr(table))
 }

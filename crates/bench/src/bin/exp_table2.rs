@@ -17,8 +17,9 @@
 
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_baselines::NaiveCheckpoint;
+use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::JournalRow;
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
+use tics_bench::sweep::{Cell, CellOutput, SupplySpec};
 use tics_bench::{count_violations, ClockKind, Json};
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_minic::opt::OptLevel;
@@ -129,14 +130,14 @@ fn fold(rows: &[JournalRow], label: &str) -> VariantFold {
     }
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("table2", &SWEEP);
     println!(
         "Table 2: AR time-consistency violations on RF-harvested power\n\
          ({SEEDS_PER_VARIANT} seeded RF traces per variant; counts summed across traces)\n"
     );
 
-    let mut sweep = Sweep::new("table2").seed(42).args(args);
+    let mut sweep = exp.sweep().seed(42);
     for c in variant_cells("w/o TICS", SystemUnderTest::Mementos, ClockKind::Volatile) {
         sweep = sweep.cell(c);
     }
@@ -148,7 +149,7 @@ fn main() {
     ) {
         sweep = sweep.cell(c);
     }
-    let outcome = sweep.run_with(run_variant);
+    let outcome = exp.run(sweep, run_variant);
 
     println!(
         "{:<22} {:>10} {:>10} | {:>8} {:>8} {:>8}",
@@ -157,7 +158,9 @@ fn main() {
     let mut table = Vec::new();
     for label in ["w/o TICS", "w/ TICS"] {
         let f = fold(&outcome.rows, label);
-        assert_eq!(f.rows, SEEDS_PER_VARIANT, "{label}: missing journal rows");
+        exp.check("journal rows", f.rows == SEEDS_PER_VARIANT, || {
+            format!("{label}: {} of {SEEDS_PER_VARIANT} rows journaled", f.rows)
+        });
         println!(
             "{:<22} {:>10} {:>10} | {:>8} {:>8} {:>8}",
             f.label, f.windows, f.timely_pts, f.timely, f.misalign, f.expire
@@ -191,5 +194,5 @@ fn main() {
             })
             .collect(),
     );
-    tics_bench::write_json("table2", &json);
+    exp.finish(&json)
 }

@@ -8,8 +8,9 @@
 //! builds (no simulation), journaled like any other sweep.
 
 use tics_apps::{bc, build_app, App, SystemUnderTest};
-use tics_bench::journal::JournalRow;
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::experiment::{Experiment, SWEEP};
+use tics_bench::journal::{CellStatus, JournalRow};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_minic::opt::OptLevel;
 use tics_minic::{compile, passes};
@@ -45,7 +46,6 @@ fn sizes(rows: &[JournalRow], app: App, system: SystemUnderTest) -> (u32, u32) {
         .iter()
         .find(|r| r.app == app.name() && r.system == system.name())
         .expect("cell journaled");
-    assert_eq!(r.status, tics_bench::journal::CellStatus::Ok, "{} x {} failed: {}", r.app, r.system, r.outcome);
     (r.text_bytes, r.data_bytes)
 }
 
@@ -55,11 +55,11 @@ const SYSTEMS: [SystemUnderTest; 3] = [
     SystemUnderTest::Tics,
 ];
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("table3", &SWEEP);
     println!("Table 3: memory consumption (bytes)\n");
 
-    let mut sweep = Sweep::new("table3").args(args);
+    let mut sweep = exp.sweep();
     for app in [App::Ar, App::Bc, App::Cuckoo] {
         for system in SYSTEMS {
             let opt = if system == SystemUnderTest::Chinchilla {
@@ -70,7 +70,11 @@ fn main() {
             sweep = sweep.cell(Cell::new(app, system).opt(opt).scale(24));
         }
     }
-    let outcome = sweep.run_with(build_cell);
+    let outcome = exp.run(sweep, build_cell);
+    for r in &outcome.rows {
+        let failed = || format!("{} x {}: {}", r.app, r.system, r.outcome);
+        exp.check("builds", r.status == CellStatus::Ok, failed);
+    }
 
     println!(
         "{:<4} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",
@@ -107,21 +111,19 @@ fn main() {
         }
         // Paper-shape checks: Chinchilla dwarfs TICS on both sections;
         // TICS .data is the smallest of the three.
-        assert!(
-            chin_t > tics_t,
-            "{}: chinchilla .text must exceed TICS",
-            app.name()
-        );
-        assert!(
-            chin_d > 2 * tics_d,
-            "{}: chinchilla .data must dwarf TICS",
-            app.name()
-        );
-        assert!(ink_d > tics_d, "{}: InK .data must exceed TICS", app.name());
+        let app = app.name();
+        let shape = [
+            (chin_t > tics_t, "Chinchilla .text must exceed TICS"),
+            (chin_d > 2 * tics_d, "Chinchilla .data must dwarf TICS"),
+            (ink_d > tics_d, "InK .data must exceed TICS"),
+        ];
+        for (ok, claim) in shape {
+            exp.check("paper shape", ok, || format!("{app}: {claim}"));
+        }
     }
     println!(
         "\nShape (paper): Chinchilla > TICS on .text (~2x) and .data (>6x); \
          InK .data > TICS .data; TICS .text > InK .text."
     );
-    tics_bench::write_json("table3", &Json::Arr(table));
+    exp.finish(&Json::Arr(table))
 }

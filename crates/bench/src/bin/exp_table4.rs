@@ -4,15 +4,17 @@
 //! the paper by construction — see DESIGN.md §4) and a value *measured*
 //! by running micro-programs on the simulator and differencing cycle
 //! counts, which validates that the runtime actually charges what the
-//! model says. Each (operation × configuration) pair is one sweep
-//! cell, so the micro-measurements run in parallel and land in
-//! `results/table4.jsonl`.
+//! model says. Restores have no cycle-differenced measurement here:
+//! `exp_profile` measures them from restore spans. Each (operation ×
+//! configuration) pair is one sweep cell, so the micro-measurements run
+//! in parallel and land in `results/table4.jsonl`.
 
 use tics_apps::{App, SystemUnderTest};
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::experiment::{Experiment, SWEEP};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_core::{TicsConfig, TicsRuntime};
-use tics_energy::{ContinuousPower, RecordedTrace};
+use tics_energy::ContinuousPower;
 use tics_mcu::CostModel;
 use tics_minic::{compile, opt::OptLevel, passes};
 use tics_vm::{Executor, Machine, MachineConfig};
@@ -89,28 +91,6 @@ fn measure_stack_switch_pair() -> u64 {
     (c_big.saturating_sub(c_small).saturating_sub(ckpt_cost)) / u64::from(2 * n)
 }
 
-/// Measured restore: run with power failures; the restore count
-/// validates the cost model's restore charge (see comment below).
-fn measure_restore(seg: u32) -> u64 {
-    let src = "int main() { checkpoint(); while (1) { } return 0; }";
-    let mut prog = compile(src, OptLevel::O2).expect("compiles");
-    passes::instrument_tics(&mut prog).expect("instruments");
-    let mut m = Machine::new(prog, MachineConfig::default()).expect("loads");
-    let mut rt = TicsRuntime::new(TicsConfig::s2().with_seg_size(seg.max(64)));
-    let n = 32u64;
-    let mut supply = RecordedTrace::new(vec![(5_000, 100); n as usize + 1]);
-    let _ = Executor::new()
-        .run(&mut m, &mut rt, &mut supply)
-        .expect("runs");
-    let restores = m.stats().restores;
-    assert!(restores >= n / 2);
-    // Each boot costs ~restore + rollback of nothing; compare against
-    // pure loop time: total - (boots * 5_000 loop budget) is negative —
-    // instead use the model residual per boot is not separable here, so
-    // report the cost model directly validated by the restore count.
-    CostModel::default().restore_cost(seg)
-}
-
 struct Op {
     operation: &'static str,
     configuration: &'static str,
@@ -162,14 +142,14 @@ fn operations() -> Vec<Op> {
             configuration: "64 B seg.",
             paper_us: 475,
             model_us: model.restore_cost(64),
-            measure: Some(|| measure_restore(64)),
+            measure: None,
         },
         Op {
             operation: "restore logic",
             configuration: "256 B seg.",
             paper_us: 664,
             model_us: model.restore_cost(256),
-            measure: Some(|| measure_restore(256)),
+            measure: None,
         },
         Op {
             operation: "pointer access",
@@ -202,12 +182,12 @@ fn operations() -> Vec<Op> {
     ]
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("table4", &SWEEP);
     println!("Table 4: TICS overhead per runtime operation (µs at 1 MHz)\n");
 
     let ops = operations();
-    let mut sweep = Sweep::new("table4").args(args);
+    let mut sweep = exp.sweep();
     for (i, op) in ops.iter().enumerate() {
         sweep = sweep.cell(
             Cell::new(App::Bc, SystemUnderTest::Tics)
@@ -219,7 +199,7 @@ fn main() {
         );
     }
     let ops_ref = &ops;
-    let outcome = sweep.run_with(move |cell| {
+    let outcome = exp.run(sweep, move |cell| {
         let i = usize::try_from(cell.param_i64("op_index")).expect("index");
         let op = &ops_ref[i];
         let measured = op.measure.map(|f| f());
@@ -267,7 +247,9 @@ fn main() {
     }
     println!(
         "\nModel values are calibrated to Table 4 by construction; measured \
-         values come from cycle-differencing micro-programs on the simulator."
+         values come from cycle-differencing micro-programs on the simulator. \
+         Restore costs are measured from restore spans by exp_profile \
+         (within ±1 cycle of the model)."
     );
-    tics_bench::write_json("table4", &Json::Arr(table));
+    exp.finish(&Json::Arr(table))
 }

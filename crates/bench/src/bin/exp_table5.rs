@@ -4,7 +4,8 @@
 
 use tics_apps::{App, SystemUnderTest};
 use tics_baselines::{ChinchillaRuntime, NaiveCheckpoint, RatchetRuntime, TaskFlavor, TaskKernel};
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::experiment::{Experiment, SWEEP};
+use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_vm::IntermittentRuntime;
@@ -29,17 +30,17 @@ fn yn(b: bool) -> &'static str {
     }
 }
 
-fn main() {
-    let args = SweepArgs::parse_env();
+fn main() -> std::process::ExitCode {
+    let mut exp = Experiment::from_env("table5", &SWEEP);
     println!("Table 5: programming-model capability matrix\n");
 
-    let mut sweep = Sweep::new("table5").args(args);
+    let mut sweep = exp.sweep();
     for i in 0..7i64 {
         sweep = sweep.cell(
             Cell::new(App::Bc, SystemUnderTest::Tics).param("runtime_index", i),
         );
     }
-    let outcome = sweep.run_with(|cell| {
+    let outcome = exp.run(sweep, |cell| {
         let rt = runtime_for(cell.param_i64("runtime_index"));
         let c = rt.capabilities();
         Ok(CellOutput {
@@ -92,13 +93,14 @@ fn main() {
     // The TICS row is the only all-yes row with zero porting effort.
     let tics = outcome.rows.last().expect("rows");
     let get = |k: &str| tics.metric(k).and_then(Json::as_bool).unwrap_or(false);
-    assert!(
-        get("pointer_support")
-            && get("recursion_support")
-            && get("scalable")
-            && get("timely_execution")
-            && get("memory_consistency")
-            && tics.metric("porting_effort").and_then(Json::as_str) == Some("None")
-    );
-    tics_bench::write_json("table5", &Json::Arr(table));
+    let all_yes = get("pointer_support")
+        && get("recursion_support")
+        && get("scalable")
+        && get("timely_execution")
+        && get("memory_consistency")
+        && tics.metric("porting_effort").and_then(Json::as_str) == Some("None");
+    exp.check("paper shape", all_yes, || {
+        "the TICS row is not all-yes with no porting effort".to_string()
+    });
+    exp.finish(&Json::Arr(table))
 }

@@ -13,20 +13,26 @@
 //! | `exp_fig10`  | Figure 10 — user-study proxy (complexity + synthetic reviewers) |
 //! | `exp_ablations` | design-choice ablations beyond the paper |
 //! | `exp_fault`  | adversarial fault injection vs the crash-consistency oracle |
+//! | `exp_chaos`  | brown-out checkpoint corruption vs the detect-or-die oracle |
+//! | `exp_periph` | torn-wire UART/I2C peripherals vs the detect-or-recover oracle |
 //! | `exp_profile` | Table 4 re-derived from attributed spans + Figure-9-style cycle breakdown + Chrome trace export |
+//! | `exp_bench`  | decoded vs reference dispatch engine: equivalence and speedup (`BENCH_interpreter.json`) |
+//! | `exp_fleet`  | fleet-scale streaming Monte Carlo over the capability matrix (`BENCH_fleet.json`) |
 //!
-//! Every binary declares its cells as a [`sweep::Sweep`] grid, runs it
-//! on a work-stealing thread pool (`--threads N`, `TICS_BENCH_THREADS`,
-//! default = available parallelism), folds the resulting
-//! [`journal::JournalRow`]s into its printed table, and leaves the full
-//! per-cell record in `results/<exp>.jsonl` (`--journal PATH`
-//! overrides). The [`oracle`] module is the simulation's logic
+//! Every binary runs through one [`experiment::Experiment`]: a strict
+//! flag parser, named gates, and one `finish` that writes
+//! `results/<exp>.json` and picks the exit code. All but `exp_bench`
+//! (which times its cells on one thread) run a [`sweep::Sweep`] grid on
+//! a work-stealing thread pool, fold its [`journal::JournalRow`]s into
+//! the printed table, and leave the full per-cell record in
+//! `results/<exp>.jsonl` (`--journal PATH` overrides). The [`oracle`] module is the simulation's logic
 //! analyzer: it derives the paper's three time-consistency violation
 //! counts from ground-truth event timelines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiment;
 pub mod fault;
 pub mod fleet;
 pub mod journal;
@@ -43,19 +49,3 @@ pub use oracle::{count_violations, Violations};
 pub use runner::{run_app, ClockKind, RunConfig, RunResult};
 pub use sweep::{Cell, CellOutput, Sweep, SweepArgs, SweepOutcome, SweepSummary, SupplySpec};
 
-use std::path::Path;
-
-/// Writes a [`Json`] result to `results/<name>.json` (best effort —
-/// experiments still print their tables if the write fails).
-pub fn write_json(name: &str, value: &Json) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_pretty()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("(wrote {})", path.display());
-    }
-}

@@ -368,7 +368,8 @@ impl From<RunResult> for CellOutput {
     }
 }
 
-/// Sweep-wide execution knobs, usually parsed from the command line.
+/// Sweep-wide execution knobs, usually parsed from the command line by
+/// [`crate::experiment::Args::parse`].
 #[derive(Debug, Clone)]
 pub struct SweepArgs {
     /// Worker threads (default: `TICS_BENCH_THREADS` or available
@@ -388,9 +389,6 @@ pub struct SweepArgs {
     /// coordinates match are reused verbatim instead of re-simulated.
     /// `panicked`/`timeout` rows are always re-run.
     pub resume: bool,
-    /// Positional arguments the sweep did not consume (e.g. `exp_fig9`'s
-    /// panel selector).
-    pub rest: Vec<String>,
 }
 
 impl Default for SweepArgs {
@@ -400,7 +398,6 @@ impl Default for SweepArgs {
             journal: None,
             cell_timeout_ms: None,
             resume: false,
-            rest: Vec::new(),
         }
     }
 }
@@ -413,56 +410,6 @@ fn default_threads() -> usize {
         eprintln!("warning: ignoring unparsable TICS_BENCH_THREADS={v:?}");
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-impl SweepArgs {
-    /// Parses `--threads N` / `--journal PATH` from the process
-    /// arguments; everything else lands in `rest`.
-    #[must_use]
-    pub fn parse_env() -> SweepArgs {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit argument iterator (for tests).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> SweepArgs {
-        let mut out = SweepArgs::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            if arg == "--threads" {
-                match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => out.threads = n,
-                    _ => eprintln!("warning: --threads needs a positive integer"),
-                }
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => out.threads = n,
-                    _ => eprintln!("warning: --threads needs a positive integer"),
-                }
-            } else if arg == "--journal" {
-                match it.next() {
-                    Some(p) => out.journal = Some(PathBuf::from(p)),
-                    None => eprintln!("warning: --journal needs a path"),
-                }
-            } else if let Some(v) = arg.strip_prefix("--journal=") {
-                out.journal = Some(PathBuf::from(v));
-            } else if arg == "--cell-timeout-ms" {
-                match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) if ms >= 1 => out.cell_timeout_ms = Some(ms),
-                    _ => eprintln!("warning: --cell-timeout-ms needs a positive integer"),
-                }
-            } else if let Some(v) = arg.strip_prefix("--cell-timeout-ms=") {
-                match v.parse::<u64>() {
-                    Ok(ms) if ms >= 1 => out.cell_timeout_ms = Some(ms),
-                    _ => eprintln!("warning: --cell-timeout-ms needs a positive integer"),
-                }
-            } else if arg == "--resume" {
-                out.resume = true;
-            } else {
-                out.rest.push(arg);
-            }
-        }
-        out
-    }
 }
 
 /// Aggregate counts and timing of one sweep execution.
@@ -511,15 +458,12 @@ impl SweepSummary {
 impl std::fmt::Display for SweepSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut tail = String::new();
-        if self.timed_out > 0 {
-            tail.push_str(&format!(", {} timed out", self.timed_out));
-        }
         if self.reused > 0 {
             tail.push_str(&format!(", {} reused", self.reused));
         }
         write!(
             f,
-            "sweep {}: {} cells ({} ok, {} failed, {} panicked{tail}), \
+            "sweep {}: {} cells ({} ok, {} failed, {} panicked, {} timed out{tail}), \
              {} cycles simulated, {:.2} s wall on {} thread{} \
              ({:.1}x vs 1 thread)",
             self.exp,
@@ -527,6 +471,7 @@ impl std::fmt::Display for SweepSummary {
             self.ok,
             self.failed,
             self.panicked,
+            self.timed_out,
             self.total_cycles,
             self.wall_s,
             self.threads,
@@ -548,13 +493,6 @@ pub struct SweepOutcome {
     pub rows: Vec<JournalRow>,
     /// Aggregate counts and timing.
     pub summary: SweepSummary,
-}
-
-impl SweepOutcome {
-    /// Rows whose runner returned a result.
-    pub fn ok_rows(&self) -> impl Iterator<Item = &JournalRow> {
-        self.rows.iter().filter(|r| r.status == CellStatus::Ok)
-    }
 }
 
 /// A declarative sweep: an experiment name, a grid of cells, and the
@@ -596,7 +534,8 @@ impl Sweep {
         self
     }
 
-    /// Suppresses the summary print (for tests).
+    /// Suppresses the summary print (tests, and the experiment driver,
+    /// which prints it at the end of the run).
     #[must_use]
     pub fn quiet(mut self) -> Sweep {
         self.quiet = true;
@@ -962,17 +901,5 @@ mod tests {
         assert_eq!(s.cells[0].scale, 8);
         assert_eq!(s.cells[1].scale, 16);
         assert_eq!(s.cells[4].app, App::Bc);
-    }
-
-    #[test]
-    fn args_parse_threads_and_journal() {
-        let a = SweepArgs::parse(
-            ["--threads", "3", "left", "--journal=/tmp/x.jsonl"]
-                .into_iter()
-                .map(String::from),
-        );
-        assert_eq!(a.threads, 3);
-        assert_eq!(a.journal.as_deref(), Some(std::path::Path::new("/tmp/x.jsonl")));
-        assert_eq!(a.rest, vec!["left".to_string()]);
     }
 }
