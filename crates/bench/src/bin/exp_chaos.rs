@@ -22,11 +22,28 @@ use tics_bench::experiment::{claims_consistency, Experiment, SWEEP};
 use tics_bench::fault::{
     build_fault_program, golden_run, run_chaos_cell, FaultProgram, CHAOS_WINDOW,
 };
+use tics_bench::journal::JournalRow;
 use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 
 /// The gate every consistency-claiming runtime's cells fold into.
 const CLAIMS: &str = "detect-or-die claims";
+
+/// The journaled metrics each `results/chaos.json` entry copies, after
+/// its program and system.
+const MATRIX: [&str; 11] = [
+    "rate",
+    "claims_consistency",
+    "trials",
+    "consistent",
+    "detected",
+    "corrupted_state",
+    "livelocks",
+    "corrupted_write_trials",
+    "recoveries",
+    "detect_or_recover_rate",
+    "mean_reboots_to_recover",
+];
 
 fn main() -> std::process::ExitCode {
     let mut exp = Experiment::from_env("chaos", &[&SWEEP[..], &["--quick"]].concat());
@@ -111,19 +128,13 @@ fn main() -> std::process::ExitCode {
             ..CellOutput::default()
         }
         .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("trials", report.trials)
-        .with("consistent", report.consistent)
-        .with("detected", report.detected)
-        .with("corrupted_state", report.corrupted_state)
-        .with("clean_divergence", report.clean_divergence)
-        .with("livelocks", report.livelocks)
-        .with("incomplete", report.incomplete)
-        .with("corrupted_write_trials", report.corrupted_write_trials)
-        .with("corrupted_writes", report.corrupted_writes)
-        .with("recoveries", report.recoveries)
-        .with("detect_or_recover_rate", report.detect_or_recover_rate())
-        .with("mean_reboots_to_recover", report.mean_reboots_to_recover());
+        .with("claims_consistency", claims);
+        for (key, value) in report.counters() {
+            out = out.with(key, value);
+        }
+        out = out
+            .with("detect_or_recover_rate", report.detect_or_recover_rate())
+            .with("mean_reboots_to_recover", report.mean_reboots_to_recover());
         if let Some(d) = &report.first_corruption {
             out = out.with("corruption_detail", d.as_str());
         }
@@ -135,9 +146,7 @@ fn main() -> std::process::ExitCode {
         "\n{:<15} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>8}",
         "program", "system", "rate", "trials", "ok", "die", "sick", "live", "hits", "d-or-r", "reboots"
     );
-    let metric_u64 = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k).and_then(Json::as_u64).unwrap_or(0)
-    };
+    let count = |row: &JournalRow, k: &str| row.metric_u64(k).unwrap_or(0);
     let mut matrix = Vec::new();
     let mut naive_corrupted_state = 0u64;
     let mut naive_trials = 0u64;
@@ -147,19 +156,19 @@ fn main() -> std::process::ExitCode {
             continue;
         }
         let rate = row.metric_f64("rate").unwrap_or(0.0);
-        let corrupted_state = metric_u64(row, "corrupted_state");
+        let corrupted_state = count(row, "corrupted_state");
         let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
         println!(
             "{:<15} {:<11} {:>5.2} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8.3} {:>8.2}",
             row.app,
             row.system,
             rate,
-            metric_u64(row, "trials"),
-            metric_u64(row, "consistent"),
-            metric_u64(row, "detected"),
+            count(row, "trials"),
+            count(row, "consistent"),
+            count(row, "detected"),
             corrupted_state,
-            metric_u64(row, "livelocks"),
-            metric_u64(row, "corrupted_write_trials"),
+            count(row, "livelocks"),
+            count(row, "corrupted_write_trials"),
             row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
             row.metric_f64("mean_reboots_to_recover").unwrap_or(0.0),
         );
@@ -175,32 +184,13 @@ fn main() -> std::process::ExitCode {
         });
         if row.system == SystemUnderTest::Mementos.name() {
             naive_corrupted_state += corrupted_state;
-            naive_trials += metric_u64(row, "trials");
+            naive_trials += count(row, "trials");
         }
         matrix.push(
             Json::obj()
                 .field("program", row.app.as_str())
                 .field("system", row.system.as_str())
-                .field("rate", rate)
-                .field("claims_consistency", claims)
-                .field("trials", metric_u64(row, "trials"))
-                .field("consistent", metric_u64(row, "consistent"))
-                .field("detected", metric_u64(row, "detected"))
-                .field("corrupted_state", corrupted_state)
-                .field("livelocks", metric_u64(row, "livelocks"))
-                .field(
-                    "corrupted_write_trials",
-                    metric_u64(row, "corrupted_write_trials"),
-                )
-                .field("recoveries", metric_u64(row, "recoveries"))
-                .field(
-                    "detect_or_recover_rate",
-                    row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
-                )
-                .field(
-                    "mean_reboots_to_recover",
-                    row.metric_f64("mean_reboots_to_recover").unwrap_or(0.0),
-                )
+                .fields(row.project(&MATRIX))
                 .build(),
         );
     }

@@ -16,22 +16,42 @@
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::experiment::{claims_consistency, Experiment, SWEEP};
 use tics_bench::fault::{
-    build_fault_program, cuts_string, fault_budget_us, golden_run, judge, parse_cuts, run_fault_cell,
-    run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS, OFF_US,
+    build_fault_program, cuts_string, fault_budget_us, golden_run, judge, parse_cuts,
+    run_fault_cell, run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS,
 };
+use tics_bench::journal::JournalRow;
 use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_energy::FaultPlan;
 
-fn strategy_from(name: &str) -> Strategy {
-    Strategy::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .unwrap_or(Strategy::Stride)
-}
-
 /// The gate every consistency-claiming runtime's cells fold into.
 const CLAIMS: &str = "consistency claims";
+
+/// The gate the headline naive-diverges / TICS-survives demo folds into.
+const DEMO: &str = "naive divergence demo";
+
+/// The journaled metrics each `results/fault.json` entry copies, after
+/// its program and system.
+const MATRIX: [&str; 6] = [
+    "strategy",
+    "claims_consistency",
+    "trials",
+    "violations",
+    "livelocks",
+    "torn_write_trials",
+];
+
+/// The replayable counterexample a naive row journals: its program and
+/// shrunk plan, or `None` when the shrunk plan has no cuts (a probe's
+/// periodic tail is not replayable from cuts alone).
+fn demo_plan(row: &JournalRow) -> Result<Option<(FaultProgram, FaultPlan)>, String> {
+    let program = FaultProgram::from_name(&row.app)
+        .ok_or_else(|| format!("unknown corpus program {:?}", row.app))?;
+    let shrunk = row.metric("shrunk_cuts").and_then(Json::as_str);
+    let cuts = parse_cuts(shrunk.ok_or("no shrunk_cuts")?)?;
+    let off_us = row.metric_u64("off_us").ok_or("no off_us")?;
+    Ok((!cuts.is_empty()).then(|| (program, FaultPlan::new(cuts, off_us))))
+}
 
 fn main() -> std::process::ExitCode {
     let mut exp = Experiment::from_env("fault", &[&SWEEP[..], &["--quick"]].concat());
@@ -79,7 +99,8 @@ fn main() -> std::process::ExitCode {
     let outcome = exp.run(sweep, |cell| {
         let program = FaultProgram::from_name(cell.param_str("program"))
             .ok_or_else(|| "unknown corpus program".to_string())?;
-        let strategy = strategy_from(cell.param_str("strategy"));
+        let strategy = Strategy::from_name(cell.param_str("strategy"))
+            .ok_or_else(|| "unknown strategy".to_string())?;
         let prog = match build_fault_program(program, cell.system) {
             Ok(p) => p,
             Err(reason) => {
@@ -111,18 +132,10 @@ fn main() -> std::process::ExitCode {
             ..CellOutput::default()
         }
         .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("golden_events", report.golden_events)
-        .with("golden_cycles", report.golden_cycles)
-        .with("trials", report.trials)
-        .with("consistent", report.consistent)
-        .with("divergent", report.divergent)
-        .with("wrong_exit", report.wrong_exit)
-        .with("incomplete", report.incomplete)
-        .with("livelocks", report.livelocks)
-        .with("errors", report.errors)
-        .with("violations", report.violations)
-        .with("torn_write_trials", report.torn_write_trials);
+        .with("claims_consistency", claims);
+        for (key, value) in report.counters() {
+            out = out.with(key, value);
+        }
         if let Some(v) = &report.first_violation {
             out = out
                 .with("violation_verdict", v.verdict.as_str())
@@ -139,15 +152,9 @@ fn main() -> std::process::ExitCode {
         "\n{:<15} {:<11} {:<7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5}  shrunk cuts",
         "program", "system", "strat", "trials", "ok", "div", "live", "torn", "viol"
     );
-    let metric_u64 =
-        |row: &tics_bench::journal::JournalRow, k: &str| row.metric(k).and_then(Json::as_u64);
-    let metric_str = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k)
-            .and_then(Json::as_str)
-            .map(ToString::to_string)
-    };
+    let count = |row: &JournalRow, k: &str| row.metric_u64(k).unwrap_or(0);
     let mut matrix = Vec::new();
-    let mut naive_demo: Option<(FaultProgram, Vec<u64>, u64)> = None;
+    let mut naive_demo: Option<(FaultProgram, FaultPlan)> = None;
     for row in exp.claim_rows(CLAIMS, &outcome) {
         let supported = row.metric("supported").and_then(Json::as_bool) == Some(true);
         if !supported {
@@ -157,19 +164,20 @@ fn main() -> std::process::ExitCode {
             );
             continue;
         }
-        let strategy = metric_str(row, "strategy").unwrap_or_default();
-        let violations = metric_u64(row, "violations").unwrap_or(0);
-        let shrunk = metric_str(row, "shrunk_cuts").unwrap_or_default();
+        let text = move |k: &str| row.metric(k).and_then(Json::as_str).unwrap_or("");
+        let strategy = text("strategy");
+        let violations = count(row, "violations");
+        let shrunk = text("shrunk_cuts");
         println!(
             "{:<15} {:<11} {:<7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5}  {}",
             row.app,
             row.system,
             strategy,
-            metric_u64(row, "trials").unwrap_or(0),
-            metric_u64(row, "consistent").unwrap_or(0),
-            metric_u64(row, "divergent").unwrap_or(0),
-            metric_u64(row, "livelocks").unwrap_or(0),
-            metric_u64(row, "torn_write_trials").unwrap_or(0),
+            count(row, "trials"),
+            count(row, "consistent"),
+            count(row, "divergent"),
+            count(row, "livelocks"),
+            count(row, "torn_write_trials"),
             violations,
             shrunk,
         );
@@ -180,71 +188,60 @@ fn main() -> std::process::ExitCode {
                 row.app,
                 row.system,
                 shrunk,
-                metric_str(row, "violation_detail").unwrap_or_default(),
+                text("violation_detail"),
             )
         });
         // First shrunk naive divergence becomes the headline demo.
         if naive_demo.is_none() && row.system == SystemUnderTest::Mementos.name() && violations > 0
         {
-            if let (Some(p), Some(cuts)) = (
-                FaultProgram::from_name(&row.app),
-                metric_str(row, "shrunk_cuts").map(|s| parse_cuts(&s)),
-            ) {
-                if !cuts.is_empty() {
-                    let off = metric_u64(row, "off_us").unwrap_or(OFF_US);
-                    naive_demo = Some((p, cuts, off));
-                }
+            match demo_plan(row) {
+                Ok(demo) => naive_demo = demo,
+                Err(e) => exp.check(DEMO, false, || {
+                    format!(
+                        "cell {} ({} x {}): malformed row: {e}",
+                        row.cell, row.app, row.system
+                    )
+                }),
             }
         }
         matrix.push(
             Json::obj()
                 .field("program", row.app.as_str())
                 .field("system", row.system.as_str())
-                .field("strategy", strategy.as_str())
-                .field("claims_consistency", claims)
-                .field("trials", metric_u64(row, "trials").unwrap_or(0))
-                .field("violations", violations)
-                .field("livelocks", metric_u64(row, "livelocks").unwrap_or(0))
-                .field(
-                    "torn_write_trials",
-                    metric_u64(row, "torn_write_trials").unwrap_or(0),
-                )
-                .field("shrunk_cuts", shrunk.as_str())
+                .fields(row.project(&MATRIX))
+                .field("shrunk_cuts", shrunk)
                 .build(),
         );
     }
     // ---- headline demo: naive diverges, TICS survives the same plan ----
     let mut demo_ok = false;
-    if let Some((program, cuts, off_us)) = &naive_demo {
-        let plan = FaultPlan::new(cuts.clone(), *off_us);
+    if let Some((program, plan)) = &naive_demo {
         let tics = SystemUnderTest::Tics;
         match build_fault_program(*program, tics).and_then(|prog| {
             let golden = golden_run(&prog, tics)?;
-            Ok((
-                judge(
-                    &golden,
-                    &run_plan(&prog, tics, &plan, fault_budget_us(&golden), GUARD_BOOTS),
-                ),
-                golden,
+            let budget = fault_budget_us(&golden);
+            Ok(judge(
+                &golden,
+                &run_plan(&prog, tics, plan, budget, GUARD_BOOTS),
             ))
         }) {
-            Ok((verdict, _)) => {
+            Ok(verdict) => {
                 demo_ok = verdict == Verdict::Consistent;
                 println!(
                     "\ndemo: naive-mementos diverges on {} with cuts [{}]; \
                      TICS on the same plan: {}",
                     program.name(),
-                    cuts_string(&plan),
+                    cuts_string(plan),
                     verdict.label(),
                 );
             }
             Err(e) => println!("\ndemo: TICS replay failed to build: {e}"),
         }
     }
-    exp.check("naive divergence demo", naive_demo.is_some(), || {
+    exp.check(DEMO, naive_demo.is_some(), || {
         "no reproducible naive-mementos divergence found".to_string()
     });
-    exp.check("naive divergence demo", naive_demo.is_none() || demo_ok, || {
+    exp.check(DEMO, naive_demo.is_none() || demo_ok, || {
         "TICS did not survive the shrunk naive-divergence plan".to_string()
     });
     exp.finish(&Json::Arr(matrix))

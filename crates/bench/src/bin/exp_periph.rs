@@ -27,12 +27,36 @@
 
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::experiment::{claims_consistency, write_result, Experiment, SWEEP};
+use tics_bench::journal::JournalRow;
 use tics_bench::periph::{build_periph_program, periph_golden, run_periph_cell, PeriphWorkload};
 use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 
 /// The gate every consistency-claiming runtime's cells fold into.
 const CLAIMS: &str = "detect-or-recover claims";
+
+/// The journaled metrics each `results/periph.json` entry copies, after
+/// its workload and system (`violation_detail` only where journaled).
+const MATRIX: [&str; 18] = [
+    "rate",
+    "claims_consistency",
+    "trials",
+    "clean",
+    "recovered",
+    "detected",
+    "violations",
+    "livelocks",
+    "incomplete",
+    "retries",
+    "txn_skips",
+    "poisoned",
+    "replayed_prints",
+    "gaps",
+    "stale_drops",
+    "orphan_serves",
+    "detect_or_recover_rate",
+    "violation_detail",
+];
 
 fn main() -> std::process::ExitCode {
     let mut exp = Experiment::from_env("periph", &[&SWEEP[..], &["--quick"]].concat());
@@ -105,23 +129,11 @@ fn main() -> std::process::ExitCode {
             ..CellOutput::default()
         }
         .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("trials", report.trials)
-        .with("clean", report.clean)
-        .with("recovered", report.recovered)
-        .with("detected", report.detected)
-        .with("violations", report.violations)
-        .with("livelocks", report.livelocks)
-        .with("incomplete", report.incomplete)
-        .with("retries", report.retries)
-        .with("txn_skips", report.txn_skips)
-        .with("poisoned", report.poisoned)
-        .with("replayed_prints", report.replayed_prints)
-        .with("gaps", report.gaps)
-        .with("stale_drops", report.stale_drops)
-        .with("orphan_serves", report.orphan_serves)
-        .with("corrupted_writes", report.corrupted_writes)
-        .with("detect_or_recover_rate", report.detect_or_recover_rate());
+        .with("claims_consistency", claims);
+        for (key, value) in report.counters() {
+            out = out.with(key, value);
+        }
+        out = out.with("detect_or_recover_rate", report.detect_or_recover_rate());
         if let Some(d) = &report.first_violation {
             out = out.with("violation_detail", d.as_str());
         }
@@ -136,9 +148,7 @@ fn main() -> std::process::ExitCode {
         "\n{:<16} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6}",
         "workload", "system", "rate", "trials", "ok", "rec", "det", "viol", "live", "retry", "skips", "d-or-r"
     );
-    let metric_u64 = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k).and_then(Json::as_u64).unwrap_or(0)
-    };
+    let count = |row: &JournalRow, k: &str| row.metric_u64(k).unwrap_or(0);
     let mut matrix = Vec::new();
     let mut control_violations: [(SystemUnderTest, u64); 2] = [
         (SystemUnderTest::PlainC, 0),
@@ -152,21 +162,21 @@ fn main() -> std::process::ExitCode {
             continue;
         }
         let rate = row.metric_f64("rate").unwrap_or(0.0);
-        let violations = metric_u64(row, "violations");
+        let violations = count(row, "violations");
         let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
         println!(
             "{:<16} {:<11} {:>5.2} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6.3}",
             workload,
             row.system,
             rate,
-            metric_u64(row, "trials"),
-            metric_u64(row, "clean"),
-            metric_u64(row, "recovered"),
-            metric_u64(row, "detected"),
+            count(row, "trials"),
+            count(row, "clean"),
+            count(row, "recovered"),
+            count(row, "detected"),
             violations,
-            metric_u64(row, "livelocks"),
-            metric_u64(row, "retries"),
-            metric_u64(row, "txn_skips"),
+            count(row, "livelocks"),
+            count(row, "retries"),
+            count(row, "txn_skips"),
             row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
         );
         let claim_broken = claims && violations > 0;
@@ -189,39 +199,19 @@ fn main() -> std::process::ExitCode {
                 write_result(&format!("periph_wire_{workload}_{}{tag}", row.system), exhibit);
             }
         }
-        for (control, count) in &mut control_violations {
+        for (control, seen) in &mut control_violations {
             if row.system == control.name() {
-                *count += violations;
-                control_trials += metric_u64(row, "trials");
+                *seen += violations;
+                control_trials += count(row, "trials");
             }
         }
-        let mut entry = Json::obj()
-            .field("workload", workload)
-            .field("system", row.system.as_str())
-            .field("rate", rate)
-            .field("claims_consistency", claims)
-            .field("trials", metric_u64(row, "trials"))
-            .field("clean", metric_u64(row, "clean"))
-            .field("recovered", metric_u64(row, "recovered"))
-            .field("detected", metric_u64(row, "detected"))
-            .field("violations", violations)
-            .field("livelocks", metric_u64(row, "livelocks"))
-            .field("incomplete", metric_u64(row, "incomplete"))
-            .field("retries", metric_u64(row, "retries"))
-            .field("txn_skips", metric_u64(row, "txn_skips"))
-            .field("poisoned", metric_u64(row, "poisoned"))
-            .field("replayed_prints", metric_u64(row, "replayed_prints"))
-            .field("gaps", metric_u64(row, "gaps"))
-            .field("stale_drops", metric_u64(row, "stale_drops"))
-            .field("orphan_serves", metric_u64(row, "orphan_serves"))
-            .field(
-                "detect_or_recover_rate",
-                row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
-            );
-        if let Some(d) = row.metric("violation_detail").and_then(Json::as_str) {
-            entry = entry.field("violation_detail", d);
-        }
-        matrix.push(entry.build());
+        matrix.push(
+            Json::obj()
+                .field("workload", workload)
+                .field("system", row.system.as_str())
+                .fields(row.project(&MATRIX))
+                .build(),
+        );
     }
     for (control, count) in control_violations {
         exp.check("controls bite", count > 0, || {

@@ -26,7 +26,6 @@ use std::path::Path;
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::CellStatus;
-use tics_bench::runner::RunConfig;
 use tics_bench::sweep::{default_runner, Cell, CellOutput, SupplySpec};
 use tics_bench::Json;
 use tics_core::{TicsConfig, TicsRuntime};
@@ -346,36 +345,22 @@ fn micro_ops() -> Vec<MicroOp> {
 // Chrome trace export
 // ---------------------------------------------------------------------
 
-/// `run_app` keeps sweeps lean (timeline events only), so the export
-/// path builds the machine itself with detail recording on.
-fn run_app_detailed(
-    app: App,
-    system: SystemUnderTest,
-    config: &RunConfig,
-    supply: &mut dyn PowerSupply,
-) -> Result<Vec<TraceRecord>, String> {
+/// The default runner keeps sweeps lean (timeline events only), so the
+/// export path runs the cell itself with detail recording on.
+fn run_cell_detailed(cell: &Cell) -> Result<Vec<TraceRecord>, String> {
     let prog = tics_apps::build_app(
-        app,
-        system,
-        config.opt,
-        tics_apps::build::Scale(config.scale),
+        cell.app,
+        cell.system,
+        cell.opt,
+        tics_apps::build::Scale(cell.scale),
     )
     .map_err(|e| e.to_string())?;
-    let mut m = Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: config.sensor_trace.clone(),
-            seed: config.seed,
-            ..MachineConfig::default()
-        },
-        config.clock.build(),
-    )
-    .map_err(|e| e.to_string())?;
+    let mut m = cell.machine(&prog).map_err(|e| e.to_string())?;
     m.trace_mut().set_detailed(true);
-    let mut rt = tics_apps::build::make_runtime(system, &prog);
+    let mut rt = tics_apps::build::make_runtime(cell.system, &prog);
     let _ = Executor::new()
-        .with_time_budget(config.time_budget_us)
-        .run(&mut m, rt.as_mut(), supply)
+        .with_time_budget(cell.time_budget_us)
+        .run(&mut m, rt.as_mut(), cell.supply.build(cell.seed).as_mut())
         .map_err(|e| e.to_string())?;
     Ok(m.trace().records().to_vec())
 }
@@ -391,8 +376,7 @@ fn export_trace(path: &Path, app: App, system: SystemUnderTest) -> Result<(), St
         .scale(8)
         .budget(2_000_000_000);
     cell.seed = 0x0071_2ACE;
-    let mut supply = cell.supply.build(cell.seed);
-    let records = run_app_detailed(app, system, &cell.run_config(), supply.as_mut())
+    let records = run_cell_detailed(&cell)
         .map_err(|e| format!("trace cell {}:{} failed: {e}", app.name(), system.name()))?;
     std::fs::write(path, chrome_trace_json(&records))
         .map_err(|e| format!("could not write {}: {e}", path.display()))?;

@@ -15,7 +15,7 @@ use tics_bench::sweep::{Cell, CellOutput, SupplySpec};
 use tics_bench::Json;
 use tics_energy::{DutyCycleTrace, PowerSupply, RecordedTrace};
 use tics_minic::opt::OptLevel;
-use tics_vm::{Executor, Machine, MachineConfig};
+use tics_vm::Executor;
 
 /// Experiment window in true microseconds (on + off).
 const WINDOW_US: u64 = 3_000_000;
@@ -58,15 +58,7 @@ fn run_cell(cell: &Cell) -> Result<CellOutput, String> {
         tics_apps::build::Scale(cell.scale),
     )
     .map_err(|e| e.to_string())?;
-    let mut machine = Machine::new(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: cell.sensor_trace(),
-            seed: cell.seed,
-            ..MachineConfig::default()
-        },
-    )
-    .expect("program loads");
+    let mut machine = cell.machine(&prog).expect("program loads");
     let mut runtime = tics_apps::build::make_runtime(cell.system, &prog);
     let mut supply = supply_for(duty, cell.seed);
     // The budget is the window's on-time share (generous upper bound).

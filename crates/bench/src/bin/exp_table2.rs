@@ -23,7 +23,7 @@ use tics_bench::sweep::{Cell, CellOutput, SupplySpec};
 use tics_bench::{count_violations, ClockKind, Json};
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_minic::opt::OptLevel;
-use tics_vm::{Executor, IntermittentRuntime, Machine, MachineConfig};
+use tics_vm::{Executor, IntermittentRuntime};
 
 const WINDOWS: u32 = 200;
 const TIME_BUDGET_US: u64 = 4_000_000_000;
@@ -39,16 +39,7 @@ fn run_variant(cell: &Cell) -> Result<CellOutput, String> {
         tics_apps::build::Scale(cell.scale),
     )
     .map_err(|e| e.to_string())?;
-    let mut machine = Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: cell.sensor_trace(),
-            seed: cell.seed,
-            ..MachineConfig::default()
-        },
-        cell.clock.build(),
-    )
-    .expect("program loads");
+    let mut machine = cell.machine(&prog).expect("program loads");
     let mut runtime: Box<dyn IntermittentRuntime> = if with_tics {
         let mut cfg = TicsConfig::s2_star();
         let max_frame = prog.max_frame_size();

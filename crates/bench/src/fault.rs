@@ -39,7 +39,7 @@ use tics_minic::{compile, passes, Program};
 use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
 
-use crate::sweep::splitmix64;
+use crate::sweep::{panic_text, splitmix64};
 
 /// Outage injected after each planned cut (µs). Strictly positive so
 /// post-reboot events can never share a timestamp with the failure.
@@ -373,13 +373,26 @@ pub fn build_fault_program(
     program: FaultProgram,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
+    let task = program.task_src().ok_or_else(|| {
+        format!(
+            "{} has no task-graph port (pointer or recursion shape)",
+            program.name()
+        )
+    });
+    build_corpus(system, program.legacy_src(), task)
+}
+
+/// The per-system build rules of [`build_fault_program`], shared with
+/// [`crate::periph::build_periph_program`]: `legacy` is the source the
+/// checkpointing systems run, `task` the task-graph port (or why there
+/// is none) the task kernels run.
+pub(crate) fn build_corpus(
+    system: SystemUnderTest,
+    legacy: &str,
+    task: Result<(&str, &[&str]), String>,
+) -> Result<Program, String> {
     if system.is_task_based() {
-        let Some((src, tasks)) = program.task_src() else {
-            return Err(format!(
-                "{} has no task-graph port (pointer or recursion shape)",
-                program.name()
-            ));
-        };
+        let (src, tasks) = task?;
         let flavor = match system {
             SystemUnderTest::Alpaca => TaskFlavor::Alpaca,
             SystemUnderTest::Ink => TaskFlavor::Ink,
@@ -400,7 +413,7 @@ pub fn build_fault_program(
     } else {
         OptLevel::O1
     };
-    let mut prog = compile(program.legacy_src(), opt).map_err(|e| e.to_string())?;
+    let mut prog = compile(legacy, opt).map_err(|e| e.to_string())?;
     match system {
         SystemUnderTest::PlainC => {}
         SystemUnderTest::Tics => passes::instrument_tics(&mut prog).map_err(|e| e.to_string())?,
@@ -541,6 +554,32 @@ pub struct Golden {
     pub on_cycles: u64,
 }
 
+/// The one golden capture behind [`golden_run`] and
+/// [`crate::periph::periph_golden`]: runs `prog` under `system` on
+/// continuous power and hands back the machine that ran with its exit
+/// code.
+///
+/// # Errors
+///
+/// A golden run that does not finish is a corpus or runtime bug, not a
+/// fault-injection result — it is reported as a string error.
+pub(crate) fn golden_machine(
+    prog: &Program,
+    system: SystemUnderTest,
+) -> Result<(Machine, i32), String> {
+    let mut m = Machine::new(prog.clone(), MachineConfig::default())
+        .map_err(|e| format!("golden load failed: {e}"))?;
+    let mut rt = make_runtime(system, prog);
+    let out = Executor::new()
+        .with_time_budget(30_000_000_000)
+        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
+    match out {
+        Ok(RunOutcome::Finished(code)) => Ok((m, code)),
+        Ok(other) => Err(format!("golden run did not finish: {other:?}")),
+        Err(e) => Err(format!("golden run trapped: {e}")),
+    }
+}
+
 /// Runs `prog` under `system` on continuous power and records the
 /// golden trace.
 ///
@@ -549,24 +588,15 @@ pub struct Golden {
 /// A golden run that does not finish is a corpus or runtime bug, not a
 /// fault-injection result — it is reported as a string error.
 pub fn golden_run(prog: &Program, system: SystemUnderTest) -> Result<Golden, String> {
-    let mut m = Machine::new(prog.clone(), MachineConfig::default())
-        .map_err(|e| format!("golden load failed: {e}"))?;
-    let mut rt = make_runtime(system, prog);
-    let out = Executor::new()
-        .with_time_budget(30_000_000_000)
-        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
-    match out {
-        Ok(RunOutcome::Finished(code)) => Ok(Golden {
-            events: event_timeline(m.trace().records())
-                .into_iter()
-                .map(|(_, e)| e)
-                .collect(),
-            exit_code: code,
-            on_cycles: m.cycles(),
-        }),
-        Ok(other) => Err(format!("golden run did not finish: {other:?}")),
-        Err(e) => Err(format!("golden run trapped: {e}")),
-    }
+    let (m, exit_code) = golden_machine(prog, system)?;
+    Ok(Golden {
+        events: event_timeline(m.trace().records())
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect(),
+        exit_code,
+        on_cycles: m.cycles(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -595,27 +625,38 @@ pub struct Trial {
     pub cycles: u64,
 }
 
+/// The replay budget formula over a golden run's `on_cycles`, shared by
+/// [`fault_budget_us`] and [`crate::periph::periph_budget_us`].
+pub(crate) fn replay_budget_us(on_cycles: u64) -> u64 {
+    on_cycles.saturating_mul(64).saturating_add(10_000_000)
+}
+
 /// On-time budget for a faulted replay of `golden`: generous enough
 /// that any completing runtime completes, small enough that a wedged
 /// replay terminates.
 #[must_use]
 pub fn fault_budget_us(golden: &Golden) -> u64 {
-    golden.on_cycles.saturating_mul(64).saturating_add(10_000_000)
+    replay_budget_us(golden.on_cycles)
 }
 
-/// Replays `prog` under `system` with power dying per `plan`.
-#[must_use]
-pub fn run_plan(
+/// The one faulted replay behind [`run_plan`] and
+/// [`crate::periph::run_periph_plan`]: builds the machine, arms the
+/// plan's brown-out [`CorruptionModel`], and runs the runtime on an
+/// [`AdversarialSupply`] under `budget_us` and the progress guard.
+/// `wire` reads whatever else the caller's oracle needs off the machine
+/// that ran (`None` when the image failed to load).
+pub(crate) fn replay<W>(
     prog: &Program,
     system: SystemUnderTest,
     plan: &FaultPlan,
     budget_us: u64,
     guard_boots: u64,
-) -> Trial {
+    wire: impl FnOnce(&Machine) -> W,
+) -> (Trial, Option<W>) {
     let mut m = match Machine::new(prog.clone(), MachineConfig::default()) {
         Ok(m) => m,
         Err(e) => {
-            return Trial {
+            let trial = Trial {
                 outcome: Err(e),
                 trace: Vec::new(),
                 power_failures: 0,
@@ -623,7 +664,8 @@ pub fn run_plan(
                 corrupted_writes: 0,
                 recoveries: 0,
                 cycles: 0,
-            }
+            };
+            return (trial, None);
         }
     };
     if let Some(c) = &plan.corruption {
@@ -637,8 +679,8 @@ pub fn run_plan(
     // Executing from hardware-corrupted state can drive the VM somewhere
     // its own checks never anticipated (a restored register becomes a
     // wild pc). On silicon that is a fail-stop crash; here the panic is
-    // contained and judged as a loud `Error` verdict rather than taking
-    // the harness thread down.
+    // contained and judged as a loud death rather than taking the
+    // harness thread down.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Executor::new()
             .with_time_budget(budget_us)
@@ -646,14 +688,10 @@ pub fn run_plan(
             .run(&mut m, rt.as_mut(), &mut supply)
     }))
     .unwrap_or_else(|payload| {
-        let text = payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let text = panic_text(payload.as_ref());
         Err(VmError::Trap(format!("vm crashed on corrupted state: {text}")))
     });
-    Trial {
+    let trial = Trial {
         outcome,
         trace: m.trace().records().to_vec(),
         power_failures: m.stats().power_failures,
@@ -661,7 +699,20 @@ pub fn run_plan(
         corrupted_writes: m.mem.stats().corrupted_writes,
         recoveries: m.stats().recoveries,
         cycles: m.cycles(),
-    }
+    };
+    (trial, Some(wire(&m)))
+}
+
+/// Replays `prog` under `system` with power dying per `plan`.
+#[must_use]
+pub fn run_plan(
+    prog: &Program,
+    system: SystemUnderTest,
+    plan: &FaultPlan,
+    budget_us: u64,
+    guard_boots: u64,
+) -> Trial {
+    replay(prog, system, plan, budget_us, guard_boots, |_| ()).0
 }
 
 /// The oracle's judgment of one faulted replay.
@@ -728,6 +779,19 @@ impl Verdict {
             Verdict::Incomplete { .. } => "incomplete",
             Verdict::Livelock { .. } => "livelock",
             Verdict::Error { .. } => "error",
+        }
+    }
+
+    /// The verdict's human-readable detail for the journal (empty for
+    /// `Consistent` and `Livelock`).
+    pub(crate) fn detail(&self) -> String {
+        match self {
+            Verdict::Divergent { detail, .. }
+            | Verdict::CorruptedState { detail, .. }
+            | Verdict::Error { detail } => detail.clone(),
+            Verdict::WrongExit { expected, got } => format!("expected exit {expected}, got {got}"),
+            Verdict::Incomplete { outcome } => outcome.clone(),
+            Verdict::Consistent | Verdict::Livelock { .. } => String::new(),
         }
     }
 
@@ -799,16 +863,9 @@ pub fn judge(golden: &Golden, trial: &Trial) -> Verdict {
         v @ (Verdict::Divergent { .. } | Verdict::WrongExit { .. })
             if trial.corrupted_writes > 0 =>
         {
-            let detail = match &v {
-                Verdict::Divergent { detail, .. } => detail.clone(),
-                Verdict::WrongExit { expected, got } => {
-                    format!("expected exit {expected}, got {got}")
-                }
-                _ => unreachable!("guard admits only divergent/wrong-exit"),
-            };
             Verdict::CorruptedState {
                 corrupted_writes: trial.corrupted_writes,
-                detail,
+                detail: v.detail(),
             }
         }
         v => v,
@@ -937,6 +994,12 @@ impl Strategy {
         }
     }
 
+    /// Parses a journal label back into a strategy.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// Whether a non-finishing replay counts as a violation under this
     /// strategy. Probe plans keep killing power forever, so a slow
     /// runtime legitimately never finishes.
@@ -1017,6 +1080,26 @@ pub struct CellReport {
     pub first_violation: Option<Violation>,
 }
 
+impl CellReport {
+    /// The counters a fault cell journals, in journal order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("golden_events", self.golden_events as u64),
+            ("golden_cycles", self.golden_cycles),
+            ("trials", self.trials),
+            ("consistent", self.consistent),
+            ("divergent", self.divergent),
+            ("wrong_exit", self.wrong_exit),
+            ("incomplete", self.incomplete),
+            ("livelocks", self.livelocks),
+            ("errors", self.errors),
+            ("violations", self.violations),
+            ("torn_write_trials", self.torn_write_trials),
+        ]
+    }
+}
+
 /// Runs every plan of `strategy` for one cell and judges each replay.
 #[must_use]
 pub fn run_fault_cell(
@@ -1057,21 +1140,11 @@ pub fn run_fault_cell(
             report.violations += 1;
             if report.first_violation.is_none() {
                 let shrunk = shrink_plan(prog, system, golden, plan, budget, GUARD_BOOTS, strict);
-                let detail = match &verdict {
-                    Verdict::Divergent { detail, .. }
-                    | Verdict::CorruptedState { detail, .. } => detail.clone(),
-                    Verdict::WrongExit { expected, got } => {
-                        format!("expected exit {expected}, got {got}")
-                    }
-                    Verdict::Incomplete { outcome } => outcome.clone(),
-                    Verdict::Error { detail } => detail.clone(),
-                    _ => String::new(),
-                };
                 report.first_violation = Some(Violation {
                     plan: plan.clone(),
                     shrunk,
                     verdict: verdict.label().to_string(),
-                    detail,
+                    detail: verdict.detail(),
                 });
             }
         }
@@ -1130,6 +1203,23 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// The counters a chaos cell journals, in journal order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("trials", self.trials),
+            ("consistent", self.consistent),
+            ("detected", self.detected),
+            ("corrupted_state", self.corrupted_state),
+            ("clean_divergence", self.clean_divergence),
+            ("livelocks", self.livelocks),
+            ("incomplete", self.incomplete),
+            ("corrupted_write_trials", self.corrupted_write_trials),
+            ("corrupted_writes", self.corrupted_writes),
+            ("recoveries", self.recoveries),
+        ]
+    }
+
     /// Fraction of trials that recovered or died loudly — everything
     /// except silent corruption. The gate demands `1.0` from every
     /// runtime that claims memory consistency.
@@ -1152,6 +1242,20 @@ impl ChaosReport {
     }
 }
 
+/// Trial `i`'s plan in a chaos-style cell: `1 + i % 3` cuts drawn from
+/// `seed`'s stream over a golden span of `on_cycles`, with brown-out
+/// corruption at `rate` riding on every cut when `rate` is given.
+pub(crate) fn chaos_plan(seed: u64, i: usize, on_cycles: u64, rate: Option<f64>) -> FaultPlan {
+    let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+    let plan = FaultPlan::random(s, on_cycles, 1 + i % 3, OFF_US);
+    match rate {
+        Some(rate) => {
+            plan.with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)))
+        }
+        None => plan,
+    }
+}
+
 /// Runs `trials` seeded multi-cut plans with brown-out corruption at
 /// `rate` riding on every cut, and folds the detect-or-die verdicts.
 /// Deterministic: same seed, same plans, same corruption stream.
@@ -1167,9 +1271,7 @@ pub fn run_chaos_cell(
     let budget = fault_budget_us(golden);
     let mut report = ChaosReport::default();
     for i in 0..trials {
-        let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let plan = FaultPlan::random(s, golden.on_cycles, 1 + i % 3, OFF_US)
-            .with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
+        let plan = chaos_plan(seed, i, golden.on_cycles, Some(rate));
         let trial = run_plan(prog, system, &plan, budget, GUARD_BOOTS);
         let verdict = judge(golden, &trial);
         report.trials += 1;
@@ -1212,11 +1314,25 @@ pub fn cuts_string(plan: &FaultPlan) -> String {
         .join(",")
 }
 
-/// Parses a journal cut string back into cycles. Ignores garbage —
-/// replaying a truncated row is better than refusing to.
-#[must_use]
-pub fn parse_cuts(s: &str) -> Vec<u64> {
-    s.split(',').filter_map(|t| t.trim().parse().ok()).collect()
+/// Parses a journal cut string back into cycles (`""` is a plan with no
+/// cuts).
+///
+/// # Errors
+///
+/// Names the first token that is not a cycle count: a row read back
+/// from a journal on disk is outside input, and a silently shortened
+/// plan would replay a different counterexample.
+pub fn parse_cuts(s: &str) -> Result<Vec<u64>, String> {
+    if s.trim().is_empty() {
+        return Ok(Vec::new());
+    }
+    s.split(',')
+        .map(|t| {
+            t.trim()
+                .parse()
+                .map_err(|_| format!("cut {t:?} in {s:?} is not a cycle count"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1533,7 +1649,36 @@ mod tests {
     fn cuts_roundtrip_through_the_journal_format() {
         let plan = FaultPlan::new(vec![1_200, 8_400], 150);
         assert_eq!(cuts_string(&plan), "1200,8400");
-        assert_eq!(parse_cuts(&cuts_string(&plan)), vec![1_200, 8_400]);
-        assert_eq!(parse_cuts(""), Vec::<u64>::new());
+        assert_eq!(parse_cuts(&cuts_string(&plan)), Ok(vec![1_200, 8_400]));
+        let golden = Golden {
+            events: Vec::new(),
+            exit_code: 0,
+            on_cycles: 50_000,
+        };
+        for strategy in Strategy::ALL {
+            for plan in strategy.plans(&golden, 16, 0xF417) {
+                assert_eq!(
+                    parse_cuts(&cuts_string(&plan)),
+                    Ok(plan.cuts),
+                    "{strategy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_cuts_rejects_garbage_and_reads_empty_as_no_cuts() {
+        let err = parse_cuts("12,x,40").expect_err("garbage token");
+        assert!(err.contains("\"x\""), "{err}");
+        assert!(parse_cuts("12,,40").is_err());
+        assert_eq!(parse_cuts(""), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn strategies_round_trip_through_their_names() {
+        for strategy in Strategy::ALL {
+            assert_eq!(Strategy::from_name(strategy.name()), Some(strategy));
+        }
+        assert_eq!(Strategy::from_name("strided"), None);
     }
 }

@@ -35,8 +35,7 @@ use tics_vm::{DispatchEngine, ExecStats, Executor, Machine, MachineConfig, Machi
 
 use crate::json::Json;
 use crate::oracle::count_violations;
-use crate::runner::ClockKind;
-use crate::sweep::{cell_seed, splitmix64, standard_sensor_trace, SupplySpec};
+use crate::sweep::{cell_seed, splitmix64, standard_sensor_trace, ClockKind, SupplySpec};
 
 /// Offender exemplars kept per shard (and in the merged report).
 pub const RESERVOIR_K: usize = 16;

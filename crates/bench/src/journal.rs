@@ -2,7 +2,7 @@
 //!
 //! Every sweep writes `results/<exp>.jsonl` (or `--journal <path>`):
 //! each row records the cell's coordinates in the grid (app, system,
-//! opt level, clock, supply, scale, derived seed), its [`RunResult`]
+//! opt level, clock, supply, scale, derived seed), its [`CellOutput`]
 //! counters, any experiment-specific metrics under `extra`, how the
 //! cell ended (`ok` / `build-error` / `panicked`), and two
 //! non-deterministic provenance fields (`wall_ms`, `thread`).
@@ -14,7 +14,7 @@
 //! journal into a paper table is [`read`] plus ordinary iteration; no
 //! re-simulation needed.
 //!
-//! [`RunResult`]: crate::runner::RunResult
+//! [`CellOutput`]: crate::sweep::CellOutput
 
 use std::fmt;
 use std::fs::File;
@@ -294,6 +294,15 @@ impl JournalRow {
     #[must_use]
     pub fn metric(&self, key: &str) -> Option<&Json> {
         self.extra.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The `extra` metrics named in `keys`, in that order and exactly as
+    /// journaled; keys the row lacks are skipped.
+    #[must_use]
+    pub fn project(&self, keys: &[&str]) -> Vec<(String, Json)> {
+        keys.iter()
+            .filter_map(|&k| self.metric(k).map(|v| (k.to_string(), v.clone())))
+            .collect()
     }
 
     /// An `extra` metric as f64 (integers convert).

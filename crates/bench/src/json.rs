@@ -311,6 +311,13 @@ impl ObjBuilder {
         self
     }
 
+    /// Appends fields in order.
+    #[must_use]
+    pub fn fields(mut self, fields: impl IntoIterator<Item = (String, Json)>) -> ObjBuilder {
+        self.0.extend(fields);
+        self
+    }
+
     /// Finishes the object.
     #[must_use]
     pub fn build(self) -> Json {

@@ -40,12 +40,12 @@ pub mod json;
 pub mod oracle;
 pub mod periph;
 pub mod reviewer;
-pub mod runner;
 pub mod sweep;
 
 pub use fleet::{run_shard, Exemplar, FleetSpec, Reservoir, ShardStats, StreamingHistogram};
 pub use json::Json;
 pub use oracle::{count_violations, Violations};
-pub use runner::{run_app, ClockKind, RunConfig, RunResult};
-pub use sweep::{Cell, CellOutput, Sweep, SweepArgs, SweepOutcome, SweepSummary, SupplySpec};
+pub use sweep::{
+    Cell, CellOutput, ClockKind, Sweep, SweepArgs, SweepOutcome, SweepSummary, SupplySpec,
+};
 

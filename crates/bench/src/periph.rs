@@ -34,20 +34,17 @@
 //! `print`) is permitted: the transaction committed on the wire and the
 //! journal skips its replay.
 
-use tics_apps::build::make_runtime;
 use tics_apps::SystemUnderTest;
-use tics_baselines::TaskFlavor;
-use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan};
+use tics_energy::FaultPlan;
 use tics_mcu::periph::{ServedRead, Uart, WireByte};
-use tics_mcu::CorruptionModel;
-use tics_minic::opt::OptLevel;
-use tics_minic::{compile, passes, Program};
+use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{RunOutcome, VmError};
 
-use crate::fault::{fault_budget_us, Golden, CHAOS_WINDOW, GUARD_BOOTS, OFF_US};
+use crate::fault::{
+    build_corpus, chaos_plan, golden_machine, replay, replay_budget_us, GUARD_BOOTS,
+};
 use crate::json::Json;
-use crate::sweep::splitmix64;
 
 /// Telemetry frame header byte — the only value ≥ 0x80 a valid frame
 /// carries, so the parser can always resynchronize on it.
@@ -317,8 +314,8 @@ impl PeriphWorkload {
     }
 }
 
-/// Builds (compiles + instruments) a peripheral workload for `system`,
-/// mirroring the per-system rules of
+/// Builds (compiles + instruments) a peripheral workload for `system`
+/// under the per-system rules of
 /// [`crate::fault::build_fault_program`]: task kernels get the
 /// hand-ported task graph (one transaction attempt per loop-free task
 /// body), TICS gets the `@expires`-annotated sensor variant, Chinchilla
@@ -332,50 +329,10 @@ pub fn build_periph_program(
     workload: PeriphWorkload,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
-    if system.is_task_based() {
-        let Some((src, tasks)) = workload.task_src() else {
-            return Err(format!(
-                "{} has no loop-free task-graph port",
-                workload.name()
-            ));
-        };
-        let flavor = match system {
-            SystemUnderTest::Alpaca => TaskFlavor::Alpaca,
-            SystemUnderTest::Ink => TaskFlavor::Ink,
-            _ => TaskFlavor::Mayfly,
-        };
-        let mut prog = compile(src, OptLevel::O1).map_err(|e| e.to_string())?;
-        passes::instrument_task_based(
-            &mut prog,
-            tasks,
-            flavor.runtime_text_bytes(),
-            flavor.runtime_data_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        return Ok(prog);
-    }
-    let opt = if system == SystemUnderTest::Chinchilla {
-        OptLevel::O0
-    } else {
-        OptLevel::O1
-    };
-    let mut prog =
-        compile(workload.legacy_src(system), opt).map_err(|e| e.to_string())?;
-    match system {
-        SystemUnderTest::PlainC => {}
-        SystemUnderTest::Tics => passes::instrument_tics(&mut prog).map_err(|e| e.to_string())?,
-        SystemUnderTest::Mementos => {
-            passes::instrument_mementos(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Chinchilla => {
-            passes::instrument_chinchilla(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Ratchet => {
-            passes::instrument_ratchet(&mut prog).map_err(|e| e.to_string())?;
-        }
-        _ => unreachable!("task systems handled above"),
-    }
-    Ok(prog)
+    let task = workload
+        .task_src()
+        .ok_or_else(|| format!("{} has no loop-free task-graph port", workload.name()));
+    build_corpus(system, workload.legacy_src(system), task)
 }
 
 // ---------------------------------------------------------------------
@@ -496,33 +453,23 @@ fn prints_of(trace: &[TraceRecord]) -> Vec<i32> {
 /// A golden run that does not finish, or that never prints, is a corpus
 /// or runtime bug, not a fault-injection result.
 pub fn periph_golden(prog: &Program, system: SystemUnderTest) -> Result<PeriphGolden, String> {
-    let mut m = Machine::new(prog.clone(), MachineConfig::default())
-        .map_err(|e| format!("golden load failed: {e}"))?;
-    let mut rt = make_runtime(system, prog);
-    let out = Executor::new()
-        .with_time_budget(30_000_000_000)
-        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
-    match out {
-        Ok(RunOutcome::Finished(code)) => {
-            let prints = prints_of(m.trace().records());
-            if prints.is_empty() {
-                return Err("golden run printed nothing".to_string());
-            }
-            Ok(PeriphGolden {
-                prints,
-                frames: parse_frames(m.periph.uart.wire()),
-                served: m.periph.i2c.served().to_vec(),
-                exit_code: code,
-                on_cycles: m.cycles(),
-            })
-        }
-        Ok(other) => Err(format!("golden run did not finish: {other:?}")),
-        Err(e) => Err(format!("golden run trapped: {e}")),
+    let (m, exit_code) = golden_machine(prog, system)?;
+    let prints = prints_of(m.trace().records());
+    if prints.is_empty() {
+        return Err("golden run printed nothing".to_string());
     }
+    Ok(PeriphGolden {
+        prints,
+        frames: parse_frames(m.periph.uart.wire()),
+        served: m.periph.i2c.served().to_vec(),
+        exit_code,
+        on_cycles: m.cycles(),
+    })
 }
 
-/// Replays `prog` under `system` with power dying per `plan`, keeping
-/// the device-side wire logs for the oracle.
+/// Replays `prog` under `system` with power dying per `plan` (the
+/// [`crate::fault::run_plan`] replay), keeping the device-side wire logs
+/// for the oracle.
 #[must_use]
 pub fn run_periph_plan(
     prog: &Program,
@@ -531,63 +478,29 @@ pub fn run_periph_plan(
     budget_us: u64,
     guard_boots: u64,
 ) -> PeriphTrial {
-    let mut m = match Machine::new(prog.clone(), MachineConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            return PeriphTrial {
-                outcome: Err(e),
-                trace: Vec::new(),
-                power_failures: 0,
-                corrupted_writes: 0,
-                cycles: 0,
-                uart_wire: Vec::new(),
-                i2c_served: Vec::new(),
-            }
-        }
-    };
-    if let Some(c) = &plan.corruption {
-        m.mem.set_corruption(Some(
-            CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
-                .with_sram_decay(c.sram_decay),
-        ));
-    }
-    let mut rt = make_runtime(system, prog);
-    let mut supply = AdversarialSupply::new(plan.clone());
-    // Same containment as `fault::run_plan`: corrupted state can drive
-    // the VM into a panic; judge it as a loud death, not a harness kill.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Executor::new()
-            .with_time_budget(budget_us)
-            .with_progress_guard(guard_boots)
-            .run(&mut m, rt.as_mut(), &mut supply)
-    }))
-    .unwrap_or_else(|payload| {
-        let text = payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(VmError::Trap(format!("vm crashed on corrupted state: {text}")))
+    let (trial, wire) = replay(prog, system, plan, budget_us, guard_boots, |m| {
+        (
+            m.periph.uart.wire().to_vec(),
+            m.periph.i2c.served().to_vec(),
+        )
     });
+    let (uart_wire, i2c_served) = wire.unwrap_or_default();
     PeriphTrial {
-        outcome,
-        trace: m.trace().records().to_vec(),
-        power_failures: m.stats().power_failures,
-        corrupted_writes: m.mem.stats().corrupted_writes,
-        cycles: m.cycles(),
-        uart_wire: m.periph.uart.wire().to_vec(),
-        i2c_served: m.periph.i2c.served().to_vec(),
+        outcome: trial.outcome,
+        trace: trial.trace,
+        power_failures: trial.power_failures,
+        corrupted_writes: trial.corrupted_writes,
+        cycles: trial.cycles,
+        uart_wire,
+        i2c_served,
     }
 }
 
-/// Adapter so the fault-plan span helper accepts a peripheral golden.
+/// The faulted-replay budget for a peripheral golden (the same formula
+/// as [`crate::fault::fault_budget_us`]).
 #[must_use]
 pub fn periph_budget_us(golden: &PeriphGolden) -> u64 {
-    fault_budget_us(&Golden {
-        events: Vec::new(),
-        exit_code: golden.exit_code,
-        on_cycles: golden.on_cycles,
-    })
+    replay_budget_us(golden.on_cycles)
 }
 
 // ---------------------------------------------------------------------
@@ -978,6 +891,28 @@ pub struct PeriphReport {
 }
 
 impl PeriphReport {
+    /// The counters a torn-wire cell journals, in journal order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
+        [
+            ("trials", self.trials),
+            ("clean", self.clean),
+            ("recovered", self.recovered),
+            ("detected", self.detected),
+            ("violations", self.violations),
+            ("livelocks", self.livelocks),
+            ("incomplete", self.incomplete),
+            ("retries", self.retries),
+            ("txn_skips", self.txn_skips),
+            ("poisoned", self.poisoned),
+            ("replayed_prints", self.replayed_prints),
+            ("gaps", self.gaps),
+            ("stale_drops", self.stale_drops),
+            ("orphan_serves", self.orphan_serves),
+            ("corrupted_writes", self.corrupted_writes),
+        ]
+    }
+
     /// Fraction of trials that stayed wire-consistent or died loudly.
     /// The gate demands `1.0` from every runtime claiming consistency.
     #[must_use]
@@ -1057,8 +992,8 @@ pub fn wire_exhibit_json(
 /// Runs `trials` seeded multi-cut plans (brown-out corruption at `rate`
 /// riding on every cut when `rate > 0`) and folds the detect-or-recover
 /// verdicts. Deterministic: same seed, same plans, same wire streams —
-/// golden and faulted runs share [`MachineConfig::default`], so the
-/// sensor serves the same reading series.
+/// golden and faulted runs share [`tics_vm::MachineConfig::default`],
+/// so the sensor serves the same reading series.
 #[must_use]
 pub fn run_periph_cell(
     workload: PeriphWorkload,
@@ -1072,11 +1007,7 @@ pub fn run_periph_cell(
     let budget = periph_budget_us(golden);
     let mut report = PeriphReport::default();
     for i in 0..trials {
-        let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let mut plan = FaultPlan::random(s, golden.on_cycles, 1 + i % 3, OFF_US);
-        if rate > 0.0 {
-            plan = plan.with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
-        }
+        let plan = chaos_plan(seed, i, golden.on_cycles, (rate > 0.0).then_some(rate));
         let trial = run_periph_plan(prog, system, &plan, budget, GUARD_BOOTS);
         let verdict = judge_periph(workload, golden, &trial);
         report.trials += 1;
@@ -1115,6 +1046,7 @@ pub fn run_periph_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{run_plan, OFF_US};
     use tics_trace::I2cPhase;
 
     fn wire(bytes: &[(u8, bool)]) -> Vec<WireByte> {
@@ -1471,6 +1403,28 @@ mod tests {
         assert!(report.failures_injected > 0);
     }
 
+    #[test]
+    fn event_and_wire_trials_are_views_of_one_replay() {
+        // The event-prefix oracle and the torn-wire oracle must judge the
+        // same run: one plan with brown-out corruption, replayed through
+        // both trial views, yields one outcome, trace and counter set.
+        let system = SystemUnderTest::Tics;
+        let prog = build_periph_program(PeriphWorkload::SensorLog, system).unwrap();
+        let golden = periph_golden(&prog, system).unwrap();
+        let plan = chaos_plan(0x7E57_5EED, 2, golden.on_cycles, Some(0.5));
+        let budget = periph_budget_us(&golden);
+        let event = run_plan(&prog, system, &plan, budget, GUARD_BOOTS);
+        let wire = run_periph_plan(&prog, system, &plan, budget, GUARD_BOOTS);
+        assert!(
+            event.corrupted_writes > 0,
+            "corruption never fired: {plan:?}"
+        );
+        assert_eq!(event.outcome, wire.outcome);
+        assert_eq!(event.trace, wire.trace);
+        assert_eq!(event.power_failures, wire.power_failures);
+        assert_eq!(event.corrupted_writes, wire.corrupted_writes);
+        assert_eq!(event.cycles, wire.cycles);
+    }
 
     #[test]
     fn i2c_phase_label_round_trip_used_by_exhibits() {

@@ -30,16 +30,19 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use tics_apps::build::{build_app, make_runtime, Scale};
 use tics_apps::workload::{ar_trace, ghm_trace};
 use tics_apps::{ar, ghm, App, SystemUnderTest};
+use tics_clock::{CapacitorRtc, PerfectClock, Timekeeper, VolatileClock};
 use tics_energy::{Capacitor, CapacitorSupply, ContinuousPower, DutyCycleTrace, PeriodicTrace,
                   PowerSupply, RfHarvester};
 use tics_minic::opt::OptLevel;
+use tics_minic::Program;
 use tics_trace::SpanKind;
+use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
 
 use crate::journal::{CellStatus, Journal, JournalRow};
 use crate::json::Json;
-use crate::runner::{run_app, ClockKind, RunConfig, RunResult};
 
 /// splitmix64 — the per-cell seed derivation. Small, well-mixed, and
 /// stable across platforms; also reused by the deterministic test
@@ -56,6 +59,40 @@ pub fn splitmix64(state: u64) -> u64 {
 #[must_use]
 pub fn cell_seed(sweep_seed: u64, index: u64) -> u64 {
     splitmix64(sweep_seed ^ splitmix64(index.wrapping_add(1)))
+}
+
+/// Which timekeeper the device carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClockKind {
+    /// Ground truth (also a fine stand-in for an ideal RTC).
+    Perfect,
+    /// The MCU's internal timer: resets at every reboot. What legacy
+    /// code gets without TICS.
+    Volatile,
+    /// An RTC alive through outages up to a capacitor budget (µs).
+    CapacitorRtc(u64),
+}
+
+impl ClockKind {
+    /// Journal label (`perfect`, `volatile`, `rtc:<budget µs>`).
+    #[must_use]
+    pub fn label(self) -> String {
+        match self {
+            ClockKind::Perfect => "perfect".to_string(),
+            ClockKind::Volatile => "volatile".to_string(),
+            ClockKind::CapacitorRtc(budget) => format!("rtc:{budget}"),
+        }
+    }
+
+    /// Instantiates the timekeeper.
+    #[must_use]
+    pub fn build(self) -> Box<dyn Timekeeper> {
+        match self {
+            ClockKind::Perfect => Box::new(PerfectClock::new()),
+            ClockKind::Volatile => Box::new(VolatileClock::new()),
+            ClockKind::CapacitorRtc(budget) => Box::new(CapacitorRtc::new(budget)),
+        }
+    }
 }
 
 /// A declarative power-supply specification, instantiated per cell with
@@ -286,18 +323,22 @@ impl Cell {
         standard_sensor_trace(self.app, self.scale)
     }
 
-    /// The [`RunConfig`] this cell denotes.
-    #[must_use]
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig {
-            scale: self.scale,
-            opt: self.opt,
-            clock: self.clock,
-            sensor_trace: self.sensor_trace(),
-            time_budget_us: self.time_budget_us,
-            seed: self.seed,
-            ..RunConfig::default()
-        }
+    /// A fresh device for `prog` with this cell's sensor trace, seed
+    /// and clock.
+    ///
+    /// # Errors
+    ///
+    /// The load error of a program that builds but does not fit.
+    pub fn machine(&self, prog: &Program) -> Result<Machine, VmError> {
+        Machine::with_clock(
+            prog.clone(),
+            MachineConfig {
+                sensor_trace: self.sensor_trace(),
+                seed: self.seed,
+                ..MachineConfig::default()
+            },
+            self.clock.build(),
+        )
     }
 }
 
@@ -347,24 +388,6 @@ impl CellOutput {
     pub fn with(mut self, key: &str, value: impl Into<Json>) -> CellOutput {
         self.extra.push((key.to_string(), value.into()));
         self
-    }
-}
-
-impl From<RunResult> for CellOutput {
-    fn from(r: RunResult) -> CellOutput {
-        CellOutput {
-            outcome: r.outcome,
-            exit_code: r.exit_code,
-            cycles: r.cycles,
-            checkpoints: r.checkpoints,
-            restores: r.restores,
-            power_failures: r.power_failures,
-            undo_appends: r.undo_appends,
-            text_bytes: r.text_bytes,
-            data_bytes: r.data_bytes,
-            spans: r.span_cycles,
-            extra: Vec::new(),
-        }
     }
 }
 
@@ -595,8 +618,7 @@ impl Sweep {
         self.cells.is_empty()
     }
 
-    /// Runs every cell through the default runner
-    /// ([`run_app`] with the cell's derived config and supply).
+    /// Runs every cell through [`default_runner`].
     #[must_use]
     pub fn run(self) -> SweepOutcome {
         self.run_with(default_runner)
@@ -771,23 +793,58 @@ impl Sweep {
     }
 }
 
-/// The default cell runner: build + run through [`run_app`] on the
-/// cell's supply.
+/// The default cell runner: builds the cell's app for its system and
+/// runs it on the cell's supply, clock, sensor trace and budget.
 ///
 /// # Errors
 ///
 /// Infeasible app × system × opt combinations surface as `Err` (the
-/// journal's `build-error` rows).
+/// journal's `build-error` rows). A program that builds but does not
+/// load, and a VM trap, are `Ok` rows whose outcome reads `error: …`,
+/// so the surrounding sweep keeps going.
 pub fn default_runner(cell: &Cell) -> Result<CellOutput, String> {
-    let mut supply = cell.supply.build(cell.seed);
-    run_app(
-        cell.app,
-        cell.system,
-        &cell.run_config(),
-        supply.as_mut(),
-    )
-    .map(CellOutput::from)
-    .map_err(|e| e.to_string())
+    let prog =
+        build_app(cell.app, cell.system, cell.opt, Scale(cell.scale)).map_err(|e| e.to_string())?;
+    let text_bytes = prog.text_bytes();
+    let data_bytes = prog.data_bytes();
+    let mut machine = match cell.machine(&prog) {
+        Ok(m) => m,
+        Err(e) => {
+            return Ok(CellOutput {
+                outcome: format!("error: load failed under {}: {e}", cell.system.name()),
+                text_bytes,
+                data_bytes,
+                ..CellOutput::default()
+            })
+        }
+    };
+    let mut runtime = make_runtime(cell.system, &prog);
+    let outcome = Executor::new().with_time_budget(cell.time_budget_us).run(
+        &mut machine,
+        runtime.as_mut(),
+        cell.supply.build(cell.seed).as_mut(),
+    );
+    let (outcome, exit_code) = match outcome {
+        Ok(RunOutcome::Finished(c)) => ("finished".to_string(), Some(c)),
+        Ok(RunOutcome::OutOfEnergy) => ("out-of-energy".to_string(), None),
+        Ok(RunOutcome::BudgetExhausted) => ("budget-exhausted".to_string(), None),
+        Ok(RunOutcome::Starved { boots }) => (format!("starved after {boots} boots"), None),
+        Err(e) => (format!("error: {e}"), None),
+    };
+    let stats = machine.stats();
+    Ok(CellOutput {
+        outcome,
+        exit_code,
+        cycles: machine.cycles(),
+        checkpoints: stats.checkpoints,
+        restores: stats.restores,
+        power_failures: stats.power_failures,
+        undo_appends: stats.undo_log_appends,
+        text_bytes,
+        data_bytes,
+        spans: machine.mem.span_cycles_all(),
+        extra: Vec::new(),
+    })
 }
 
 /// Loads reusable rows from a prior journal for `--resume`: a row is
@@ -863,7 +920,7 @@ fn write_journal(path: &PathBuf, rows: &[JournalRow]) -> Option<PathBuf> {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -884,6 +941,23 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, cell_seed(42, 0));
         assert_ne!(a, cell_seed(43, 0));
+    }
+
+    #[test]
+    fn default_runner_runs_bc_under_tics_continuously() {
+        let r = default_runner(&Cell::new(App::Bc, SystemUnderTest::Tics).scale(10)).unwrap();
+        assert_eq!(r.outcome, "finished");
+        assert!(r.exit_code.unwrap() > 0);
+        assert!(r.cycles > 0);
+        assert!(r.text_bytes > 0 && r.data_bytes > 0);
+        // Span-total identity: every cycle is attributed to exactly one
+        // span, so the per-span totals sum back to the cycle counter.
+        assert_eq!(r.spans.iter().sum::<u64>(), r.cycles);
+    }
+
+    #[test]
+    fn default_runner_propagates_unsupported_combinations() {
+        assert!(default_runner(&Cell::new(App::Bc, SystemUnderTest::Chinchilla)).is_err());
     }
 
     #[test]

@@ -3,24 +3,31 @@
 //! sum back to the machine's cycle counter — for every runtime, on both
 //! continuous and failing power.
 
-use tics_bench::runner::{run_app, ClockKind, RunConfig};
+use tics_bench::sweep::{default_runner, Cell, CellOutput, SupplySpec};
 use tics_repro::apps::{App, SystemUnderTest};
-use tics_repro::energy::{ContinuousPower, PeriodicTrace, PowerSupply};
 use tics_trace::SpanKind;
 
-fn check(app: App, system: SystemUnderTest, supply: &mut dyn PowerSupply) {
-    let cfg = RunConfig {
-        scale: 8,
-        clock: ClockKind::Perfect,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let Ok(r) = run_app(app, system, &cfg, supply) else {
+const PERIODIC: SupplySpec = SupplySpec::Periodic {
+    on_us: 100_000,
+    off_us: 5_000,
+};
+
+fn run(app: App, system: SystemUnderTest, supply: SupplySpec) -> Result<CellOutput, String> {
+    let mut cell = Cell::new(app, system)
+        .supply(supply)
+        .scale(8)
+        .budget(2_000_000_000);
+    cell.seed = 0x5EED;
+    default_runner(&cell)
+}
+
+fn check(app: App, system: SystemUnderTest, supply: SupplySpec) {
+    let Ok(r) = run(app, system, supply) else {
         // Infeasible app × system combinations (the paper's red
         // crosses) have nothing to attribute.
         return;
     };
-    let total: u64 = r.span_cycles.iter().sum();
+    let total: u64 = r.spans.iter().sum();
     assert_eq!(
         total,
         r.cycles,
@@ -35,27 +42,16 @@ fn check(app: App, system: SystemUnderTest, supply: &mut dyn PowerSupply) {
 fn span_totals_equal_cycles_for_every_system() {
     for app in [App::Ar, App::Bc, App::Cuckoo] {
         for system in SystemUnderTest::ALL {
-            check(app, system, &mut ContinuousPower::new());
-            check(app, system, &mut PeriodicTrace::new(100_000, 5_000));
+            check(app, system, SupplySpec::Continuous);
+            check(app, system, PERIODIC);
         }
     }
 }
 
 #[test]
 fn tics_attributes_runtime_work_outside_the_app_span() {
-    let cfg = RunConfig {
-        scale: 8,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let r = run_app(
-        App::Bc,
-        SystemUnderTest::Tics,
-        &cfg,
-        &mut PeriodicTrace::new(100_000, 5_000),
-    )
-    .expect("BC builds under TICS");
-    let spans = r.span_cycles;
+    let r = run(App::Bc, SystemUnderTest::Tics, PERIODIC).expect("BC builds under TICS");
+    let spans = r.spans;
     assert!(spans[SpanKind::App.index()] > 0, "{spans:?}");
     assert!(spans[SpanKind::Checkpoint.index()] > 0, "{spans:?}");
     assert!(spans[SpanKind::Restore.index()] > 0, "{spans:?}");
@@ -71,20 +67,9 @@ fn tics_attributes_runtime_work_outside_the_app_span() {
 
 #[test]
 fn plain_c_charges_everything_to_the_app() {
-    let cfg = RunConfig {
-        scale: 8,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let r = run_app(
-        App::Bc,
-        SystemUnderTest::PlainC,
-        &cfg,
-        &mut ContinuousPower::new(),
-    )
-    .expect("plain C builds");
-    assert_eq!(r.span_cycles[SpanKind::App.index()], r.cycles);
+    let r = run(App::Bc, SystemUnderTest::PlainC, SupplySpec::Continuous).expect("plain C builds");
+    assert_eq!(r.spans[SpanKind::App.index()], r.cycles);
     for k in SpanKind::ALL.iter().filter(|k| k.is_runtime()) {
-        assert_eq!(r.span_cycles[k.index()], 0, "{k:?}");
+        assert_eq!(r.spans[k.index()], 0, "{k:?}");
     }
 }
