@@ -9,7 +9,7 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+use tics_vm::persist::{BankChoice, BankPair, DeltaChain, UndoLog};
 
 use crate::bufs;
 
@@ -87,12 +87,9 @@ impl TaskFlavor {
 pub struct TaskKernel {
     flavor: TaskFlavor,
     undo_capacity: u32,
-    undo_count: u32,
+    undo: UndoLog,
     banks: Option<BankPair>,
-    /// Control-block word holding the persistent undo count.
-    undo_count_word: Addr,
     ts_base: Addr,
-    undo_base: Addr,
     chain: DeltaChain,
     tx: TxDriver,
 }
@@ -111,11 +108,9 @@ impl TaskKernel {
         TaskKernel {
             flavor,
             undo_capacity,
-            undo_count: 0,
+            undo: UndoLog::default(),
             banks: None,
-            undo_count_word: Addr(0),
             ts_base: Addr(0),
-            undo_base: Addr(0),
             chain: DeltaChain::default(),
             tx: TxDriver::default(),
         }
@@ -142,9 +137,13 @@ impl TaskKernel {
             &mut self.chain,
             "task kernel buffers do not fit in FRAM",
         )?;
-        self.undo_count_word = m.runtime_area_base().offset(bufs::SCRATCH);
+        // The undo count lives in the control block's scratch word.
+        self.undo = UndoLog::new(
+            end.offset(timestamps),
+            self.undo_capacity,
+            m.runtime_area_base().offset(bufs::SCRATCH),
+        );
         self.ts_base = end;
-        self.undo_base = end.offset(timestamps);
         self.banks = Some(banks);
         Ok(banks)
     }
@@ -187,31 +186,11 @@ impl TaskKernel {
             return Ok(());
         }
         self.chain.publish(m, &banks, &staged, &region)?;
-        self.undo_count = 0;
-        m.mem.poke_bytes(self.undo_count_word, &0u32.to_le_bytes())?;
+        self.undo.clear(m)?;
         m.emit(TraceEvent::CheckpointCommit {
             cause: CkptCause::Site,
             bytes: u64::from(bytes),
         });
-        Ok(())
-    }
-
-    fn rollback_all(&mut self, m: &mut Machine) -> Result<()> {
-        self.attach(m)?;
-        let mut span = m.span(SpanKind::Rollback);
-        let m = &mut *span;
-        let mut i = m.mem.peek_word(self.undo_count_word)?;
-        while i > 0 {
-            i -= 1;
-            let slot = self.undo_base.offset(8 * i);
-            let addr = Addr(m.mem.peek_word(slot)?);
-            let old = m.mem.peek_word(slot.offset(4))?;
-            m.mem.poke_bytes(addr, &old.to_le_bytes())?;
-            m.mem.add_cycles(m.mem.costs().rollback_cost(4));
-            m.emit(TraceEvent::Rollback { bytes: 4 });
-        }
-        self.undo_count = 0;
-        m.mem.poke_bytes(self.undo_count_word, &0u32.to_le_bytes())?;
         Ok(())
     }
 
@@ -265,11 +244,9 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn recycle(&mut self) {
-        self.undo_count = 0;
+        self.undo = UndoLog::default();
         self.banks = None;
-        self.undo_count_word = Addr(0);
         self.ts_base = Addr(0);
-        self.undo_base = Addr(0);
         self.chain.recycle();
         self.tx.recycle();
     }
@@ -278,7 +255,8 @@ impl IntermittentRuntime for TaskKernel {
         let banks = self.attach(m)?;
         // Writes of the interrupted task are rolled back: the task
         // restarts idempotently from its boundary.
-        self.rollback_all(m)?;
+        self.undo.load(m)?;
+        self.undo.rollback_to(m, 0)?;
         let (addr, seq) = match banks.select(m)? {
             BankChoice::Bank { addr, seq } => (addr, seq),
             choice => {
@@ -346,7 +324,7 @@ impl IntermittentRuntime for TaskKernel {
         if addr < data_start || addr >= data_end {
             return Ok(());
         }
-        if self.undo_count >= self.undo_capacity {
+        if self.undo.is_full() {
             // A task that outgrows its privatization buffer cannot commit
             // atomically — tasks must be decomposed smaller (the manual
             // effort the paper criticizes).
@@ -357,20 +335,7 @@ impl IntermittentRuntime for TaskKernel {
                 self.undo_capacity
             )));
         }
-        let mut span = m.span(SpanKind::UndoLog);
-        let m = &mut *span;
-        let old = m.mem.peek_word(addr)?;
-        let slot = self.undo_base.offset(8 * self.undo_count);
-        m.mem.poke_bytes(slot, &addr.raw().to_le_bytes())?;
-        m.mem.poke_bytes(slot.offset(4), &old.to_le_bytes())?;
-        self.undo_count += 1;
-        m.mem
-            .poke_bytes(self.undo_count_word, &self.undo_count.to_le_bytes())?;
-        m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
-        m.emit(TraceEvent::UndoAppend {
-            bytes: u64::from(len),
-        });
-        Ok(())
+        self.undo.append(m, addr, len)
     }
 
     fn tx_driver(&mut self) -> Option<&mut TxDriver> {

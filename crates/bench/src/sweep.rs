@@ -425,14 +425,29 @@ impl Default for SweepArgs {
     }
 }
 
+/// Worker threads from the `TICS_BENCH_THREADS` environment variable,
+/// `None` when it is unset.
+///
+/// # Errors
+///
+/// One line naming the variable when it is not a positive integer.
+pub(crate) fn env_threads() -> Result<Option<usize>, String> {
+    let Some(v) = std::env::var_os("TICS_BENCH_THREADS") else {
+        return Ok(None);
+    };
+    v.to_str()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .map(Some)
+        .ok_or_else(|| format!("TICS_BENCH_THREADS needs a positive integer, got {v:?}"))
+}
+
 fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("TICS_BENCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-        eprintln!("warning: ignoring unparsable TICS_BENCH_THREADS={v:?}");
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    let n = env_threads().unwrap_or_else(|e| {
+        eprintln!("warning: ignoring {e}");
+        None
+    });
+    n.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Aggregate counts and timing of one sweep execution.

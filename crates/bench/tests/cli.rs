@@ -1,6 +1,6 @@
-//! The experiment binaries' command-line contract: a mistyped flag is a
-//! usage error (exit 2, one stderr line naming it), never a silent
-//! default run.
+//! The experiment binaries' command-line contract: a mistyped flag or
+//! environment knob is a usage error (exit 2, one stderr line naming
+//! it), never a silent default run.
 
 use std::process::Command;
 
@@ -15,6 +15,30 @@ fn an_unknown_flag_exits_2_with_one_line_naming_it() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.contains("--bogus"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn an_unaccepted_environment_knob_exits_2_with_one_line_naming_it() {
+    // A mistyped engine name must not fall back to the decoded engine:
+    // a differential run would then compare it with itself.
+    for (var, value) in [
+        ("TICS_VM_ENGINE", "Reference"),
+        ("TICS_VM_ENGINE", "fast"),
+        ("TICS_BENCH_THREADS", "abc"),
+        ("TICS_BENCH_THREADS", "0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_exp_table5"))
+            .env_remove("TICS_VM_ENGINE")
+            .env_remove("TICS_BENCH_THREADS")
+            .env(var, value)
+            .output()
+            .expect("exp_table5 runs");
+        assert_eq!(out.status.code(), Some(2), "{var}={value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{var}={value}: {stderr}");
+        assert!(stderr.contains(var), "{stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value}: nothing ran");
+    }
 }
 
 #[test]

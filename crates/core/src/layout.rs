@@ -133,12 +133,6 @@ impl RuntimeLayout {
         self.timestamps.offset(8 * u32::from(var))
     }
 
-    /// Undo-log entry slot `idx` (8 bytes: `u32` address, `u32` old).
-    #[must_use]
-    pub fn undo_slot(&self, idx: u32) -> Addr {
-        self.undo.offset(8 * idx)
-    }
-
     /// Buffered-send slot `idx` (a 4-byte value).
     #[must_use]
     pub fn io_slot(&self, idx: u32) -> Addr {
@@ -214,7 +208,6 @@ mod tests {
     fn slots_are_addressable() {
         let l = layout();
         assert_eq!(l.timestamp_slot(0), l.timestamps);
-        assert_eq!(l.undo_slot(2), l.undo.offset(16));
         assert_eq!(l.banks.bank(1), l.banks.a);
         assert_eq!(l.banks.bank(2), l.banks.b);
     }

@@ -5,7 +5,7 @@ use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
 use tics_vm::persist::{
-    init_control, pack_misc, unpack_misc, BankChoice, DeltaChain, Misc, DELTA_HEADER,
+    init_control, pack_misc, unpack_misc, BankChoice, DeltaChain, Misc, UndoLog, DELTA_HEADER,
 };
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, ResumeAction, RuntimeCapabilities, TxDriver,
@@ -56,7 +56,7 @@ pub struct TicsRuntime {
     working_seg: u32,
     atomic_depth: u32,
     last_ckpt_seg: Option<u32>,
-    undo_count: u32,
+    undo: UndoLog,
     io_count: u32,
     next_timer_at: u64,
     pending_shrink_ckpt: bool,
@@ -76,7 +76,7 @@ impl TicsRuntime {
             working_seg: 0,
             atomic_depth: 0,
             last_ckpt_seg: None,
-            undo_count: 0,
+            undo: UndoLog::default(),
             io_count: 0,
             next_timer_at: 0,
             pending_shrink_ckpt: false,
@@ -116,14 +116,9 @@ impl TicsRuntime {
             l.journal_capacity,
             l.control.offset(ctrl::DELTA_TIP),
         );
+        self.undo = UndoLog::new(l.undo, l.undo_capacity, l.control.offset(ctrl::UNDO_COUNT));
         self.layout = Some(l);
         Ok(l)
-    }
-
-    fn set_undo_count(&mut self, m: &mut Machine, l: &RuntimeLayout, n: u32) -> Result<()> {
-        self.undo_count = n;
-        m.mem.poke_bytes(l.control.offset(ctrl::UNDO_COUNT), &n.to_le_bytes())?;
-        Ok(())
     }
 
     /// The misc block of a bank or delta record: registers, atomic
@@ -184,7 +179,7 @@ impl TicsRuntime {
             }
         };
         // The log only needs to undo writes newer than this checkpoint.
-        self.set_undo_count(m, &l, 0)?;
+        self.undo.clear(m)?;
         self.last_ckpt_seg = Some(self.working_seg);
         m.emit(TraceEvent::CheckpointCommit {
             cause,
@@ -203,24 +198,6 @@ impl TicsRuntime {
                 .poke_bytes(l.control.offset(ctrl::IO_COUNT), &0u32.to_le_bytes())?;
         }
         Ok(CommitOutcome::Committed)
-    }
-
-    /// Rolls back undo-log entries down to `mark` (newest first).
-    fn rollback_to_mark(&mut self, m: &mut Machine, mark: u32) -> Result<()> {
-        let l = self.attach(m)?;
-        let mut span = m.span(SpanKind::Rollback);
-        let m = &mut *span;
-        let mut i = self.undo_count;
-        while i > mark {
-            i -= 1;
-            let slot = l.undo_slot(i);
-            let addr = Addr(m.mem.peek_word(slot)?);
-            let old = m.mem.peek_word(slot.offset(4))?;
-            m.mem.poke_bytes(addr, &old.to_le_bytes())?;
-            m.mem.add_cycles(m.mem.costs().rollback_cost(4));
-            m.emit(TraceEvent::Rollback { bytes: 4 });
-        }
-        self.set_undo_count(m, &l, mark)
     }
 
     fn arm_timer(&mut self, m: &Machine) {
@@ -262,7 +239,7 @@ impl IntermittentRuntime for TicsRuntime {
         self.working_seg = 0;
         self.atomic_depth = 0;
         self.last_ckpt_seg = None;
-        self.undo_count = 0;
+        self.undo = UndoLog::default();
         self.io_count = 0;
         self.next_timer_at = 0;
         self.pending_shrink_ckpt = false;
@@ -284,8 +261,8 @@ impl IntermittentRuntime for TicsRuntime {
             .poke_bytes(l.control.offset(ctrl::IO_COUNT), &0u32.to_le_bytes())?;
         // Anything written after the last checkpoint is rolled back
         // before execution resumes (§3.1.2).
-        self.undo_count = m.mem.peek_word(l.control.offset(ctrl::UNDO_COUNT))?;
-        self.rollback_to_mark(m, 0)?;
+        self.undo.load(m)?;
+        self.undo.rollback_to(m, 0)?;
         // Validate before trusting: the bank's CRC catches any corruption
         // the staging read-back could not have seen (e.g. FRAM disturbed
         // after commit, or a clobbered image planted by a fault-injection
@@ -424,7 +401,7 @@ impl IntermittentRuntime for TicsRuntime {
             m.mem.add_cycles(m.mem.costs().ptr_check);
             return Ok(());
         }
-        if self.undo_count >= l.undo_capacity {
+        if self.undo.is_full() {
             // Forced checkpoint to drain the log and guarantee forward
             // progress (§3.1.2).
             match self.commit_checkpoint(m, CkptCause::Forced)? {
@@ -443,19 +420,7 @@ impl IntermittentRuntime for TicsRuntime {
                 }
             }
         }
-        let mut span = m.span(SpanKind::UndoLog);
-        let m = &mut *span;
-        let old = m.mem.peek_word(addr)?;
-        let slot = l.undo_slot(self.undo_count);
-        m.mem.poke_bytes(slot, &addr.raw().to_le_bytes())?;
-        m.mem.poke_bytes(slot.offset(4), &old.to_le_bytes())?;
-        let n = self.undo_count + 1;
-        self.set_undo_count(m, &l, n)?;
-        m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
-        m.emit(TraceEvent::UndoAppend {
-            bytes: u64::from(len),
-        });
-        Ok(())
+        self.undo.append(m, addr, len)
     }
 
     fn tx_driver(&mut self) -> Option<&mut TxDriver> {
@@ -505,7 +470,7 @@ impl IntermittentRuntime for TicsRuntime {
                 }
                 // Expiration timer fired: undo the block's writes and
                 // transfer control to the catch handler (§3.2.3).
-                self.rollback_to_mark(m, block.undo_mark)?;
+                self.undo.rollback_to(m, block.undo_mark)?;
                 self.expires_block = None;
                 self.atomic_depth = self.atomic_depth.saturating_sub(1);
                 m.regs.pc = block.catch_pc;
@@ -608,7 +573,7 @@ impl IntermittentRuntime for TicsRuntime {
         self.expires_block = Some(ExpiresBlock {
             catch_pc,
             expire_at_us,
-            undo_mark: self.undo_count,
+            undo_mark: self.undo.len(),
             output_mark: m.stats().prints.len() + m.stats().sends_timed.len(),
         });
         Ok(())

@@ -1090,10 +1090,8 @@ impl Memory {
 /// accumulates cycles and traffic counters in locals the optimizer can
 /// keep in registers. [`WordBurst::commit`] folds the deltas back.
 ///
-/// Every method is arithmetic-identical to its [`Memory`] counterpart
-/// ([`Memory::read_word`], [`Memory::write_word`], [`Memory::peek_word`],
-/// [`Memory::add_cycles`]), including torn single-word commit math
-/// against the power cut. Word stores never consult the brown-out
+/// Its [`WordBus`] impl is arithmetic-identical to [`Memory`]'s,
+/// including torn single-word commit math against the power cut. Word stores never consult the brown-out
 /// model (the MSP430FR write buffer commits single words atomically),
 /// so skipping the corruption check is semantics-preserving, not an
 /// approximation — the model's RNG stream advances identically.
@@ -1136,27 +1134,68 @@ impl WordBurst<'_> {
         self.cycles
     }
 
-    /// Base cycle cost of one instruction (resolved from the cost model).
+    /// Folds the accumulated deltas back into the owning [`Memory`].
+    /// All burst cycles belong to the span that was open when the view
+    /// was created — span changes only happen through runtime code,
+    /// which never runs inside a burst.
+    pub fn commit(self) {
+        *self.cycles_out = self.cycles;
+        *self.span_out += self.cycles - self.start_cycles;
+        self.stats_out.sram_reads += self.sram_reads;
+        self.stats_out.sram_writes += self.sram_writes;
+        self.stats_out.fram_reads += self.fram_reads;
+        self.stats_out.fram_writes += self.fram_writes;
+        self.stats_out.torn_writes += self.torn_writes;
+    }
+}
+
+/// The word bus one decoded plain op runs against: a word read, a word
+/// store, a free peek, and the base charge of one instruction. Every
+/// access fails with [`MemoryError::Unmapped`] if any byte is unmapped.
+///
+/// The decoded interpreter keeps a single op body generic over this
+/// trait. [`Memory`] implements it for hooked periods, which run one op
+/// between runtime interventions; [`WordBurst`] implements it for
+/// fused burst zones. Both are arithmetic-identical to
+/// [`Memory::read_u32`]/[`Memory::write_u32`]: same bounds decisions,
+/// cycle charges, traffic counters and torn-store outcomes.
+pub trait WordBus {
+    /// Reads a little-endian `u32`, charging cycles and traffic.
+    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError>;
+    /// Writes a little-endian `u32`, charging cycles and traffic, with
+    /// torn-commit math against an armed power cut.
+    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError>;
+    /// Reads a word without charging cycles or stats (`Dup`'s peek).
+    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError>;
+    /// Charges the base cost of one instruction to the open span.
+    fn charge_instr(&mut self);
+}
+
+impl WordBus for Memory {
     #[inline(always)]
-    #[must_use]
-    pub fn instr_base(&self) -> u64 {
-        self.instr_base
+    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
+        Memory::read_word(self, addr)
     }
 
-    /// Charges `n` cycles of non-memory work to the open span.
     #[inline(always)]
-    pub fn add_cycles(&mut self, n: u64) {
-        self.cycles += n;
+    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
+        Memory::write_word(self, addr, v)
     }
 
-    /// Reads a little-endian `u32`, charging cycles and traffic like
-    /// [`Memory::read_word`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    pub fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
+    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
+        Memory::peek_word(self, addr)
+    }
+
+    #[inline(always)]
+    fn charge_instr(&mut self) {
+        self.add_cycles(self.costs.instr_base);
+    }
+}
+
+impl WordBus for WordBurst<'_> {
+    #[inline(always)]
+    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
         let a = addr.0;
         let (v, cost) = if a >= self.sram_start && a <= self.sram_last {
             let off = (a - self.sram_start) as usize;
@@ -1175,16 +1214,10 @@ impl WordBurst<'_> {
         Ok(v)
     }
 
-    /// Writes a little-endian `u32` with the torn-commit math of
-    /// [`Memory::write_word`]: against an armed cut the word commits
-    /// iff its full write cost still fits, else it tears (full cost
-    /// still charged).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    /// Against an armed cut the word commits iff its full write cost
+    /// still fits, else it tears (full cost still charged).
     #[inline(always)]
-    pub fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
+    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
         let a = addr.0;
         let volatile = if a >= self.sram_start && a <= self.sram_last {
             true
@@ -1222,14 +1255,8 @@ impl WordBurst<'_> {
         Ok(())
     }
 
-    /// Reads a word without charging cycles or stats (`Dup`'s stack
-    /// peek), mirroring [`Memory::peek_word`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    pub fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
+    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
         let a = addr.0;
         let b: [u8; 4] = if a >= self.sram_start && a <= self.sram_last {
             let off = (a - self.sram_start) as usize;
@@ -1243,18 +1270,9 @@ impl WordBurst<'_> {
         Ok(u32::from_le_bytes(b))
     }
 
-    /// Folds the accumulated deltas back into the owning [`Memory`].
-    /// All burst cycles belong to the span that was open when the view
-    /// was created — span changes only happen through runtime code,
-    /// which never runs inside a burst.
-    pub fn commit(self) {
-        *self.cycles_out = self.cycles;
-        *self.span_out += self.cycles - self.start_cycles;
-        self.stats_out.sram_reads += self.sram_reads;
-        self.stats_out.sram_writes += self.sram_writes;
-        self.stats_out.fram_reads += self.fram_reads;
-        self.stats_out.fram_writes += self.fram_writes;
-        self.stats_out.torn_writes += self.torn_writes;
+    #[inline(always)]
+    fn charge_instr(&mut self) {
+        self.cycles += self.instr_base;
     }
 }
 
@@ -1668,14 +1686,17 @@ mod tests {
         assert!(m.peek_bytes(a, 16).unwrap().iter().all(|&b| b == 0x7E));
     }
 
-    /// Drives both the generic and the word fast paths through the same
+    /// Drives the generic path, the [`Memory`] word path and one
+    /// [`WordBurst`] (many ops, a single commit) through the same
     /// operation sequence and asserts identical contents, cycles, stats,
-    /// span attribution, and errors.
+    /// span attribution, dirty bitmaps, and errors.
     fn assert_word_paths_agree(configure: impl Fn(&mut Memory)) {
         let mut slow = mem();
         let mut fast = mem();
+        let mut burst = mem();
         configure(&mut slow);
         configure(&mut fast);
+        configure(&mut burst);
         let sram = slow.layout().sram.start;
         let fram = slow.layout().fram.start;
         let unmapped = Addr(4);
@@ -1690,28 +1711,51 @@ mod tests {
                 (a, 0xDEAD_0000 ^ i)
             })
             .collect();
+        let instr_base = slow.costs().instr_base;
+        let mut bm = burst.word_burst();
         for &(a, v) in &ops {
-            assert_eq!(slow.write_u32(a, v).is_ok(), fast.write_word(a, v).is_ok());
-            assert_eq!(slow.read_u32(a).ok(), fast.read_word(a).ok());
+            slow.add_cycles(instr_base);
+            WordBus::charge_instr(&mut fast);
+            bm.charge_instr();
+            let stored = slow.write_u32(a, v).is_ok();
+            assert_eq!(stored, fast.write_word(a, v).is_ok());
+            assert_eq!(stored, bm.write_word(a, v).is_ok());
+            let read = slow.read_u32(a).ok();
+            assert_eq!(read, fast.read_word(a).ok());
+            assert_eq!(read, bm.read_word(a).ok());
+            assert_eq!(fast.peek_word(a).ok(), bm.peek_word(a).ok());
         }
-        // Error cases must agree too (and charge nothing in either path).
+        // Error cases must agree too (and charge nothing in any path).
         assert!(slow.write_u32(unmapped, 1).is_err());
         assert!(fast.write_word(unmapped, 1).is_err());
+        assert!(bm.write_word(unmapped, 1).is_err());
         assert!(slow.read_u32(sram_end).is_err());
         assert!(fast.read_word(sram_end).is_err());
-        assert_eq!(slow.cycles(), fast.cycles());
-        assert_eq!(slow.stats(), fast.stats());
-        assert_eq!(slow.span_cycles_all(), fast.span_cycles_all());
-        let len = slow.layout().fram.end.0 - slow.layout().fram.start.0;
-        assert_eq!(
-            slow.peek_bytes(fram, len).unwrap(),
-            fast.peek_bytes(fram, len).unwrap()
-        );
-        assert_eq!(
-            all_dirty_words(&slow),
-            all_dirty_words(&fast),
-            "dirty-word bitmaps diverged between the generic and word paths"
-        );
+        assert!(bm.read_word(sram_end).is_err());
+        assert!(bm.peek_word(sram_end).is_err());
+        bm.commit();
+        let l = *slow.layout();
+        for (name, other) in [("word", &fast), ("burst", &burst)] {
+            assert_eq!(slow.cycles(), other.cycles(), "{name} cycles");
+            assert_eq!(slow.stats(), other.stats(), "{name} stats");
+            assert_eq!(
+                slow.span_cycles_all(),
+                other.span_cycles_all(),
+                "{name} span cycles"
+            );
+            for r in [l.sram, l.fram] {
+                assert_eq!(
+                    slow.peek_bytes(r.start, r.len()).unwrap(),
+                    other.peek_bytes(r.start, r.len()).unwrap(),
+                    "{name} contents"
+                );
+            }
+            assert_eq!(
+                all_dirty_words(&slow),
+                all_dirty_words(other),
+                "dirty-word bitmaps diverged between the generic and {name} paths"
+            );
+        }
     }
 
     /// Every dirty word base address across both regions, ascending.

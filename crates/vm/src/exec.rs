@@ -4,10 +4,14 @@
 //!
 //! * the **reference** interpreter — [`step`], a per-instruction `match`
 //!   over [`Instr`] with fully checked stack accesses; and
-//! * the **decoded** interpreter — a tight loop over the pre-lowered
-//!   [`DecodedProgram`] op stream, with fused
-//!   superinstructions, elided stack-bound checks in verified functions,
-//!   and the word fast path in `tics-mcu`.
+//! * the **decoded** interpreter — one loop, `run_burst`, over the
+//!   pre-lowered [`DecodedProgram`] op streams, with elided stack-bound
+//!   checks in verified functions. Each plain op has one body,
+//!   `exec_op`, generic over the [`WordBus`] trait of `tics-mcu`. A
+//!   period with an ISR or a per-instruction runtime hook runs it one
+//!   unfused op at a time on the [`Memory`](tics_mcu::Memory) itself;
+//!   every other period runs fused superinstructions in burst zones on
+//!   a [`WordBurst`].
 //!
 //! The two are bit-exact: same simulated memory traffic, cycles, span
 //! attribution, traps, and trace events (`tests/differential_exec.rs`
@@ -19,7 +23,7 @@ use std::sync::Arc;
 
 use tics_energy::PowerSupply;
 use tics_mcu::periph::{I2C_PHASE_CYCLES, UART_BYTE_CYCLES};
-use tics_mcu::{Addr, Registers, WordBurst};
+use tics_mcu::{Addr, Registers, WordBurst, WordBus};
 use tics_minic::isa::{Instr, Syscall};
 use tics_minic::program::FRAME_HEADER_BYTES;
 use tics_trace::{I2cPhase, TraceEvent};
@@ -43,13 +47,35 @@ pub enum DispatchEngine {
 
 impl DispatchEngine {
     /// Engine selection from the `TICS_VM_ENGINE` environment variable:
-    /// `reference`/`ref` picks the oracle, anything else (or unset) the
-    /// decoded engine. Read once per [`Executor`] construction.
+    /// unset or `decoded` picks the decoded engine, `reference` or `ref`
+    /// the oracle. Read once per [`Executor`] construction.
+    ///
+    /// # Panics
+    ///
+    /// On any other value: a mistyped name must not silently run the
+    /// decoded engine, or a differential run would compare it with
+    /// itself. Binaries check first with [`DispatchEngine::try_from_env`].
     #[must_use]
     pub fn from_env() -> DispatchEngine {
-        match std::env::var("TICS_VM_ENGINE").as_deref() {
-            Ok("reference" | "ref") => DispatchEngine::Reference,
-            _ => DispatchEngine::Decoded,
+        DispatchEngine::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DispatchEngine::from_env`], returning an unaccepted value as an
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the variable and the value it holds.
+    pub fn try_from_env() -> std::result::Result<DispatchEngine, String> {
+        let Some(v) = std::env::var_os("TICS_VM_ENGINE") else {
+            return Ok(DispatchEngine::Decoded);
+        };
+        match v.to_str() {
+            Some("decoded") => Ok(DispatchEngine::Decoded),
+            Some("reference" | "ref") => Ok(DispatchEngine::Reference),
+            _ => Err(format!(
+                "TICS_VM_ENGINE must be `decoded` or `reference`, got {v:?}"
+            )),
         }
     }
 }
@@ -270,30 +296,33 @@ impl Executor {
                 {
                     return Ok(RunOutcome::BudgetExhausted);
                 }
-                if let Some(warn_at) = warn_at {
-                    if !voltage_fired && m.cycles() >= warn_at {
-                        voltage_fired = true;
-                        rt.checkpoint(m, CheckpointKind::Voltage)?;
-                    }
+                let warned = warn_at.is_some_and(|w| !voltage_fired && m.cycles() >= w);
+                if warned {
+                    voltage_fired = true;
+                    rt.checkpoint(m, CheckpointKind::Voltage)?;
                 }
                 match mode {
                     PeriodMode::Reference => step(m, rt)?,
-                    PeriodMode::Safe {
+                    // The reference checks, then steps: the instruction
+                    // after the warning runs even when the checkpoint ran
+                    // past the deadline (its stores tear). One reference
+                    // step keeps that exact.
+                    PeriodMode::Decoded { .. } if warned => step(m, rt)?,
+                    PeriodMode::Decoded {
                         ref decoded,
                         isr,
                         hook,
-                    } => step_decoded_safe(m, rt, decoded, isr, hook)?,
-                    PeriodMode::Fast { ref decoded } => {
-                        // The burst runs until the nearest stop boundary;
-                        // the outer checks above are idempotent and
-                        // disambiguate which one fired.
+                    } => {
+                        // The decoded loop runs until the nearest stop
+                        // boundary; the outer checks above are idempotent
+                        // and disambiguate which one fired.
                         let mut stop_at = deadline.min(self.max_total_us);
                         if let Some(w) = warn_at {
                             if !voltage_fired {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, stop_at, self.max_instructions)?;
+                        run_burst(m, rt, decoded, isr, hook, stop_at, self.max_instructions)?;
                     }
                 }
             }
@@ -335,35 +364,24 @@ impl Executor {
 enum PeriodMode {
     /// The original interpreter (engine override or failed boot check).
     Reference,
-    /// Decoded plain ops, with the ISR poll and/or the per-instruction
-    /// runtime hook between every two instructions. No fusion: the hook
-    /// may observe or redirect the machine at every boundary.
-    Safe {
+    /// The decoded loop, [`run_burst`].
+    Decoded {
         decoded: Arc<DecodedProgram>,
         isr: bool,
         hook: bool,
     },
-    /// Decoded ops with superinstructions in an uninterrupted burst loop
-    /// — no ISR, no instruction hook.
-    Fast { decoded: Arc<DecodedProgram> },
 }
 
 impl Executor {
     /// Picks the dispatch mode for the period that just booted.
     fn period_mode(&self, m: &Machine, rt: &dyn IntermittentRuntime) -> PeriodMode {
-        if self.engine == DispatchEngine::Reference {
+        if self.engine == DispatchEngine::Reference || !boot_state_consistent(m) {
             return PeriodMode::Reference;
         }
-        if !boot_state_consistent(m) {
-            return PeriodMode::Reference;
-        }
-        let decoded = m.loaded().decoded.clone();
-        let isr = m.has_isr();
-        let hook = rt.instruction_hook();
-        if isr || hook {
-            PeriodMode::Safe { decoded, isr, hook }
-        } else {
-            PeriodMode::Fast { decoded }
+        PeriodMode::Decoded {
+            decoded: m.loaded().decoded.clone(),
+            isr: m.has_isr(),
+            hook: rt.instruction_hook(),
         }
     }
 }
@@ -411,8 +429,8 @@ pub fn step(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
 }
 
 /// The reference interpreter body: fetch, dispatch, instruction hook —
-/// everything in [`step`] except the ISR poll (which the decoded safe
-/// loop has already performed when it delegates here).
+/// everything in [`step`] except the ISR poll (which the decoded loop
+/// has already performed when it delegates a `Ref` op here).
 fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
     let pc = m.regs.pc;
     let instr = *m
@@ -764,26 +782,7 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 // state. The only things removed are host-side costs — the per-push
 // `function_at` bound checks (proven unnecessary by the decoder's depth
 // verification), the generic byte-slice memory path (replaced by the
-// word fast path), and per-instruction dispatch (fused away in bursts).
-
-/// Push without the frame-bound check: legal only at verified pcs, where
-/// the decoder proved `depth + 1 <= max_ostack` — exactly the reference
-/// check in [`Machine::push`].
-#[inline(always)]
-fn fast_push(m: &mut Machine, v: i32) -> Result<()> {
-    m.mem.write_word(m.regs.sp, v as u32)?;
-    m.regs.sp = Addr(m.regs.sp.raw() + 4);
-    Ok(())
-}
-
-/// Pop without the underflow check: legal only at verified pcs, where
-/// the decoder proved `depth >= 1`.
-#[inline(always)]
-fn fast_pop(m: &mut Machine) -> Result<i32> {
-    let sp = Addr(m.regs.sp.raw() - 4);
-    m.regs.sp = sp;
-    Ok(m.mem.read_word(sp)? as i32)
-}
+// word path), and per-instruction dispatch (fused away in bursts).
 
 /// The ALU, shared by plain and fused ops; trap messages match the
 /// reference interpreter's exactly.
@@ -813,156 +812,66 @@ fn bin_apply(op: BinOp, a: i32, b: i32) -> Result<i32> {
     })
 }
 
-/// Executes one plain (non-`Ref`, non-fused) decoded op, mirroring the
-/// reference `step_after_isr` body for that instruction: pc increment,
-/// instruction count, base cycle charge, then the op's memory traffic in
-/// reference order.
-#[inline(always)]
-fn exec_plain(m: &mut Machine, op: Op) -> Result<()> {
-    m.regs.pc += 1;
-    m.stats_mut().instructions += 1;
-    let base = m.mem.costs().instr_base;
-    m.mem.add_cycles(base);
-    match op {
-        Op::Const(v) => fast_push(m, v),
-        Op::LoadLocal(off) => {
-            let a = Addr(m.regs.fp.raw() + off);
-            let v = m.mem.read_word(a)? as i32;
-            fast_push(m, v)
-        }
-        Op::StoreLocal(off) => {
-            let v = fast_pop(m)?;
-            let a = Addr(m.regs.fp.raw() + off);
-            m.mem.write_word(a, v as u32)?;
-            Ok(())
-        }
-        Op::AddrLocal(off) => fast_push(m, (m.regs.fp.raw() + off) as i32),
-        Op::LoadGlobal(off) => {
-            let a = m.global_addr(off);
-            let v = m.mem.read_word(a)? as i32;
-            fast_push(m, v)
-        }
-        Op::StoreGlobal(off) => {
-            let v = fast_pop(m)?;
-            let a = m.global_addr(off);
-            m.mem.write_word(a, v as u32)?;
-            Ok(())
-        }
-        Op::AddrGlobal(off) => {
-            let a = m.global_addr(off);
-            fast_push(m, a.raw() as i32)
-        }
-        Op::LoadInd => {
-            let a = Addr(fast_pop(m)? as u32);
-            let v = m.mem.read_word(a)? as i32;
-            fast_push(m, v)
-        }
-        Op::StoreInd => {
-            let v = fast_pop(m)?;
-            let a = Addr(fast_pop(m)? as u32);
-            m.mem.write_word(a, v as u32)?;
-            Ok(())
-        }
-        Op::Dup => {
-            // `peek_top` charges nothing in the reference interpreter;
-            // only the push is bus traffic.
-            let v = m.mem.peek_word(Addr(m.regs.sp.raw() - 4))? as i32;
-            fast_push(m, v)
-        }
-        Op::Pop => {
-            fast_pop(m)?;
-            Ok(())
-        }
-        Op::Swap => {
-            let a = fast_pop(m)?;
-            let b = fast_pop(m)?;
-            fast_push(m, a)?;
-            fast_push(m, b)
-        }
-        Op::Bin(op) => {
-            let b = fast_pop(m)?;
-            let a = fast_pop(m)?;
-            let r = bin_apply(op, a, b)?;
-            fast_push(m, r)
-        }
-        Op::Un(op) => {
-            let a = fast_pop(m)?;
-            let r = match op {
-                UnOp::Neg => a.wrapping_neg(),
-                UnOp::BitNot => !a,
-                UnOp::LogNot => i32::from(a == 0),
-            };
-            fast_push(m, r)
-        }
-        Op::Jmp(t) => {
-            m.regs.pc = t;
-            Ok(())
-        }
-        Op::Jz(t) => {
-            if fast_pop(m)? == 0 {
-                m.regs.pc = t;
-            }
-            Ok(())
-        }
-        Op::Jnz(t) => {
-            if fast_pop(m)? != 0 {
-                m.regs.pc = t;
-            }
-            Ok(())
-        }
-        Op::Ref
-        | Op::LdLKBin { .. }
-        | Op::LdLKBinSt { .. }
-        | Op::LdLKBinBr { .. }
-        | Op::LdGKBin { .. }
-        | Op::LdGKBinSt { .. }
-        | Op::KBin { .. }
-        | Op::KStL { .. }
-        | Op::KStG { .. } => unreachable!("exec_plain only receives plain ops"),
-    }
-}
-
-/// The fast-mode burst loop: dispatches decoded ops (including fused
-/// superinstructions) until a stop boundary — period deadline, voltage
-/// warning, budget — or a halt via a `Ref` op.
+/// The decoded loop: dispatches decoded ops until a stop boundary —
+/// period deadline, voltage warning, budget — or a halt via a `Ref` op.
+/// `Ref` ops (calls, returns, syscalls, runtime-mediated instructions,
+/// and everything in unverified functions) run the reference body.
 ///
-/// Non-`Ref` stretches execute inside a *fast zone*: a
-/// [`WordBurst`](tics_mcu::WordBurst) view over the memory keeps the
-/// cycle and traffic counters in locals (registers), and the
-/// instruction count accumulates in a local too, folding back into the
-/// machine at every zone boundary — before any `Ref` dispatch, stop
-/// condition, or trap — so the machine state at every observable point
-/// is identical to the reference interpreter's.
+/// * **Hooked** (`isr || hook`): one op of `dp.plain` at a time against
+///   the [`Memory`](tics_mcu::Memory) directly, with the ISR poll before
+///   it and the runtime's `on_instruction` after it — exactly where the
+///   reference [`step`] has them, since either may redirect the pc
+///   between any two instructions. No fusion.
+/// * **Burst** (neither): non-`Ref` stretches of `dp.ops` execute inside
+///   a *fast zone*: a [`WordBurst`] view over the memory keeps the cycle
+///   and traffic counters in locals (registers), and the instruction
+///   count accumulates in a local too, folding back into the machine at
+///   every zone boundary — before any `Ref` dispatch, stop condition, or
+///   trap — so the machine state at every observable point is identical
+///   to the reference interpreter's.
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
     dp: &DecodedProgram,
+    isr: bool,
+    hook: bool,
     stop_at: u64,
     max_instr: u64,
 ) -> Result<()> {
+    let hooked = isr || hook;
+    let ops = if hooked { &dp.plain } else { &dp.ops };
+    let data_base = m.data_base().raw();
     loop {
         if m.cycles() >= stop_at || m.stats().instructions >= max_instr {
             return Ok(());
         }
+        if isr {
+            m.maybe_fire_isr(rt)?;
+        }
         let pc = m.regs.pc;
-        let Some(&op) = dp.ops.get(pc as usize) else {
+        let Some(&op) = ops.get(pc as usize) else {
             return Err(VmError::Trap(format!("pc {pc} out of range")));
         };
         if let Op::Ref = op {
-            // Calls, returns, syscalls, runtime-mediated instructions,
-            // and everything in unverified functions. Fast mode has no
-            // ISR, so the skipped `maybe_fire_isr` is a no-op.
+            // Includes the hook call at its end, like the reference step.
             step_after_isr(m, rt)?;
             if m.is_halted() {
                 return Ok(());
             }
             continue;
         }
-        let data_base = m.data_base().raw();
+        if hooked {
+            let (mem, regs, instructions) = m.burst_parts();
+            exec_op(mem, regs, data_base, instructions, op)?;
+            if hook {
+                rt.on_instruction(m)?;
+            }
+            continue;
+        }
         let instr_left = max_instr.saturating_sub(m.stats().instructions);
         let mut instr = 0u64;
         let res = {
-            let (mem, regs) = m.burst_parts();
+            let (mem, regs, _) = m.burst_parts();
             let mut bm = mem.word_burst();
             let r = fast_zone(&mut bm, regs, dp, data_base, stop_at, instr_left, &mut instr);
             bm.commit();
@@ -990,12 +899,12 @@ fn fast_zone(
 ) -> Result<()> {
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
-            exec_burst(bm, regs, data_base, instr, $first)?;
+            exec_op(bm, regs, data_base, instr, $first)?;
             $(
                 if bm.cycles() >= stop_at || *instr >= instr_left {
                     continue;
                 }
-                exec_burst(bm, regs, data_base, instr, $rest)?;
+                exec_op(bm, regs, data_base, instr, $rest)?;
             )+
         }};
     }
@@ -1044,117 +953,120 @@ fn fast_zone(
             Op::KStG { k, d } => {
                 fused!(Op::Const(k), Op::StoreGlobal(d));
             }
-            plain => exec_burst(bm, regs, data_base, instr, plain)?,
+            plain => exec_op(bm, regs, data_base, instr, plain)?,
         }
     }
 }
 
-/// Burst-view twin of [`exec_plain`]: same prologue (pc, instruction
-/// count, base charge) and the same memory traffic in the same order,
-/// but against the register-resident [`WordBurst`] counters.
+/// Executes one plain (non-`Ref`, non-fused) decoded op on `bus`,
+/// mirroring the reference `step_after_isr` body for that instruction:
+/// pc increment, instruction count, base cycle charge, then the op's
+/// memory traffic in reference order. Pushes and pops skip the
+/// reference's frame-bound checks: plain ops only occur at verified
+/// pcs, where the decoder proved `1 <= depth < max_ostack` as needed.
 #[inline(always)]
-fn exec_burst(
-    bm: &mut WordBurst<'_>,
+fn exec_op<B: WordBus>(
+    bus: &mut B,
     regs: &mut Registers,
     data_base: u32,
     instr: &mut u64,
     op: Op,
 ) -> Result<()> {
     #[inline(always)]
-    fn bpush(bm: &mut WordBurst<'_>, regs: &mut Registers, v: i32) -> Result<()> {
-        bm.write_word(regs.sp, v as u32)?;
+    fn push<B: WordBus>(bus: &mut B, regs: &mut Registers, v: i32) -> Result<()> {
+        bus.write_word(regs.sp, v as u32)?;
         regs.sp = Addr(regs.sp.raw() + 4);
         Ok(())
     }
     #[inline(always)]
-    fn bpop(bm: &mut WordBurst<'_>, regs: &mut Registers) -> Result<i32> {
+    fn pop<B: WordBus>(bus: &mut B, regs: &mut Registers) -> Result<i32> {
         let sp = Addr(regs.sp.raw() - 4);
         regs.sp = sp;
-        Ok(bm.read_word(sp)? as i32)
+        Ok(bus.read_word(sp)? as i32)
     }
     regs.pc += 1;
     *instr += 1;
-    bm.add_cycles(bm.instr_base());
+    bus.charge_instr();
     match op {
-        Op::Const(v) => bpush(bm, regs, v),
+        Op::Const(v) => push(bus, regs, v),
         Op::LoadLocal(off) => {
             let a = Addr(regs.fp.raw() + off);
-            let v = bm.read_word(a)? as i32;
-            bpush(bm, regs, v)
+            let v = bus.read_word(a)? as i32;
+            push(bus, regs, v)
         }
         Op::StoreLocal(off) => {
-            let v = bpop(bm, regs)?;
+            let v = pop(bus, regs)?;
             let a = Addr(regs.fp.raw() + off);
-            bm.write_word(a, v as u32)?;
+            bus.write_word(a, v as u32)?;
             Ok(())
         }
-        Op::AddrLocal(off) => bpush(bm, regs, (regs.fp.raw() + off) as i32),
+        Op::AddrLocal(off) => push(bus, regs, (regs.fp.raw() + off) as i32),
         Op::LoadGlobal(off) => {
             let a = Addr(data_base + off);
-            let v = bm.read_word(a)? as i32;
-            bpush(bm, regs, v)
+            let v = bus.read_word(a)? as i32;
+            push(bus, regs, v)
         }
         Op::StoreGlobal(off) => {
-            let v = bpop(bm, regs)?;
+            let v = pop(bus, regs)?;
             let a = Addr(data_base + off);
-            bm.write_word(a, v as u32)?;
+            bus.write_word(a, v as u32)?;
             Ok(())
         }
-        Op::AddrGlobal(off) => bpush(bm, regs, (data_base + off) as i32),
+        Op::AddrGlobal(off) => push(bus, regs, (data_base + off) as i32),
         Op::LoadInd => {
-            let a = Addr(bpop(bm, regs)? as u32);
-            let v = bm.read_word(a)? as i32;
-            bpush(bm, regs, v)
+            let a = Addr(pop(bus, regs)? as u32);
+            let v = bus.read_word(a)? as i32;
+            push(bus, regs, v)
         }
         Op::StoreInd => {
-            let v = bpop(bm, regs)?;
-            let a = Addr(bpop(bm, regs)? as u32);
-            bm.write_word(a, v as u32)?;
+            let v = pop(bus, regs)?;
+            let a = Addr(pop(bus, regs)? as u32);
+            bus.write_word(a, v as u32)?;
             Ok(())
         }
         Op::Dup => {
             // `peek_top` charges nothing in the reference interpreter;
             // only the push is bus traffic.
-            let v = bm.peek_word(Addr(regs.sp.raw() - 4))? as i32;
-            bpush(bm, regs, v)
+            let v = bus.peek_word(Addr(regs.sp.raw() - 4))? as i32;
+            push(bus, regs, v)
         }
         Op::Pop => {
-            bpop(bm, regs)?;
+            pop(bus, regs)?;
             Ok(())
         }
         Op::Swap => {
-            let a = bpop(bm, regs)?;
-            let b = bpop(bm, regs)?;
-            bpush(bm, regs, a)?;
-            bpush(bm, regs, b)
+            let a = pop(bus, regs)?;
+            let b = pop(bus, regs)?;
+            push(bus, regs, a)?;
+            push(bus, regs, b)
         }
         Op::Bin(op) => {
-            let b = bpop(bm, regs)?;
-            let a = bpop(bm, regs)?;
+            let b = pop(bus, regs)?;
+            let a = pop(bus, regs)?;
             let r = bin_apply(op, a, b)?;
-            bpush(bm, regs, r)
+            push(bus, regs, r)
         }
         Op::Un(op) => {
-            let a = bpop(bm, regs)?;
+            let a = pop(bus, regs)?;
             let r = match op {
                 UnOp::Neg => a.wrapping_neg(),
                 UnOp::BitNot => !a,
                 UnOp::LogNot => i32::from(a == 0),
             };
-            bpush(bm, regs, r)
+            push(bus, regs, r)
         }
         Op::Jmp(t) => {
             regs.pc = t;
             Ok(())
         }
         Op::Jz(t) => {
-            if bpop(bm, regs)? == 0 {
+            if pop(bus, regs)? == 0 {
                 regs.pc = t;
             }
             Ok(())
         }
         Op::Jnz(t) => {
-            if bpop(bm, regs)? != 0 {
+            if pop(bus, regs)? != 0 {
                 regs.pc = t;
             }
             Ok(())
@@ -1167,39 +1079,8 @@ fn exec_burst(
         | Op::LdGKBinSt { .. }
         | Op::KBin { .. }
         | Op::KStL { .. }
-        | Op::KStG { .. } => unreachable!("exec_burst only receives plain ops"),
+        | Op::KStG { .. } => unreachable!("exec_op only receives plain ops"),
     }
-}
-
-/// The safe-mode stepper: one decoded plain op per call, with the ISR
-/// poll and/or the runtime's per-instruction hook at exactly the points
-/// the reference interpreter has them. Used whenever a runtime does real
-/// work in `on_instruction` (TICS timer checkpoints, expiration timers)
-/// or the machine has a periodic ISR armed — both may redirect the pc
-/// between any two instructions, so no fusion is allowed.
-fn step_decoded_safe(
-    m: &mut Machine,
-    rt: &mut dyn IntermittentRuntime,
-    dp: &DecodedProgram,
-    isr: bool,
-    hook: bool,
-) -> Result<()> {
-    if isr {
-        m.maybe_fire_isr(rt)?;
-    }
-    let pc = m.regs.pc;
-    let Some(&op) = dp.plain.get(pc as usize) else {
-        return Err(VmError::Trap(format!("pc {pc} out of range")));
-    };
-    if matches!(op, Op::Ref) {
-        // Includes the hook call at its end, like the reference step.
-        return step_after_isr(m, rt);
-    }
-    exec_plain(m, op)?;
-    if hook {
-        rt.on_instruction(m)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

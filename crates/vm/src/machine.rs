@@ -324,11 +324,12 @@ impl Machine {
         self.data_base.offset(offset)
     }
 
-    /// Splits the machine into the disjoint `(memory, registers)` pair
-    /// the decoded burst loop mutates, so a [`tics_mcu::WordBurst`] over
-    /// the memory can coexist with register updates.
-    pub(crate) fn burst_parts(&mut self) -> (&mut Memory, &mut Registers) {
-        (&mut self.mem, &mut self.regs)
+    /// Splits the machine into the disjoint memory, registers and
+    /// instruction counter the decoded loop mutates, so an op can run on
+    /// the memory (or a [`tics_mcu::WordBurst`] over it) while it updates
+    /// the registers.
+    pub(crate) fn burst_parts(&mut self) -> (&mut Memory, &mut Registers, &mut u64) {
+        (&mut self.mem, &mut self.regs, &mut self.stats.instructions)
     }
 
     /// Base of the persistent FRAM heap: first word is the allocator's

@@ -13,7 +13,7 @@
 //! image or a declared fresh start — each journaled as a
 //! [`TraceEvent::Recovery`] — instead of running on corrupted state.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`verified_poke`] — staging with read-back verification.
 //! * [`BankPair`] — two full-image banks, a `u32` flag word (0 =
@@ -25,6 +25,10 @@
 //!   monitor saw change since the previous commit. The published bank's
 //!   sequence number is the chain's base; a `u64` tip word names the
 //!   last published record.
+//! * [`UndoLog`] — the write-ahead undo log that makes a region's stores
+//!   revocable between checkpoints: one `(u32 addr, u32 old)` slot per
+//!   logged word and a persistent `u32` count word, rolled back newest
+//!   first at reboot (and, under TICS, at an `@expires` catch).
 //!
 //! # On-FRAM formats
 //!
@@ -38,15 +42,22 @@
 //!
 //! # Policy stays with the caller
 //!
-//! Nothing here opens a span, charges a cycle or picks an abort policy.
-//! Each runtime orders stage → `charge_atomic` → publish itself, keeps
-//! its own cost formulas and byte counts, and chooses what to do with an
-//! unverified stage. Commit and restore allocate nothing in steady
-//! state: the chain owns the staging buffer.
+//! The checkpoint pieces open no span, charge no cycle and pick no abort
+//! policy. Each runtime orders stage → `charge_atomic` → publish itself,
+//! keeps its own cost formulas and byte counts, and chooses what to do
+//! with an unverified stage. Commit and restore allocate nothing in
+//! steady state: the chain owns the staging buffer.
+//!
+//! The undo log is the exception: its spans, its Table 4 costs
+//! (`undo_log_cost`, `rollback_cost`) and its trace events are the same
+//! for every runtime, so [`UndoLog`] owns them. The runtime keeps the
+//! policy around it — what to log, what to do when the log is full, and
+//! where to roll back to.
 
 use tics_mcu::{Addr, Crc32};
-use tics_trace::TraceEvent;
+use tics_trace::{SpanKind, TraceEvent};
 
+use crate::error::VmError;
 use crate::machine::Machine;
 use crate::Result;
 
@@ -755,5 +766,127 @@ impl DeltaChain {
             }
             _ => None,
         })
+    }
+}
+
+/// A persistent undo log: `capacity` 8-byte `(u32 addr, u32 old value)`
+/// slots at `slots`, and the entry count in the `u32` at `count_word`,
+/// persisted after every change so a reboot rolls back exactly the
+/// appends that preceded the power failure. `len` caches that word;
+/// [`UndoLog::load`] rereads it at boot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UndoLog {
+    slots: Addr,
+    capacity: u32,
+    count_word: Addr,
+    len: u32,
+}
+
+impl UndoLog {
+    /// An empty log of `capacity` slots at `slots`, counted in the word
+    /// at `count_word`.
+    #[must_use]
+    pub fn new(slots: Addr, capacity: u32, count_word: Addr) -> UndoLog {
+        UndoLog {
+            slots,
+            capacity,
+            count_word,
+            len: 0,
+        }
+    }
+
+    /// Rereads the persisted entry count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn load(&mut self, m: &Machine) -> Result<()> {
+        self.len = m.mem.peek_word(self.count_word)?;
+        Ok(())
+    }
+
+    /// Live entries: the mark [`UndoLog::rollback_to`] returns to.
+    #[must_use]
+    pub fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Whether the log holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether no slot is left for [`UndoLog::append`].
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        self.len >= self.capacity
+    }
+
+    fn set_len(&mut self, m: &mut Machine, n: u32) -> Result<()> {
+        self.len = n;
+        m.mem.poke_bytes(self.count_word, &n.to_le_bytes())?;
+        Ok(())
+    }
+
+    /// Logs the old word at `addr` before a `len`-byte store overwrites
+    /// it, in a [`SpanKind::UndoLog`] span charged `undo_log_cost(len)`
+    /// and journaled as a [`TraceEvent::UndoAppend`].
+    ///
+    /// # Errors
+    ///
+    /// A trap that writes nothing when the log is full (what to do
+    /// instead is the caller's policy); unmapped-address errors.
+    pub fn append(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
+        if self.is_full() {
+            return Err(VmError::Trap(format!(
+                "undo log full ({} entries)",
+                self.capacity
+            )));
+        }
+        let mut span = m.span(SpanKind::UndoLog);
+        let m = &mut *span;
+        let old = m.mem.peek_word(addr)?;
+        let slot = self.slots.offset(8 * self.len);
+        m.mem.poke_bytes(slot, &addr.raw().to_le_bytes())?;
+        m.mem.poke_bytes(slot.offset(4), &old.to_le_bytes())?;
+        self.set_len(m, self.len + 1)?;
+        m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
+        m.emit(TraceEvent::UndoAppend {
+            bytes: u64::from(len),
+        });
+        Ok(())
+    }
+
+    /// Restores the old word of every entry from `mark` up, newest first
+    /// (so a twice-logged word gets its oldest value), in a
+    /// [`SpanKind::Rollback`] span charged `rollback_cost(4)` and
+    /// journaled as a [`TraceEvent::Rollback`] per entry; then persists
+    /// `mark` as the count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn rollback_to(&mut self, m: &mut Machine, mark: u32) -> Result<()> {
+        let mut span = m.span(SpanKind::Rollback);
+        let m = &mut *span;
+        for i in (mark..self.len).rev() {
+            let slot = self.slots.offset(8 * i);
+            let addr = Addr(m.mem.peek_word(slot)?);
+            let old = m.mem.peek_word(slot.offset(4))?;
+            m.mem.poke_bytes(addr, &old.to_le_bytes())?;
+            m.mem.add_cycles(m.mem.costs().rollback_cost(4));
+            m.emit(TraceEvent::Rollback { bytes: 4 });
+        }
+        self.set_len(m, mark)
+    }
+
+    /// Empties the log: the stores it guarded are committed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn clear(&mut self, m: &mut Machine) -> Result<()> {
+        self.set_len(m, 0)
     }
 }

@@ -15,8 +15,9 @@
 //! Table 1 applications across the legacy-capable systems, under
 //! continuous power, periodic intermittent power, adversarial fault
 //! plans with torn writes, brown-out store corruption, and an
-//! ISR-configured machine (the decoded engine's per-instruction "safe"
-//! mode).
+//! ISR-configured machine (a hooked period: one decoded op at a time).
+//! Voltage-warning and instruction-budget stops are checked inside
+//! hooked periods, under TICS and with the ISR.
 
 use tics_apps::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
 use tics_bench::fault::{build_fault_program, FaultProgram};
@@ -86,14 +87,21 @@ impl Supply {
     }
 }
 
-/// Runs one engine over a fresh machine/runtime/supply and snapshots
-/// the observable state. Panics from executing corrupted state are
+/// The executor every grid runs under unless it tests a stop boundary.
+fn grid_executor() -> Executor {
+    Executor::new()
+        .with_time_budget(BUDGET_US)
+        .with_progress_guard(GUARD_BOOTS)
+}
+
+/// Runs `exec` over a fresh machine/runtime/supply and snapshots the
+/// observable state. Panics from executing corrupted state are
 /// contained and compared as text, exactly like the fault harness.
 fn run_one(
     prog: &Program,
     cfg: &MachineConfig,
     rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
-    engine: DispatchEngine,
+    exec: &Executor,
     supply: &Supply,
     corruption: Option<&Corruption>,
 ) -> Snapshot {
@@ -106,10 +114,6 @@ fn run_one(
     }
     let mut rt = rt_of();
     let mut sup = supply.build();
-    let exec = Executor::new()
-        .with_engine(engine)
-        .with_time_budget(BUDGET_US)
-        .with_progress_guard(GUARD_BOOTS);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         exec.run(&mut m, rt.as_mut(), sup.as_mut())
     }));
@@ -146,18 +150,23 @@ fn run_one(
     }
 }
 
-/// Runs both engines and asserts snapshot equality, reporting the first
-/// diverging trace event for debuggability.
+/// Runs `exec` under both engines and asserts snapshot equality,
+/// reporting the first diverging trace event for debuggability.
 fn assert_engines_agree(
     label: &str,
     prog: &Program,
     cfg: &MachineConfig,
     rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
+    exec: &Executor,
     supply: &Supply,
     corruption: Option<&Corruption>,
 ) {
-    let reference = run_one(prog, cfg, rt_of, DispatchEngine::Reference, supply, corruption);
-    let decoded = run_one(prog, cfg, rt_of, DispatchEngine::Decoded, supply, corruption);
+    let run = |engine| {
+        let exec = exec.clone().with_engine(engine);
+        run_one(prog, cfg, rt_of, &exec, supply, corruption)
+    };
+    let reference = run(DispatchEngine::Reference);
+    let decoded = run(DispatchEngine::Decoded);
 
     if reference.trace != decoded.trace {
         let i = reference
@@ -221,6 +230,7 @@ fn fault_corpus_agrees_on_continuous_power() {
             &prog,
             &cfg,
             &|| make_runtime(system, &prog),
+            &grid_executor(),
             &Supply::Continuous,
             None,
         );
@@ -240,6 +250,7 @@ fn fault_corpus_agrees_on_intermittent_power() {
                 &prog,
                 &cfg,
                 &|| make_runtime(system, &prog),
+                &grid_executor(),
                 &Supply::Periodic { on_us, off_us },
                 None,
             );
@@ -260,7 +271,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &prog,
             &cfg,
             &|| make_runtime(system, &prog),
-            DispatchEngine::Decoded,
+            &grid_executor().with_engine(DispatchEngine::Decoded),
             &Supply::Continuous,
             None,
         );
@@ -273,6 +284,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &prog,
             &cfg,
             &|| make_runtime(system, &prog),
+            &grid_executor(),
             &Supply::Adversarial(plan.clone()),
             None,
         );
@@ -287,6 +299,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &prog,
             &cfg,
             &|| make_runtime(system, &prog),
+            &grid_executor(),
             &Supply::Adversarial(plan),
             Some(&corruption),
         );
@@ -312,6 +325,7 @@ fn table1_apps_agree_across_engines() {
                 &prog,
                 &cfg,
                 &|| make_runtime(system, &prog),
+                &grid_executor(),
                 &Supply::Continuous,
                 None,
             );
@@ -320,6 +334,7 @@ fn table1_apps_agree_across_engines() {
                 &prog,
                 &cfg,
                 &|| make_runtime(system, &prog),
+                &grid_executor(),
                 &Supply::Periodic {
                     on_us: 40_000,
                     off_us: 200,
@@ -330,11 +345,10 @@ fn table1_apps_agree_across_engines() {
     }
 }
 
-#[test]
-fn isr_machine_runs_in_safe_mode_and_agrees() {
-    // A periodic ISR forces the decoded engine into per-instruction
-    // "safe" dispatch (the ISR must be able to fire between any two
-    // instructions, exactly as in the reference interpreter).
+/// A machine with a periodic ISR: the decoded engine runs it hooked,
+/// polling the ISR between every two instructions exactly as the
+/// reference interpreter does.
+fn isr_program() -> (Program, MachineConfig) {
     let src = "
         nv int ticks;
         nv int acc;
@@ -356,6 +370,12 @@ fn isr_machine_runs_in_safe_mode_and_agrees() {
         isr: Some(("on_tick".to_string(), 700)),
         ..MachineConfig::default()
     };
+    (prog, cfg)
+}
+
+#[test]
+fn isr_machine_runs_hooked_and_agrees() {
+    let (prog, cfg) = isr_program();
     for supply in [
         Supply::Continuous,
         Supply::Periodic {
@@ -368,8 +388,77 @@ fn isr_machine_runs_in_safe_mode_and_agrees() {
             &prog,
             &cfg,
             &|| Box::new(BareRuntime::new()),
+            &grid_executor(),
             &supply,
             None,
         );
     }
+}
+
+/// Runs `prog` on intermittent power under both engines with each stop
+/// boundary armed: the low-voltage warning 900 µs before each power
+/// failure, the warning only 40 µs before it (so the checkpoint it
+/// triggers runs past the deadline), and an instruction budget of two
+/// thirds of an unbounded run's, which runs out mid-period. Every stop
+/// must land on the same instruction under both engines.
+fn assert_stops_agree(
+    label: &str,
+    prog: &Program,
+    cfg: &MachineConfig,
+    rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
+    supply: &Supply,
+) {
+    let full = run_one(prog, cfg, rt_of, &grid_executor(), supply, None);
+    let budget = full.stats.instructions * 2 / 3;
+    assert!(budget > 0, "[{label}] ran no instructions");
+    for (stop, exec) in [
+        ("voltage", grid_executor().with_voltage_warning(900)),
+        ("late-voltage", grid_executor().with_voltage_warning(40)),
+        ("budget", grid_executor().with_instruction_budget(budget)),
+    ] {
+        assert_engines_agree(
+            &format!("{label}/{stop}"),
+            prog,
+            cfg,
+            rt_of,
+            &exec,
+            supply,
+            None,
+        );
+    }
+}
+
+#[test]
+fn hooked_periods_agree_at_voltage_warning_and_instruction_budget_stops() {
+    let cfg = MachineConfig::default();
+    let supply = Supply::Periodic {
+        on_us: 9_000,
+        off_us: 150,
+    };
+    // TICS runs hooked; MementOS checkpoints on the warning from the
+    // fused burst loop.
+    for (program, system) in FaultProgram::ALL
+        .into_iter()
+        .flat_map(|p| [(p, SystemUnderTest::Tics), (p, SystemUnderTest::Mementos)])
+    {
+        let prog = build_fault_program(program, system).expect("the fault corpus builds");
+        assert_stops_agree(
+            &format!("{}/{system:?}", program.name()),
+            &prog,
+            &cfg,
+            &|| make_runtime(system, &prog),
+            &supply,
+        );
+    }
+    let (prog, cfg) = isr_program();
+    assert_stops_agree(
+        "isr/bare",
+        &prog,
+        &cfg,
+        &|| Box::new(BareRuntime::new()),
+        &Supply::Periodic {
+            on_us: 5_000,
+            off_us: 150,
+        },
+    );
 }

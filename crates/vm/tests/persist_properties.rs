@@ -21,9 +21,10 @@ use std::collections::HashSet;
 
 use tics_mcu::{Addr, CorruptionModel};
 use tics_minic::{compile, opt::OptLevel};
+use tics_trace::SpanKind;
 use tics_vm::persist::{
     init_control, journal_capacity, pack_misc, BankChoice, BankFormat, BankPair, DeltaChain, Misc,
-    DELTA_MISC,
+    UndoLog, DELTA_MISC,
 };
 use tics_vm::{Machine, MachineConfig};
 
@@ -324,4 +325,115 @@ fn boot_yields_only_published_states_or_declared_recovery() {
             assert!(n > 0, "{format:?}: no {what} in {t:?}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The undo log
+// ---------------------------------------------------------------------
+
+/// A machine with an undo log of `capacity` slots placed in the runtime
+/// area (count word first, slots after it) and two FRAM words, well
+/// past the slots, for the program to store to.
+fn undo_rig(capacity: u32) -> (Machine, UndoLog, Addr, Addr) {
+    let prog = compile("int main() { return 0; }", OptLevel::O1).unwrap();
+    let m = Machine::new(prog, MachineConfig::default()).unwrap();
+    let base = m.runtime_area_base();
+    let log = UndoLog::new(base.offset(8), capacity, base);
+    let a = base.offset(8 + 8 * capacity + 64);
+    (m, log, a, a.offset(4))
+}
+
+/// A logged program store: the undo entry first, then the store.
+fn logged_store(m: &mut Machine, log: &mut UndoLog, addr: Addr, v: i32) {
+    log.append(m, addr, 4).unwrap();
+    m.mem.poke_i32(addr, v).unwrap();
+}
+
+fn word(m: &Machine, addr: Addr) -> i32 {
+    m.mem.peek_i32(addr).unwrap()
+}
+
+#[test]
+fn undo_log_rollback_restores_the_oldest_value_of_a_twice_logged_word() {
+    let (mut m, mut log, a, _) = undo_rig(8);
+    m.mem.poke_i32(a, 1).unwrap();
+    logged_store(&mut m, &mut log, a, 2);
+    logged_store(&mut m, &mut log, a, 3);
+    assert_eq!(log.len(), 2);
+    log.rollback_to(&mut m, 0).unwrap();
+    m.flush_trace();
+    assert_eq!(word(&m, a), 1, "newest first: the oldest value wins");
+    assert!(log.is_empty());
+    assert_eq!(m.stats().undo_log_appends, 2);
+    assert_eq!(m.stats().undo_rollbacks, 2);
+    let costs = m.mem.costs().clone();
+    assert_eq!(
+        m.mem.span_cycles(SpanKind::UndoLog),
+        2 * costs.undo_log_cost(4)
+    );
+    assert_eq!(
+        m.mem.span_cycles(SpanKind::Rollback),
+        2 * costs.rollback_cost(4)
+    );
+}
+
+#[test]
+fn undo_log_rollback_to_a_mark_keeps_the_entries_below_it() {
+    let (mut m, mut log, a, b) = undo_rig(8);
+    m.mem.poke_i32(a, 10).unwrap();
+    m.mem.poke_i32(b, 20).unwrap();
+    logged_store(&mut m, &mut log, a, 11);
+    let mark = log.len();
+    logged_store(&mut m, &mut log, b, 21);
+    logged_store(&mut m, &mut log, a, 12);
+    log.rollback_to(&mut m, mark).unwrap();
+    assert_eq!((word(&m, a), word(&m, b)), (11, 20));
+    assert_eq!(log.len(), mark);
+    log.rollback_to(&mut m, 0).unwrap();
+    assert_eq!((word(&m, a), word(&m, b)), (10, 20));
+}
+
+#[test]
+fn undo_log_count_survives_a_power_failure_through_load() {
+    let (mut m, mut log, a, b) = undo_rig(8);
+    m.mem.poke_i32(a, 5).unwrap();
+    m.mem.poke_i32(b, 6).unwrap();
+    logged_store(&mut m, &mut log, a, 50);
+    logged_store(&mut m, &mut log, b, 60);
+    m.power_failure(100);
+    // The cached count dies with the runtime's volatile state; the
+    // reboot re-derives it from FRAM.
+    let base = m.runtime_area_base();
+    let mut rebooted = UndoLog::new(base.offset(8), 8, base);
+    assert!(rebooted.is_empty());
+    rebooted.load(&m).unwrap();
+    assert_eq!(rebooted, log);
+    rebooted.rollback_to(&mut m, 0).unwrap();
+    assert_eq!((word(&m, a), word(&m, b)), (5, 6));
+    rebooted.load(&m).unwrap();
+    assert!(rebooted.is_empty(), "the rollback persisted the new count");
+}
+
+#[test]
+fn a_full_undo_log_reports_full_and_writes_nothing_past_capacity() {
+    let (mut m, mut log, a, b) = undo_rig(2);
+    logged_store(&mut m, &mut log, a, 1);
+    assert!(!log.is_full());
+    logged_store(&mut m, &mut log, b, 2);
+    assert!(log.is_full());
+    let base = m.runtime_area_base();
+    let past = base.offset(8 + 8 * 2);
+    let before = (m.mem.peek_bytes(base, 8 + 8 * 2 + 8).unwrap(), m.cycles());
+    assert!(log.append(&mut m, a, 4).is_err());
+    m.flush_trace();
+    assert_eq!(
+        (m.mem.peek_bytes(base, 8 + 8 * 2 + 8).unwrap(), m.cycles()),
+        before,
+        "no slot past capacity, no count change, no charge"
+    );
+    assert_eq!(m.mem.count_dirty_words(past, 8), 0);
+    assert_eq!(log.len(), 2);
+    assert_eq!(m.stats().undo_log_appends, 2);
+    log.clear(&mut m).unwrap();
+    assert!(log.is_empty() && !log.is_full());
 }
