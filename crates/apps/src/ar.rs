@@ -328,23 +328,16 @@ mod tests {
 
     #[test]
     fn task_ar_runs_under_all_kernels() {
-        use tics_baselines::{TaskFlavor, TaskKernel};
-        use tics_minic::passes;
-        for (flavor, timed) in [
-            (TaskFlavor::Alpaca, false),
-            (TaskFlavor::Ink, true),
-            (TaskFlavor::Mayfly, true),
+        use crate::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
+        for system in [
+            SystemUnderTest::Alpaca,
+            SystemUnderTest::Ink,
+            SystemUnderTest::Mayfly,
         ] {
             let windows = 6;
             let (trace, _) = ar_trace(windows, WINDOW, 2, 3);
-            let mut prog = compile(&task_src(windows, timed), OptLevel::O2).unwrap();
-            passes::instrument_task_based(
-                &mut prog,
-                TASK_FUNCTIONS,
-                flavor.runtime_text_bytes(),
-                flavor.runtime_data_bytes(),
-            )
-            .unwrap();
+            let prog = build_app(App::Ar, system, OptLevel::O2, Scale(windows)).unwrap();
+            let mut rt = make_runtime(system, &prog);
             let mut m = Machine::new(
                 prog,
                 MachineConfig {
@@ -353,15 +346,18 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut rt = TaskKernel::new(flavor);
             let out = Executor::new()
-                .run(&mut m, &mut rt, &mut tics_energy::ContinuousPower::new())
+                .run(
+                    &mut m,
+                    rt.as_mut(),
+                    &mut tics_energy::ContinuousPower::new(),
+                )
                 .unwrap();
             assert_eq!(
                 out.exit_code(),
                 Some(windows as i32),
                 "{} failed",
-                flavor.name()
+                system.name()
             );
         }
     }

@@ -90,16 +90,10 @@ impl SystemUnderTest {
         }
     }
 
-    /// Whether this system runs task-graph ports instead of legacy code.
+    /// The task kernel this system is, if it is one: task kernels run
+    /// hand-ported task graphs instead of legacy code.
     #[must_use]
-    pub fn is_task_based(self) -> bool {
-        matches!(
-            self,
-            SystemUnderTest::Alpaca | SystemUnderTest::Ink | SystemUnderTest::Mayfly
-        )
-    }
-
-    fn task_flavor(self) -> Option<TaskFlavor> {
+    pub fn task_flavor(self) -> Option<TaskFlavor> {
         match self {
             SystemUnderTest::Alpaca => Some(TaskFlavor::Alpaca),
             SystemUnderTest::Ink => Some(TaskFlavor::Ink),
@@ -107,20 +101,25 @@ impl SystemUnderTest {
             _ => None,
         }
     }
+
+    /// The optimization level this system's toolchain builds at when
+    /// `wanted` is asked for: Chinchilla's exists only at `-O0`.
+    #[must_use]
+    pub fn toolchain_opt(self, wanted: OptLevel) -> OptLevel {
+        if self == SystemUnderTest::Chinchilla {
+            OptLevel::O0
+        } else {
+            wanted
+        }
+    }
 }
 
-/// Why an app × system build is not possible.
+/// Why a program × system build is not possible.
 #[derive(Debug)]
 pub enum BuildError {
-    /// The combination is infeasible — the paper's red ✗ cells.
-    Unsupported {
-        /// The app.
-        app: App,
-        /// The system.
-        system: SystemUnderTest,
-        /// Why (quoting the paper where applicable).
-        reason: String,
-    },
+    /// The combination is infeasible — the paper's red ✗ cells. Carries
+    /// why, quoting the paper where applicable.
+    Unsupported(String),
     /// Compilation or instrumentation failed.
     Compile(CompileError),
 }
@@ -128,11 +127,7 @@ pub enum BuildError {
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildError::Unsupported {
-                app,
-                system,
-                reason,
-            } => write!(f, "{} cannot run {}: {reason}", system.name(), app.name()),
+            BuildError::Unsupported(reason) => f.write_str(reason),
             BuildError::Compile(e) => write!(f, "{e}"),
         }
     }
@@ -146,6 +141,9 @@ impl From<CompileError> for BuildError {
     }
 }
 
+/// A hand-ported task graph: its source and its task functions.
+pub type TaskPort<'a> = (&'a str, &'a [&'a str]);
+
 /// Workload scale for a build (iterations/windows/keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale(pub u32);
@@ -156,50 +154,36 @@ impl Default for Scale {
     }
 }
 
-/// Builds (compiles + instruments) `app` for `system` at `opt`, using
-/// the right source variant per system. Returns the infeasible
-/// combinations as [`BuildError::Unsupported`]: BC (recursive) on
-/// Chinchilla, CF on MayFly, annotated sources on time-blind systems.
+/// Builds (compiles + instruments) caller-supplied sources for `system`
+/// at `opt`. This is the one home of the per-system build rules:
+///
+/// * a task kernel compiles `task` — the hand-ported task graph, or why
+///   there is none — with its flavor's kernel footprint;
+/// * every other system compiles `legacy` and applies its own pass;
+/// * Chinchilla's toolchain exists only at `-O0`
+///   ([`SystemUnderTest::toolchain_opt`]), and its pass refuses recursive
+///   programs, because it promotes locals to globals.
 ///
 /// # Errors
 ///
-/// Returns [`BuildError`] as described above.
-pub fn build_app(
-    app: App,
+/// Returns [`BuildError::Unsupported`] for the infeasible combinations
+/// and [`BuildError::Compile`] for compile failures.
+pub fn build_program(
     system: SystemUnderTest,
+    legacy: &str,
+    task: Result<TaskPort<'_>, &str>,
     opt: OptLevel,
-    scale: Scale,
 ) -> Result<Program, BuildError> {
-    let n = scale.0;
-    let unsupported = |reason: &str| BuildError::Unsupported {
-        app,
-        system,
-        reason: reason.into(),
-    };
-
+    if system.toolchain_opt(opt) != opt {
+        return Err(BuildError::Unsupported(format!(
+            "its toolchain requires -{} (the paper's Figure 9 marks every \
+             other optimization level with a red cross)",
+            system.toolchain_opt(opt)
+        )));
+    }
     if let Some(flavor) = system.task_flavor() {
-        // Task kernels run hand-ported task graphs.
-        let (src, tasks): (String, &[&str]) = match app {
-            App::Ar => {
-                let timed = flavor != TaskFlavor::Alpaca;
-                (ar::task_src(n, timed), ar::TASK_FUNCTIONS)
-            }
-            App::Bc => (bc::task_src(n), bc::TASK_FUNCTIONS),
-            App::Cuckoo => {
-                if flavor == TaskFlavor::Mayfly {
-                    return Err(unsupported(
-                        "loops are not allowed in a MayFly task graph (§5.3)",
-                    ));
-                }
-                (cuckoo::task_src(n), cuckoo::TASK_FUNCTIONS)
-            }
-            App::Ghm | App::GhmTinyos => {
-                return Err(unsupported(
-                    "the Table 1 experiment runs GHM as legacy code, not a task port",
-                ));
-            }
-        };
-        let mut prog = compile(&src, opt)?;
+        let (src, tasks) = task.map_err(|why| BuildError::Unsupported(why.into()))?;
+        let mut prog = compile(src, opt)?;
         passes::instrument_task_based(
             &mut prog,
             tasks,
@@ -208,60 +192,87 @@ pub fn build_app(
         )?;
         return Ok(prog);
     }
-
-    // Checkpointing systems run legacy sources.
-    let src = match (app, system) {
-        (App::Bc, SystemUnderTest::Chinchilla) => {
-            return Err(unsupported(
-                "recursive function calls cannot be supported: locals are \
-                 promoted to globals (§5.3.1)",
-            ));
-        }
-        (_, SystemUnderTest::Chinchilla) if opt != OptLevel::O0 => {
-            return Err(unsupported(
-                "chinchilla's toolchain requires -O0 (the paper's Figure 9 \
-                 marks every other optimization level with a red cross)",
-            ));
-        }
-        (App::Ar, SystemUnderTest::Tics) => ar::tics_src(n),
-        (App::Ar, _) => ar::plain_src(n),
-        (App::Bc, _) => bc::plain_src(n),
-        (App::Cuckoo, _) => cuckoo::plain_src(n),
-        (App::Ghm, _) => ghm::plain_src(n),
-        (App::GhmTinyos, _) => ghm::tinyos_src(n),
-    };
-    let mut prog = compile(&src, opt)?;
+    let mut prog = compile(legacy, opt)?;
     match system {
         SystemUnderTest::PlainC => {}
         SystemUnderTest::Tics => passes::instrument_tics(&mut prog)?,
         SystemUnderTest::Mementos => passes::instrument_mementos(&mut prog)?,
-        SystemUnderTest::Chinchilla => passes::instrument_chinchilla(&mut prog)?,
+        SystemUnderTest::Chinchilla => passes::instrument_chinchilla(&mut prog)
+            .map_err(|e| BuildError::Unsupported(e.message))?,
         SystemUnderTest::Ratchet => passes::instrument_ratchet(&mut prog)?,
-        _ => unreachable!("task systems handled above"),
+        SystemUnderTest::Alpaca | SystemUnderTest::Ink | SystemUnderTest::Mayfly => {
+            unreachable!("task kernels are built above")
+        }
     }
     Ok(prog)
 }
 
+/// Builds `app` for `system` at `opt` with [`build_program`], picking the
+/// source variant per system: the TICS-annotated AR for TICS, the
+/// manual-time AR for the time-blind systems, and the hand-ported task
+/// graphs (timed AR for InK and MayFly) for the task kernels. GHM has no
+/// task port, and CF none for MayFly.
+///
+/// # Errors
+///
+/// Returns [`BuildError`] as described at [`build_program`].
+pub fn build_app(
+    app: App,
+    system: SystemUnderTest,
+    opt: OptLevel,
+    scale: Scale,
+) -> Result<Program, BuildError> {
+    let n = scale.0;
+    let flavor = system.task_flavor();
+    let legacy = match app {
+        App::Ar if system == SystemUnderTest::Tics => ar::tics_src(n),
+        App::Ar => ar::plain_src(n),
+        App::Bc => bc::plain_src(n),
+        App::Cuckoo => cuckoo::plain_src(n),
+        App::Ghm => ghm::plain_src(n),
+        App::GhmTinyos => ghm::tinyos_src(n),
+    };
+    let port = match app {
+        App::Ar => Ok((
+            ar::task_src(n, flavor != Some(TaskFlavor::Alpaca)),
+            ar::TASK_FUNCTIONS,
+        )),
+        App::Bc => Ok((bc::task_src(n), bc::TASK_FUNCTIONS)),
+        App::Cuckoo if flavor == Some(TaskFlavor::Mayfly) => {
+            Err("loops are not allowed in a MayFly task graph (§5.3)")
+        }
+        App::Cuckoo => Ok((cuckoo::task_src(n), cuckoo::TASK_FUNCTIONS)),
+        App::Ghm | App::GhmTinyos => {
+            Err("the Table 1 experiment runs GHM as legacy code, not a task port")
+        }
+    };
+    let task = port.as_ref().map(|(src, tasks)| (src.as_str(), *tasks));
+    build_program(system, &legacy, task.map_err(|why| *why), opt).map_err(|e| match e {
+        BuildError::Unsupported(why) => BuildError::Unsupported(format!(
+            "{} cannot run {}: {why}",
+            system.name(),
+            app.name()
+        )),
+        e => e,
+    })
+}
+
 /// Creates a default-configured runtime for `system`. The TICS segment
-/// size is raised to the program's largest frame when needed.
+/// size is fitted to the program's largest frame
+/// ([`TicsConfig::fitted_to`]).
 #[must_use]
 pub fn make_runtime(system: SystemUnderTest, program: &Program) -> Box<dyn IntermittentRuntime> {
     match system {
         SystemUnderTest::PlainC => Box::new(BareRuntime::new()),
         SystemUnderTest::Tics => {
-            let mut cfg = TicsConfig::s2_star();
-            let max_frame = program.max_frame_size();
-            if cfg.seg_size < max_frame {
-                cfg.seg_size = max_frame.next_multiple_of(64);
-            }
-            Box::new(TicsRuntime::new(cfg))
+            Box::new(TicsRuntime::new(TicsConfig::s2_star().fitted_to(program)))
         }
         SystemUnderTest::Mementos => Box::new(NaiveCheckpoint::default()),
         SystemUnderTest::Chinchilla => Box::new(ChinchillaRuntime::default()),
         SystemUnderTest::Ratchet => Box::new(RatchetRuntime::default()),
-        SystemUnderTest::Alpaca => Box::new(TaskKernel::new(TaskFlavor::Alpaca)),
-        SystemUnderTest::Ink => Box::new(TaskKernel::new(TaskFlavor::Ink)),
-        SystemUnderTest::Mayfly => Box::new(TaskKernel::new(TaskFlavor::Mayfly)),
+        SystemUnderTest::Alpaca | SystemUnderTest::Ink | SystemUnderTest::Mayfly => Box::new(
+            TaskKernel::new(system.task_flavor().expect("a task kernel")),
+        ),
     }
 }
 
@@ -328,7 +339,7 @@ mod tests {
     fn unsupported_errors_cite_reasons() {
         let e =
             build_app(App::Bc, SystemUnderTest::Chinchilla, OptLevel::O0, Scale(4)).unwrap_err();
-        assert!(e.to_string().contains("recursive"));
+        assert!(e.to_string().contains("recursion"));
         let e =
             build_app(App::Cuckoo, SystemUnderTest::Mayfly, OptLevel::O0, Scale(4)).unwrap_err();
         assert!(e.to_string().contains("loops"));

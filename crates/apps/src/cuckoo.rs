@@ -215,19 +215,12 @@ mod tests {
     #[test]
     fn task_port_matches_plain_result() {
         let (plain, _) = run(&plain_src(24), 99);
-        let prog_src = task_src(24);
         // Under continuous power, the task port computes the same filter.
         let (task, _) = {
-            use tics_baselines::{TaskFlavor, TaskKernel};
-            use tics_minic::passes;
-            let mut prog = compile(&prog_src, OptLevel::O2).unwrap();
-            passes::instrument_task_based(
-                &mut prog,
-                TASK_FUNCTIONS,
-                TaskFlavor::Alpaca.runtime_text_bytes(),
-                TaskFlavor::Alpaca.runtime_data_bytes(),
-            )
-            .unwrap();
+            use crate::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
+            let system = SystemUnderTest::Alpaca;
+            let prog = build_app(App::Cuckoo, system, OptLevel::O2, Scale(24)).unwrap();
+            let mut rt = make_runtime(system, &prog);
             let mut m = Machine::new(
                 prog,
                 MachineConfig {
@@ -236,9 +229,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut rt = TaskKernel::new(TaskFlavor::Alpaca);
             let out = Executor::new()
-                .run(&mut m, &mut rt, &mut ContinuousPower::new())
+                .run(&mut m, rt.as_mut(), &mut ContinuousPower::new())
                 .unwrap();
             (out.exit_code().unwrap(), ())
         };

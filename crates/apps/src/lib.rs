@@ -30,7 +30,6 @@
 pub mod ar;
 pub mod bc;
 pub mod build;
-pub mod crc;
 pub mod cuckoo;
 pub mod ghm;
 pub mod study;

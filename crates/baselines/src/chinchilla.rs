@@ -91,7 +91,11 @@ impl ChinchillaRuntime {
         let banks = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
-        let used = m.regs.sp.raw().saturating_sub(m.mem.layout().sram.start.raw());
+        let used = m
+            .regs
+            .sp
+            .raw()
+            .saturating_sub(m.mem.layout().sram.start.raw());
         if self.chain.is_cold() {
             bufs::prime_cold(m, &banks, &mut self.chain)?;
         }
@@ -139,12 +143,6 @@ impl IntermittentRuntime for ChinchillaRuntime {
         "Chinchilla"
     }
 
-    // `on_instruction` is the trait default (a no-op) for this runtime,
-    // so the decoded dispatcher may run its fused fast loop.
-    fn instruction_hook(&self) -> bool {
-        false
-    }
-
     fn capabilities(&self) -> RuntimeCapabilities {
         RuntimeCapabilities {
             pointer_support: true,
@@ -156,13 +154,11 @@ impl IntermittentRuntime for ChinchillaRuntime {
         }
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation != Instrumentation::Chinchilla {
-            return Err(VmError::IncompatibleInstrumentation {
-                expected: "Chinchilla".into(),
-                found: format!("{:?}", program.instrumentation),
-            });
-        }
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::Chinchilla
+    }
+
+    fn check_shape(&self, program: &Program) -> Result<()> {
         if program.has_recursion {
             return Err(VmError::Load(
                 "chinchilla cannot run recursive programs (§5.3.1)".into(),
@@ -204,45 +200,19 @@ impl IntermittentRuntime for ChinchillaRuntime {
                 "Chinchilla: checkpoint restore failed read-back verification".into(),
             ));
         }
-        let replayed = self.chain.resume(m, &banks, seq, &Self::regions(m), &mut misc)?;
+        let replayed = self
+            .chain
+            .resume(m, &banks, seq, &Self::regions(m), &mut misc)?;
         m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
         let bytes = u64::from(20 + used + m.loaded().program.globals_size + replayed);
         let costs = m.mem.costs();
-        let cost = costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
+        let cost =
+            costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
         let _ = m.charge_atomic(cost);
         m.emit(TraceEvent::Restore { bytes });
         Ok(ResumeAction::Restored)
-    }
-
-    fn alloc_frame(
-        &mut self,
-        m: &mut Machine,
-        _fidx: u16,
-        frame_size: u32,
-        _arg_bytes: u32,
-    ) -> Result<Addr> {
-        let sram = m.mem.layout().sram;
-        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
-            sram.start
-        } else {
-            m.regs.sp
-        };
-        if !sram.contains_range(base, frame_size) {
-            return Err(VmError::StackOverflow {
-                detail: format!("SRAM frame stack exhausted allocating {frame_size} bytes"),
-            });
-        }
-        Ok(base)
-    }
-
-    fn free_frame(&mut self, _m: &mut Machine, _fp: Addr) -> Result<()> {
-        Ok(())
-    }
-
-    fn logged_store(&mut self, _m: &mut Machine, _addr: Addr, _len: u32) -> Result<()> {
-        Ok(())
     }
 
     fn tx_driver(&mut self) -> Option<&mut TxDriver> {
@@ -356,12 +326,6 @@ mod tests {
         // The local blob was promoted to statics, so the checkpoint grew
         // by ~1200 bytes even though it is a *local* in the source.
         assert!(big > small + 1_000.0, "{small} vs {big}");
-    }
-
-    #[test]
-    fn rejects_wrong_instrumentation() {
-        let prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
-        assert!(ChinchillaRuntime::default().check_program(&prog).is_err());
     }
 
     fn clobber(m: &mut Machine, buf: Addr) {

@@ -2,8 +2,8 @@
 
 use tics_mcu::{Addr, Registers};
 use tics_minic::isa::CkptSite;
+use tics_minic::program::Instrumentation;
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
-use tics_minic::program::{Instrumentation, Program};
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
     VmError,
@@ -100,7 +100,8 @@ impl NaiveCheckpoint {
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
         let words = m.regs.to_words();
         for (i, w) in words.iter().enumerate() {
-            m.mem.poke_bytes(buf.offset(4 * i as u32), &w.to_le_bytes())?;
+            m.mem
+                .poke_bytes(buf.offset(4 * i as u32), &w.to_le_bytes())?;
         }
         m.mem.poke_bytes(buf.offset(16), &used.to_le_bytes())?;
         if used > 0 {
@@ -135,12 +136,6 @@ impl IntermittentRuntime for NaiveCheckpoint {
         "naive-mementos"
     }
 
-    // `on_instruction` is the trait default (a no-op) for this runtime,
-    // so the decoded dispatcher may run its fused fast loop.
-    fn instruction_hook(&self) -> bool {
-        false
-    }
-
     fn capabilities(&self) -> RuntimeCapabilities {
         RuntimeCapabilities {
             pointer_support: true,
@@ -157,14 +152,8 @@ impl IntermittentRuntime for NaiveCheckpoint {
         }
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation != Instrumentation::Mementos {
-            return Err(VmError::IncompatibleInstrumentation {
-                expected: "Mementos".into(),
-                found: format!("{:?}", program.instrumentation),
-            });
-        }
-        Ok(())
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::Mementos
     }
 
     fn recycle(&mut self) {
@@ -212,35 +201,6 @@ impl IntermittentRuntime for NaiveCheckpoint {
             bytes: u64::from(20 + used + globals_len),
         });
         Ok(ResumeAction::Restored)
-    }
-
-    fn alloc_frame(
-        &mut self,
-        m: &mut Machine,
-        _fidx: u16,
-        frame_size: u32,
-        _arg_bytes: u32,
-    ) -> Result<Addr> {
-        let sram = m.mem.layout().sram;
-        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
-            sram.start
-        } else {
-            m.regs.sp
-        };
-        if !sram.contains_range(base, frame_size) {
-            return Err(VmError::StackOverflow {
-                detail: format!("SRAM stack exhausted allocating {frame_size} bytes"),
-            });
-        }
-        Ok(base)
-    }
-
-    fn free_frame(&mut self, _m: &mut Machine, _fp: Addr) -> Result<()> {
-        Ok(())
-    }
-
-    fn logged_store(&mut self, _m: &mut Machine, _addr: Addr, _len: u32) -> Result<()> {
-        Ok(())
     }
 
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()> {
@@ -361,11 +321,5 @@ mod tests {
             matches!(out, tics_vm::RunOutcome::Starved { .. }),
             "got {out:?}"
         );
-    }
-
-    #[test]
-    fn rejects_wrong_instrumentation() {
-        let prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
-        assert!(NaiveCheckpoint::default().check_program(&prog).is_err());
     }
 }

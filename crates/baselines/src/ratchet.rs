@@ -2,7 +2,7 @@
 
 use tics_mcu::{Addr, Region};
 use tics_minic::isa::CkptSite;
-use tics_minic::program::{Instrumentation, Program};
+use tics_minic::program::Instrumentation;
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
@@ -79,9 +79,14 @@ impl RatchetRuntime {
         // Incremental commit while the frame window is stable: only the
         // words the write monitor saw changing since the last commit.
         let region = [(m.regs.fp, frame_len)];
-        let staged =
-            self.chain
-                .stage(m, &banks, 20 + frame_len, &bufs::misc(m, frame_len), &region, &region)?;
+        let staged = self.chain.stage(
+            m,
+            &banks,
+            20 + frame_len,
+            &bufs::misc(m, frame_len),
+            &region,
+            &region,
+        )?;
         if !staged.verified {
             // Ratchet's consistency *is* the boundary checkpoint: a
             // skipped commit before a WAR-closing store would silently
@@ -116,12 +121,6 @@ impl IntermittentRuntime for RatchetRuntime {
         "Ratchet"
     }
 
-    // `on_instruction` is the trait default (a no-op) for this runtime,
-    // so the decoded dispatcher may run its fused fast loop.
-    fn instruction_hook(&self) -> bool {
-        false
-    }
-
     fn capabilities(&self) -> RuntimeCapabilities {
         RuntimeCapabilities {
             pointer_support: true,
@@ -133,14 +132,8 @@ impl IntermittentRuntime for RatchetRuntime {
         }
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation != Instrumentation::Ratchet {
-            return Err(VmError::IncompatibleInstrumentation {
-                expected: "Ratchet".into(),
-                found: format!("{:?}", program.instrumentation),
-            });
-        }
-        Ok(())
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::Ratchet
     }
 
     fn recycle(&mut self) {
@@ -183,33 +176,10 @@ impl IntermittentRuntime for RatchetRuntime {
         Ok(ResumeAction::Restored)
     }
 
-    fn alloc_frame(
-        &mut self,
-        m: &mut Machine,
-        _fidx: u16,
-        frame_size: u32,
-        _arg_bytes: u32,
-    ) -> Result<Addr> {
+    // All frames live in the FRAM stack after the persistent area.
+    fn frame_stack(&mut self, m: &mut Machine) -> Result<Region> {
         self.attach(m)?;
-        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
-            self.stack.start
-        } else {
-            m.regs.sp
-        };
-        if !self.stack.contains_range(base, frame_size) {
-            return Err(VmError::StackOverflow {
-                detail: format!("FRAM stack exhausted allocating {frame_size} bytes"),
-            });
-        }
-        Ok(base)
-    }
-
-    fn free_frame(&mut self, _m: &mut Machine, _fp: Addr) -> Result<()> {
-        Ok(())
-    }
-
-    fn logged_store(&mut self, _m: &mut Machine, _addr: Addr, _len: u32) -> Result<()> {
-        Ok(())
+        Ok(self.stack)
     }
 
     fn tx_driver(&mut self) -> Option<&mut TxDriver> {
@@ -300,12 +270,6 @@ mod tests {
         assert!(m.stats().checkpoints >= 50, "got {}", m.stats().checkpoints);
     }
 
-    #[test]
-    fn rejects_wrong_instrumentation() {
-        let prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
-        assert!(RatchetRuntime::default().check_program(&prog).is_err());
-    }
-
     fn clobber(m: &mut Machine, buf: Addr) {
         let a = buf.offset(tics_vm::persist::DELTA_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
@@ -335,7 +299,10 @@ mod tests {
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(action, ResumeAction::Restored));
         assert_eq!(m.stats().recoveries, 1);
-        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), if flag == 1 { 2 } else { 1 });
+        assert_eq!(
+            m.mem.peek_word(banks.flag).unwrap(),
+            if flag == 1 { 2 } else { 1 }
+        );
         // Corrupt the fallback too: recovery degrades to a fresh start.
         clobber(&mut m, other);
         let action = rt.on_boot(&mut m).unwrap();

@@ -15,6 +15,9 @@ use crate::bufs;
 
 type Result<T> = std::result::Result<T, VmError>;
 
+/// Entries in a kernel's privatization buffer (its undo log).
+const UNDO_CAPACITY: u32 = 256;
+
 /// Which task-based system the kernel models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskFlavor {
@@ -86,7 +89,6 @@ impl TaskFlavor {
 #[derive(Debug)]
 pub struct TaskKernel {
     flavor: TaskFlavor,
-    undo_capacity: u32,
     undo: UndoLog,
     banks: Option<BankPair>,
     ts_base: Addr,
@@ -95,31 +97,17 @@ pub struct TaskKernel {
 }
 
 impl TaskKernel {
-    /// Creates a kernel of the given flavor with the default
-    /// privatization buffer (256 entries).
+    /// Creates a kernel of the given flavor.
     #[must_use]
     pub fn new(flavor: TaskFlavor) -> TaskKernel {
-        TaskKernel::with_undo_capacity(flavor, 256)
-    }
-
-    /// Creates a kernel with an explicit privatization-buffer capacity.
-    #[must_use]
-    pub fn with_undo_capacity(flavor: TaskFlavor, undo_capacity: u32) -> TaskKernel {
         TaskKernel {
             flavor,
-            undo_capacity,
             undo: UndoLog::default(),
             banks: None,
             ts_base: Addr(0),
             chain: DeltaChain::default(),
             tx: TxDriver::default(),
         }
-    }
-
-    /// The kernel flavor.
-    #[must_use]
-    pub fn flavor(&self) -> TaskFlavor {
-        self.flavor
     }
 
     fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
@@ -133,14 +121,14 @@ impl TaskKernel {
         let (banks, end) = bufs::attach_hardened(
             m,
             16 + 4 + sram,
-            timestamps + 8 * self.undo_capacity,
+            timestamps + 8 * UNDO_CAPACITY,
             &mut self.chain,
             "task kernel buffers do not fit in FRAM",
         )?;
         // The undo count lives in the control block's scratch word.
         self.undo = UndoLog::new(
             end.offset(timestamps),
-            self.undo_capacity,
+            UNDO_CAPACITY,
             m.runtime_area_base().offset(bufs::SCRATCH),
         );
         self.ts_base = end;
@@ -197,17 +185,24 @@ impl TaskKernel {
     fn supports_time(&self) -> bool {
         matches!(self.flavor, TaskFlavor::Ink | TaskFlavor::Mayfly)
     }
+
+    /// Traps unless the flavor supports the timestamp/freshness
+    /// operations.
+    fn require_time(&self) -> Result<()> {
+        if self.supports_time() {
+            Ok(())
+        } else {
+            Err(VmError::Trap(format!(
+                "{} has no timing support (Table 5)",
+                self.flavor.name()
+            )))
+        }
+    }
 }
 
 impl IntermittentRuntime for TaskKernel {
     fn name(&self) -> &'static str {
         self.flavor.name()
-    }
-
-    // `on_instruction` is the trait default (a no-op) for this runtime,
-    // so the decoded dispatcher may run its fused fast loop.
-    fn instruction_hook(&self) -> bool {
-        false
     }
 
     fn capabilities(&self) -> RuntimeCapabilities {
@@ -221,13 +216,11 @@ impl IntermittentRuntime for TaskKernel {
         }
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation != Instrumentation::TaskBased {
-            return Err(VmError::IncompatibleInstrumentation {
-                expected: "TaskBased".into(),
-                found: format!("{:?}", program.instrumentation),
-            });
-        }
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::TaskBased
+    }
+
+    fn check_shape(&self, program: &Program) -> Result<()> {
         if program.has_recursion {
             return Err(VmError::Load(format!(
                 "{} does not support recursion (Table 5)",
@@ -285,35 +278,11 @@ impl IntermittentRuntime for TaskKernel {
         let m = &mut *span;
         let bytes = u64::from(20 + used + replayed);
         let costs = m.mem.costs();
-        let cost = costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
+        let cost =
+            costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
         let _ = m.charge_atomic(cost);
         m.emit(TraceEvent::Restore { bytes });
         Ok(ResumeAction::Restored)
-    }
-
-    fn alloc_frame(
-        &mut self,
-        m: &mut Machine,
-        _fidx: u16,
-        frame_size: u32,
-        _arg_bytes: u32,
-    ) -> Result<Addr> {
-        let sram = m.mem.layout().sram;
-        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
-            sram.start
-        } else {
-            m.regs.sp
-        };
-        if !sram.contains_range(base, frame_size) {
-            return Err(VmError::StackOverflow {
-                detail: format!("SRAM stack exhausted allocating {frame_size} bytes"),
-            });
-        }
-        Ok(base)
-    }
-
-    fn free_frame(&mut self, _m: &mut Machine, _fp: Addr) -> Result<()> {
-        Ok(())
     }
 
     fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
@@ -332,7 +301,7 @@ impl IntermittentRuntime for TaskKernel {
                 "{}: task exceeds its privatization buffer ({} entries); \
                  split the task",
                 self.flavor.name(),
-                self.undo_capacity
+                UNDO_CAPACITY
             )));
         }
         self.undo.append(m, addr, len)
@@ -358,12 +327,7 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn timestamp_var(&mut self, m: &mut Machine, var: VarId) -> Result<()> {
-        if !self.supports_time() {
-            return Err(VmError::Trap(format!(
-                "{} has no timing support (Table 5)",
-                self.flavor.name()
-            )));
-        }
+        self.require_time()?;
         self.attach(m)?;
         let now = m.now().as_micros();
         m.mem
@@ -373,12 +337,7 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn expires_check(&mut self, m: &mut Machine, var: VarId) -> Result<bool> {
-        if !self.supports_time() {
-            return Err(VmError::Trap(format!(
-                "{} has no timing support (Table 5)",
-                self.flavor.name()
-            )));
-        }
+        self.require_time()?;
         self.attach(m)?;
         let ttl = m.loaded().program.annotated[var as usize].ttl_us;
         m.mem.add_cycles(12);
@@ -390,22 +349,9 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn timely_check(&mut self, m: &mut Machine, deadline_ms: i32) -> Result<bool> {
-        if !self.supports_time() {
-            return Err(VmError::Trap(format!(
-                "{} has no timing support (Table 5)",
-                self.flavor.name()
-            )));
-        }
+        self.require_time()?;
         m.mem.add_cycles(12);
         Ok((m.now().as_micros() / 1_000) < deadline_ms.max(0) as u64)
-    }
-
-    fn atomic_begin(&mut self, _m: &mut Machine) -> Result<()> {
-        Ok(())
-    }
-
-    fn atomic_end(&mut self, _m: &mut Machine) -> Result<()> {
-        Ok(())
     }
 }
 
@@ -534,7 +480,7 @@ mod tests {
         .unwrap();
         passes::instrument_task_based(&mut prog, &["task_huge"], 0, 0).unwrap();
         let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
-        let mut rt = TaskKernel::with_undo_capacity(TaskFlavor::Alpaca, 64);
+        let mut rt = TaskKernel::new(TaskFlavor::Alpaca);
         let err = Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap_err();
@@ -592,7 +538,10 @@ mod tests {
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(action, ResumeAction::Restored));
         assert_eq!(m.stats().recoveries, 1);
-        assert_eq!(m.mem.peek_word(banks.flag).unwrap(), if flag == 1 { 2 } else { 1 });
+        assert_eq!(
+            m.mem.peek_word(banks.flag).unwrap(),
+            if flag == 1 { 2 } else { 1 }
+        );
         clobber(&mut m, other);
         let action = rt.on_boot(&mut m).unwrap();
         assert!(matches!(

@@ -40,8 +40,7 @@ fn tics_prog(app: App, scale: u32) -> Result<tics_minic::Program, String> {
 
 fn run_segment_size(cell: &Cell) -> Result<CellOutput, String> {
     let prog = tics_prog(App::Bc, cell.scale)?;
-    let s1 = prog.max_frame_size().next_multiple_of(64);
-    let seg = s1 * u32::try_from(cell.param_i64("mult")).expect("mult");
+    let seg = TicsConfig::s1_seg_size(&prog) * u32::try_from(cell.param_i64("mult")).expect("mult");
     let mut m = Machine::new(prog, MachineConfig::default()).expect("loads");
     let mut rt = TicsRuntime::new(
         TicsConfig::s2()
@@ -70,12 +69,13 @@ fn run_undo_capacity(cell: &Cell) -> Result<CellOutput, String> {
     let prog = tics_prog(App::Cuckoo, cell.scale)?;
     let capacity = u32::try_from(cell.param_i64("capacity")).expect("capacity");
     let mut m = Machine::new(prog.clone(), MachineConfig::default()).expect("loads");
-    let mut cfg = TicsConfig {
-        undo_capacity: capacity,
-        ..TicsConfig::s2()
-    };
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
-    let mut rt = TicsRuntime::new(cfg);
+    let mut rt = TicsRuntime::new(
+        TicsConfig {
+            undo_capacity: capacity,
+            ..TicsConfig::s2()
+        }
+        .fitted_to(&prog),
+    );
     let out = Executor::new()
         .with_time_budget(cell.time_budget_us)
         .run(&mut m, &mut rt, &mut ContinuousPower::new())
@@ -97,11 +97,10 @@ fn run_undo_capacity(cell: &Cell) -> Result<CellOutput, String> {
 
 fn run_checkpoint_policy(cell: &Cell) -> Result<CellOutput, String> {
     let prog = tics_prog(App::Bc, cell.scale)?;
-    let seg = prog.max_frame_size().next_multiple_of(64).max(256);
     let timer = cell.param_value("timer_us").and_then(Json::as_u64);
     let voltage = cell.param_value("voltage_mv").and_then(Json::as_u64);
+    let mut rt = TicsRuntime::new(TicsConfig::s2().with_timer(timer).fitted_to(&prog));
     let mut m = Machine::new(prog, MachineConfig::default()).expect("loads");
-    let mut rt = TicsRuntime::new(TicsConfig::s2().with_seg_size(seg).with_timer(timer));
     let mut exec = Executor::new()
         .with_time_budget(cell.time_budget_us)
         .with_starvation_detection(4_000);
@@ -146,9 +145,7 @@ fn run_timekeeper_error(cell: &Cell) -> Result<CellOutput, String> {
         )),
     )
     .expect("loads");
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
-    let mut rt = TicsRuntime::new(cfg);
+    let mut rt = TicsRuntime::new(TicsConfig::s2_star().fitted_to(&prog));
     let mut supply = CapacitorSupply::new(
         RfHarvester::new(3.0, 2.0, 0.85, 42),
         Capacitor::new(10e-6, 3.3, 2.4, 1.8),

@@ -97,16 +97,13 @@ fn run_tics_config(cell: &Cell) -> Result<CellOutput, String> {
     if cell.param_value("st").and_then(Json::as_bool) == Some(true) {
         passes::add_task_boundary_checkpoints(&mut prog, st_boundaries(cell.app));
     }
-    let s1 = prog.max_frame_size().next_multiple_of(64);
+    let s1 = TicsConfig::s1_seg_size(&prog);
     let seg = match cell.param_str("seg") {
         "s1" => s1,
         _ => 4 * s1,
     };
     let timer = cell.param_value("timer_us").and_then(Json::as_u64);
     let mut cfg = TicsConfig::s2().with_seg_size(seg).with_timer(timer);
-    if cfg.seg_size < s1 {
-        cfg.seg_size = s1;
-    }
     // Keep the segment array byte size comparable across seg sizes.
     cfg.n_segments = (2048 / cfg.seg_size).max(4);
     let seg_bytes = cfg.seg_size;

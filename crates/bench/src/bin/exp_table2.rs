@@ -15,13 +15,13 @@
 //! timely-branching, misalignment, and data-expiration violations from
 //! the ground-truth event timeline — the paper's Table 2.
 
+use tics_apps::build::make_runtime;
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_baselines::NaiveCheckpoint;
 use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::JournalRow;
 use tics_bench::sweep::{Cell, CellOutput, SupplySpec};
 use tics_bench::{count_violations, ClockKind, Json};
-use tics_core::{TicsConfig, TicsRuntime};
 use tics_minic::opt::OptLevel;
 use tics_vm::{Executor, IntermittentRuntime};
 
@@ -41,12 +41,7 @@ fn run_variant(cell: &Cell) -> Result<CellOutput, String> {
     .map_err(|e| e.to_string())?;
     let mut machine = cell.machine(&prog).expect("program loads");
     let mut runtime: Box<dyn IntermittentRuntime> = if with_tics {
-        let mut cfg = TicsConfig::s2_star();
-        let max_frame = prog.max_frame_size();
-        if cfg.seg_size < max_frame {
-            cfg.seg_size = max_frame.next_multiple_of(64);
-        }
-        Box::new(TicsRuntime::new(cfg))
+        make_runtime(cell.system, &prog)
     } else {
         // Aggressive probing: checkpoints land inside windows, which is
         // exactly what creates the Figure 3 violations on restore.

@@ -7,32 +7,25 @@
 //! task-shared shadow copies are included for InK. Cells are pure
 //! builds (no simulation), journaled like any other sweep.
 
+use tics_apps::build::{build_program, Scale};
 use tics_apps::{bc, build_app, App, SystemUnderTest};
 use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::journal::{CellStatus, JournalRow};
 use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
 use tics_minic::opt::OptLevel;
-use tics_minic::{compile, passes};
 
 fn build_cell(cell: &Cell) -> Result<CellOutput, String> {
     // Chinchilla only exists at -O0 (its toolchain constraint), and its
     // BC uses the manually de-recursed port ("the authors have manually
     // removed the recursion to make it work with their system").
     let prog = if cell.system == SystemUnderTest::Chinchilla && cell.app == App::Bc {
-        let mut prog =
-            compile(&bc::norec_src(cell.scale), OptLevel::O0).map_err(|e| e.to_string())?;
-        passes::instrument_chinchilla(&mut prog).map_err(|e| e.to_string())?;
-        prog
+        let legacy = bc::norec_src(cell.scale);
+        build_program(cell.system, &legacy, Err("Table 3 builds no task port"), cell.opt)
     } else {
-        build_app(
-            cell.app,
-            cell.system,
-            cell.opt,
-            tics_apps::build::Scale(cell.scale),
-        )
-        .map_err(|e| e.to_string())?
-    };
+        build_app(cell.app, cell.system, cell.opt, Scale(cell.scale))
+    }
+    .map_err(|e| e.to_string())?;
     Ok(CellOutput {
         outcome: "built".to_string(),
         text_bytes: prog.text_bytes(),
@@ -62,11 +55,7 @@ fn main() -> std::process::ExitCode {
     let mut sweep = exp.sweep();
     for app in [App::Ar, App::Bc, App::Cuckoo] {
         for system in SYSTEMS {
-            let opt = if system == SystemUnderTest::Chinchilla {
-                OptLevel::O0
-            } else {
-                OptLevel::O2
-            };
+            let opt = system.toolchain_opt(OptLevel::O2);
             sweep = sweep.cell(Cell::new(app, system).opt(opt).scale(24));
         }
     }

@@ -2,25 +2,23 @@
 //! reported live by each runtime implementation. One sweep cell per
 //! runtime; the journal keeps the machine-readable matrix.
 
+use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
-use tics_baselines::{ChinchillaRuntime, NaiveCheckpoint, RatchetRuntime, TaskFlavor, TaskKernel};
 use tics_bench::experiment::{Experiment, SWEEP};
 use tics_bench::sweep::{Cell, CellOutput};
 use tics_bench::Json;
-use tics_core::{TicsConfig, TicsRuntime};
-use tics_vm::IntermittentRuntime;
+use tics_minic::Program;
 
-fn runtime_for(index: i64) -> Box<dyn IntermittentRuntime> {
-    match index {
-        0 => Box::new(TaskKernel::new(TaskFlavor::Mayfly)),
-        1 => Box::new(TaskKernel::new(TaskFlavor::Alpaca)),
-        2 => Box::new(RatchetRuntime::default()),
-        3 => Box::new(ChinchillaRuntime::default()),
-        4 => Box::new(TaskKernel::new(TaskFlavor::Ink)),
-        5 => Box::new(NaiveCheckpoint::default()),
-        _ => Box::new(TicsRuntime::new(TicsConfig::default())),
-    }
-}
+/// Table 5's rows, in the paper's order.
+const SYSTEMS: [SystemUnderTest; 7] = [
+    SystemUnderTest::Mayfly,
+    SystemUnderTest::Alpaca,
+    SystemUnderTest::Ratchet,
+    SystemUnderTest::Chinchilla,
+    SystemUnderTest::Ink,
+    SystemUnderTest::Mementos,
+    SystemUnderTest::Tics,
+];
 
 fn yn(b: bool) -> &'static str {
     if b {
@@ -35,13 +33,11 @@ fn main() -> std::process::ExitCode {
     println!("Table 5: programming-model capability matrix\n");
 
     let mut sweep = exp.sweep();
-    for i in 0..7i64 {
-        sweep = sweep.cell(
-            Cell::new(App::Bc, SystemUnderTest::Tics).param("runtime_index", i),
-        );
+    for system in SYSTEMS {
+        sweep = sweep.cell(Cell::new(App::Bc, system));
     }
     let outcome = exp.run(sweep, |cell| {
-        let rt = runtime_for(cell.param_i64("runtime_index"));
+        let rt = make_runtime(cell.system, &Program::default());
         let c = rt.capabilities();
         Ok(CellOutput {
             outcome: "queried".to_string(),

@@ -29,13 +29,12 @@
 //! on-period) is reported as a *diagnosis*, distinct from a memory
 //! violation — the run never lies about state, it just never advances.
 
-use tics_apps::build::make_runtime;
+use tics_apps::build::{build_program, make_runtime};
 use tics_apps::SystemUnderTest;
-use tics_baselines::TaskFlavor;
 use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan, Tail};
 use tics_mcu::CorruptionModel;
 use tics_minic::opt::OptLevel;
-use tics_minic::{compile, passes, Program};
+use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
 
@@ -359,11 +358,11 @@ impl FaultProgram {
     }
 }
 
-/// Builds (compiles + instruments) a corpus program for `system`,
-/// mirroring the per-system rules of [`tics_apps::build::build_app`]:
-/// task kernels get the hand-ported task graph (loop-free task bodies,
-/// so MayFly accepts them too), Chinchilla compiles at `-O0` and
-/// rejects recursion, everything else runs the legacy source.
+/// Builds (compiles + instruments) a corpus program for `system` at
+/// `-O1` under the per-system rules of
+/// [`tics_apps::build::build_program`]: task kernels get the hand-ported
+/// task graph (loop-free task bodies, so MayFly accepts them too),
+/// everything else runs the legacy source.
 ///
 /// # Errors
 ///
@@ -373,65 +372,18 @@ pub fn build_fault_program(
     program: FaultProgram,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
-    let task = program.task_src().ok_or_else(|| {
-        format!(
-            "{} has no task-graph port (pointer or recursion shape)",
-            program.name()
-        )
-    });
-    build_corpus(system, program.legacy_src(), task)
+    let no_port = format!(
+        "{} has no task-graph port (pointer or recursion shape)",
+        program.name()
+    );
+    let task = program.task_src().ok_or(no_port.as_str());
+    build_program(system, program.legacy_src(), task, corpus_opt(system))
+        .map_err(|e| e.to_string())
 }
 
-/// The per-system build rules of [`build_fault_program`], shared with
-/// [`crate::periph::build_periph_program`]: `legacy` is the source the
-/// checkpointing systems run, `task` the task-graph port (or why there
-/// is none) the task kernels run.
-pub(crate) fn build_corpus(
-    system: SystemUnderTest,
-    legacy: &str,
-    task: Result<(&str, &[&str]), String>,
-) -> Result<Program, String> {
-    if system.is_task_based() {
-        let (src, tasks) = task?;
-        let flavor = match system {
-            SystemUnderTest::Alpaca => TaskFlavor::Alpaca,
-            SystemUnderTest::Ink => TaskFlavor::Ink,
-            _ => TaskFlavor::Mayfly,
-        };
-        let mut prog = compile(src, OptLevel::O1).map_err(|e| e.to_string())?;
-        passes::instrument_task_based(
-            &mut prog,
-            tasks,
-            flavor.runtime_text_bytes(),
-            flavor.runtime_data_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        return Ok(prog);
-    }
-    let opt = if system == SystemUnderTest::Chinchilla {
-        OptLevel::O0
-    } else {
-        OptLevel::O1
-    };
-    let mut prog = compile(legacy, opt).map_err(|e| e.to_string())?;
-    match system {
-        SystemUnderTest::PlainC => {}
-        SystemUnderTest::Tics => passes::instrument_tics(&mut prog).map_err(|e| e.to_string())?,
-        SystemUnderTest::Mementos => {
-            passes::instrument_mementos(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Chinchilla => {
-            if prog.has_recursion {
-                return Err("recursion cannot run on Chinchilla (locals are promoted)".into());
-            }
-            passes::instrument_chinchilla(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Ratchet => {
-            passes::instrument_ratchet(&mut prog).map_err(|e| e.to_string())?;
-        }
-        _ => unreachable!("task systems handled above"),
-    }
-    Ok(prog)
+/// The optimization level the oracle corpora build at for `system`.
+pub(crate) fn corpus_opt(system: SystemUnderTest) -> OptLevel {
+    system.toolchain_opt(OptLevel::O1)
 }
 
 // ---------------------------------------------------------------------

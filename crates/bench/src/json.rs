@@ -159,15 +159,6 @@ impl Json {
         }
     }
 
-    /// The value's object fields, if it is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Compact single-line serialization.
     #[must_use]
     pub fn to_compact(&self) -> String {

@@ -34,6 +34,7 @@
 //! `print`) is permitted: the transaction committed on the wire and the
 //! journal skips its replay.
 
+use tics_apps::build::build_program;
 use tics_apps::SystemUnderTest;
 use tics_energy::FaultPlan;
 use tics_mcu::periph::{ServedRead, Uart, WireByte};
@@ -42,7 +43,7 @@ use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{RunOutcome, VmError};
 
 use crate::fault::{
-    build_corpus, chaos_plan, golden_machine, replay, replay_budget_us, GUARD_BOOTS,
+    chaos_plan, corpus_opt, golden_machine, replay, replay_budget_us, GUARD_BOOTS,
 };
 use crate::json::Json;
 
@@ -315,11 +316,9 @@ impl PeriphWorkload {
 }
 
 /// Builds (compiles + instruments) a peripheral workload for `system`
-/// under the per-system rules of
-/// [`crate::fault::build_fault_program`]: task kernels get the
+/// like [`crate::fault::build_fault_program`]: task kernels get the
 /// hand-ported task graph (one transaction attempt per loop-free task
-/// body), TICS gets the `@expires`-annotated sensor variant, Chinchilla
-/// compiles at `-O0`.
+/// body), TICS gets the `@expires`-annotated sensor variant.
 ///
 /// # Errors
 ///
@@ -329,10 +328,10 @@ pub fn build_periph_program(
     workload: PeriphWorkload,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
-    let task = workload
-        .task_src()
-        .ok_or_else(|| format!("{} has no loop-free task-graph port", workload.name()));
-    build_corpus(system, workload.legacy_src(system), task)
+    let no_port = format!("{} has no loop-free task-graph port", workload.name());
+    let task = workload.task_src().ok_or(no_port.as_str());
+    build_program(system, workload.legacy_src(system), task, corpus_opt(system))
+        .map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 //! TICS runtime configuration.
 
+use tics_minic::Program;
+
 /// Configuration of the TICS runtime buffers and policies.
 ///
 /// The paper's evaluation sweeps the working-stack (segment) size — its
@@ -76,6 +78,23 @@ impl TicsConfig {
     #[must_use]
     pub fn with_virtualized_io(mut self) -> TicsConfig {
         self.virtualize_io = true;
+        self
+    }
+
+    /// The paper's `S1` segment size for `program`: its largest frame,
+    /// rounded up to 64 B — the smallest segment the program runs in,
+    /// since the maximum stack frame dictates the minimum block size
+    /// (§3.1.1).
+    #[must_use]
+    pub fn s1_seg_size(program: &Program) -> u32 {
+        program.max_frame_size().next_multiple_of(64)
+    }
+
+    /// This configuration with its segment size raised to
+    /// [`TicsConfig::s1_seg_size`] where it is smaller.
+    #[must_use]
+    pub fn fitted_to(mut self, program: &Program) -> TicsConfig {
+        self.seg_size = self.seg_size.max(TicsConfig::s1_seg_size(program));
         self
     }
 

@@ -1,6 +1,6 @@
 //! The TICS [`IntermittentRuntime`] implementation.
 
-use tics_mcu::{Addr, Registers};
+use tics_mcu::{Addr, Region, Registers};
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
@@ -216,13 +216,11 @@ impl IntermittentRuntime for TicsRuntime {
         RuntimeCapabilities::tics()
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation != Instrumentation::Tics {
-            return Err(VmError::IncompatibleInstrumentation {
-                expected: "Tics".into(),
-                found: format!("{:?}", program.instrumentation),
-            });
-        }
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::Tics
+    }
+
+    fn check_shape(&self, program: &Program) -> Result<()> {
         let max_frame = program.max_frame_size();
         if max_frame > self.config.seg_size {
             return Err(VmError::Load(format!(
@@ -294,7 +292,9 @@ impl IntermittentRuntime for TicsRuntime {
                 "checkpoint restore failed read-back verification".into(),
             ));
         }
-        let replayed = self.chain.resume(m, &l.banks, bank_seq, &region, &mut misc)?;
+        let replayed = self
+            .chain
+            .resume(m, &l.banks, bank_seq, &region, &mut misc)?;
         let [pc, sp, fp, sr, depth, _] = unpack_misc(&misc);
         m.regs = Registers::from_words([pc, sp, fp, sr]);
         self.atomic_depth = depth;
@@ -307,6 +307,13 @@ impl IntermittentRuntime for TicsRuntime {
             bytes: u64::from(l.banks.bank_bytes() + replayed),
         });
         Ok(ResumeAction::Restored)
+    }
+
+    // Frames live in the FRAM segment array, placed segment by segment
+    // by `alloc_frame` below.
+    fn frame_stack(&mut self, m: &mut Machine) -> Result<Region> {
+        let l = self.attach(m)?;
+        Ok(Region::with_len(l.segments, l.segment_array_bytes()))
     }
 
     fn alloc_frame(
@@ -441,6 +448,10 @@ impl IntermittentRuntime for TicsRuntime {
             CheckpointKind::Timer => self.commit_checkpoint(m, CkptCause::Timer).map(|_| ()),
             CheckpointKind::Voltage => self.commit_checkpoint(m, CkptCause::Voltage).map(|_| ()),
         }
+    }
+
+    fn instruction_hook(&self) -> bool {
+        true
     }
 
     fn on_instruction(&mut self, m: &mut Machine) -> Result<()> {
@@ -616,8 +627,10 @@ impl IntermittentRuntime for TicsRuntime {
         }
         m.mem.poke_i32(l.io_slot(self.io_count), value)?;
         self.io_count += 1;
-        m.mem
-            .poke_bytes(l.control.offset(ctrl::IO_COUNT), &self.io_count.to_le_bytes())?;
+        m.mem.poke_bytes(
+            l.control.offset(ctrl::IO_COUNT),
+            &self.io_count.to_le_bytes(),
+        )?;
         m.mem.add_cycles(16);
         Ok(true)
     }
@@ -1169,11 +1182,15 @@ mod tests {
         assert_eq!(ctrl_flag(&m, &rt), Some(0), "no bank left to trust");
         assert_eq!(m.stats().recoveries, 1);
         assert_eq!(m.stats().fresh_starts, 1);
-        let recovered = m
-            .trace()
-            .records()
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Recovery { invalid_banks: 2, fresh_start: true }));
+        let recovered = m.trace().records().iter().any(|r| {
+            matches!(
+                r.event,
+                TraceEvent::Recovery {
+                    invalid_banks: 2,
+                    fresh_start: true
+                }
+            )
+        });
         assert!(recovered, "typed Recovery event must be on the trace");
     }
 
@@ -1221,16 +1238,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.exit_code(), Some(1500), "WAR consistency violated");
         assert!(m.stats().power_failures > 0);
-    }
-
-    #[test]
-    fn rejects_uninstrumented_programs() {
-        let prog = compile("int main() { return 0; }", OptLevel::O1).unwrap();
-        let rt = TicsRuntime::new(TicsConfig::default());
-        assert!(matches!(
-            rt.check_program(&prog),
-            Err(VmError::IncompatibleInstrumentation { .. })
-        ));
     }
 
     #[test]

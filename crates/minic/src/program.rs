@@ -89,14 +89,6 @@ pub struct GlobalVar {
     pub var_id: Option<VarId>,
 }
 
-impl GlobalVar {
-    /// Whether the variable lives in `.data` (has an initializer).
-    #[must_use]
-    pub fn is_data(&self) -> bool {
-        !self.init.is_empty()
-    }
-}
-
 /// A time-annotated variable (declared with `@expires_after`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnotatedVar {

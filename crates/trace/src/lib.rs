@@ -458,12 +458,6 @@ impl TraceSink {
         self.detailed = detailed;
     }
 
-    /// Whether detail events are being retained.
-    #[must_use]
-    pub fn is_detailed(&self) -> bool {
-        self.detailed
-    }
-
     /// Appends one record (folding its visibility into the incremental
     /// counter first, so retention policy can never skew progress
     /// accounting).

@@ -287,15 +287,6 @@ impl DecodedProgram {
         fuse(code, &mut dp);
         dp
     }
-
-    /// Whether the function owning `pc` was verified (used by the boot
-    /// consistency check in the executor).
-    #[must_use]
-    pub fn pc_verified(&self, owner: &[u16], pc: u32) -> bool {
-        owner
-            .get(pc as usize)
-            .is_some_and(|&fi| self.verified[fi as usize])
-    }
 }
 
 /// Net operand-stack effect of one instruction: `(min_depth_before,

@@ -88,8 +88,8 @@ pub enum RunOutcome {
     /// The power supply produced no more periods (experiment window
     /// ended).
     OutOfEnergy,
-    /// The executor's total time or instruction budget ran out (used to
-    /// bound infinite sense-loops).
+    /// The executor's total time budget ran out (used to bound infinite
+    /// sense-loops).
     BudgetExhausted,
     /// The system made no forward progress for the configured number of
     /// consecutive boots — the paper's *system starvation*.
@@ -116,8 +116,6 @@ impl RunOutcome {
 pub struct Executor {
     /// Stop after this much total on-time (µs). Bounds infinite loops.
     pub max_total_us: u64,
-    /// Stop after this many instructions.
-    pub max_instructions: u64,
     /// Declare starvation after this many consecutive boots with no new
     /// checkpoint and no program completion. `u64::MAX` disables.
     pub starvation_boots: u64,
@@ -144,7 +142,6 @@ impl Default for Executor {
     fn default() -> Self {
         Executor {
             max_total_us: u64::MAX / 4,
-            max_instructions: u64::MAX,
             starvation_boots: u64::MAX,
             progress_guard_boots: u64::MAX,
             voltage_warning_us: None,
@@ -154,7 +151,7 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// An executor with effectively unlimited budgets.
+    /// An executor with an effectively unlimited time budget.
     #[must_use]
     pub fn new() -> Executor {
         Executor::default()
@@ -164,13 +161,6 @@ impl Executor {
     #[must_use]
     pub fn with_time_budget(mut self, us: u64) -> Executor {
         self.max_total_us = us;
-        self
-    }
-
-    /// Caps the instruction count.
-    #[must_use]
-    pub fn with_instruction_budget(mut self, n: u64) -> Executor {
-        self.max_instructions = n;
         self
     }
 
@@ -291,9 +281,7 @@ impl Executor {
                 if m.cycles() >= deadline {
                     break;
                 }
-                if m.cycles() >= self.max_total_us
-                    || m.stats().instructions >= self.max_instructions
-                {
+                if m.cycles() >= self.max_total_us {
                     return Ok(RunOutcome::BudgetExhausted);
                 }
                 let warned = warn_at.is_some_and(|w| !voltage_fired && m.cycles() >= w);
@@ -322,7 +310,7 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, isr, hook, stop_at, self.max_instructions)?;
+                        run_burst(m, rt, decoded, isr, hook, stop_at)?;
                     }
                 }
             }
@@ -813,7 +801,8 @@ fn bin_apply(op: BinOp, a: i32, b: i32) -> Result<i32> {
 }
 
 /// The decoded loop: dispatches decoded ops until a stop boundary —
-/// period deadline, voltage warning, budget — or a halt via a `Ref` op.
+/// period deadline, voltage warning, time budget — or a halt via a
+/// `Ref` op.
 /// `Ref` ops (calls, returns, syscalls, runtime-mediated instructions,
 /// and everything in unverified functions) run the reference body.
 ///
@@ -836,13 +825,12 @@ fn run_burst(
     isr: bool,
     hook: bool,
     stop_at: u64,
-    max_instr: u64,
 ) -> Result<()> {
     let hooked = isr || hook;
     let ops = if hooked { &dp.plain } else { &dp.ops };
     let data_base = m.data_base().raw();
     loop {
-        if m.cycles() >= stop_at || m.stats().instructions >= max_instr {
+        if m.cycles() >= stop_at {
             return Ok(());
         }
         if isr {
@@ -868,12 +856,11 @@ fn run_burst(
             }
             continue;
         }
-        let instr_left = max_instr.saturating_sub(m.stats().instructions);
         let mut instr = 0u64;
         let res = {
             let (mem, regs, _) = m.burst_parts();
             let mut bm = mem.word_burst();
-            let r = fast_zone(&mut bm, regs, dp, data_base, stop_at, instr_left, &mut instr);
+            let r = fast_zone(&mut bm, regs, dp, data_base, stop_at, &mut instr);
             bm.commit();
             r
         };
@@ -894,14 +881,13 @@ fn fast_zone(
     dp: &DecodedProgram,
     data_base: u32,
     stop_at: u64,
-    instr_left: u64,
     instr: &mut u64,
 ) -> Result<()> {
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
             exec_op(bm, regs, data_base, instr, $first)?;
             $(
-                if bm.cycles() >= stop_at || *instr >= instr_left {
+                if bm.cycles() >= stop_at {
                     continue;
                 }
                 exec_op(bm, regs, data_base, instr, $rest)?;
@@ -909,7 +895,7 @@ fn fast_zone(
         }};
     }
     loop {
-        if bm.cycles() >= stop_at || *instr >= instr_left {
+        if bm.cycles() >= stop_at {
             return Ok(());
         }
         let pc = regs.pc;

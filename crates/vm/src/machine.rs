@@ -541,12 +541,6 @@ impl Machine {
         self.clock.now()
     }
 
-    /// Whether the timekeeper trusts its own reading.
-    pub fn time_known(&mut self) -> bool {
-        let _ = self.now();
-        self.clock.is_time_known()
-    }
-
     /// Ground-truth wall-clock time in µs (on-time cycles plus all
     /// outage durations). This is the *simulation oracle* — the device
     /// itself only sees its (possibly volatile) timekeeper via

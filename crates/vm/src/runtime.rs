@@ -1,6 +1,6 @@
 //! The [`IntermittentRuntime`] trait and the bare (plain C) runtime.
 
-use tics_mcu::Addr;
+use tics_mcu::{Addr, Region};
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 
@@ -41,6 +41,26 @@ pub enum CheckpointKind {
 /// `tics-baselines`, [`BareRuntime`] here) hold *their persistent state
 /// inside simulated FRAM* — a runtime that cached state in host memory
 /// would silently survive power failures it should not survive.
+///
+/// A runtime states only its policy: its [`name`](Self::name), its
+/// Table 5 [`capabilities`](Self::capabilities), the
+/// [`instrumentation`](Self::instrumentation) pass it executes, what a
+/// boot does ([`on_boot`](Self::on_boot)) and what a checkpoint request
+/// does ([`checkpoint`](Self::checkpoint)). Everything else is inherited
+/// and overridden only where the runtime differs:
+///
+/// * [`check_program`](Self::check_program) compares the program's
+///   instrumentation tag with the runtime's, then applies the runtime's
+///   extra [`check_shape`](Self::check_shape) rules (none by default);
+/// * [`alloc_frame`](Self::alloc_frame) stacks frames contiguously from
+///   the bottom of the [`frame_stack`](Self::frame_stack) region (SRAM by
+///   default);
+/// * stores, frame frees, atomic regions, interrupts and instructions are
+///   no-ops, and [`instruction_hook`](Self::instruction_hook) is `false`;
+/// * the time annotations trap, since only a time-aware runtime can run
+///   them;
+/// * wire I/O is un-hardened: no [`TxDriver`](crate::driver::TxDriver),
+///   and `send` transmits immediately.
 pub trait IntermittentRuntime {
     /// Short display name ("TICS", "MementOS", ...).
     fn name(&self) -> &'static str;
@@ -48,13 +68,38 @@ pub trait IntermittentRuntime {
     /// The Table 5 capability row for this runtime.
     fn capabilities(&self) -> RuntimeCapabilities;
 
-    /// Validates that the program image carries the instrumentation this
-    /// runtime expects. Called once before execution.
+    /// The instrumentation pass whose output this runtime executes.
+    fn instrumentation(&self) -> Instrumentation;
+
+    /// Program shapes the runtime refuses beyond a wrong instrumentation
+    /// tag (recursion, pointers, frames larger than a segment, ...).
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::IncompatibleInstrumentation`] on mismatch.
-    fn check_program(&self, program: &Program) -> Result<()>;
+    /// Returns [`VmError::Load`] naming the unsupported shape.
+    fn check_shape(&self, program: &Program) -> Result<()> {
+        let _ = program;
+        Ok(())
+    }
+
+    /// Validates that the program image carries the instrumentation this
+    /// runtime expects and has a shape it supports. Called once before
+    /// execution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::IncompatibleInstrumentation`] on a tag
+    /// mismatch, else the error of [`IntermittentRuntime::check_shape`].
+    fn check_program(&self, program: &Program) -> Result<()> {
+        let expected = self.instrumentation();
+        if program.instrumentation != expected {
+            return Err(VmError::IncompatibleInstrumentation {
+                expected: format!("{expected:?}"),
+                found: format!("{:?}", program.instrumentation),
+            });
+        }
+        self.check_shape(program)
+    }
 
     /// Returns the runtime to its as-constructed state so it can drive a
     /// recycled machine ([`Machine::reset`]) as if freshly built, keeping
@@ -72,9 +117,23 @@ pub trait IntermittentRuntime {
     /// Propagates memory errors during recovery.
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction>;
 
+    /// The region this runtime's frames live in; the provided
+    /// [`IntermittentRuntime::alloc_frame`] stacks them in it. A runtime
+    /// that places frames its own way (TICS's segment array) still
+    /// declares the region here. Default: the volatile SRAM.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from attaching the runtime's FRAM structures.
+    fn frame_stack(&mut self, m: &mut Machine) -> Result<Region> {
+        Ok(m.mem.layout().sram)
+    }
+
     /// Places a frame of `frame_size` bytes for a call to `fidx` and
     /// returns its base address. `arg_bytes` of arguments will be copied
-    /// into the frame body by the VM.
+    /// into the frame body by the VM. The default stacks frames
+    /// contiguously from the bottom of
+    /// [`IntermittentRuntime::frame_stack`].
     ///
     /// # Errors
     ///
@@ -86,23 +145,44 @@ pub trait IntermittentRuntime {
         fidx: u16,
         frame_size: u32,
         arg_bytes: u32,
-    ) -> Result<Addr>;
+    ) -> Result<Addr> {
+        let _ = (fidx, arg_bytes);
+        let stack = self.frame_stack(m)?;
+        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
+            stack.start
+        } else {
+            m.regs.sp
+        };
+        if !stack.contains_range(base, frame_size) {
+            return Err(VmError::StackOverflow {
+                detail: format!("frame stack {stack} exhausted allocating {frame_size} bytes"),
+            });
+        }
+        Ok(base)
+    }
 
     /// The frame at `fp` is being freed (function return).
     ///
     /// # Errors
     ///
     /// Propagates memory errors (e.g. from an enforced checkpoint).
-    fn free_frame(&mut self, m: &mut Machine, fp: Addr) -> Result<()>;
+    fn free_frame(&mut self, m: &mut Machine, fp: Addr) -> Result<()> {
+        let _ = (m, fp);
+        Ok(())
+    }
 
     /// An instrumented store is about to write `len` bytes at `addr`
     /// (the old value is still in memory). TICS classifies the address
-    /// and undo-logs it; baselines ignore it.
+    /// and undo-logs it, the task kernels privatize task-shared writes;
+    /// the default ignores it.
     ///
     /// # Errors
     ///
     /// Propagates memory errors from logging.
-    fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()>;
+    fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
+        let _ = (m, addr, len);
+        Ok(())
+    }
 
     /// A checkpoint site was reached (or the executor's timer/voltage
     /// event fired). The runtime decides whether to actually commit one.
@@ -124,12 +204,13 @@ pub trait IntermittentRuntime {
     }
 
     /// Whether [`IntermittentRuntime::on_instruction`] does real work for
-    /// this runtime. The decoded dispatcher only enters its fused fast
-    /// loop when this returns `false`; the default is conservatively
-    /// `true` so an overriding runtime that forgets to change it stays
-    /// correct (just slower). Must be constant for the lifetime of a run.
+    /// this runtime. The decoded dispatcher calls it only when this
+    /// returns `true`, and otherwise runs its fused fast loop; the
+    /// reference engine always calls it, so a runtime that overrides
+    /// `on_instruction` without declaring `true` fails the engine
+    /// differential tests. Must be constant for the lifetime of a run.
     fn instruction_hook(&self) -> bool {
-        true
+        false
     }
 
     /// A power failure just wiped volatile state; drop any volatile
@@ -167,10 +248,7 @@ pub trait IntermittentRuntime {
     /// Default: time annotations need a time-aware runtime.
     fn timestamp_var(&mut self, m: &mut Machine, var: VarId) -> Result<()> {
         let _ = (m, var);
-        Err(VmError::Trap(format!(
-            "{}: time annotations require a time-aware runtime",
-            self.name()
-        )))
+        Err(time_unaware(self.name()))
     }
 
     /// `@expires` guard: is `var` still fresh?
@@ -180,10 +258,7 @@ pub trait IntermittentRuntime {
     /// Default: unsupported (see [`IntermittentRuntime::timestamp_var`]).
     fn expires_check(&mut self, m: &mut Machine, var: VarId) -> Result<bool> {
         let _ = (m, var);
-        Err(VmError::Trap(format!(
-            "{}: time annotations require a time-aware runtime",
-            self.name()
-        )))
+        Err(time_unaware(self.name()))
     }
 
     /// `@timely(deadline_ms)`: is now strictly before the deadline?
@@ -193,10 +268,7 @@ pub trait IntermittentRuntime {
     /// Default: unsupported.
     fn timely_check(&mut self, m: &mut Machine, deadline_ms: i32) -> Result<bool> {
         let _ = (m, deadline_ms);
-        Err(VmError::Trap(format!(
-            "{}: time annotations require a time-aware runtime",
-            self.name()
-        )))
+        Err(time_unaware(self.name()))
     }
 
     /// Automatic checkpoints disabled (atomic region entered).
@@ -227,10 +299,7 @@ pub trait IntermittentRuntime {
     /// Default: unsupported.
     fn expires_block_begin(&mut self, m: &mut Machine, var: VarId, catch_pc: u32) -> Result<()> {
         let _ = (m, var, catch_pc);
-        Err(VmError::Trap(format!(
-            "{}: time annotations require a time-aware runtime",
-            self.name()
-        )))
+        Err(time_unaware(self.name()))
     }
 
     /// Leave an `@expires`/`catch` block normally.
@@ -240,10 +309,7 @@ pub trait IntermittentRuntime {
     /// Default: unsupported.
     fn expires_block_end(&mut self, m: &mut Machine) -> Result<()> {
         let _ = m;
-        Err(VmError::Trap(format!(
-            "{}: time annotations require a time-aware runtime",
-            self.name()
-        )))
+        Err(time_unaware(self.name()))
     }
 
     /// The runtime's transactional peripheral driver, if it hardens wire
@@ -273,6 +339,13 @@ pub trait IntermittentRuntime {
     }
 }
 
+/// The trap every time annotation raises under a time-blind runtime.
+fn time_unaware(runtime: &str) -> VmError {
+    VmError::Trap(format!(
+        "{runtime}: time annotations require a time-aware runtime"
+    ))
+}
+
 /// The "plain C" runtime: a continuously-powered program's view of the
 /// world. Frames live in volatile SRAM; there are no checkpoints; every
 /// reboot restarts `main` and re-initializes non-`nv` globals.
@@ -282,25 +355,19 @@ pub trait IntermittentRuntime {
 /// before the failure survives, everything else restarts — inconsistent
 /// mixes included.
 #[derive(Debug, Clone, Default)]
-pub struct BareRuntime {
-    frames_high_water: u32,
-}
+pub struct BareRuntime;
 
 impl BareRuntime {
     /// Creates a bare runtime.
     #[must_use]
     pub fn new() -> BareRuntime {
-        BareRuntime::default()
+        BareRuntime
     }
 }
 
 impl IntermittentRuntime for BareRuntime {
     fn name(&self) -> &'static str {
         "plain-C"
-    }
-
-    fn instruction_hook(&self) -> bool {
-        false
     }
 
     fn capabilities(&self) -> RuntimeCapabilities {
@@ -317,15 +384,8 @@ impl IntermittentRuntime for BareRuntime {
         }
     }
 
-    fn check_program(&self, program: &Program) -> Result<()> {
-        if program.instrumentation == Instrumentation::None {
-            Ok(())
-        } else {
-            Err(VmError::IncompatibleInstrumentation {
-                expected: "none".into(),
-                found: format!("{:?}", program.instrumentation),
-            })
-        }
+    fn instrumentation(&self) -> Instrumentation {
+        Instrumentation::None
     }
 
     fn on_boot(&mut self, _m: &mut Machine) -> Result<ResumeAction> {
@@ -334,62 +394,8 @@ impl IntermittentRuntime for BareRuntime {
         })
     }
 
-    fn alloc_frame(
-        &mut self,
-        m: &mut Machine,
-        _fidx: u16,
-        frame_size: u32,
-        _arg_bytes: u32,
-    ) -> Result<Addr> {
-        let sram = m.mem.layout().sram;
-        let base = if m.regs.fp == Addr(0) && m.regs.sp == Addr(0) {
-            sram.start
-        } else {
-            m.regs.sp
-        };
-        if !sram.contains_range(base, frame_size) {
-            return Err(VmError::StackOverflow {
-                detail: format!("SRAM stack exhausted allocating {frame_size} bytes"),
-            });
-        }
-        self.frames_high_water = self
-            .frames_high_water
-            .max(base.raw() + frame_size - sram.start.raw());
-        Ok(base)
-    }
-
-    fn free_frame(&mut self, _m: &mut Machine, _fp: Addr) -> Result<()> {
-        Ok(())
-    }
-
-    fn logged_store(&mut self, _m: &mut Machine, _addr: Addr, _len: u32) -> Result<()> {
-        Ok(())
-    }
-
     fn checkpoint(&mut self, _m: &mut Machine, _kind: CheckpointKind) -> Result<()> {
         Ok(())
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tics_minic::{compile, opt::OptLevel, passes};
-
-    #[test]
-    fn bare_rejects_instrumented_programs() {
-        let mut prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
-        passes::instrument_tics(&mut prog).unwrap();
-        let rt = BareRuntime::new();
-        assert!(matches!(
-            rt.check_program(&prog),
-            Err(VmError::IncompatibleInstrumentation { .. })
-        ));
-    }
-
-    #[test]
-    fn bare_accepts_plain_programs() {
-        let prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
-        assert!(BareRuntime::new().check_program(&prog).is_ok());
-    }
-}

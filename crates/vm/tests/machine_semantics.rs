@@ -122,18 +122,6 @@ fn event_timeline_orders_marks_sends_and_failures() {
 }
 
 #[test]
-fn instruction_budget_bounds_runs() {
-    let mut m = machine("int main() { while (1) { } return 0; }");
-    let mut rt = BareRuntime::new();
-    let out = Executor::new()
-        .with_instruction_budget(10_000)
-        .run(&mut m, &mut rt, &mut ContinuousPower::new())
-        .unwrap();
-    assert_eq!(out, RunOutcome::BudgetExhausted);
-    assert!(m.stats().instructions <= 10_001);
-}
-
-#[test]
 fn swap_and_ternary_chains_evaluate_correctly() {
     let mut m = machine(
         "int main() {

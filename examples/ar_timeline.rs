@@ -31,11 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         Box::new(CapacitorRtc::new(60_000_000)), // persistent timekeeper
     )?;
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg
-        .seg_size
-        .max(program.max_frame_size().next_multiple_of(64));
-    let mut tics = TicsRuntime::new(cfg);
+    let mut tics = TicsRuntime::new(TicsConfig::s2_star().fitted_to(&program));
 
     // Powercast-style RF link: 3 W EIRP at 2 m, 10 uF storage, deep fading.
     let mut supply = CapacitorSupply::new(

@@ -87,9 +87,7 @@ fn tics_on_the_same_trace_is_violation_free() {
         tics_repro::apps::build::Scale(windows),
     )
     .expect("builds");
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
-    let mut rt = TicsRuntime::new(cfg);
+    let mut rt = TicsRuntime::new(TicsConfig::s2_star().fitted_to(&prog));
     let (stats, trace) = run_ar(
         SystemUnderTest::Tics,
         Box::new(CapacitorRtc::new(120_000_000)),

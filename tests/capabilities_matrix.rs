@@ -1,6 +1,10 @@
 //! Cross-crate enforcement of Table 5: each runtime's declared
-//! capabilities must match what its `check_program` actually accepts.
+//! capabilities must match what its `check_program` actually accepts,
+//! and every runtime keeps the shared rules of the `IntermittentRuntime`
+//! trait — it refuses foreign instrumentation, and its frames start at
+//! the bottom of its declared frame stack and overflow it loudly.
 
+use tics_repro::apps::build::make_runtime;
 use tics_repro::apps::{build_app, App, SystemUnderTest};
 use tics_repro::baselines::{
     ChinchillaRuntime, NaiveCheckpoint, RatchetRuntime, TaskFlavor, TaskKernel,
@@ -9,7 +13,8 @@ use tics_repro::core::{TicsConfig, TicsRuntime};
 use tics_repro::minic::opt::OptLevel;
 use tics_repro::minic::program::Instrumentation;
 use tics_repro::minic::{compile, passes};
-use tics_repro::vm::{IntermittentRuntime, PortingEffort};
+use tics_repro::mcu::Addr;
+use tics_repro::vm::{IntermittentRuntime, Machine, MachineConfig, PortingEffort, VmError};
 
 #[test]
 fn declared_capabilities_match_acceptance() {
@@ -174,21 +179,102 @@ fn only_tics_runs_the_annotated_ar_source() {
     );
 }
 
+/// Every instrumentation tag a program image can carry.
+const TAGS: [Instrumentation; 6] = [
+    Instrumentation::None,
+    Instrumentation::Tics,
+    Instrumentation::Mementos,
+    Instrumentation::Chinchilla,
+    Instrumentation::Ratchet,
+    Instrumentation::TaskBased,
+];
+
+/// Frame size pushed by the stack tests: fits every runtime's frame
+/// stack (and a TICS segment) many times over.
+const FRAME: u32 = 64;
+
+/// Every system's default runtime on a machine loaded with a one-line
+/// program tagged for it, and whether its frames live in FRAM.
+fn runtimes() -> Vec<(SystemUnderTest, Box<dyn IntermittentRuntime>, Machine, bool)> {
+    SystemUnderTest::ALL
+        .into_iter()
+        .map(|system| {
+            let mut prog = compile("int main() { return 0; }", OptLevel::O1).unwrap();
+            let rt = make_runtime(system, &prog);
+            prog.instrumentation = rt.instrumentation();
+            rt.check_program(&prog)
+                .unwrap_or_else(|e| panic!("{}: {e}", rt.name()));
+            let m = Machine::new(prog, MachineConfig::default()).unwrap();
+            let fram = matches!(system, SystemUnderTest::Tics | SystemUnderTest::Ratchet);
+            (system, rt, m, fram)
+        })
+        .collect()
+}
+
+/// Pushes `FRAME`-byte frames as a recursion would until the runtime
+/// refuses one; returns the placed frame bases and the refusal.
+fn recurse_until_refused(rt: &mut dyn IntermittentRuntime, m: &mut Machine) -> (Vec<Addr>, VmError) {
+    let mut frames = Vec::new();
+    loop {
+        match rt.alloc_frame(m, 0, FRAME, 0) {
+            Ok(base) => {
+                frames.push(base);
+                assert!(frames.len() < 10_000, "{}: the stack never ran out", rt.name());
+                m.regs.fp = base;
+                m.regs.sp = base.offset(FRAME);
+            }
+            Err(e) => return (frames, e),
+        }
+    }
+}
+
 #[test]
 fn every_runtime_rejects_foreign_instrumentation() {
-    let plain = compile("int main() { return 0; }", OptLevel::O2).unwrap();
-    let runtimes: Vec<Box<dyn IntermittentRuntime>> = vec![
-        Box::new(TicsRuntime::new(TicsConfig::default())),
-        Box::new(NaiveCheckpoint::default()),
-        Box::new(ChinchillaRuntime::default()),
-        Box::new(RatchetRuntime::default()),
-        Box::new(TaskKernel::new(TaskFlavor::Alpaca)),
-    ];
-    for rt in &runtimes {
+    for (system, rt, m, _) in runtimes() {
+        let mut prog = m.loaded().program.clone();
+        for tag in TAGS.into_iter().filter(|&t| t != rt.instrumentation()) {
+            prog.instrumentation = tag;
+            assert!(
+                matches!(
+                    rt.check_program(&prog),
+                    Err(VmError::IncompatibleInstrumentation { .. })
+                ),
+                "{system:?} must reject a {tag:?} image"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_runtime_overflows_its_frame_stack_with_stack_overflow() {
+    for (system, mut rt, mut m, _) in runtimes() {
+        let (frames, err) = recurse_until_refused(rt.as_mut(), &mut m);
         assert!(
-            rt.check_program(&plain).is_err(),
-            "{} must reject uninstrumented images",
-            rt.name()
+            matches!(err, VmError::StackOverflow { .. }),
+            "{system:?}: a recursion deeper than the frame stack must overflow, got {err}"
+        );
+        let stack = rt.frame_stack(&mut m).unwrap();
+        assert!(frames.len() > 1, "{system:?}: only {} frames fit", frames.len());
+        for base in &frames {
+            assert!(
+                stack.contains_range(*base, FRAME),
+                "{system:?}: frame at {base} outside its stack {stack}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_runtime_places_its_first_frame_at_the_bottom_of_its_stack() {
+    for (system, mut rt, mut m, fram) in runtimes() {
+        let first = rt.alloc_frame(&mut m, 0, FRAME, 0).unwrap();
+        let stack = rt.frame_stack(&mut m).unwrap();
+        assert_eq!(first, stack.start, "{system:?}");
+        let layout = m.mem.layout();
+        let home = if fram { layout.fram } else { layout.sram };
+        assert!(
+            home.contains_range(stack.start, stack.len()),
+            "{system:?}: frame stack {stack} outside {home}"
         );
     }
 }

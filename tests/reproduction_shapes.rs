@@ -98,8 +98,7 @@ fn table2_shape_violations_eliminated() {
         tics_repro::apps::build::Scale(windows),
     )
     .expect("builds");
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
+    let cfg = TicsConfig::s2_star().fitted_to(&prog);
     let mut m = Machine::new(
         prog,
         MachineConfig {
@@ -171,8 +170,7 @@ fn fig9_shape_naive_collapses_on_bc() {
     let tics = {
         let mut prog = compile(&bc::plain_src(12), OptLevel::O2).unwrap();
         passes::instrument_tics(&mut prog).unwrap();
-        let mut cfg = TicsConfig::s2_star();
-        cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
+        let cfg = TicsConfig::s2_star().fitted_to(&prog);
         run(prog, &mut TicsRuntime::new(cfg))
     };
     let naive = {

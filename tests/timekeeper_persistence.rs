@@ -24,8 +24,7 @@ fn run_ar_tics(supply: &mut dyn PowerSupply) -> Machine {
         tics_repro::apps::build::Scale(windows),
     )
     .expect("builds");
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
+    let cfg = TicsConfig::s2_star().fitted_to(&prog);
     let mut m = Machine::with_clock(
         prog,
         MachineConfig {
@@ -140,8 +139,7 @@ fn detailed_mode_preserves_the_timeline_story() {
         tics_repro::apps::build::Scale(windows),
     )
     .expect("builds");
-    let mut cfg = TicsConfig::s2_star();
-    cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
+    let cfg = TicsConfig::s2_star().fitted_to(&prog);
     let mut m = Machine::with_clock(
         prog,
         MachineConfig {
