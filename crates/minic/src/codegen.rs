@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::ast::{BinOp, Expr, FuncDecl, Stmt, Type, UnOp};
 use crate::error::{CompileError, Pos};
-use crate::isa::{Instr, Syscall, VarId};
+use crate::isa::{self, Instr, Syscall, VarId};
 use crate::program::{AnnotatedVar, Function, GlobalVar, Program};
 use crate::sema::CheckedUnit;
 
@@ -168,57 +168,14 @@ impl<'a, 'b> FnGen<'a, 'b> {
     // ---- emission helpers ----
 
     fn emit(&mut self, i: Instr) {
-        self.depth += self.effect(&i);
+        let (pops, pushes) = i.stack_effect(|f| {
+            let sig = self.ctx.func_sigs.values().find(|(idx, _)| *idx == f);
+            sig.map_or(0, |&(_, n_args)| n_args)
+        });
+        self.depth += i32::from(pushes) - i32::from(pops);
         self.max_depth = self.max_depth.max(self.depth);
         debug_assert!(self.depth >= 0, "operand stack underflow generating {i}");
         self.code.push(i);
-    }
-
-    fn effect(&self, i: &Instr) -> i32 {
-        match i {
-            Instr::Const(_)
-            | Instr::LoadLocal(_)
-            | Instr::LoadGlobal(_)
-            | Instr::AddrLocal(_)
-            | Instr::AddrGlobal(_)
-            | Instr::Dup
-            | Instr::ExpiresCheck(_) => 1,
-            Instr::StoreLocal(_)
-            | Instr::StoreGlobal(_)
-            | Instr::StoreGlobalLogged(_)
-            | Instr::Pop
-            | Instr::Jz(_)
-            | Instr::Jnz(_)
-            | Instr::Ret => -1,
-            Instr::StoreInd | Instr::StoreIndLogged => -2,
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Mod
-            | Instr::BitAnd
-            | Instr::BitOr
-            | Instr::BitXor
-            | Instr::Shl
-            | Instr::Shr
-            | Instr::Eq
-            | Instr::Ne
-            | Instr::Lt
-            | Instr::Le
-            | Instr::Gt
-            | Instr::Ge => -1,
-            Instr::Call(f) => {
-                let n_args = self
-                    .ctx
-                    .func_sigs
-                    .values()
-                    .find(|(idx, _)| *idx == *f)
-                    .map_or(0, |(_, n)| *n);
-                1 - i32::from(n_args)
-            }
-            Instr::Syscall(s) => 1 - i32::from(s.arg_count()),
-            _ => 0,
-        }
     }
 
     /// Emits a jump with a placeholder target; returns the patch index.
@@ -232,7 +189,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        self.code[at].set_jump_target(target);
+        self.code[at].set_code_target(target);
     }
 
     fn patch_here(&mut self, at: usize) {
@@ -491,10 +448,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                         self.gen_block(body)?;
                         self.emit(Instr::ExpiresBlockEnd);
                         let jend = self.emit_jump(Instr::Jmp);
-                        let catch_target = self.here();
-                        if let Instr::ExpiresBlockBegin(_, t) = &mut self.code[begin_at] {
-                            *t = catch_target;
-                        }
+                        self.patch_here(begin_at);
                         self.gen_block(catch_body)?;
                         self.patch_here(jend);
                     }
@@ -585,11 +539,11 @@ impl<'a, 'b> FnGen<'a, 'b> {
             Expr::AddrOf(inner, _) => self.gen_addr(inner),
             Expr::Unary(op, inner, _) => {
                 self.gen_expr(inner)?;
-                self.emit(match op {
-                    UnOp::Neg => Instr::Neg,
-                    UnOp::BitNot => Instr::BitNot,
-                    UnOp::LogNot => Instr::LogNot,
-                });
+                self.emit(Instr::Un(match op {
+                    UnOp::Neg => isa::UnOp::Neg,
+                    UnOp::BitNot => isa::UnOp::BitNot,
+                    UnOp::LogNot => isa::UnOp::LogNot,
+                }));
                 Ok(())
             }
             Expr::Binary(BinOp::LogAnd, l, r, _) => {
@@ -629,17 +583,17 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.gen_expr(l)?;
                 if scale_l {
                     self.emit(Instr::Const(4));
-                    self.emit(Instr::Mul);
+                    self.emit(Instr::Bin(isa::BinOp::Mul));
                 }
                 self.gen_expr(r)?;
                 if scale_r {
                     self.emit(Instr::Const(4));
-                    self.emit(Instr::Mul);
+                    self.emit(Instr::Bin(isa::BinOp::Mul));
                 }
                 self.emit(binop_instr(*op));
                 if diff_ptrs {
                     self.emit(Instr::Const(4));
-                    self.emit(Instr::Div);
+                    self.emit(Instr::Bin(isa::BinOp::Div));
                 }
                 Ok(())
             }
@@ -708,8 +662,8 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.gen_expr(base)?;
                 self.gen_expr(idx)?;
                 self.emit(Instr::Const(4));
-                self.emit(Instr::Mul);
-                self.emit(Instr::Add);
+                self.emit(Instr::Bin(isa::BinOp::Mul));
+                self.emit(Instr::Bin(isa::BinOp::Add));
                 Ok(())
             }
             Expr::Deref(inner, _) => self.gen_expr(inner),
@@ -760,7 +714,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.gen_expr(value)?;
                 if tt.is_ptr() && matches!(op, BinOp::Add | BinOp::Sub) {
                     self.emit(Instr::Const(4));
-                    self.emit(Instr::Mul);
+                    self.emit(Instr::Bin(isa::BinOp::Mul));
                 }
                 self.emit(binop_instr(op));
             } else {
@@ -829,7 +783,11 @@ impl<'a, 'b> FnGen<'a, 'b> {
         want_value: bool,
         pos: Pos,
     ) -> Result<(), CompileError> {
-        let step = if inc { Instr::Add } else { Instr::Sub };
+        let step = if inc {
+            isa::BinOp::Add
+        } else {
+            isa::BinOp::Sub
+        };
         if let Some(vr) = self.scalar_target(target) {
             let scale = self.type_of(target).is_ptr();
             self.emit_load_ref(vr);
@@ -837,7 +795,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.emit(Instr::Dup);
             }
             self.emit(Instr::Const(if scale { 4 } else { 1 }));
-            self.emit(step);
+            self.emit(Instr::Bin(step));
             self.emit_store_ref(vr);
             return Ok(());
         }
@@ -851,7 +809,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             self.emit(Instr::Dup);
             self.emit(Instr::LoadInd);
             self.emit(Instr::Const(1));
-            self.emit(step);
+            self.emit(Instr::Bin(step));
             self.emit(Instr::StoreInd);
             // Fix bookkeeping: Swap/Dup/LoadInd sequence nets +1 then -2.
             let _ = pos;
@@ -860,7 +818,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             self.emit(Instr::Dup);
             self.emit(Instr::LoadInd);
             self.emit(Instr::Const(1));
-            self.emit(step);
+            self.emit(Instr::Bin(step));
             self.emit(Instr::StoreInd);
             Ok(())
         }
@@ -868,25 +826,25 @@ impl<'a, 'b> FnGen<'a, 'b> {
 }
 
 fn binop_instr(op: BinOp) -> Instr {
-    match op {
-        BinOp::Add => Instr::Add,
-        BinOp::Sub => Instr::Sub,
-        BinOp::Mul => Instr::Mul,
-        BinOp::Div => Instr::Div,
-        BinOp::Mod => Instr::Mod,
-        BinOp::BitAnd => Instr::BitAnd,
-        BinOp::BitOr => Instr::BitOr,
-        BinOp::BitXor => Instr::BitXor,
-        BinOp::Shl => Instr::Shl,
-        BinOp::Shr => Instr::Shr,
-        BinOp::Eq => Instr::Eq,
-        BinOp::Ne => Instr::Ne,
-        BinOp::Lt => Instr::Lt,
-        BinOp::Le => Instr::Le,
-        BinOp::Gt => Instr::Gt,
-        BinOp::Ge => Instr::Ge,
+    Instr::Bin(match op {
+        BinOp::Add => isa::BinOp::Add,
+        BinOp::Sub => isa::BinOp::Sub,
+        BinOp::Mul => isa::BinOp::Mul,
+        BinOp::Div => isa::BinOp::Div,
+        BinOp::Mod => isa::BinOp::Mod,
+        BinOp::BitAnd => isa::BinOp::And,
+        BinOp::BitOr => isa::BinOp::Or,
+        BinOp::BitXor => isa::BinOp::Xor,
+        BinOp::Shl => isa::BinOp::Shl,
+        BinOp::Shr => isa::BinOp::Shr,
+        BinOp::Eq => isa::BinOp::Eq,
+        BinOp::Ne => isa::BinOp::Ne,
+        BinOp::Lt => isa::BinOp::Lt,
+        BinOp::Le => isa::BinOp::Le,
+        BinOp::Gt => isa::BinOp::Gt,
+        BinOp::Ge => isa::BinOp::Ge,
         BinOp::LogAnd | BinOp::LogOr => unreachable!("short-circuit ops are lowered with jumps"),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1056,7 +1014,7 @@ mod tests {
             }");
         for f in &p.functions {
             for i in &f.code {
-                if let Some(t) = i.jump_target() {
+                if let Some(t) = i.code_target() {
                     assert!(
                         (t as usize) <= f.code.len(),
                         "unpatched or out-of-range target in {}",

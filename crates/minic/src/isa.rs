@@ -3,9 +3,23 @@
 //! The ISA is a compact stack machine whose operand stack lives *inside
 //! the current frame in simulated memory* — so the only volatile machine
 //! state is the register file, exactly as on the MSP430 targets the paper
-//! instruments. Each opcode has an encoded byte size chosen to model
-//! MSP430 code density; [`Instr::encoded_size`] sums to the `.text`
-//! figures of Table 3.
+//! instruments.
+//!
+//! This module is the one home of every per-instruction fact; the
+//! compiler, the optimizer, the loader, the decoder and both VM engines
+//! ask it rather than restating it:
+//!
+//! * **size** — [`Instr::encoded_size`] models MSP430 code density and
+//!   sums to the `.text` figures of Table 3;
+//! * **stack effect** — [`Instr::stack_effect`] gives the words each
+//!   instruction pops and pushes (codegen's `max_ostack`, the decoder's
+//!   depth verifier);
+//! * **code targets** — [`Instr::code_target`] and
+//!   [`Instr::set_code_target`] reach every instruction index an
+//!   instruction can transfer control to, branch and catch targets alike
+//!   (optimizer remapping, loader relocation);
+//! * **semantics** — [`BinOp::apply`] and [`UnOp::apply`] are the only
+//!   i32 ALU (both engines and constant folding).
 //!
 //! Instructions in the "intermittency" group are emitted by the
 //! instrumentation passes in [`crate::passes`] (or, for the time
@@ -199,45 +213,11 @@ pub enum Instr {
     /// Swap the two top operand-stack entries.
     Swap,
 
-    // ---- arithmetic & logic (binary ops pop rhs then lhs) ----
-    /// Wrapping addition.
-    Add,
-    /// Wrapping subtraction.
-    Sub,
-    /// Wrapping multiplication.
-    Mul,
-    /// Signed division; traps on divide-by-zero.
-    Div,
-    /// Signed remainder; traps on divide-by-zero.
-    Mod,
-    /// Arithmetic negation.
-    Neg,
-    /// Bitwise AND.
-    BitAnd,
-    /// Bitwise OR.
-    BitOr,
-    /// Bitwise XOR.
-    BitXor,
-    /// Shift left (masked to 0–31).
-    Shl,
-    /// Arithmetic shift right (masked to 0–31).
-    Shr,
-    /// Bitwise complement.
-    BitNot,
-    /// Push 1 if equal else 0.
-    Eq,
-    /// Push 1 if not equal else 0.
-    Ne,
-    /// Push 1 if less-than (signed) else 0.
-    Lt,
-    /// Push 1 if less-or-equal else 0.
-    Le,
-    /// Push 1 if greater-than else 0.
-    Gt,
-    /// Push 1 if greater-or-equal else 0.
-    Ge,
-    /// Logical NOT: push 1 if zero else 0.
-    LogNot,
+    // ---- arithmetic & logic ----
+    /// Pop rhs, pop lhs, push `lhs op rhs` ([`BinOp::apply`]).
+    Bin(BinOp),
+    /// Pop, push `op operand` ([`UnOp::apply`]).
+    Un(UnOp),
 
     // ---- control flow ----
     /// Unconditional jump to an instruction index.
@@ -292,25 +272,7 @@ impl Instr {
             Instr::LoadInd | Instr::StoreInd => 2,
             Instr::StoreIndLogged => 8,
             Instr::Dup | Instr::Pop | Instr::Swap => 1,
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Mod
-            | Instr::Neg
-            | Instr::BitAnd
-            | Instr::BitOr
-            | Instr::BitXor
-            | Instr::Shl
-            | Instr::Shr
-            | Instr::BitNot
-            | Instr::Eq
-            | Instr::Ne
-            | Instr::Lt
-            | Instr::Le
-            | Instr::Gt
-            | Instr::Ge
-            | Instr::LogNot => 2,
+            Instr::Bin(_) | Instr::Un(_) => 2,
             Instr::Jmp(_) | Instr::Jz(_) | Instr::Jnz(_) => 3,
             Instr::Call(_) => 4,
             Instr::Ret => 2,
@@ -326,30 +288,64 @@ impl Instr {
         }
     }
 
-    /// Whether this instruction transfers control (for basic-block
-    /// analysis in the optimizer and passes).
+    /// Operand-stack words this instruction pops, then pushes, as
+    /// `(pops, pushes)`; `call_args` maps a [`Instr::Call`] callee index to
+    /// its argument count. The effect holds on the fall-through and branch
+    /// successors alike; an `ExpiresBlockBegin` catch target is instead
+    /// entered with an empty operand stack.
     #[must_use]
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            Instr::Jmp(_) | Instr::Jz(_) | Instr::Jnz(_) | Instr::Ret | Instr::Halt
-        )
+    pub fn stack_effect(self, call_args: impl FnOnce(u16) -> u16) -> (u16, u16) {
+        match self {
+            Instr::Const(_)
+            | Instr::LoadLocal(_)
+            | Instr::AddrLocal(_)
+            | Instr::LoadGlobal(_)
+            | Instr::AddrGlobal(_)
+            | Instr::ExpiresCheck(_) => (0, 1),
+            Instr::StoreLocal(_)
+            | Instr::StoreGlobal(_)
+            | Instr::StoreGlobalLogged(_)
+            | Instr::Pop
+            | Instr::Jz(_)
+            | Instr::Jnz(_)
+            | Instr::Ret => (1, 0),
+            Instr::StoreInd | Instr::StoreIndLogged => (2, 0),
+            Instr::LoadInd | Instr::Un(_) | Instr::TimelyCheck => (1, 1),
+            Instr::Dup => (1, 2),
+            Instr::Swap => (2, 2),
+            Instr::Bin(_) => (2, 1),
+            Instr::Call(f) => (call_args(f), 1),
+            Instr::Syscall(s) => (u16::from(s.arg_count()), 1),
+            Instr::Jmp(_)
+            | Instr::Halt
+            | Instr::Checkpoint(_)
+            | Instr::AtomicBegin
+            | Instr::AtomicEnd
+            | Instr::TimestampVar(_)
+            | Instr::ExpiresBlockBegin(..)
+            | Instr::ExpiresBlockEnd => (0, 0),
+        }
     }
 
-    /// The jump target, if this is a jump.
+    /// The instruction index this instruction can transfer control to:
+    /// the target of `Jmp`/`Jz`/`Jnz`, or the catch target of
+    /// `ExpiresBlockBegin`.
     #[must_use]
-    pub fn jump_target(&self) -> Option<u32> {
-        match self {
-            Instr::Jmp(t) | Instr::Jz(t) | Instr::Jnz(t) => Some(*t),
+    pub fn code_target(&self) -> Option<u32> {
+        match *self {
+            Instr::Jmp(t) | Instr::Jz(t) | Instr::Jnz(t) | Instr::ExpiresBlockBegin(_, t) => {
+                Some(t)
+            }
             _ => None,
         }
     }
 
-    /// Rewrites the jump target of a jump instruction.
-    pub fn set_jump_target(&mut self, new: u32) {
-        match self {
-            Instr::Jmp(t) | Instr::Jz(t) | Instr::Jnz(t) => *t = new,
-            _ => {}
+    /// Rewrites the [`Instr::code_target`]; other instructions are left
+    /// unchanged.
+    pub fn set_code_target(&mut self, new: u32) {
+        if let Instr::Jmp(t) | Instr::Jz(t) | Instr::Jnz(t) | Instr::ExpiresBlockBegin(_, t) = self
+        {
+            *t = new;
         }
     }
 }
@@ -371,25 +367,8 @@ impl fmt::Display for Instr {
             Instr::Dup => write!(f, "dup"),
             Instr::Pop => write!(f, "pop"),
             Instr::Swap => write!(f, "swap"),
-            Instr::Add => write!(f, "add"),
-            Instr::Sub => write!(f, "sub"),
-            Instr::Mul => write!(f, "mul"),
-            Instr::Div => write!(f, "div"),
-            Instr::Mod => write!(f, "mod"),
-            Instr::Neg => write!(f, "neg"),
-            Instr::BitAnd => write!(f, "and"),
-            Instr::BitOr => write!(f, "or"),
-            Instr::BitXor => write!(f, "xor"),
-            Instr::Shl => write!(f, "shl"),
-            Instr::Shr => write!(f, "shr"),
-            Instr::BitNot => write!(f, "not"),
-            Instr::Eq => write!(f, "eq"),
-            Instr::Ne => write!(f, "ne"),
-            Instr::Lt => write!(f, "lt"),
-            Instr::Le => write!(f, "le"),
-            Instr::Gt => write!(f, "gt"),
-            Instr::Ge => write!(f, "ge"),
-            Instr::LogNot => write!(f, "lnot"),
+            Instr::Bin(op) => f.write_str(op.mnemonic()),
+            Instr::Un(op) => f.write_str(op.mnemonic()),
             Instr::Jmp(t) => write!(f, "jmp {t}"),
             Instr::Jz(t) => write!(f, "jz {t}"),
             Instr::Jnz(t) => write!(f, "jnz {t}"),
@@ -409,8 +388,132 @@ impl fmt::Display for Instr {
     }
 }
 
+/// A binary ALU or compare operator ([`Instr::Bin`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BinOp {
+    /// Wrapping addition.
+    Add,
+    /// Wrapping subtraction.
+    Sub,
+    /// Wrapping multiplication.
+    Mul,
+    /// Signed division; traps on a zero divisor or `i32::MIN / -1`.
+    Div,
+    /// Signed remainder; traps on a zero divisor or `i32::MIN % -1`.
+    Mod,
+    /// Bitwise AND.
+    And,
+    /// Bitwise OR.
+    Or,
+    /// Bitwise XOR.
+    Xor,
+    /// Shift left by `rhs` masked to 0–31.
+    Shl,
+    /// Arithmetic shift right by `rhs` masked to 0–31.
+    Shr,
+    /// 1 if equal else 0.
+    Eq,
+    /// 1 if not equal else 0.
+    Ne,
+    /// 1 if less-than (signed) else 0.
+    Lt,
+    /// 1 if less-or-equal (signed) else 0.
+    Le,
+    /// 1 if greater-than (signed) else 0.
+    Gt,
+    /// 1 if greater-or-equal (signed) else 0.
+    Ge,
+}
+
+impl BinOp {
+    /// Computes `a op b` on i32 words: the one ALU shared by both VM
+    /// engines and the optimizer's constant folder.
+    ///
+    /// # Errors
+    ///
+    /// `Div` and `Mod` return the trap message on a zero divisor or on
+    /// `i32::MIN` divided by `-1`.
+    #[inline(always)]
+    pub fn apply(self, a: i32, b: i32) -> Result<i32, &'static str> {
+        Ok(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div => a.checked_div(b).ok_or("division by zero or overflow")?,
+            BinOp::Mod => a.checked_rem(b).ok_or("remainder by zero or overflow")?,
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            // `wrapping_sh*` mask the count to its low five bits.
+            BinOp::Shl => a.wrapping_shl(b as u32),
+            BinOp::Shr => a.wrapping_shr(b as u32),
+            BinOp::Eq => i32::from(a == b),
+            BinOp::Ne => i32::from(a != b),
+            BinOp::Lt => i32::from(a < b),
+            BinOp::Le => i32::from(a <= b),
+            BinOp::Gt => i32::from(a > b),
+            BinOp::Ge => i32::from(a >= b),
+        })
+    }
+
+    fn mnemonic(self) -> &'static str {
+        match self {
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::Div => "div",
+            BinOp::Mod => "mod",
+            BinOp::And => "and",
+            BinOp::Or => "or",
+            BinOp::Xor => "xor",
+            BinOp::Shl => "shl",
+            BinOp::Shr => "shr",
+            BinOp::Eq => "eq",
+            BinOp::Ne => "ne",
+            BinOp::Lt => "lt",
+            BinOp::Le => "le",
+            BinOp::Gt => "gt",
+            BinOp::Ge => "ge",
+        }
+    }
+}
+
+/// A unary ALU operator ([`Instr::Un`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UnOp {
+    /// Wrapping negation.
+    Neg,
+    /// Bitwise complement.
+    BitNot,
+    /// Logical NOT: 1 if zero else 0.
+    LogNot,
+}
+
+impl UnOp {
+    /// Computes `op a` on an i32 word (see [`BinOp::apply`]).
+    #[inline(always)]
+    #[must_use]
+    pub fn apply(self, a: i32) -> i32 {
+        match self {
+            UnOp::Neg => a.wrapping_neg(),
+            UnOp::BitNot => !a,
+            UnOp::LogNot => i32::from(a == 0),
+        }
+    }
+
+    fn mnemonic(self) -> &'static str {
+        match self {
+            UnOp::Neg => "neg",
+            UnOp::BitNot => "not",
+            UnOp::LogNot => "lnot",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -428,14 +531,121 @@ mod tests {
     }
 
     #[test]
-    fn jump_target_accessors() {
+    fn code_target_accessors() {
         let mut j = Instr::Jz(7);
-        assert_eq!(j.jump_target(), Some(7));
-        j.set_jump_target(9);
+        assert_eq!(j.code_target(), Some(7));
+        j.set_code_target(9);
         assert_eq!(j, Instr::Jz(9));
-        assert!(j.is_terminator());
-        assert!(!Instr::Add.is_terminator());
-        assert_eq!(Instr::Add.jump_target(), None);
+        let mut catch = Instr::ExpiresBlockBegin(2, 5);
+        assert_eq!(catch.code_target(), Some(5));
+        catch.set_code_target(6);
+        assert_eq!(catch, Instr::ExpiresBlockBegin(2, 6));
+        let mut add = Instr::Bin(BinOp::Add);
+        add.set_code_target(3);
+        assert_eq!((add, add.code_target()), (Instr::Bin(BinOp::Add), None));
+    }
+
+    #[test]
+    fn stack_effects() {
+        let no_call = |_| unreachable!("not a call");
+        assert_eq!(Instr::Ret.stack_effect(no_call), (1, 0));
+        assert_eq!(Instr::Dup.stack_effect(no_call), (1, 2));
+        assert_eq!(Instr::Swap.stack_effect(no_call), (2, 2));
+        assert_eq!(Instr::TimelyCheck.stack_effect(no_call), (1, 1));
+        assert_eq!(Instr::Bin(BinOp::Lt).stack_effect(no_call), (2, 1));
+        assert_eq!(Instr::Syscall(Syscall::Send).stack_effect(no_call), (1, 1));
+        assert_eq!(Instr::Call(4).stack_effect(|f| f + 1), (5, 1));
+    }
+
+    /// The ALU's oracle: every operator on the i32 edge operands, with
+    /// the expected values written out by hand.
+    #[test]
+    fn alu_matches_literal_table() {
+        const MIN: i32 = i32::MIN;
+        const MAX: i32 = i32::MAX;
+        const DIV: Result<i32, &str> = Err("division by zero or overflow");
+        const REM: Result<i32, &str> = Err("remainder by zero or overflow");
+        #[rustfmt::skip]
+        let bin = [
+            (BinOp::Add, MAX, 1, Ok(MIN)), (BinOp::Add, MIN, -1, Ok(MAX)),
+            (BinOp::Add, MIN, MIN, Ok(0)), (BinOp::Add, -1, 0, Ok(-1)),
+            (BinOp::Sub, MIN, 1, Ok(MAX)), (BinOp::Sub, 0, MIN, Ok(MIN)),
+            (BinOp::Sub, MAX, -1, Ok(MIN)), (BinOp::Sub, -1, MAX, Ok(MIN)),
+            (BinOp::Mul, MIN, -1, Ok(MIN)), (BinOp::Mul, MAX, MAX, Ok(1)),
+            (BinOp::Mul, MAX, -1, Ok(-MAX)), (BinOp::Mul, 0, MIN, Ok(0)),
+            (BinOp::Div, MIN, -1, DIV), (BinOp::Div, 7, 0, DIV), (BinOp::Div, 0, 0, DIV),
+            (BinOp::Div, MIN, 1, Ok(MIN)), (BinOp::Div, MAX, -1, Ok(-MAX)),
+            (BinOp::Div, -7, 2, Ok(-3)), (BinOp::Div, -1, MIN, Ok(0)),
+            (BinOp::Mod, MIN, -1, REM), (BinOp::Mod, 5, 0, REM),
+            (BinOp::Mod, -7, 2, Ok(-1)), (BinOp::Mod, 7, -2, Ok(1)),
+            (BinOp::Mod, MIN, MAX, Ok(-1)), (BinOp::Mod, MAX, MIN, Ok(MAX)),
+            (BinOp::And, MIN, -1, Ok(MIN)), (BinOp::And, MAX, MIN, Ok(0)),
+            (BinOp::And, -1, 0, Ok(0)),
+            (BinOp::Or, MIN, MAX, Ok(-1)), (BinOp::Or, 0, 0, Ok(0)),
+            (BinOp::Xor, -1, MAX, Ok(MIN)), (BinOp::Xor, MIN, MIN, Ok(0)),
+            (BinOp::Shl, 1, 31, Ok(MIN)), (BinOp::Shl, 1, 32, Ok(1)),
+            (BinOp::Shl, 1, -1, Ok(MIN)), (BinOp::Shl, -1, 31, Ok(MIN)),
+            (BinOp::Shl, MAX, 1, Ok(-2)),
+            (BinOp::Shr, MIN, 31, Ok(-1)), (BinOp::Shr, MIN, 32, Ok(MIN)),
+            (BinOp::Shr, MIN, -1, Ok(-1)), (BinOp::Shr, MIN, 1, Ok(-0x4000_0000)),
+            (BinOp::Shr, MAX, 31, Ok(0)), (BinOp::Shr, -1, 1, Ok(-1)),
+            (BinOp::Eq, MIN, MIN, Ok(1)), (BinOp::Eq, MIN, MAX, Ok(0)),
+            (BinOp::Ne, 0, -1, Ok(1)), (BinOp::Ne, -1, -1, Ok(0)),
+            (BinOp::Lt, MIN, MAX, Ok(1)), (BinOp::Lt, MAX, MIN, Ok(0)),
+            (BinOp::Lt, -1, 0, Ok(1)), (BinOp::Lt, 0, 0, Ok(0)),
+            (BinOp::Le, -1, 0, Ok(1)), (BinOp::Le, 0, -1, Ok(0)), (BinOp::Le, MIN, MIN, Ok(1)),
+            (BinOp::Gt, 0, -1, Ok(1)), (BinOp::Gt, MIN, MAX, Ok(0)), (BinOp::Gt, MAX, MAX, Ok(0)),
+            (BinOp::Ge, -1, MIN, Ok(1)), (BinOp::Ge, MIN, -1, Ok(0)), (BinOp::Ge, 0, 0, Ok(1)),
+        ];
+        for (op, a, b, want) in bin {
+            assert_eq!(op.apply(a, b), want, "{op:?}({a}, {b})");
+        }
+        #[rustfmt::skip]
+        let un = [
+            (UnOp::Neg, MIN, MIN), (UnOp::Neg, MAX, -MAX), (UnOp::Neg, -1, 1), (UnOp::Neg, 0, 0),
+            (UnOp::BitNot, MIN, MAX), (UnOp::BitNot, MAX, MIN), (UnOp::BitNot, -1, 0),
+            (UnOp::BitNot, 0, -1),
+            (UnOp::LogNot, 0, 1), (UnOp::LogNot, MIN, 0), (UnOp::LogNot, -1, 0),
+            (UnOp::LogNot, MAX, 0),
+        ];
+        for (op, a, want) in un {
+            assert_eq!(op.apply(a), want, "{op:?}({a})");
+        }
+        // Every operator has at least one row.
+        assert_eq!(bin.iter().map(|r| r.0).collect::<HashSet<_>>().len(), 16);
+        assert_eq!(un.iter().map(|r| r.0).collect::<HashSet<_>>().len(), 3);
+    }
+
+    #[test]
+    fn operator_mnemonics() {
+        let bin = [
+            (BinOp::Add, "add"),
+            (BinOp::Sub, "sub"),
+            (BinOp::Mul, "mul"),
+            (BinOp::Div, "div"),
+            (BinOp::Mod, "mod"),
+            (BinOp::And, "and"),
+            (BinOp::Or, "or"),
+            (BinOp::Xor, "xor"),
+            (BinOp::Shl, "shl"),
+            (BinOp::Shr, "shr"),
+            (BinOp::Eq, "eq"),
+            (BinOp::Ne, "ne"),
+            (BinOp::Lt, "lt"),
+            (BinOp::Le, "le"),
+            (BinOp::Gt, "gt"),
+            (BinOp::Ge, "ge"),
+        ];
+        for (op, text) in bin {
+            assert_eq!(Instr::Bin(op).to_string(), text);
+        }
+        for (op, text) in [
+            (UnOp::Neg, "neg"),
+            (UnOp::BitNot, "not"),
+            (UnOp::LogNot, "lnot"),
+        ] {
+            assert_eq!(Instr::Un(op).to_string(), text);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::isa::Instr;
+use crate::isa::{Instr, UnOp};
 use crate::program::{Function, Program};
 
 /// Optimization level.
@@ -56,9 +56,9 @@ pub fn optimize(prog: &mut Program, level: OptLevel) {
     }
 }
 
-/// Removes the instructions at `dead` indices, remapping every jump target
-/// (including `ExpiresBlockBegin` catch targets). A target pointing at a
-/// removed instruction is redirected to the next surviving one.
+/// Removes the instructions at `dead` indices, remapping every code
+/// target. A target pointing at a removed instruction is redirected to the
+/// next surviving one.
 pub(crate) fn remove_instrs(code: &mut Vec<Instr>, dead: &BTreeSet<usize>) {
     if dead.is_empty() {
         return;
@@ -74,21 +74,23 @@ pub(crate) fn remove_instrs(code: &mut Vec<Instr>, dead: &BTreeSet<usize>) {
     map[code.len()] = new_idx;
     let mut out = Vec::with_capacity(code.len() - dead.len());
     for (i, instr) in code.iter().enumerate() {
-        if dead.contains(&i) {
-            continue;
+        if !dead.contains(&i) {
+            out.push(remapped(*instr, &map));
         }
-        let mut instr = *instr;
-        if let Some(t) = instr.jump_target() {
-            instr.set_jump_target(map[t as usize]);
-        } else if let Instr::ExpiresBlockBegin(v, t) = instr {
-            instr = Instr::ExpiresBlockBegin(v, map[t as usize]);
-        }
-        out.push(instr);
     }
     *code = out;
 }
 
-/// Inserts instructions before given positions, remapping jump targets.
+/// `instr` with its code target, if any, sent through `map` (old index →
+/// new index).
+fn remapped(mut instr: Instr, map: &[u32]) -> Instr {
+    if let Some(t) = instr.code_target() {
+        instr.set_code_target(map[t as usize]);
+    }
+    instr
+}
+
+/// Inserts instructions before given positions, remapping code targets.
 /// `inserts` pairs an insertion index with the instruction to place there;
 /// multiple inserts at one index keep their order. Jumps *to* an insertion
 /// point land before the inserted code (so loop latches re-execute it —
@@ -117,13 +119,7 @@ pub(crate) fn insert_instrs(code: &mut Vec<Instr>, inserts: &[(usize, Instr)]) {
             out.push(sorted[si].1);
             si += 1;
         }
-        let mut instr = *instr;
-        if let Some(t) = instr.jump_target() {
-            instr.set_jump_target(map[t as usize]);
-        } else if let Instr::ExpiresBlockBegin(v, t) = instr {
-            instr = Instr::ExpiresBlockBegin(v, map[t as usize]);
-        }
-        out.push(instr);
+        out.push(remapped(*instr, &map));
     }
     while si < sorted.len() {
         out.push(sorted[si].1);
@@ -133,10 +129,7 @@ pub(crate) fn insert_instrs(code: &mut Vec<Instr>, inserts: &[(usize, Instr)]) {
 }
 
 fn is_jump_target(code: &[Instr], idx: usize) -> bool {
-    code.iter().any(|i| {
-        i.jump_target() == Some(idx as u32)
-            || matches!(i, Instr::ExpiresBlockBegin(_, t) if *t == idx as u32)
-    })
+    code.iter().any(|i| i.code_target() == Some(idx as u32))
 }
 
 fn constant_fold(f: &mut Function) {
@@ -146,8 +139,11 @@ fn constant_fold(f: &mut Function) {
         let code = &mut f.code;
         for i in 0..code.len() {
             if i + 2 < code.len() && !is_jump_target(code, i + 1) && !is_jump_target(code, i + 2) {
-                if let (Instr::Const(a), Instr::Const(b)) = (code[i], code[i + 1]) {
-                    if let Some(v) = fold_binary(code[i + 2], a, b) {
+                if let (Instr::Const(a), Instr::Const(b), Instr::Bin(op)) =
+                    (code[i], code[i + 1], code[i + 2])
+                {
+                    // A trapping operation stays in the code to trap at run time.
+                    if let Ok(v) = op.apply(a, b) {
                         code[i] = Instr::Const(v);
                         dead.insert(i + 1);
                         dead.insert(i + 2);
@@ -159,20 +155,8 @@ fn constant_fold(f: &mut Function) {
             if i + 1 < code.len() && !is_jump_target(code, i + 1) {
                 if let Instr::Const(a) = code[i] {
                     match code[i + 1] {
-                        Instr::Neg => {
-                            code[i] = Instr::Const(a.wrapping_neg());
-                            dead.insert(i + 1);
-                            changed = true;
-                            break;
-                        }
-                        Instr::BitNot => {
-                            code[i] = Instr::Const(!a);
-                            dead.insert(i + 1);
-                            changed = true;
-                            break;
-                        }
-                        Instr::LogNot => {
-                            code[i] = Instr::Const(i32::from(a == 0));
+                        Instr::Un(op) => {
+                            code[i] = Instr::Const(op.apply(a));
                             dead.insert(i + 1);
                             changed = true;
                             break;
@@ -217,33 +201,13 @@ fn constant_fold(f: &mut Function) {
     }
 }
 
-fn fold_binary(op: Instr, a: i32, b: i32) -> Option<i32> {
-    Some(match op {
-        Instr::Add => a.wrapping_add(b),
-        Instr::Sub => a.wrapping_sub(b),
-        Instr::Mul => a.wrapping_mul(b),
-        Instr::Div => a.checked_div(b)?,
-        Instr::Mod => a.checked_rem(b)?,
-        Instr::BitAnd => a & b,
-        Instr::BitOr => a | b,
-        Instr::BitXor => a ^ b,
-        Instr::Shl => a.wrapping_shl(b as u32 & 31),
-        Instr::Shr => a.wrapping_shr(b as u32 & 31),
-        Instr::Eq => i32::from(a == b),
-        Instr::Ne => i32::from(a != b),
-        Instr::Lt => i32::from(a < b),
-        Instr::Le => i32::from(a <= b),
-        Instr::Gt => i32::from(a > b),
-        Instr::Ge => i32::from(a >= b),
-        _ => return None,
-    })
-}
-
 fn thread_jumps(f: &mut Function) {
     // Jumps whose target is an unconditional jump follow the chain.
     let code = &mut f.code;
     for i in 0..code.len() {
-        let Some(mut t) = code[i].jump_target() else {
+        // Branches only: a catch target is entered by the runtime, not
+        // by a jump, so it is not threaded.
+        let (Instr::Jmp(mut t) | Instr::Jz(mut t) | Instr::Jnz(mut t)) = code[i] else {
             continue;
         };
         let mut hops = 0;
@@ -254,7 +218,7 @@ fn thread_jumps(f: &mut Function) {
             t = *next;
             hops += 1;
         }
-        code[i].set_jump_target(t);
+        code[i].set_code_target(t);
     }
     // Jmp to the immediately following instruction is a no-op.
     let mut dead = BTreeSet::new();
@@ -287,11 +251,11 @@ fn peephole(f: &mut Function) {
                     dead.insert(i + 1);
                 }
                 // Boolean negation absorbed into the branch.
-                (Instr::LogNot, Instr::Jz(t)) => {
+                (Instr::Un(UnOp::LogNot), Instr::Jz(t)) => {
                     code[i] = Instr::Jnz(t);
                     dead.insert(i + 1);
                 }
-                (Instr::LogNot, Instr::Jnz(t)) => {
+                (Instr::Un(UnOp::LogNot), Instr::Jnz(t)) => {
                     code[i] = Instr::Jz(t);
                     dead.insert(i + 1);
                 }
@@ -319,11 +283,8 @@ fn eliminate_dead_code(f: &mut Function) {
         }
         reachable[i] = true;
         let instr = &code[i];
-        if let Some(t) = instr.jump_target() {
+        if let Some(t) = instr.code_target() {
             stack.push(t as usize);
-        }
-        if let Instr::ExpiresBlockBegin(_, t) = instr {
-            stack.push(*t as usize);
         }
         match instr {
             Instr::Jmp(_) | Instr::Ret | Instr::Halt => {}
@@ -337,7 +298,7 @@ fn eliminate_dead_code(f: &mut Function) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::CkptSite;
+    use crate::isa::{BinOp, CkptSite};
 
     fn func(code: Vec<Instr>) -> Function {
         Function {
@@ -355,7 +316,7 @@ mod tests {
         let mut f = func(vec![
             Instr::Const(6),
             Instr::Const(7),
-            Instr::Mul,
+            Instr::Bin(BinOp::Mul),
             Instr::Ret,
         ]);
         constant_fold(&mut f);
@@ -463,7 +424,7 @@ mod tests {
     fn peephole_fuses_lognot_branch() {
         let mut f = func(vec![
             Instr::LoadGlobal(0),
-            Instr::LogNot,
+            Instr::Un(UnOp::LogNot),
             Instr::Jz(4),
             Instr::Const(1),
             Instr::Ret,

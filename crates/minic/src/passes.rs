@@ -93,6 +93,13 @@ pub fn add_task_boundary_checkpoints(prog: &mut Program, task_functions: &[&str]
     }
 }
 
+/// Whether the instruction at index `i` is a backward branch. Catch
+/// targets always lie ahead of their `ExpiresBlockBegin`, so only
+/// branches can close a loop.
+fn is_loop_latch(i: usize, instr: &Instr) -> bool {
+    matches!(instr, Instr::Jmp(t) | Instr::Jz(t) | Instr::Jnz(t) if *t as usize <= i)
+}
+
 /// Applies MementOS-style instrumentation: a voltage-check checkpoint
 /// site at every function entry and before every loop latch (backward
 /// jump).
@@ -104,10 +111,8 @@ pub fn instrument_mementos(prog: &mut Program) -> Result<(), CompileError> {
     for f in &mut prog.functions {
         let mut inserts = vec![(0usize, Instr::Checkpoint(CkptSite::VoltageCheck))];
         for (i, instr) in f.code.iter().enumerate() {
-            if let Some(t) = instr.jump_target() {
-                if (t as usize) <= i {
-                    inserts.push((i, Instr::Checkpoint(CkptSite::VoltageCheck)));
-                }
+            if is_loop_latch(i, instr) {
+                inserts.push((i, Instr::Checkpoint(CkptSite::VoltageCheck)));
             }
         }
         insert_instrs(&mut f.code, &inserts);
@@ -162,15 +167,8 @@ pub fn instrument_chinchilla(prog: &mut Program) -> Result<(), CompileError> {
         // and at loop latches; the runtime's heuristic thins them out.
         let mut inserts = vec![(0usize, Instr::Checkpoint(CkptSite::Auto))];
         for (i, instr) in f.code.iter().enumerate() {
-            match instr {
-                Instr::Call(_) => inserts.push((i, Instr::Checkpoint(CkptSite::Auto))),
-                _ => {
-                    if let Some(t) = instr.jump_target() {
-                        if (t as usize) <= i {
-                            inserts.push((i, Instr::Checkpoint(CkptSite::Auto)));
-                        }
-                    }
-                }
+            if matches!(instr, Instr::Call(_)) || is_loop_latch(i, instr) {
+                inserts.push((i, Instr::Checkpoint(CkptSite::Auto)));
             }
         }
         insert_instrs(&mut f.code, &inserts);

@@ -634,12 +634,24 @@ mod tests {
             TraceEvent::PowerFailure { off_us: 100 },
             TraceEvent::Print { value: 9 },
             TraceEvent::Led { value: 1 },
+            // A torn TX byte still left the pin, and every I2C bus
+            // operation reaches the device: both are visible.
+            TraceEvent::UartTx {
+                byte: 0x01,
+                torn: true,
+            },
+            TraceEvent::I2cOp {
+                op: I2cPhase::Start,
+                value: 0x40,
+                ack: true,
+            },
+            TraceEvent::UartRx { byte: 0x42 },
         ];
         for (i, e) in events.into_iter().enumerate() {
             sink.push(rec(i as u64, e));
         }
-        assert_eq!(sink.visible_events(), 5);
-        assert_eq!(visible_event_count(sink.records()), 5);
+        assert_eq!(sink.visible_events(), 7);
+        assert_eq!(visible_event_count(sink.records()), 7);
     }
 
     #[test]

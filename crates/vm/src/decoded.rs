@@ -25,82 +25,8 @@
 //!   dispatch, redundant range checks, and stack-bound bookkeeping.
 //! * In an unverified function every slot is [`Op::Ref`].
 
-use tics_minic::isa::Instr;
+use tics_minic::isa::{BinOp, Instr, UnOp};
 use tics_minic::program::{Program, FRAME_HEADER_BYTES};
-
-/// A binary ALU/compare operation, shared by plain and fused ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    /// Wrapping add.
-    Add,
-    /// Wrapping subtract.
-    Sub,
-    /// Wrapping multiply.
-    Mul,
-    /// Checked divide (traps on zero or overflow).
-    Div,
-    /// Checked remainder (traps on zero or overflow).
-    Mod,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Shift left by `rhs & 31`.
-    Shl,
-    /// Arithmetic shift right by `rhs & 31`.
-    Shr,
-    /// Equality compare (pushes 0/1).
-    Eq,
-    /// Inequality compare.
-    Ne,
-    /// Signed less-than.
-    Lt,
-    /// Signed less-or-equal.
-    Le,
-    /// Signed greater-than.
-    Gt,
-    /// Signed greater-or-equal.
-    Ge,
-}
-
-impl BinOp {
-    /// Maps an ISA instruction to its ALU operation, if it is one.
-    #[must_use]
-    pub fn from_instr(i: Instr) -> Option<BinOp> {
-        Some(match i {
-            Instr::Add => BinOp::Add,
-            Instr::Sub => BinOp::Sub,
-            Instr::Mul => BinOp::Mul,
-            Instr::Div => BinOp::Div,
-            Instr::Mod => BinOp::Mod,
-            Instr::BitAnd => BinOp::And,
-            Instr::BitOr => BinOp::Or,
-            Instr::BitXor => BinOp::Xor,
-            Instr::Shl => BinOp::Shl,
-            Instr::Shr => BinOp::Shr,
-            Instr::Eq => BinOp::Eq,
-            Instr::Ne => BinOp::Ne,
-            Instr::Lt => BinOp::Lt,
-            Instr::Le => BinOp::Le,
-            Instr::Gt => BinOp::Gt,
-            Instr::Ge => BinOp::Ge,
-            _ => return None,
-        })
-    }
-}
-
-/// A unary ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
-    /// Wrapping negate.
-    Neg,
-    /// Bitwise not.
-    BitNot,
-    /// Logical not (pushes `1` iff the operand is `0`).
-    LogNot,
-}
 
 /// A decoded operation. Offsets are pre-resolved: local slots fold in the
 /// [`FRAME_HEADER_BYTES`] so execution is a single add to `fp`; global
@@ -289,62 +215,6 @@ impl DecodedProgram {
     }
 }
 
-/// Net operand-stack effect of one instruction: `(min_depth_before,
-/// delta)`, or `None` for control transfers handled specially.
-fn stack_effect(program: &Program, i: Instr) -> (i32, i32) {
-    match i {
-        Instr::Const(_)
-        | Instr::LoadLocal(_)
-        | Instr::AddrLocal(_)
-        | Instr::LoadGlobal(_)
-        | Instr::AddrGlobal(_)
-        | Instr::ExpiresCheck(_) => (0, 1),
-        Instr::StoreLocal(_)
-        | Instr::StoreGlobal(_)
-        | Instr::StoreGlobalLogged(_)
-        | Instr::Pop => (1, -1),
-        Instr::LoadInd | Instr::Neg | Instr::BitNot | Instr::LogNot | Instr::TimelyCheck => (1, 0),
-        Instr::StoreInd | Instr::StoreIndLogged => (2, -2),
-        Instr::Dup => (1, 1),
-        Instr::Swap => (2, 0),
-        Instr::Add
-        | Instr::Sub
-        | Instr::Mul
-        | Instr::Div
-        | Instr::Mod
-        | Instr::BitAnd
-        | Instr::BitOr
-        | Instr::BitXor
-        | Instr::Shl
-        | Instr::Shr
-        | Instr::Eq
-        | Instr::Ne
-        | Instr::Lt
-        | Instr::Le
-        | Instr::Gt
-        | Instr::Ge => (2, -1),
-        Instr::Call(fidx) => {
-            let n = i32::from(program.functions[fidx as usize].n_args);
-            (n, 1 - n)
-        }
-        Instr::Syscall(s) => {
-            let n = s.arg_count() as i32;
-            (n, 1 - n)
-        }
-        Instr::Checkpoint(_)
-        | Instr::AtomicBegin
-        | Instr::AtomicEnd
-        | Instr::TimestampVar(_)
-        | Instr::ExpiresBlockEnd
-        | Instr::ExpiresBlockBegin(..)
-        | Instr::Jmp(_) => (0, 0),
-        Instr::Jz(_) | Instr::Jnz(_) => (1, -1),
-        // Terminal; no successor (Ret still needs its return value).
-        Instr::Ret => (1, 0),
-        Instr::Halt => (0, 0),
-    }
-}
-
 /// Abstract interpretation of one function's operand-stack depth: a
 /// worklist fixpoint proving an exact depth per reachable pc. Returns
 /// `false` (leaving the function unverified → all [`Op::Ref`]) on any
@@ -383,11 +253,11 @@ fn verify_function(
     while let Some(pc) = work.pop() {
         let d = local[pc];
         let i = code[pc];
-        let (need, delta) = stack_effect(program, i);
-        if d < need {
+        let (pops, pushes) = i.stack_effect(|f| program.functions[f as usize].n_args);
+        if d < i32::from(pops) {
             return false;
         }
-        let d2 = d + delta;
+        let d2 = d - i32::from(pops) + i32::from(pushes);
         // Intermediate depths never exceed max(d, d2): every op pops its
         // operands before pushing results (Swap/Dup pop first too), so
         // checking the endpoints covers the whole op.
@@ -432,9 +302,6 @@ fn lower_function(code: &[Instr], base: usize, dp: &mut DecodedProgram) {
 
 /// The plain decoding of one instruction.
 fn lower(i: Instr) -> Op {
-    if let Some(b) = BinOp::from_instr(i) {
-        return Op::Bin(b);
-    }
     match i {
         Instr::Const(v) => Op::Const(v),
         Instr::LoadLocal(o) => Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(o)),
@@ -448,9 +315,8 @@ fn lower(i: Instr) -> Op {
         Instr::Dup => Op::Dup,
         Instr::Pop => Op::Pop,
         Instr::Swap => Op::Swap,
-        Instr::Neg => Op::Un(UnOp::Neg),
-        Instr::BitNot => Op::Un(UnOp::BitNot),
-        Instr::LogNot => Op::Un(UnOp::LogNot),
+        Instr::Bin(op) => Op::Bin(op),
+        Instr::Un(op) => Op::Un(op),
         Instr::Jmp(t) => Op::Jmp(t),
         Instr::Jz(t) => Op::Jz(t),
         Instr::Jnz(t) => Op::Jnz(t),
@@ -476,83 +342,50 @@ fn fuse(code: &[Instr], dp: &mut DecodedProgram) {
         }
         let win = &code[pc..n.min(pc + 4)];
         let (op, len) = match *win {
-            [Instr::LoadLocal(a), Instr::Const(k), b, Instr::StoreLocal(d), ..]
-                if BinOp::from_instr(b).is_some() =>
-            {
-                (
-                    Op::LdLKBinSt {
-                        a: FRAME_HEADER_BYTES + u32::from(a),
-                        k,
-                        op: BinOp::from_instr(b).unwrap(),
-                        d: FRAME_HEADER_BYTES + u32::from(d),
-                    },
-                    4,
-                )
+            [Instr::LoadLocal(a), Instr::Const(k), Instr::Bin(op), Instr::StoreLocal(d), ..] => (
+                Op::LdLKBinSt {
+                    a: FRAME_HEADER_BYTES + u32::from(a),
+                    k,
+                    op,
+                    d: FRAME_HEADER_BYTES + u32::from(d),
+                },
+                4,
+            ),
+            [Instr::LoadLocal(a), Instr::Const(k), Instr::Bin(op), Instr::Jz(t), ..] => (
+                Op::LdLKBinBr {
+                    a: FRAME_HEADER_BYTES + u32::from(a),
+                    k,
+                    op,
+                    t,
+                    on_nz: false,
+                },
+                4,
+            ),
+            [Instr::LoadLocal(a), Instr::Const(k), Instr::Bin(op), Instr::Jnz(t), ..] => (
+                Op::LdLKBinBr {
+                    a: FRAME_HEADER_BYTES + u32::from(a),
+                    k,
+                    op,
+                    t,
+                    on_nz: true,
+                },
+                4,
+            ),
+            [Instr::LoadGlobal(g), Instr::Const(k), Instr::Bin(op), Instr::StoreGlobal(d), ..] => {
+                (Op::LdGKBinSt { g, k, op, d }, 4)
             }
-            [Instr::LoadLocal(a), Instr::Const(k), b, Instr::Jz(t), ..]
-                if BinOp::from_instr(b).is_some() =>
-            {
-                (
-                    Op::LdLKBinBr {
-                        a: FRAME_HEADER_BYTES + u32::from(a),
-                        k,
-                        op: BinOp::from_instr(b).unwrap(),
-                        t,
-                        on_nz: false,
-                    },
-                    4,
-                )
-            }
-            [Instr::LoadLocal(a), Instr::Const(k), b, Instr::Jnz(t), ..]
-                if BinOp::from_instr(b).is_some() =>
-            {
-                (
-                    Op::LdLKBinBr {
-                        a: FRAME_HEADER_BYTES + u32::from(a),
-                        k,
-                        op: BinOp::from_instr(b).unwrap(),
-                        t,
-                        on_nz: true,
-                    },
-                    4,
-                )
-            }
-            [Instr::LoadGlobal(g), Instr::Const(k), b, Instr::StoreGlobal(d), ..]
-                if BinOp::from_instr(b).is_some() =>
-            {
-                (
-                    Op::LdGKBinSt {
-                        g,
-                        k,
-                        op: BinOp::from_instr(b).unwrap(),
-                        d,
-                    },
-                    4,
-                )
-            }
-            [Instr::LoadLocal(a), Instr::Const(k), b, ..] if BinOp::from_instr(b).is_some() => (
+            [Instr::LoadLocal(a), Instr::Const(k), Instr::Bin(op), ..] => (
                 Op::LdLKBin {
                     a: FRAME_HEADER_BYTES + u32::from(a),
                     k,
-                    op: BinOp::from_instr(b).unwrap(),
+                    op,
                 },
                 3,
             ),
-            [Instr::LoadGlobal(g), Instr::Const(k), b, ..] if BinOp::from_instr(b).is_some() => (
-                Op::LdGKBin {
-                    g,
-                    k,
-                    op: BinOp::from_instr(b).unwrap(),
-                },
-                3,
-            ),
-            [Instr::Const(k), b, ..] if BinOp::from_instr(b).is_some() => (
-                Op::KBin {
-                    k,
-                    op: BinOp::from_instr(b).unwrap(),
-                },
-                2,
-            ),
+            [Instr::LoadGlobal(g), Instr::Const(k), Instr::Bin(op), ..] => {
+                (Op::LdGKBin { g, k, op }, 3)
+            }
+            [Instr::Const(k), Instr::Bin(op), ..] => (Op::KBin { k, op }, 2),
             [Instr::Const(k), Instr::StoreLocal(d), ..] => (
                 Op::KStL {
                     k,
@@ -654,13 +487,16 @@ mod tests {
 
     #[test]
     fn runtime_mediated_instrs_stay_ref() {
-        let (loaded, dp) = decode_src(
-            "int main() { int x = sample(); send(x); checkpoint(); return 0; }",
-        );
+        let (loaded, dp) =
+            decode_src("int main() { int x = sample(); send(x); checkpoint(); return 0; }");
         for (pc, i) in loaded.code.iter().enumerate() {
             if matches!(
                 i,
-                Instr::Syscall(_) | Instr::Checkpoint(_) | Instr::Call(_) | Instr::Ret | Instr::Halt
+                Instr::Syscall(_)
+                    | Instr::Checkpoint(_)
+                    | Instr::Call(_)
+                    | Instr::Ret
+                    | Instr::Halt
             ) {
                 assert!(matches!(dp.plain[pc], Op::Ref), "pc {pc}: {i:?}");
             }
@@ -678,7 +514,10 @@ mod tests {
         // the folded op wherever a LoadLocal survives.
         for (pc, i) in loaded.code.iter().enumerate() {
             if let Instr::LoadLocal(o) = i {
-                assert_eq!(dp.plain[pc], Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(*o)));
+                assert_eq!(
+                    dp.plain[pc],
+                    Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(*o))
+                );
             }
         }
         let _ = found;

@@ -163,7 +163,6 @@ pub struct TxDriver {
     seed: u64,
 }
 
-
 impl TxDriver {
     /// Whether a transaction is currently open (between `tx_begin` and
     /// `tx_commit`). The executor suppresses checkpoints while this
@@ -260,13 +259,15 @@ impl TxDriver {
                 // A descriptor can only reach `inflight` after read-back
                 // verification, so an invalid one means in-place damage.
                 // Poison it: never retry what cannot be identified.
-                m.mem.write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
+                m.mem
+                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
                 m.emit(TraceEvent::TxnPoisoned { id: slot.id });
                 continue;
             }
             let attempts = slot.attempts + 1;
             if attempts >= self.policy.max_attempts {
-                m.mem.write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
+                m.mem
+                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
                 m.emit(TraceEvent::TxnPoisoned { id: slot.id });
             } else {
                 Self::write_descriptor(m, idx, slot.id, attempts)?;
@@ -316,9 +317,7 @@ impl TxDriver {
                         }
                     };
                 }
-                if slot.state != ST_INFLIGHT
-                    && evict.is_none_or(|(_, eid)| slot.id < eid)
-                {
+                if slot.state != ST_INFLIGHT && evict.is_none_or(|(_, eid)| slot.id < eid) {
                     evict = Some((idx, slot.id));
                 }
             } else if free.is_none() {
@@ -334,15 +333,17 @@ impl TxDriver {
             m.emit(TraceEvent::TxnSkip { id });
             return Ok(TX_SKIP_COMMITTED);
         }
-        let idx = free.or(evict.map(|(i, _)| i)).ok_or_else(|| {
-            VmError::Trap("tx journal full of inflight descriptors".into())
-        })?;
+        let idx = free
+            .or(evict.map(|(i, _)| i))
+            .ok_or_else(|| VmError::Trap("tx journal full of inflight descriptors".into()))?;
         // Recycle: clear the state word first so a cut mid-staging
         // leaves a dead slot, not a chimera of old state and new id.
-        m.mem.write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_EMPTY)?;
+        m.mem
+            .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_EMPTY)?;
         Self::write_descriptor(m, idx, id, 0)?;
         // Flag-flip-last: one atomic word arms the descriptor.
-        m.mem.write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_INFLIGHT)?;
+        m.mem
+            .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_INFLIGHT)?;
         if id > hw {
             m.mem.write_u32(Self::high_water_addr(m), id)?;
         }
@@ -366,7 +367,8 @@ impl TxDriver {
         for idx in 0..TXJ_SLOTS {
             let slot = Self::read_slot(m, idx)?;
             if slot.valid && slot.id == id && slot.state == ST_INFLIGHT {
-                m.mem.write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_COMMITTED)?;
+                m.mem
+                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_COMMITTED)?;
                 self.active = None;
                 m.emit(TraceEvent::TxnCommit { id });
                 return Ok(());
@@ -396,9 +398,7 @@ mod tests {
         let p = BackoffPolicy::default();
         for seed in [0u64, 1, 0x5EED, u64::MAX, 0xDEAD_BEEF_CAFE] {
             for id in [1u32, 7, 1000, u32::MAX] {
-                let delays: Vec<u64> = (1..=p.cap)
-                    .map(|a| p.delay_us(seed, id, a))
-                    .collect();
+                let delays: Vec<u64> = (1..=p.cap).map(|a| p.delay_us(seed, id, a)).collect();
                 for w in delays.windows(2) {
                     assert!(
                         w[1] > w[0],
@@ -449,7 +449,10 @@ mod tests {
             .max()
             .unwrap();
         assert!(worst <= p.budget_us());
-        assert!(p.budget_us() < 50_000, "budget must stay a small fraction of a second");
+        assert!(
+            p.budget_us() < 50_000,
+            "budget must stay a small fraction of a second"
+        );
     }
 
     // ---- Journal behavior on a real machine ----

@@ -17,7 +17,9 @@
 //! attribution, traps, and trace events (`tests/differential_exec.rs`
 //! and `tests/decode_roundtrip.rs` enforce this). The decoded engine is
 //! the default; the reference engine survives as the differential-testing
-//! oracle, selectable per executor or via `TICS_VM_ENGINE=reference`.
+//! oracle for dispatch, memory traffic and trap points, selectable per
+//! executor or via `TICS_VM_ENGINE=reference`. Both compute through the
+//! one ALU, [`BinOp::apply`](tics_minic::isa::BinOp::apply).
 
 use std::sync::Arc;
 
@@ -28,7 +30,7 @@ use tics_minic::isa::{Instr, Syscall};
 use tics_minic::program::FRAME_HEADER_BYTES;
 use tics_trace::{I2cPhase, TraceEvent};
 
-use crate::decoded::{BinOp, DecodedProgram, Op, UnOp, DEPTH_UNKNOWN};
+use crate::decoded::{DecodedProgram, Op, DEPTH_UNKNOWN};
 use crate::error::VmError;
 use crate::machine::Machine;
 use crate::runtime::{CheckpointKind, IntermittentRuntime, ResumeAction};
@@ -510,31 +512,16 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
             m.push(a)?;
             m.push(b)?;
         }
-        Instr::Add => binary(m, |a, b| Ok(a.wrapping_add(b)))?,
-        Instr::Sub => binary(m, |a, b| Ok(a.wrapping_sub(b)))?,
-        Instr::Mul => binary(m, |a, b| Ok(a.wrapping_mul(b)))?,
-        Instr::Div => binary(m, |a, b| {
-            a.checked_div(b)
-                .ok_or_else(|| VmError::Trap("division by zero or overflow".into()))
-        })?,
-        Instr::Mod => binary(m, |a, b| {
-            a.checked_rem(b)
-                .ok_or_else(|| VmError::Trap("remainder by zero or overflow".into()))
-        })?,
-        Instr::Neg => unary(m, |a| a.wrapping_neg())?,
-        Instr::BitAnd => binary(m, |a, b| Ok(a & b))?,
-        Instr::BitOr => binary(m, |a, b| Ok(a | b))?,
-        Instr::BitXor => binary(m, |a, b| Ok(a ^ b))?,
-        Instr::Shl => binary(m, |a, b| Ok(a.wrapping_shl(b as u32 & 31)))?,
-        Instr::Shr => binary(m, |a, b| Ok(a.wrapping_shr(b as u32 & 31)))?,
-        Instr::BitNot => unary(m, |a| !a)?,
-        Instr::Eq => binary(m, |a, b| Ok(i32::from(a == b)))?,
-        Instr::Ne => binary(m, |a, b| Ok(i32::from(a != b)))?,
-        Instr::Lt => binary(m, |a, b| Ok(i32::from(a < b)))?,
-        Instr::Le => binary(m, |a, b| Ok(i32::from(a <= b)))?,
-        Instr::Gt => binary(m, |a, b| Ok(i32::from(a > b)))?,
-        Instr::Ge => binary(m, |a, b| Ok(i32::from(a >= b)))?,
-        Instr::LogNot => unary(m, |a| i32::from(a == 0))?,
+        Instr::Bin(op) => {
+            let b = m.pop()?;
+            let a = m.pop()?;
+            let r = op.apply(a, b).map_err(|e| VmError::Trap(e.into()))?;
+            m.push(r)?;
+        }
+        Instr::Un(op) => {
+            let a = m.pop()?;
+            m.push(op.apply(a))?;
+        }
         Instr::Jmp(t) => m.regs.pc = t,
         Instr::Jz(t) => {
             if m.pop()? == 0 {
@@ -594,18 +581,6 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
 
     rt.on_instruction(m)?;
     Ok(())
-}
-
-fn binary(m: &mut Machine, f: impl FnOnce(i32, i32) -> Result<i32>) -> Result<()> {
-    let b = m.pop()?;
-    let a = m.pop()?;
-    let r = f(a, b)?;
-    m.push(r)
-}
-
-fn unary(m: &mut Machine, f: impl FnOnce(i32) -> i32) -> Result<()> {
-    let a = m.pop()?;
-    m.push(f(a))
 }
 
 fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -> Result<()> {
@@ -771,34 +746,6 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 // `function_at` bound checks (proven unnecessary by the decoder's depth
 // verification), the generic byte-slice memory path (replaced by the
 // word path), and per-instruction dispatch (fused away in bursts).
-
-/// The ALU, shared by plain and fused ops; trap messages match the
-/// reference interpreter's exactly.
-#[inline(always)]
-fn bin_apply(op: BinOp, a: i32, b: i32) -> Result<i32> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a
-            .checked_div(b)
-            .ok_or_else(|| VmError::Trap("division by zero or overflow".into()))?,
-        BinOp::Mod => a
-            .checked_rem(b)
-            .ok_or_else(|| VmError::Trap("remainder by zero or overflow".into()))?,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 31),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 31),
-        BinOp::Eq => i32::from(a == b),
-        BinOp::Ne => i32::from(a != b),
-        BinOp::Lt => i32::from(a < b),
-        BinOp::Le => i32::from(a <= b),
-        BinOp::Gt => i32::from(a > b),
-        BinOp::Ge => i32::from(a >= b),
-    })
-}
 
 /// The decoded loop: dispatches decoded ops until a stop boundary —
 /// period deadline, voltage warning, time budget — or a halt via a
@@ -1029,17 +976,17 @@ fn exec_op<B: WordBus>(
         Op::Bin(op) => {
             let b = pop(bus, regs)?;
             let a = pop(bus, regs)?;
-            let r = bin_apply(op, a, b)?;
-            push(bus, regs, r)
+            // A `match`, not `?`: in x86-64 release builds the `?` form
+            // grew the op bodies inlined into `fast_zone` by ~2 KB and
+            // slowed decoded dispatch by ~2%.
+            match op.apply(a, b) {
+                Ok(r) => push(bus, regs, r),
+                Err(msg) => Err(VmError::Trap(msg.into())),
+            }
         }
         Op::Un(op) => {
             let a = pop(bus, regs)?;
-            let r = match op {
-                UnOp::Neg => a.wrapping_neg(),
-                UnOp::BitNot => !a,
-                UnOp::LogNot => i32::from(a == 0),
-            };
-            push(bus, regs, r)
+            push(bus, regs, op.apply(a))
         }
         Op::Jmp(t) => {
             regs.pc = t;

@@ -13,7 +13,7 @@ use crate::error::VmError;
 pub const RET_SENTINEL: u32 = u32::MAX;
 
 /// A [`Program`] flattened for execution: one linear code vector with
-/// per-function entry points; intra-function jump targets rebased to
+/// per-function entry points; intra-function code targets rebased to
 /// global instruction indices.
 #[derive(Debug, Clone)]
 pub struct LoadedProgram {
@@ -36,7 +36,7 @@ impl LoadedProgram {
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::Load`] if a call or jump target is out of
+    /// Returns [`VmError::Load`] if a call or code target is out of
     /// range, or the entry function is missing.
     pub fn load(program: Program) -> Result<LoadedProgram, VmError> {
         if program.functions.is_empty() {
@@ -53,22 +53,14 @@ impl LoadedProgram {
             entries.push(base);
             for instr in &f.code {
                 let mut instr = *instr;
-                if let Some(t) = instr.jump_target() {
+                if let Some(t) = instr.code_target() {
                     if t as usize > f.code.len() {
                         return Err(VmError::Load(format!(
-                            "function `{}`: jump target {t} out of range",
+                            "function `{}`: target of `{instr}` out of range",
                             f.name
                         )));
                     }
-                    instr.set_jump_target(base + t);
-                } else if let Instr::ExpiresBlockBegin(v, t) = instr {
-                    if t as usize > f.code.len() {
-                        return Err(VmError::Load(format!(
-                            "function `{}`: catch target {t} out of range",
-                            f.name
-                        )));
-                    }
-                    instr = Instr::ExpiresBlockBegin(v, base + t);
+                    instr.set_code_target(base + t);
                 } else if let Instr::Call(target) = instr {
                     if target as usize >= program.functions.len() {
                         return Err(VmError::Load(format!(
@@ -132,9 +124,9 @@ mod tests {
         let loaded = LoadedProgram::load(prog).unwrap();
         assert_eq!(loaded.entries.len(), 2);
         assert!(loaded.entries[1] > 0);
-        // All jump targets resolve inside the owning function's range.
+        // All code targets resolve inside the owning function's range.
         for (pc, instr) in loaded.code.iter().enumerate() {
-            if let Some(t) = instr.jump_target() {
+            if let Some(t) = instr.code_target() {
                 assert_eq!(
                     loaded.owner[t as usize], loaded.owner[pc],
                     "target escaped its function"
@@ -148,6 +140,18 @@ mod tests {
         let mut prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
         prog.functions[0].code.insert(0, Instr::Call(9));
         assert!(matches!(LoadedProgram::load(prog), Err(VmError::Load(_))));
+    }
+
+    #[test]
+    fn rejects_out_of_range_code_targets() {
+        for bad in [Instr::Jz(99), Instr::ExpiresBlockBegin(0, 99)] {
+            let mut prog = compile("int main() { return 0; }", OptLevel::O0).unwrap();
+            prog.functions[0].code.insert(0, bad);
+            assert!(
+                matches!(LoadedProgram::load(prog), Err(VmError::Load(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -413,7 +413,11 @@ impl Machine {
     pub fn emit(&mut self, event: TraceEvent) {
         let at_us = self.true_now_us();
         let cycle = self.mem.cycles();
-        let rec = TraceRecord { at_us, cycle, event };
+        let rec = TraceRecord {
+            at_us,
+            cycle,
+            event,
+        };
         if self.detail_batching && event.is_detail() {
             if self.pending_detail.len() == self.pending_detail.capacity() {
                 self.flush_trace();

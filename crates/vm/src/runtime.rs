@@ -398,4 +398,3 @@ impl IntermittentRuntime for BareRuntime {
         Ok(())
     }
 }
-

@@ -65,10 +65,6 @@ pub struct ExecStats {
     pub timely_misses: u64,
     /// ISR invocations.
     pub isr_entries: u64,
-    /// UART bytes pushed onto the wire with `uart_tx` (wire byte and
-    /// true wall-clock time, µs; includes torn bytes — they left the
-    /// pin, so they count as externally visible).
-    pub uart_tx_timed: Vec<(u8, u64)>,
     /// `uart_rx` polls that returned a byte (torn/empty polls excluded).
     pub uart_rx_bytes: u64,
     /// I2C bus operations driven (START/WRITE/READ/STOP/RESET phases).
@@ -114,7 +110,6 @@ impl ExecStats {
             expires_catches,
             timely_misses,
             isr_entries,
-            uart_tx_timed,
             uart_rx_bytes,
             i2c_ops,
             txn_begins,
@@ -146,7 +141,6 @@ impl ExecStats {
         *expires_catches = 0;
         *timely_misses = 0;
         *isr_entries = 0;
-        uart_tx_timed.clear();
         *uart_rx_bytes = 0;
         *i2c_ops = 0;
         *txn_begins = 0;
@@ -193,7 +187,6 @@ impl ExecStats {
             TraceEvent::TimelyMiss => self.timely_misses += 1,
             TraceEvent::StackGrow => self.stack_grows += 1,
             TraceEvent::StackShrink => self.stack_shrinks += 1,
-            TraceEvent::UartTx { byte, .. } => self.uart_tx_timed.push((byte, at_us)),
             TraceEvent::UartRx { byte } => {
                 if byte >= 0 {
                     self.uart_rx_bytes += 1;
@@ -206,6 +199,7 @@ impl ExecStats {
             TraceEvent::TxnPoisoned { .. } => self.txn_poisoned += 1,
             TraceEvent::TxnSkip { .. } => self.txn_skips += 1,
             TraceEvent::TornWrite { .. }
+            | TraceEvent::UartTx { .. }
             | TraceEvent::IsrExit
             | TraceEvent::SpanEnter { .. }
             | TraceEvent::SpanExit { .. } => {}
@@ -224,22 +218,6 @@ impl ExecStats {
     #[must_use]
     pub fn sends(&self) -> Vec<i32> {
         self.sends_timed.iter().map(|&(v, _)| v).collect()
-    }
-
-    /// Count of externally visible events so far (sends, marks, samples,
-    /// prints, LED toggles). Kept consistent with the trace's
-    /// incremental counter; the executor's forward-progress guard reads
-    /// the trace-side counter, this is the stats-side view of the same
-    /// fold.
-    #[must_use]
-    pub fn visible_events(&self) -> u64 {
-        self.sends_timed.len() as u64
-            + self.marks_timed.len() as u64
-            + self.samples_timed.len() as u64
-            + self.prints.len() as u64
-            + self.led_events
-            + self.uart_tx_timed.len() as u64
-            + self.i2c_ops
     }
 
     /// Mean checkpoint size in bytes, if any checkpoint was taken.
@@ -278,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_tracks_visible_events_and_failures() {
+    fn fold_tracks_samples_and_failures() {
         let mut s = ExecStats::default();
         s.fold_event(&TraceEvent::Boot, 0);
         s.fold_event(&TraceEvent::Sample { value: 3 }, 5);
@@ -288,16 +266,14 @@ mod tests {
         assert_eq!(s.boots, 1);
         assert_eq!(s.samples, 1);
         assert_eq!(s.samples_timed, vec![5]);
-        assert_eq!(s.visible_events(), 3);
+        assert_eq!(s.led_events, 1);
         assert_eq!(s.failure_times, vec![9]);
         assert_eq!(s.power_failures, 1);
     }
 
     #[test]
-    fn peripheral_events_fold_into_visible_count() {
+    fn peripheral_events_fold_into_counters() {
         let mut s = ExecStats::default();
-        s.fold_event(&TraceEvent::UartTx { byte: 0xA5, torn: false }, 10);
-        s.fold_event(&TraceEvent::UartTx { byte: 0x01, torn: true }, 20);
         s.fold_event(&TraceEvent::UartRx { byte: -1 }, 25);
         s.fold_event(&TraceEvent::UartRx { byte: 0x42 }, 26);
         s.fold_event(
@@ -310,13 +286,10 @@ mod tests {
         );
         s.fold_event(&TraceEvent::TxnBegin { id: 1 }, 31);
         s.fold_event(&TraceEvent::TxnCommit { id: 1 }, 32);
-        // Torn TX bytes still left the pin: both count as visible.
-        assert_eq!(s.uart_tx_timed, vec![(0xA5, 10), (0x01, 20)]);
         assert_eq!(s.uart_rx_bytes, 1);
         assert_eq!(s.i2c_ops, 1);
         assert_eq!(s.txn_begins, 1);
         assert_eq!(s.txn_commits, 1);
-        assert_eq!(s.visible_events(), 3);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 use tics_energy::{ContinuousPower, PeriodicTrace, PowerSupply};
 use tics_mcu::memory::MemoryStats;
 use tics_mcu::CorruptionModel;
-use tics_minic::isa::{Instr, Syscall};
+use tics_minic::isa::{BinOp, Instr, Syscall, UnOp};
 use tics_minic::program::{Function, GlobalVar};
 use tics_minic::Program;
 use tics_trace::{SpanKind, TraceRecord};
-use tics_vm::{BareRuntime, DispatchEngine, Executor, ExecStats, Machine, MachineConfig};
+use tics_vm::{BareRuntime, DispatchEngine, ExecStats, Executor, Machine, MachineConfig};
 
 /// Deterministic seed expander (same constants as the sweep harness).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -63,9 +63,12 @@ impl Emitter {
         }
     }
 
-    fn emit(&mut self, i: Instr, effect: i16) {
+    /// Appends `i`, moving the depth by the ISA's stack effect (the
+    /// only callee, `helper`, takes one argument).
+    fn emit(&mut self, i: Instr) {
         self.code.push(i);
-        self.depth = (i32::from(self.depth) + i32::from(effect)) as u16;
+        let (pops, pushes) = i.stack_effect(|_| 1);
+        self.depth = self.depth - pops + pushes;
         self.max_depth = self.max_depth.max(self.depth);
     }
 
@@ -74,19 +77,19 @@ impl Emitter {
     }
 }
 
-const BINOPS: [Instr; 12] = [
-    Instr::Add,
-    Instr::Sub,
-    Instr::Mul,
-    Instr::BitAnd,
-    Instr::BitOr,
-    Instr::BitXor,
-    Instr::Shl,
-    Instr::Shr,
-    Instr::Eq,
-    Instr::Ne,
-    Instr::Lt,
-    Instr::Ge,
+const BINOPS: [BinOp; 12] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Shl,
+    BinOp::Shr,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Ge,
 ];
 
 /// One depth-0 → depth-0 template. `locals`/`globals` are slot counts.
@@ -94,109 +97,114 @@ fn emit_block(e: &mut Emitter, rng: &mut u64, locals: u16, globals: u32) {
     let lslot = |rng: &mut u64| (pick(rng, u64::from(locals)) as u16) * 4;
     let gslot = |rng: &mut u64| (pick(rng, u64::from(globals)) as u32) * 4;
     let konst = |rng: &mut u64| (splitmix64(rng) as i32) % 1_000;
-    let binop = |rng: &mut u64| BINOPS[pick(rng, BINOPS.len() as u64) as usize];
+    let binop = |rng: &mut u64| Instr::Bin(BINOPS[pick(rng, BINOPS.len() as u64) as usize]);
     match pick(rng, 12) {
         // Constant chain folded through a binop into a local
         // (the decoder's KBin / KStL shapes).
         0 => {
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(binop(rng), -1);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(binop(rng));
+            e.emit(Instr::StoreLocal(lslot(rng)));
         }
         // Local read-modify-write (the LdLKBinSt superinstruction).
         1 => {
             let o = lslot(rng);
-            e.emit(Instr::LoadLocal(o), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(binop(rng), -1);
-            e.emit(Instr::StoreLocal(o), -1);
+            e.emit(Instr::LoadLocal(o));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(binop(rng));
+            e.emit(Instr::StoreLocal(o));
         }
         // Global read-modify-write (the LdGKBinSt superinstruction).
         2 => {
             let g = gslot(rng);
-            e.emit(Instr::LoadGlobal(g), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(binop(rng), -1);
-            e.emit(Instr::StoreGlobal(g), -1);
+            e.emit(Instr::LoadGlobal(g));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(binop(rng));
+            e.emit(Instr::StoreGlobal(g));
         }
         // Compare-and-skip (the LdLKBinBr superinstruction): the taken
         // and fall-through paths rejoin at depth 0.
         3 => {
-            e.emit(Instr::LoadLocal(lslot(rng)), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::Lt, -1);
+            e.emit(Instr::LoadLocal(lslot(rng)));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Bin(BinOp::Lt));
             let jz_at = e.pc() as usize;
-            e.emit(Instr::Jz(0), -1); // patched below
-            e.emit(Instr::LoadGlobal(gslot(rng)), 1);
-            e.emit(Instr::Const(1), 1);
-            e.emit(Instr::Add, -1);
-            e.emit(Instr::StoreGlobal(gslot(rng)), -1);
+            e.emit(Instr::Jz(0)); // patched below
+            e.emit(Instr::LoadGlobal(gslot(rng)));
+            e.emit(Instr::Const(1));
+            e.emit(Instr::Bin(BinOp::Add));
+            e.emit(Instr::StoreGlobal(gslot(rng)));
             let target = e.pc();
             e.code[jz_at] = Instr::Jz(target);
         }
         // Visible event: send a global (trace streams must match).
         4 => {
-            e.emit(Instr::LoadGlobal(gslot(rng)), 1);
-            e.emit(Instr::Syscall(Syscall::Send), 0);
-            e.emit(Instr::Pop, -1);
+            e.emit(Instr::LoadGlobal(gslot(rng)));
+            e.emit(Instr::Syscall(Syscall::Send));
+            e.emit(Instr::Pop);
         }
         // Pointer traffic through locals and globals.
         5 => {
-            e.emit(Instr::AddrLocal(lslot(rng)), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::StoreInd, -2);
-            e.emit(Instr::AddrGlobal(gslot(rng)), 1);
-            e.emit(Instr::LoadInd, 0);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
+            e.emit(Instr::AddrLocal(lslot(rng)));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::StoreInd);
+            e.emit(Instr::AddrGlobal(gslot(rng)));
+            e.emit(Instr::LoadInd);
+            e.emit(Instr::StoreLocal(lslot(rng)));
         }
         // Stack shuffling.
         6 => {
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::Dup, 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::Swap, 0);
-            e.emit(binop(rng), -1);
-            e.emit(binop(rng), -1);
-            e.emit(Instr::Neg, 0);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Dup);
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Swap);
+            e.emit(binop(rng));
+            e.emit(binop(rng));
+            e.emit(Instr::Un(UnOp::Neg));
+            e.emit(Instr::StoreLocal(lslot(rng)));
         }
         // Bounded counted loop with a backward branch at depth 0.
         7 => {
             let counter = lslot(rng);
             let g = gslot(rng);
-            e.emit(Instr::Const(3 + pick(rng, 5) as i32), 1);
-            e.emit(Instr::StoreLocal(counter), -1);
+            e.emit(Instr::Const(3 + pick(rng, 5) as i32));
+            e.emit(Instr::StoreLocal(counter));
             let top = e.pc();
-            e.emit(Instr::LoadGlobal(g), 1);
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::BitXor, -1);
-            e.emit(Instr::StoreGlobal(g), -1);
-            e.emit(Instr::LoadLocal(counter), 1);
-            e.emit(Instr::Const(1), 1);
-            e.emit(Instr::Sub, -1);
-            e.emit(Instr::StoreLocal(counter), -1);
-            e.emit(Instr::LoadLocal(counter), 1);
-            e.emit(Instr::Jnz(top), -1);
+            e.emit(Instr::LoadGlobal(g));
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Bin(BinOp::Xor));
+            e.emit(Instr::StoreGlobal(g));
+            e.emit(Instr::LoadLocal(counter));
+            e.emit(Instr::Const(1));
+            e.emit(Instr::Bin(BinOp::Sub));
+            e.emit(Instr::StoreLocal(counter));
+            e.emit(Instr::LoadLocal(counter));
+            e.emit(Instr::Jnz(top));
         }
         // Possible divide-by-zero: the trap (and its text) must be
         // identical across engines. One in four picks a zero divisor.
         8 => {
             let k = if pick(rng, 4) == 0 { 0 } else { konst(rng) | 1 };
-            e.emit(Instr::LoadLocal(lslot(rng)), 1);
-            e.emit(Instr::Const(k), 1);
-            e.emit(if pick(rng, 2) == 0 { Instr::Div } else { Instr::Mod }, -1);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
+            e.emit(Instr::LoadLocal(lslot(rng)));
+            e.emit(Instr::Const(k));
+            let op = if pick(rng, 2) == 0 {
+                BinOp::Div
+            } else {
+                BinOp::Mod
+            };
+            e.emit(Instr::Bin(op));
+            e.emit(Instr::StoreLocal(lslot(rng)));
         }
         // UART traffic: tx a computed byte (the result — 1 unless the
         // byte tore — lands in a local), then rx the loopback response
         // into a global. Wire state and FIFO contents must match.
         10 => {
-            e.emit(Instr::LoadLocal(lslot(rng)), 1);
-            e.emit(Instr::Syscall(Syscall::UartTx), 0);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
-            e.emit(Instr::Syscall(Syscall::UartRx), 1);
-            e.emit(Instr::StoreGlobal(gslot(rng)), -1);
+            e.emit(Instr::LoadLocal(lslot(rng)));
+            e.emit(Instr::Syscall(Syscall::UartTx));
+            e.emit(Instr::StoreLocal(lslot(rng)));
+            e.emit(Instr::Syscall(Syscall::UartRx));
+            e.emit(Instr::StoreGlobal(gslot(rng)));
         }
         // Journaled I2C read transaction. With `BareRuntime` there is
         // no transaction driver, so `tx_begin`/`tx_commit` take the
@@ -204,28 +212,28 @@ fn emit_block(e: &mut Emitter, rng: &mut u64, locals: u16, globals: u32) {
         // must the sensor's served-reading cursor.
         11 => {
             let id = 1 + pick(rng, 7) as i32;
-            e.emit(Instr::Const(id), 1);
-            e.emit(Instr::Syscall(Syscall::TxBegin), 0);
-            e.emit(Instr::Pop, -1);
-            e.emit(Instr::Syscall(Syscall::I2cReset), 1);
-            e.emit(Instr::Pop, -1);
-            e.emit(Instr::Const(0x40), 1);
-            e.emit(Instr::Syscall(Syscall::I2cStart), 0);
-            e.emit(Instr::Pop, -1);
-            e.emit(Instr::Syscall(Syscall::I2cRead), 1);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
-            e.emit(Instr::Syscall(Syscall::I2cStop), 1);
-            e.emit(Instr::StoreGlobal(gslot(rng)), -1);
-            e.emit(Instr::Const(id), 1);
-            e.emit(Instr::Syscall(Syscall::TxCommit), 0);
-            e.emit(Instr::Pop, -1);
+            e.emit(Instr::Const(id));
+            e.emit(Instr::Syscall(Syscall::TxBegin));
+            e.emit(Instr::Pop);
+            e.emit(Instr::Syscall(Syscall::I2cReset));
+            e.emit(Instr::Pop);
+            e.emit(Instr::Const(0x40));
+            e.emit(Instr::Syscall(Syscall::I2cStart));
+            e.emit(Instr::Pop);
+            e.emit(Instr::Syscall(Syscall::I2cRead));
+            e.emit(Instr::StoreLocal(lslot(rng)));
+            e.emit(Instr::Syscall(Syscall::I2cStop));
+            e.emit(Instr::StoreGlobal(gslot(rng)));
+            e.emit(Instr::Const(id));
+            e.emit(Instr::Syscall(Syscall::TxCommit));
+            e.emit(Instr::Pop);
         }
         // Call into the helper (runtime-mediated: decoded falls back to
         // reference dispatch for the Call itself).
         _ => {
-            e.emit(Instr::Const(konst(rng)), 1);
-            e.emit(Instr::Call(1), 0);
-            e.emit(Instr::StoreLocal(lslot(rng)), -1);
+            e.emit(Instr::Const(konst(rng)));
+            e.emit(Instr::Call(1));
+            e.emit(Instr::StoreLocal(lslot(rng)));
         }
     }
     debug_assert_eq!(e.depth, 0, "templates must be depth-neutral");
@@ -239,15 +247,15 @@ fn gen_program(rng: &mut u64) -> Program {
 
     let mut e = Emitter::new();
     for slot in 0..locals {
-        e.emit(Instr::Const((splitmix64(rng) as i32) % 500), 1);
-        e.emit(Instr::StoreLocal(slot * 4), -1);
+        e.emit(Instr::Const((splitmix64(rng) as i32) % 500));
+        e.emit(Instr::StoreLocal(slot * 4));
     }
     let blocks = 4 + pick(rng, 7);
     for _ in 0..blocks {
         emit_block(&mut e, rng, locals, globals);
     }
-    e.emit(Instr::LoadGlobal(0), 1);
-    e.emit(Instr::Ret, -1);
+    e.emit(Instr::LoadGlobal(0));
+    e.emit(Instr::Ret);
 
     // One in four programs gets an undersized operand stack: the
     // decoder must refuse to verify and fall back to reference
@@ -275,7 +283,7 @@ fn gen_program(rng: &mut u64) -> Program {
         code: vec![
             Instr::LoadLocal(0),
             Instr::Const(3),
-            Instr::Mul,
+            Instr::Bin(BinOp::Mul),
             Instr::Ret,
         ],
         entry_checked: false,
@@ -326,14 +334,17 @@ enum Scenario {
     /// period boundary.
     Torn,
     /// Torn periods plus the brown-out corruption model.
-    Corrupted { seed: u64 },
+    Corrupted {
+        seed: u64,
+    },
 }
 
 fn run_one(prog: &Program, engine: DispatchEngine, scenario: Scenario) -> Snapshot {
     let mut m = Machine::new(prog.clone(), MachineConfig::default()).expect("machine");
     if let Scenario::Corrupted { seed } = scenario {
-        m.mem
-            .set_corruption(Some(CorruptionModel::new(600, 0.3, 0.3, seed).with_sram_decay(1.0)));
+        m.mem.set_corruption(Some(
+            CorruptionModel::new(600, 0.3, 0.3, seed).with_sram_decay(1.0),
+        ));
     }
     let mut supply: Box<dyn PowerSupply> = match scenario {
         Scenario::Continuous => Box::new(ContinuousPower::new()),
@@ -369,8 +380,14 @@ fn run_one(prog: &Program, engine: DispatchEngine, scenario: Scenario) -> Snapsh
         stats: m.stats().clone(),
         mem_stats: m.mem.stats(),
         span: m.mem.span_cycles_all(),
-        sram: m.mem.peek_bytes(layout.sram.start, layout.sram.len()).unwrap(),
-        fram: m.mem.peek_bytes(layout.fram.start, layout.fram.len()).unwrap(),
+        sram: m
+            .mem
+            .peek_bytes(layout.sram.start, layout.sram.len())
+            .unwrap(),
+        fram: m
+            .mem
+            .peek_bytes(layout.fram.start, layout.fram.len())
+            .unwrap(),
     }
 }
 
@@ -411,7 +428,13 @@ fn generated_programs_roundtrip_under_brownout_corruption() {
     for i in 0..32 {
         let seed = rng;
         let prog = gen_program(&mut rng);
-        assert_roundtrip(seed, &prog, Scenario::Corrupted { seed: 0xBAD_F00D + i });
+        assert_roundtrip(
+            seed,
+            &prog,
+            Scenario::Corrupted {
+                seed: 0xBAD_F00D + i,
+            },
+        );
     }
 }
 

@@ -30,7 +30,7 @@ use tics_minic::opt::OptLevel;
 use tics_minic::{compile, Program};
 use tics_trace::{SpanKind, TraceRecord};
 use tics_vm::{
-    BareRuntime, DispatchEngine, Executor, ExecStats, IntermittentRuntime, Machine, MachineConfig,
+    BareRuntime, DispatchEngine, ExecStats, Executor, IntermittentRuntime, Machine, MachineConfig,
 };
 
 /// Generous on-time budget: every grid cell either finishes or is
@@ -186,8 +186,14 @@ fn assert_engines_agree(
     assert_eq!(reference.outcome, decoded.outcome, "[{label}] outcome");
     assert_eq!(reference.cycles, decoded.cycles, "[{label}] cycle counter");
     assert_eq!(reference.stats, decoded.stats, "[{label}] exec stats");
-    assert_eq!(reference.mem_stats, decoded.mem_stats, "[{label}] memory stats");
-    assert_eq!(reference.span, decoded.span, "[{label}] span cycle attribution");
+    assert_eq!(
+        reference.mem_stats, decoded.mem_stats,
+        "[{label}] memory stats"
+    );
+    assert_eq!(
+        reference.span, decoded.span,
+        "[{label}] span cycle attribution"
+    );
     assert!(
         reference.sram == decoded.sram,
         "[{label}] final SRAM contents differ"
@@ -204,11 +210,7 @@ fn fault_grid() -> Vec<(String, Program, SystemUnderTest)> {
     for program in FaultProgram::ALL {
         for system in SYSTEMS {
             match build_fault_program(program, system) {
-                Ok(prog) => cells.push((
-                    format!("{}/{:?}", program.name(), system),
-                    prog,
-                    system,
-                )),
+                Ok(prog) => cells.push((format!("{}/{:?}", program.name(), system), prog, system)),
                 Err(_) => continue, // infeasible (e.g. recursion on Chinchilla)
             }
         }
@@ -392,6 +394,37 @@ fn isr_machine_runs_hooked_and_agrees() {
             &supply,
             None,
         );
+    }
+}
+
+/// `i32::MIN / -1` and `i32::MIN % -1` overflow. The optimizer must leave
+/// them in the code, so they trap at run time at every level, and both
+/// engines must trap with the same text.
+#[test]
+fn overflowing_division_traps_on_both_engines() {
+    for (op, text) in [
+        ('/', "division by zero or overflow"),
+        ('%', "remainder by zero or overflow"),
+    ] {
+        let src = format!("int main() {{ int q = (-2147483647 - 1) {op} -1; return q; }}");
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let prog = compile(&src, level).expect("compile overflow program");
+            for engine in [DispatchEngine::Reference, DispatchEngine::Decoded] {
+                let snap = run_one(
+                    &prog,
+                    &MachineConfig::default(),
+                    &|| Box::new(BareRuntime::new()),
+                    &grid_executor().with_engine(engine),
+                    &Supply::Continuous,
+                    None,
+                );
+                assert_eq!(
+                    snap.outcome,
+                    format!("error: trap: {text}"),
+                    "{op} at {level} on {engine:?}"
+                );
+            }
+        }
     }
 }
 
