@@ -191,10 +191,6 @@ struct CellResult {
     reference_runs_per_sec: f64,
     decoded_runs_per_sec: f64,
     speedup: f64,
-    /// Whether the decoded engine can use its fused burst loop (no
-    /// per-instruction runtime hook). TICS keeps the hook, so its cells
-    /// are excluded from the headline "fast grid" speedup.
-    hook_free: bool,
 }
 
 fn geomean(values: impl Iterator<Item = f64>) -> f64 {
@@ -248,7 +244,6 @@ fn main() -> ExitCode {
                     reference_runs_per_sec: reference.runs_per_sec,
                     decoded_runs_per_sec: decoded.runs_per_sec,
                     speedup: decoded.ips / reference.ips.max(1e-9),
-                    hook_free: system != SystemUnderTest::Tics,
                 });
             }
         }
@@ -277,16 +272,14 @@ fn main() -> ExitCode {
     println!("periph differential smoke: {periph_cells} cells");
 
     let geomean_all = geomean(cells.iter().map(|c| c.speedup));
-    let geomean_fast = geomean(cells.iter().filter(|c| c.hook_free).map(|c| c.speedup));
     let min_speedup = cells.iter().map(|c| c.speedup).fold(f64::INFINITY, f64::min);
     let total_ckpt_bytes: u64 = cells.iter().map(|c| c.checkpoint_bytes).sum();
 
     println!(
-        "{} cells in {:.1}s | speedup geomean {:.2}x (hook-free grid {:.2}x), min {:.2}x | ckpt traffic {} B",
+        "{} cells in {:.1}s | speedup geomean {:.2}x, min {:.2}x | ckpt traffic {} B",
         cells.len(),
         sweep_started.elapsed().as_secs_f64(),
         geomean_all,
-        geomean_fast,
         min_speedup,
         total_ckpt_bytes,
     );
@@ -339,7 +332,6 @@ fn main() -> ExitCode {
                             .field("reference_cells_per_sec", c.reference_runs_per_sec)
                             .field("decoded_cells_per_sec", c.decoded_runs_per_sec)
                             .field("speedup", c.speedup)
-                            .field("hook_free", c.hook_free)
                             .build()
                     })
                     .collect(),
@@ -350,7 +342,6 @@ fn main() -> ExitCode {
             Json::obj()
                 .field("cells", cells.len())
                 .field("geomean_speedup", geomean_all)
-                .field("geomean_speedup_hook_free", geomean_fast)
                 .field("min_speedup", min_speedup)
                 .field("total_checkpoint_bytes", total_ckpt_bytes)
                 .build(),

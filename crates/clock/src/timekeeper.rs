@@ -15,6 +15,12 @@ pub trait Timekeeper {
     fn now(&self) -> TimeMicros;
 
     /// Powered execution time passes (`us` microseconds).
+    ///
+    /// Within a power-on period, [`now`](Timekeeper::now) advances by
+    /// exactly the on-time: `us` microseconds, however the time is split
+    /// into calls. Drift, resets and estimation error enter only at
+    /// [`power_cycle`](Timekeeper::power_cycle). A runtime relies on
+    /// this to turn a deadline in device time into a cycle once.
     fn advance_on(&mut self, us: u64);
 
     /// A power failure occurs; the device is off for `true_off_us`
@@ -452,6 +458,29 @@ mod tests {
             exercise(used.as_mut());
             used.reset();
             assert_eq!(exercise(used.as_mut()), exercise(fresh.as_mut()));
+        }
+    }
+
+    #[test]
+    fn on_time_advances_now_exactly() {
+        // Whatever an outage did to the clock, the next power-on period
+        // advances `now` by exactly its on-time, in one call or many.
+        let clocks: [Box<dyn Timekeeper>; 4] = [
+            Box::new(PerfectClock::new()),
+            Box::new(VolatileClock::new()),
+            Box::new(CapacitorRtc::new(1_000)),
+            Box::new(RemanenceTimer::new(50_000, 0.25, 7)),
+        ];
+        for mut c in clocks {
+            for off in [0, 999, 5_000, 12_345, 80_000] {
+                c.power_cycle(off);
+                let (start, mut on) = (c.now().as_micros(), 0);
+                for us in [1, 97, 1_009, 331] {
+                    c.advance_on(us);
+                    on += us;
+                    assert_eq!(c.now().as_micros(), start + on);
+                }
+            }
         }
     }
 

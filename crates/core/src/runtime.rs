@@ -20,7 +20,8 @@ type Result<T> = std::result::Result<T, VmError>;
 #[derive(Debug, Clone, Copy)]
 struct ExpiresBlock {
     catch_pc: u32,
-    expire_at_us: u64,
+    /// The cycle at which the block expires (`u64::MAX`: never).
+    expire_at: u64,
     undo_mark: u32,
     /// Externally visible output events (prints + published sends) at
     /// block entry. Once the body's output has escaped, the expiry
@@ -450,11 +451,18 @@ impl IntermittentRuntime for TicsRuntime {
         }
     }
 
-    fn instruction_hook(&self) -> bool {
-        true
+    fn next_stop(&mut self, _m: &mut Machine) -> u64 {
+        if self.pending_shrink_ckpt && !self.tx.in_txn() {
+            return 0;
+        }
+        let timer = self
+            .config
+            .timer_period_us
+            .map_or(u64::MAX, |_| self.next_timer_at);
+        timer.min(self.expires_block.map_or(u64::MAX, |b| b.expire_at))
     }
 
-    fn on_instruction(&mut self, m: &mut Machine) -> Result<()> {
+    fn on_stop(&mut self, m: &mut Machine) -> Result<()> {
         if self.pending_shrink_ckpt && !self.tx.in_txn() {
             self.pending_shrink_ckpt = false;
             self.commit_checkpoint(m, CkptCause::Forced)?;
@@ -468,14 +476,14 @@ impl IntermittentRuntime for TicsRuntime {
             }
         }
         if let Some(block) = self.expires_block {
-            if m.now().as_micros() >= block.expire_at_us {
+            if m.cycles() >= block.expire_at {
                 if m.stats().prints.len() + m.stats().sends_timed.len() > block.output_mark {
                     // The body's output escaped while the reading was
                     // still fresh; aborting now cannot un-print it, and
                     // the catch arm would emit a duplicate. Let the
                     // block run to its normal end instead.
                     if let Some(b) = self.expires_block.as_mut() {
-                        b.expire_at_us = u64::MAX;
+                        b.expire_at = u64::MAX;
                     }
                     return Ok(());
                 }
@@ -574,7 +582,8 @@ impl IntermittentRuntime for TicsRuntime {
         } else {
             ts.saturating_add(ttl)
         };
-        if m.now().as_micros() >= expire_at_us {
+        let now = m.now().as_micros();
+        if now >= expire_at_us {
             // Already stale on entry: straight to the catch handler.
             m.regs.pc = catch_pc;
             m.emit(TraceEvent::ExpiresCatch);
@@ -583,7 +592,9 @@ impl IntermittentRuntime for TicsRuntime {
         self.atomic_begin(m)?;
         self.expires_block = Some(ExpiresBlock {
             catch_pc,
-            expire_at_us,
+            // Device time advances exactly by on-time (`advance_on`) and
+            // the block dies at power failure: the expiry is a cycle.
+            expire_at: m.cycles().saturating_add(expire_at_us - now),
             undo_mark: self.undo.len(),
             output_mark: m.stats().prints.len() + m.stats().sends_timed.len(),
         });

@@ -227,9 +227,27 @@ mod tests {
     #[test]
     fn periods_are_gaps_between_cuts() {
         let mut s = AdversarialSupply::new(FaultPlan::new(vec![100, 250, 400], 50));
-        assert_eq!(s.next_period().unwrap(), OnPeriod { on_us: 100, off_us: 50 });
-        assert_eq!(s.next_period().unwrap(), OnPeriod { on_us: 150, off_us: 50 });
-        assert_eq!(s.next_period().unwrap(), OnPeriod { on_us: 150, off_us: 50 });
+        assert_eq!(
+            s.next_period().unwrap(),
+            OnPeriod {
+                on_us: 100,
+                off_us: 50
+            }
+        );
+        assert_eq!(
+            s.next_period().unwrap(),
+            OnPeriod {
+                on_us: 150,
+                off_us: 50
+            }
+        );
+        assert_eq!(
+            s.next_period().unwrap(),
+            OnPeriod {
+                on_us: 150,
+                off_us: 50
+            }
+        );
         // Tail: continuous.
         let tail = s.next_period().unwrap();
         assert!(tail.on_us > 1 << 60);
@@ -252,10 +270,19 @@ mod tests {
 
     #[test]
     fn periodic_tail_repeats() {
-        let plan = FaultPlan::new(vec![], 0).with_tail(Tail::Periodic { on_us: 7, off_us: 3 });
+        let plan = FaultPlan::new(vec![], 0).with_tail(Tail::Periodic {
+            on_us: 7,
+            off_us: 3,
+        });
         let mut s = AdversarialSupply::new(plan);
         for _ in 0..4 {
-            assert_eq!(s.next_period().unwrap(), OnPeriod { on_us: 7, off_us: 3 });
+            assert_eq!(
+                s.next_period().unwrap(),
+                OnPeriod {
+                    on_us: 7,
+                    off_us: 3
+                }
+            );
         }
     }
 

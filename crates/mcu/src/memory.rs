@@ -1154,9 +1154,9 @@ impl WordBurst<'_> {
 /// access fails with [`MemoryError::Unmapped`] if any byte is unmapped.
 ///
 /// The decoded interpreter keeps a single op body generic over this
-/// trait. [`Memory`] implements it for hooked periods, which run one op
-/// between runtime interventions; [`WordBurst`] implements it for
-/// fused burst zones. Both are arithmetic-identical to
+/// trait. [`Memory`] implements it for periods with an ISR, which run
+/// one op between ISR polls; [`WordBurst`] implements it for fused
+/// burst zones. Both are arithmetic-identical to
 /// [`Memory::read_u32`]/[`Memory::write_u32`]: same bounds decisions,
 /// cycle charges, traffic counters and torn-store outcomes.
 pub trait WordBus {

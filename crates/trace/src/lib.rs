@@ -519,7 +519,14 @@ pub fn visible_event_count(records: &[TraceRecord]) -> u64 {
         .count() as u64
 }
 
-fn push_chrome_event(out: &mut String, first: &mut bool, ph: char, name: &str, ts: u64, args: &str) {
+fn push_chrome_event(
+    out: &mut String,
+    first: &mut bool,
+    ph: char,
+    name: &str,
+    ts: u64,
+    args: &str,
+) {
     if !*first {
         out.push(',');
     }
@@ -577,10 +584,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                         format!("\"byte\":{byte},\"torn\":{torn}")
                     }
                     TraceEvent::UartRx { byte } => format!("\"byte\":{byte}"),
-                    TraceEvent::I2cOp { op, value, ack } => format!(
-                        "\"op\":\"{}\",\"value\":{value},\"ack\":{ack}",
-                        op.label()
-                    ),
+                    TraceEvent::I2cOp { op, value, ack } => {
+                        format!("\"op\":\"{}\",\"value\":{value},\"ack\":{ack}", op.label())
+                    }
                     TraceEvent::TxnBegin { id }
                     | TraceEvent::TxnCommit { id }
                     | TraceEvent::TxnPoisoned { id }
@@ -657,9 +663,19 @@ mod tests {
     #[test]
     fn timeline_mode_drops_detail_but_counts_visibility() {
         let mut sink = TraceSink::new();
-        sink.push(rec(0, TraceEvent::SpanEnter { kind: SpanKind::UndoLog }));
+        sink.push(rec(
+            0,
+            TraceEvent::SpanEnter {
+                kind: SpanKind::UndoLog,
+            },
+        ));
         sink.push(rec(1, TraceEvent::UndoAppend { bytes: 4 }));
-        sink.push(rec(2, TraceEvent::SpanExit { kind: SpanKind::UndoLog }));
+        sink.push(rec(
+            2,
+            TraceEvent::SpanExit {
+                kind: SpanKind::UndoLog,
+            },
+        ));
         sink.push(rec(3, TraceEvent::Mark { id: 1 }));
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.records()[0].event, TraceEvent::Mark { id: 1 });
@@ -674,7 +690,12 @@ mod tests {
     fn chrome_export_pairs_spans_and_is_balanced_json() {
         let records = vec![
             rec(0, TraceEvent::Boot),
-            rec(5, TraceEvent::SpanEnter { kind: SpanKind::Checkpoint }),
+            rec(
+                5,
+                TraceEvent::SpanEnter {
+                    kind: SpanKind::Checkpoint,
+                },
+            ),
             rec(
                 40,
                 TraceEvent::CheckpointCommit {
@@ -682,7 +703,12 @@ mod tests {
                     bytes: 128,
                 },
             ),
-            rec(41, TraceEvent::SpanExit { kind: SpanKind::Checkpoint }),
+            rec(
+                41,
+                TraceEvent::SpanExit {
+                    kind: SpanKind::Checkpoint,
+                },
+            ),
             rec(50, TraceEvent::Send { value: -3 }),
         ];
         let json = chrome_trace_json(&records);

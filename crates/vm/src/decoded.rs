@@ -173,9 +173,8 @@ pub const DEPTH_UNKNOWN: i32 = -1;
 pub struct DecodedProgram {
     /// Dispatch stream with superinstructions at fusion head slots.
     pub ops: Vec<Op>,
-    /// Dispatch stream with only individual ops — used when an ISR or an
-    /// instruction hook must run between every two instructions, and at
-    /// mid-fusion entry points.
+    /// Dispatch stream with only individual ops — used when an ISR must
+    /// be polled between every two instructions.
     pub plain: Vec<Op>,
     /// Proven operand-stack depth (in words) at each pc, or
     /// [`DEPTH_UNKNOWN`]. Only meaningful in verified functions.

@@ -8,16 +8,17 @@
 //!   pre-lowered [`DecodedProgram`] op streams, with elided stack-bound
 //!   checks in verified functions. Each plain op has one body,
 //!   `exec_op`, generic over the [`WordBus`] trait of `tics-mcu`. A
-//!   period with an ISR or a per-instruction runtime hook runs it one
-//!   unfused op at a time on the [`Memory`](tics_mcu::Memory) itself;
-//!   every other period runs fused superinstructions in burst zones on
-//!   a [`WordBurst`].
+//!   period with an ISR runs it one unfused op at a time on the
+//!   [`Memory`](tics_mcu::Memory) itself; every other period runs fused
+//!   superinstructions in burst zones on a [`WordBurst`]. The runtime
+//!   acts only at its [`IntermittentRuntime::next_stop`].
 //!
 //! The two are bit-exact: same simulated memory traffic, cycles, span
 //! attribution, traps, and trace events (`tests/differential_exec.rs`
 //! and `tests/decode_roundtrip.rs` enforce this). The decoded engine is
 //! the default; the reference engine survives as the differential-testing
-//! oracle for dispatch, memory traffic and trap points, selectable per
+//! oracle for dispatch, memory traffic, trap points and runtime stops
+//! (it polls the runtime after every instruction), selectable per
 //! executor or via `TICS_VM_ENGINE=reference`. Both compute through the
 //! one ALU, [`BinOp::apply`](tics_minic::isa::BinOp::apply).
 
@@ -264,7 +265,7 @@ impl Executor {
             // decoded engine's verified-depth invariant, in which case the
             // period falls back to the reference interpreter — a dispatch
             // decision only, bit-exact either way.
-            let mode = self.period_mode(m, rt);
+            let mode = self.period_mode(m);
             let mut voltage_fired = false;
             let warn_at = self
                 .voltage_warning_us
@@ -298,11 +299,7 @@ impl Executor {
                     // past the deadline (its stores tear). One reference
                     // step keeps that exact.
                     PeriodMode::Decoded { .. } if warned => step(m, rt)?,
-                    PeriodMode::Decoded {
-                        ref decoded,
-                        isr,
-                        hook,
-                    } => {
+                    PeriodMode::Decoded { ref decoded, isr } => {
                         // The decoded loop runs until the nearest stop
                         // boundary; the outer checks above are idempotent
                         // and disambiguate which one fired.
@@ -312,7 +309,7 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, isr, hook, stop_at)?;
+                        run_burst(m, rt, decoded, isr, stop_at)?;
                     }
                 }
             }
@@ -358,20 +355,18 @@ enum PeriodMode {
     Decoded {
         decoded: Arc<DecodedProgram>,
         isr: bool,
-        hook: bool,
     },
 }
 
 impl Executor {
     /// Picks the dispatch mode for the period that just booted.
-    fn period_mode(&self, m: &Machine, rt: &dyn IntermittentRuntime) -> PeriodMode {
+    fn period_mode(&self, m: &Machine) -> PeriodMode {
         if self.engine == DispatchEngine::Reference || !boot_state_consistent(m) {
             return PeriodMode::Reference;
         }
         PeriodMode::Decoded {
             decoded: m.loaded().decoded.clone(),
             isr: m.has_isr(),
-            hook: rt.instruction_hook(),
         }
     }
 }
@@ -407,7 +402,9 @@ fn boot_state_consistent(m: &Machine) -> bool {
     m.regs.sp.raw() == operand_base.raw().wrapping_add(4 * depth as u32)
 }
 
-/// Executes one instruction.
+/// Executes one instruction between the ISR poll and the runtime poll:
+/// the reference engine calls [`IntermittentRuntime::on_stop`] after
+/// every instruction.
 ///
 /// # Errors
 ///
@@ -415,12 +412,13 @@ fn boot_state_consistent(m: &Machine) -> bool {
 /// overflows from frame allocation, and memory errors.
 pub fn step(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
     m.maybe_fire_isr(rt)?;
-    step_after_isr(m, rt)
+    step_after_isr(m, rt)?;
+    rt.on_stop(m)
 }
 
-/// The reference interpreter body: fetch, dispatch, instruction hook —
-/// everything in [`step`] except the ISR poll (which the decoded loop
-/// has already performed when it delegates a `Ref` op here).
+/// The reference interpreter body: fetch and dispatch — everything in
+/// [`step`] but its polls (the decoded loop polls the ISR itself before
+/// it delegates a `Ref` op here, and the runtime at its stop).
 fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
     let pc = m.regs.pc;
     let instr = *m
@@ -579,7 +577,6 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
         Instr::ExpiresBlockEnd => rt.expires_block_end(m)?,
     }
 
-    rt.on_instruction(m)?;
     Ok(())
 }
 
@@ -749,71 +746,91 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 
 /// The decoded loop: dispatches decoded ops until a stop boundary —
 /// period deadline, voltage warning, time budget — or a halt via a
-/// `Ref` op.
-/// `Ref` ops (calls, returns, syscalls, runtime-mediated instructions,
-/// and everything in unverified functions) run the reference body.
+/// `Ref` op. `Ref` ops (calls, returns, syscalls, runtime-mediated
+/// instructions, and everything in unverified functions) run the
+/// reference body. The runtime acts only after the first op that ends
+/// at or after its [`next_stop`](IntermittentRuntime::next_stop), which
+/// is read again after every `Ref` op, ISR poll and action: where
+/// per-instruction polling acts, even when the period deadline falls on
+/// the same cycle.
 ///
-/// * **Hooked** (`isr || hook`): one op of `dp.plain` at a time against
-///   the [`Memory`](tics_mcu::Memory) directly, with the ISR poll before
-///   it and the runtime's `on_instruction` after it — exactly where the
-///   reference [`step`] has them, since either may redirect the pc
-///   between any two instructions. No fusion.
-/// * **Burst** (neither): non-`Ref` stretches of `dp.ops` execute inside
+/// * **ISR periods**: one op of `dp.plain` at a time against the
+///   [`Memory`](tics_mcu::Memory) directly, with the ISR poll before it
+///   — exactly where the reference [`step`] has it, since the ISR may
+///   redirect the pc between any two instructions. No fusion.
+/// * **Other periods**: non-`Ref` stretches of `dp.ops` execute inside
 ///   a *fast zone*: a [`WordBurst`] view over the memory keeps the cycle
 ///   and traffic counters in locals (registers), and the instruction
 ///   count accumulates in a local too, folding back into the machine at
-///   every zone boundary — before any `Ref` dispatch, stop condition, or
-///   trap — so the machine state at every observable point is identical
-///   to the reference interpreter's.
+///   every zone boundary — before any `Ref` dispatch, stop condition,
+///   runtime action, or trap — so the machine state at every observable
+///   point is identical to the reference interpreter's.
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
     dp: &DecodedProgram,
     isr: bool,
-    hook: bool,
     stop_at: u64,
 ) -> Result<()> {
-    let hooked = isr || hook;
-    let ops = if hooked { &dp.plain } else { &dp.ops };
+    let ops = if isr { &dp.plain } else { &dp.ops };
     let data_base = m.data_base().raw();
+    let mut rt_stop = runtime_stop(m, rt);
     loop {
         if m.cycles() >= stop_at {
             return Ok(());
         }
-        if isr {
+        if isr && !m.in_isr() {
             m.maybe_fire_isr(rt)?;
+            rt_stop = runtime_stop(m, rt);
         }
         let pc = m.regs.pc;
         let Some(&op) = ops.get(pc as usize) else {
             return Err(VmError::Trap(format!("pc {pc} out of range")));
         };
         if let Op::Ref = op {
-            // Includes the hook call at its end, like the reference step.
             step_after_isr(m, rt)?;
+            rt_stop = poll_runtime(m, rt)?;
             if m.is_halted() {
                 return Ok(());
             }
             continue;
         }
-        if hooked {
+        if isr {
             let (mem, regs, instructions) = m.burst_parts();
             exec_op(mem, regs, data_base, instructions, op)?;
-            if hook {
-                rt.on_instruction(m)?;
-            }
-            continue;
+        } else {
+            let (zone_stop, mut instr) = (stop_at.min(rt_stop), 0u64);
+            let res = {
+                let (mem, regs, _) = m.burst_parts();
+                let mut bm = mem.word_burst();
+                let r = fast_zone(&mut bm, regs, dp, data_base, zone_stop, &mut instr);
+                bm.commit();
+                r
+            };
+            m.stats_mut().instructions += instr;
+            res?;
         }
-        let mut instr = 0u64;
-        let res = {
-            let (mem, regs, _) = m.burst_parts();
-            let mut bm = mem.word_burst();
-            let r = fast_zone(&mut bm, regs, dp, data_base, stop_at, &mut instr);
-            bm.commit();
-            r
-        };
-        m.stats_mut().instructions += instr;
-        res?;
+        if m.cycles() >= rt_stop {
+            rt_stop = poll_runtime(m, rt)?;
+        }
     }
+}
+
+/// The runtime's stop, never "now": a stop already past (a checkpoint
+/// can outlast a short timer period) waits for the next instruction.
+fn runtime_stop(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> u64 {
+    rt.next_stop(m).max(m.cycles() + 1)
+}
+
+/// Polls the runtime after an instruction, as the reference does: it
+/// acts if its stop is due. Returns the runtime's next stop.
+fn poll_runtime(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<u64> {
+    let stop = rt.next_stop(m);
+    if m.cycles() < stop {
+        return Ok(stop);
+    }
+    rt.on_stop(m)?;
+    Ok(runtime_stop(m, rt))
 }
 
 /// Executes decoded ops against a [`WordBurst`] until a stop boundary,

@@ -55,8 +55,9 @@ pub enum CheckpointKind {
 /// * [`alloc_frame`](Self::alloc_frame) stacks frames contiguously from
 ///   the bottom of the [`frame_stack`](Self::frame_stack) region (SRAM by
 ///   default);
-/// * stores, frame frees, atomic regions, interrupts and instructions are
-///   no-ops, and [`instruction_hook`](Self::instruction_hook) is `false`;
+/// * stores, frame frees, atomic regions, interrupts and
+///   [`on_stop`](Self::on_stop) are no-ops, and
+///   [`next_stop`](Self::next_stop) is never;
 /// * the time annotations trap, since only a time-aware runtime can run
 ///   them;
 /// * wire I/O is un-hardened: no [`TxDriver`](crate::driver::TxDriver),
@@ -192,25 +193,26 @@ pub trait IntermittentRuntime {
     /// Propagates memory errors from committing.
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()>;
 
-    /// Called after every instruction; cheap bookkeeping (timer-driven
-    /// checkpoints, expiration timers).
+    /// The first cycle at which [`on_stop`](Self::on_stop) may act
+    /// (default: never). The decoded engine calls `on_stop` after the
+    /// first instruction that *ends* at or after it, never before the next
+    /// instruction ends, and asks again after every runtime callback and
+    /// `on_stop`; plain instructions must not move it.
+    fn next_stop(&mut self, m: &mut Machine) -> u64 {
+        let _ = m;
+        u64::MAX
+    }
+
+    /// Timer-driven checkpoints and expiration timers; a no-op before
+    /// [`next_stop`](Self::next_stop). The reference engine calls it after
+    /// every instruction: the oracle for the stop.
     ///
     /// # Errors
     ///
     /// Propagates memory errors.
-    fn on_instruction(&mut self, m: &mut Machine) -> Result<()> {
+    fn on_stop(&mut self, m: &mut Machine) -> Result<()> {
         let _ = m;
         Ok(())
-    }
-
-    /// Whether [`IntermittentRuntime::on_instruction`] does real work for
-    /// this runtime. The decoded dispatcher calls it only when this
-    /// returns `true`, and otherwise runs its fused fast loop; the
-    /// reference engine always calls it, so a runtime that overrides
-    /// `on_instruction` without declaring `true` fails the engine
-    /// differential tests. Must be constant for the lifetime of a run.
-    fn instruction_hook(&self) -> bool {
-        false
     }
 
     /// A power failure just wiped volatile state; drop any volatile

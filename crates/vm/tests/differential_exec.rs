@@ -15,12 +15,16 @@
 //! Table 1 applications across the legacy-capable systems, under
 //! continuous power, periodic intermittent power, adversarial fault
 //! plans with torn writes, brown-out store corruption, and an
-//! ISR-configured machine (a hooked period: one decoded op at a time).
-//! Voltage-warning and instruction-budget stops are checked inside
-//! hooked periods, under TICS and with the ISR.
+//! ISR-configured machine (an ISR period: one decoded op at a time).
+//! Voltage-warning stops are checked inside ISR periods and fused
+//! zones. TICS's timer checkpoints and `@expires` timers are runtime
+//! stops: the decoded engine calls the runtime only there, the
+//! reference polls it after every instruction, and short odd timer
+//! periods check that both act on the same instruction.
 
-use tics_apps::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
+use tics_apps::build::{build_app, build_program, make_runtime, App, Scale, SystemUnderTest};
 use tics_bench::fault::{build_fault_program, FaultProgram};
+use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{
     AdversarialSupply, ContinuousPower, Corruption, FaultPlan, PeriodicTrace, PowerSupply,
 };
@@ -28,7 +32,7 @@ use tics_mcu::memory::MemoryStats;
 use tics_mcu::CorruptionModel;
 use tics_minic::opt::OptLevel;
 use tics_minic::{compile, Program};
-use tics_trace::{SpanKind, TraceRecord};
+use tics_trace::{CkptCause, SpanKind, TraceEvent, TraceRecord};
 use tics_vm::{
     BareRuntime, DispatchEngine, ExecStats, Executor, IntermittentRuntime, Machine, MachineConfig,
 };
@@ -50,6 +54,20 @@ const SYSTEMS: [SystemUnderTest; 5] = [
     SystemUnderTest::Chinchilla,
     SystemUnderTest::Ratchet,
 ];
+
+/// TICS with short, odd timer periods (µs). A timer checkpoint can
+/// outlast the shortest, which leaves the next stop already in the
+/// past: the runtime then acts after the next instruction, not at once.
+const TIMER_PERIODS_US: [u64; 3] = [97, 331, 1009];
+
+/// A TICS runtime for `prog` whose checkpoint timer fires every
+/// `period_us`.
+fn tics_with_timer(prog: &Program, period_us: u64) -> Box<dyn IntermittentRuntime> {
+    let config = TicsConfig::s2_star()
+        .fitted_to(prog)
+        .with_timer(Some(period_us));
+    Box::new(TicsRuntime::new(config))
+}
 
 // ---------------------------------------------------------------------
 // Snapshot plumbing
@@ -151,7 +169,8 @@ fn run_one(
 }
 
 /// Runs `exec` under both engines and asserts snapshot equality,
-/// reporting the first diverging trace event for debuggability.
+/// reporting the first diverging trace event for debuggability. Returns
+/// the reference snapshot.
 fn assert_engines_agree(
     label: &str,
     prog: &Program,
@@ -160,7 +179,7 @@ fn assert_engines_agree(
     exec: &Executor,
     supply: &Supply,
     corruption: Option<&Corruption>,
-) {
+) -> Snapshot {
     let run = |engine| {
         let exec = exec.clone().with_engine(engine);
         run_one(prog, cfg, rt_of, &exec, supply, corruption)
@@ -202,6 +221,7 @@ fn assert_engines_agree(
         reference.fram == decoded.fram,
         "[{label}] final FRAM contents differ"
     );
+    reference
 }
 
 /// The fault-corpus grid: every feasible (program, system) image.
@@ -347,10 +367,10 @@ fn table1_apps_agree_across_engines() {
     }
 }
 
-/// A machine with a periodic ISR: the decoded engine runs it hooked,
-/// polling the ISR between every two instructions exactly as the
-/// reference interpreter does.
-fn isr_program() -> (Program, MachineConfig) {
+/// A machine with a periodic ISR: the decoded engine runs it one op at
+/// a time, polling the ISR between every two instructions exactly as
+/// the reference interpreter does.
+fn isr_program(system: SystemUnderTest) -> (Program, MachineConfig) {
     let src = "
         nv int ticks;
         nv int acc;
@@ -367,7 +387,8 @@ fn isr_program() -> (Program, MachineConfig) {
             return acc;
         }
     ";
-    let prog = compile(src, OptLevel::O2).expect("compile ISR program");
+    let prog =
+        build_program(system, src, Err("no task port"), OptLevel::O2).expect("build ISR program");
     let cfg = MachineConfig {
         isr: Some(("on_tick".to_string(), 700)),
         ..MachineConfig::default()
@@ -376,8 +397,9 @@ fn isr_program() -> (Program, MachineConfig) {
 }
 
 #[test]
-fn isr_machine_runs_hooked_and_agrees() {
-    let (prog, cfg) = isr_program();
+fn isr_machine_runs_op_by_op_and_agrees() {
+    let (prog, cfg) = isr_program(SystemUnderTest::PlainC);
+    let (tics, tics_cfg) = isr_program(SystemUnderTest::Tics);
     for supply in [
         Supply::Continuous,
         Supply::Periodic {
@@ -394,6 +416,18 @@ fn isr_machine_runs_hooked_and_agrees() {
             &supply,
             None,
         );
+        // TICS's timer stops interleave with ISR entries and exits.
+        for period in TIMER_PERIODS_US {
+            assert_engines_agree(
+                &format!("isr/tics/timer-{period}"),
+                &tics,
+                &tics_cfg,
+                &|| tics_with_timer(&tics, period),
+                &grid_executor(),
+                &supply,
+                None,
+            );
+        }
     }
 }
 
@@ -457,14 +491,15 @@ fn assert_stops_agree(
 }
 
 #[test]
-fn hooked_periods_agree_at_voltage_warning_stops() {
+fn isr_periods_and_fused_zones_agree_at_voltage_warning_stops() {
     let cfg = MachineConfig::default();
     let supply = Supply::Periodic {
         on_us: 9_000,
         off_us: 150,
     };
-    // TICS runs hooked; MementOS checkpoints on the warning from the
-    // fused burst loop.
+    // TICS and MementOS checkpoint on the warning from fused zones (TICS
+    // with its 10 ms timer stop armed too); the ISR machine runs one op
+    // at a time.
     for (program, system) in FaultProgram::ALL
         .into_iter()
         .flat_map(|p| [(p, SystemUnderTest::Tics), (p, SystemUnderTest::Mementos)])
@@ -478,7 +513,7 @@ fn hooked_periods_agree_at_voltage_warning_stops() {
             &supply,
         );
     }
-    let (prog, cfg) = isr_program();
+    let (prog, cfg) = isr_program(SystemUnderTest::PlainC);
     assert_stops_agree(
         "isr/bare",
         &prog,
@@ -489,4 +524,107 @@ fn hooked_periods_agree_at_voltage_warning_stops() {
             off_us: 150,
         },
     );
+}
+
+/// Two `@expires_after = 1ms` probes. The block body, a loop that grows
+/// every round, outlives what is left of the TTL once the checkpoint
+/// sealing the timestamp has committed. In the quiet probe the expiry
+/// timer aborts the body into the catch arm. In the loud one the body
+/// `send`s in its first iteration, so its output has escaped and the
+/// expiry is defused: the block runs to its normal end.
+fn expiry_probes() -> Vec<(String, Program)> {
+    let probe = |output: &str| {
+        format!(
+            "@expires_after = 1ms
+             int t;
+             nv int acc;
+             nv int caught;
+             int main() {{
+                 for (int r = 0; r < 8; r++) {{
+                     t @= sample();
+                     @expires(t) {{
+                         int s = 0;
+                         for (int i = 0; i < 2 * r; i++) {{
+                             {output}
+                             s = s + t + i * 3;
+                         }}
+                         acc = acc + s;
+                     }} catch {{
+                         caught = caught + 1;
+                     }}
+                 }}
+                 send(acc);
+                 return caught;
+             }}"
+        )
+    };
+    [
+        ("expiry-quiet", ""),
+        ("expiry-loud", "if (i == 0) send(s);"),
+    ]
+    .into_iter()
+    .map(|(name, output)| {
+        let prog = build_program(
+            SystemUnderTest::Tics,
+            &probe(output),
+            Err("no task port"),
+            OptLevel::O2,
+        )
+        .expect("the expiry probe builds");
+        (name.to_string(), prog)
+    })
+    .collect()
+}
+
+#[test]
+fn tics_runtime_stops_land_where_per_instruction_polling_acts() {
+    let mut programs: Vec<(String, Program)> = FaultProgram::ALL
+        .into_iter()
+        .map(|p| {
+            let prog = build_fault_program(p, SystemUnderTest::Tics).expect("the corpus builds");
+            (p.name().to_string(), prog)
+        })
+        .collect();
+    for app in [App::Ar, App::Bc, App::Cuckoo, App::Ghm] {
+        let prog = build_app(app, SystemUnderTest::Tics, OptLevel::O2, Scale(8))
+            .expect("TICS runs every Table 1 app");
+        programs.push((app.name().to_string(), prog));
+    }
+    programs.extend(expiry_probes());
+    let periodic = Supply::Periodic {
+        on_us: 9_000,
+        off_us: 150,
+    };
+    let runs = [
+        ("continuous", grid_executor(), Supply::Continuous),
+        ("periodic", grid_executor(), periodic.clone()),
+        (
+            "voltage",
+            grid_executor().with_voltage_warning(900),
+            periodic,
+        ),
+    ];
+    let cfg = MachineConfig::default();
+    let (mut timer_commits, mut catches) = (0, 0);
+    for (name, prog) in &programs {
+        for period in TIMER_PERIODS_US {
+            for (run, exec, supply) in &runs {
+                let label = format!("{name}/timer-{period}/{run}");
+                let rt_of = || tics_with_timer(prog, period);
+                let snap = assert_engines_agree(&label, prog, &cfg, &rt_of, exec, supply, None);
+                for r in &snap.trace {
+                    match r.event {
+                        TraceEvent::CheckpointCommit {
+                            cause: CkptCause::Timer,
+                            ..
+                        } => timer_commits += 1,
+                        TraceEvent::ExpiresCatch => catches += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(timer_commits > 0, "no timer checkpoint committed");
+    assert!(catches > 0, "no expiry timer fired");
 }
