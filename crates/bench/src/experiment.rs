@@ -1,8 +1,8 @@
 //! The experiment driver every `exp_*` binary runs through.
 //!
 //! * **one strict parser** — each binary names the flags it accepts;
-//!   an unknown flag, a bad value, or an unaccepted `TICS_VM_ENGINE` or
-//!   `TICS_BENCH_THREADS` exits 2 with one line naming it,
+//!   an unknown flag, a bad value, or an unaccepted `TICS_VM_ENGINE`
+//!   exits 2 with one line naming it,
 //! * **a run context** — [`Experiment`] hands out a [`Sweep`] with the
 //!   parsed knobs applied and collects named gate verdicts; a panicked or
 //!   timed-out cell always fails the `cells` gate,
@@ -23,7 +23,7 @@ use tics_vm::DispatchEngine;
 
 use crate::journal::{CellStatus, JournalRow};
 use crate::json::Json;
-use crate::sweep::{env_threads, Cell, CellOutput, Sweep, SweepArgs, SweepOutcome, SweepSummary};
+use crate::sweep::{Cell, CellOutput, Sweep, SweepArgs, SweepOutcome, SweepSummary};
 
 /// The sweep knobs every sweep-running experiment accepts.
 pub const SWEEP: [&str; 4] = ["--threads", "--journal", "--cell-timeout-ms", "--resume"];
@@ -188,14 +188,12 @@ impl Experiment {
         }
     }
 
-    /// Checks the environment knobs (`TICS_VM_ENGINE`,
-    /// `TICS_BENCH_THREADS`) and parses the process arguments against
-    /// `accepted`; a usage error prints one line and exits 2 before
-    /// anything runs.
+    /// Checks the `TICS_VM_ENGINE` environment knob and parses the
+    /// process arguments against `accepted`; a usage error prints one
+    /// line and exits 2 before anything runs.
     #[must_use]
     pub fn from_env(name: &str, accepted: &[&str]) -> Experiment {
         let parsed = DispatchEngine::try_from_env()
-            .and_then(|_| env_threads())
             .and_then(|_| Args::parse(accepted, std::env::args().skip(1)));
         match parsed {
             Ok(args) => Experiment::new(name, args),

@@ -20,9 +20,8 @@
 //! * **a summary** — cells run / failed / panicked, simulated cycles,
 //!   wall-time, and the estimated speedup over a single-threaded run.
 //!
-//! Thread count comes from `--threads N`, the `TICS_BENCH_THREADS`
-//! environment variable, or the machine's available parallelism, in
-//! that order of precedence.
+//! Thread count comes from `--threads N`, else the machine's available
+//! parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -395,8 +394,7 @@ impl CellOutput {
 /// [`crate::experiment::Args::parse`].
 #[derive(Debug, Clone)]
 pub struct SweepArgs {
-    /// Worker threads (default: `TICS_BENCH_THREADS` or available
-    /// parallelism).
+    /// Worker threads (default: available parallelism).
     pub threads: usize,
     /// Journal path override (default `results/<exp>.jsonl`).
     pub journal: Option<PathBuf>,
@@ -425,29 +423,8 @@ impl Default for SweepArgs {
     }
 }
 
-/// Worker threads from the `TICS_BENCH_THREADS` environment variable,
-/// `None` when it is unset.
-///
-/// # Errors
-///
-/// One line naming the variable when it is not a positive integer.
-pub(crate) fn env_threads() -> Result<Option<usize>, String> {
-    let Some(v) = std::env::var_os("TICS_BENCH_THREADS") else {
-        return Ok(None);
-    };
-    v.to_str()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(Some)
-        .ok_or_else(|| format!("TICS_BENCH_THREADS needs a positive integer, got {v:?}"))
-}
-
 fn default_threads() -> usize {
-    let n = env_threads().unwrap_or_else(|e| {
-        eprintln!("warning: ignoring {e}");
-        None
-    });
-    n.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Aggregate counts and timing of one sweep execution.

@@ -45,7 +45,7 @@ pub mod registers;
 pub use costs::CostModel;
 pub use crc::{crc32, Crc32};
 pub use layout::MemoryLayout;
-pub use memory::{CorruptionModel, Memory, MemoryError, WordBurst, WordBus, ATOMIC_STORE_BYTES};
+pub use memory::{CorruptionModel, Memory, MemoryError, WordBurst, ATOMIC_STORE_BYTES};
 pub use periph::{I2c, I2cWireOp, PeripheralBus, ServedRead, Uart, WireByte};
 pub use region::{Addr, Region};
 pub use registers::Registers;

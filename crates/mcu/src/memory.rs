@@ -683,16 +683,17 @@ impl Memory {
 
     // ---- word fast path ----
     //
-    // The decoded interpreter issues almost all of its traffic as aligned
-    // single words. These two methods are semantically identical to
-    // `read_u32`/`write_u32` — same bounds decisions, same cycle charges,
-    // same span attribution, same torn-store outcomes — specialized to
-    // `len == 4` so the hot path avoids the generic slice machinery and
-    // the per-store `committed_prefix` division. A 4-byte store is at or
+    // Frame headers (every call and return) are written and read as
+    // aligned single words; the decoded interpreter's ops use the
+    // `WordBurst` twins of these methods. These two are semantically
+    // identical to `read_u32`/`write_u32` — same bounds decisions, same
+    // cycle charges, same span attribution, same torn-store outcomes —
+    // specialized to `len == 4` so the hot path avoids the generic slice
+    // machinery and the per-store `committed_prefix` division. A 4-byte store is at or
     // below [`ATOMIC_STORE_BYTES`], so `store_fate` would return `Keep`
     // *without advancing the corruption RNG*; skipping it here is exact.
 
-    /// Reads a little-endian `u32` — the decoded interpreter's fast path.
+    /// Reads a little-endian `u32` — the word fast path.
     /// Byte-for-byte and cycle-for-cycle equivalent to [`Memory::read_u32`].
     ///
     /// # Errors
@@ -728,7 +729,7 @@ impl Memory {
         Ok(v)
     }
 
-    /// Writes a little-endian `u32` — the decoded interpreter's fast path.
+    /// Writes a little-endian `u32` — the word fast path.
     /// Byte-for-byte and cycle-for-cycle equivalent to [`Memory::write_u32`],
     /// including torn-store behavior: if an armed power cut leaves fewer
     /// cycles than one word's write cost, nothing commits and the store
@@ -784,8 +785,8 @@ impl Memory {
 
     /// Reads a word without charging cycles or touching stats — the
     /// non-allocating equivalent of [`Memory::peek_i32`], used by the
-    /// decoded interpreter for `Dup` (which peeks the stack top) so the
-    /// hot path avoids `peek_bytes`'s temporary `Vec`.
+    /// runtimes' persistence code to read flags, lengths and log slots
+    /// without `peek_bytes`'s temporary `Vec`.
     ///
     /// # Errors
     ///
@@ -1090,11 +1091,14 @@ impl Memory {
 /// accumulates cycles and traffic counters in locals the optimizer can
 /// keep in registers. [`WordBurst::commit`] folds the deltas back.
 ///
-/// Its [`WordBus`] impl is arithmetic-identical to [`Memory`]'s,
-/// including torn single-word commit math against the power cut. Word stores never consult the brown-out
-/// model (the MSP430FR write buffer commits single words atomically),
-/// so skipping the corruption check is semantics-preserving, not an
-/// approximation — the model's RNG stream advances identically.
+/// Its word methods are arithmetic-identical to [`Memory::read_word`],
+/// [`Memory::write_word`] and [`Memory::peek_word`]: same bounds
+/// decisions, cycle charges, traffic counters and torn single-word
+/// commit math against the power cut. Word stores never consult the
+/// brown-out model (the MSP430FR write buffer commits single words
+/// atomically), so skipping the corruption check is
+/// semantics-preserving, not an approximation — the model's RNG stream
+/// advances identically.
 #[derive(Debug)]
 pub struct WordBurst<'a> {
     sram_start: u32,
@@ -1147,55 +1151,15 @@ impl WordBurst<'_> {
         self.stats_out.fram_writes += self.fram_writes;
         self.stats_out.torn_writes += self.torn_writes;
     }
-}
 
-/// The word bus one decoded plain op runs against: a word read, a word
-/// store, a free peek, and the base charge of one instruction. Every
-/// access fails with [`MemoryError::Unmapped`] if any byte is unmapped.
-///
-/// The decoded interpreter keeps a single op body generic over this
-/// trait. [`Memory`] implements it for periods with an ISR, which run
-/// one op between ISR polls; [`WordBurst`] implements it for fused
-/// burst zones. Both are arithmetic-identical to
-/// [`Memory::read_u32`]/[`Memory::write_u32`]: same bounds decisions,
-/// cycle charges, traffic counters and torn-store outcomes.
-pub trait WordBus {
-    /// Reads a little-endian `u32`, charging cycles and traffic.
-    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError>;
-    /// Writes a little-endian `u32`, charging cycles and traffic, with
-    /// torn-commit math against an armed power cut.
-    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError>;
-    /// Reads a word without charging cycles or stats (`Dup`'s peek).
-    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError>;
-    /// Charges the base cost of one instruction to the open span.
-    fn charge_instr(&mut self);
-}
-
-impl WordBus for Memory {
+    /// Reads a little-endian `u32`, charging cycles and traffic, as
+    /// [`Memory::read_word`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
-        Memory::read_word(self, addr)
-    }
-
-    #[inline(always)]
-    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
-        Memory::write_word(self, addr, v)
-    }
-
-    #[inline(always)]
-    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
-        Memory::peek_word(self, addr)
-    }
-
-    #[inline(always)]
-    fn charge_instr(&mut self) {
-        self.add_cycles(self.costs.instr_base);
-    }
-}
-
-impl WordBus for WordBurst<'_> {
-    #[inline(always)]
-    fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
+    pub fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
         let a = addr.0;
         let (v, cost) = if a >= self.sram_start && a <= self.sram_last {
             let off = (a - self.sram_start) as usize;
@@ -1214,10 +1178,16 @@ impl WordBus for WordBurst<'_> {
         Ok(v)
     }
 
-    /// Against an armed cut the word commits iff its full write cost
-    /// still fits, else it tears (full cost still charged).
+    /// Writes a little-endian `u32`, charging cycles and traffic, as
+    /// [`Memory::write_word`] does. Against an armed cut the word commits
+    /// iff its full write cost still fits, else it tears (full cost still
+    /// charged).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
+    pub fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
         let a = addr.0;
         let volatile = if a >= self.sram_start && a <= self.sram_last {
             true
@@ -1255,8 +1225,14 @@ impl WordBus for WordBurst<'_> {
         Ok(())
     }
 
+    /// Reads a word without charging cycles or stats (`Dup`'s peek), as
+    /// [`Memory::peek_word`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
+    pub fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
         let a = addr.0;
         let b: [u8; 4] = if a >= self.sram_start && a <= self.sram_last {
             let off = (a - self.sram_start) as usize;
@@ -1270,8 +1246,9 @@ impl WordBus for WordBurst<'_> {
         Ok(u32::from_le_bytes(b))
     }
 
+    /// Charges the base cost of one instruction to the open span.
     #[inline(always)]
-    fn charge_instr(&mut self) {
+    pub fn charge_instr(&mut self) {
         self.cycles += self.instr_base;
     }
 }
@@ -1715,7 +1692,7 @@ mod tests {
         let mut bm = burst.word_burst();
         for &(a, v) in &ops {
             slow.add_cycles(instr_base);
-            WordBus::charge_instr(&mut fast);
+            fast.add_cycles(instr_base);
             bm.charge_instr();
             let stored = slow.write_u32(a, v).is_ok();
             assert_eq!(stored, fast.write_word(a, v).is_ok());

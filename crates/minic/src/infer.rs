@@ -20,7 +20,6 @@ use crate::ast::{BinOp, Expr, Stmt, Unit};
 use crate::error::{CompileError, Pos};
 use crate::lexer::lex;
 use crate::parser::parse;
-use std::collections::HashSet;
 
 /// What kind of annotation the analysis recommends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,12 +62,23 @@ pub struct Suggestion {
     pub message: String,
 }
 
+/// Adds `var` to `vars` unless present: the variable sets keep
+/// first-assignment order, so hints that name one of several candidates
+/// (and hints issued at one position) come out the same on every run.
+fn note(vars: &mut Vec<String>, var: &str) {
+    if !vars.iter().any(|v| v == var) {
+        vars.push(var.to_string());
+    }
+}
+
 #[derive(Default)]
 struct Inference {
-    /// Variables assigned from `sample*()` builtins.
-    sensor_vars: HashSet<String>,
-    /// Variables assigned from `time_ms()`/`time_us()`.
-    time_vars: HashSet<String>,
+    /// Variables assigned from `sample*()` builtins, in first-assignment
+    /// order.
+    sensor_vars: Vec<String>,
+    /// Variables assigned from `time_ms()`/`time_us()`, in
+    /// first-assignment order.
+    time_vars: Vec<String>,
     suggestions: Vec<Suggestion>,
     /// Positions of recent sensor assignments in the current block, to
     /// pair with nearby timestamp assignments.
@@ -103,7 +113,7 @@ fn assigned_var(target: &Expr) -> Option<String> {
 }
 
 impl Inference {
-    fn expr_mentions(&self, e: &Expr, vars: &HashSet<String>) -> bool {
+    fn expr_mentions(&self, e: &Expr, vars: &[String]) -> bool {
         match e {
             Expr::Var(n, _) => vars.contains(n),
             Expr::Int(..) | Expr::TimeLit(..) => false,
@@ -137,7 +147,7 @@ impl Inference {
         {
             if let Some(var) = assigned_var(target) {
                 if is_sensor_call(value) && !timestamped {
-                    self.sensor_vars.insert(var.clone());
+                    note(&mut self.sensor_vars, &var);
                     self.suggestions.push(Suggestion {
                         pos: *pos,
                         kind: SuggestionKind::ExpiresAfter { var: var.clone() },
@@ -172,7 +182,7 @@ impl Inference {
                     return;
                 }
                 if is_time_call(value) {
-                    self.time_vars.insert(var.clone());
+                    note(&mut self.time_vars, &var);
                     // Pair with a nearby sensor assignment in this block.
                     if let Some((data_var, _, _)) =
                         self.recent.iter().rev().find(|(_, s, _)| *s).cloned()
@@ -234,13 +244,14 @@ impl Inference {
                     || self.expr_mentions(b, &self.time_vars))
         };
         if mentions_clock(l) || mentions_clock(r) {
-            // Name the timestamp variable involved, if any.
+            // Name the earliest-assigned timestamp variable involved, if
+            // any: in `now - ts < C` that is the stored timestamp `ts`.
             let name = self
                 .time_vars
                 .iter()
                 .find(|v| {
-                    self.expr_mentions(l, &HashSet::from([(*v).clone()]))
-                        || self.expr_mentions(r, &HashSet::from([(*v).clone()]))
+                    let v = std::slice::from_ref(*v);
+                    self.expr_mentions(l, v) || self.expr_mentions(r, v)
                 })
                 .cloned()
                 .unwrap_or_else(|| "<clock>".to_string());
@@ -266,7 +277,7 @@ impl Inference {
             let consumed: Vec<String> = self
                 .sensor_vars
                 .iter()
-                .filter(|v| self.expr_mentions(cond, &HashSet::from([(*v).clone()])))
+                .filter(|v| self.expr_mentions(cond, std::slice::from_ref(*v)))
                 .cloned()
                 .collect();
             for var in consumed {
@@ -298,7 +309,7 @@ impl Inference {
             } => {
                 if let Some(init) = init {
                     if is_sensor_call(init) {
-                        self.sensor_vars.insert(name.clone());
+                        note(&mut self.sensor_vars, name);
                         self.suggestions.push(Suggestion {
                             pos: *pos,
                             kind: SuggestionKind::ExpiresAfter { var: name.clone() },
@@ -309,7 +320,7 @@ impl Inference {
                         });
                         self.recent.push((name.clone(), true, *pos));
                     } else if is_time_call(init) {
-                        self.time_vars.insert(name.clone());
+                        note(&mut self.time_vars, name);
                         self.recent.push((name.clone(), false, *pos));
                     } else {
                         self.scan_expr(init);
@@ -524,6 +535,29 @@ mod tests {
                 .any(|k| matches!(k, SuggestionKind::TimelyBranch { .. })),
             "{s:#?}"
         );
+    }
+
+    #[test]
+    fn deadline_hint_names_the_earliest_assigned_timestamp() {
+        // AR's shape: both operands of the predicate are timestamps.
+        let src = "int win_ts;
+             int main() {
+                 win_ts = time_ms();
+                 int now = time_ms();
+                 if (now - win_ts < 200) { send(1); }
+                 return 0;
+             }";
+        for _ in 0..64 {
+            let s = suggest(src).unwrap();
+            let named: Vec<&str> = s
+                .iter()
+                .filter_map(|x| match &x.kind {
+                    SuggestionKind::TimelyBranch { timestamp_var } => Some(timestamp_var.as_str()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(named, ["win_ts"], "{s:#?}");
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!
 //! # Invariants
 //!
-//! * `ops.len() == plain.len() == code.len()`: a pc is an index into
-//!   either stream, so checkpoint restores and jumps need no remapping.
-//! * `plain[pc]` never holds a superinstruction. `ops[pc]` may hold one
-//!   covering `[pc, pc + len)`; the covered slots `pc+1 ..` still hold
-//!   their individual plain ops, so control transfers *into* the middle
-//!   of a fused sequence execute unfused and stay exact.
+//! * `ops.len() == code.len()`: a pc is an index into the stream, so
+//!   checkpoint restores and jumps need no remapping.
+//! * `ops[pc]` may hold a superinstruction covering `[pc, pc + len)`;
+//!   the covered slots `pc+1 ..` still hold their individual plain ops,
+//!   so control transfers *into* the middle of a fused sequence, and
+//!   stops between its sub-ops, resume unfused and stay exact.
 //! * Every op performs *identical simulated memory traffic* (addresses,
 //!   order, cycle charges, span attribution, torn-store outcomes) to the
 //!   reference interpreter. Decoding only removes host-side overhead:
@@ -69,7 +69,7 @@ pub enum Op {
     /// Pop; jump if non-zero.
     Jnz(u32),
 
-    // ---- superinstructions (head slots of the `ops` stream only) ----
+    // ---- superinstructions (fusion head slots only) ----
     //
     // Each one executes its constituent plain ops back to back — same
     // memory traffic, same cycle charges, same trap points — but with a
@@ -166,16 +166,13 @@ pub enum Op {
 /// in unverified functions.
 pub const DEPTH_UNKNOWN: i32 = -1;
 
-/// The decoded image: dual op streams plus verification metadata. Built
+/// The decoded image: the op stream plus verification metadata. Built
 /// once in [`LoadedProgram::load`](crate::LoadedProgram::load) and shared
 /// across machines.
 #[derive(Debug)]
 pub struct DecodedProgram {
     /// Dispatch stream with superinstructions at fusion head slots.
     pub ops: Vec<Op>,
-    /// Dispatch stream with only individual ops — used when an ISR must
-    /// be polled between every two instructions.
-    pub plain: Vec<Op>,
     /// Proven operand-stack depth (in words) at each pc, or
     /// [`DEPTH_UNKNOWN`]. Only meaningful in verified functions.
     pub depths: Vec<i32>,
@@ -193,7 +190,6 @@ impl DecodedProgram {
     pub fn decode(program: &Program, code: &[Instr], entries: &[u32], owner: &[u16]) -> Self {
         let mut dp = DecodedProgram {
             ops: vec![Op::Ref; code.len()],
-            plain: vec![Op::Ref; code.len()],
             depths: vec![DEPTH_UNKNOWN; code.len()],
             verified: vec![false; program.functions.len()],
             fused: 0,
@@ -208,7 +204,6 @@ impl DecodedProgram {
                 lower_function(&code[base..base + len], base, &mut dp);
             }
         }
-        dp.ops.clone_from(&dp.plain);
         fuse(code, &mut dp);
         dp
     }
@@ -286,7 +281,7 @@ fn verify_function(
     true
 }
 
-/// Lowers one verified function's instructions into `plain` ops.
+/// Lowers one verified function's instructions into plain ops.
 /// Unreachable pcs and instructions outside the fast set stay
 /// [`Op::Ref`].
 fn lower_function(code: &[Instr], base: usize, dp: &mut DecodedProgram) {
@@ -295,7 +290,7 @@ fn lower_function(code: &[Instr], base: usize, dp: &mut DecodedProgram) {
         if dp.depths[pc] == DEPTH_UNKNOWN {
             continue;
         }
-        dp.plain[pc] = lower(i);
+        dp.ops[pc] = lower(i);
     }
 }
 
@@ -326,7 +321,7 @@ fn lower(i: Instr) -> Op {
 }
 
 /// Superinstruction selection: greedy longest-match over the original
-/// instruction stream, head slots rewritten in `ops`. A fused window
+/// instruction stream, head slots rewritten in place. A fused window
 /// never contains control-flow except as its final element, never spans
 /// a `Ref` slot, and only covers reachable verified pcs — but it does
 /// *not* need to avoid jump targets, because the covered slots keep their
@@ -335,7 +330,7 @@ fn fuse(code: &[Instr], dp: &mut DecodedProgram) {
     let n = code.len();
     let mut pc = 0;
     while pc < n {
-        if dp.depths[pc] == DEPTH_UNKNOWN || matches!(dp.plain[pc], Op::Ref) {
+        if dp.depths[pc] == DEPTH_UNKNOWN || matches!(dp.ops[pc], Op::Ref) {
             pc += 1;
             continue;
         }
@@ -402,8 +397,7 @@ fn fuse(code: &[Instr], dp: &mut DecodedProgram) {
         // function; the window length guarantee plus the appended Halt
         // (which never matches a pattern element) keeps windows inside
         // one function, but dead tails guard anyway.
-        if (pc..pc + len).all(|p| dp.depths[p] != DEPTH_UNKNOWN && !matches!(dp.plain[p], Op::Ref))
-        {
+        if (pc..pc + len).all(|p| dp.depths[p] != DEPTH_UNKNOWN && !matches!(dp.ops[p], Op::Ref)) {
             dp.ops[pc] = op;
             dp.fused += 1;
             pc += len;
@@ -440,7 +434,6 @@ mod tests {
         );
         assert!(dp.verified.iter().all(|&v| v), "compiler output verifies");
         assert_eq!(dp.ops.len(), loaded.code.len());
-        assert_eq!(dp.plain.len(), loaded.code.len());
         // Entry of every function is reachable at depth 0.
         for &e in &loaded.entries {
             assert_eq!(dp.depths[e as usize], 0);
@@ -449,23 +442,23 @@ mod tests {
 
     #[test]
     fn loops_get_fused() {
-        let (_, dp) = decode_src(
+        let (loaded, dp) = decode_src(
             "int main() { int s = 0; for (int i = 0; i < 100; i++) { s = s + 3; } return s; }",
         );
         assert!(dp.fused > 0, "loop body should produce superinstructions");
-        // Covered slots keep their plain ops: no superinstruction ever
-        // appears in the plain stream.
-        assert!(dp.plain.iter().all(|op| !matches!(
-            op,
-            Op::LdLKBin { .. }
-                | Op::LdLKBinSt { .. }
-                | Op::LdLKBinBr { .. }
-                | Op::LdGKBin { .. }
-                | Op::LdGKBinSt { .. }
-                | Op::KBin { .. }
-                | Op::KStL { .. }
-                | Op::KStG { .. }
-        )));
+        // Covered slots keep their plain ops, so a stop between sub-ops
+        // or a jump into the window resumes unfused.
+        for (pc, op) in dp.ops.iter().enumerate() {
+            let len = match op {
+                Op::KBin { .. } | Op::KStL { .. } | Op::KStG { .. } => 2,
+                Op::LdLKBin { .. } | Op::LdGKBin { .. } => 3,
+                Op::LdLKBinSt { .. } | Op::LdLKBinBr { .. } | Op::LdGKBinSt { .. } => 4,
+                _ => continue,
+            };
+            for p in pc + 1..pc + len {
+                assert_eq!(dp.ops[p], lower(loaded.code[p]), "pc {p}");
+            }
+        }
     }
 
     #[test]
@@ -497,7 +490,7 @@ mod tests {
                     | Instr::Ret
                     | Instr::Halt
             ) {
-                assert!(matches!(dp.plain[pc], Op::Ref), "pc {pc}: {i:?}");
+                assert!(matches!(dp.ops[pc], Op::Ref), "pc {pc}: {i:?}");
             }
         }
     }
@@ -505,20 +498,19 @@ mod tests {
     #[test]
     fn header_offset_is_folded_into_locals() {
         let (loaded, dp) = decode_src("int main() { int x = 7; return x; }");
-        let found = loaded.code.iter().enumerate().any(|(pc, i)| {
-            matches!(i, Instr::LoadLocal(o)
-                if dp.plain[pc] == Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(*o)))
-        });
-        // O2 may fuse or transform, but the plain stream must still hold
-        // the folded op wherever a LoadLocal survives.
+        // O2 may fuse a surviving LoadLocal into a superinstruction head;
+        // either way its operand has the header folded in.
         for (pc, i) in loaded.code.iter().enumerate() {
             if let Instr::LoadLocal(o) = i {
-                assert_eq!(
-                    dp.plain[pc],
-                    Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(*o))
-                );
+                let a = match dp.ops[pc] {
+                    Op::LoadLocal(a)
+                    | Op::LdLKBin { a, .. }
+                    | Op::LdLKBinSt { a, .. }
+                    | Op::LdLKBinBr { a, .. } => a,
+                    other => panic!("pc {pc}: {other:?}"),
+                };
+                assert_eq!(a, FRAME_HEADER_BYTES + u32::from(*o));
             }
         }
-        let _ = found;
     }
 }

@@ -5,13 +5,12 @@
 //! * the **reference** interpreter — [`step`], a per-instruction `match`
 //!   over [`Instr`] with fully checked stack accesses; and
 //! * the **decoded** interpreter — one loop, `run_burst`, over the
-//!   pre-lowered [`DecodedProgram`] op streams, with elided stack-bound
-//!   checks in verified functions. Each plain op has one body,
-//!   `exec_op`, generic over the [`WordBus`] trait of `tics-mcu`. A
-//!   period with an ISR runs it one unfused op at a time on the
-//!   [`Memory`](tics_mcu::Memory) itself; every other period runs fused
-//!   superinstructions in burst zones on a [`WordBurst`]. The runtime
-//!   acts only at its [`IntermittentRuntime::next_stop`].
+//!   pre-lowered [`DecodedProgram`] op stream, with elided stack-bound
+//!   checks in verified functions. Every period runs fused
+//!   superinstructions in burst zones on a [`WordBurst`]; each plain op
+//!   has one body, `exec_op`. The runtime acts only at its
+//!   [`IntermittentRuntime::next_stop`] and the ISR fires only at
+//!   [`Machine::isr_stop`].
 //!
 //! The two are bit-exact: same simulated memory traffic, cycles, span
 //! attribution, traps, and trace events (`tests/differential_exec.rs`
@@ -26,7 +25,7 @@ use std::sync::Arc;
 
 use tics_energy::PowerSupply;
 use tics_mcu::periph::{I2C_PHASE_CYCLES, UART_BYTE_CYCLES};
-use tics_mcu::{Addr, Registers, WordBurst, WordBus};
+use tics_mcu::{Addr, Registers, WordBurst};
 use tics_minic::isa::{Instr, Syscall};
 use tics_minic::program::FRAME_HEADER_BYTES;
 use tics_trace::{I2cPhase, TraceEvent};
@@ -298,8 +297,8 @@ impl Executor {
                     // after the warning runs even when the checkpoint ran
                     // past the deadline (its stores tear). One reference
                     // step keeps that exact.
-                    PeriodMode::Decoded { .. } if warned => step(m, rt)?,
-                    PeriodMode::Decoded { ref decoded, isr } => {
+                    PeriodMode::Decoded(_) if warned => step(m, rt)?,
+                    PeriodMode::Decoded(ref decoded) => {
                         // The decoded loop runs until the nearest stop
                         // boundary; the outer checks above are idempotent
                         // and disambiguate which one fired.
@@ -309,7 +308,7 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, isr, stop_at)?;
+                        run_burst(m, rt, decoded, stop_at)?;
                     }
                 }
             }
@@ -352,10 +351,7 @@ enum PeriodMode {
     /// The original interpreter (engine override or failed boot check).
     Reference,
     /// The decoded loop, [`run_burst`].
-    Decoded {
-        decoded: Arc<DecodedProgram>,
-        isr: bool,
-    },
+    Decoded(Arc<DecodedProgram>),
 }
 
 impl Executor {
@@ -364,10 +360,7 @@ impl Executor {
         if self.engine == DispatchEngine::Reference || !boot_state_consistent(m) {
             return PeriodMode::Reference;
         }
-        PeriodMode::Decoded {
-            decoded: m.loaded().decoded.clone(),
-            isr: m.has_isr(),
-        }
+        PeriodMode::Decoded(m.loaded().decoded.clone())
     }
 }
 
@@ -417,8 +410,8 @@ pub fn step(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
 }
 
 /// The reference interpreter body: fetch and dispatch — everything in
-/// [`step`] but its polls (the decoded loop polls the ISR itself before
-/// it delegates a `Ref` op here, and the runtime at its stop).
+/// [`step`] but its polls (the decoded loop fires the ISR and calls the
+/// runtime at their stops).
 fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<()> {
     let pc = m.regs.pc;
     let instr = *m
@@ -748,68 +741,65 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 /// period deadline, voltage warning, time budget — or a halt via a
 /// `Ref` op. `Ref` ops (calls, returns, syscalls, runtime-mediated
 /// instructions, and everything in unverified functions) run the
-/// reference body. The runtime acts only after the first op that ends
-/// at or after its [`next_stop`](IntermittentRuntime::next_stop), which
-/// is read again after every `Ref` op, ISR poll and action: where
-/// per-instruction polling acts, even when the period deadline falls on
-/// the same cycle.
+/// reference body. Two more stops act exactly where the reference
+/// [`step`] polls:
 ///
-/// * **ISR periods**: one op of `dp.plain` at a time against the
-///   [`Memory`](tics_mcu::Memory) directly, with the ISR poll before it
-///   — exactly where the reference [`step`] has it, since the ISR may
-///   redirect the pc between any two instructions. No fusion.
-/// * **Other periods**: non-`Ref` stretches of `dp.ops` execute inside
-///   a *fast zone*: a [`WordBurst`] view over the memory keeps the cycle
-///   and traffic counters in locals (registers), and the instruction
-///   count accumulates in a local too, folding back into the machine at
-///   every zone boundary — before any `Ref` dispatch, stop condition,
-///   runtime action, or trap — so the machine state at every observable
-///   point is identical to the reference interpreter's.
+/// * the ISR fires before the first op that starts at or after
+///   [`Machine::isr_stop`], which is read again after every firing and
+///   every `Ref` op (only those change the ISR state);
+/// * the runtime acts after the first op that ends at or after its
+///   [`next_stop`](IntermittentRuntime::next_stop), which is read again
+///   after every `Ref` op, ISR firing and action — even when the period
+///   deadline falls on the same cycle.
+///
+/// Non-`Ref` stretches of `dp.ops` execute inside a *fast zone* that
+/// ends at the nearest stop: a [`WordBurst`] view over the memory keeps
+/// the cycle and traffic counters in locals (registers), and the
+/// instruction count accumulates in a local too, folding back into the
+/// machine at every zone boundary — before any `Ref` dispatch, stop
+/// condition, ISR, runtime action, or trap — so the machine state at
+/// every observable point is identical to the reference interpreter's.
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
     dp: &DecodedProgram,
-    isr: bool,
     stop_at: u64,
 ) -> Result<()> {
-    let ops = if isr { &dp.plain } else { &dp.ops };
     let data_base = m.data_base().raw();
     let mut rt_stop = runtime_stop(m, rt);
+    let mut isr_stop = m.isr_stop();
     loop {
         if m.cycles() >= stop_at {
             return Ok(());
         }
-        if isr && !m.in_isr() {
+        if m.cycles() >= isr_stop {
             m.maybe_fire_isr(rt)?;
+            isr_stop = m.isr_stop();
             rt_stop = runtime_stop(m, rt);
         }
         let pc = m.regs.pc;
-        let Some(&op) = ops.get(pc as usize) else {
+        let Some(&op) = dp.ops.get(pc as usize) else {
             return Err(VmError::Trap(format!("pc {pc} out of range")));
         };
         if let Op::Ref = op {
             step_after_isr(m, rt)?;
             rt_stop = poll_runtime(m, rt)?;
+            isr_stop = m.isr_stop();
             if m.is_halted() {
                 return Ok(());
             }
             continue;
         }
-        if isr {
-            let (mem, regs, instructions) = m.burst_parts();
-            exec_op(mem, regs, data_base, instructions, op)?;
-        } else {
-            let (zone_stop, mut instr) = (stop_at.min(rt_stop), 0u64);
-            let res = {
-                let (mem, regs, _) = m.burst_parts();
-                let mut bm = mem.word_burst();
-                let r = fast_zone(&mut bm, regs, dp, data_base, zone_stop, &mut instr);
-                bm.commit();
-                r
-            };
-            m.stats_mut().instructions += instr;
-            res?;
-        }
+        let (zone_stop, mut instr) = (stop_at.min(rt_stop).min(isr_stop), 0u64);
+        let res = {
+            let (mem, regs) = m.burst_parts();
+            let mut bm = mem.word_burst();
+            let r = fast_zone(&mut bm, regs, dp, data_base, zone_stop, &mut instr);
+            bm.commit();
+            r
+        };
+        m.stats_mut().instructions += instr;
+        res?;
         if m.cycles() >= rt_stop {
             rt_stop = poll_runtime(m, rt)?;
         }
@@ -834,11 +824,15 @@ fn poll_runtime(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<u64
 }
 
 /// Executes decoded ops against a [`WordBurst`] until a stop boundary,
-/// a `Ref` op (returned to the caller's slow loop), or a trap. Between
-/// the sub-ops of a fused sequence the same boundary is checked; on
-/// trigger the pc already points at the next sub-instruction's slot
-/// (which holds its plain op), so execution resumes exactly where the
-/// reference interpreter would.
+/// a `Ref` op (returned to the caller's slow loop), or a trap. The
+/// boundary is checked after every op and between the sub-ops of a
+/// fused sequence; on trigger the pc already points at the next
+/// sub-instruction's slot (which holds its plain op), so execution
+/// resumes exactly where the reference interpreter would. The first op
+/// runs even when the zone opens at its stop: that happens only after
+/// an ISR entry that ran past the deadline, warning or budget, and the
+/// reference [`step`] runs the instruction after its ISR poll
+/// unconditionally too.
 fn fast_zone(
     bm: &mut WordBurst<'_>,
     regs: &mut Registers,
@@ -852,16 +846,13 @@ fn fast_zone(
             exec_op(bm, regs, data_base, instr, $first)?;
             $(
                 if bm.cycles() >= stop_at {
-                    continue;
+                    return Ok(());
                 }
                 exec_op(bm, regs, data_base, instr, $rest)?;
             )+
         }};
     }
     loop {
-        if bm.cycles() >= stop_at {
-            return Ok(());
-        }
         let pc = regs.pc;
         let Some(&op) = dp.ops.get(pc as usize) else {
             return Err(VmError::Trap(format!("pc {pc} out of range")));
@@ -905,6 +896,9 @@ fn fast_zone(
             }
             plain => exec_op(bm, regs, data_base, instr, plain)?,
         }
+        if bm.cycles() >= stop_at {
+            return Ok(());
+        }
     }
 }
 
@@ -915,21 +909,21 @@ fn fast_zone(
 /// reference's frame-bound checks: plain ops only occur at verified
 /// pcs, where the decoder proved `1 <= depth < max_ostack` as needed.
 #[inline(always)]
-fn exec_op<B: WordBus>(
-    bus: &mut B,
+fn exec_op(
+    bus: &mut WordBurst<'_>,
     regs: &mut Registers,
     data_base: u32,
     instr: &mut u64,
     op: Op,
 ) -> Result<()> {
     #[inline(always)]
-    fn push<B: WordBus>(bus: &mut B, regs: &mut Registers, v: i32) -> Result<()> {
+    fn push(bus: &mut WordBurst<'_>, regs: &mut Registers, v: i32) -> Result<()> {
         bus.write_word(regs.sp, v as u32)?;
         regs.sp = Addr(regs.sp.raw() + 4);
         Ok(())
     }
     #[inline(always)]
-    fn pop<B: WordBus>(bus: &mut B, regs: &mut Registers) -> Result<i32> {
+    fn pop(bus: &mut WordBurst<'_>, regs: &mut Registers) -> Result<i32> {
         let sp = Addr(regs.sp.raw() - 4);
         regs.sp = sp;
         Ok(bus.read_word(sp)? as i32)

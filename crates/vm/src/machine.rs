@@ -324,12 +324,12 @@ impl Machine {
         self.data_base.offset(offset)
     }
 
-    /// Splits the machine into the disjoint memory, registers and
-    /// instruction counter the decoded loop mutates, so an op can run on
-    /// the memory (or a [`tics_mcu::WordBurst`] over it) while it updates
-    /// the registers.
-    pub(crate) fn burst_parts(&mut self) -> (&mut Memory, &mut Registers, &mut u64) {
-        (&mut self.mem, &mut self.regs, &mut self.stats.instructions)
+    /// Splits the machine into the disjoint memory and registers the
+    /// decoded loop mutates, so ops can run on a
+    /// [`tics_mcu::WordBurst`] over the memory while they update the
+    /// registers.
+    pub(crate) fn burst_parts(&mut self) -> (&mut Memory, &mut Registers) {
+        (&mut self.mem, &mut self.regs)
     }
 
     /// Base of the persistent FRAM heap: first word is the allocator's
@@ -489,18 +489,6 @@ impl Machine {
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.mem.cycles()
-    }
-
-    /// Whether a periodic ISR is configured on this machine.
-    #[must_use]
-    pub fn has_isr(&self) -> bool {
-        self.isr.is_some()
-    }
-
-    /// Whether the machine is currently servicing an interrupt.
-    #[must_use]
-    pub fn in_isr(&self) -> bool {
-        self.in_isr
     }
 
     /// Cycle count at which the current on-period ends (power dies).
@@ -726,6 +714,20 @@ impl Machine {
         self.regs.fp = Addr(0);
         let entry_fn = self.image.loaded.program.entry;
         self.call_function(rt, entry_fn, RET_SENTINEL)
+    }
+
+    /// The first cycle at which [`Machine::maybe_fire_isr`] may fire:
+    /// `u64::MAX` without an ISR, while servicing one, or once halted.
+    /// Exact until the next power failure, firing or return from
+    /// interrupt: within a power-on period device time advances exactly
+    /// by on-time ([`Timekeeper::advance_on`]).
+    pub fn isr_stop(&mut self) -> u64 {
+        let Some(isr) = self.isr else { return u64::MAX };
+        if self.in_isr || self.is_halted() {
+            return u64::MAX;
+        }
+        let now = self.now().as_micros();
+        self.cycles() + isr.next_at.saturating_sub(now)
     }
 
     /// Fires the configured ISR if its period has elapsed.

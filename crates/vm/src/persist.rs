@@ -464,10 +464,11 @@ pub struct DeltaChain {
     tip_word: Addr,
     /// Staging offset for the next record (end of the valid chain).
     write_off: u32,
-    /// Next commit sequence number; 0 = cold. Sequence numbers are
-    /// burned by *attempts* (shared by banks and records), so within one
-    /// power-on period a staged but unpublished record never collides
-    /// with a later published one.
+    /// Next commit sequence number (shared by banks and records); 0 =
+    /// cold. Only a verified stage uses its number up: an unverified one
+    /// is never published, and skipping its number would leave a gap
+    /// that [`DeltaChain::resume`], which requires consecutive records,
+    /// reads as a lost record.
     next_seq: u64,
     /// First checkpoint region of the published bank the chain extends:
     /// records are appended only while the caller checkpoints the same
@@ -554,7 +555,6 @@ impl DeltaChain {
             .sum();
         let plen = DELTA_MISC + 8 * dirty;
         let seq = self.next_seq;
-        self.next_seq += 1;
         let cap = self.capacity.min(full_bytes.max(512));
         if self.anchor == regions.first().copied()
             && self.write_off + DELTA_HEADER + plen <= cap
@@ -564,6 +564,7 @@ impl DeltaChain {
             let rec = self.journal.offset(self.write_off);
             let verified = verified_poke(m, rec, &seal(seq, &self.scratch))?
                 && verified_poke(m, rec.offset(DELTA_HEADER), &self.scratch)?;
+            self.next_seq += u64::from(verified);
             return Ok(Staged {
                 seq,
                 delta: Some(self.scratch.len() as u32),
@@ -577,6 +578,7 @@ impl DeltaChain {
         // stage could overwrite it: refuse until a boot repairs the flag.
         let verified = flag <= 2
             && banks.stage(m, banks.bank(target), seq, misc, images, &mut self.scratch)?;
+        self.next_seq += u64::from(verified);
         Ok(Staged {
             seq,
             delta: None,

@@ -14,16 +14,16 @@
 //! snapshots. The grids cover the seven fault-corpus programs and the
 //! Table 1 applications across the legacy-capable systems, under
 //! continuous power, periodic intermittent power, adversarial fault
-//! plans with torn writes, brown-out store corruption, and an
-//! ISR-configured machine (an ISR period: one decoded op at a time).
-//! Voltage-warning stops are checked inside ISR periods and fused
-//! zones. TICS's timer checkpoints and `@expires` timers are runtime
-//! stops: the decoded engine calls the runtime only there, the
-//! reference polls it after every instruction, and short odd timer
-//! periods check that both act on the same instruction.
+//! plans with torn writes, brown-out store corruption, and
+//! ISR-configured machines. Voltage-warning stops are checked on ISR
+//! machines and in fused zones. The ISR, TICS's timer checkpoints and
+//! its `@expires` timers are stops: the decoded engine fires or calls
+//! them only there, the reference polls them around every instruction,
+//! and short odd periods check that both act on the same instruction.
 
 use tics_apps::build::{build_app, build_program, make_runtime, App, Scale, SystemUnderTest};
 use tics_bench::fault::{build_fault_program, FaultProgram};
+use tics_clock::{PerfectClock, RemanenceTimer, Timekeeper};
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{
     AdversarialSupply, ContinuousPower, Corruption, FaultPlan, PeriodicTrace, PowerSupply,
@@ -105,6 +105,33 @@ impl Supply {
     }
 }
 
+/// The device's timekeeper (each engine run needs a fresh one).
+#[derive(Debug, Clone, Copy, Default)]
+enum Clock {
+    #[default]
+    Perfect,
+    /// Off-times estimated with ±25% error: across outages device time
+    /// drifts away from cycles plus true off-time.
+    Drifting,
+}
+
+impl Clock {
+    fn build(self) -> Box<dyn Timekeeper> {
+        match self {
+            Clock::Perfect => Box::new(PerfectClock::new()),
+            Clock::Drifting => Box::new(RemanenceTimer::new(10_000_000, 0.25, 0xD21F)),
+        }
+    }
+}
+
+/// What the device itself does wrong: its timekeeper's drift and
+/// brown-out store corruption.
+#[derive(Debug, Clone, Copy, Default)]
+struct Device<'a> {
+    clock: Clock,
+    corruption: Option<&'a Corruption>,
+}
+
 /// The executor every grid runs under unless it tests a stop boundary.
 fn grid_executor() -> Executor {
     Executor::new()
@@ -121,10 +148,11 @@ fn run_one(
     rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
     exec: &Executor,
     supply: &Supply,
-    corruption: Option<&Corruption>,
+    device: Device,
 ) -> Snapshot {
-    let mut m = Machine::new(prog.clone(), cfg.clone()).expect("machine construction");
-    if let Some(c) = corruption {
+    let mut m = Machine::with_clock(prog.clone(), cfg.clone(), device.clock.build())
+        .expect("machine construction");
+    if let Some(c) = device.corruption {
         m.mem.set_corruption(Some(
             CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
                 .with_sram_decay(c.sram_decay),
@@ -178,11 +206,11 @@ fn assert_engines_agree(
     rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
     exec: &Executor,
     supply: &Supply,
-    corruption: Option<&Corruption>,
+    device: Device,
 ) -> Snapshot {
     let run = |engine| {
         let exec = exec.clone().with_engine(engine);
-        run_one(prog, cfg, rt_of, &exec, supply, corruption)
+        run_one(prog, cfg, rt_of, &exec, supply, device)
     };
     let reference = run(DispatchEngine::Reference);
     let decoded = run(DispatchEngine::Decoded);
@@ -254,7 +282,7 @@ fn fault_corpus_agrees_on_continuous_power() {
             &|| make_runtime(system, &prog),
             &grid_executor(),
             &Supply::Continuous,
-            None,
+            Device::default(),
         );
     }
 }
@@ -274,7 +302,7 @@ fn fault_corpus_agrees_on_intermittent_power() {
                 &|| make_runtime(system, &prog),
                 &grid_executor(),
                 &Supply::Periodic { on_us, off_us },
-                None,
+                Device::default(),
             );
         }
     }
@@ -295,7 +323,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &|| make_runtime(system, &prog),
             &grid_executor().with_engine(DispatchEngine::Decoded),
             &Supply::Continuous,
-            None,
+            Device::default(),
         );
         let total = golden.cycles.max(8);
         let plan = FaultPlan::new(vec![total / 4, total / 2, 3 * total / 4], 150);
@@ -308,7 +336,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &|| make_runtime(system, &prog),
             &grid_executor(),
             &Supply::Adversarial(plan.clone()),
-            None,
+            Device::default(),
         );
 
         // Torn writes plus brown-out corruption: at-risk stores flip or
@@ -323,7 +351,10 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &|| make_runtime(system, &prog),
             &grid_executor(),
             &Supply::Adversarial(plan),
-            Some(&corruption),
+            Device {
+                corruption: Some(&corruption),
+                ..Device::default()
+            },
         );
     }
 }
@@ -349,7 +380,7 @@ fn table1_apps_agree_across_engines() {
                 &|| make_runtime(system, &prog),
                 &grid_executor(),
                 &Supply::Continuous,
-                None,
+                Device::default(),
             );
             assert_engines_agree(
                 &format!("{label}/periodic"),
@@ -361,16 +392,18 @@ fn table1_apps_agree_across_engines() {
                     on_us: 40_000,
                     off_us: 200,
                 },
-                None,
+                Device::default(),
             );
         }
     }
 }
 
-/// A machine with a periodic ISR: the decoded engine runs it one op at
-/// a time, polling the ISR between every two instructions exactly as
-/// the reference interpreter does.
-fn isr_program(system: SystemUnderTest) -> (Program, MachineConfig) {
+/// ISR periods (µs): odd ones beside a round one, so the ISR's stop
+/// falls on and between TICS's timer stops.
+const ISR_PERIODS_US: [u64; 4] = [97, 331, 700, 1009];
+
+/// A machine whose ISR fires every `period_us` of device time.
+fn isr_program(system: SystemUnderTest, period_us: u64) -> (Program, MachineConfig) {
     let src = "
         nv int ticks;
         nv int acc;
@@ -390,43 +423,70 @@ fn isr_program(system: SystemUnderTest) -> (Program, MachineConfig) {
     let prog =
         build_program(system, src, Err("no task port"), OptLevel::O2).expect("build ISR program");
     let cfg = MachineConfig {
-        isr: Some(("on_tick".to_string(), 700)),
+        isr: Some(("on_tick".to_string(), period_us)),
         ..MachineConfig::default()
     };
     (prog, cfg)
 }
 
+/// The ISR is a stop in device time: the decoded engine runs fused
+/// zones up to it, the reference polls it before every instruction.
+/// A drifting timekeeper on intermittent power checks that the stop is
+/// converted from device time, not read as a cycle.
 #[test]
-fn isr_machine_runs_op_by_op_and_agrees() {
-    let (prog, cfg) = isr_program(SystemUnderTest::PlainC);
-    let (tics, tics_cfg) = isr_program(SystemUnderTest::Tics);
-    for supply in [
-        Supply::Continuous,
-        Supply::Periodic {
-            on_us: 5_000,
-            off_us: 150,
-        },
-    ] {
-        assert_engines_agree(
-            "isr/bare",
-            &prog,
-            &cfg,
-            &|| Box::new(BareRuntime::new()),
-            &grid_executor(),
-            &supply,
-            None,
-        );
-        // TICS's timer stops interleave with ISR entries and exits.
-        for period in TIMER_PERIODS_US {
-            assert_engines_agree(
-                &format!("isr/tics/timer-{period}"),
-                &tics,
-                &tics_cfg,
-                &|| tics_with_timer(&tics, period),
+fn isr_machine_runs_fused_and_agrees() {
+    let periodic = Supply::Periodic {
+        on_us: 5_000,
+        off_us: 150,
+    };
+    let drifting = Device {
+        clock: Clock::Drifting,
+        ..Device::default()
+    };
+    let envs = [
+        ("continuous", Supply::Continuous, Device::default()),
+        ("periodic", periodic.clone(), Device::default()),
+        ("periodic-drift", periodic, drifting),
+    ];
+    for isr_us in ISR_PERIODS_US {
+        let (prog, cfg) = isr_program(SystemUnderTest::PlainC, isr_us);
+        let (tics, tics_cfg) = isr_program(SystemUnderTest::Tics, isr_us);
+        for &(env, ref supply, device) in &envs {
+            let mut snaps = vec![assert_engines_agree(
+                &format!("isr-{isr_us}/bare/{env}"),
+                &prog,
+                &cfg,
+                &|| Box::new(BareRuntime::new()),
                 &grid_executor(),
-                &supply,
-                None,
-            );
+                supply,
+                device,
+            )];
+            // TICS's timer stops interleave with ISR entries and exits;
+            // a 331 µs timer shares boundaries with the 331 µs ISR.
+            let timers: &[u64] = if isr_us == 700 {
+                &TIMER_PERIODS_US
+            } else {
+                &[331]
+            };
+            for &period in timers {
+                snaps.push(assert_engines_agree(
+                    &format!("isr-{isr_us}/tics/timer-{period}/{env}"),
+                    &tics,
+                    &tics_cfg,
+                    &|| tics_with_timer(&tics, period),
+                    &grid_executor(),
+                    supply,
+                    device,
+                ));
+            }
+            for snap in snaps {
+                assert!(
+                    snap.trace
+                        .iter()
+                        .any(|r| matches!(r.event, TraceEvent::IsrEnter)),
+                    "isr-{isr_us}/{env}: the ISR never fired"
+                );
+            }
         }
     }
 }
@@ -450,7 +510,7 @@ fn overflowing_division_traps_on_both_engines() {
                     &|| Box::new(BareRuntime::new()),
                     &grid_executor().with_engine(engine),
                     &Supply::Continuous,
-                    None,
+                    Device::default(),
                 );
                 assert_eq!(
                     snap.outcome,
@@ -485,7 +545,7 @@ fn assert_stops_agree(
             rt_of,
             &exec,
             supply,
-            None,
+            Device::default(),
         );
     }
 }
@@ -498,8 +558,8 @@ fn isr_periods_and_fused_zones_agree_at_voltage_warning_stops() {
         off_us: 150,
     };
     // TICS and MementOS checkpoint on the warning from fused zones (TICS
-    // with its 10 ms timer stop armed too); the ISR machine runs one op
-    // at a time.
+    // with its 10 ms timer stop armed too); on the ISR machine the
+    // warning and the ISR's stop share the zones.
     for (program, system) in FaultProgram::ALL
         .into_iter()
         .flat_map(|p| [(p, SystemUnderTest::Tics), (p, SystemUnderTest::Mementos)])
@@ -513,7 +573,7 @@ fn isr_periods_and_fused_zones_agree_at_voltage_warning_stops() {
             &supply,
         );
     }
-    let (prog, cfg) = isr_program(SystemUnderTest::PlainC);
+    let (prog, cfg) = isr_program(SystemUnderTest::PlainC, 700);
     assert_stops_agree(
         "isr/bare",
         &prog,
@@ -611,7 +671,15 @@ fn tics_runtime_stops_land_where_per_instruction_polling_acts() {
             for (run, exec, supply) in &runs {
                 let label = format!("{name}/timer-{period}/{run}");
                 let rt_of = || tics_with_timer(prog, period);
-                let snap = assert_engines_agree(&label, prog, &cfg, &rt_of, exec, supply, None);
+                let snap = assert_engines_agree(
+                    &label,
+                    prog,
+                    &cfg,
+                    &rt_of,
+                    exec,
+                    supply,
+                    Device::default(),
+                );
                 for r in &snap.trace {
                     match r.event {
                         TraceEvent::CheckpointCommit {

@@ -327,6 +327,95 @@ fn boot_yields_only_published_states_or_declared_recovery() {
     }
 }
 
+/// Corruption alone loses no published record. A stage whose every
+/// staging store is dropped fails verification and is never published;
+/// the next verified stage must extend the chain without a sequence
+/// gap, so no boot journals a `Recovery` and every boot restores the
+/// last published state.
+#[test]
+fn corruption_only_schedules_never_journal_a_recovery() {
+    for format in [BankFormat::MiscFirst, BankFormat::Sealed] {
+        let (mut dropped, mut delta_commits, mut boots) = (0u64, 0u64, 0u64);
+        let mut seeds = 0x5E9_6A90_0000_0001u64;
+        for _ in 0..16 {
+            let seed = splitmix64(&mut seeds);
+            let mut rig = Rig::new(format, seed);
+            assert_eq!(rig.banks.select(&mut rig.m).unwrap(), BankChoice::None);
+            rig.prime_cold();
+            let full_bytes = match format {
+                BankFormat::MiscFirst => rig.banks.bank_bytes(),
+                BankFormat::Sealed => DELTA_MISC - 4 + REGION,
+            };
+            let mut current: Option<Vec<u8>> = None;
+            for step in 0..64u32 {
+                rig.mutate();
+                let r = rig.next();
+                let lead = match format {
+                    BankFormat::MiscFirst => r as u32,
+                    BankFormat::Sealed => DELTA_MISC - 4,
+                };
+                let misc = pack_misc([lead, r as u32, (r >> 32) as u32, step, 7, 9]);
+                let drop_all = rig.next().is_multiple_of(3);
+                if drop_all {
+                    let model = CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next());
+                    rig.m.mem.set_corruption(Some(model));
+                    rig.m.mem.set_power_cut(Some(rig.m.cycles() + 1));
+                }
+                let staged = rig
+                    .chain
+                    .stage(
+                        &mut rig.m,
+                        &rig.banks,
+                        full_bytes,
+                        &misc,
+                        &rig.region,
+                        &rig.region,
+                    )
+                    .unwrap();
+                rig.m.mem.set_power_cut(None);
+                rig.m.mem.set_corruption(None);
+                assert_eq!(staged.verified, !drop_all, "{format:?} step {step}");
+                if staged.verified {
+                    rig.chain
+                        .publish(&mut rig.m, &rig.banks, &staged, &rig.region)
+                        .unwrap();
+                    delta_commits += u64::from(staged.delta.is_some());
+                    current = Some(rig.state(&misc));
+                } else {
+                    dropped += 1;
+                }
+                if step % 5 != 4 {
+                    continue;
+                }
+                boots += 1;
+                rig.lose_power();
+                let ctx = format!("{format:?} seed {seed:#x} step {step}");
+                let got = match rig.banks.select(&mut rig.m).unwrap() {
+                    BankChoice::Bank { addr, seq } => {
+                        let mut misc = rig.chain.load(&rig.m, &rig.banks, addr).unwrap();
+                        assert!(rig.chain.restore_images(&mut rig.m, &rig.region).unwrap());
+                        rig.chain
+                            .resume(&mut rig.m, &rig.banks, seq, &rig.region, &mut misc)
+                            .unwrap();
+                        Some(rig.state(&misc))
+                    }
+                    BankChoice::None => {
+                        rig.prime_cold();
+                        None
+                    }
+                    BankChoice::FreshStart => panic!("{ctx}: fresh start without a clobber"),
+                };
+                assert_eq!(rig.m.stats().recoveries, 0, "{ctx}: Recovery journaled");
+                assert_eq!(got, current, "{ctx}: not the last published state");
+            }
+        }
+        assert!(
+            dropped > 0 && delta_commits > 0 && boots > 0,
+            "{format:?}: {dropped} dropped stages, {delta_commits} delta commits, {boots} boots"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The undo log
 // ---------------------------------------------------------------------

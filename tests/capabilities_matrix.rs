@@ -10,10 +10,10 @@ use tics_repro::baselines::{
     ChinchillaRuntime, NaiveCheckpoint, RatchetRuntime, TaskFlavor, TaskKernel,
 };
 use tics_repro::core::{TicsConfig, TicsRuntime};
+use tics_repro::mcu::Addr;
 use tics_repro::minic::opt::OptLevel;
 use tics_repro::minic::program::Instrumentation;
 use tics_repro::minic::{compile, passes};
-use tics_repro::mcu::Addr;
 use tics_repro::vm::{IntermittentRuntime, Machine, MachineConfig, PortingEffort, VmError};
 
 #[test]
@@ -213,13 +213,20 @@ fn runtimes() -> Vec<(SystemUnderTest, Box<dyn IntermittentRuntime>, Machine, bo
 
 /// Pushes `FRAME`-byte frames as a recursion would until the runtime
 /// refuses one; returns the placed frame bases and the refusal.
-fn recurse_until_refused(rt: &mut dyn IntermittentRuntime, m: &mut Machine) -> (Vec<Addr>, VmError) {
+fn recurse_until_refused(
+    rt: &mut dyn IntermittentRuntime,
+    m: &mut Machine,
+) -> (Vec<Addr>, VmError) {
     let mut frames = Vec::new();
     loop {
         match rt.alloc_frame(m, 0, FRAME, 0) {
             Ok(base) => {
                 frames.push(base);
-                assert!(frames.len() < 10_000, "{}: the stack never ran out", rt.name());
+                assert!(
+                    frames.len() < 10_000,
+                    "{}: the stack never ran out",
+                    rt.name()
+                );
                 m.regs.fp = base;
                 m.regs.sp = base.offset(FRAME);
             }
@@ -254,7 +261,11 @@ fn every_runtime_overflows_its_frame_stack_with_stack_overflow() {
             "{system:?}: a recursion deeper than the frame stack must overflow, got {err}"
         );
         let stack = rt.frame_stack(&mut m).unwrap();
-        assert!(frames.len() > 1, "{system:?}: only {} frames fit", frames.len());
+        assert!(
+            frames.len() > 1,
+            "{system:?}: only {} frames fit",
+            frames.len()
+        );
         for base in &frames {
             assert!(
                 stack.contains_range(*base, FRAME),

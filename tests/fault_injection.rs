@@ -39,7 +39,9 @@ fn table5_consistency_column_holds_under_seeded_fault_plans() {
             };
             let golden = golden_run(&prog, system)
                 .unwrap_or_else(|e| panic!("{} golden run: {e}", system.name()));
-            let claims = make_runtime(system, &prog).capabilities().memory_consistency;
+            let claims = make_runtime(system, &prog)
+                .capabilities()
+                .memory_consistency;
 
             let report = run_fault_cell(&prog, system, &golden, Strategy::Random, 10, seed);
             assert_eq!(report.trials, 10, "{} ran every plan", system.name());

@@ -15,15 +15,13 @@
 
 use std::sync::Arc;
 
+use tics_bench::sweep::standard_sensor_trace;
 use tics_bench::{ClockKind, SupplySpec};
 use tics_repro::apps::build::{build_app, make_runtime, Scale};
 use tics_repro::apps::{App, SystemUnderTest};
 use tics_repro::energy::{AdversarialSupply, FaultPlan, PowerSupply};
 use tics_repro::minic::opt::OptLevel;
-use tics_repro::vm::{
-    DispatchEngine, Executor, Machine, MachineConfig, MachineImage,
-};
-use tics_bench::sweep::standard_sensor_trace;
+use tics_repro::vm::{DispatchEngine, Executor, Machine, MachineConfig, MachineImage};
 
 const SCALE: u32 = 6;
 const BUDGET_US: u64 = 5_000_000;
@@ -106,11 +104,7 @@ fn supplies(adversarial: bool) -> (Box<dyn PowerSupply>, Box<dyn PowerSupply>) {
 /// The differential: live one life, reset, live the life under test —
 /// then compare against a fresh machine living only the life under
 /// test.
-fn assert_recycling_invisible(
-    system: SystemUnderTest,
-    engine: DispatchEngine,
-    adversarial: bool,
-) {
+fn assert_recycling_invisible(system: SystemUnderTest, engine: DispatchEngine, adversarial: bool) {
     let Ok(prog) = build_app(App::Ar, system, OptLevel::O2, Scale(SCALE)) else {
         return; // infeasible combination — nothing to prove
     };
@@ -127,12 +121,7 @@ fn assert_recycling_invisible(
     let mut recycled =
         Machine::from_image(Arc::clone(&image), SEED_FIRST_LIFE, clock()).expect("instantiates");
     let mut rt = make_runtime(system, &prog);
-    let _ = run_once(
-        &mut recycled,
-        rt.as_mut(),
-        supply_first.as_mut(),
-        engine,
-    );
+    let _ = run_once(&mut recycled, rt.as_mut(), supply_first.as_mut(), engine);
     recycled.reset(SEED_UNDER_TEST).expect("resets");
     rt.recycle();
     let (_, mut supply_test_again) = supplies(adversarial);
@@ -178,7 +167,10 @@ fn assert_recycling_invisible(
     // The life under test must actually have run (a trivially empty
     // observation would make the equalities vacuous).
     assert!(recycled_obs.cycles > 0, "life under test simulated nothing");
-    assert!(!recycled_obs.trace.is_empty(), "life under test traced nothing");
+    assert!(
+        !recycled_obs.trace.is_empty(),
+        "life under test traced nothing"
+    );
 }
 
 #[test]
@@ -214,8 +206,8 @@ fn recycled_machines_are_trace_identical_reference_adversarial_cuts() {
 /// refactor). Proven by pointer identity of the shared image.
 #[test]
 fn reset_preserves_the_shared_image() {
-    let prog = build_app(App::Ar, SystemUnderTest::Tics, OptLevel::O2, Scale(SCALE))
-        .expect("builds");
+    let prog =
+        build_app(App::Ar, SystemUnderTest::Tics, OptLevel::O2, Scale(SCALE)).expect("builds");
     let config = MachineConfig {
         sensor_trace: standard_sensor_trace(App::Ar, SCALE),
         ..MachineConfig::default()

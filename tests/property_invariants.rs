@@ -151,7 +151,9 @@ fn pointer_walks_are_opt_invariant() {
         );
         let mut expected = 0i32;
         for i in 0..n {
-            expected = expected.wrapping_mul(31).wrapping_add(values[(i + rot) % n]);
+            expected = expected
+                .wrapping_mul(31)
+                .wrapping_add(values[(i + rot) % n]);
         }
         assert_eq!(run_plain(&src, OptLevel::O0), expected, "case {case}");
         assert_eq!(run_plain(&src, OptLevel::O2), expected, "case {case}");

@@ -105,7 +105,11 @@ fn wall_clock_is_monotonic_across_adversarial_cuts() {
     );
     let mut supply = AdversarialSupply::new(plan);
     let m = run_ar_tics(&mut supply);
-    assert!(m.stats().power_failures >= 6, "{:?}", m.stats().power_failures);
+    assert!(
+        m.stats().power_failures >= 6,
+        "{:?}",
+        m.stats().power_failures
+    );
     check_trace_clock(m.trace().records());
     check_stats_agree(&m);
 }
