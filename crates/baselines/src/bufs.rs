@@ -7,8 +7,7 @@
 
 use tics_mcu::{Addr, Registers};
 use tics_vm::persist::{
-    init_control, journal_capacity, pack_misc, unpack_misc, BankFormat, BankPair, DeltaChain, Misc,
-    DELTA_MISC,
+    init_control, pack_misc, unpack_misc, BankFormat, BankPair, Checkpoint, Misc, DELTA_MISC,
 };
 use tics_vm::{Machine, VmError};
 
@@ -35,17 +34,17 @@ pub(crate) fn init_ctrl(m: &mut Machine, base: Addr) -> Result<()> {
 
 /// Lays out a hardened baseline's persistent area — control block, then
 /// two sealed banks of `max_payload` payload bytes, then the delta
-/// journal — and places `chain` on it. Fails with `Load(what)` unless
+/// journal — and places `ckpt` on it. Fails with `Load(what)` unless
 /// `extra` more bytes after the journal still fit in FRAM; otherwise
-/// initializes the control block and returns the banks and the first
-/// byte past the journal.
+/// initializes the control block and returns the first byte past the
+/// journal.
 pub(crate) fn attach_hardened(
     m: &mut Machine,
     max_payload: u32,
     extra: u32,
-    chain: &mut DeltaChain,
+    ckpt: &mut Checkpoint,
     what: &str,
-) -> Result<(BankPair, Addr)> {
+) -> Result<Addr> {
     let base = m.runtime_area_base();
     let banks = BankPair::new(
         base.offset(CTRL_SIZE),
@@ -54,20 +53,14 @@ pub(crate) fn attach_hardened(
         BankFormat::Sealed,
         max_payload,
     );
-    let capacity = journal_capacity(banks.bank_bytes());
-    chain.place(banks.end(), capacity, base.offset(DELTA_TIP));
-    let end = banks.end().offset(capacity);
+    let (journal, capacity) = banks.journal();
+    let end = journal.offset(capacity);
     if !m.mem.layout().fram.contains(Addr(end.raw() + extra - 1)) {
         return Err(VmError::Load(what.into()));
     }
     init_ctrl(m, base)?;
-    Ok((banks, end))
-}
-
-/// Primes `chain` cold under the baselines' sequence rule: past the
-/// newest bank that validates, published or not.
-pub(crate) fn prime_cold(m: &Machine, banks: &BankPair, chain: &mut DeltaChain) -> Result<()> {
-    chain.prime_cold(m, banks.newest_valid_seq(m)?)
+    ckpt.place(banks, base.offset(DELTA_TIP));
+    Ok(end)
 }
 
 /// A baseline misc block: the `u32` misc length, the registers, and a

@@ -9,7 +9,7 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+use tics_vm::persist::{Boot, Checkpoint, CommitOutcome};
 
 use crate::bufs;
 
@@ -31,8 +31,7 @@ type Result<T> = std::result::Result<T, VmError>;
 pub struct ChinchillaRuntime {
     min_interval_us: u64,
     last_ckpt_at: u64,
-    banks: Option<BankPair>,
-    chain: DeltaChain,
+    ckpt: Checkpoint,
     tx: TxDriver,
 }
 
@@ -44,28 +43,26 @@ impl ChinchillaRuntime {
         ChinchillaRuntime {
             min_interval_us,
             last_ckpt_at: 0,
-            banks: None,
-            chain: DeltaChain::default(),
+            ckpt: Checkpoint::default(),
             tx: TxDriver::default(),
         }
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
-        if let Some(b) = self.banks {
-            return Ok(b);
+    fn attach(&mut self, m: &mut Machine) -> Result<()> {
+        if self.ckpt.banks().is_some() {
+            return Ok(());
         }
         // A bank holds the registers, the used-stack length, the stack
         // and the entire static area.
         let max_payload = 16 + 4 + m.mem.layout().sram.len() + m.loaded().program.globals_size;
-        let (banks, _) = bufs::attach_hardened(
+        bufs::attach_hardened(
             m,
             max_payload,
             0,
-            &mut self.chain,
+            &mut self.ckpt,
             "chinchilla double buffers do not fit in FRAM (statics too large)",
         )?;
-        self.banks = Some(banks);
-        Ok(banks)
+        Ok(())
     }
 
     /// The delta capture/replay regions: the whole SRAM window (a fixed
@@ -88,7 +85,7 @@ impl ChinchillaRuntime {
     }
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
-        let banks = self.attach(m)?;
+        self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
         let used = m
@@ -96,38 +93,23 @@ impl ChinchillaRuntime {
             .sp
             .raw()
             .saturating_sub(m.mem.layout().sram.start.raw());
-        if self.chain.is_cold() {
-            bufs::prime_cold(m, &banks, &mut self.chain)?;
-        }
-        let regions = Self::regions(m);
         let full_bytes = 20 + used + m.loaded().program.globals_size;
-        let staged = self.chain.stage(
-            m,
-            &banks,
-            full_bytes,
-            &bufs::misc(m, used),
-            &regions,
-            &Self::images(m, used),
-        )?;
-        let bytes = staged.delta.unwrap_or(full_bytes);
-        let costs = m.mem.costs();
-        let cost =
-            costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
+        let misc = bufs::misc(m, used);
+        let (regions, images) = (Self::regions(m), Self::images(m, used));
         self.last_ckpt_at = m.cycles();
-        if !m.charge_atomic(cost) {
-            return Ok(()); // died mid-commit: previous checkpoint stands
+        let outcome = self
+            .ckpt
+            .commit(m, &misc, full_bytes, &regions, &images, |c, delta| {
+                c.checkpoint_cost(delta.unwrap_or(full_bytes))
+            })?;
+        // An abort (corruption defeated staging, or the commit died on
+        // the energy deadline) leaves the previous checkpoint standing.
+        if let CommitOutcome::Committed { delta } = outcome {
+            m.emit(TraceEvent::CheckpointCommit {
+                cause,
+                bytes: u64::from(delta.unwrap_or(full_bytes)),
+            });
         }
-        if !staged.verified {
-            // Corruption defeated staging: skip this commit. The
-            // published bank and chain tip are untouched, so restores
-            // still reach the previous committed state.
-            return Ok(());
-        }
-        self.chain.publish(m, &banks, &staged, &regions)?;
-        m.emit(TraceEvent::CheckpointCommit {
-            cause,
-            bytes: u64::from(bytes),
-        });
         Ok(())
     }
 }
@@ -169,15 +151,19 @@ impl IntermittentRuntime for ChinchillaRuntime {
 
     fn recycle(&mut self) {
         self.last_ckpt_at = 0;
-        self.banks = None;
-        self.chain.recycle();
+        self.ckpt.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let banks = self.attach(m)?;
+        self.attach(m)?;
         self.last_ckpt_at = m.cycles();
-        let BankChoice::Bank { addr, seq } = banks.select(m)? else {
+        // Rewriting the live stack prefix and the entire statics area
+        // wipes any uncommitted stores there.
+        let boot = self.ckpt.boot(m, |m, misc| {
+            (Self::regions(m), Self::images(m, bufs::unpack(misc).1))
+        })?;
+        let Boot::Restored { misc, restored } = boot else {
             // No (valid) checkpoint, so the committed image is the
             // pristine load image. Chinchilla's versioned memory
             // discards uncommitted writes — and the promoted locals are
@@ -185,33 +171,18 @@ impl IntermittentRuntime for ChinchillaRuntime {
             // reinit — so *all* statics must go back to their
             // initializers here.
             m.init_globals(true)?;
-            bufs::prime_cold(m, &banks, &mut self.chain)?;
             return Ok(ResumeAction::Restart {
                 reinit_globals: false,
             });
         };
-        // Full-image restore first: rewriting the live stack prefix and
-        // the entire statics area wipes any uncommitted stores there.
-        // Then the delta chain, if one extends this bank generation.
-        let mut misc = self.chain.load(m, &banks, addr)?;
-        let used = bufs::unpack(&misc).1;
-        if !self.chain.restore_images(m, &Self::images(m, used))? {
-            return Err(VmError::Trap(
-                "Chinchilla: checkpoint restore failed read-back verification".into(),
-            ));
-        }
-        let replayed = self
-            .chain
-            .resume(m, &banks, seq, &Self::regions(m), &mut misc)?;
         m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let bytes = u64::from(20 + used + m.loaded().program.globals_size + replayed);
-        let costs = m.mem.costs();
-        let cost =
-            costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
-        let _ = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore { bytes });
+        let bytes = 20 + restored;
+        let _ = m.charge_atomic(m.mem.costs().restore_cost(bytes));
+        m.emit(TraceEvent::Restore {
+            bytes: u64::from(bytes),
+        });
         Ok(ResumeAction::Restored)
     }
 
@@ -344,7 +315,7 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let banks = rt.banks.unwrap();
+        let banks = rt.ckpt.banks().unwrap();
         let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a checkpoint must have committed");
         let (active, other) = if flag == 1 {

@@ -113,9 +113,7 @@ impl NaiveCheckpoint {
             self.copy_via_scratch(m, data_base, buf.offset(20 + sram.len()), globals_len)?;
         }
         let bytes = 20 + used + globals_len;
-        let costs = m.mem.costs();
-        let cost =
-            costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
+        let cost = m.mem.costs().checkpoint_cost(bytes);
         self.last_ckpt_at = m.cycles();
         // The whole-state copy must fit in the remaining energy or the
         // flag never flips — this is how naive checkpointing starves.
@@ -192,10 +190,7 @@ impl IntermittentRuntime for NaiveCheckpoint {
         m.regs = Registers::from_words(words);
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let costs = m.mem.costs();
-        let cost = costs.restore_base
-            + costs.restore_seg_fixed
-            + costs.restore_seg_per_byte * u64::from(20 + used + globals_len);
+        let cost = m.mem.costs().restore_cost(20 + used + globals_len);
         m.mem.add_cycles(cost);
         m.emit(TraceEvent::Restore {
             bytes: u64::from(20 + used + globals_len),

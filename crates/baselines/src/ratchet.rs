@@ -9,7 +9,7 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use tics_vm::persist::{BankChoice, BankPair, DeltaChain};
+use tics_vm::persist::{BankChoice, Boot, Checkpoint, CommitOutcome};
 
 use crate::bufs;
 
@@ -27,11 +27,10 @@ type Result<T> = std::result::Result<T, VmError>;
 #[derive(Debug)]
 pub struct RatchetRuntime {
     stack_bytes: u32,
-    banks: Option<BankPair>,
     stack: Region,
-    /// Delta chain over the frame window `(fp, frame_len)`: a boundary
+    /// Checkpoints of the frame window `(fp, frame_len)`: a boundary
     /// with a different window forces a full image.
-    chain: DeltaChain,
+    ckpt: Checkpoint,
     tx: TxDriver,
 }
 
@@ -41,71 +40,62 @@ impl RatchetRuntime {
     pub fn new(stack_bytes: u32) -> RatchetRuntime {
         RatchetRuntime {
             stack_bytes,
-            banks: None,
             stack: Region::with_len(Addr(0), 0),
-            chain: DeltaChain::default(),
+            ckpt: Checkpoint::default(),
             tx: TxDriver::default(),
         }
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
-        if let Some(b) = self.banks {
-            return Ok(b);
+    fn attach(&mut self, m: &mut Machine) -> Result<()> {
+        if self.ckpt.banks().is_some() {
+            return Ok(());
         }
         // A bank holds the registers, the frame length, and the current
         // frame image — this VM's analog of Ratchet's renamed register
         // set (operand scratch lives in the frame here, not in registers).
         let max_payload = 16 + 4 + m.loaded().program.max_frame_size();
-        let (banks, stack_start) = bufs::attach_hardened(
+        let stack_start = bufs::attach_hardened(
             m,
             max_payload,
             self.stack_bytes,
-            &mut self.chain,
+            &mut self.ckpt,
             "ratchet FRAM stack does not fit",
         )?;
         self.stack = Region::with_len(stack_start, self.stack_bytes);
-        self.banks = Some(banks);
-        Ok(banks)
+        Ok(())
     }
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
-        let banks = self.attach(m)?;
+        self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
         let frame_len = m.regs.sp.raw().saturating_sub(m.regs.fp.raw());
-        if self.chain.is_cold() {
-            bufs::prime_cold(m, &banks, &mut self.chain)?;
-        }
         // Incremental commit while the frame window is stable: only the
         // words the write monitor saw changing since the last commit.
         let region = [(m.regs.fp, frame_len)];
-        let staged = self.chain.stage(
-            m,
-            &banks,
-            20 + frame_len,
-            &bufs::misc(m, frame_len),
-            &region,
-            &region,
-        )?;
-        if !staged.verified {
+        let misc = bufs::misc(m, frame_len);
+        // Bounded by the largest frame — effectively constant, unlike
+        // stack- or statics-sized checkpoints.
+        let outcome =
+            self.ckpt
+                .commit(m, &misc, 20 + frame_len, &region, &region, |c, delta| {
+                    c.ckpt_base + u64::from(delta.unwrap_or(frame_len)) / 4
+                })?;
+        match outcome {
+            CommitOutcome::Committed { delta } => m.emit(TraceEvent::CheckpointCommit {
+                cause,
+                bytes: u64::from(delta.unwrap_or(20 + frame_len)),
+            }),
             // Ratchet's consistency *is* the boundary checkpoint: a
             // skipped commit before a WAR-closing store would silently
             // violate idempotence on the next reboot. Die loudly.
-            return Err(VmError::Trap(
-                "Ratchet: boundary checkpoint failed read-back verification".into(),
-            ));
+            CommitOutcome::VerifyAbort => {
+                return Err(VmError::Trap(
+                    "Ratchet: boundary checkpoint failed read-back verification".into(),
+                ))
+            }
+            CommitOutcome::EnergyAbort => {}
         }
-        // Bounded by the largest frame — effectively constant, unlike
-        // stack- or statics-sized checkpoints.
-        let cost = m.mem.costs().ckpt_base + u64::from(staged.delta.unwrap_or(frame_len)) / 4;
-        if !m.charge_atomic(cost) {
-            return Ok(());
-        }
-        self.chain.publish(m, &banks, &staged, &region)?;
-        m.emit(TraceEvent::CheckpointCommit {
-            cause,
-            bytes: u64::from(staged.delta.unwrap_or(20 + frame_len)),
-        });
         Ok(())
     }
 }
@@ -137,41 +127,36 @@ impl IntermittentRuntime for RatchetRuntime {
     }
 
     fn recycle(&mut self) {
-        self.banks = None;
         self.stack = Region::with_len(Addr(0), 0);
-        self.chain.recycle();
+        self.ckpt.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let banks = self.attach(m)?;
-        let (addr, seq) = match banks.select(m)? {
-            BankChoice::Bank { addr, seq } => (addr, seq),
-            choice => {
-                bufs::prime_cold(m, &banks, &mut self.chain)?;
+        self.attach(m)?;
+        // The bank's whole frame window is restored, wiping any
+        // uncommitted stores inside it.
+        let boot = self.ckpt.boot(m, |_, misc| {
+            let (regs, frame_len) = bufs::unpack(misc);
+            let region = [(regs.fp, frame_len)];
+            (region, region)
+        })?;
+        let restored = match boot {
+            Boot::Restart(choice) => {
                 return Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
-                });
+                })
+            }
+            Boot::Restored { misc, restored } => {
+                m.regs = bufs::unpack(&misc).0;
+                restored
             }
         };
-        // Full-image restore first: rewriting the whole frame window
-        // wipes any uncommitted stores inside it. Then the delta chain,
-        // if one extends this bank generation.
-        let mut misc = self.chain.load(m, &banks, addr)?;
-        let (regs, frame_len) = bufs::unpack(&misc);
-        let region = [(regs.fp, frame_len)];
-        if !self.chain.restore_images(m, &region)? {
-            return Err(VmError::Trap(
-                "Ratchet: checkpoint restore failed read-back verification".into(),
-            ));
-        }
-        let replayed = self.chain.resume(m, &banks, seq, &region, &mut misc)?;
-        m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let _ = m.charge_atomic(m.mem.costs().restore_base + u64::from(frame_len + replayed) / 4);
+        let _ = m.charge_atomic(m.mem.costs().restore_base + u64::from(restored) / 4);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(20 + frame_len + replayed),
+            bytes: u64::from(20 + restored),
         });
         Ok(ResumeAction::Restored)
     }
@@ -286,7 +271,7 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let banks = rt.banks.unwrap();
+        let banks = rt.ckpt.banks().unwrap();
         let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a checkpoint must have committed");
         let (active, other) = if flag == 1 {

@@ -9,7 +9,7 @@ use tics_vm::{
     TxDriver, VmError,
 };
 
-use tics_vm::persist::{BankChoice, BankPair, DeltaChain, UndoLog};
+use tics_vm::persist::{BankChoice, Boot, Checkpoint, CommitOutcome, UndoLog};
 
 use crate::bufs;
 
@@ -90,9 +90,8 @@ impl TaskFlavor {
 pub struct TaskKernel {
     flavor: TaskFlavor,
     undo: UndoLog,
-    banks: Option<BankPair>,
     ts_base: Addr,
-    chain: DeltaChain,
+    ckpt: Checkpoint,
     tx: TxDriver,
 }
 
@@ -103,26 +102,25 @@ impl TaskKernel {
         TaskKernel {
             flavor,
             undo: UndoLog::default(),
-            banks: None,
             ts_base: Addr(0),
-            chain: DeltaChain::default(),
+            ckpt: Checkpoint::default(),
             tx: TxDriver::default(),
         }
     }
 
-    fn attach(&mut self, m: &mut Machine) -> Result<BankPair> {
-        if let Some(b) = self.banks {
-            return Ok(b);
+    fn attach(&mut self, m: &mut Machine) -> Result<()> {
+        if self.ckpt.banks().is_some() {
+            return Ok(());
         }
         // A bank holds the registers, the used-stack length and the
         // stack; the timestamp table and the undo log follow the journal.
         let sram = m.mem.layout().sram.len();
         let timestamps = 8 * m.loaded().program.annotated.len() as u32;
-        let (banks, end) = bufs::attach_hardened(
+        let end = bufs::attach_hardened(
             m,
             16 + 4 + sram,
             timestamps + 8 * UNDO_CAPACITY,
-            &mut self.chain,
+            &mut self.ckpt,
             "task kernel buffers do not fit in FRAM",
         )?;
         // The undo count lives in the control block's scratch word.
@@ -132,53 +130,40 @@ impl TaskKernel {
             m.runtime_area_base().offset(bufs::SCRATCH),
         );
         self.ts_base = end;
-        self.banks = Some(banks);
-        Ok(banks)
+        Ok(())
     }
 
     /// Commit at a task boundary: the undo log becomes the committed
     /// state and a fresh dispatcher checkpoint is taken.
     fn commit_boundary(&mut self, m: &mut Machine) -> Result<()> {
-        let banks = self.attach(m)?;
+        self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
         let sram = m.mem.layout().sram;
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
-        if self.chain.is_cold() {
-            bufs::prime_cold(m, &banks, &mut self.chain)?;
-        }
         // The dispatcher checkpoint covers the whole SRAM window (a
         // fixed superset of the live `[0, used)` prefix, so every chain
         // record shares the bank's region).
         let region = [(sram.start, sram.len())];
         let full_bytes = 20 + used;
-        let staged = self.chain.stage(
+        let misc = bufs::misc(m, used);
+        let outcome = self.ckpt.commit(
             m,
-            &banks,
+            &misc,
             full_bytes,
-            &bufs::misc(m, used),
             &region,
             &[(sram.start, used)],
+            |c, delta| c.checkpoint_cost(delta.unwrap_or(full_bytes)),
         )?;
-        let bytes = staged.delta.unwrap_or(full_bytes);
-        let costs = m.mem.costs();
-        let cost =
-            costs.ckpt_base + costs.ckpt_seg_fixed + costs.ckpt_seg_per_byte * u64::from(bytes);
-        if !m.charge_atomic(cost) {
-            return Ok(());
+        // On an abort the undo log keeps privatizing past the boundary,
+        // so a reboot rolls back to the still-valid previous checkpoint.
+        if let CommitOutcome::Committed { delta } = outcome {
+            self.undo.clear(m)?;
+            m.emit(TraceEvent::CheckpointCommit {
+                cause: CkptCause::Site,
+                bytes: u64::from(delta.unwrap_or(full_bytes)),
+            });
         }
-        if !staged.verified {
-            // Corruption defeated staging: skip this boundary commit.
-            // The undo log keeps privatizing past the boundary, so a
-            // reboot rolls back to the still-valid previous checkpoint.
-            return Ok(());
-        }
-        self.chain.publish(m, &banks, &staged, &region)?;
-        self.undo.clear(m)?;
-        m.emit(TraceEvent::CheckpointCommit {
-            cause: CkptCause::Site,
-            bytes: u64::from(bytes),
-        });
         Ok(())
     }
 
@@ -238,50 +223,40 @@ impl IntermittentRuntime for TaskKernel {
 
     fn recycle(&mut self) {
         self.undo = UndoLog::default();
-        self.banks = None;
         self.ts_base = Addr(0);
-        self.chain.recycle();
+        self.ckpt.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let banks = self.attach(m)?;
+        self.attach(m)?;
         // Writes of the interrupted task are rolled back: the task
         // restarts idempotently from its boundary.
         self.undo.load(m)?;
         self.undo.rollback_to(m, 0)?;
-        let (addr, seq) = match banks.select(m)? {
-            BankChoice::Bank { addr, seq } => (addr, seq),
-            choice => {
-                bufs::prime_cold(m, &banks, &mut self.chain)?;
+        let boot = self.ckpt.boot(m, |m, misc| {
+            let sram = m.mem.layout().sram;
+            let used = bufs::unpack(misc).1;
+            ([(sram.start, sram.len())], [(sram.start, used)])
+        })?;
+        let restored = match boot {
+            Boot::Restart(choice) => {
                 return Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
-                });
+                })
+            }
+            Boot::Restored { misc, restored } => {
+                m.regs = bufs::unpack(&misc).0;
+                restored
             }
         };
-        // Full-image restore first, then the delta chain (if one
-        // extends this bank generation).
-        let mut misc = self.chain.load(m, &banks, addr)?;
-        let used = bufs::unpack(&misc).1;
-        let sram = m.mem.layout().sram;
-        if !self.chain.restore_images(m, &[(sram.start, used)])? {
-            return Err(VmError::Trap(format!(
-                "{}: stack restore failed read-back verification",
-                self.flavor.name()
-            )));
-        }
-        let replayed = self
-            .chain
-            .resume(m, &banks, seq, &[(sram.start, sram.len())], &mut misc)?;
-        m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let bytes = u64::from(20 + used + replayed);
-        let costs = m.mem.costs();
-        let cost =
-            costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
-        let _ = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore { bytes });
+        let bytes = 20 + restored;
+        let _ = m.charge_atomic(m.mem.costs().restore_cost(bytes));
+        m.emit(TraceEvent::Restore {
+            bytes: u64::from(bytes),
+        });
         Ok(ResumeAction::Restored)
     }
 
@@ -526,7 +501,7 @@ mod tests {
         Executor::new()
             .run(&mut m, &mut rt, &mut ContinuousPower::new())
             .unwrap();
-        let banks = rt.banks.unwrap();
+        let banks = rt.ckpt.banks().unwrap();
         let flag = m.mem.peek_word(banks.flag).unwrap();
         assert!(flag == 1 || flag == 2, "a boundary must have committed");
         let (active, other) = if flag == 1 {

@@ -221,14 +221,12 @@ fn main() -> std::process::ExitCode {
                 .param("error_pct", error_pct),
         );
     }
-    let outcome = exp.run(sweep, |cell| {
-        match cell.param_str("ablation") {
-            "segment_size" => run_segment_size(cell),
-            "undo_capacity" => run_undo_capacity(cell),
-            "checkpoint_policy" => run_checkpoint_policy(cell),
-            "timekeeper_error" => run_timekeeper_error(cell),
-            other => Err(format!("unknown ablation {other}")),
-        }
+    let outcome = exp.run(sweep, |cell| match cell.param_str("ablation") {
+        "segment_size" => run_segment_size(cell),
+        "undo_capacity" => run_undo_capacity(cell),
+        "checkpoint_policy" => run_checkpoint_policy(cell),
+        "timekeeper_error" => run_timekeeper_error(cell),
+        other => Err(format!("unknown ablation {other}")),
     });
 
     let rows_of = |name: &'static str| {
@@ -241,7 +239,9 @@ fn main() -> std::process::ExitCode {
     println!("— segment size (BC, continuous power) —");
     println!("{:>8} {:>8} {:>12}", "seg (B)", "ckpts", "cycles");
     for r in rows_of("segment_size") {
-        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
+        exp.check("runs", r.status == CellStatus::Ok, || {
+            format!("cell {}: {}", r.cell, r.outcome)
+        });
         println!(
             "{:>8} {:>8} {:>12}",
             r.metric_u64("x").unwrap_or(0),
@@ -252,7 +252,9 @@ fn main() -> std::process::ExitCode {
     println!("\n— undo-log capacity (CF, continuous power) —");
     println!("{:>10} {:>8} {:>12}", "entries", "ckpts", "cycles");
     for r in rows_of("undo_capacity") {
-        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
+        exp.check("runs", r.status == CellStatus::Ok, || {
+            format!("cell {}: {}", r.cell, r.outcome)
+        });
         println!(
             "{:>10} {:>8} {:>12}",
             r.metric_u64("x").unwrap_or(0),
@@ -274,7 +276,9 @@ fn main() -> std::process::ExitCode {
     println!("\n— timekeeper accuracy (AR violations vs remanence-timer error) —");
     println!("{:>10} {:>12} {:>12}", "error", "violations", "discards");
     for r in rows_of("timekeeper_error") {
-        exp.check("runs", r.status == CellStatus::Ok, || format!("cell {}: {}", r.cell, r.outcome));
+        exp.check("runs", r.status == CellStatus::Ok, || {
+            format!("cell {}: {}", r.cell, r.outcome)
+        });
         println!(
             "{:>10} {:>12} {:>12}",
             r.metric("x").and_then(Json::as_str).unwrap_or("?"),

@@ -127,7 +127,13 @@ struct EngineRun {
 
 /// Runs one (program image, supply, engine) cell repeatedly until
 /// `min_host_ms` of wall clock has elapsed, and reports throughput.
-fn measure(prog: &Program, system: SystemUnderTest, supply: Supply, engine: DispatchEngine, min_host_ms: u64) -> EngineRun {
+fn measure(
+    prog: &Program,
+    system: SystemUnderTest,
+    supply: Supply,
+    engine: DispatchEngine,
+    min_host_ms: u64,
+) -> EngineRun {
     let mut first: Option<(String, u64, u64, u64, u64, Vec<TraceRecord>)> = None;
     let mut total_instructions = 0u64;
     let mut runs = 0u32;
@@ -223,8 +229,13 @@ fn main() -> ExitCode {
                 Err(_) => continue, // infeasible combination (e.g. recursion on Chinchilla)
             };
             for supply in [Supply::Continuous, Supply::Periodic] {
-                let reference =
-                    measure(&prog, system, supply, DispatchEngine::Reference, min_host_ms);
+                let reference = measure(
+                    &prog,
+                    system,
+                    supply,
+                    DispatchEngine::Reference,
+                    min_host_ms,
+                );
                 let decoded = measure(&prog, system, supply, DispatchEngine::Decoded, min_host_ms);
 
                 let cell = format!("{}/{}/{}", program.name(), system.name(), supply.label());
@@ -272,7 +283,10 @@ fn main() -> ExitCode {
     println!("periph differential smoke: {periph_cells} cells");
 
     let geomean_all = geomean(cells.iter().map(|c| c.speedup));
-    let min_speedup = cells.iter().map(|c| c.speedup).fold(f64::INFINITY, f64::min);
+    let min_speedup = cells
+        .iter()
+        .map(|c| c.speedup)
+        .fold(f64::INFINITY, f64::min);
     let total_ckpt_bytes: u64 = cells.iter().map(|c| c.checkpoint_bytes).sum();
 
     println!(
@@ -308,7 +322,10 @@ fn main() -> ExitCode {
                 .field("systems", SYSTEMS.map(SystemUnderTest::name).to_vec())
                 .field(
                     "supplies",
-                    vec!["continuous".to_string(), format!("periodic:{ON_US}/{OFF_US}")],
+                    vec![
+                        "continuous".to_string(),
+                        format!("periodic:{ON_US}/{OFF_US}"),
+                    ],
                 )
                 .build(),
         )
@@ -348,7 +365,9 @@ fn main() -> ExitCode {
         )
         .build();
 
-    exp.baseline("BENCH_interpreter.json", &json, |baseline| check_against(baseline, &cells));
+    exp.baseline("BENCH_interpreter.json", &json, |baseline| {
+        check_against(baseline, &cells)
+    });
     // The results copy is uploaded as a CI artifact alongside the others.
     exp.finish(&json)
 }
@@ -365,7 +384,10 @@ fn check_engines(exp: &mut Experiment, cell: &str, reference: &EngineRun, decode
     exp.check("engine equivalence", equal, || {
         let sig = |r: &EngineRun| {
             let (cycles, instructions, events) = (r.cycles, r.instructions, r.trace.len());
-            format!("({}, {cycles} cy, {instructions} in, {events} ev)", r.outcome)
+            format!(
+                "({}, {cycles} cy, {instructions} in, {events} ev)",
+                r.outcome
+            )
         };
         format!("{cell}: ref={} dec={}", sig(reference), sig(decoded))
     });
@@ -389,7 +411,10 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> Vec<String> {
     let mut regressions = Vec::new();
     for c in cells {
         let Some(row) = baseline_row(c) else {
-            println!("note: cell {}/{}/{} not in baseline", c.program, c.system, c.supply);
+            println!(
+                "note: cell {}/{}/{} not in baseline",
+                c.program, c.system, c.supply
+            );
             continue;
         };
         if let Some(base) = row.get("speedup").and_then(Json::as_f64) {

@@ -144,7 +144,17 @@ fn main() -> std::process::ExitCode {
     // ---- table ----
     println!(
         "\n{:<15} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>8}",
-        "program", "system", "rate", "trials", "ok", "die", "sick", "live", "hits", "d-or-r", "reboots"
+        "program",
+        "system",
+        "rate",
+        "trials",
+        "ok",
+        "die",
+        "sick",
+        "live",
+        "hits",
+        "d-or-r",
+        "reboots"
     );
     let count = |row: &JournalRow, k: &str| row.metric_u64(k).unwrap_or(0);
     let mut matrix = Vec::new();

@@ -56,7 +56,12 @@ fn main() -> std::process::ExitCode {
     );
     let mut table = Vec::new();
     for row in &outcome.rows {
-        let s = |k: &str| row.metric(k).and_then(Json::as_str).unwrap_or("?").to_string();
+        let s = |k: &str| {
+            row.metric(k)
+                .and_then(Json::as_str)
+                .unwrap_or("?")
+                .to_string()
+        };
         let f = |k: &str| row.metric_f64(k).unwrap_or(0.0);
         let u = |k: &str| row.metric_u64(k).unwrap_or(0);
         println!(

@@ -177,14 +177,20 @@ fn print_left(exp: &mut Experiment, rows: &[JournalRow], points: &mut Vec<Json>)
                 cycles_of(chin).map_or("x".to_string(), |c| c.to_string()),
                 plain.cycles,
             );
-            for (label, r) in [(format!("TICS-{opt}"), tics), (format!("Chinchilla-{opt}"), chin)] {
+            for (label, r) in [
+                (format!("TICS-{opt}"), tics),
+                (format!("Chinchilla-{opt}"), chin),
+            ] {
                 points.push(
                     Json::obj()
                         .field("panel", "left")
                         .field("app", app.name())
                         .field("config", label)
                         .field("cycles", cycles_of(r))
-                        .field("checkpoints", (r.status == CellStatus::Ok).then_some(r.checkpoints))
+                        .field(
+                            "checkpoints",
+                            (r.status == CellStatus::Ok).then_some(r.checkpoints),
+                        )
                         .field(
                             "overhead_vs_plain",
                             cycles_of(r).map(|c| c as f64 / plain.cycles as f64),
@@ -323,8 +329,22 @@ fn main() -> std::process::ExitCode {
     }
     if want("right") {
         for app in APPS {
-            sweep = sweep.cell(tics_cell(app, "right", "TICS-S1*", "s1", Some(10_000), false));
-            sweep = sweep.cell(tics_cell(app, "right", "TICS-S2*", "s2", Some(10_000), false));
+            sweep = sweep.cell(tics_cell(
+                app,
+                "right",
+                "TICS-S1*",
+                "s1",
+                Some(10_000),
+                false,
+            ));
+            sweep = sweep.cell(tics_cell(
+                app,
+                "right",
+                "TICS-S2*",
+                "s2",
+                Some(10_000),
+                false,
+            ));
             sweep = sweep.cell(tics_cell(app, "right", "TICS-ST", "s2", Some(10_000), true));
             for system in [
                 SystemUnderTest::Mementos,

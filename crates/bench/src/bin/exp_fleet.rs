@@ -209,7 +209,10 @@ fn main() -> ExitCode {
                 .then(|| ShardStats::from_extra(&row.extra))
                 .flatten();
             exp.check("shards", shard.is_some(), || {
-                format!("shard {}/{:?} did not fold: {}", row.system, row.shard, row.outcome)
+                format!(
+                    "shard {}/{:?} did not fold: {}",
+                    row.system, row.shard, row.outcome
+                )
             });
             if let Some(shard) = shard {
                 total.merge(&shard);
@@ -268,7 +271,9 @@ fn main() -> ExitCode {
         total_devices, outcome.summary.wall_s, devices_per_sec, outcome.summary.threads
     );
     let json = fleet_json(&fleets, total_devices, devices_per_sec);
-    exp.baseline("BENCH_fleet.json", &json, |baseline| check_against(baseline, &fleets));
+    exp.baseline("BENCH_fleet.json", &json, |baseline| {
+        check_against(baseline, &fleets)
+    });
     exp.finish(&json)
 }
 

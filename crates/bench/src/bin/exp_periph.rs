@@ -114,7 +114,15 @@ fn main() -> std::process::ExitCode {
         };
         let golden = periph_golden(&prog, cell.system)?;
         let claims = claims_consistency(cell.system);
-        let report = run_periph_cell(workload, &prog, cell.system, &golden, rate, trials, cell.seed);
+        let report = run_periph_cell(
+            workload,
+            &prog,
+            cell.system,
+            &golden,
+            rate,
+            trials,
+            cell.seed,
+        );
         let mut out = CellOutput {
             outcome: if report.violations > 0 {
                 format!("{} violations", report.violations)
@@ -146,14 +154,23 @@ fn main() -> std::process::ExitCode {
     // ---- table ----
     println!(
         "\n{:<16} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6}",
-        "workload", "system", "rate", "trials", "ok", "rec", "det", "viol", "live", "retry", "skips", "d-or-r"
+        "workload",
+        "system",
+        "rate",
+        "trials",
+        "ok",
+        "rec",
+        "det",
+        "viol",
+        "live",
+        "retry",
+        "skips",
+        "d-or-r"
     );
     let count = |row: &JournalRow, k: &str| row.metric_u64(k).unwrap_or(0);
     let mut matrix = Vec::new();
-    let mut control_violations: [(SystemUnderTest, u64); 2] = [
-        (SystemUnderTest::PlainC, 0),
-        (SystemUnderTest::Mementos, 0),
-    ];
+    let mut control_violations: [(SystemUnderTest, u64); 2] =
+        [(SystemUnderTest::PlainC, 0), (SystemUnderTest::Mementos, 0)];
     let mut control_trials = 0u64;
     for row in exp.claim_rows(CLAIMS, &outcome) {
         let workload = row.app.as_str();
@@ -196,7 +213,10 @@ fn main() -> std::process::ExitCode {
                 } else {
                     String::new()
                 };
-                write_result(&format!("periph_wire_{workload}_{}{tag}", row.system), exhibit);
+                write_result(
+                    &format!("periph_wire_{workload}_{}{tag}", row.system),
+                    exhibit,
+                );
             }
         }
         for (control, seen) in &mut control_violations {

@@ -296,16 +296,12 @@ fn micro_ops() -> Vec<MicroOp> {
         MicroOp {
             operation: "restore logic",
             configuration: "64 B seg.",
-            measure: || {
-                measure_restore(64).map(|m| (CostModel::default().restore_cost(64), m))
-            },
+            measure: || measure_restore(64).map(|m| (CostModel::default().restore_cost(64), m)),
         },
         MicroOp {
             operation: "restore logic",
             configuration: "256 B seg.",
-            measure: || {
-                measure_restore(256).map(|m| (CostModel::default().restore_cost(256), m))
-            },
+            measure: || measure_restore(256).map(|m| (CostModel::default().restore_cost(256), m)),
         },
         MicroOp {
             operation: "pointer access",
@@ -315,9 +311,7 @@ fn micro_ops() -> Vec<MicroOp> {
         MicroOp {
             operation: "pointer access",
             configuration: "log 4 B",
-            measure: || {
-                measure_logged_store().map(|m| (CostModel::default().undo_log_cost(4), m))
-            },
+            measure: || measure_logged_store().map(|m| (CostModel::default().undo_log_cost(4), m)),
         },
         MicroOp {
             operation: "roll back from undo log",
@@ -430,9 +424,7 @@ fn main() -> std::process::ExitCode {
             let i = usize::try_from(cell.param_i64("op_index")).expect("index");
             let measured = (ops_ref[i].measure)();
             let mut out = CellOutput {
-                outcome: measured
-                    .map_or("no-instances", |_| "measured")
-                    .to_string(),
+                outcome: measured.map_or("no-instances", |_| "measured").to_string(),
                 ..CellOutput::default()
             };
             if let Some((model, m)) = measured {
@@ -455,7 +447,10 @@ fn main() -> std::process::ExitCode {
         .iter()
         .filter(|r| r.metric("phase").and_then(Json::as_str) == Some("table4"))
     {
-        let operation = row.metric("operation").and_then(Json::as_str).unwrap_or("?");
+        let operation = row
+            .metric("operation")
+            .and_then(Json::as_str)
+            .unwrap_or("?");
         let configuration = row
             .metric("configuration")
             .and_then(Json::as_str)
@@ -504,7 +499,10 @@ fn main() -> std::process::ExitCode {
         }
         let total: u64 = row.spans.iter().sum();
         exp.check("span identity", total == row.cycles, || {
-            format!("{} x {}: sum(spans) = {total} != cycles = {}", row.app, row.system, row.cycles)
+            format!(
+                "{} x {}: sum(spans) = {total} != cycles = {}",
+                row.app, row.system, row.cycles
+            )
         });
         if total != row.cycles {
             continue;
@@ -548,7 +546,10 @@ fn main() -> std::process::ExitCode {
     }
 
     if let Some(path) = &exp.args.trace_out {
-        let (app, system) = exp.args.trace_cell.unwrap_or((App::Ar, SystemUnderTest::Tics));
+        let (app, system) = exp
+            .args
+            .trace_cell
+            .unwrap_or((App::Ar, SystemUnderTest::Tics));
         let exported = export_trace(path, app, system);
         exp.check("trace export", exported.is_ok(), || exported.unwrap_err());
     }

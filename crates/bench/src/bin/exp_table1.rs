@@ -143,7 +143,10 @@ fn main() -> std::process::ExitCode {
     for duty in [4u32, 48, 100] {
         for variant in ["plain C", "plain C + TICS", "TinyOS", "TinyOS + TICS"] {
             let r = row_for(&outcome.rows, duty, variant);
-            let consistent = r.metric("consistent").and_then(Json::as_bool).unwrap_or(false);
+            let consistent = r
+                .metric("consistent")
+                .and_then(Json::as_bool)
+                .unwrap_or(false);
             println!(
                 "{:>4}%  {:<16} {:>8} {:>8} {:>8} {:>8}  {}",
                 duty,
@@ -158,9 +161,18 @@ fn main() -> std::process::ExitCode {
                 Json::obj()
                     .field("intermittency_pct", duty)
                     .field("variant", variant)
-                    .field("sense_moisture", r.metric("sense_moisture").cloned().unwrap_or(Json::Null))
-                    .field("sense_temp", r.metric("sense_temp").cloned().unwrap_or(Json::Null))
-                    .field("compute", r.metric("compute").cloned().unwrap_or(Json::Null))
+                    .field(
+                        "sense_moisture",
+                        r.metric("sense_moisture").cloned().unwrap_or(Json::Null),
+                    )
+                    .field(
+                        "sense_temp",
+                        r.metric("sense_temp").cloned().unwrap_or(Json::Null),
+                    )
+                    .field(
+                        "compute",
+                        r.metric("compute").cloned().unwrap_or(Json::Null),
+                    )
                     .field("send", r.metric("send").cloned().unwrap_or(Json::Null))
                     .field("consistent", consistent)
                     .build(),

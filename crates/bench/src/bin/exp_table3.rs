@@ -21,7 +21,12 @@ fn build_cell(cell: &Cell) -> Result<CellOutput, String> {
     // removed the recursion to make it work with their system").
     let prog = if cell.system == SystemUnderTest::Chinchilla && cell.app == App::Bc {
         let legacy = bc::norec_src(cell.scale);
-        build_program(cell.system, &legacy, Err("Table 3 builds no task port"), cell.opt)
+        build_program(
+            cell.system,
+            &legacy,
+            Err("Table 3 builds no task port"),
+            cell.opt,
+        )
     } else {
         build_app(cell.app, cell.system, cell.opt, Scale(cell.scale))
     }

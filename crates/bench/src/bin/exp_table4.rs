@@ -219,7 +219,10 @@ fn main() -> std::process::ExitCode {
     );
     let mut table = Vec::new();
     for row in &outcome.rows {
-        let operation = row.metric("operation").and_then(Json::as_str).unwrap_or("?");
+        let operation = row
+            .metric("operation")
+            .and_then(Json::as_str)
+            .unwrap_or("?");
         let configuration = row
             .metric("configuration")
             .and_then(Json::as_str)

@@ -348,9 +348,7 @@ impl FaultProgram {
 
     fn task_src(self) -> Option<(&'static str, &'static [&'static str])> {
         match self {
-            FaultProgram::NvAccumulator => {
-                Some((NV_ACCUMULATOR_TASK_SRC, NV_ACCUMULATOR_TASKS))
-            }
+            FaultProgram::NvAccumulator => Some((NV_ACCUMULATOR_TASK_SRC, NV_ACCUMULATOR_TASKS)),
             FaultProgram::LcgStream => Some((LCG_STREAM_TASK_SRC, LCG_STREAM_TASKS)),
             FaultProgram::TaskPipeline => Some((TASK_PIPELINE_TASK_SRC, TASK_PIPELINE_TASKS)),
             _ => None,
@@ -377,8 +375,7 @@ pub fn build_fault_program(
         program.name()
     );
     let task = program.task_src().ok_or(no_port.as_str());
-    build_program(system, program.legacy_src(), task, corpus_opt(system))
-        .map_err(|e| e.to_string())
+    build_program(system, program.legacy_src(), task, corpus_opt(system)).map_err(|e| e.to_string())
 }
 
 /// The optimization level the oracle corpora build at for `system`.
@@ -522,9 +519,11 @@ pub(crate) fn golden_machine(
     let mut m = Machine::new(prog.clone(), MachineConfig::default())
         .map_err(|e| format!("golden load failed: {e}"))?;
     let mut rt = make_runtime(system, prog);
-    let out = Executor::new()
-        .with_time_budget(30_000_000_000)
-        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
+    let out = Executor::new().with_time_budget(30_000_000_000).run(
+        &mut m,
+        rt.as_mut(),
+        &mut ContinuousPower::new(),
+    );
     match out {
         Ok(RunOutcome::Finished(code)) => Ok((m, code)),
         Ok(other) => Err(format!("golden run did not finish: {other:?}")),
@@ -641,7 +640,9 @@ pub(crate) fn replay<W>(
     }))
     .unwrap_or_else(|payload| {
         let text = panic_text(payload.as_ref());
-        Err(VmError::Trap(format!("vm crashed on corrupted state: {text}")))
+        Err(VmError::Trap(format!(
+            "vm crashed on corrupted state: {text}"
+        )))
     });
     let trial = Trial {
         outcome,
@@ -1323,7 +1324,12 @@ mod tests {
                 };
                 let golden = golden_run(&prog, system)
                     .unwrap_or_else(|e| panic!("{} x {}: {e}", p.name(), system.name()));
-                assert!(!golden.events.is_empty(), "{} x {}", p.name(), system.name());
+                assert!(
+                    !golden.events.is_empty(),
+                    "{} x {}",
+                    p.name(),
+                    system.name()
+                );
                 assert!(golden.on_cycles > 0);
             }
         }
@@ -1337,7 +1343,13 @@ mod tests {
             on_cycles: 100,
         };
         // Replay re-emits event 2 after a reboot — a legal duplicate.
-        let trace = vec![send(1, 10), send(2, 20), failure(30), send(2, 40), send(3, 50)];
+        let trace = vec![
+            send(1, 10),
+            send(2, 20),
+            failure(30),
+            send(2, 40),
+            send(3, 50),
+        ];
         let trial = Trial {
             outcome: Ok(RunOutcome::Finished(7)),
             trace,
@@ -1444,7 +1456,12 @@ mod tests {
             GUARD_BOOTS,
         );
         let verdict = judge(&tics_golden, &trial);
-        assert_eq!(verdict, Verdict::Consistent, "TICS on {:?}", violation.shrunk);
+        assert_eq!(
+            verdict,
+            Verdict::Consistent,
+            "TICS on {:?}",
+            violation.shrunk
+        );
     }
 
     #[test]
@@ -1469,8 +1486,10 @@ mod tests {
         // silent loops emit no events either: the probe diagnoses
         // live-lock instead of blaming memory.
         let (prog, golden) = golden_of(FaultProgram::BigState, SystemUnderTest::Mementos);
-        let plan =
-            FaultPlan::new(Vec::new(), 300).with_tail(Tail::Periodic { on_us: 8_000, off_us: 300 });
+        let plan = FaultPlan::new(Vec::new(), 300).with_tail(Tail::Periodic {
+            on_us: 8_000,
+            off_us: 300,
+        });
         let trial = run_plan(
             &prog,
             SystemUnderTest::Mementos,
@@ -1505,7 +1524,13 @@ mod tests {
                 true,
             );
             assert!(!shrunk.cuts.is_empty() && shrunk.cuts.len() <= plan.cuts.len());
-            let replay = run_plan(&prog, SystemUnderTest::Mementos, &shrunk, budget, GUARD_BOOTS);
+            let replay = run_plan(
+                &prog,
+                SystemUnderTest::Mementos,
+                &shrunk,
+                budget,
+                GUARD_BOOTS,
+            );
             assert!(judge(&golden, &replay).is_violation(true));
         }
     }

@@ -30,8 +30,9 @@ use std::sync::Arc;
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_minic::opt::OptLevel;
 use tics_trace::SpanKind;
-use tics_vm::{DispatchEngine, ExecStats, Executor, Machine, MachineConfig, MachineImage,
-              RunOutcome};
+use tics_vm::{
+    DispatchEngine, ExecStats, Executor, Machine, MachineConfig, MachineImage, RunOutcome,
+};
 
 use crate::json::Json;
 use crate::oracle::count_violations;
@@ -556,10 +557,19 @@ impl ShardStats {
             ("budget_exhausted".into(), Json::from(self.budget_exhausted)),
             ("livelocked".into(), Json::from(self.livelocked)),
             ("errored".into(), Json::from(self.errored)),
-            ("violating_devices".into(), Json::from(self.violating_devices)),
+            (
+                "violating_devices".into(),
+                Json::from(self.violating_devices),
+            ),
             ("violations".into(), Json::from(self.violations)),
-            ("recovered_devices".into(), Json::from(self.recovered_devices)),
-            ("fleet_power_failures".into(), Json::from(self.power_failures)),
+            (
+                "recovered_devices".into(),
+                Json::from(self.recovered_devices),
+            ),
+            (
+                "fleet_power_failures".into(),
+                Json::from(self.power_failures),
+            ),
             ("fleet_checkpoints".into(), Json::from(self.checkpoints)),
             ("instructions".into(), Json::from(self.instructions)),
             ("fleet_cycles".into(), Json::from(self.cycles)),
@@ -567,7 +577,13 @@ impl ShardStats {
             ("overhead_permille".into(), self.overhead_permille.to_json()),
             (
                 "offenders".into(),
-                Json::Arr(self.offenders.items().iter().map(Exemplar::to_json).collect()),
+                Json::Arr(
+                    self.offenders
+                        .items()
+                        .iter()
+                        .map(Exemplar::to_json)
+                        .collect(),
+                ),
             ),
             ("offenders_seen".into(), Json::from(self.offenders.seen())),
         ]
@@ -768,7 +784,11 @@ mod tests {
         let (mut a, mut b) = (StreamingHistogram::new(), StreamingHistogram::new());
         for (i, &v) in values.iter().enumerate() {
             bulk.record(v);
-            if i % 2 == 0 { a.record(v) } else { b.record(v) }
+            if i % 2 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
         }
         a.merge(&b);
         assert_eq!(a, bulk);
@@ -825,7 +845,11 @@ mod tests {
                 worst_reactive_us: 0,
                 outcome: "finished".into(),
             };
-            if d % 2 == 0 { a.offer(ex) } else { b.offer(ex) }
+            if d % 2 == 0 {
+                a.offer(ex)
+            } else {
+                b.offer(ex)
+            }
         }
         a.merge(&b);
         assert_eq!(a.items().len(), RESERVOIR_K);

@@ -401,6 +401,23 @@ impl Journal {
 /// Propagates filesystem errors; malformed lines become
 /// `io::ErrorKind::InvalidData` with the line number.
 pub fn read(path: impl AsRef<Path>) -> std::io::Result<Vec<JournalRow>> {
+    match read_prefix(path)? {
+        (_, Some(bad)) => Err(bad),
+        (rows, None) => Ok(rows),
+    }
+}
+
+/// Reads a journal up to its first malformed line (a sweep killed
+/// mid-write leaves a partial last row): the rows before it, plus an
+/// `io::ErrorKind::InvalidData` error naming `path:line` if there is
+/// such a line.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub(crate) fn read_prefix(
+    path: impl AsRef<Path>,
+) -> std::io::Result<(Vec<JournalRow>, Option<std::io::Error>)> {
     let file = BufReader::new(File::open(path.as_ref())?);
     let mut rows = Vec::new();
     for (i, line) in file.lines().enumerate() {
@@ -408,15 +425,18 @@ pub fn read(path: impl AsRef<Path>) -> std::io::Result<Vec<JournalRow>> {
         if line.trim().is_empty() {
             continue;
         }
-        let row = JournalRow::parse_line(&line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}:{}: {e}", path.as_ref().display(), i + 1),
-            )
-        })?;
-        rows.push(row);
+        match JournalRow::parse_line(&line) {
+            Ok(row) => rows.push(row),
+            Err(e) => {
+                let bad = std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{}:{}: {e}", path.as_ref().display(), i + 1),
+                );
+                return Ok((rows, Some(bad)));
+            }
+        }
     }
-    Ok(rows)
+    Ok((rows, None))
 }
 
 #[cfg(test)]

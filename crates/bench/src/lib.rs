@@ -46,6 +46,5 @@ pub use fleet::{run_shard, Exemplar, FleetSpec, Reservoir, ShardStats, Streaming
 pub use json::Json;
 pub use oracle::{count_violations, Violations};
 pub use sweep::{
-    Cell, CellOutput, ClockKind, Sweep, SweepArgs, SweepOutcome, SweepSummary, SupplySpec,
+    Cell, CellOutput, ClockKind, SupplySpec, Sweep, SweepArgs, SweepOutcome, SweepSummary,
 };
-

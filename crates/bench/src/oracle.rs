@@ -111,7 +111,11 @@ pub fn count_violations(records: &[TraceRecord], atomic_timestamps: bool) -> Vio
             // Age is measured from the window's *newest* sample — the
             // paper's timestamps are per variable (latest write, §3.2),
             // so "expired" means even the freshest reading is stale.
-            let newest_sample = samples.iter().copied().take_while(|s| *s <= t_window).last();
+            let newest_sample = samples
+                .iter()
+                .copied()
+                .take_while(|s| *s <= t_window)
+                .last();
             if let Some(newest) = newest_sample {
                 if t_send.saturating_sub(newest) > ttl_us + SLACK_US {
                     v.expiration += 1;
@@ -156,7 +160,12 @@ mod tests {
         for i in 0..6 {
             t.push(rec(100 + i * 100, TraceEvent::Sample { value: 40 }));
         }
-        t.push(rec(700, TraceEvent::Mark { id: ar::MARK_WINDOW }));
+        t.push(rec(
+            700,
+            TraceEvent::Mark {
+                id: ar::MARK_WINDOW,
+            },
+        ));
         t
     }
 
@@ -164,7 +173,12 @@ mod tests {
     fn clean_run_has_no_violations() {
         let mut t = base_trace();
         t.push(rec(1_000, TraceEvent::Send { value: 0 })); // classified promptly
-        t.push(rec(1_200, TraceEvent::Send { value: ar::ALERT_VALUE }));
+        t.push(rec(
+            1_200,
+            TraceEvent::Send {
+                value: ar::ALERT_VALUE,
+            },
+        ));
         t.push(rec(1_200, TraceEvent::Mark { id: ar::MARK_ALERT }));
         let v = count_violations(&t, false);
         assert_eq!(v.total(), 0);
@@ -197,7 +211,12 @@ mod tests {
     fn detects_late_alert() {
         let mut t = base_trace();
         t.push(rec(1_000, TraceEvent::Send { value: 0 }));
-        t.push(rec(900_000, TraceEvent::Send { value: ar::ALERT_VALUE })); // way past deadline
+        t.push(rec(
+            900_000,
+            TraceEvent::Send {
+                value: ar::ALERT_VALUE,
+            },
+        )); // way past deadline
         t.push(rec(900_000, TraceEvent::Mark { id: ar::MARK_ALERT }));
         let v = count_violations(&t, false);
         assert_eq!(v.timely_branch, 1);
@@ -235,7 +254,12 @@ mod tests {
         // Window at 700; alert exactly at the deadline + slack edge.
         let at_edge = 700 + deadline_us + SLACK_US;
         let mut t = base_trace();
-        t.push(rec(at_edge, TraceEvent::Send { value: ar::ALERT_VALUE }));
+        t.push(rec(
+            at_edge,
+            TraceEvent::Send {
+                value: ar::ALERT_VALUE,
+            },
+        ));
         assert_eq!(
             count_violations(&t, false).timely_branch,
             0,
@@ -243,7 +267,12 @@ mod tests {
         );
 
         let mut t = base_trace();
-        t.push(rec(at_edge + 1, TraceEvent::Send { value: ar::ALERT_VALUE }));
+        t.push(rec(
+            at_edge + 1,
+            TraceEvent::Send {
+                value: ar::ALERT_VALUE,
+            },
+        ));
         assert_eq!(
             count_violations(&t, false).timely_branch,
             1,

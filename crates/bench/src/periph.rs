@@ -42,9 +42,7 @@ use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{RunOutcome, VmError};
 
-use crate::fault::{
-    chaos_plan, corpus_opt, golden_machine, replay, replay_budget_us, GUARD_BOOTS,
-};
+use crate::fault::{chaos_plan, corpus_opt, golden_machine, replay, replay_budget_us, GUARD_BOOTS};
 use crate::json::Json;
 
 /// Telemetry frame header byte — the only value ≥ 0x80 a valid frame
@@ -330,8 +328,13 @@ pub fn build_periph_program(
 ) -> Result<Program, String> {
     let no_port = format!("{} has no loop-free task-graph port", workload.name());
     let task = workload.task_src().ok_or(no_port.as_str());
-    build_program(system, workload.legacy_src(system), task, corpus_opt(system))
-        .map_err(|e| e.to_string())
+    build_program(
+        system,
+        workload.legacy_src(system),
+        task,
+        corpus_opt(system),
+    )
+    .map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -1015,8 +1018,9 @@ pub fn run_periph_cell(
         report.total_cycles += trial.cycles;
         report.retries += count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnRetry { .. }));
         report.txn_skips += count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnSkip { .. }));
-        report.poisoned +=
-            count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnPoisoned { .. }));
+        report.poisoned += count_event(&trial.trace, |e| {
+            matches!(e, TraceEvent::TxnPoisoned { .. })
+        });
         match &verdict {
             PeriphVerdict::Clean => report.clean += 1,
             PeriphVerdict::Recovered(n) => {
@@ -1129,7 +1133,9 @@ mod tests {
 
     fn sensor_golden() -> PeriphGolden {
         PeriphGolden {
-            prints: (1..=SENSOR_TXNS as i32).map(|id| id * 16384 + 100 + id).collect(),
+            prints: (1..=SENSOR_TXNS as i32)
+                .map(|id| id * 16384 + 100 + id)
+                .collect(),
             frames: Vec::new(),
             served: served(&[101, 102, 103]),
             exit_code: 0,
@@ -1190,10 +1196,7 @@ mod tests {
             &sensor_golden(),
             &sensor_trial(trace, &[101, 102]),
         );
-        assert!(
-            matches!(v, PeriphVerdict::Violation { .. }),
-            "got {v:?}"
-        );
+        assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
     }
 
     #[test]
@@ -1342,7 +1345,13 @@ mod tests {
                 };
                 let golden = periph_golden(&prog, system)
                     .unwrap_or_else(|e| panic!("{} x {}: {e}", workload.name(), system.name()));
-                assert_eq!(golden.exit_code, 0, "{} x {}", workload.name(), system.name());
+                assert_eq!(
+                    golden.exit_code,
+                    0,
+                    "{} x {}",
+                    workload.name(),
+                    system.name()
+                );
                 assert_eq!(
                     golden.prints.len(),
                     workload.txns() as usize,

@@ -33,8 +33,10 @@ use tics_apps::build::{build_app, make_runtime, Scale};
 use tics_apps::workload::{ar_trace, ghm_trace};
 use tics_apps::{ar, ghm, App, SystemUnderTest};
 use tics_clock::{CapacitorRtc, PerfectClock, Timekeeper, VolatileClock};
-use tics_energy::{Capacitor, CapacitorSupply, ContinuousPower, DutyCycleTrace, PeriodicTrace,
-                  PowerSupply, RfHarvester};
+use tics_energy::{
+    Capacitor, CapacitorSupply, ContinuousPower, DutyCycleTrace, PeriodicTrace, PowerSupply,
+    RfHarvester,
+};
 use tics_minic::opt::OptLevel;
 use tics_minic::Program;
 use tics_trace::SpanKind;
@@ -846,7 +848,9 @@ pub fn default_runner(cell: &Cell) -> Result<CellOutput, String> {
 /// sweep seed silently degrades to a full run rather than stitching
 /// mismatched results. `panicked` and `timeout` rows are never reused:
 /// the former may be a transient harness condition, the latter is
-/// exactly what a resume is expected to retry.
+/// exactly what a resume is expected to retry. A malformed line (a
+/// sweep killed mid-row) ends the reusable prefix with one warning
+/// naming it; a missing journal means there is nothing to resume.
 fn resume_cache(
     path: &Path,
     exp: &str,
@@ -854,9 +858,19 @@ fn resume_cache(
     cells: &[Cell],
 ) -> Vec<Option<JournalRow>> {
     let mut cache: Vec<Option<JournalRow>> = (0..cells.len()).map(|_| None).collect();
-    let rows = match crate::journal::read(path) {
-        Ok(rows) => rows,
-        Err(_) => return cache, // no prior journal (or unreadable): run everything
+    let rows = match crate::journal::read_prefix(path) {
+        Ok((rows, bad)) => {
+            if let Some(bad) = bad {
+                eprintln!("warning: resume: {bad}; reusing only the rows before it");
+            }
+            rows
+        }
+        Err(e) => {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                eprintln!("warning: resume: could not read {}: {e}", path.display());
+            }
+            return cache;
+        }
     };
     let mut reusable = 0usize;
     for row in rows {

@@ -21,10 +21,7 @@ fn an_unknown_flag_exits_2_with_one_line_naming_it() {
 fn an_unaccepted_environment_knob_exits_2_with_one_line_naming_it() {
     // A mistyped engine name must not fall back to the decoded engine:
     // a differential run would then compare it with itself.
-    for (var, value) in [
-        ("TICS_VM_ENGINE", "Reference"),
-        ("TICS_VM_ENGINE", "fast"),
-    ] {
+    for (var, value) in [("TICS_VM_ENGINE", "Reference"), ("TICS_VM_ENGINE", "fast")] {
         let out = Command::new(env!("CARGO_BIN_EXE_exp_table5"))
             .env_remove("TICS_VM_ENGINE")
             .env(var, value)

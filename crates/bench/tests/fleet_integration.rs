@@ -56,7 +56,10 @@ fn shard_geometry_is_invisible_to_the_aggregate() {
     assert_eq!(full.checkpoints, halves.checkpoints);
     assert_eq!(full.instructions, halves.instructions);
     assert_eq!(full.cycles, halves.cycles);
-    assert_eq!(full.reactive_us, halves.reactive_us, "reactive histograms diverge");
+    assert_eq!(
+        full.reactive_us, halves.reactive_us,
+        "reactive histograms diverge"
+    );
     assert_eq!(
         full.overhead_permille, halves.overhead_permille,
         "overhead histograms diverge"
@@ -177,7 +180,10 @@ fn fleet_sweeps_resume_from_shard_rows() {
     let second_run = resumed.run_with(|_cell: &Cell| -> Result<CellOutput, String> {
         panic!("resume must not re-simulate a journaled shard");
     });
-    assert_eq!(second_run.summary.reused, 2, "both shard rows must be reused");
+    assert_eq!(
+        second_run.summary.reused, 2,
+        "both shard rows must be reused"
+    );
 
     // The reused rows still rebuild their aggregates.
     for (first_row, second_row) in first_run.rows.iter().zip(&second_run.rows) {

@@ -270,6 +270,36 @@ fn resume_completes_an_interrupted_sweep_without_rerunning() {
     }
 }
 
+/// A sweep killed mid-row leaves a partial last line. `--resume` reuses
+/// the whole rows before it and re-runs the rest, instead of discarding
+/// the journal.
+#[test]
+fn resume_reuses_the_rows_before_a_row_cut_in_half() {
+    let j = TempJournal::new("resume-cut");
+    let full = twelve_cell_sweep("resume-cut").args(args(2, &j)).run();
+    assert_eq!(full.rows.len(), 12);
+
+    // Keep rows 1-7 whole and the first half of row 8.
+    let text = std::fs::read_to_string(&j.0).expect("journal text");
+    let lines: Vec<&str> = text.lines().collect();
+    let mut cut: String = lines[..7].iter().map(|l| format!("{l}\n")).collect();
+    cut.push_str(&lines[7][..lines[7].len() / 2]);
+    std::fs::write(&j.0, cut).expect("cut journal");
+    assert!(journal::read(&j.0).is_err(), "the cut row is malformed");
+
+    let resumed = twelve_cell_sweep("resume-cut")
+        .args(SweepArgs {
+            resume: true,
+            ..args(2, &j)
+        })
+        .run();
+    assert_eq!(resumed.summary.reused, 7);
+    for (a, b) in full.rows.iter().zip(&resumed.rows) {
+        assert_eq!(a.deterministic_view(), b.deterministic_view());
+    }
+    assert_eq!(journal::read(&j.0).expect("journal reads").len(), 12);
+}
+
 /// A `timeout` row is exactly what a resume exists to retry: the prior
 /// attempt died on the wall-clock watchdog, so `--resume` must re-run
 /// that cell instead of stitching the dead row back in.
@@ -318,7 +348,11 @@ fn resume_retries_timeout_rows_instead_of_reusing_them() {
             ..CellOutput::default()
         })
     });
-    assert_eq!(ran.load(Ordering::SeqCst), 1, "only the timed-out cell re-runs");
+    assert_eq!(
+        ran.load(Ordering::SeqCst),
+        1,
+        "only the timed-out cell re-runs"
+    );
     assert_eq!(resumed.summary.reused, 4);
     assert_eq!(resumed.rows[3].status, CellStatus::Ok);
     let from_disk = journal::read(&j.0).expect("journal reads");

@@ -2,7 +2,7 @@
 
 use tics_mcu::{Addr, Region};
 use tics_minic::program::Program;
-use tics_vm::persist::{journal_capacity, BankFormat, BankPair};
+use tics_vm::persist::{BankFormat, BankPair};
 
 use crate::config::TicsConfig;
 
@@ -15,39 +15,35 @@ pub mod ctrl {
     pub const MAGIC: u32 = 0;
     /// `u32` valid-checkpoint flag: 0 = none, 1 = buffer A, 2 = buffer B.
     pub const CKPT_FLAG: u32 = 4;
-    /// `u64` checkpoint sequence number.
-    pub const CKPT_SEQ: u32 = 8;
     /// `u32` undo-log entry count.
-    pub const UNDO_COUNT: u32 = 16;
+    pub const UNDO_COUNT: u32 = 8;
     /// `u32` count of buffered (uncommitted) virtualized sends.
-    pub const IO_COUNT: u32 = 20;
+    pub const IO_COUNT: u32 = 12;
     /// `u64` sequence number of the full bank the delta chain extends.
-    pub const DELTA_BASE: u32 = 24;
+    pub const DELTA_BASE: u32 = 16;
     /// `u64` highest committed delta sequence (0 = no chain). Both
     /// delta words are 8-byte pokes — within the atomic-store size, so
     /// their updates are single corruption-immune stores.
-    pub const DELTA_TIP: u32 = 32;
+    pub const DELTA_TIP: u32 = 24;
     /// Control block size.
-    pub const SIZE: u32 = 40;
+    pub const SIZE: u32 = 32;
 }
 
 /// Resolved addresses of every persistent runtime structure.
 ///
 /// Laid out immediately after the program's data segment:
-/// control block, checkpoint buffers A and B, per-annotated-variable
-/// timestamps, undo log, segment array.
+/// control block, checkpoint buffers A and B, delta journal,
+/// per-annotated-variable timestamps, undo log, virtualized-I/O buffer,
+/// segment array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeLayout {
     /// Control block base.
     pub control: Addr,
     /// Checkpoint banks A and B: misc-first banks
     /// ([`BankFormat::MiscFirst`]) of registers, atomic depth, working
-    /// segment, sequence number and CRC, then the segment image.
+    /// segment, sequence number and CRC, then the segment image. The
+    /// delta journal follows them ([`BankPair::journal`]).
     pub banks: BankPair,
-    /// Delta journal base (incremental checkpoint records).
-    pub journal: Addr,
-    /// Delta journal capacity in bytes.
-    pub journal_capacity: u32,
     /// Timestamp table base (`u64` per annotated variable).
     pub timestamps: Addr,
     /// Undo log base (8-byte entries: address, old value).
@@ -81,9 +77,7 @@ impl RuntimeLayout {
             BankFormat::MiscFirst,
             config.seg_size,
         );
-        // The delta journal sits right after the banks.
-        let journal = banks.end();
-        let journal_capacity = journal_capacity(banks.bank_bytes());
+        let (journal, journal_capacity) = banks.journal();
         let timestamps = journal.offset(journal_capacity);
         let undo = timestamps.offset(8 * program.annotated.len() as u32);
         let io_capacity = if config.virtualize_io { 32 } else { 0 };
@@ -93,8 +87,6 @@ impl RuntimeLayout {
         RuntimeLayout {
             control,
             banks,
-            journal,
-            journal_capacity,
             timestamps,
             undo,
             io_buffer,
@@ -163,19 +155,20 @@ mod tests {
     #[test]
     fn regions_are_disjoint_and_ordered() {
         let l = layout();
+        let (journal, journal_capacity) = l.banks.journal();
         assert!(l.control < l.banks.a);
         assert!(l.banks.a < l.banks.b);
-        assert!(l.banks.b < l.journal);
-        assert!(l.journal < l.timestamps);
+        assert!(l.banks.b < journal);
+        assert!(journal < l.timestamps);
         assert!(l.timestamps < l.undo);
         assert!(l.undo < l.segments);
         assert!(l.segments < l.end);
         // Checkpoint buffers hold header + a full segment.
         assert_eq!(l.banks.b.raw() - l.banks.a.raw(), 36 + 256);
         // The journal sits between the banks and the timestamp table.
-        assert_eq!(l.journal.raw() - l.banks.b.raw(), 36 + 256);
-        assert_eq!(l.timestamps.raw() - l.journal.raw(), l.journal_capacity);
-        assert_eq!(l.journal_capacity, 1_024);
+        assert_eq!(journal.raw() - l.banks.b.raw(), 36 + 256);
+        assert_eq!(l.timestamps.raw() - journal.raw(), journal_capacity);
+        assert_eq!(journal_capacity, 1_024);
     }
 
     #[test]

@@ -5,7 +5,8 @@ use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
 use tics_vm::persist::{
-    init_control, pack_misc, unpack_misc, BankChoice, DeltaChain, Misc, UndoLog, DELTA_HEADER,
+    init_control, pack_misc, unpack_misc, BankChoice, Boot, Checkpoint, CommitOutcome, Misc,
+    UndoLog, DELTA_HEADER,
 };
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, ResumeAction, RuntimeCapabilities, TxDriver,
@@ -30,19 +31,6 @@ struct ExpiresBlock {
     output_mark: usize,
 }
 
-/// Why a checkpoint commit did or did not reach phase 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommitOutcome {
-    /// The flag flipped; the new bank is the restore point.
-    Committed,
-    /// The energy budget could not cover the commit — the device is about
-    /// to brown out, and every subsequent store tears to nothing.
-    EnergyAbort,
-    /// Brown-out corruption defeated every staging attempt; the previous
-    /// checkpoint and the undo log are intact, and execution continues.
-    VerifyAbort,
-}
-
 /// The TICS runtime: stack segmentation, undo-log memory consistency,
 /// double-buffered checkpoints, and time-sensitivity semantics.
 ///
@@ -63,8 +51,8 @@ pub struct TicsRuntime {
     pending_shrink_ckpt: bool,
     expires_block: Option<ExpiresBlock>,
     tx: TxDriver,
-    /// Delta-chain cursor over the FRAM journal (rebuilt at every boot).
-    chain: DeltaChain,
+    /// The checkpoint banks and their delta chain.
+    ckpt: Checkpoint,
 }
 
 impl TicsRuntime {
@@ -83,7 +71,7 @@ impl TicsRuntime {
             pending_shrink_ckpt: false,
             expires_block: None,
             tx: TxDriver::default(),
-            chain: DeltaChain::default(),
+            ckpt: Checkpoint::default(),
         }
     }
 
@@ -112,11 +100,7 @@ impl TicsRuntime {
             )));
         }
         init_control(m, l.control, MAGIC, ctrl::SIZE)?;
-        self.chain.place(
-            l.journal,
-            l.journal_capacity,
-            l.control.offset(ctrl::DELTA_TIP),
-        );
+        self.ckpt.place(l.banks, l.control.offset(ctrl::DELTA_TIP));
         self.undo = UndoLog::new(l.undo, l.undo_capacity, l.control.offset(ctrl::UNDO_COUNT));
         self.layout = Some(l);
         Ok(l)
@@ -129,56 +113,29 @@ impl TicsRuntime {
         pack_misc([pc, sp, fp, sr, self.atomic_depth, self.working_seg])
     }
 
-    /// Commits a checkpoint (two-phase, §4): either a *full* image —
-    /// registers + runtime state + the working segment into the inactive
-    /// buffer — or, when a committed full bank of this very segment
-    /// anchors the delta chain, an *incremental* record carrying only
-    /// the words the dirty-word monitor saw change since the previous
-    /// commit. Both are stamped with a monotonic sequence number and a
-    /// CRC-32 and verified by read-back; phase 2 is a single ≤ 8-byte
-    /// (corruption-immune) store. Clears the undo log.
+    /// Commits a checkpoint of the working segment (two-phase, §4): a
+    /// full image with registers and runtime state, or an incremental
+    /// record of the words changed since the previous commit
+    /// ([`Checkpoint::commit`]). An abort leaves the previous checkpoint
+    /// and the undo log intact. A commit clears the undo log and
+    /// transmits the buffered sends.
     fn commit_checkpoint(&mut self, m: &mut Machine, cause: CkptCause) -> Result<CommitOutcome> {
         let l = self.attach(m)?;
         let mut span = m.span(SpanKind::Checkpoint);
         let m = &mut *span;
-        if self.chain.is_cold() {
-            let floor = m.mem.peek_u64(l.control.offset(ctrl::CKPT_SEQ))?;
-            self.chain.prime_cold(m, floor)?;
-        }
         let seg = l.segment(self.working_seg);
         let region = [(seg.start, l.seg_size)];
         let full_bytes = l.banks.bank_bytes();
-        // Phase 1: stage a delta record (while a published full image of
-        // this very segment anchors the chain) or a full bank into the
-        // inactive buffer, CRC-stamped and verified by read-back.
         let misc = self.misc(m);
-        let staged = self
-            .chain
-            .stage(m, &l.banks, full_bytes, &misc, &region, &region)?;
-        if !staged.verified {
-            // Corruption defeated every staging attempt. Abort cleanly:
-            // the previous checkpoint and the undo log are intact.
-            return Ok(CommitOutcome::VerifyAbort);
-        }
-        // Phase 2: ≤ 8-byte stores make it the restore point — but only
-        // if the energy budget covers the whole commit. Dying mid-commit
-        // leaves the previous checkpoint valid.
-        let cost = m
-            .mem
-            .costs()
-            .checkpoint_cost(staged.delta.unwrap_or(l.seg_size));
-        if !m.charge_atomic(cost) {
-            return Ok(CommitOutcome::EnergyAbort);
-        }
-        self.chain.publish(m, &l.banks, &staged, &region)?;
-        let committed_bytes = match staged.delta {
-            Some(plen) => u64::from(DELTA_HEADER + plen),
-            None => {
-                m.mem
-                    .poke_bytes(l.control.offset(ctrl::CKPT_SEQ), &staged.seq.to_le_bytes())?;
-                u64::from(full_bytes)
-            }
+        let outcome = self
+            .ckpt
+            .commit(m, &misc, full_bytes, &region, &region, |c, delta| {
+                c.checkpoint_cost(delta.unwrap_or(l.seg_size))
+            })?;
+        let CommitOutcome::Committed { delta } = outcome else {
+            return Ok(outcome);
         };
+        let committed_bytes = u64::from(delta.map_or(full_bytes, |plen| DELTA_HEADER + plen));
         // The log only needs to undo writes newer than this checkpoint.
         self.undo.clear(m)?;
         self.last_ckpt_seg = Some(self.working_seg);
@@ -198,7 +155,7 @@ impl TicsRuntime {
             m.mem
                 .poke_bytes(l.control.offset(ctrl::IO_COUNT), &0u32.to_le_bytes())?;
         }
-        Ok(CommitOutcome::Committed)
+        Ok(outcome)
     }
 
     fn arm_timer(&mut self, m: &Machine) {
@@ -244,7 +201,7 @@ impl IntermittentRuntime for TicsRuntime {
         self.pending_shrink_ckpt = false;
         self.expires_block = None;
         self.tx.recycle();
-        self.chain.recycle();
+        self.ckpt.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
@@ -265,47 +222,39 @@ impl IntermittentRuntime for TicsRuntime {
         // Validate before trusting: the bank's CRC catches any corruption
         // the staging read-back could not have seen (e.g. FRAM disturbed
         // after commit, or a clobbered image planted by a fault-injection
-        // harness).
-        let (bank, bank_seq) = match l.banks.select(m)? {
-            BankChoice::Bank { addr, seq } => (addr, seq),
-            choice => {
+        // harness). The full image restores the *entire* working segment
+        // the bank names, wiping every uncommitted store, then the delta
+        // chain replays on top of it.
+        let boot = self.ckpt.boot(m, |_, misc| {
+            let seg = l.segment(unpack_misc(misc)[5]);
+            let region = [(seg.start, l.seg_size)];
+            (region, region)
+        })?;
+        let restored = match boot {
+            Boot::Restart(choice) => {
                 self.working_seg = 0;
                 self.last_ckpt_seg = None;
-                // Cold floor: the last published bank's sequence number.
-                let floor = m.mem.peek_u64(l.control.offset(ctrl::CKPT_SEQ))?;
-                self.chain.prime_cold(m, floor)?;
                 return Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
                 });
             }
+            Boot::Restored { misc, restored } => {
+                let [pc, sp, fp, sr, depth, seg] = unpack_misc(&misc);
+                m.regs = Registers::from_words([pc, sp, fp, sr]);
+                self.atomic_depth = depth;
+                self.working_seg = seg;
+                self.last_ckpt_seg = Some(seg);
+                restored
+            }
         };
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let mut misc = self.chain.load(m, &l.banks, bank)?;
-        self.working_seg = unpack_misc(&misc)[5];
-        let seg = l.segment(self.working_seg);
-        let region = [(seg.start, l.seg_size)];
-        // The full image restores the *entire* segment, wiping every
-        // uncommitted store — the precondition for replaying the delta
-        // chain on top of it.
-        if !self.chain.restore_images(m, &region)? {
-            return Err(VmError::Trap(
-                "checkpoint restore failed read-back verification".into(),
-            ));
-        }
-        let replayed = self
-            .chain
-            .resume(m, &l.banks, bank_seq, &region, &mut misc)?;
-        let [pc, sp, fp, sr, depth, _] = unpack_misc(&misc);
-        m.regs = Registers::from_words([pc, sp, fp, sr]);
-        self.atomic_depth = depth;
-        self.last_ckpt_seg = Some(self.working_seg);
         // A restore whose cost exceeds the on-period dies mid-way; the
         // executor injects the failure before any instruction runs.
-        let cost = m.mem.costs().restore_cost(l.seg_size + replayed);
+        let cost = m.mem.costs().restore_cost(restored);
         let _completed = m.charge_atomic(cost);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(l.banks.bank_bytes() + replayed),
+            bytes: u64::from(l.banks.format.header() + restored),
         });
         Ok(ResumeAction::Restored)
     }
@@ -413,7 +362,7 @@ impl IntermittentRuntime for TicsRuntime {
             // Forced checkpoint to drain the log and guarantee forward
             // progress (§3.1.2).
             match self.commit_checkpoint(m, CkptCause::Forced)? {
-                CommitOutcome::Committed => {}
+                CommitOutcome::Committed { .. } => {}
                 // The device is about to brown out: every subsequent
                 // store tears to nothing, so skipping the (out-of-room)
                 // append cannot lose an old value.
@@ -621,7 +570,7 @@ impl IntermittentRuntime for TicsRuntime {
         if self.io_count >= l.io_capacity {
             // Commit to drain the buffer (also publishes it).
             match self.commit_checkpoint(m, CkptCause::Forced)? {
-                CommitOutcome::Committed => {}
+                CommitOutcome::Committed { .. } => {}
                 // The commit died on the energy deadline; the device is
                 // about to brown out — the send is lost with this
                 // execution, exactly as an un-virtualized radio would
@@ -1127,7 +1076,7 @@ mod tests {
         // a typed Recovery — never silently restore stale words.
         let (mut m, mut rt) = machine_with_delta_chain();
         let l = *rt.layout().unwrap();
-        let a = l.journal.offset(DELTA_HEADER + 2);
+        let a = l.banks.journal().0.offset(DELTA_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x40]).unwrap();
         let action = rt.on_boot(&mut m).unwrap();

@@ -18,13 +18,15 @@
 //! * [`verified_poke`] — staging with read-back verification.
 //! * [`BankPair`] — two full-image banks, a `u32` flag word (0 =
 //!   nothing published, 1 = bank A, 2 = bank B) and a `u64` word holding
-//!   the published bank's sequence number: boot-time selection with
-//!   older-bank fallback or fresh start.
-//! * [`DeltaChain`] — DiCA-style incremental records chained off the
-//!   published bank, each carrying only the words the dirty-word write
-//!   monitor saw change since the previous commit. The published bank's
-//!   sequence number is the chain's base; a `u64` tip word names the
-//!   last published record.
+//!   the published bank's sequence number, with the delta journal right
+//!   after bank B.
+//! * [`Checkpoint`] — a bank pair plus its DiCA-style delta chain:
+//!   incremental records chained off the published bank, each carrying
+//!   only the words the dirty-word write monitor saw change since the
+//!   previous commit. The published bank's sequence number is the
+//!   chain's base; a `u64` tip word names the last published record.
+//!   [`Checkpoint::commit`] and [`Checkpoint::boot`] are the one commit
+//!   and the one boot sequence of every hardened runtime.
 //! * [`UndoLog`] — the write-ahead undo log that makes a region's stores
 //!   revocable between checkpoints: one `(u32 addr, u32 old)` slot per
 //!   logged word and a persistent `u32` count word, rolled back newest
@@ -40,13 +42,23 @@
 //! Full banks come in two [`BankFormat`]s, the only place the families
 //! differ.
 //!
-//! # Policy stays with the caller
+//! # The sequence is here; policy stays with the caller
 //!
-//! The checkpoint pieces open no span, charge no cycle and pick no abort
-//! policy. Each runtime orders stage → `charge_atomic` → publish itself,
-//! keeps its own cost formulas and byte counts, and chooses what to do
-//! with an unverified stage. Commit and restore allocate nothing in
-//! steady state: the chain owns the staging buffer.
+//! [`Checkpoint`] owns the order of the steps. A commit primes a cold
+//! cursor, stages, verifies, charges and publishes; a boot selects a
+//! bank, loads it, restores its images and replays the chain. Two rules
+//! hold for every runtime, with no parameter:
+//!
+//! * **Verify before charging.** An unverified stage charges nothing and
+//!   publishes nothing ([`CommitOutcome::VerifyAbort`]).
+//! * **One cold floor.** A cold cursor's next sequence number is past
+//!   the newest valid bank, published or not, and past the chain tip.
+//!
+//! The caller opens the spans, supplies its Table 4 cost formula and the
+//! regions its misc block describes, counts the bytes it reports, and
+//! decides what an abort means. Commit and boot allocate nothing in
+//! steady state: the chain owns the staging buffer and the regions are
+//! fixed-size arrays.
 //!
 //! The undo log is the exception: its spans, its Table 4 costs
 //! (`undo_log_cost`, `rollback_cost`) and its trace events are the same
@@ -54,7 +66,7 @@
 //! policy around it — what to log, what to do when the log is full, and
 //! where to roll back to.
 
-use tics_mcu::{Addr, Crc32};
+use tics_mcu::{Addr, CostModel, Crc32};
 use tics_trace::{SpanKind, TraceEvent};
 
 use crate::error::VmError;
@@ -142,14 +154,6 @@ pub fn init_control(m: &mut Machine, base: Addr, magic: u32, size: u32) -> Resul
     Ok(())
 }
 
-/// Journal capacity for full banks of `bank_bytes`: roomy enough for
-/// many small records between full images, bounded so boot-time chain
-/// replay stays O(image).
-#[must_use]
-pub fn journal_capacity(bank_bytes: u32) -> u32 {
-    (2 * bank_bytes).clamp(1_024, 8_192)
-}
-
 /// The sealed-record header for `payload` under sequence number `seq`.
 fn seal(seq: u64, payload: &[u8]) -> [u8; DELTA_HEADER as usize] {
     let len = (payload.len() as u32).to_le_bytes();
@@ -211,7 +215,7 @@ impl BankFormat {
     }
 }
 
-/// Boot-time outcome of [`BankPair::select`].
+/// What [`Checkpoint::boot`]'s bank selection found published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankChoice {
     /// Nothing was ever published: a plain restart, not a recovery. (A
@@ -232,7 +236,8 @@ pub enum BankChoice {
 }
 
 /// Two self-validating full-image banks plus the words naming the
-/// published one. Bank B directly follows bank A.
+/// published one. Bank B directly follows bank A; the delta journal
+/// directly follows bank B ([`BankPair::journal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankPair {
     /// Bank A (flag value 1).
@@ -279,10 +284,13 @@ impl BankPair {
         self.format.header() + self.max_payload
     }
 
-    /// First byte past bank B.
+    /// The delta journal: its first byte, right after bank B, and its
+    /// capacity in bytes — roomy enough for many small records between
+    /// full images, bounded so boot-time chain replay stays O(image).
     #[must_use]
-    pub fn end(&self) -> Addr {
-        self.b.offset(self.bank_bytes())
+    pub fn journal(&self) -> (Addr, u32) {
+        let bank = self.bank_bytes();
+        (self.b.offset(bank), (2 * bank).clamp(1_024, 8_192))
     }
 
     /// Base of bank `which` (1 = A, anything else = B).
@@ -297,11 +305,7 @@ impl BankPair {
 
     /// Validates the bank at `bank`: nonzero sequence number, sane
     /// length, matching CRC. Returns the sequence number if valid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn validate(&self, m: &Machine, bank: Addr) -> Result<Option<u64>> {
+    fn validate(&self, m: &Machine, bank: Addr) -> Result<Option<u64>> {
         match self.format {
             BankFormat::MiscFirst => {
                 let img = m.mem.peek_slice(bank, self.bank_bytes())?;
@@ -312,13 +316,9 @@ impl BankPair {
         }
     }
 
-    /// The higher valid sequence number of the two banks (0 if neither
-    /// validates) — the baselines' cold-start sequence floor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn newest_valid_seq(&self, m: &Machine) -> Result<u64> {
+    /// The higher valid sequence number of the two banks, published or
+    /// not (0 if neither validates): the cold floor.
+    fn newest_valid_seq(&self, m: &Machine) -> Result<u64> {
         let a = self.validate(m, self.a)?.unwrap_or(0);
         Ok(a.max(self.validate(m, self.b)?.unwrap_or(0)))
     }
@@ -329,11 +329,7 @@ impl BankPair {
     /// the flag is cleared and recovery degrades to a declared fresh
     /// start. A bank newer than the published sequence number was staged
     /// but never published, so it never counts as valid here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn select(&self, m: &mut Machine) -> Result<BankChoice> {
+    fn select(&self, m: &mut Machine) -> Result<BankChoice> {
         let flag = m.mem.peek_word(self.flag)?;
         if flag == 0 {
             return Ok(BankChoice::None);
@@ -431,31 +427,54 @@ impl BankPair {
     }
 }
 
-/// A staged but not yet published commit attempt.
-#[must_use]
+/// What [`Checkpoint::commit`] did with one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommitOutcome {
+    /// Published: the new record or bank is the restore point.
+    Committed {
+        /// `Some(payload bytes)` for a delta record, `None` for a full
+        /// bank.
+        delta: Option<u32>,
+    },
+    /// Brown-out corruption defeated every staging attempt. Nothing was
+    /// charged or published: the previous checkpoint stands.
+    VerifyAbort,
+    /// The energy budget could not cover the commit: its cost was
+    /// charged, the device is about to brown out, and the previous
+    /// checkpoint stands.
+    EnergyAbort,
+}
+
+/// What [`Checkpoint::boot`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boot {
+    /// Nothing to restore: [`BankChoice::None`] or
+    /// [`BankChoice::FreshStart`]. The next commit is a full image.
+    Restart(BankChoice),
+    /// A bank was restored and the chain extending it replayed.
+    Restored {
+        /// The last published misc block.
+        misc: Misc,
+        /// Bytes written back: the bank's images plus the replayed
+        /// records.
+        restored: u32,
+    },
+}
+
+/// A staged, verified, not yet published commit.
 #[derive(Debug, Clone, Copy)]
-pub struct Staged {
-    /// Sequence number the attempt burned.
-    pub seq: u64,
+struct Staged {
+    /// Sequence number the stage used up.
+    seq: u64,
     /// `Some(payload bytes)` for a delta record, `None` for a full bank.
-    pub delta: Option<u32>,
-    /// Whether read-back verification accepted every staged byte (a
-    /// full bank is also refused while the flag word is corrupt). An
-    /// unverified stage must not be published.
-    pub verified: bool,
+    delta: Option<u32>,
     /// Flag value that publishes a full bank.
     target: u32,
 }
 
 /// The delta chain and its write cursor.
-///
-/// The persistent truth is the banks' published-sequence word (the
-/// chain's base), the tip word and the records themselves; the cursor
-/// here is rebuilt from them at every boot
-/// ([`DeltaChain::resume`], [`DeltaChain::prime_cold`]), so it carries
-/// no state a real MCU would lose at a power failure.
 #[derive(Debug, Default)]
-pub struct DeltaChain {
+struct DeltaChain {
     /// First byte of the journal region.
     journal: Addr,
     /// Journal length in bytes.
@@ -479,40 +498,11 @@ pub struct DeltaChain {
 }
 
 impl DeltaChain {
-    /// Places the journal (`capacity` bytes at `journal`) and the chain's
-    /// tip word.
-    pub fn place(&mut self, journal: Addr, capacity: u32, tip_word: Addr) {
-        self.journal = journal;
-        self.capacity = capacity;
-        self.tip_word = tip_word;
-    }
-
-    /// Forgets placement and cursor, keeping the staging allocation —
-    /// for a runtime recycled onto a fresh device.
-    pub fn recycle(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        *self = DeltaChain {
-            scratch,
-            ..DeltaChain::default()
-        };
-    }
-
-    /// Whether the cursor must be primed before the next commit.
-    #[must_use]
-    pub fn is_cold(&self) -> bool {
-        self.next_seq == 0
-    }
-
-    /// Primes the cursor without walking the chain: the next sequence
-    /// number is past both `floor` (the caller's committed-sequence
-    /// rule) and the tip, and the chain is unanchored, so the next
-    /// commit is a full image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn prime_cold(&mut self, m: &Machine, floor: u64) -> Result<()> {
+    /// Primes a cold cursor without walking the chain: the next sequence
+    /// number is past the newest valid bank and the tip, and the chain
+    /// is unanchored, so the next commit is a full image.
+    fn prime_cold(&mut self, m: &Machine, banks: &BankPair) -> Result<()> {
+        let floor = banks.newest_valid_seq(m)?;
         let tip = m.mem.peek_u64(self.tip_word)?;
         self.prime(floor.max(tip) + 1, 0, None);
         Ok(())
@@ -524,23 +514,21 @@ impl DeltaChain {
         self.anchor = anchor;
     }
 
-    /// Stages one commit attempt over the checkpoint `regions` (the first
-    /// is the chain's anchor). A delta record is taken when the chain is
+    /// Stages one commit over the checkpoint `regions` (the first is the
+    /// chain's anchor). A delta record is taken when the chain is
     /// anchored on these very regions, the record fits under the chain's
     /// byte cap, and it is meaningfully smaller than a full image of
     /// `full_bytes`; otherwise a full bank of `misc` plus `images` goes
-    /// to the inactive bank of `banks`.
+    /// to the inactive bank. `None` if read-back verification refused
+    /// the stage (a full bank is also refused while the flag word is
+    /// corrupt).
     ///
     /// The chain is capped at about one full image: every boot replays
     /// the whole chain after the full-image restore, so an unbounded
     /// chain would inflate the restore charge past what a short
     /// on-period can cover — the livelock incremental checkpointing
     /// exists to prevent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn stage(
+    fn stage(
         &mut self,
         m: &mut Machine,
         banks: &BankPair,
@@ -548,7 +536,7 @@ impl DeltaChain {
         misc: &Misc,
         regions: &[(Addr, u32)],
         images: &[(Addr, u32)],
-    ) -> Result<Staged> {
+    ) -> Result<Option<Staged>> {
         let dirty: u32 = regions
             .iter()
             .map(|&(start, len)| m.mem.count_dirty_words(start, len))
@@ -556,7 +544,7 @@ impl DeltaChain {
         let plen = DELTA_MISC + 8 * dirty;
         let seq = self.next_seq;
         let cap = self.capacity.min(full_bytes.max(512));
-        if self.anchor == regions.first().copied()
+        let (delta, target, verified) = if self.anchor == regions.first().copied()
             && self.write_off + DELTA_HEADER + plen <= cap
             && 4 * plen < 3 * full_bytes
         {
@@ -564,27 +552,22 @@ impl DeltaChain {
             let rec = self.journal.offset(self.write_off);
             let verified = verified_poke(m, rec, &seal(seq, &self.scratch))?
                 && verified_poke(m, rec.offset(DELTA_HEADER), &self.scratch)?;
-            self.next_seq += u64::from(verified);
-            return Ok(Staged {
-                seq,
-                delta: Some(self.scratch.len() as u32),
-                verified,
-                target: 0,
-            });
+            (Some(self.scratch.len() as u32), 0, verified)
+        } else {
+            let flag = m.mem.peek_word(banks.flag)?;
+            let target = if flag == 1 { 2 } else { 1 };
+            // A corrupt flag no longer names the published bank, so the
+            // stage could overwrite it: refuse until a boot repairs the
+            // flag.
+            let verified = flag <= 2
+                && banks.stage(m, banks.bank(target), seq, misc, images, &mut self.scratch)?;
+            (None, target, verified)
+        };
+        if !verified {
+            return Ok(None);
         }
-        let flag = m.mem.peek_word(banks.flag)?;
-        let target = if flag == 1 { 2 } else { 1 };
-        // A corrupt flag no longer names the published bank, so the
-        // stage could overwrite it: refuse until a boot repairs the flag.
-        let verified = flag <= 2
-            && banks.stage(m, banks.bank(target), seq, misc, images, &mut self.scratch)?;
-        self.next_seq += u64::from(verified);
-        Ok(Staged {
-            seq,
-            delta: None,
-            verified,
-            target,
-        })
+        self.next_seq += 1;
+        Ok(Some(Staged { seq, delta, target }))
     }
 
     /// Builds a delta payload: `misc`, then one `(address, value)` entry
@@ -616,18 +599,13 @@ impl DeltaChain {
     /// Publishes a verified stage with ≤ 8-byte stores — the tip word for
     /// a record; the flag, then an empty chain anchored on `regions`, for
     /// a bank — and marks `regions` clean.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn publish(
+    fn publish(
         &mut self,
         m: &mut Machine,
         banks: &BankPair,
         staged: &Staged,
         regions: &[(Addr, u32)],
     ) -> Result<()> {
-        debug_assert!(staged.verified, "publishing an unverified stage");
         if let Some(plen) = staged.delta {
             m.mem.poke_bytes(self.tip_word, &staged.seq.to_le_bytes())?;
             self.write_off += DELTA_HEADER + plen;
@@ -647,11 +625,7 @@ impl DeltaChain {
 
     /// Reads the bank at `bank`: returns its misc block and keeps its
     /// image bytes for [`DeltaChain::restore_images`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn load(&mut self, m: &Machine, banks: &BankPair, bank: Addr) -> Result<Misc> {
+    fn load(&mut self, m: &Machine, banks: &BankPair, bank: Addr) -> Result<Misc> {
         let mut misc = [0u8; DELTA_MISC as usize];
         self.scratch.clear();
         match banks.format {
@@ -674,11 +648,7 @@ impl DeltaChain {
 
     /// Writes the loaded image back over `images`, in order, with
     /// read-back verification. Returns `false` if corruption defeated it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn restore_images(&self, m: &mut Machine, images: &[(Addr, u32)]) -> Result<bool> {
+    fn restore_images(&self, m: &mut Machine, images: &[(Addr, u32)]) -> Result<bool> {
         let mut off = 0;
         for &(start, len) in images.iter().filter(|&&(_, len)| len > 0) {
             let end = off + len as usize;
@@ -703,11 +673,7 @@ impl DeltaChain {
     /// older bank) is ignored. The cursor is primed to extend the chain
     /// only if it was intact; otherwise the next commit is a full image.
     /// Marks `regions` clean and returns the record bytes replayed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unmapped-address errors.
-    pub fn resume(
+    fn resume(
         &mut self,
         m: &mut Machine,
         banks: &BankPair,
@@ -767,6 +733,140 @@ impl DeltaChain {
                 Some(len)
             }
             _ => None,
+        })
+    }
+}
+
+/// A [`BankPair`] plus its delta chain: the one commit and boot sequence
+/// of every hardened runtime.
+///
+/// The persistent truth is the banks, their flag and published-sequence
+/// words, the chain's tip word and its records. The cursor held here
+/// (next sequence number, write offset, anchor) is rebuilt from them at
+/// every boot, so it carries no state a real MCU would lose at a power
+/// failure.
+#[derive(Debug, Default)]
+pub struct Checkpoint {
+    banks: Option<BankPair>,
+    chain: DeltaChain,
+}
+
+impl Checkpoint {
+    /// Places `banks`, their [`BankPair::journal`] and the chain's `u64`
+    /// tip word.
+    pub fn place(&mut self, banks: BankPair, tip_word: Addr) {
+        let (journal, capacity) = banks.journal();
+        self.chain.journal = journal;
+        self.chain.capacity = capacity;
+        self.chain.tip_word = tip_word;
+        self.banks = Some(banks);
+    }
+
+    /// The placed banks (`None` before [`Checkpoint::place`]).
+    #[must_use]
+    pub fn banks(&self) -> Option<BankPair> {
+        self.banks
+    }
+
+    /// Forgets placement and cursor, keeping the staging allocation —
+    /// for a runtime recycled onto a fresh device.
+    pub fn recycle(&mut self) {
+        self.banks = None;
+        let scratch = std::mem::take(&mut self.chain.scratch);
+        self.chain = DeltaChain {
+            scratch,
+            ..DeltaChain::default()
+        };
+    }
+
+    fn placed(&self) -> Result<BankPair> {
+        self.banks
+            .ok_or_else(|| VmError::Load("checkpoint used before its banks were placed".into()))
+    }
+
+    /// Commits one checkpoint over `regions`, two-phase (§4). Stages a
+    /// delta record, or a full bank of `misc` plus `images` (see
+    /// `full_bytes` below); if read-back verification accepted it,
+    /// charges `cost(costs, delta)` — `delta` is the record's payload
+    /// bytes, `None` for a full bank — atomically against the energy
+    /// deadline; if the charge completes, publishes it and marks
+    /// `regions` clean.
+    ///
+    /// A delta record is taken while the chain is anchored on these very
+    /// regions (the first is the anchor), fits the chain's byte cap of
+    /// about one full image, and is under 75% of a full image of
+    /// `full_bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unmapped-address errors.
+    pub fn commit(
+        &mut self,
+        m: &mut Machine,
+        misc: &Misc,
+        full_bytes: u32,
+        regions: &[(Addr, u32)],
+        images: &[(Addr, u32)],
+        cost: impl FnOnce(&CostModel, Option<u32>) -> u64,
+    ) -> Result<CommitOutcome> {
+        let banks = self.placed()?;
+        if self.chain.next_seq == 0 {
+            self.chain.prime_cold(m, &banks)?;
+        }
+        let Some(staged) = self
+            .chain
+            .stage(m, &banks, full_bytes, misc, regions, images)?
+        else {
+            return Ok(CommitOutcome::VerifyAbort);
+        };
+        let cost = cost(m.mem.costs(), staged.delta);
+        if !m.charge_atomic(cost) {
+            return Ok(CommitOutcome::EnergyAbort);
+        }
+        self.chain.publish(m, &banks, &staged, regions)?;
+        Ok(CommitOutcome::Committed {
+            delta: staged.delta,
+        })
+    }
+
+    /// Boots from the last published checkpoint. Selects a bank (falling
+    /// back to the older valid bank or a declared fresh start, each
+    /// journaled as a [`TraceEvent::Recovery`]) and loads it;
+    /// `regions_of_misc` maps the machine and the bank's misc block to
+    /// the checkpoint regions and the full-image parts, in bank order.
+    /// The images are written back first, wiping every unpublished store
+    /// in them, then the chain extending the bank is replayed over the
+    /// regions. With nothing to restore, the cursor is primed cold.
+    ///
+    /// # Errors
+    ///
+    /// A trap if corruption defeated the read-back verification of the
+    /// image restore; unmapped-address errors.
+    pub fn boot<const R: usize, const I: usize>(
+        &mut self,
+        m: &mut Machine,
+        regions_of_misc: impl FnOnce(&Machine, &Misc) -> ([(Addr, u32); R], [(Addr, u32); I]),
+    ) -> Result<Boot> {
+        let banks = self.placed()?;
+        let (bank, seq) = match banks.select(m)? {
+            BankChoice::Bank { addr, seq } => (addr, seq),
+            choice => {
+                self.chain.prime_cold(m, &banks)?;
+                return Ok(Boot::Restart(choice));
+            }
+        };
+        let mut misc = self.chain.load(m, &banks, bank)?;
+        let (regions, images) = regions_of_misc(m, &misc);
+        if !self.chain.restore_images(m, &images)? {
+            return Err(VmError::Trap(
+                "checkpoint restore failed read-back verification".into(),
+            ));
+        }
+        let replayed = self.chain.resume(m, &banks, seq, &regions, &mut misc)?;
+        let image: u32 = images.iter().map(|&(_, len)| len).sum();
+        Ok(Boot::Restored {
+            misc,
+            restored: image + replayed,
         })
     }
 }

@@ -1,9 +1,11 @@
 //! Property test for the crash-consistent persistence primitive
-//! (`tics_vm::persist`): seeded splitmix64 schedules interleave full and
-//! delta commits with torn program stores, brown-out bit flips and
-//! dropped staging stores (`CorruptionModel`), unpublished (aborted)
-//! commits, and direct clobbers of banks, delta records and the flag
-//! word, then reboot and check what boot hands back. It must be one of:
+//! (`tics_vm::persist`): seeded splitmix64 schedules drive
+//! `Checkpoint::commit` and `Checkpoint::boot`, the one commit and boot
+//! sequence of every hardened runtime. They interleave full and delta
+//! commits with torn program stores, brown-out bit flips and dropped
+//! staging stores (`CorruptionModel`), commits that die on the energy
+//! gate, and direct clobbers of banks, delta records and the flag word,
+//! then reboot and check what boot hands back. It must be one of:
 //!
 //! * the last published state (no `Recovery` journaled);
 //! * an older published state, with a journaled `Recovery`;
@@ -23,8 +25,8 @@ use tics_mcu::{Addr, CorruptionModel};
 use tics_minic::{compile, opt::OptLevel};
 use tics_trace::SpanKind;
 use tics_vm::persist::{
-    init_control, journal_capacity, pack_misc, BankChoice, BankFormat, BankPair, DeltaChain, Misc,
-    UndoLog, DELTA_MISC,
+    init_control, pack_misc, BankChoice, BankFormat, BankPair, Boot, Checkpoint, CommitOutcome,
+    Misc, UndoLog, DELTA_MISC,
 };
 use tics_vm::{Machine, MachineConfig};
 
@@ -67,10 +69,10 @@ struct Tally {
 struct Rig {
     m: Machine,
     banks: BankPair,
-    chain: DeltaChain,
-    journal: Addr,
-    capacity: u32,
+    ckpt: Checkpoint,
     region: [(Addr, u32); 1],
+    /// Bytes of a full image, as the runtimes of each format count it.
+    full_bytes: u32,
     rng: u64,
 }
 
@@ -92,15 +94,17 @@ impl Rig {
             format,
             max_payload,
         );
-        let capacity = journal_capacity(banks.bank_bytes());
+        let full_bytes = match format {
+            BankFormat::MiscFirst => banks.bank_bytes(),
+            BankFormat::Sealed => max_payload,
+        };
         let region = [(m.mem.layout().sram.start, REGION)];
         let mut rig = Rig {
             m,
             banks,
-            chain: DeltaChain::default(),
-            journal: banks.end(),
-            capacity,
+            ckpt: Checkpoint::default(),
             region,
+            full_bytes,
             rng: seed,
         };
         rig.lose_power();
@@ -113,25 +117,64 @@ impl Rig {
 
     /// Host state is volatile: a reboot rebuilds the cursor from FRAM.
     fn lose_power(&mut self) {
-        self.chain = DeltaChain::default();
-        let base = self.m.runtime_area_base();
-        self.chain
-            .place(self.journal, self.capacity, base.offset(TIP));
+        self.ckpt = Checkpoint::default();
+        let tip = self.m.runtime_area_base().offset(TIP);
+        self.ckpt.place(self.banks, tip);
         // The volatile window decays to garbage.
         let (start, len) = self.region[0];
         let junk: Vec<u8> = (0..len).map(|_| self.next() as u8).collect();
         self.m.mem.poke_bytes(start, &junk).unwrap();
     }
 
-    /// Cold-start sequence floor: the MiscFirst (TICS) family trusts the
-    /// published-sequence word, the sealed (baseline) family the newest
-    /// valid bank.
-    fn prime_cold(&mut self) {
-        let floor = match self.banks.format {
-            BankFormat::MiscFirst => self.m.mem.peek_u64(self.banks.published_seq).unwrap(),
-            BankFormat::Sealed => self.banks.newest_valid_seq(&self.m).unwrap(),
+    /// A misc block for `step`; sealed misc blocks lead with their
+    /// length word.
+    fn misc(&mut self, step: u32) -> Misc {
+        let r = self.next();
+        let lead = match self.banks.format {
+            BankFormat::MiscFirst => r as u32,
+            BankFormat::Sealed => DELTA_MISC - 4,
         };
-        self.chain.prime_cold(&self.m, floor).unwrap();
+        pack_misc([lead, r as u32, (r >> 32) as u32, step, 7, 9])
+    }
+
+    /// One commit of `misc` over the window under `corruption` of its
+    /// staging stores (with a power cut armed), charged one cycle past
+    /// the energy deadline if `starve`, else nothing.
+    fn commit(
+        &mut self,
+        misc: &Misc,
+        corruption: Option<CorruptionModel>,
+        starve: bool,
+    ) -> CommitOutcome {
+        let region = self.region;
+        self.m.mem.set_corruption(corruption);
+        self.m.mem.set_power_cut(Some(self.m.cycles() + 1));
+        if starve {
+            self.m.set_period_deadline(self.m.cycles());
+        }
+        let outcome = self
+            .ckpt
+            .commit(
+                &mut self.m,
+                misc,
+                self.full_bytes,
+                &region,
+                &region,
+                |_, _| u64::from(starve),
+            )
+            .unwrap();
+        self.m.set_period_deadline(u64::MAX);
+        self.m.mem.set_power_cut(None);
+        self.m.mem.set_corruption(None);
+        outcome
+    }
+
+    /// Boots the window from the last published checkpoint.
+    fn boot(&mut self) -> Boot {
+        let region = self.region;
+        self.ckpt
+            .boot(&mut self.m, |_, _| (region, region))
+            .unwrap()
     }
 
     /// The state a restore must reproduce: misc block plus region bytes.
@@ -171,12 +214,7 @@ impl Rig {
 
 fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
     let mut rig = Rig::new(format, seed);
-    assert_eq!(rig.banks.select(&mut rig.m).unwrap(), BankChoice::None);
-    rig.prime_cold();
-    let full_bytes = match format {
-        BankFormat::MiscFirst => rig.banks.bank_bytes(),
-        BankFormat::Sealed => DELTA_MISC - 4 + REGION,
-    };
+    assert_eq!(rig.boot(), Boot::Restart(BankChoice::None));
     // The restore point boot must reproduce (None = nothing published
     // since the last declared fresh start), and every state ever
     // published — the only states a recovery may fall back to.
@@ -188,51 +226,26 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
             0..=5 => rig.mutate(),
             6..=10 => {
                 // A commit attempt under brown-out corruption of its
-                // staging stores; sealed misc blocks lead with their
-                // length word.
-                let r = rig.next();
-                let lead = match format {
-                    BankFormat::MiscFirst => r as u32,
-                    BankFormat::Sealed => DELTA_MISC - 4,
-                };
-                let misc = pack_misc([lead, r as u32, (r >> 32) as u32, step as u32, 7, 9]);
+                // staging stores. One in eight dies on the energy gate:
+                // staged and verified, never published.
+                let misc = rig.misc(step as u32);
                 let rate = [0.0, 0.2, 0.6, 0.95][rig.next() as usize % 4];
                 let model = CorruptionModel::new(u64::MAX, rate * 0.6, rate * 0.4, rig.next());
-                rig.m.mem.set_corruption(Some(model));
-                rig.m.mem.set_power_cut(Some(rig.m.cycles() + 1));
-                let staged = rig
-                    .chain
-                    .stage(
-                        &mut rig.m,
-                        &rig.banks,
-                        full_bytes,
-                        &misc,
-                        &rig.region,
-                        &rig.region,
-                    )
-                    .unwrap();
-                rig.m.mem.set_power_cut(None);
-                rig.m.mem.set_corruption(None);
-                if !staged.verified {
-                    tally.unverified_stages += 1;
-                    continue;
+                let starve = rig.next().is_multiple_of(8);
+                match rig.commit(&misc, Some(model), starve) {
+                    CommitOutcome::Committed { delta } => {
+                        if delta.is_some() {
+                            tally.delta_commits += 1;
+                        } else {
+                            tally.full_commits += 1;
+                        }
+                        let s = rig.state(&misc);
+                        published.insert(s.clone());
+                        current = Some(s);
+                    }
+                    CommitOutcome::VerifyAbort => tally.unverified_stages += 1,
+                    CommitOutcome::EnergyAbort => assert!(starve),
                 }
-                // One attempt in eight dies on the energy gate: staged
-                // and verified, never published.
-                if rig.next().is_multiple_of(8) {
-                    continue;
-                }
-                rig.chain
-                    .publish(&mut rig.m, &rig.banks, &staged, &rig.region)
-                    .unwrap();
-                if staged.delta.is_some() {
-                    tally.delta_commits += 1;
-                } else {
-                    tally.full_commits += 1;
-                }
-                let s = rig.state(&misc);
-                published.insert(s.clone());
-                current = Some(s);
             }
             11 => {
                 let bank = if rig.next().is_multiple_of(2) {
@@ -242,7 +255,7 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
                 };
                 rig.flip_bit(bank, rig.banks.bank_bytes());
             }
-            12 => rig.flip_bit(rig.journal, 512),
+            12 => rig.flip_bit(rig.banks.journal().0, 512),
             13 => {
                 let bad = 3 + rig.next() as u32 % 1_000;
                 rig.m
@@ -255,24 +268,18 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
                 let recoveries = rig.m.stats().recoveries;
                 let fresh = rig.m.stats().fresh_starts;
                 let ctx = format!("{format:?} seed {seed:#x} step {step}");
-                match rig.banks.select(&mut rig.m).unwrap() {
-                    BankChoice::None => {
-                        assert!(current.is_none(), "{ctx}: published state silently lost");
-                        assert_eq!(rig.m.stats().recoveries, recoveries, "{ctx}");
-                        rig.prime_cold();
-                    }
-                    BankChoice::FreshStart => {
+                match rig.boot() {
+                    Boot::Restart(BankChoice::FreshStart) => {
                         assert_eq!(rig.m.stats().fresh_starts, fresh + 1, "{ctx}: undeclared");
                         tally.fresh_starts += 1;
                         current = None;
-                        rig.prime_cold();
                     }
-                    BankChoice::Bank { addr, seq } => {
-                        let mut misc = rig.chain.load(&rig.m, &rig.banks, addr).unwrap();
-                        assert!(rig.chain.restore_images(&mut rig.m, &rig.region).unwrap());
-                        rig.chain
-                            .resume(&mut rig.m, &rig.banks, seq, &rig.region, &mut misc)
-                            .unwrap();
+                    Boot::Restart(choice) => {
+                        assert_eq!(choice, BankChoice::None, "{ctx}");
+                        assert!(current.is_none(), "{ctx}: published state silently lost");
+                        assert_eq!(rig.m.stats().recoveries, recoveries, "{ctx}");
+                    }
+                    Boot::Restored { misc, .. } => {
                         let got = rig.state(&misc);
                         if rig.m.stats().recoveries == recoveries {
                             assert_eq!(
@@ -327,9 +334,9 @@ fn boot_yields_only_published_states_or_declared_recovery() {
     }
 }
 
-/// Corruption alone loses no published record. A stage whose every
+/// Corruption alone loses no published record. A commit whose every
 /// staging store is dropped fails verification and is never published;
-/// the next verified stage must extend the chain without a sequence
+/// the next verified commit must extend the chain without a sequence
 /// gap, so no boot journals a `Recovery` and every boot restores the
 /// last published state.
 #[test]
@@ -340,49 +347,31 @@ fn corruption_only_schedules_never_journal_a_recovery() {
         for _ in 0..16 {
             let seed = splitmix64(&mut seeds);
             let mut rig = Rig::new(format, seed);
-            assert_eq!(rig.banks.select(&mut rig.m).unwrap(), BankChoice::None);
-            rig.prime_cold();
-            let full_bytes = match format {
-                BankFormat::MiscFirst => rig.banks.bank_bytes(),
-                BankFormat::Sealed => DELTA_MISC - 4 + REGION,
-            };
+            assert_eq!(rig.boot(), Boot::Restart(BankChoice::None));
             let mut current: Option<Vec<u8>> = None;
             for step in 0..64u32 {
                 rig.mutate();
-                let r = rig.next();
-                let lead = match format {
-                    BankFormat::MiscFirst => r as u32,
-                    BankFormat::Sealed => DELTA_MISC - 4,
-                };
-                let misc = pack_misc([lead, r as u32, (r >> 32) as u32, step, 7, 9]);
+                let misc = rig.misc(step);
                 let drop_all = rig.next().is_multiple_of(3);
-                if drop_all {
-                    let model = CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next());
-                    rig.m.mem.set_corruption(Some(model));
-                    rig.m.mem.set_power_cut(Some(rig.m.cycles() + 1));
-                }
-                let staged = rig
-                    .chain
-                    .stage(
-                        &mut rig.m,
-                        &rig.banks,
-                        full_bytes,
-                        &misc,
-                        &rig.region,
-                        &rig.region,
-                    )
-                    .unwrap();
-                rig.m.mem.set_power_cut(None);
-                rig.m.mem.set_corruption(None);
-                assert_eq!(staged.verified, !drop_all, "{format:?} step {step}");
-                if staged.verified {
-                    rig.chain
-                        .publish(&mut rig.m, &rig.banks, &staged, &rig.region)
-                        .unwrap();
-                    delta_commits += u64::from(staged.delta.is_some());
-                    current = Some(rig.state(&misc));
-                } else {
-                    dropped += 1;
+                let model = drop_all.then(|| CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next()));
+                match rig.commit(&misc, model, false) {
+                    CommitOutcome::Committed { delta } => {
+                        assert!(
+                            !drop_all,
+                            "{format:?} step {step}: unverified stage published"
+                        );
+                        delta_commits += u64::from(delta.is_some());
+                        current = Some(rig.state(&misc));
+                    }
+                    outcome => {
+                        assert_eq!(
+                            outcome,
+                            CommitOutcome::VerifyAbort,
+                            "{format:?} step {step}"
+                        );
+                        assert!(drop_all, "{format:?} step {step}: clean stage refused");
+                        dropped += 1;
+                    }
                 }
                 if step % 5 != 4 {
                     continue;
@@ -390,20 +379,16 @@ fn corruption_only_schedules_never_journal_a_recovery() {
                 boots += 1;
                 rig.lose_power();
                 let ctx = format!("{format:?} seed {seed:#x} step {step}");
-                let got = match rig.banks.select(&mut rig.m).unwrap() {
-                    BankChoice::Bank { addr, seq } => {
-                        let mut misc = rig.chain.load(&rig.m, &rig.banks, addr).unwrap();
-                        assert!(rig.chain.restore_images(&mut rig.m, &rig.region).unwrap());
-                        rig.chain
-                            .resume(&mut rig.m, &rig.banks, seq, &rig.region, &mut misc)
-                            .unwrap();
-                        Some(rig.state(&misc))
-                    }
-                    BankChoice::None => {
-                        rig.prime_cold();
+                let got = match rig.boot() {
+                    Boot::Restored { misc, .. } => Some(rig.state(&misc)),
+                    Boot::Restart(choice) => {
+                        assert_eq!(
+                            choice,
+                            BankChoice::None,
+                            "{ctx}: fresh start without a clobber"
+                        );
                         None
                     }
-                    BankChoice::FreshStart => panic!("{ctx}: fresh start without a clobber"),
                 };
                 assert_eq!(rig.m.stats().recoveries, 0, "{ctx}: Recovery journaled");
                 assert_eq!(got, current, "{ctx}: not the last published state");

@@ -1,0 +1,91 @@
+//! An unverified stage charges nothing. When brown-out corruption drops
+//! every staging store of a checkpoint, read-back verification refuses
+//! the stage, and every hardened runtime aborts the commit before its
+//! energy charge: no checkpoint cycles, no `CheckpointCommit`. TICS,
+//! Chinchilla and the task kernels carry on; Ratchet, whose consistency
+//! is the boundary checkpoint itself, traps.
+
+use tics_repro::baselines::{ChinchillaRuntime, RatchetRuntime, TaskFlavor, TaskKernel};
+use tics_repro::core::{TicsConfig, TicsRuntime};
+use tics_repro::mcu::CorruptionModel;
+use tics_repro::minic::isa::CkptSite;
+use tics_repro::minic::{compile, opt::OptLevel};
+use tics_repro::vm::{
+    CheckpointKind, IntermittentRuntime, Machine, MachineConfig, ResumeAction, VmError,
+};
+
+/// Cycles and committed checkpoints so far.
+fn progress(m: &mut Machine) -> (u64, u64) {
+    m.flush_trace();
+    (m.cycles(), m.stats().checkpoints)
+}
+
+/// Boots `rt` on a fresh machine, then requests one checkpoint with
+/// every staging store dropped (a power cut armed inside the corruption
+/// window) and one without corruption. Returns the corrupted request's
+/// result, and whether it moved the cycle count or the commit count.
+fn request_under_total_corruption(
+    rt: &mut dyn IntermittentRuntime,
+    seed: u64,
+) -> (Result<(), VmError>, bool) {
+    let prog = compile("int g; int main() { g = 1; return g; }", OptLevel::O1).unwrap();
+    let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
+    let restart = rt.on_boot(&mut m).unwrap();
+    assert!(
+        matches!(restart, ResumeAction::Restart { .. }),
+        "{}: nothing published yet",
+        rt.name()
+    );
+    let request = CheckpointKind::Site(CkptSite::Manual);
+
+    let before = progress(&mut m);
+    let corruption = CorruptionModel::new(u64::MAX, 0.0, 1.0, seed);
+    m.mem.set_corruption(Some(corruption));
+    m.mem.set_power_cut(Some(m.cycles() + 1));
+    let result = rt.checkpoint(&mut m, request);
+    m.mem.set_power_cut(None);
+    m.mem.set_corruption(None);
+    let moved = progress(&mut m) != before;
+    assert!(
+        m.mem.stats().corrupted_writes > 0,
+        "{}: the request staged nothing to corrupt",
+        rt.name()
+    );
+
+    // The same request on clean stores commits, so the corrupted one
+    // really reached the commit path.
+    let (cycles, commits) = progress(&mut m);
+    rt.checkpoint(&mut m, request).unwrap();
+    let (cycles_after, commits_after) = progress(&mut m);
+    assert_eq!(commits_after, commits + 1, "{}: clean request", rt.name());
+    assert!(cycles_after > cycles, "{}: clean request", rt.name());
+    (result, moved)
+}
+
+#[test]
+fn an_unverified_stage_charges_nothing_and_commits_nothing() {
+    for seed in [1, 0x5EED, 0xC0FF_EE00] {
+        let mut carry_on: Vec<Box<dyn IntermittentRuntime>> = vec![
+            Box::new(TicsRuntime::new(TicsConfig::default())),
+            Box::new(ChinchillaRuntime::default()),
+            Box::new(TaskKernel::new(TaskFlavor::Alpaca)),
+        ];
+        for rt in &mut carry_on {
+            let (result, moved) = request_under_total_corruption(rt.as_mut(), seed);
+            assert!(result.is_ok(), "{} seed {seed:#x}: {result:?}", rt.name());
+            assert!(
+                !moved,
+                "{} seed {seed:#x}: an unverified stage charged cycles or committed",
+                rt.name()
+            );
+        }
+
+        let mut ratchet = RatchetRuntime::default();
+        let (result, moved) = request_under_total_corruption(&mut ratchet, seed);
+        assert!(
+            matches!(result, Err(VmError::Trap(_))),
+            "Ratchet seed {seed:#x}: {result:?}"
+        );
+        assert!(!moved, "Ratchet seed {seed:#x}: charged before trapping");
+    }
+}
