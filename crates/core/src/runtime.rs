@@ -443,7 +443,7 @@ impl IntermittentRuntime for TicsRuntime {
                 self.atomic_depth = self.atomic_depth.saturating_sub(1);
                 m.regs.pc = block.catch_pc;
                 // Discard partial operand state of the aborted block.
-                let f = m.loaded().function_at(block.catch_pc);
+                let f = m.loaded().function_at(block.catch_pc)?;
                 let operand_base = Machine::frame_body(m.regs.fp)
                     .offset(f.arg_bytes() + u32::from(f.locals_bytes));
                 m.regs.sp = operand_base;

@@ -797,56 +797,73 @@ impl Memory {
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
-    /// Opens a [`WordBurst`]: a register-resident accounting view for
-    /// the decoded interpreter's burst loop. Region bounds, per-word
-    /// costs, the armed power cut, and the current span are resolved
-    /// once; cycle and traffic counters accumulate in locals and land
-    /// back here on [`WordBurst::commit`]. Between `word_burst` and
-    /// `commit` this `Memory` must not be accessed (the borrow checker
-    /// enforces it), so the view cannot diverge from the canonical
-    /// counters.
+    /// Opens a [`WordBurst`] over the frame `[fp, fp + frame_len)`: the
+    /// decoded interpreter's view of memory for one burst zone. Region
+    /// bounds, per-word costs, the armed power cut, the open span and
+    /// the frame's place in its region are resolved once; cycle and
+    /// traffic counters accumulate in the view and land back here on
+    /// [`WordBurst::commit`]. Between `word_burst` and `commit` this
+    /// `Memory` must not be accessed (the borrow checker enforces it),
+    /// so the view cannot diverge from the canonical counters.
+    ///
+    /// Returns `None` when the frame does not lie inside one region. A
+    /// frame the runtime allocated always does; only a corrupted frame
+    /// pointer can fail this.
+    #[inline(always)]
     #[must_use]
-    pub fn word_burst(&mut self) -> WordBurst<'_> {
-        // A region shorter than one word can never satisfy a 4-byte
-        // access; encode it as the empty interval [1, 0].
-        let word_bounds = |r: crate::region::Region| -> (u32, u32) {
-            if r.len() >= 4 {
-                (r.start.0, r.end.0 - 4)
-            } else {
-                (1, 0)
-            }
+    pub fn word_burst(&mut self, fp: Addr, frame_len: u32) -> Option<WordBurst<'_>> {
+        let frame_in_sram = if self.layout.sram.contains_range(fp, frame_len) {
+            true
+        } else if self.layout.fram.contains_range(fp, frame_len) {
+            false
+        } else {
+            return None;
         };
-        let (sram_start, sram_last) = word_bounds(self.layout.sram);
-        let (fram_start, fram_last) = word_bounds(self.layout.fram);
-        let span_idx = self.current_span.index();
-        WordBurst {
-            sram_start,
-            sram_last,
-            fram_start,
-            fram_last,
-            sram_cost: self.costs.sram_access_per_word,
-            fram_read_cost: self.costs.fram_read_per_word,
-            fram_write_cost: self.costs.fram_write_per_word,
-            instr_base: self.costs.instr_base,
+        let c = &*self.costs;
+        let sram = BurstRegion {
+            start: self.layout.sram.start.0,
+            bytes: &mut self.sram,
+            dirty: &mut self.sram_dirty,
+            read_cost: c.sram_access_per_word,
+            write_cost: c.sram_access_per_word,
+            reads: 0,
+            writes: 0,
+        };
+        let fram = BurstRegion {
+            start: self.layout.fram.start.0,
+            bytes: &mut self.fram,
+            dirty: &mut self.fram_dirty,
+            read_cost: c.fram_read_per_word,
+            write_cost: c.fram_write_per_word,
+            reads: 0,
+            writes: 0,
+        };
+        let (frame, other) = if frame_in_sram {
+            (sram, fram)
+        } else {
+            (fram, sram)
+        };
+        Some(WordBurst {
+            frame_off: (fp.0 - frame.start) as usize,
+            frame,
+            other,
+            frame_in_sram,
+            max_word_cost: c
+                .sram_access_per_word
+                .max(c.fram_read_per_word)
+                .max(c.fram_write_per_word),
+            instr_base: c.instr_base,
             // `u64::MAX` encodes "no cut armed": simulated cycle counts
             // stay far below the point where `MAX - cycles < cost`
             // could misclassify a commit.
             cut_at: self.cut_at.unwrap_or(u64::MAX),
             cycles: self.cycles,
             start_cycles: self.cycles,
-            sram_reads: 0,
-            sram_writes: 0,
-            fram_reads: 0,
-            fram_writes: 0,
             torn_writes: 0,
-            sram: &mut self.sram,
-            fram: &mut self.fram,
-            sram_dirty: &mut self.sram_dirty,
-            fram_dirty: &mut self.fram_dirty,
             cycles_out: &mut self.cycles,
-            span_out: &mut self.span_cycles[span_idx],
+            span_out: &mut self.span_cycles[self.current_span.index()],
             stats_out: &mut self.stats,
-        }
+        })
     }
 
     /// Reads a little-endian `u64`.
@@ -1079,52 +1096,135 @@ impl Memory {
     }
 }
 
-/// Register-resident accounting view over a [`Memory`], opened with
-/// [`Memory::word_burst`].
+/// One memory region as a [`WordBurst`] sees it: its bytes and dirty
+/// bitmap, its per-word costs, and the traffic charged to it.
+#[derive(Debug)]
+struct BurstRegion<'a> {
+    start: u32,
+    bytes: &'a mut [u8],
+    dirty: &'a mut [u64],
+    read_cost: u64,
+    write_cost: u64,
+    /// Bytes read in this burst.
+    reads: u64,
+    /// Bytes written (torn stores included) in this burst.
+    writes: u64,
+}
+
+impl BurstRegion<'_> {
+    /// The region-relative offset of a 4-byte access at `addr`, if the
+    /// whole word lies in this region. One compare: an address below
+    /// `start` wraps to an offset past every region's end.
+    #[inline(always)]
+    fn word_off(&self, addr: u32) -> Option<usize> {
+        let off = addr.wrapping_sub(self.start) as usize;
+        (off + 4 <= self.bytes.len()).then_some(off)
+    }
+
+    #[inline(always)]
+    fn load(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("4-byte slice"))
+    }
+
+    /// Charges a read of the word at `off` and returns it.
+    #[inline(always)]
+    fn read(&mut self, off: usize, cycles: &mut u64) -> u32 {
+        self.reads += 4;
+        *cycles += self.read_cost;
+        self.load(off)
+    }
+
+    /// Stores `v` at `off`, charging the full write cost, and returns
+    /// whether the store tore. Against the cut at `cut_at` the word
+    /// commits iff its write cost still fits; `CUT = false` promises
+    /// that it does, and skips the test.
+    #[inline(always)]
+    fn write<const CUT: bool>(
+        &mut self,
+        off: usize,
+        v: u32,
+        cycles: &mut u64,
+        cut_at: u64,
+    ) -> bool {
+        let cost = self.write_cost;
+        let torn = CUT && cost != 0 && cut_at.saturating_sub(*cycles) < cost;
+        debug_assert!(
+            CUT || cost == 0 || cut_at.saturating_sub(*cycles) >= cost,
+            "a store tore in a zone that promised no reachable cut"
+        );
+        if !torn {
+            self.bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
+            mark_word_dirty(self.dirty, off);
+        }
+        self.writes += 4;
+        *cycles += cost;
+        torn
+    }
+}
+
+/// The decoded interpreter's view of memory for one burst zone, opened
+/// with [`Memory::word_burst`].
 ///
-/// The decoded interpreter's burst loop performs millions of word
-/// accesses between runtime interventions; routing each through the
-/// [`Memory`] methods costs a handful of read-modify-writes to
-/// heap-resident counters per access. This view resolves everything
-/// constant for the duration of a burst — region bounds, per-word
-/// costs, the armed power cut, the open span — into plain fields, and
-/// accumulates cycles and traffic counters in locals the optimizer can
-/// keep in registers. [`WordBurst::commit`] folds the deltas back.
+/// A zone runs plain ops back to back between runtime interventions,
+/// so its per-access cost is the interpreter's speed. The view resolves
+/// everything constant for the zone once: region bounds, per-word
+/// costs, the armed power cut, the open span, and which region holds
+/// the zone's frame (`fp` never moves inside a zone). Cycles and
+/// traffic counters accumulate in the view's own fields and
+/// [`WordBurst::commit`] folds them back.
 ///
-/// Its word methods are arithmetic-identical to [`Memory::read_word`],
+/// The caller keeps the view in a local of the function that runs the
+/// zone, with every access inlined. The view itself holds the
+/// counters, not references to the [`Memory`] fields: a counter
+/// reached through a pointer stays in memory, because the optimizer
+/// must assume that a store through the view's byte slices may alias
+/// it. A local whose address never escapes can live in registers.
+///
+/// Accesses come in two kinds:
+///
+/// * **Frame accessors** ([`read_frame`](WordBurst::read_frame),
+///   [`write_frame`](WordBurst::write_frame),
+///   [`peek_frame`](WordBurst::peek_frame)) take a byte offset from
+///   `fp` and index the frame's region directly: one bound compare, no
+///   region test. The decoder proves that local-slot offsets lie in
+///   the frame, and its depth proof keeps `sp` there. A word outside
+///   the frame's region, which only a corrupted `sp` can address,
+///   takes the general path below, so every address still reads and
+///   writes as it would there.
+/// * **General accessors** ([`read_word`](WordBurst::read_word),
+///   [`write_word`](WordBurst::write_word)) test the frame's region
+///   first and then the other one.
+///
+/// Every access is arithmetic-identical to [`Memory::read_word`],
 /// [`Memory::write_word`] and [`Memory::peek_word`]: same bounds
-/// decisions, cycle charges, traffic counters and torn single-word
-/// commit math against the power cut. Word stores never consult the
-/// brown-out model (the MSP430FR write buffer commits single words
-/// atomically), so skipping the corruption check is
-/// semantics-preserving, not an approximation — the model's RNG stream
+/// decisions, cycle charges, traffic counters, dirty bits and torn
+/// single-word commit math against the power cut. Word stores never
+/// consult the brown-out model (the MSP430FR write buffer commits
+/// single words atomically), so skipping the corruption check is
+/// semantics-preserving, not an approximation: the model's RNG stream
 /// advances identically.
+///
+/// Stores take a `CUT` parameter. `CUT = false` skips the torn-store
+/// test; it is exact only when no store can reach the cut, which
+/// [`WordBurst::cut_in_reach`] decides for a whole zone.
 #[derive(Debug)]
 pub struct WordBurst<'a> {
-    sram_start: u32,
-    /// Highest address at which a 4-byte SRAM access still fits
-    /// (`[1, 0]`, the empty interval, for sub-word regions).
-    sram_last: u32,
-    fram_start: u32,
-    fram_last: u32,
-    sram_cost: u64,
-    fram_read_cost: u64,
-    fram_write_cost: u64,
+    /// The region holding the zone's frame, tested first.
+    frame: BurstRegion<'a>,
+    /// The other region.
+    other: BurstRegion<'a>,
+    /// `fp`'s offset in the frame's region.
+    frame_off: usize,
+    frame_in_sram: bool,
+    /// The dearest single-word access of either region.
+    max_word_cost: u64,
     instr_base: u64,
     /// Armed power cut, `u64::MAX` when disarmed.
     cut_at: u64,
     /// Running absolute cycle counter (starts at the memory's value).
     cycles: u64,
     start_cycles: u64,
-    sram_reads: u64,
-    sram_writes: u64,
-    fram_reads: u64,
-    fram_writes: u64,
     torn_writes: u64,
-    sram: &'a mut [u8],
-    fram: &'a mut [u8],
-    sram_dirty: &'a mut [u64],
-    fram_dirty: &'a mut [u64],
     cycles_out: &'a mut u64,
     span_out: &'a mut u64,
     stats_out: &'a mut MemoryStats,
@@ -1138,18 +1238,104 @@ impl WordBurst<'_> {
         self.cycles
     }
 
+    /// Whether a store can tear in a zone that stops at the first op
+    /// ending at or after `stop_at` and whose ops each make at most
+    /// `op_words` word accesses. The zone's last op starts before
+    /// `stop_at`, or is its first op, which starts now and always runs;
+    /// either way its last store ends by
+    /// `max(stop_at, now) + instr_base + op_words × (dearest word cost)`.
+    /// A cut at or after that bound is out of reach.
+    #[inline]
+    #[must_use]
+    pub fn cut_in_reach(&self, stop_at: u64, op_words: u64) -> bool {
+        let last_end = stop_at
+            .max(self.cycles)
+            .saturating_add(self.instr_base)
+            .saturating_add(op_words.saturating_mul(self.max_word_cost));
+        self.cut_at < last_end
+    }
+
     /// Folds the accumulated deltas back into the owning [`Memory`].
     /// All burst cycles belong to the span that was open when the view
     /// was created — span changes only happen through runtime code,
     /// which never runs inside a burst.
+    #[inline(always)]
     pub fn commit(self) {
         *self.cycles_out = self.cycles;
         *self.span_out += self.cycles - self.start_cycles;
-        self.stats_out.sram_reads += self.sram_reads;
-        self.stats_out.sram_writes += self.sram_writes;
-        self.stats_out.fram_reads += self.fram_reads;
-        self.stats_out.fram_writes += self.fram_writes;
+        let (sram, fram) = if self.frame_in_sram {
+            (&self.frame, &self.other)
+        } else {
+            (&self.other, &self.frame)
+        };
+        self.stats_out.sram_reads += sram.reads;
+        self.stats_out.sram_writes += sram.writes;
+        self.stats_out.fram_reads += fram.reads;
+        self.stats_out.fram_writes += fram.writes;
         self.stats_out.torn_writes += self.torn_writes;
+    }
+
+    /// The absolute address `off` bytes into the frame.
+    #[inline(always)]
+    fn frame_addr(&self, off: u32) -> Addr {
+        Addr((self.frame.start + self.frame_off as u32).wrapping_add(off))
+    }
+
+    /// Reads the word `off` bytes into the frame, as
+    /// [`WordBurst::read_word`] reads `fp + off`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    #[inline(always)]
+    pub fn read_frame(&mut self, off: u32) -> Result<u32, MemoryError> {
+        let o = self.frame_off + off as usize;
+        if o + 4 <= self.frame.bytes.len() {
+            Ok(self.frame.read(o, &mut self.cycles))
+        } else {
+            self.read_word(self.frame_addr(off))
+        }
+    }
+
+    /// Writes the word `off` bytes into the frame, as
+    /// [`WordBurst::write_word`] writes `fp + off`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    #[inline(always)]
+    pub fn write_frame<const CUT: bool>(&mut self, off: u32, v: u32) -> Result<(), MemoryError> {
+        let o = self.frame_off + off as usize;
+        if o + 4 <= self.frame.bytes.len() {
+            let torn = self.frame.write::<CUT>(o, v, &mut self.cycles, self.cut_at);
+            self.torn_writes += u64::from(torn);
+            Ok(())
+        } else {
+            self.write_word::<CUT>(self.frame_addr(off), v)
+        }
+    }
+
+    /// Reads the word `off` bytes into the frame without charging
+    /// cycles or stats (`Dup`'s peek), as [`Memory::peek_word`] reads
+    /// `fp + off`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    #[inline(always)]
+    pub fn peek_frame(&self, off: u32) -> Result<u32, MemoryError> {
+        let o = self.frame_off + off as usize;
+        if o + 4 <= self.frame.bytes.len() {
+            return Ok(self.frame.load(o));
+        }
+        let addr = self.frame_addr(off);
+        if let Some(o) = self.frame.word_off(addr.0) {
+            Ok(self.frame.load(o))
+        } else if let Some(o) = self.other.word_off(addr.0) {
+            Ok(self.other.load(o))
+        } else {
+            Err(MemoryError::Unmapped { addr, len: 4 })
+        }
     }
 
     /// Reads a little-endian `u32`, charging cycles and traffic, as
@@ -1160,90 +1346,37 @@ impl WordBurst<'_> {
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
     pub fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
-        let a = addr.0;
-        let (v, cost) = if a >= self.sram_start && a <= self.sram_last {
-            let off = (a - self.sram_start) as usize;
-            let b: [u8; 4] = self.sram[off..off + 4].try_into().expect("4-byte slice");
-            self.sram_reads += 4;
-            (u32::from_le_bytes(b), self.sram_cost)
-        } else if a >= self.fram_start && a <= self.fram_last {
-            let off = (a - self.fram_start) as usize;
-            let b: [u8; 4] = self.fram[off..off + 4].try_into().expect("4-byte slice");
-            self.fram_reads += 4;
-            (u32::from_le_bytes(b), self.fram_read_cost)
+        if let Some(off) = self.frame.word_off(addr.0) {
+            Ok(self.frame.read(off, &mut self.cycles))
+        } else if let Some(off) = self.other.word_off(addr.0) {
+            Ok(self.other.read(off, &mut self.cycles))
         } else {
-            return Err(MemoryError::Unmapped { addr, len: 4 });
-        };
-        self.cycles += cost;
-        Ok(v)
+            Err(MemoryError::Unmapped { addr, len: 4 })
+        }
     }
 
     /// Writes a little-endian `u32`, charging cycles and traffic, as
     /// [`Memory::write_word`] does. Against an armed cut the word commits
     /// iff its full write cost still fits, else it tears (full cost still
-    /// charged).
+    /// charged). `CUT = false` skips that test: the caller promises, via
+    /// [`WordBurst::cut_in_reach`], that the cut is out of reach.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline(always)]
-    pub fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
-        let a = addr.0;
-        let volatile = if a >= self.sram_start && a <= self.sram_last {
-            true
-        } else if a >= self.fram_start && a <= self.fram_last {
-            false
+    pub fn write_word<const CUT: bool>(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
+        let torn = if let Some(off) = self.frame.word_off(addr.0) {
+            self.frame
+                .write::<CUT>(off, v, &mut self.cycles, self.cut_at)
+        } else if let Some(off) = self.other.word_off(addr.0) {
+            self.other
+                .write::<CUT>(off, v, &mut self.cycles, self.cut_at)
         } else {
             return Err(MemoryError::Unmapped { addr, len: 4 });
         };
-        let cost = if volatile {
-            self.sram_cost
-        } else {
-            self.fram_write_cost
-        };
-        let commits = cost == 0 || self.cut_at.saturating_sub(self.cycles) >= cost;
-        if commits {
-            let b = v.to_le_bytes();
-            if volatile {
-                let off = (a - self.sram_start) as usize;
-                self.sram[off..off + 4].copy_from_slice(&b);
-                mark_word_dirty(self.sram_dirty, off);
-            } else {
-                let off = (a - self.fram_start) as usize;
-                self.fram[off..off + 4].copy_from_slice(&b);
-                mark_word_dirty(self.fram_dirty, off);
-            }
-        } else {
-            self.torn_writes += 1;
-        }
-        if volatile {
-            self.sram_writes += 4;
-        } else {
-            self.fram_writes += 4;
-        }
-        self.cycles += cost;
+        self.torn_writes += u64::from(torn);
         Ok(())
-    }
-
-    /// Reads a word without charging cycles or stats (`Dup`'s peek), as
-    /// [`Memory::peek_word`] does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    #[inline(always)]
-    pub fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
-        let a = addr.0;
-        let b: [u8; 4] = if a >= self.sram_start && a <= self.sram_last {
-            let off = (a - self.sram_start) as usize;
-            self.sram[off..off + 4].try_into().expect("4-byte slice")
-        } else if a >= self.fram_start && a <= self.fram_last {
-            let off = (a - self.fram_start) as usize;
-            self.fram[off..off + 4].try_into().expect("4-byte slice")
-        } else {
-            return Err(MemoryError::Unmapped { addr, len: 4 });
-        };
-        Ok(u32::from_le_bytes(b))
     }
 
     /// Charges the base cost of one instruction to the open span.
@@ -1663,76 +1796,215 @@ mod tests {
         assert!(m.peek_bytes(a, 16).unwrap().iter().all(|&b| b == 0x7E));
     }
 
-    /// Drives the generic path, the [`Memory`] word path and one
-    /// [`WordBurst`] (many ops, a single commit) through the same
-    /// operation sequence and asserts identical contents, cycles, stats,
-    /// span attribution, dirty bitmaps, and errors.
-    fn assert_word_paths_agree(configure: impl Fn(&mut Memory)) {
-        let mut slow = mem();
-        let mut fast = mem();
-        let mut burst = mem();
-        configure(&mut slow);
-        configure(&mut fast);
-        configure(&mut burst);
-        let sram = slow.layout().sram.start;
-        let fram = slow.layout().fram.start;
-        let unmapped = Addr(4);
-        let sram_end = Addr(slow.layout().sram.end.0 - 2);
-        let ops: Vec<(Addr, u32)> = (0..64)
-            .map(|i| {
-                let a = if i % 3 == 0 {
-                    sram.offset(4 * (i % 16))
-                } else {
-                    fram.offset(4 * (i % 64))
-                };
-                (a, 0xDEAD_0000 ^ i)
-            })
-            .collect();
-        let instr_base = slow.costs().instr_base;
-        let mut bm = burst.word_burst();
-        for &(a, v) in &ops {
-            slow.add_cycles(instr_base);
-            fast.add_cycles(instr_base);
-            bm.charge_instr();
-            let stored = slow.write_u32(a, v).is_ok();
-            assert_eq!(stored, fast.write_word(a, v).is_ok());
-            assert_eq!(stored, bm.write_word(a, v).is_ok());
-            let read = slow.read_u32(a).ok();
-            assert_eq!(read, fast.read_word(a).ok());
-            assert_eq!(read, bm.read_word(a).ok());
-            assert_eq!(fast.peek_word(a).ok(), bm.peek_word(a).ok());
-        }
-        // Error cases must agree too (and charge nothing in any path).
-        assert!(slow.write_u32(unmapped, 1).is_err());
-        assert!(fast.write_word(unmapped, 1).is_err());
-        assert!(bm.write_word(unmapped, 1).is_err());
-        assert!(slow.read_u32(sram_end).is_err());
-        assert!(fast.read_word(sram_end).is_err());
-        assert!(bm.read_word(sram_end).is_err());
-        assert!(bm.peek_word(sram_end).is_err());
-        bm.commit();
-        let l = *slow.layout();
-        for (name, other) in [("word", &fast), ("burst", &burst)] {
-            assert_eq!(slow.cycles(), other.cycles(), "{name} cycles");
-            assert_eq!(slow.stats(), other.stats(), "{name} stats");
+    /// Where a test opens its [`WordBurst`]'s frame: 256 bytes in.
+    const FRAME_AT: u32 = 256;
+    const FRAME_LEN: u32 = 128;
+
+    /// Opens a burst whose frame lies `FRAME_AT` bytes into SRAM or
+    /// FRAM.
+    fn burst_at(m: &mut Memory, in_sram: bool) -> WordBurst<'_> {
+        let l = *m.layout();
+        let region = if in_sram { l.sram } else { l.fram };
+        m.word_burst(region.start.offset(FRAME_AT), FRAME_LEN)
+            .expect("the frame lies in one region")
+    }
+
+    /// Asserts that two memories hold identical contents, cycles, stats,
+    /// span attribution and dirty bitmaps.
+    fn assert_same_memory(want: &Memory, got: &Memory, name: &str) {
+        let l = *want.layout();
+        assert_eq!(want.cycles(), got.cycles(), "{name} cycles");
+        assert_eq!(want.stats(), got.stats(), "{name} stats");
+        assert_eq!(
+            want.span_cycles_all(),
+            got.span_cycles_all(),
+            "{name} span cycles"
+        );
+        for r in [l.sram, l.fram] {
             assert_eq!(
-                slow.span_cycles_all(),
-                other.span_cycles_all(),
-                "{name} span cycles"
+                want.peek_bytes(r.start, r.len()).unwrap(),
+                got.peek_bytes(r.start, r.len()).unwrap(),
+                "{name} contents"
             );
-            for r in [l.sram, l.fram] {
+        }
+        assert_eq!(
+            all_dirty_words(want),
+            all_dirty_words(got),
+            "dirty-word bitmaps diverged between the generic and {name} paths"
+        );
+    }
+
+    /// Drives the generic path, the [`Memory`] word path and one
+    /// [`WordBurst`] per frame placement (many ops, a single commit)
+    /// through the same operation sequence and asserts identical
+    /// contents, cycles, stats, span attribution, dirty bitmaps, and
+    /// errors.
+    fn assert_word_paths_agree(configure: impl Fn(&mut Memory)) {
+        for in_sram in [true, false] {
+            let mut slow = mem();
+            let mut fast = mem();
+            let mut burst = mem();
+            configure(&mut slow);
+            configure(&mut fast);
+            configure(&mut burst);
+            let sram = slow.layout().sram.start;
+            let fram = slow.layout().fram.start;
+            let unmapped = Addr(4);
+            let sram_end = Addr(slow.layout().sram.end.0 - 2);
+            let ops: Vec<(Addr, u32)> = (0..64)
+                .map(|i| {
+                    let a = if i % 3 == 0 {
+                        sram.offset(4 * (i % 16))
+                    } else {
+                        fram.offset(4 * (i % 64))
+                    };
+                    (a, 0xDEAD_0000 ^ i)
+                })
+                .collect();
+            let instr_base = slow.costs().instr_base;
+            let mut bm = burst_at(&mut burst, in_sram);
+            for &(a, v) in &ops {
+                slow.add_cycles(instr_base);
+                fast.add_cycles(instr_base);
+                bm.charge_instr();
+                let stored = slow.write_u32(a, v).is_ok();
+                assert_eq!(stored, fast.write_word(a, v).is_ok());
+                assert_eq!(stored, bm.write_word::<true>(a, v).is_ok());
+                let read = slow.read_u32(a).ok();
+                assert_eq!(read, fast.read_word(a).ok());
+                assert_eq!(read, bm.read_word(a).ok());
+            }
+            // Error cases must agree too (and charge nothing in any path).
+            assert!(slow.write_u32(unmapped, 1).is_err());
+            assert!(fast.write_word(unmapped, 1).is_err());
+            assert!(bm.write_word::<true>(unmapped, 1).is_err());
+            assert!(slow.read_u32(sram_end).is_err());
+            assert!(fast.read_word(sram_end).is_err());
+            assert!(bm.read_word(sram_end).is_err());
+            bm.commit();
+            let name = if in_sram { "SRAM" } else { "FRAM" };
+            assert_same_memory(&slow, &fast, "word");
+            assert_same_memory(&slow, &burst, &format!("burst ({name} frame)"));
+        }
+    }
+
+    /// Frame-relative offsets a zone's accessors see: inside the frame,
+    /// just outside it on both sides, at the far ends of the frame's
+    /// region, and wild ones that a corrupted `sp` could produce (in the
+    /// other region, unmapped, straddling a region end, wrapping below
+    /// address 0).
+    fn frame_offsets(m: &Memory, fp: Addr) -> Vec<u32> {
+        let l = *m.layout();
+        let rel = |a: u32| a.wrapping_sub(fp.0);
+        let mut offs: Vec<u32> = (0..FRAME_LEN / 4).map(|w| 4 * w).collect();
+        offs.extend([FRAME_LEN, FRAME_LEN + 2, 1, 6, (-4i32) as u32]);
+        for r in [l.sram, l.fram] {
+            offs.extend([
+                rel(r.start.0),
+                rel(r.end.0 - 4),
+                rel(r.end.0 - 2),
+                rel(r.start.0.wrapping_sub(2)),
+            ]);
+        }
+        offs.extend([rel(4), rel(0xFFFF_FFFE), rel(l.fram.end.0 + 64)]);
+        offs
+    }
+
+    /// The frame accessors against the generic path at `fp + off`, for
+    /// frames in SRAM and FRAM, every store with and without the
+    /// torn-store test; `CUT = false` only while the cut is out of reach.
+    fn assert_frame_accessors_agree(cut: Option<u64>) {
+        for in_sram in [true, false] {
+            let mut slow = mem();
+            let mut burst = mem();
+            slow.set_power_cut(cut);
+            burst.set_power_cut(cut);
+            let l = *slow.layout();
+            let fp = if in_sram { l.sram } else { l.fram }.start.offset(FRAME_AT);
+            let offs = frame_offsets(&slow, fp);
+            let instr_base = slow.costs().instr_base;
+            let mut bm = burst_at(&mut burst, in_sram);
+            for (i, &off) in offs.iter().enumerate() {
+                let a = Addr(fp.0.wrapping_add(off));
+                let v = 0x5EED_0000 ^ i as u32;
+                slow.add_cycles(instr_base);
+                bm.charge_instr();
+                let stored = slow.write_u32(a, v).is_ok();
+                let got = if bm.cut_in_reach(bm.cycles(), 1) {
+                    bm.write_frame::<true>(off, v)
+                } else {
+                    bm.write_frame::<false>(off, v)
+                };
+                assert_eq!(stored, got.is_ok(), "write at {a}");
                 assert_eq!(
-                    slow.peek_bytes(r.start, r.len()).unwrap(),
-                    other.peek_bytes(r.start, r.len()).unwrap(),
-                    "{name} contents"
+                    slow.peek_word(a).ok(),
+                    bm.peek_frame(off).ok(),
+                    "peek at {a}"
+                );
+                assert_eq!(
+                    slow.read_u32(a).ok(),
+                    bm.read_frame(off).ok(),
+                    "read at {a}"
                 );
             }
-            assert_eq!(
-                all_dirty_words(&slow),
-                all_dirty_words(other),
-                "dirty-word bitmaps diverged between the generic and {name} paths"
-            );
+            bm.commit();
+            let name = if in_sram { "SRAM" } else { "FRAM" };
+            assert_same_memory(&slow, &burst, &format!("frame accessors ({name} frame)"));
         }
+    }
+
+    #[test]
+    fn frame_accessors_match_the_generic_path() {
+        assert_frame_accessors_agree(None);
+    }
+
+    #[test]
+    fn frame_accessors_tear_as_the_generic_path_does() {
+        // The cut lands mid-sequence: early stores commit untested,
+        // later ones tear.
+        for cut in [0, 150, 700, 1_500] {
+            assert_frame_accessors_agree(Some(cut));
+        }
+    }
+
+    #[test]
+    fn word_burst_needs_the_frame_in_one_region() {
+        let mut m = mem();
+        let l = *m.layout();
+        for r in [l.sram, l.fram] {
+            let last = r.end.0 - FRAME_LEN;
+            assert!(m.word_burst(Addr(last), FRAME_LEN).is_some());
+            assert!(m.word_burst(Addr(last + 4), FRAME_LEN).is_none());
+            assert!(m.word_burst(Addr(r.start.0 - 4), FRAME_LEN).is_none());
+        }
+        assert!(m.word_burst(Addr(4), FRAME_LEN).is_none());
+        assert!(m.word_burst(Addr(u32::MAX - 8), FRAME_LEN).is_none());
+    }
+
+    #[test]
+    fn cut_in_reach_bounds_the_zones_last_op() {
+        let mut m = mem();
+        let c = m.costs().clone();
+        let dearest = c
+            .sram_access_per_word
+            .max(c.fram_read_per_word)
+            .max(c.fram_write_per_word);
+        m.add_cycles(1_000);
+        let bound = |stop: u64| stop.max(1_000) + c.instr_base + 5 * dearest;
+        for stop in [0, 999, 1_000, 4_000] {
+            for cut in [bound(stop) - 1, bound(stop), bound(stop) + 1] {
+                m.set_power_cut(Some(cut));
+                let bm = m.word_burst(m.layout().sram.start, 64).unwrap();
+                assert_eq!(
+                    bm.cut_in_reach(stop, 5),
+                    cut < bound(stop),
+                    "stop {stop}, cut {cut}"
+                );
+            }
+        }
+        m.set_power_cut(None);
+        let bm = m.word_burst(m.layout().sram.start, 64).unwrap();
+        assert!(!bm.cut_in_reach(u64::MAX / 4, 5));
     }
 
     /// Every dirty word base address across both regions, ascending.
@@ -1912,9 +2184,9 @@ mod tests {
                     note(&mut targeted, addr, len);
                 }
                 _ => {
-                    let mut bm = m.word_burst();
+                    let mut bm = m.word_burst(addr, 16).unwrap();
                     for i in 0..4 {
-                        bm.write_word(addr.offset(4 * i), (r >> i) as u32).unwrap();
+                        bm.write_frame::<true>(4 * i, (r >> i) as u32).unwrap();
                     }
                     bm.commit();
                     for i in 0..4 {

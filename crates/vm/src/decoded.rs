@@ -201,7 +201,7 @@ impl DecodedProgram {
             debug_assert!(base + len <= code.len() && owner[base] as usize == fi);
             if verify_function(program, fi, &code[base..base + len], base, &mut dp.depths) {
                 dp.verified[fi] = true;
-                lower_function(&code[base..base + len], base, &mut dp);
+                lower_function(&code[base..base + len], base, f.frame_size(), &mut dp);
             }
         }
         fuse(code, &mut dp);
@@ -284,22 +284,27 @@ fn verify_function(
 /// Lowers one verified function's instructions into plain ops.
 /// Unreachable pcs and instructions outside the fast set stay
 /// [`Op::Ref`].
-fn lower_function(code: &[Instr], base: usize, dp: &mut DecodedProgram) {
+fn lower_function(code: &[Instr], base: usize, frame_size: u32, dp: &mut DecodedProgram) {
     for (off, &i) in code.iter().enumerate() {
         let pc = base + off;
         if dp.depths[pc] == DEPTH_UNKNOWN {
             continue;
         }
-        dp.ops[pc] = lower(i);
+        dp.ops[pc] = lower(i, frame_size);
     }
 }
 
-/// The plain decoding of one instruction.
-fn lower(i: Instr) -> Op {
+/// The plain decoding of one instruction in a function whose frame is
+/// `frame_size` bytes. A local load or store lowers to a frame op only
+/// when its word lies inside the frame, so a burst zone's frame
+/// accessors never leave the frame through a local slot; any other
+/// offset stays [`Op::Ref`].
+fn lower(i: Instr, frame_size: u32) -> Op {
+    let in_frame = |o: u16| FRAME_HEADER_BYTES + u32::from(o) + 4 <= frame_size;
     match i {
         Instr::Const(v) => Op::Const(v),
-        Instr::LoadLocal(o) => Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(o)),
-        Instr::StoreLocal(o) => Op::StoreLocal(FRAME_HEADER_BYTES + u32::from(o)),
+        Instr::LoadLocal(o) if in_frame(o) => Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(o)),
+        Instr::StoreLocal(o) if in_frame(o) => Op::StoreLocal(FRAME_HEADER_BYTES + u32::from(o)),
         Instr::AddrLocal(o) => Op::AddrLocal(FRAME_HEADER_BYTES + u32::from(o)),
         Instr::LoadGlobal(o) => Op::LoadGlobal(o),
         Instr::StoreGlobal(o) => Op::StoreGlobal(o),
@@ -455,8 +460,9 @@ mod tests {
                 Op::LdLKBinSt { .. } | Op::LdLKBinBr { .. } | Op::LdGKBinSt { .. } => 4,
                 _ => continue,
             };
+            let frame_size = loaded.function_at(pc as u32).unwrap().frame_size();
             for p in pc + 1..pc + len {
-                assert_eq!(dp.ops[p], lower(loaded.code[p]), "pc {p}");
+                assert_eq!(dp.ops[p], lower(loaded.code[p], frame_size), "pc {p}");
             }
         }
     }
@@ -493,6 +499,42 @@ mod tests {
                 assert!(matches!(dp.ops[pc], Op::Ref), "pc {pc}: {i:?}");
             }
         }
+    }
+
+    #[test]
+    fn out_of_frame_local_offsets_stay_ref() {
+        let mut prog = compile(
+            "int main() { int x = 7; x = x + 1; return x; }",
+            OptLevel::O0,
+        )
+        .unwrap();
+        let f = &mut prog.functions[0];
+        // The frame ends `max_ostack` words past the last local slot:
+        // the first offset whose word crosses the frame end.
+        let past = u16::try_from(f.frame_size() - FRAME_HEADER_BYTES - 3).unwrap();
+        let last = past - 1;
+        f.code.splice(
+            0..0,
+            [
+                Instr::LoadLocal(last),
+                Instr::StoreLocal(last),
+                Instr::LoadLocal(past),
+                Instr::StoreLocal(past),
+            ],
+        );
+        let loaded = LoadedProgram::load(prog).unwrap();
+        let dp = &loaded.decoded;
+        assert!(dp.verified[0]);
+        assert_eq!(
+            dp.ops[0],
+            Op::LoadLocal(FRAME_HEADER_BYTES + u32::from(last))
+        );
+        assert_eq!(
+            dp.ops[1],
+            Op::StoreLocal(FRAME_HEADER_BYTES + u32::from(last))
+        );
+        assert_eq!(dp.ops[2], Op::Ref);
+        assert_eq!(dp.ops[3], Op::Ref);
     }
 
     #[test]

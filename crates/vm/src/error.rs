@@ -42,6 +42,18 @@ pub enum VmError {
     },
 }
 
+impl VmError {
+    /// The trap for fetching or resolving a pc past the end of the code,
+    /// with one text for both dispatch engines. Out of line and cold:
+    /// the decoded loop passes its pc by value and keeps it in a
+    /// register.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn pc_out_of_range(pc: u32) -> VmError {
+        VmError::Trap(format!("pc {pc} out of range"))
+    }
+}
+
 impl fmt::Display for VmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -418,7 +418,7 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
         .loaded()
         .code
         .get(pc as usize)
-        .ok_or_else(|| VmError::Trap(format!("pc {pc} out of range")))?;
+        .ok_or_else(|| VmError::pc_out_of_range(pc))?;
     m.regs.pc = pc + 1;
     m.stats_mut().instructions += 1;
     let base = m.mem.costs().instr_base;
@@ -530,7 +530,7 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
         }
         Instr::Ret => m.do_return(rt)?,
         Instr::Halt => {
-            let f = m.loaded().function_at(pc).name.clone();
+            let f = m.loaded().function_at(pc)?.name.clone();
             return Err(VmError::Trap(format!("fell off the end of `{f}`")));
         }
         Instr::Syscall(Syscall::Alloc) => {
@@ -752,13 +752,18 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 ///   after every `Ref` op, ISR firing and action — even when the period
 ///   deadline falls on the same cycle.
 ///
-/// Non-`Ref` stretches of `dp.ops` execute inside a *fast zone* that
-/// ends at the nearest stop: a [`WordBurst`] view over the memory keeps
-/// the cycle and traffic counters in locals (registers), and the
-/// instruction count accumulates in a local too, folding back into the
-/// machine at every zone boundary — before any `Ref` dispatch, stop
-/// condition, ISR, runtime action, or trap — so the machine state at
-/// every observable point is identical to the reference interpreter's.
+/// Non-`Ref` stretches of `dp.ops` execute as a *burst zone* that ends
+/// at the nearest stop. A zone's state is local to this function:
+/// [`fast_zone`] and [`exec_op`] inline here, the [`WordBurst`] is a
+/// local, and so is a copy of the registers, taken when the zone opens
+/// and written back at every exit (stop, `Ref` op, trap), together
+/// with the zone's cycle, traffic and instruction counts. The machine
+/// state at every observable point is therefore identical to the
+/// reference interpreter's. The frame is resolved once per zone: a
+/// zone never leaves its function, so `fp` and the frame's region are
+/// fixed. A frame that does not lie inside one region (only corrupted
+/// state produces one) opens no zone; its pc runs one reference step
+/// and a runtime poll, as a `Ref` op does.
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
@@ -779,30 +784,95 @@ fn run_burst(
         }
         let pc = m.regs.pc;
         let Some(&op) = dp.ops.get(pc as usize) else {
-            return Err(VmError::Trap(format!("pc {pc} out of range")));
+            return Err(VmError::pc_out_of_range(pc));
         };
-        if let Op::Ref = op {
-            step_after_isr(m, rt)?;
-            rt_stop = poll_runtime(m, rt)?;
-            isr_stop = m.isr_stop();
-            if m.is_halted() {
-                return Ok(());
+        if !matches!(op, Op::Ref) {
+            let zone_stop = stop_at.min(rt_stop).min(isr_stop);
+            if let Some(done) = run_zone(m, dp, data_base, zone_stop) {
+                done?;
+                if m.cycles() >= rt_stop {
+                    rt_stop = poll_runtime(m, rt)?;
+                }
+                continue;
             }
-            continue;
         }
-        let (zone_stop, mut instr) = (stop_at.min(rt_stop).min(isr_stop), 0u64);
-        let res = {
-            let (mem, regs) = m.burst_parts();
-            let mut bm = mem.word_burst();
-            let r = fast_zone(&mut bm, regs, dp, data_base, zone_stop, &mut instr);
-            bm.commit();
-            r
-        };
-        m.stats_mut().instructions += instr;
-        res?;
-        if m.cycles() >= rt_stop {
-            rt_stop = poll_runtime(m, rt)?;
+        step_after_isr(m, rt)?;
+        rt_stop = poll_runtime(m, rt)?;
+        isr_stop = m.isr_stop();
+        if m.is_halted() {
+            return Ok(());
         }
+    }
+}
+
+/// The most word accesses one plain op makes (`Swap`: two pops, two
+/// pushes), plus one: the bound [`WordBurst::cut_in_reach`] applies to
+/// a zone's last op.
+const ZONE_OP_WORDS: u64 = 5;
+
+/// Opens a burst zone at the machine's pc, which holds a plain or fused
+/// op, runs it to `zone_stop` and folds its state back into the
+/// machine. Returns `None`, touching nothing, when the frame does not
+/// lie in one region.
+///
+/// A zone that cannot reach the armed power cut runs the
+/// `fast_zone::<false>` instance, whose stores skip the torn-store
+/// test. That is every zone but the few that end near a period
+/// deadline.
+///
+/// Optimized builds inline this, [`fast_zone`] and [`exec_op`] into
+/// [`run_burst`]: no call takes the address of the view or of the
+/// registers, so they stay in registers. Debug builds do not: there
+/// the inlined op copies only multiply the stack frame, to megabytes.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn run_zone(
+    m: &mut Machine,
+    dp: &DecodedProgram,
+    data_base: u32,
+    zone_stop: u64,
+) -> Option<Result<()>> {
+    let frame_len = m.loaded().function_at(m.regs.pc).ok()?.frame_size();
+    let mut bm = m.mem.word_burst(m.regs.fp, frame_len)?;
+    let mut regs = ZoneRegs::open(&m.regs);
+    let mut instr = 0u64;
+    let res = if bm.cut_in_reach(zone_stop, ZONE_OP_WORDS) {
+        fast_zone::<true>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr)
+    } else {
+        fast_zone::<false>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr)
+    };
+    bm.commit();
+    regs.close(&mut m.regs);
+    m.stats_mut().instructions += instr;
+    Some(res)
+}
+
+/// The registers inside a burst zone. A zone never leaves its
+/// function, so `fp` is fixed and `sp` is held as its offset from `fp`:
+/// the offset the frame accessors take. Wrapping arithmetic keeps
+/// `fp + sp` equal to the absolute `sp` for every value, a corrupted
+/// one included.
+#[derive(Debug, Clone, Copy)]
+struct ZoneRegs {
+    pc: u32,
+    /// `sp - fp`.
+    sp: u32,
+    fp: u32,
+}
+
+impl ZoneRegs {
+    #[inline(always)]
+    fn open(r: &Registers) -> ZoneRegs {
+        ZoneRegs {
+            pc: r.pc,
+            sp: r.sp.raw().wrapping_sub(r.fp.raw()),
+            fp: r.fp.raw(),
+        }
+    }
+
+    #[inline(always)]
+    fn close(self, r: &mut Registers) {
+        r.pc = self.pc;
+        r.sp = Addr(self.fp.wrapping_add(self.sp));
     }
 }
 
@@ -832,10 +902,12 @@ fn poll_runtime(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<u64
 /// runs even when the zone opens at its stop: that happens only after
 /// an ISR entry that ran past the deadline, warning or budget, and the
 /// reference [`step`] runs the instruction after its ISR poll
-/// unconditionally too.
-fn fast_zone(
+/// unconditionally too. `CUT` selects whether stores test the armed
+/// power cut (see [`run_zone`]).
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn fast_zone<const CUT: bool>(
     bm: &mut WordBurst<'_>,
-    regs: &mut Registers,
+    regs: &mut ZoneRegs,
     dp: &DecodedProgram,
     data_base: u32,
     stop_at: u64,
@@ -843,19 +915,19 @@ fn fast_zone(
 ) -> Result<()> {
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
-            exec_op(bm, regs, data_base, instr, $first)?;
+            exec_op::<CUT>(bm, regs, data_base, instr, $first)?;
             $(
                 if bm.cycles() >= stop_at {
                     return Ok(());
                 }
-                exec_op(bm, regs, data_base, instr, $rest)?;
+                exec_op::<CUT>(bm, regs, data_base, instr, $rest)?;
             )+
         }};
     }
     loop {
         let pc = regs.pc;
         let Some(&op) = dp.ops.get(pc as usize) else {
-            return Err(VmError::Trap(format!("pc {pc} out of range")));
+            return Err(VmError::pc_out_of_range(pc));
         };
         match op {
             Op::Ref => return Ok(()),
@@ -894,7 +966,26 @@ fn fast_zone(
             Op::KStG { k, d } => {
                 fused!(Op::Const(k), Op::StoreGlobal(d));
             }
-            plain => exec_op(bm, regs, data_base, instr, plain)?,
+            // One arm per plain op, not a catch-all: each inlines its own
+            // `exec_op` body, so a plain op dispatches through one jump
+            // table instead of two.
+            plain @ Op::Const(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::LoadLocal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::StoreLocal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::AddrLocal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::LoadGlobal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::StoreGlobal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::AddrGlobal(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::LoadInd => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::StoreInd => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Dup => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Pop => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Swap => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Bin(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Un(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Jmp(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Jz(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
+            plain @ Op::Jnz(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
         }
         if bm.cycles() >= stop_at {
             return Ok(());
@@ -905,74 +996,73 @@ fn fast_zone(
 /// Executes one plain (non-`Ref`, non-fused) decoded op on `bus`,
 /// mirroring the reference `step_after_isr` body for that instruction:
 /// pc increment, instruction count, base cycle charge, then the op's
-/// memory traffic in reference order. Pushes and pops skip the
-/// reference's frame-bound checks: plain ops only occur at verified
-/// pcs, where the decoder proved `1 <= depth < max_ostack` as needed.
-#[inline(always)]
-fn exec_op(
+/// memory traffic in reference order. Pushes, pops, `Dup`'s peek and
+/// local slots go through the frame accessors, addressed from `fp`;
+/// pushes and pops skip the reference's frame-bound checks: plain ops
+/// only occur at verified pcs, where the decoder proved
+/// `1 <= depth < max_ostack` as needed.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn exec_op<const CUT: bool>(
     bus: &mut WordBurst<'_>,
-    regs: &mut Registers,
+    regs: &mut ZoneRegs,
     data_base: u32,
     instr: &mut u64,
     op: Op,
 ) -> Result<()> {
     #[inline(always)]
-    fn push(bus: &mut WordBurst<'_>, regs: &mut Registers, v: i32) -> Result<()> {
-        bus.write_word(regs.sp, v as u32)?;
-        regs.sp = Addr(regs.sp.raw() + 4);
+    fn push<const CUT: bool>(bus: &mut WordBurst<'_>, regs: &mut ZoneRegs, v: i32) -> Result<()> {
+        bus.write_frame::<CUT>(regs.sp, v as u32)?;
+        regs.sp = regs.sp.wrapping_add(4);
         Ok(())
     }
     #[inline(always)]
-    fn pop(bus: &mut WordBurst<'_>, regs: &mut Registers) -> Result<i32> {
-        let sp = Addr(regs.sp.raw() - 4);
-        regs.sp = sp;
-        Ok(bus.read_word(sp)? as i32)
+    fn pop(bus: &mut WordBurst<'_>, regs: &mut ZoneRegs) -> Result<i32> {
+        regs.sp = regs.sp.wrapping_sub(4);
+        Ok(bus.read_frame(regs.sp)? as i32)
     }
     regs.pc += 1;
     *instr += 1;
     bus.charge_instr();
     match op {
-        Op::Const(v) => push(bus, regs, v),
+        Op::Const(v) => push::<CUT>(bus, regs, v),
         Op::LoadLocal(off) => {
-            let a = Addr(regs.fp.raw() + off);
-            let v = bus.read_word(a)? as i32;
-            push(bus, regs, v)
+            let v = bus.read_frame(off)? as i32;
+            push::<CUT>(bus, regs, v)
         }
         Op::StoreLocal(off) => {
             let v = pop(bus, regs)?;
-            let a = Addr(regs.fp.raw() + off);
-            bus.write_word(a, v as u32)?;
+            bus.write_frame::<CUT>(off, v as u32)?;
             Ok(())
         }
-        Op::AddrLocal(off) => push(bus, regs, (regs.fp.raw() + off) as i32),
+        Op::AddrLocal(off) => push::<CUT>(bus, regs, regs.fp.wrapping_add(off) as i32),
         Op::LoadGlobal(off) => {
             let a = Addr(data_base + off);
             let v = bus.read_word(a)? as i32;
-            push(bus, regs, v)
+            push::<CUT>(bus, regs, v)
         }
         Op::StoreGlobal(off) => {
             let v = pop(bus, regs)?;
             let a = Addr(data_base + off);
-            bus.write_word(a, v as u32)?;
+            bus.write_word::<CUT>(a, v as u32)?;
             Ok(())
         }
-        Op::AddrGlobal(off) => push(bus, regs, (data_base + off) as i32),
+        Op::AddrGlobal(off) => push::<CUT>(bus, regs, (data_base + off) as i32),
         Op::LoadInd => {
             let a = Addr(pop(bus, regs)? as u32);
             let v = bus.read_word(a)? as i32;
-            push(bus, regs, v)
+            push::<CUT>(bus, regs, v)
         }
         Op::StoreInd => {
             let v = pop(bus, regs)?;
             let a = Addr(pop(bus, regs)? as u32);
-            bus.write_word(a, v as u32)?;
+            bus.write_word::<CUT>(a, v as u32)?;
             Ok(())
         }
         Op::Dup => {
             // `peek_top` charges nothing in the reference interpreter;
             // only the push is bus traffic.
-            let v = bus.peek_word(Addr(regs.sp.raw() - 4))? as i32;
-            push(bus, regs, v)
+            let v = bus.peek_frame(regs.sp.wrapping_sub(4))? as i32;
+            push::<CUT>(bus, regs, v)
         }
         Op::Pop => {
             pop(bus, regs)?;
@@ -981,8 +1071,8 @@ fn exec_op(
         Op::Swap => {
             let a = pop(bus, regs)?;
             let b = pop(bus, regs)?;
-            push(bus, regs, a)?;
-            push(bus, regs, b)
+            push::<CUT>(bus, regs, a)?;
+            push::<CUT>(bus, regs, b)
         }
         Op::Bin(op) => {
             let b = pop(bus, regs)?;
@@ -991,13 +1081,13 @@ fn exec_op(
             // grew the op bodies inlined into `fast_zone` by ~2 KB and
             // slowed decoded dispatch by ~2%.
             match op.apply(a, b) {
-                Ok(r) => push(bus, regs, r),
+                Ok(r) => push::<CUT>(bus, regs, r),
                 Err(msg) => Err(VmError::Trap(msg.into())),
             }
         }
         Op::Un(op) => {
             let a = pop(bus, regs)?;
-            push(bus, regs, op.apply(a))
+            push::<CUT>(bus, regs, op.apply(a))
         }
         Op::Jmp(t) => {
             regs.pc = t;
@@ -1332,6 +1422,78 @@ mod tests {
              }",
         );
         assert_eq!(out.exit_code(), Some(1));
+    }
+
+    /// Plain C whose frame header is corrupted at its first stop: the
+    /// return address of the running frame becomes `RET_PC`.
+    struct CorruptReturn {
+        done: bool,
+    }
+
+    impl CorruptReturn {
+        const RET_PC: u32 = 4_294_967_167;
+    }
+
+    impl IntermittentRuntime for CorruptReturn {
+        fn name(&self) -> &'static str {
+            "corrupt-return"
+        }
+
+        fn capabilities(&self) -> crate::RuntimeCapabilities {
+            BareRuntime.capabilities()
+        }
+
+        fn instrumentation(&self) -> tics_minic::program::Instrumentation {
+            BareRuntime.instrumentation()
+        }
+
+        fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
+            BareRuntime.on_boot(m)
+        }
+
+        fn checkpoint(&mut self, _m: &mut Machine, _kind: CheckpointKind) -> Result<()> {
+            Ok(())
+        }
+
+        fn next_stop(&mut self, _m: &mut Machine) -> u64 {
+            if self.done {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+
+        fn on_stop(&mut self, m: &mut Machine) -> Result<()> {
+            if !self.done {
+                self.done = true;
+                m.mem.poke_i32(m.regs.fp, Self::RET_PC as i32)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn corrupted_return_address_traps_on_both_engines() {
+        // `Ret` resumes at the corrupted pc and pushes the return value
+        // there; resolving that pc's frame must trap, not panic.
+        let prog = compile(
+            "int f(int x) { return x + 1; } int main() { int y = 2; return f(y); }",
+            OptLevel::O0,
+        )
+        .unwrap();
+        for engine in [DispatchEngine::Reference, DispatchEngine::Decoded] {
+            let mut m = Machine::new(prog.clone(), MachineConfig::default()).unwrap();
+            let mut rt = CorruptReturn { done: false };
+            let err = Executor::new()
+                .with_engine(engine)
+                .run(&mut m, &mut rt, &mut ContinuousPower::new())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                VmError::Trap(format!("pc {} out of range", CorruptReturn::RET_PC)),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]

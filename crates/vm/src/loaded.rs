@@ -89,12 +89,17 @@ impl LoadedProgram {
 
     /// The function metadata owning `pc`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `pc` is out of range.
-    #[must_use]
-    pub fn function_at(&self, pc: u32) -> &Function {
-        &self.program.functions[self.owner[pc as usize] as usize]
+    /// [`VmError::Trap`] if `pc` is out of range: a pc restored from a
+    /// corrupted frame header or checkpoint traps with the text both
+    /// dispatch engines use for an out-of-range fetch.
+    pub fn function_at(&self, pc: u32) -> crate::Result<&Function> {
+        let fi = self
+            .owner
+            .get(pc as usize)
+            .ok_or_else(|| VmError::pc_out_of_range(pc))?;
+        Ok(&self.program.functions[*fi as usize])
     }
 
     /// Entry pc of function `idx`.
@@ -163,7 +168,11 @@ mod tests {
         .unwrap();
         let loaded = LoadedProgram::load(prog).unwrap();
         let e1 = loaded.entry_of(1);
-        assert_eq!(loaded.function_at(e1).name, "main");
-        assert_eq!(loaded.function_at(0).name, "f");
+        assert_eq!(loaded.function_at(e1).unwrap().name, "main");
+        assert_eq!(loaded.function_at(0).unwrap().name, "f");
+        assert_eq!(
+            loaded.function_at(loaded.code.len() as u32).unwrap_err(),
+            VmError::Trap(format!("pc {} out of range", loaded.code.len()))
+        );
     }
 }

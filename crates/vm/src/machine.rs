@@ -324,14 +324,6 @@ impl Machine {
         self.data_base.offset(offset)
     }
 
-    /// Splits the machine into the disjoint memory and registers the
-    /// decoded loop mutates, so ops can run on a
-    /// [`tics_mcu::WordBurst`] over the memory while they update the
-    /// registers.
-    pub(crate) fn burst_parts(&mut self) -> (&mut Memory, &mut Registers) {
-        (&mut self.mem, &mut self.regs)
-    }
-
     /// Base of the persistent FRAM heap: first word is the allocator's
     /// bump pointer, allocations follow.
     #[must_use]
@@ -552,7 +544,7 @@ impl Machine {
     /// Returns [`VmError::Trap`] if the frame's operand area overflows
     /// (indicates a codegen bug) or [`VmError::Memory`] on bad addresses.
     pub fn push(&mut self, v: i32) -> Result<()> {
-        let f = self.image.loaded.function_at(self.regs.pc);
+        let f = self.image.loaded.function_at(self.regs.pc)?;
         let frame_end = self.regs.fp.offset(f.frame_size());
         if self.regs.sp.offset(4) > frame_end {
             return Err(VmError::Trap(format!(
@@ -571,7 +563,7 @@ impl Machine {
     ///
     /// Returns [`VmError::Trap`] on underflow.
     pub fn pop(&mut self) -> Result<i32> {
-        let f = self.image.loaded.function_at(self.regs.pc);
+        let f = self.image.loaded.function_at(self.regs.pc)?;
         let operand_base = self
             .regs
             .fp

@@ -35,6 +35,7 @@ use tics_minic::{compile, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent, TraceRecord};
 use tics_vm::{
     BareRuntime, DispatchEngine, ExecStats, Executor, IntermittentRuntime, Machine, MachineConfig,
+    RunOutcome,
 };
 
 /// Generous on-time budget: every grid cell either finishes or is
@@ -695,4 +696,126 @@ fn tics_runtime_stops_land_where_per_instruction_polling_acts() {
     }
     assert!(timer_commits > 0, "no timer checkpoint committed");
     assert!(catches > 0, "no expiry timer fired");
+}
+
+/// A short loop of FRAM stores on a machine whose ISR fires every
+/// `period_us`: many zone stops in a run a few thousand cycles long.
+fn short_isr_program(system: SystemUnderTest, period_us: u64) -> (Program, MachineConfig) {
+    let src = "
+        nv int ticks;
+        nv int acc;
+        int on_tick() {
+            ticks = ticks + 1;
+            return 0;
+        }
+        int main() {
+            for (int i = 0; i < 40; i++) {
+                acc = acc + i * 3;
+            }
+            send(acc);
+            return ticks;
+        }
+    ";
+    let prog = build_program(system, src, Err("no task port"), OptLevel::O2)
+        .expect("build the short ISR program");
+    let cfg = MachineConfig {
+        isr: Some(("on_tick".to_string(), period_us)),
+        ..MachineConfig::default()
+    };
+    (prog, cfg)
+}
+
+/// Puts a power cut at every cycle within `reach` of the first two ISR
+/// stops and the first checkpoint stop of `prog`'s continuous run, and
+/// asserts that both engines agree on each. Returns how many ISR and
+/// checkpoint stops it found.
+fn assert_cuts_around_stops_agree(
+    label: &str,
+    prog: &Program,
+    cfg: &MachineConfig,
+    rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
+    reach: u64,
+) -> (usize, usize) {
+    // A stop's zone ends where the ISR enters or the runtime's
+    // checkpoint span opens; span events are recorded only in a
+    // detailed trace.
+    let mut m = Machine::new(prog.clone(), cfg.clone()).expect("machine construction");
+    m.trace_mut().set_detailed(true);
+    let outcome = grid_executor().with_engine(DispatchEngine::Decoded).run(
+        &mut m,
+        rt_of().as_mut(),
+        &mut ContinuousPower::new(),
+    );
+    assert!(
+        matches!(outcome, Ok(RunOutcome::Finished(_))),
+        "{label}: {outcome:?}"
+    );
+    let stops = |checkpoint: bool| -> Vec<u64> {
+        m.trace()
+            .records()
+            .iter()
+            .filter(|r| match r.event {
+                TraceEvent::IsrEnter => !checkpoint,
+                TraceEvent::SpanEnter {
+                    kind: SpanKind::Checkpoint,
+                } => checkpoint,
+                _ => false,
+            })
+            .map(|r| r.cycle)
+            .collect()
+    };
+    let (isr, checkpoint) = (stops(false), stops(true));
+    let chosen = isr.iter().take(2).chain(checkpoint.iter().take(1));
+    for &stop in chosen {
+        for cut in stop - reach..=stop + reach {
+            assert_engines_agree(
+                &format!("{label}/cut-{cut}"),
+                prog,
+                cfg,
+                rt_of,
+                &grid_executor(),
+                &Supply::Adversarial(FaultPlan::new(vec![cut], 150)),
+                Device::default(),
+            );
+        }
+    }
+    (isr.len().min(2), checkpoint.len().min(1))
+}
+
+/// Power cuts at every cycle of a window around burst-zone stops. A
+/// zone whose stores cannot reach the armed cut skips the torn-store
+/// test; one whose stores can, runs it. The bound between the two lies
+/// `instr_base + 5 × (dearest word cost)` cycles past the zone's stop,
+/// so windows that wide on both sides of the ISR's stops and of TICS's
+/// checkpoint stops put cuts on both sides of it: both kinds of zone
+/// run, and every store must commit or tear exactly where the
+/// reference's does.
+#[test]
+fn cuts_around_zone_stops_tear_as_the_reference_does() {
+    let costs = tics_mcu::CostModel::default();
+    let reach = costs.instr_base
+        + 5 * costs
+            .sram_access_per_word
+            .max(costs.fram_read_per_word)
+            .max(costs.fram_write_per_word);
+    let (bare, bare_cfg) = short_isr_program(SystemUnderTest::PlainC, 97);
+    let found = assert_cuts_around_stops_agree(
+        "bare",
+        &bare,
+        &bare_cfg,
+        &|| Box::new(BareRuntime::new()),
+        reach,
+    );
+    assert_eq!(found, (2, 0), "bare: zone stops found");
+    // TICS runs without the ISR: it checkpoints after every return from
+    // interrupt, and with a 97 µs ISR it would never finish.
+    let (tics, _) = short_isr_program(SystemUnderTest::Tics, 97);
+    let found = assert_cuts_around_stops_agree(
+        "tics",
+        &tics,
+        &MachineConfig::default(),
+        &|| tics_with_timer(&tics, 331),
+        reach,
+    );
+    assert_eq!(found, (0, 1), "tics: zone stops found");
 }
