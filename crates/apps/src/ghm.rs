@@ -156,8 +156,8 @@ pub fn read_counters(m: &tics_vm::Machine) -> [i32; 4] {
             .unwrap_or_else(|| panic!("GHM counter `{name}` missing"));
         out[i] = m
             .mem
-            .peek_i32(m.global_addr(g.offset))
-            .expect("counter readable");
+            .peek_word(m.global_addr(g.offset))
+            .expect("counter readable") as i32;
     }
     out
 }

@@ -486,7 +486,7 @@ mod tests {
 
     fn clobber(m: &mut Machine, buf: Addr) {
         let a = buf.offset(tics_vm::persist::DELTA_HEADER + 2);
-        let b = m.mem.peek_bytes(a, 1).unwrap()[0];
+        let b = m.mem.peek_slice(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x10]).unwrap();
     }
 

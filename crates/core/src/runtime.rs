@@ -147,7 +147,7 @@ impl TicsRuntime {
         // buffered send now becomes externally visible, exactly once.
         if self.io_count > 0 {
             for i in 0..self.io_count {
-                let v = m.mem.peek_i32(l.io_slot(i))?;
+                let v = m.mem.peek_word(l.io_slot(i))? as i32;
                 m.record_send(v);
                 m.mem.add_cycles(8);
             }
@@ -1077,7 +1077,7 @@ mod tests {
         let (mut m, mut rt) = machine_with_delta_chain();
         let l = *rt.layout().unwrap();
         let a = l.banks.journal().0.offset(DELTA_HEADER + 2);
-        let b = m.mem.peek_bytes(a, 1).unwrap()[0];
+        let b = m.mem.peek_slice(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x40]).unwrap();
         let action = rt.on_boot(&mut m).unwrap();
         assert_eq!(
@@ -1102,7 +1102,7 @@ mod tests {
     fn clobber_bank(m: &mut Machine, rt: &TicsRuntime, which: u32) {
         let l = rt.layout().unwrap();
         let a = l.banks.bank(which).offset(l.banks.format.header() + 3);
-        let b = m.mem.peek_bytes(a, 1).unwrap()[0];
+        let b = m.mem.peek_slice(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x40]).unwrap();
     }
 

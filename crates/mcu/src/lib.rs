@@ -26,9 +26,9 @@
 //! let layout = MemoryLayout::default();
 //! let mut mem = Memory::new(layout);
 //! let a = mem.layout().fram.start;
-//! mem.write_u32(a, 0xDEAD_BEEF).unwrap();
+//! mem.write_word(a, 0xDEAD_BEEF).unwrap();
 //! mem.power_fail();
-//! assert_eq!(mem.read_u32(a).unwrap(), 0xDEAD_BEEF); // FRAM survives
+//! assert_eq!(mem.read_word(a).unwrap(), 0xDEAD_BEEF); // FRAM survives
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@ use tics_trace::SpanKind;
 
 use crate::costs::CostModel;
 use crate::layout::MemoryLayout;
-use crate::region::Addr;
+use crate::region::{Addr, Region};
 
 /// Pattern written over SRAM on power failure. Deterministic garbage makes
 /// "used stale volatile data" bugs reproducible in tests.
@@ -149,9 +149,9 @@ enum StoreSrc<'a> {
     Bytes(&'a [u8]),
     /// One repeated byte ([`Memory::fill`]).
     Fill(u8),
-    /// Simulated memory itself ([`Memory::copy`]): the region (`true`
-    /// for SRAM) and region-relative offset of the source range.
-    Within(bool, usize),
+    /// Simulated memory itself ([`Memory::copy`]): the region index and
+    /// region-relative offset of the source range.
+    Within(usize, usize),
 }
 
 /// Number of `u64` bitmap limbs needed to cover `region_bytes` of
@@ -160,7 +160,7 @@ fn dirty_len(region_bytes: u32) -> usize {
     (region_bytes.div_ceil(4) as usize).div_ceil(64)
 }
 
-/// Single-store twin of [`mark_dirty_bits`] for the word fast paths: a
+/// Single-store twin of [`mark_dirty_bits`] for the single-word form: a
 /// 4-byte store at region-relative byte offset `off` touches word
 /// `off / 4`, and — only when unaligned — `off / 4 + 1` as well, so an
 /// aligned store is one read-modify-write of one limb.
@@ -214,8 +214,21 @@ fn unit(x: u64) -> f64 {
 /// cycle counter driven by the [`CostModel`].
 ///
 /// All accesses are bounds-checked against the [`MemoryLayout`]; an access
-/// outside both regions returns [`MemoryError::Unmapped`] (the real MCU
-/// would bus-fault). Multi-byte values are little-endian.
+/// outside both regions, or straddling a region's end, returns
+/// [`MemoryError::Unmapped`] (the real MCU would bus-fault). Multi-byte
+/// values are little-endian.
+///
+/// Cycle-accounted accesses come in two forms that charge, count, mark
+/// and tear identically:
+///
+/// * the **byte-range form** — [`Memory::read_bytes`],
+///   [`Memory::write_bytes`], [`Memory::copy`], [`Memory::fill`] and
+///   their word-width [`Memory::read_i32`]/[`Memory::write_i32`] — takes
+///   any length. The reference interpreter runs on it.
+/// * the **single-word form** — [`Memory::read_word`],
+///   [`Memory::write_word`] and a [`WordBurst`] — moves one 4-byte word.
+///   Frame headers, the heap's bump pointer, driver slots, global
+///   initializers and every op of the decoded interpreter run on it.
 ///
 /// The `peek_*`/`poke_*` methods bypass cycle accounting and statistics —
 /// they model a debugger probe, and tests use them to inspect state without
@@ -226,13 +239,14 @@ fn unit(x: u64) -> f64 {
 /// Real FRAM commits word by word; a store interrupted by a power failure
 /// leaves a *prefix* of the words written and the rest untouched. When a
 /// power cut is armed with [`Memory::set_power_cut`], every cycle-accounted
-/// store ([`Memory::write_bytes`], [`Memory::fill`], and everything built
-/// on them) commits only the whole 4-byte words whose write traffic fits
+/// store commits only the whole 4-byte words whose write traffic fits
 /// before the cut cycle, charges its full cost regardless (the device spent
 /// the energy attempting the store), and counts a
-/// [`MemoryStats::torn_writes`] when truncated. `poke_*` writes are exempt:
-/// they model runtime/debugger operations whose atomicity is governed by
-/// the machine's atomic-charge protocol, not by the memory bus.
+/// [`MemoryStats::torn_writes`] when truncated. For a single word that
+/// means: it lands iff one word's write cost still fits before the cut.
+/// `poke_*` writes are exempt: they model runtime/debugger operations
+/// whose atomicity is governed by the machine's atomic-charge protocol,
+/// not by the memory bus.
 ///
 /// # Brown-out corruption
 ///
@@ -240,11 +254,14 @@ fn unit(x: u64) -> f64 {
 /// Real brown-outs are dirtier — in the undervolted window right before
 /// the supply dies, FRAM stores can flip bits or be silently dropped,
 /// and SRAM decays rather than vanishing. Arming a [`CorruptionModel`]
-/// via [`Memory::set_corruption`] enables these modes for *all* stores,
-/// poke-path included (checkpoint banks are written with pokes, and the
-/// electrons do not care who issued the store). Corrupted stores are
-/// counted in [`MemoryStats::corrupted_writes`]; the model is seeded
-/// and fully deterministic.
+/// via [`Memory::set_corruption`] enables these modes for *all* stores
+/// longer than [`ATOMIC_STORE_BYTES`], poke-path included (checkpoint
+/// banks are written with pokes, and the electrons do not care who
+/// issued the store). The single-word form never consults the model: a
+/// word is at or below that size, so the model would neither touch it
+/// nor advance its RNG stream. Corrupted stores are counted in
+/// [`MemoryStats::corrupted_writes`]; the model is seeded and fully
+/// deterministic.
 ///
 /// # Dirty-word write monitor
 ///
@@ -260,17 +277,15 @@ fn unit(x: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Memory {
     layout: MemoryLayout,
-    sram: Vec<u8>,
-    fram: Vec<u8>,
-    /// Dirty-word bitmap for SRAM: bit `w` set means 4-byte word `w`
-    /// (region-relative) has been stored to since the bit was cleared.
-    sram_dirty: Vec<u64>,
-    /// Dirty-word bitmap for FRAM (see `sram_dirty`).
-    fram_dirty: Vec<u64>,
+    /// SRAM at index `SRAM`, FRAM after it. `Memory::resolve` is the
+    /// one place an address picks between them.
+    regions: [RegionMem; 2],
     /// Shared so mass-instantiated machines don't duplicate the table.
     costs: Arc<CostModel>,
     cycles: u64,
-    stats: MemoryStats,
+    power_failures: u64,
+    torn_writes: u64,
+    corrupted_writes: u64,
     /// Absolute cycle at which power dies; stores straddling it tear.
     cut_at: Option<u64>,
     /// Brown-out corruption model, if armed (see [`CorruptionModel`]).
@@ -283,6 +298,100 @@ pub struct Memory {
     /// Cycles charged per span. Every increment of `cycles` also lands
     /// here, so `span_cycles.sum() == cycles` holds by construction.
     span_cycles: [u64; SpanKind::COUNT],
+}
+
+/// Index of SRAM in `Memory::regions`; FRAM is the other one.
+const SRAM: usize = 0;
+
+/// The cut a single-word store is tested against when none is armed:
+/// simulated cycle counts stay far below the point where
+/// `NO_CUT - cycles < cost` could misclassify a commit.
+const NO_CUT: u64 = u64::MAX;
+
+/// Bytes read from and written to one region (torn stores included).
+#[derive(Debug, Clone, Copy, Default)]
+struct Traffic {
+    reads: u64,
+    writes: u64,
+}
+
+/// One memory region's state: where it starts, its bytes, its dirty-word
+/// bitmap (bit `w` set means region-relative word `w` has been stored to
+/// since the bit was cleared), its per-word costs, and its traffic.
+#[derive(Debug, Clone)]
+struct RegionMem {
+    start: u32,
+    bytes: Vec<u8>,
+    dirty: Vec<u64>,
+    read_cost: u64,
+    write_cost: u64,
+    traffic: Traffic,
+}
+
+/// The region-relative offset of `[addr, addr + len)` in a region of
+/// `size` bytes at `start`, if the whole range lies in it. One compare:
+/// an address below `start` wraps to an offset past the region's end.
+#[inline(always)]
+fn offset_in(start: u32, size: usize, addr: u32, len: u32) -> Option<usize> {
+    let off = addr.wrapping_sub(start) as usize;
+    (off + len as usize <= size).then_some(off)
+}
+
+/// The little-endian word at byte offset `off`.
+#[inline(always)]
+fn load_word(bytes: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"))
+}
+
+impl RegionMem {
+    fn new(region: Region, read_cost: u64, write_cost: u64) -> RegionMem {
+        RegionMem {
+            start: region.start.0,
+            bytes: vec![0; region.len() as usize],
+            dirty: vec![0; dirty_len(region.len())],
+            read_cost,
+            write_cost,
+            traffic: Traffic::default(),
+        }
+    }
+
+    fn reset(&mut self) {
+        self.bytes.fill(0);
+        self.dirty.fill(0);
+        self.traffic = Traffic::default();
+    }
+
+    /// Borrows this region's bytes and bitmap for single-word accesses,
+    /// with traffic counted in the view until [`RegionView::fold`].
+    #[inline(always)]
+    fn view(&mut self) -> RegionView<'_> {
+        RegionView {
+            start: self.start,
+            bytes: &mut self.bytes,
+            dirty: &mut self.dirty,
+            read_cost: self.read_cost,
+            write_cost: self.write_cost,
+            traffic: Traffic::default(),
+            out: &mut self.traffic,
+        }
+    }
+
+    /// Charges a byte-range read of `len` bytes; returns its cycle cost.
+    fn charge_read(&mut self, len: u32) -> u64 {
+        self.traffic.reads += u64::from(len);
+        self.read_cost * u64::from(len.div_ceil(4))
+    }
+}
+
+/// The region at index `i` and the other one.
+#[inline(always)]
+fn pair(regions: &mut [RegionMem; 2], i: usize) -> (&mut RegionMem, &mut RegionMem) {
+    let [a, b] = regions;
+    if i == SRAM {
+        (a, b)
+    } else {
+        (b, a)
+    }
 }
 
 impl Memory {
@@ -304,13 +413,23 @@ impl Memory {
     pub fn with_shared_costs(layout: MemoryLayout, costs: Arc<CostModel>) -> Memory {
         Memory {
             layout,
-            sram: vec![0; layout.sram.len() as usize],
-            fram: vec![0; layout.fram.len() as usize],
-            sram_dirty: vec![0; dirty_len(layout.sram.len())],
-            fram_dirty: vec![0; dirty_len(layout.fram.len())],
+            regions: [
+                RegionMem::new(
+                    layout.sram,
+                    costs.sram_access_per_word,
+                    costs.sram_access_per_word,
+                ),
+                RegionMem::new(
+                    layout.fram,
+                    costs.fram_read_per_word,
+                    costs.fram_write_per_word,
+                ),
+            ],
             costs,
             cycles: 0,
-            stats: MemoryStats::default(),
+            power_failures: 0,
+            torn_writes: 0,
+            corrupted_writes: 0,
             cut_at: None,
             corruption: None,
             corrupt_rng: 0,
@@ -337,12 +456,13 @@ impl Memory {
     /// allocation. Recycling a machine across fleet devices relies on
     /// this being indistinguishable from a fresh [`Memory::with_costs`].
     pub fn reset(&mut self) {
-        self.sram.fill(0);
-        self.fram.fill(0);
-        self.sram_dirty.fill(0);
-        self.fram_dirty.fill(0);
+        for r in &mut self.regions {
+            r.reset();
+        }
         self.cycles = 0;
-        self.stats = MemoryStats::default();
+        self.power_failures = 0;
+        self.torn_writes = 0;
+        self.corrupted_writes = 0;
         self.cut_at = None;
         self.corruption = None;
         self.corrupt_rng = 0;
@@ -393,7 +513,16 @@ impl Memory {
     /// Usage statistics.
     #[must_use]
     pub fn stats(&self) -> MemoryStats {
-        self.stats
+        let [sram, fram] = &self.regions;
+        MemoryStats {
+            sram_reads: sram.traffic.reads,
+            sram_writes: sram.traffic.writes,
+            fram_reads: fram.traffic.reads,
+            fram_writes: fram.traffic.writes,
+            power_failures: self.power_failures,
+            torn_writes: self.torn_writes,
+            corrupted_writes: self.corrupted_writes,
+        }
     }
 
     /// Simulates a power failure: SRAM is clobbered with a recognizable
@@ -409,17 +538,18 @@ impl Memory {
     /// data remanence of short outages, where stale-but-plausible SRAM
     /// contents are far more dangerous than obvious garbage.
     pub fn power_fail(&mut self) {
+        let sram = &mut self.regions[SRAM].bytes;
         match self.corruption {
             Some(c) if c.sram_decay < 1.0 => {
-                for byte in &mut self.sram {
+                for byte in sram {
                     if unit(splitmix64(&mut self.corrupt_rng)) < c.sram_decay {
                         *byte = SRAM_CLOBBER;
                     }
                 }
             }
-            _ => self.sram.fill(SRAM_CLOBBER),
+            _ => sram.fill(SRAM_CLOBBER),
         }
-        self.stats.power_failures += 1;
+        self.power_failures += 1;
         self.cut_at = None;
     }
 
@@ -477,16 +607,11 @@ impl Memory {
         self.cut_at
     }
 
-    /// How many of `len` bytes starting at `addr` a store beginning now
-    /// would actually commit: whole 4-byte words whose per-word write cost
-    /// completes at or before the armed cut.
-    fn committed_prefix(&self, addr: Addr, len: u32) -> u32 {
+    /// How many of `len` bytes a store beginning now would actually
+    /// commit, at `per_word` cycles per word: the whole 4-byte words whose
+    /// write cost completes at or before the armed cut.
+    fn committed_prefix(&self, per_word: u64, len: u32) -> u32 {
         let Some(cut) = self.cut_at else { return len };
-        let per_word = if self.layout.is_volatile(addr) {
-            self.costs.sram_access_per_word
-        } else {
-            self.costs.fram_write_per_word
-        };
         if per_word == 0 {
             return len;
         }
@@ -497,63 +622,18 @@ impl Memory {
         (affordable_words as u32).saturating_mul(4).min(len)
     }
 
-    /// Resolves `[addr, addr + len)` to its region (`true` for SRAM) and
-    /// the region-relative byte offset of `addr`.
-    #[inline]
-    fn locate(&self, addr: Addr, len: u32) -> Result<(bool, usize), MemoryError> {
-        if self.layout.sram.contains_range(addr, len) {
-            Ok((true, (addr.0 - self.layout.sram.start.0) as usize))
-        } else if self.layout.fram.contains_range(addr, len) {
-            Ok((false, (addr.0 - self.layout.fram.start.0) as usize))
+    /// The resolver: maps `[addr, addr + len)` to the index of the region
+    /// that holds all of it and the region-relative offset of `addr`.
+    #[inline(always)]
+    fn resolve(&self, addr: Addr, len: u32) -> Result<(usize, usize), MemoryError> {
+        let [a, b] = &self.regions;
+        if let Some(off) = offset_in(a.start, a.bytes.len(), addr.0, len) {
+            Ok((0, off))
+        } else if let Some(off) = offset_in(b.start, b.bytes.len(), addr.0, len) {
+            Ok((1, off))
         } else {
             Err(MemoryError::Unmapped { addr, len })
         }
-    }
-
-    fn slice(&self, addr: Addr, len: u32) -> Result<&[u8], MemoryError> {
-        let (volatile, off) = self.locate(addr, len)?;
-        let region = if volatile { &self.sram } else { &self.fram };
-        Ok(&region[off..off + len as usize])
-    }
-
-    /// Marks the dirty bits for a store of `len` bytes at region-relative
-    /// offset `off` that actually landed. Callers pass the *committed*
-    /// length (zero for dropped stores), so the bitmap only ever covers
-    /// words whose contents may differ from the last checkpoint image.
-    #[inline]
-    fn mark_dirty(&mut self, volatile: bool, off: usize, len: u32) {
-        let bits = if volatile {
-            &mut self.sram_dirty
-        } else {
-            &mut self.fram_dirty
-        };
-        mark_dirty_bits(bits, off as u32, len);
-    }
-
-    fn charge_read(&mut self, addr: Addr, len: u32) {
-        let words = u64::from(len.div_ceil(4));
-        let cost = if self.layout.is_volatile(addr) {
-            self.stats.sram_reads += u64::from(len);
-            self.costs.sram_access_per_word * words
-        } else {
-            self.stats.fram_reads += u64::from(len);
-            self.costs.fram_read_per_word * words
-        };
-        self.cycles += cost;
-        self.span_cycles[self.current_span.index()] += cost;
-    }
-
-    fn charge_write(&mut self, addr: Addr, len: u32) {
-        let words = u64::from(len.div_ceil(4));
-        let cost = if self.layout.is_volatile(addr) {
-            self.stats.sram_writes += u64::from(len);
-            self.costs.sram_access_per_word * words
-        } else {
-            self.stats.fram_writes += u64::from(len);
-            self.costs.fram_write_per_word * words
-        };
-        self.cycles += cost;
-        self.span_cycles[self.current_span.index()] += cost;
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -563,9 +643,11 @@ impl Memory {
     /// Returns [`MemoryError::Unmapped`] if the range is not fully mapped.
     pub fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) -> Result<(), MemoryError> {
         let len = buf.len() as u32;
-        let src = self.slice(addr, len)?;
-        buf.copy_from_slice(src);
-        self.charge_read(addr, len);
+        let (i, off) = self.resolve(addr, len)?;
+        let r = &mut self.regions[i];
+        buf.copy_from_slice(&r.bytes[off..off + buf.len()]);
+        let cost = r.charge_read(len);
+        self.add_cycles(cost);
         Ok(())
     }
 
@@ -581,220 +663,129 @@ impl Memory {
         self.store(addr, buf.len() as u32, StoreSrc::Bytes(buf))
     }
 
-    /// The one cycle-accounted store path behind [`Memory::write_bytes`],
-    /// [`Memory::fill`] and [`Memory::copy`]: torn-prefix truncation,
-    /// one brown-out fate draw, dirty marking of what landed, and the
-    /// full write charge.
+    /// The one cycle-accounted byte-range store path behind
+    /// [`Memory::write_bytes`], [`Memory::fill`] and [`Memory::copy`]:
+    /// torn-prefix truncation, one brown-out fate draw, dirty marking of
+    /// what landed, and the full write charge. A store that faults draws
+    /// no fate.
     fn store(&mut self, addr: Addr, len: u32, src: StoreSrc<'_>) -> Result<(), MemoryError> {
-        let committed = self.committed_prefix(addr, len) as usize;
-        let fate = self.store_fate(committed);
         // Bounds-check the whole range — the MCU decodes the access before
         // the bus starts moving words, so an unmapped tail still faults.
-        let (volatile, off) = self.locate(addr, len)?;
-        let (dst, other) = if volatile {
-            (&mut self.sram, &self.fram)
-        } else {
-            (&mut self.fram, &self.sram)
-        };
+        let (i, off) = self.resolve(addr, len)?;
+        let write_cost = self.regions[i].write_cost;
+        let committed = self.committed_prefix(write_cost, len) as usize;
+        let fate = self.store_fate(committed);
+        let (dst, other) = pair(&mut self.regions, i);
         let mut landed = committed as u32;
         if let StoreFate::Drop = fate {
             landed = 0;
-            self.stats.corrupted_writes += 1;
+            self.corrupted_writes += 1;
         } else {
             let to = off..off + committed;
             match src {
-                StoreSrc::Bytes(buf) => dst[to].copy_from_slice(&buf[..committed]),
-                StoreSrc::Fill(value) => dst[to].fill(value),
-                StoreSrc::Within(sv, so) if sv == volatile => {
-                    dst.copy_within(so..so + committed, off);
+                StoreSrc::Bytes(buf) => dst.bytes[to].copy_from_slice(&buf[..committed]),
+                StoreSrc::Fill(value) => dst.bytes[to].fill(value),
+                StoreSrc::Within(si, so) if si == i => {
+                    dst.bytes.copy_within(so..so + committed, off);
                 }
-                StoreSrc::Within(_, so) => dst[to].copy_from_slice(&other[so..so + committed]),
+                StoreSrc::Within(_, so) => {
+                    dst.bytes[to].copy_from_slice(&other.bytes[so..so + committed]);
+                }
             }
             if let StoreFate::Flip { offset, mask } = fate {
-                dst[off + offset] ^= mask;
-                self.stats.corrupted_writes += 1;
+                dst.bytes[off + offset] ^= mask;
+                self.corrupted_writes += 1;
             }
         }
         if committed < len as usize {
-            self.stats.torn_writes += 1;
+            self.torn_writes += 1;
         }
-        self.mark_dirty(volatile, off, landed);
-        self.charge_write(addr, len);
+        mark_dirty_bits(&mut dst.dirty, off as u32, landed);
+        dst.traffic.writes += u64::from(len);
+        self.add_cycles(write_cost * u64::from(len.div_ceil(4)));
         Ok(())
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if `addr` is not mapped.
-    pub fn read_u8(&mut self, addr: Addr) -> Result<u8, MemoryError> {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b)?;
-        Ok(b[0])
-    }
-
-    /// Writes one byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if `addr` is not mapped.
-    pub fn write_u8(&mut self, addr: Addr, v: u8) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &[v])
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    pub fn read_u32(&mut self, addr: Addr) -> Result<u32, MemoryError> {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    pub fn write_u32(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `i32` (the VM's `int`).
+    /// Reads a little-endian `i32` (the VM's `int`) on the byte-range
+    /// form.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn read_i32(&mut self, addr: Addr) -> Result<i32, MemoryError> {
-        Ok(self.read_u32(addr)? as i32)
+        let mut b = [0u8; 4];
+        self.read_bytes(addr, &mut b)?;
+        Ok(i32::from_le_bytes(b))
     }
 
-    /// Writes a little-endian `i32`.
+    /// Writes a little-endian `i32` on the byte-range form.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn write_i32(&mut self, addr: Addr, v: i32) -> Result<(), MemoryError> {
-        self.write_u32(addr, v as u32)
+        self.write_bytes(addr, &v.to_le_bytes())
     }
 
-    // ---- word fast path ----
-    //
-    // Frame headers (every call and return) are written and read as
-    // aligned single words; the decoded interpreter's ops use the
-    // `WordBurst` twins of these methods. These two are semantically
-    // identical to `read_u32`/`write_u32` — same bounds decisions, same
-    // cycle charges, same span attribution, same torn-store outcomes —
-    // specialized to `len == 4` so the hot path avoids the generic slice
-    // machinery and the per-store `committed_prefix` division. A 4-byte store is at or
-    // below [`ATOMIC_STORE_BYTES`], so `store_fate` would return `Keep`
-    // *without advancing the corruption RNG*; skipping it here is exact.
+    /// Moves the cycle counter to `cycles`, charging the difference to
+    /// the open span.
+    #[inline(always)]
+    fn advance_to(&mut self, cycles: u64) {
+        self.span_cycles[self.current_span.index()] += cycles - self.cycles;
+        self.cycles = cycles;
+    }
 
-    /// Reads a little-endian `u32` — the word fast path.
-    /// Byte-for-byte and cycle-for-cycle equivalent to [`Memory::read_u32`].
+    /// Reads a little-endian `u32` on the single-word form: the
+    /// [`WordBurst`] read, on the one region `addr` resolves to.
+    /// Byte-for-byte and cycle-for-cycle equal to a 4-byte
+    /// [`Memory::read_bytes`].
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline]
     pub fn read_word(&mut self, addr: Addr) -> Result<u32, MemoryError> {
-        let (v, cost) = if self.layout.sram.contains_range(addr, 4) {
-            let off = (addr.0 - self.layout.sram.start.0) as usize;
-            let b = [
-                self.sram[off],
-                self.sram[off + 1],
-                self.sram[off + 2],
-                self.sram[off + 3],
-            ];
-            self.stats.sram_reads += 4;
-            (u32::from_le_bytes(b), self.costs.sram_access_per_word)
-        } else if self.layout.fram.contains_range(addr, 4) {
-            let off = (addr.0 - self.layout.fram.start.0) as usize;
-            let b = [
-                self.fram[off],
-                self.fram[off + 1],
-                self.fram[off + 2],
-                self.fram[off + 3],
-            ];
-            self.stats.fram_reads += 4;
-            (u32::from_le_bytes(b), self.costs.fram_read_per_word)
-        } else {
-            return Err(MemoryError::Unmapped { addr, len: 4 });
-        };
-        self.cycles += cost;
-        self.span_cycles[self.current_span.index()] += cost;
+        let (i, off) = self.resolve(addr, 4)?;
+        let mut cycles = self.cycles;
+        let mut r = self.regions[i].view();
+        let v = r.read(off, &mut cycles);
+        r.fold();
+        self.advance_to(cycles);
         Ok(v)
     }
 
-    /// Writes a little-endian `u32` — the word fast path.
-    /// Byte-for-byte and cycle-for-cycle equivalent to [`Memory::write_u32`],
-    /// including torn-store behavior: if an armed power cut leaves fewer
-    /// cycles than one word's write cost, nothing commits and the store
-    /// counts as torn (the full cost is still charged).
+    /// Writes a little-endian `u32` on the single-word form: the
+    /// [`WordBurst`] store, on the one region `addr` resolves to.
+    /// Byte-for-byte and cycle-for-cycle equal to a 4-byte
+    /// [`Memory::write_bytes`], including torn-store behavior: if an
+    /// armed power cut leaves fewer cycles than one word's write cost,
+    /// nothing commits and the store counts as torn (the full cost is
+    /// still charged).
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline]
     pub fn write_word(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
-        let volatile = if self.layout.sram.contains_range(addr, 4) {
-            true
-        } else if self.layout.fram.contains_range(addr, 4) {
-            false
-        } else {
-            return Err(MemoryError::Unmapped { addr, len: 4 });
-        };
-        let cost = if volatile {
-            self.costs.sram_access_per_word
-        } else {
-            self.costs.fram_write_per_word
-        };
-        // `committed_prefix` specialized to one word: the word commits iff
-        // no cut is armed, the per-word cost is zero, or at least one
-        // word's worth of cycles remains before the cut.
-        let commits = match self.cut_at {
-            None => true,
-            Some(cut) => cost == 0 || cut.saturating_sub(self.cycles) >= cost,
-        };
-        if commits {
-            let b = v.to_le_bytes();
-            if volatile {
-                let off = (addr.0 - self.layout.sram.start.0) as usize;
-                self.sram[off..off + 4].copy_from_slice(&b);
-                mark_word_dirty(&mut self.sram_dirty, off);
-            } else {
-                let off = (addr.0 - self.layout.fram.start.0) as usize;
-                self.fram[off..off + 4].copy_from_slice(&b);
-                mark_word_dirty(&mut self.fram_dirty, off);
-            }
-        } else {
-            self.stats.torn_writes += 1;
-        }
-        if volatile {
-            self.stats.sram_writes += 4;
-        } else {
-            self.stats.fram_writes += 4;
-        }
-        self.cycles += cost;
-        self.span_cycles[self.current_span.index()] += cost;
+        let (i, off) = self.resolve(addr, 4)?;
+        let mut cycles = self.cycles;
+        let mut r = self.regions[i].view();
+        let torn = r.write::<true>(off, v, &mut cycles, self.cut_at.unwrap_or(NO_CUT));
+        r.fold();
+        self.torn_writes += u64::from(torn);
+        self.advance_to(cycles);
         Ok(())
     }
 
-    /// Reads a word without charging cycles or touching stats — the
-    /// non-allocating equivalent of [`Memory::peek_i32`], used by the
-    /// runtimes' persistence code to read flags, lengths and log slots
-    /// without `peek_bytes`'s temporary `Vec`.
+    /// Reads a word without charging cycles or touching stats.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     #[inline]
     pub fn peek_word(&self, addr: Addr) -> Result<u32, MemoryError> {
-        let bytes = self.slice(addr, 4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let (i, off) = self.resolve(addr, 4)?;
+        Ok(load_word(&self.regions[i].bytes, off))
     }
 
     /// Opens a [`WordBurst`] over the frame `[fp, fp + frame_len)`: the
@@ -812,78 +803,28 @@ impl Memory {
     #[inline(always)]
     #[must_use]
     pub fn word_burst(&mut self, fp: Addr, frame_len: u32) -> Option<WordBurst<'_>> {
-        let frame_in_sram = if self.layout.sram.contains_range(fp, frame_len) {
-            true
-        } else if self.layout.fram.contains_range(fp, frame_len) {
-            false
-        } else {
-            return None;
-        };
+        let (i, frame_off) = self.resolve(fp, frame_len).ok()?;
         let c = &*self.costs;
-        let sram = BurstRegion {
-            start: self.layout.sram.start.0,
-            bytes: &mut self.sram,
-            dirty: &mut self.sram_dirty,
-            read_cost: c.sram_access_per_word,
-            write_cost: c.sram_access_per_word,
-            reads: 0,
-            writes: 0,
-        };
-        let fram = BurstRegion {
-            start: self.layout.fram.start.0,
-            bytes: &mut self.fram,
-            dirty: &mut self.fram_dirty,
-            read_cost: c.fram_read_per_word,
-            write_cost: c.fram_write_per_word,
-            reads: 0,
-            writes: 0,
-        };
-        let (frame, other) = if frame_in_sram {
-            (sram, fram)
-        } else {
-            (fram, sram)
-        };
+        let max_word_cost = c
+            .sram_access_per_word
+            .max(c.fram_read_per_word)
+            .max(c.fram_write_per_word);
+        let instr_base = c.instr_base;
+        let (frame, other) = pair(&mut self.regions, i);
         Some(WordBurst {
-            frame_off: (fp.0 - frame.start) as usize,
-            frame,
-            other,
-            frame_in_sram,
-            max_word_cost: c
-                .sram_access_per_word
-                .max(c.fram_read_per_word)
-                .max(c.fram_write_per_word),
-            instr_base: c.instr_base,
-            // `u64::MAX` encodes "no cut armed": simulated cycle counts
-            // stay far below the point where `MAX - cycles < cost`
-            // could misclassify a commit.
-            cut_at: self.cut_at.unwrap_or(u64::MAX),
+            frame: frame.view(),
+            other: other.view(),
+            frame_off,
+            max_word_cost,
+            instr_base,
+            cut_at: self.cut_at.unwrap_or(NO_CUT),
             cycles: self.cycles,
             start_cycles: self.cycles,
             torn_writes: 0,
             cycles_out: &mut self.cycles,
             span_out: &mut self.span_cycles[self.current_span.index()],
-            stats_out: &mut self.stats,
+            torn_out: &mut self.torn_writes,
         })
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    pub fn read_u64(&mut self, addr: Addr) -> Result<u64, MemoryError> {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    pub fn write_u64(&mut self, addr: Addr, v: u64) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &v.to_le_bytes())
     }
 
     /// Copies `len` bytes from `src` to `dst` inside simulated memory,
@@ -896,9 +837,10 @@ impl Memory {
         // Exactly `read_bytes` into a buffer then `write_bytes` of it:
         // the read is charged first, and `copy_within` moves the source
         // bytes as they were before the store, overlap or not.
-        let (volatile, off) = self.locate(src, len)?;
-        self.charge_read(src, len);
-        self.store(dst, len, StoreSrc::Within(volatile, off))
+        let (i, off) = self.resolve(src, len)?;
+        let cost = self.regions[i].charge_read(len);
+        self.add_cycles(cost);
+        self.store(dst, len, StoreSrc::Within(i, off))
     }
 
     /// Fills `len` bytes at `addr` with `value`. Subject to the same
@@ -911,35 +853,16 @@ impl Memory {
         self.store(addr, len, StoreSrc::Fill(value))
     }
 
-    /// Debugger-style read: no cycles, no statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if the range is not mapped.
-    pub fn peek_bytes(&self, addr: Addr, len: u32) -> Result<Vec<u8>, MemoryError> {
-        Ok(self.slice(addr, len)?.to_vec())
-    }
-
-    /// Borrowing [`peek_bytes`](Memory::peek_bytes): the same
-    /// debugger-style read without the copy. The range must lie within
-    /// a single region (SRAM or FRAM) — the same constraint every other
-    /// accessor enforces.
+    /// Debugger-style read of `len` bytes, borrowed: no cycles, no
+    /// statistics. The range must lie within a single region (SRAM or
+    /// FRAM) — the same constraint every other accessor enforces.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if the range is not mapped.
     pub fn peek_slice(&self, addr: Addr, len: u32) -> Result<&[u8], MemoryError> {
-        self.slice(addr, len)
-    }
-
-    /// Debugger-style `i32` read: no cycles, no statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
-    pub fn peek_i32(&self, addr: Addr) -> Result<i32, MemoryError> {
-        let b = self.slice(addr, 4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        let (i, off) = self.resolve(addr, len)?;
+        Ok(&self.regions[i].bytes[off..off + len as usize])
     }
 
     /// Debugger-style `u64` read: no cycles, no statistics.
@@ -948,7 +871,7 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn peek_u64(&self, addr: Addr) -> Result<u64, MemoryError> {
-        let b = self.slice(addr, 8)?;
+        let b = self.peek_slice(addr, 8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
@@ -963,29 +886,25 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if the range is not mapped.
     pub fn poke_bytes(&mut self, addr: Addr, buf: &[u8]) -> Result<(), MemoryError> {
-        let fate = self.store_fate(buf.len());
         let len = buf.len() as u32;
-        let (volatile, off) = self.locate(addr, len)?;
-        let region = if volatile {
-            &mut self.sram
-        } else {
-            &mut self.fram
-        };
-        let dst = &mut region[off..off + buf.len()];
+        let (i, off) = self.resolve(addr, len)?;
+        let fate = self.store_fate(buf.len());
+        let r = &mut self.regions[i];
+        let dst = &mut r.bytes[off..off + buf.len()];
         let mut landed = len;
         match fate {
             StoreFate::Keep => dst.copy_from_slice(buf),
             StoreFate::Flip { offset, mask } => {
                 dst.copy_from_slice(buf);
                 dst[offset] ^= mask;
-                self.stats.corrupted_writes += 1;
+                self.corrupted_writes += 1;
             }
             StoreFate::Drop => {
                 landed = 0;
-                self.stats.corrupted_writes += 1;
+                self.corrupted_writes += 1;
             }
         }
-        self.mark_dirty(volatile, off, landed);
+        mark_dirty_bits(&mut r.dirty, off as u32, landed);
         Ok(())
     }
 
@@ -1000,22 +919,16 @@ impl Memory {
 
     // ---- dirty-word write monitor queries ----
 
-    /// Resolves `[addr, addr + len)` to its region bitmap and the
+    /// Resolves `[addr, addr + len)` to its region index and the
     /// inclusive word-index range it covers. `None` for empty or
     /// unmapped ranges (the monitor has nothing to say about them).
-    fn dirty_range(&self, addr: Addr, len: u32) -> Option<(&[u64], u32, u32, u32)> {
+    fn dirty_range(&self, addr: Addr, len: u32) -> Option<(usize, u32, u32)> {
         if len == 0 {
             return None;
         }
-        let (bits, base) = if self.layout.sram.contains_range(addr, len) {
-            (&self.sram_dirty, self.layout.sram.start.0)
-        } else if self.layout.fram.contains_range(addr, len) {
-            (&self.fram_dirty, self.layout.fram.start.0)
-        } else {
-            return None;
-        };
-        let off = addr.0 - base;
-        Some((bits, off / 4, (off + len - 1) / 4, base))
+        let (i, off) = self.resolve(addr, len).ok()?;
+        let off = off as u32;
+        Some((i, off / 4, (off + len - 1) / 4))
     }
 
     /// Masks `limb` down to the bits belonging to words
@@ -1047,14 +960,14 @@ impl Memory {
     /// partially covered words count). Zero for unmapped ranges.
     #[must_use]
     pub fn count_dirty_words(&self, addr: Addr, len: u32) -> u32 {
-        let Some((bits, first, last, _)) = self.dirty_range(addr, len) else {
+        let Some((i, first, last)) = self.dirty_range(addr, len) else {
             return 0;
         };
         let fl = (first >> 6) as usize;
-        bits[fl..=(last >> 6) as usize]
+        self.regions[i].dirty[fl..=(last >> 6) as usize]
             .iter()
             .enumerate()
-            .map(|(i, &limb)| Memory::range_limb(limb, fl + i, first, last).count_ones())
+            .map(|(j, &limb)| Memory::range_limb(limb, fl + j, first, last).count_ones())
             .sum()
     }
 
@@ -1062,16 +975,17 @@ impl Memory {
     /// `[addr, addr + len)`, in ascending address order. Base addresses
     /// are region-word-aligned (`region.start + 4 * word_index`).
     pub fn for_each_dirty_word(&self, addr: Addr, len: u32, mut f: impl FnMut(Addr)) {
-        let Some((bits, first, last, base)) = self.dirty_range(addr, len) else {
+        let Some((i, first, last)) = self.dirty_range(addr, len) else {
             return;
         };
+        let r = &self.regions[i];
         let fl = (first >> 6) as usize;
-        for (i, &raw) in bits[fl..=(last >> 6) as usize].iter().enumerate() {
-            let li = fl + i;
+        for (j, &raw) in r.dirty[fl..=(last >> 6) as usize].iter().enumerate() {
+            let li = fl + j;
             let mut limb = Memory::range_limb(raw, li, first, last);
             while limb != 0 {
                 let w = (li as u32) * 64 + limb.trailing_zeros();
-                f(Addr(base + 4 * w));
+                f(Addr(r.start + 4 * w));
                 limb &= limb - 1;
             }
         }
@@ -1081,63 +995,60 @@ impl Memory {
     /// the checkpoint-commit acknowledgement: those words are now
     /// captured in persistent state. No-op for unmapped ranges.
     pub fn clear_dirty(&mut self, addr: Addr, len: u32) {
-        let Some((_, first, last, base)) = self.dirty_range(addr, len) else {
+        let Some((i, first, last)) = self.dirty_range(addr, len) else {
             return;
         };
-        let bits = if base == self.layout.sram.start.0 {
-            &mut self.sram_dirty
-        } else {
-            &mut self.fram_dirty
-        };
         let fl = (first >> 6) as usize;
-        for (i, limb) in bits[fl..=(last >> 6) as usize].iter_mut().enumerate() {
-            *limb &= !Memory::range_limb(!0u64, fl + i, first, last);
+        for (j, limb) in self.regions[i].dirty[fl..=(last >> 6) as usize]
+            .iter_mut()
+            .enumerate()
+        {
+            *limb &= !Memory::range_limb(!0u64, fl + j, first, last);
         }
     }
 }
 
-/// One memory region as a [`WordBurst`] sees it: its bytes and dirty
-/// bitmap, its per-word costs, and the traffic charged to it.
+/// A region's bytes and dirty bitmap borrowed for single-word accesses,
+/// with its per-word costs and the traffic charged through the view.
+/// [`RegionView::read`] and [`RegionView::write`] are the one
+/// implementation of the single-word form: [`Memory::read_word`] and
+/// [`Memory::write_word`] run them on a view of the region they resolve,
+/// a [`WordBurst`] on the views it holds for a whole zone.
 #[derive(Debug)]
-struct BurstRegion<'a> {
+struct RegionView<'a> {
     start: u32,
     bytes: &'a mut [u8],
     dirty: &'a mut [u64],
     read_cost: u64,
     write_cost: u64,
-    /// Bytes read in this burst.
-    reads: u64,
-    /// Bytes written (torn stores included) in this burst.
-    writes: u64,
+    /// Traffic through this view, kept here, not behind `out`, so that a
+    /// view held in a local keeps its counters in registers.
+    traffic: Traffic,
+    /// The region's own counters, which [`RegionView::fold`] adds to.
+    out: &'a mut Traffic,
 }
 
-impl BurstRegion<'_> {
+impl RegionView<'_> {
     /// The region-relative offset of a 4-byte access at `addr`, if the
-    /// whole word lies in this region. One compare: an address below
-    /// `start` wraps to an offset past every region's end.
+    /// whole word lies in this region.
     #[inline(always)]
     fn word_off(&self, addr: u32) -> Option<usize> {
-        let off = addr.wrapping_sub(self.start) as usize;
-        (off + 4 <= self.bytes.len()).then_some(off)
-    }
-
-    #[inline(always)]
-    fn load(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("4-byte slice"))
+        offset_in(self.start, self.bytes.len(), addr, 4)
     }
 
     /// Charges a read of the word at `off` and returns it.
     #[inline(always)]
     fn read(&mut self, off: usize, cycles: &mut u64) -> u32 {
-        self.reads += 4;
+        self.traffic.reads += 4;
         *cycles += self.read_cost;
-        self.load(off)
+        load_word(self.bytes, off)
     }
 
     /// Stores `v` at `off`, charging the full write cost, and returns
-    /// whether the store tore. Against the cut at `cut_at` the word
-    /// commits iff its write cost still fits; `CUT = false` promises
-    /// that it does, and skips the test.
+    /// whether the store tore: the one place that decides whether a
+    /// single word commits before the cut. Against the cut at `cut_at`
+    /// the word commits iff its write cost still fits; `CUT = false`
+    /// promises that it does, and skips the test.
     #[inline(always)]
     fn write<const CUT: bool>(
         &mut self,
@@ -1156,9 +1067,16 @@ impl BurstRegion<'_> {
             self.bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
             mark_word_dirty(self.dirty, off);
         }
-        self.writes += 4;
+        self.traffic.writes += 4;
         *cycles += cost;
         torn
+    }
+
+    /// Adds the view's traffic to its region's counters.
+    #[inline(always)]
+    fn fold(self) {
+        self.out.reads += self.traffic.reads;
+        self.out.writes += self.traffic.writes;
     }
 }
 
@@ -1195,14 +1113,10 @@ impl BurstRegion<'_> {
 ///   [`write_word`](WordBurst::write_word)) test the frame's region
 ///   first and then the other one.
 ///
-/// Every access is arithmetic-identical to [`Memory::read_word`],
-/// [`Memory::write_word`] and [`Memory::peek_word`]: same bounds
-/// decisions, cycle charges, traffic counters, dirty bits and torn
-/// single-word commit math against the power cut. Word stores never
-/// consult the brown-out model (the MSP430FR write buffer commits
-/// single words atomically), so skipping the corruption check is
-/// semantics-preserving, not an approximation: the model's RNG stream
-/// advances identically.
+/// Every access runs the same single-word read or store as
+/// [`Memory::read_word`] and [`Memory::write_word`] (and peeks as
+/// [`Memory::peek_word`] does): same bounds decisions, cycle charges,
+/// traffic counters, dirty bits and torn commit against the power cut.
 ///
 /// Stores take a `CUT` parameter. `CUT = false` skips the torn-store
 /// test; it is exact only when no store can reach the cut, which
@@ -1210,16 +1124,15 @@ impl BurstRegion<'_> {
 #[derive(Debug)]
 pub struct WordBurst<'a> {
     /// The region holding the zone's frame, tested first.
-    frame: BurstRegion<'a>,
+    frame: RegionView<'a>,
     /// The other region.
-    other: BurstRegion<'a>,
+    other: RegionView<'a>,
     /// `fp`'s offset in the frame's region.
     frame_off: usize,
-    frame_in_sram: bool,
     /// The dearest single-word access of either region.
     max_word_cost: u64,
     instr_base: u64,
-    /// Armed power cut, `u64::MAX` when disarmed.
+    /// Armed power cut, `NO_CUT` when disarmed.
     cut_at: u64,
     /// Running absolute cycle counter (starts at the memory's value).
     cycles: u64,
@@ -1227,7 +1140,7 @@ pub struct WordBurst<'a> {
     torn_writes: u64,
     cycles_out: &'a mut u64,
     span_out: &'a mut u64,
-    stats_out: &'a mut MemoryStats,
+    torn_out: &'a mut u64,
 }
 
 impl WordBurst<'_> {
@@ -1263,16 +1176,9 @@ impl WordBurst<'_> {
     pub fn commit(self) {
         *self.cycles_out = self.cycles;
         *self.span_out += self.cycles - self.start_cycles;
-        let (sram, fram) = if self.frame_in_sram {
-            (&self.frame, &self.other)
-        } else {
-            (&self.other, &self.frame)
-        };
-        self.stats_out.sram_reads += sram.reads;
-        self.stats_out.sram_writes += sram.writes;
-        self.stats_out.fram_reads += fram.reads;
-        self.stats_out.fram_writes += fram.writes;
-        self.stats_out.torn_writes += self.torn_writes;
+        *self.torn_out += self.torn_writes;
+        self.frame.fold();
+        self.other.fold();
     }
 
     /// The absolute address `off` bytes into the frame.
@@ -1326,13 +1232,13 @@ impl WordBurst<'_> {
     pub fn peek_frame(&self, off: u32) -> Result<u32, MemoryError> {
         let o = self.frame_off + off as usize;
         if o + 4 <= self.frame.bytes.len() {
-            return Ok(self.frame.load(o));
+            return Ok(load_word(self.frame.bytes, o));
         }
         let addr = self.frame_addr(off);
         if let Some(o) = self.frame.word_off(addr.0) {
-            Ok(self.frame.load(o))
+            Ok(load_word(self.frame.bytes, o))
         } else if let Some(o) = self.other.word_off(addr.0) {
-            Ok(self.other.load(o))
+            Ok(load_word(self.other.bytes, o))
         } else {
             Err(MemoryError::Unmapped { addr, len: 4 })
         }
@@ -1395,13 +1301,32 @@ mod tests {
         Memory::new(MemoryLayout::default())
     }
 
+    /// A one-byte read on the byte-range form.
+    fn read_u8(m: &mut Memory, a: Addr) -> Result<u8, MemoryError> {
+        let mut b = [0u8; 1];
+        m.read_bytes(a, &mut b)?;
+        Ok(b[0])
+    }
+
+    /// A `u64` read on the byte-range form.
+    fn read_u64(m: &mut Memory, a: Addr) -> u64 {
+        let mut b = [0u8; 8];
+        m.read_bytes(a, &mut b).unwrap();
+        u64::from_le_bytes(b)
+    }
+
+    /// A `u64` store on the byte-range form.
+    fn write_u64(m: &mut Memory, a: Addr, v: u64) {
+        m.write_bytes(a, &v.to_le_bytes()).unwrap();
+    }
+
     #[test]
     fn fram_survives_power_failure() {
         let mut m = mem();
         let a = m.layout().fram.start;
-        m.write_u32(a, 0xCAFE_F00D).unwrap();
+        m.write_word(a, 0xCAFE_F00D).unwrap();
         m.power_fail();
-        assert_eq!(m.read_u32(a).unwrap(), 0xCAFE_F00D);
+        assert_eq!(m.read_word(a).unwrap(), 0xCAFE_F00D);
         assert_eq!(m.stats().power_failures, 1);
     }
 
@@ -1409,16 +1334,16 @@ mod tests {
     fn sram_clobbered_on_power_failure() {
         let mut m = mem();
         let a = m.layout().sram.start;
-        m.write_u32(a, 0x1234_5678).unwrap();
+        m.write_word(a, 0x1234_5678).unwrap();
         m.power_fail();
-        assert_eq!(m.read_u8(a).unwrap(), SRAM_CLOBBER);
-        assert_ne!(m.read_u32(a).unwrap(), 0x1234_5678);
+        assert_eq!(read_u8(&mut m, a).unwrap(), SRAM_CLOBBER);
+        assert_ne!(m.read_word(a).unwrap(), 0x1234_5678);
     }
 
     #[test]
     fn unmapped_access_is_an_error() {
         let mut m = mem();
-        let err = m.read_u8(Addr(0)).unwrap_err();
+        let err = read_u8(&mut m, Addr(0)).unwrap_err();
         assert_eq!(
             err,
             MemoryError::Unmapped {
@@ -1429,7 +1354,7 @@ mod tests {
         // Access straddling the end of SRAM is rejected even though it
         // starts mapped.
         let end = m.layout().sram.end;
-        assert!(m.write_u32(Addr(end.0 - 2), 1).is_err());
+        assert!(m.write_word(Addr(end.0 - 2), 1).is_err());
     }
 
     #[test]
@@ -1438,9 +1363,9 @@ mod tests {
         let a = m.layout().fram.start;
         m.write_i32(a, -123_456).unwrap();
         assert_eq!(m.read_i32(a).unwrap(), -123_456);
-        m.write_u64(a, u64::MAX - 7).unwrap();
-        assert_eq!(m.read_u64(a).unwrap(), u64::MAX - 7);
-        assert_eq!(m.read_u8(a).unwrap(), (u64::MAX - 7).to_le_bytes()[0]);
+        write_u64(&mut m, a, u64::MAX - 7);
+        assert_eq!(read_u64(&mut m, a), u64::MAX - 7);
+        assert_eq!(read_u8(&mut m, a).unwrap(), (u64::MAX - 7).to_le_bytes()[0]);
     }
 
     #[test]
@@ -1451,7 +1376,7 @@ mod tests {
         m.write_bytes(src, &[1, 2, 3, 4]).unwrap();
         let before = m.cycles();
         m.copy(src, dst, 4).unwrap();
-        assert_eq!(m.peek_bytes(dst, 4).unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(m.peek_slice(dst, 4).unwrap(), [1, 2, 3, 4]);
         assert!(m.cycles() > before);
     }
 
@@ -1500,8 +1425,8 @@ mod tests {
                 })();
                 let case = format!("seed {seed}, {src} -> {dst}, {len} bytes");
                 assert_eq!(got, want, "{case}");
-                assert_eq!(a.sram, b.sram, "{case}");
-                assert_eq!(a.fram, b.fram, "{case}");
+                assert_eq!(a.regions[0].bytes, b.regions[0].bytes, "{case}");
+                assert_eq!(a.regions[1].bytes, b.regions[1].bytes, "{case}");
                 assert_eq!(all_dirty_words(&a), all_dirty_words(&b), "{case}");
                 assert_eq!(a.stats(), b.stats(), "{case}");
                 assert_eq!(a.cycles(), b.cycles(), "{case}");
@@ -1523,7 +1448,7 @@ mod tests {
         let a = m.layout().fram.start;
         let before = (m.cycles(), m.stats());
         m.poke_i32(a, 99).unwrap();
-        assert_eq!(m.peek_i32(a).unwrap(), 99);
+        assert_eq!(m.peek_word(a).unwrap(), 99);
         assert_eq!((m.cycles(), m.stats()), before);
     }
 
@@ -1533,10 +1458,10 @@ mod tests {
         let s = m.layout().sram.start;
         let f = m.layout().fram.start;
         let c0 = m.cycles();
-        m.write_u32(s, 1).unwrap();
+        m.write_word(s, 1).unwrap();
         let sram_cost = m.cycles() - c0;
         let c1 = m.cycles();
-        m.write_u32(f, 1).unwrap();
+        m.write_word(f, 1).unwrap();
         let fram_cost = m.cycles() - c1;
         assert!(fram_cost > sram_cost);
     }
@@ -1546,9 +1471,9 @@ mod tests {
         let mut m = mem();
         let s = m.layout().sram.start;
         let f = m.layout().fram.start;
-        m.write_u32(s, 1).unwrap();
-        m.read_u32(s).unwrap();
-        m.write_u32(f, 1).unwrap();
+        m.write_i32(s, 1).unwrap();
+        m.read_i32(s).unwrap();
+        m.write_word(f, 1).unwrap();
         let st = m.stats();
         assert_eq!(st.sram_writes, 4);
         assert_eq!(st.sram_reads, 4);
@@ -1563,20 +1488,20 @@ mod tests {
             Region::with_len(Addr(0x1000), 0x1000),
         );
         let mut m = Memory::new(layout);
-        assert!(m.write_u8(Addr(0x100), 1).is_ok());
-        assert!(m.write_u8(Addr(0x200), 1).is_err());
-        assert!(m.write_u8(Addr(0x1FFF), 1).is_ok());
+        assert!(m.write_bytes(Addr(0x100), &[1]).is_ok());
+        assert!(m.write_bytes(Addr(0x200), &[1]).is_err());
+        assert!(m.write_bytes(Addr(0x1FFF), &[1]).is_ok());
     }
 
     #[test]
     fn torn_write_commits_word_prefix_only() {
         let mut m = mem();
         let a = m.layout().fram.start;
-        m.write_u64(a, 0x1111_1111_1111_1111).unwrap();
+        write_u64(&mut m, a, 0x1111_1111_1111_1111);
         let per_word = m.costs().fram_write_per_word;
         // Budget for exactly one of the two words of a u64 store.
         m.set_power_cut(Some(m.cycles() + per_word));
-        m.write_u64(a, 0xAAAA_BBBB_CCCC_DDDD).unwrap();
+        write_u64(&mut m, a, 0xAAAA_BBBB_CCCC_DDDD);
         // Low word landed, high word still holds the old value.
         assert_eq!(m.peek_u64(a).unwrap(), 0x1111_1111_CCCC_DDDD);
         assert_eq!(m.stats().torn_writes, 1);
@@ -1586,11 +1511,11 @@ mod tests {
     fn write_past_cut_commits_nothing_but_still_charges() {
         let mut m = mem();
         let a = m.layout().fram.start;
-        m.write_u32(a, 7).unwrap();
+        m.write_i32(a, 7).unwrap();
         m.set_power_cut(Some(m.cycles())); // dead right now
         let before = m.cycles();
-        m.write_u32(a, 99).unwrap();
-        assert_eq!(m.peek_i32(a).unwrap(), 7);
+        m.write_i32(a, 99).unwrap();
+        assert_eq!(m.peek_word(a).unwrap(), 7);
         assert!(m.cycles() > before); // full cost charged regardless
         assert_eq!(m.stats().torn_writes, 1);
     }
@@ -1601,7 +1526,7 @@ mod tests {
         let a = m.layout().fram.start;
         let per_word = m.costs().fram_write_per_word;
         m.set_power_cut(Some(m.cycles() + 2 * per_word));
-        m.write_u64(a, 0xDEAD_BEEF_0BAD_F00D).unwrap();
+        write_u64(&mut m, a, 0xDEAD_BEEF_0BAD_F00D);
         assert_eq!(m.peek_u64(a).unwrap(), 0xDEAD_BEEF_0BAD_F00D);
         assert_eq!(m.stats().torn_writes, 0);
     }
@@ -1613,7 +1538,7 @@ mod tests {
         m.set_power_cut(Some(0));
         m.power_fail();
         assert_eq!(m.power_cut(), None);
-        m.write_u64(a, 42).unwrap();
+        write_u64(&mut m, a, 42);
         assert_eq!(m.peek_u64(a).unwrap(), 42);
         assert_eq!(m.stats().torn_writes, 0);
     }
@@ -1638,7 +1563,7 @@ mod tests {
         let per_word = m.costs().fram_write_per_word;
         m.set_power_cut(Some(m.cycles() + 2 * per_word));
         m.fill(a, 16, 0xFF).unwrap();
-        let bytes = m.peek_bytes(a, 16).unwrap();
+        let bytes = m.peek_slice(a, 16).unwrap();
         assert!(bytes[..8].iter().all(|&b| b == 0xFF));
         assert!(bytes[8..].iter().all(|&b| b == 0));
         assert_eq!(m.stats().torn_writes, 1);
@@ -1649,15 +1574,15 @@ mod tests {
         let mut m = mem();
         let f = m.layout().fram.start;
         let s = m.layout().sram.start;
-        m.write_u32(f, 1).unwrap();
+        m.write_word(f, 1).unwrap();
         let prev = m.set_span(SpanKind::Checkpoint);
         assert_eq!(prev, SpanKind::App);
         m.copy(f, f.offset(64), 32).unwrap();
         m.add_cycles(264);
         m.set_span(SpanKind::UndoLog);
-        m.write_u32(s, 2).unwrap();
+        m.write_i32(s, 2).unwrap();
         m.set_span(SpanKind::App);
-        m.read_u32(f).unwrap();
+        m.read_word(f).unwrap();
         let spans = m.span_cycles_all();
         assert_eq!(spans.iter().sum::<u64>(), m.cycles());
         assert!(m.span_cycles(SpanKind::Checkpoint) >= 264);
@@ -1674,7 +1599,7 @@ mod tests {
         m.set_power_cut(Some(m.cycles() + 500)); // inside the window
         let payload = [0u8; 32];
         m.poke_bytes(a, &payload).unwrap();
-        let got = m.peek_bytes(a, 32).unwrap();
+        let got = m.peek_slice(a, 32).unwrap();
         let flipped: u32 = got
             .iter()
             .zip(payload.iter())
@@ -1692,7 +1617,7 @@ mod tests {
         m.set_corruption(Some(CorruptionModel::new(1_000, 0.0, 1.0, 7)));
         m.set_power_cut(Some(m.cycles() + 10));
         m.poke_bytes(a, &[1; 12]).unwrap();
-        assert_eq!(m.peek_bytes(a, 12).unwrap(), vec![9; 12]);
+        assert_eq!(m.peek_slice(a, 12).unwrap(), [9; 12]);
         assert_eq!(m.stats().corrupted_writes, 1);
     }
 
@@ -1707,7 +1632,7 @@ mod tests {
         m.set_power_cut(Some(m.cycles() + 10));
         for i in 0..50u32 {
             m.poke_bytes(a, &i.to_le_bytes()).unwrap();
-            assert_eq!(m.peek_i32(a).unwrap() as u32, i);
+            assert_eq!(m.peek_word(a).unwrap(), i);
             m.poke_bytes(a, &u64::from(i).to_le_bytes()).unwrap();
             assert_eq!(m.peek_u64(a).unwrap(), u64::from(i));
         }
@@ -1721,11 +1646,11 @@ mod tests {
         m.set_corruption(Some(CorruptionModel::new(100, 1.0, 0.0, 7)));
         // No cut armed: clean.
         m.poke_bytes(a, &[7; 16]).unwrap();
-        assert_eq!(m.peek_bytes(a, 16).unwrap(), vec![7; 16]);
+        assert_eq!(m.peek_slice(a, 16).unwrap(), [7; 16]);
         // Cut armed far beyond the window: still clean.
         m.set_power_cut(Some(m.cycles() + 1_000_000));
         m.poke_bytes(a, &[8; 16]).unwrap();
-        assert_eq!(m.peek_bytes(a, 16).unwrap(), vec![8; 16]);
+        assert_eq!(m.peek_slice(a, 16).unwrap(), [8; 16]);
         assert_eq!(m.stats().corrupted_writes, 0);
     }
 
@@ -1739,7 +1664,10 @@ mod tests {
             for i in 0..16u8 {
                 m.poke_bytes(a.offset(16 * u32::from(i)), &[i; 16]).unwrap();
             }
-            (m.peek_bytes(a, 256).unwrap(), m.stats().corrupted_writes)
+            (
+                m.peek_slice(a, 256).unwrap().to_vec(),
+                m.stats().corrupted_writes,
+            )
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).0, run(43).0, "different seeds should diverge");
@@ -1753,7 +1681,7 @@ mod tests {
         m.set_power_cut(Some(m.cycles() + 1_000_000));
         m.write_bytes(a, &[0x77; 12]).unwrap();
         assert_eq!(
-            m.peek_bytes(a, 12).unwrap(),
+            m.peek_slice(a, 12).unwrap(),
             vec![0; 12],
             "dropped store leaves zeroes"
         );
@@ -1770,7 +1698,7 @@ mod tests {
             CorruptionModel::new(0, 0.0, 0.0, 11).with_sram_decay(0.5),
         ));
         m.power_fail();
-        let bytes = m.peek_bytes(a, len).unwrap();
+        let bytes = m.peek_slice(a, len).unwrap();
         let decayed = bytes.iter().filter(|&&b| b == SRAM_CLOBBER).count();
         let retained = bytes.iter().filter(|&&b| b == 0x3C).count();
         assert_eq!(decayed + retained, len as usize);
@@ -1785,7 +1713,7 @@ mod tests {
             CorruptionModel::new(0, 0.0, 0.0, 11).with_sram_decay(0.0),
         ));
         m2.power_fail();
-        assert!(m2.peek_bytes(a, len).unwrap().iter().all(|&b| b == 0x3C));
+        assert!(m2.peek_slice(a, len).unwrap().iter().all(|&b| b == 0x3C));
     }
 
     #[test]
@@ -1793,7 +1721,7 @@ mod tests {
         let mut m = mem();
         let a = m.layout().fram.start;
         m.fill(a, 16, 0x7E).unwrap();
-        assert!(m.peek_bytes(a, 16).unwrap().iter().all(|&b| b == 0x7E));
+        assert!(m.peek_slice(a, 16).unwrap().iter().all(|&b| b == 0x7E));
     }
 
     /// Where a test opens its [`WordBurst`]'s frame: 256 bytes in.
@@ -1822,8 +1750,8 @@ mod tests {
         );
         for r in [l.sram, l.fram] {
             assert_eq!(
-                want.peek_bytes(r.start, r.len()).unwrap(),
-                got.peek_bytes(r.start, r.len()).unwrap(),
+                want.peek_slice(r.start, r.len()).unwrap(),
+                got.peek_slice(r.start, r.len()).unwrap(),
                 "{name} contents"
             );
         }
@@ -1834,11 +1762,14 @@ mod tests {
         );
     }
 
-    /// Drives the generic path, the [`Memory`] word path and one
-    /// [`WordBurst`] per frame placement (many ops, a single commit)
-    /// through the same operation sequence and asserts identical
-    /// contents, cycles, stats, span attribution, dirty bitmaps, and
-    /// errors.
+    /// Drives the byte-range form (`write_i32`/`read_i32`), the
+    /// [`Memory`] word form and one [`WordBurst`] per frame placement
+    /// (many ops, a single commit) through the same operation sequence
+    /// and asserts identical contents, cycles, stats, span attribution,
+    /// dirty bitmaps, and errors. The sequence mixes aligned and
+    /// unaligned words in both regions with addresses a wild pointer
+    /// produces: unmapped, straddling either end of either region, and
+    /// wrapping past the top of the address space.
     fn assert_word_paths_agree(configure: impl Fn(&mut Memory)) {
         for in_sram in [true, false] {
             let mut slow = mem();
@@ -1847,40 +1778,51 @@ mod tests {
             configure(&mut slow);
             configure(&mut fast);
             configure(&mut burst);
-            let sram = slow.layout().sram.start;
-            let fram = slow.layout().fram.start;
-            let unmapped = Addr(4);
-            let sram_end = Addr(slow.layout().sram.end.0 - 2);
-            let ops: Vec<(Addr, u32)> = (0..64)
+            let l = *slow.layout();
+            let wild = [
+                Addr(4),
+                Addr(l.sram.start.0 - 2),
+                Addr(l.sram.end.0 - 2),
+                Addr(l.sram.end.0 - 4),
+                Addr(l.fram.start.0 - 1),
+                Addr(l.fram.end.0 - 3),
+                Addr(l.fram.end.0 - 4),
+                Addr(u32::MAX - 1),
+            ];
+            let ops: Vec<(Addr, u32)> = (0..128u32)
                 .map(|i| {
-                    let a = if i % 3 == 0 {
-                        sram.offset(4 * (i % 16))
+                    // Every fourth op is unaligned; every eighth is wild.
+                    let skew = if i % 4 == 1 { 1 + i % 3 } else { 0 };
+                    let a = if i % 8 == 7 {
+                        wild[(i / 8) as usize % wild.len()]
+                    } else if i % 3 == 0 {
+                        l.sram.start.offset(4 * (i % 16) + skew)
                     } else {
-                        fram.offset(4 * (i % 64))
+                        l.fram.start.offset(4 * (i % 64) + skew)
                     };
                     (a, 0xDEAD_0000 ^ i)
                 })
                 .collect();
             let instr_base = slow.costs().instr_base;
             let mut bm = burst_at(&mut burst, in_sram);
+            let (mut stored, mut faulted) = (0, 0);
             for &(a, v) in &ops {
                 slow.add_cycles(instr_base);
                 fast.add_cycles(instr_base);
                 bm.charge_instr();
-                let stored = slow.write_u32(a, v).is_ok();
-                assert_eq!(stored, fast.write_word(a, v).is_ok());
-                assert_eq!(stored, bm.write_word::<true>(a, v).is_ok());
-                let read = slow.read_u32(a).ok();
-                assert_eq!(read, fast.read_word(a).ok());
-                assert_eq!(read, bm.read_word(a).ok());
+                let want = slow.write_i32(a, v as i32);
+                assert_eq!(want, fast.write_word(a, v), "word write at {a}");
+                assert_eq!(want, bm.write_word::<true>(a, v), "burst write at {a}");
+                let read = slow.read_i32(a).map(|v| v as u32);
+                assert_eq!(read, fast.read_word(a), "word read at {a}");
+                assert_eq!(read, bm.read_word(a), "burst read at {a}");
+                if want.is_ok() {
+                    stored += 1;
+                } else {
+                    faulted += 1;
+                }
             }
-            // Error cases must agree too (and charge nothing in any path).
-            assert!(slow.write_u32(unmapped, 1).is_err());
-            assert!(fast.write_word(unmapped, 1).is_err());
-            assert!(bm.write_word::<true>(unmapped, 1).is_err());
-            assert!(slow.read_u32(sram_end).is_err());
-            assert!(fast.read_word(sram_end).is_err());
-            assert!(bm.read_word(sram_end).is_err());
+            assert!(stored > 0 && faulted > 0, "the stream must store and fault");
             bm.commit();
             let name = if in_sram { "SRAM" } else { "FRAM" };
             assert_same_memory(&slow, &fast, "word");
@@ -1929,7 +1871,7 @@ mod tests {
                 let v = 0x5EED_0000 ^ i as u32;
                 slow.add_cycles(instr_base);
                 bm.charge_instr();
-                let stored = slow.write_u32(a, v).is_ok();
+                let stored = slow.write_i32(a, v as i32).is_ok();
                 let got = if bm.cut_in_reach(bm.cycles(), 1) {
                     bm.write_frame::<true>(off, v)
                 } else {
@@ -1942,7 +1884,7 @@ mod tests {
                     "peek at {a}"
                 );
                 assert_eq!(
-                    slow.read_u32(a).ok(),
+                    slow.read_i32(a).ok().map(|v| v as u32),
                     bm.read_frame(off).ok(),
                     "read at {a}"
                 );
@@ -2065,7 +2007,7 @@ mod tests {
         let mut m = mem();
         let a = m.layout().fram.start.offset(16);
         assert_eq!(m.count_dirty_words(a, 16), 0);
-        m.write_u32(a, 7).unwrap();
+        m.write_i32(a, 7).unwrap();
         assert!(m.is_word_dirty(a));
         assert_eq!(m.count_dirty_words(a, 16), 1);
         m.poke_bytes(a.offset(8), &[1u8; 8]).unwrap();
@@ -2076,7 +2018,7 @@ mod tests {
         m.clear_dirty(a, 16);
         assert_eq!(m.count_dirty_words(a, 16), 0);
         // Reads never mark.
-        m.read_u32(a).unwrap();
+        m.read_i32(a).unwrap();
         m.peek_word(a).unwrap();
         assert_eq!(m.count_dirty_words(a, 16), 0);
     }
@@ -2087,7 +2029,7 @@ mod tests {
         let a = m.layout().fram.start;
         let per_word = m.costs().fram_write_per_word;
         m.set_power_cut(Some(m.cycles() + per_word));
-        m.write_u64(a, 0xAAAA_BBBB_CCCC_DDDD).unwrap();
+        write_u64(&mut m, a, 0xAAAA_BBBB_CCCC_DDDD);
         assert!(m.is_word_dirty(a), "committed low word must be dirty");
         assert!(
             !m.is_word_dirty(a.offset(4)),
@@ -2117,8 +2059,8 @@ mod tests {
         let l = *m.layout();
         let snapshot = |m: &Memory| {
             (
-                m.peek_bytes(l.sram.start, l.sram.len()).unwrap(),
-                m.peek_bytes(l.fram.start, l.fram.len()).unwrap(),
+                m.peek_slice(l.sram.start, l.sram.len()).unwrap().to_vec(),
+                m.peek_slice(l.fram.start, l.fram.len()).unwrap().to_vec(),
             )
         };
         let mut rng = seed;
@@ -2159,7 +2101,7 @@ mod tests {
             };
             match (r >> 40) % 6 {
                 0 => {
-                    m.write_u32(addr, r as u32).unwrap();
+                    m.write_i32(addr, r as i32).unwrap();
                     note(&mut targeted, addr, 4);
                 }
                 1 => {
@@ -2285,13 +2227,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_word_is_free_and_matches_peek_i32() {
+    fn peek_word_is_free_and_matches_peek_slice() {
         let mut m = mem();
         let a = m.layout().fram.start.offset(8);
         m.write_word(a, 0x1234_5678).unwrap();
         let before = m.cycles();
         assert_eq!(m.peek_word(a).unwrap(), 0x1234_5678);
-        assert_eq!(m.peek_i32(a).unwrap(), 0x1234_5678);
+        assert_eq!(m.peek_slice(a, 4).unwrap(), 0x1234_5678u32.to_le_bytes());
         assert_eq!(m.cycles(), before);
         assert!(m.peek_word(Addr(0)).is_err());
     }

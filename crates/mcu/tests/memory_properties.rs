@@ -32,6 +32,13 @@ fn mem() -> Memory {
     Memory::new(MemoryLayout::default())
 }
 
+/// A one-byte read on the byte-range form.
+fn read_u8(m: &mut Memory, a: Addr) -> u8 {
+    let mut b = [0u8; 1];
+    m.read_bytes(a, &mut b).unwrap();
+    b[0]
+}
+
 fn fram_addr(off: u32) -> Addr {
     MemoryLayout::default().fram.start.offset(off)
 }
@@ -63,8 +70,8 @@ fn byte_and_word_views_agree() {
         let v = rng.next() as u32;
         let mut m = mem();
         let a = fram_addr(off * 4);
-        m.write_u32(a, v).unwrap();
-        let bytes = m.peek_bytes(a, 4).unwrap();
+        m.write_word(a, v).unwrap();
+        let bytes = m.peek_slice(a, 4).unwrap();
         assert_eq!(
             u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
             v,
@@ -128,12 +135,12 @@ fn copy_is_exact() {
         let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
         m.write_bytes(src, &payload).unwrap();
         // Sentinels around the destination.
-        m.write_u8(Addr(dst.raw() - 1), 0xEE).unwrap();
-        m.write_u8(dst.offset(len), 0xEE).unwrap();
+        m.write_bytes(Addr(dst.raw() - 1), &[0xEE]).unwrap();
+        m.write_bytes(dst.offset(len), &[0xEE]).unwrap();
         m.copy(src, dst, len).unwrap();
-        assert_eq!(m.peek_bytes(dst, len).unwrap(), payload, "case {case}");
-        assert_eq!(m.read_u8(Addr(dst.raw() - 1)).unwrap(), 0xEE, "case {case}");
-        assert_eq!(m.read_u8(dst.offset(len)).unwrap(), 0xEE, "case {case}");
+        assert_eq!(m.peek_slice(dst, len).unwrap(), payload, "case {case}");
+        assert_eq!(read_u8(&mut m, Addr(dst.raw() - 1)), 0xEE, "case {case}");
+        assert_eq!(read_u8(&mut m, dst.offset(len)), 0xEE, "case {case}");
     }
 }
 
@@ -147,15 +154,17 @@ fn unmapped_accesses_error() {
         let mut m = mem();
         let a = Addr(addr);
         let mapped = layout.sram.contains_range(a, 4) || layout.fram.contains_range(a, 4);
-        assert_eq!(m.read_u32(a).is_ok(), mapped, "case {case}: {addr:#x}");
-        assert_eq!(m.write_u32(a, 1).is_ok(), mapped, "case {case}: {addr:#x}");
+        assert_eq!(m.read_word(a).is_ok(), mapped, "case {case}: {addr:#x}");
+        assert_eq!(m.write_word(a, 1).is_ok(), mapped, "case {case}: {addr:#x}");
+        assert_eq!(m.read_i32(a).is_ok(), mapped, "case {case}: {addr:#x}");
+        assert_eq!(m.write_i32(a, 1).is_ok(), mapped, "case {case}: {addr:#x}");
     }
     // Make sure both outcomes were reachable: probe known-mapped and
     // known-unmapped addresses explicitly.
     let layout = MemoryLayout::default();
     let mut m = mem();
-    assert!(m.read_u32(layout.fram.start).is_ok());
-    assert!(m.read_u32(Addr(u32::MAX - 8)).is_err());
+    assert!(m.read_word(layout.fram.start).is_ok());
+    assert!(m.read_word(Addr(u32::MAX - 8)).is_err());
 }
 
 /// Cycle accounting is monotone: accesses never make time go

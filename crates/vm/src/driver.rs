@@ -260,14 +260,14 @@ impl TxDriver {
                 // verification, so an invalid one means in-place damage.
                 // Poison it: never retry what cannot be identified.
                 m.mem
-                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
+                    .write_word(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
                 m.emit(TraceEvent::TxnPoisoned { id: slot.id });
                 continue;
             }
             let attempts = slot.attempts + 1;
             if attempts >= self.policy.max_attempts {
                 m.mem
-                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
+                    .write_word(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_POISONED)?;
                 m.emit(TraceEvent::TxnPoisoned { id: slot.id });
             } else {
                 Self::write_descriptor(m, idx, slot.id, attempts)?;
@@ -328,7 +328,7 @@ impl TxDriver {
         // journal's high-water mark, its slot was recycled — it must have
         // finished in a previous life (ids are begun in increasing
         // order), so a replay skips it.
-        let hw = m.mem.read_u32(Self::high_water_addr(m))?;
+        let hw = m.mem.read_word(Self::high_water_addr(m))?;
         if id <= hw && hw != 0 {
             m.emit(TraceEvent::TxnSkip { id });
             return Ok(TX_SKIP_COMMITTED);
@@ -339,13 +339,13 @@ impl TxDriver {
         // Recycle: clear the state word first so a cut mid-staging
         // leaves a dead slot, not a chimera of old state and new id.
         m.mem
-            .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_EMPTY)?;
+            .write_word(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_EMPTY)?;
         Self::write_descriptor(m, idx, id, 0)?;
         // Flag-flip-last: one atomic word arms the descriptor.
         m.mem
-            .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_INFLIGHT)?;
+            .write_word(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_INFLIGHT)?;
         if id > hw {
-            m.mem.write_u32(Self::high_water_addr(m), id)?;
+            m.mem.write_word(Self::high_water_addr(m), id)?;
         }
         self.active = Some(id);
         self.attempt = 0;
@@ -368,7 +368,7 @@ impl TxDriver {
             let slot = Self::read_slot(m, idx)?;
             if slot.valid && slot.id == id && slot.state == ST_INFLIGHT {
                 m.mem
-                    .write_u32(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_COMMITTED)?;
+                    .write_word(Self::slot_addr(m, idx).offset(SLOT_STATE), ST_COMMITTED)?;
                 self.active = None;
                 m.emit(TraceEvent::TxnCommit { id });
                 return Ok(());

@@ -482,7 +482,7 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
             // on this instruction while the runtime may checkpoint.
             let next = m.regs.pc;
             m.regs.pc = pc;
-            let a = Addr(m.mem.peek_i32(Addr(m.regs.sp.raw() - 8))? as u32);
+            let a = Addr(m.mem.peek_word(Addr(m.regs.sp.raw() - 8))?);
             rt.logged_store(m, a, 4)?;
             m.regs.pc = next;
             let v = m.pop()?;
@@ -734,8 +734,8 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 // and span attribution, same trap points with the machine in the same
 // state. The only things removed are host-side costs — the per-push
 // `function_at` bound checks (proven unnecessary by the decoder's depth
-// verification), the generic byte-slice memory path (replaced by the
-// word path), and per-instruction dispatch (fused away in bursts).
+// verification), the byte-range memory form (replaced by the
+// single-word form), and per-instruction dispatch (fused away in bursts).
 
 /// The decoded loop: dispatches decoded ops until a stop boundary —
 /// period deadline, voltage warning, time budget — or a halt via a
@@ -1335,7 +1335,7 @@ mod tests {
         assert_eq!(out, RunOutcome::OutOfEnergy);
         assert_eq!(m.stats().boots, 4);
         let sensed_addr = m.global_addr(0);
-        let sensed = m.mem.peek_i32(sensed_addr).unwrap();
+        let sensed = m.mem.peek_word(sensed_addr).unwrap() as i32;
         assert!(sensed > 0, "nv counter must survive reboots");
         assert_eq!(u64::from(sensed as u32), m.stats().mark_count(1));
     }

@@ -354,13 +354,13 @@ impl Machine {
             return Ok(0);
         }
         let base = self.heap_base();
-        let bump = self.mem.read_u32(base)?;
+        let bump = self.mem.read_word(base)?;
         let aligned = bytes.max(1).div_ceil(4) * 4;
         if 4 + bump + aligned > self.image.heap_bytes {
             return Ok(0);
         }
         rt.logged_store(self, base, 4)?;
-        self.mem.write_u32(base, bump + aligned)?;
+        self.mem.write_word(base, bump + aligned)?;
         Ok(base.raw() + 4 + bump)
     }
 
@@ -552,6 +552,9 @@ impl Machine {
                 f.name
             )));
         }
+        // The reference interpreter stays on the byte-range form: it is
+        // the oracle the decoded engine's single-word form is checked
+        // against.
         self.mem.write_i32(self.regs.sp, v)?;
         self.regs.sp = self.regs.sp.offset(4);
         Ok(())
@@ -584,7 +587,7 @@ impl Machine {
     ///
     /// Returns [`VmError::Memory`] on bad addresses.
     pub fn peek_top(&self) -> Result<i32> {
-        Ok(self.mem.peek_i32(Addr(self.regs.sp.raw() - 4))?)
+        Ok(self.mem.peek_word(Addr(self.regs.sp.raw() - 4))? as i32)
     }
 
     // ---- frames ----
@@ -790,7 +793,7 @@ impl Machine {
                 cleared += n;
             }
             for (i, v) in init.iter().enumerate() {
-                self.mem.write_i32(base.offset(4 * i as u32), *v)?;
+                self.mem.write_word(base.offset(4 * i as u32), *v as u32)?;
             }
         }
         Ok(())
@@ -897,10 +900,10 @@ mod tests {
     #[test]
     fn globals_are_initialized_at_load() {
         let m = machine("int a = 7; int b[3] = {1,2}; int main() { return 0; }");
-        assert_eq!(m.mem.peek_i32(m.global_addr(0)).unwrap(), 7);
-        assert_eq!(m.mem.peek_i32(m.global_addr(4)).unwrap(), 1);
-        assert_eq!(m.mem.peek_i32(m.global_addr(8)).unwrap(), 2);
-        assert_eq!(m.mem.peek_i32(m.global_addr(12)).unwrap(), 0);
+        assert_eq!(m.mem.peek_word(m.global_addr(0)).unwrap(), 7);
+        assert_eq!(m.mem.peek_word(m.global_addr(4)).unwrap(), 1);
+        assert_eq!(m.mem.peek_word(m.global_addr(8)).unwrap(), 2);
+        assert_eq!(m.mem.peek_word(m.global_addr(12)).unwrap(), 0);
     }
 
     #[test]
@@ -909,8 +912,8 @@ mod tests {
         m.mem.poke_i32(m.global_addr(0), 99).unwrap();
         m.mem.poke_i32(m.global_addr(4), 98).unwrap();
         m.init_globals(false).unwrap();
-        assert_eq!(m.mem.peek_i32(m.global_addr(0)).unwrap(), 99);
-        assert_eq!(m.mem.peek_i32(m.global_addr(4)).unwrap(), 2);
+        assert_eq!(m.mem.peek_word(m.global_addr(0)).unwrap(), 99);
+        assert_eq!(m.mem.peek_word(m.global_addr(4)).unwrap(), 2);
     }
 
     #[test]

@@ -382,12 +382,14 @@ fn run_one(prog: &Program, engine: DispatchEngine, scenario: Scenario) -> Snapsh
         span: m.mem.span_cycles_all(),
         sram: m
             .mem
-            .peek_bytes(layout.sram.start, layout.sram.len())
-            .unwrap(),
+            .peek_slice(layout.sram.start, layout.sram.len())
+            .unwrap()
+            .to_vec(),
         fram: m
             .mem
-            .peek_bytes(layout.fram.start, layout.fram.len())
-            .unwrap(),
+            .peek_slice(layout.fram.start, layout.fram.len())
+            .unwrap()
+            .to_vec(),
     }
 }
 

@@ -179,12 +179,14 @@ fn run_one(
     let layout = *m.mem.layout();
     let sram = m
         .mem
-        .peek_bytes(layout.sram.start, layout.sram.len())
-        .expect("SRAM dump");
+        .peek_slice(layout.sram.start, layout.sram.len())
+        .expect("SRAM dump")
+        .to_vec();
     let fram = m
         .mem
-        .peek_bytes(layout.fram.start, layout.fram.len())
-        .expect("FRAM dump");
+        .peek_slice(layout.fram.start, layout.fram.len())
+        .expect("FRAM dump")
+        .to_vec();
     Snapshot {
         outcome,
         trace: m.trace().records().to_vec(),

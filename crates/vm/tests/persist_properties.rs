@@ -424,7 +424,7 @@ fn logged_store(m: &mut Machine, log: &mut UndoLog, addr: Addr, v: i32) {
 }
 
 fn word(m: &Machine, addr: Addr) -> i32 {
-    m.mem.peek_i32(addr).unwrap()
+    m.mem.peek_word(addr).unwrap() as i32
 }
 
 #[test]
@@ -497,11 +497,17 @@ fn a_full_undo_log_reports_full_and_writes_nothing_past_capacity() {
     assert!(log.is_full());
     let base = m.runtime_area_base();
     let past = base.offset(8 + 8 * 2);
-    let before = (m.mem.peek_bytes(base, 8 + 8 * 2 + 8).unwrap(), m.cycles());
+    let before = (
+        m.mem.peek_slice(base, 8 + 8 * 2 + 8).unwrap().to_vec(),
+        m.cycles(),
+    );
     assert!(log.append(&mut m, a, 4).is_err());
     m.flush_trace();
     assert_eq!(
-        (m.mem.peek_bytes(base, 8 + 8 * 2 + 8).unwrap(), m.cycles()),
+        (
+            m.mem.peek_slice(base, 8 + 8 * 2 + 8).unwrap().to_vec(),
+            m.cycles()
+        ),
         before,
         "no slot past capacity, no count change, no charge"
     );
