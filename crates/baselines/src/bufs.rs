@@ -6,9 +6,7 @@
 //! experiments' un-hardened control.
 
 use tics_mcu::{Addr, Registers};
-use tics_vm::persist::{
-    init_control, pack_misc, unpack_misc, BankFormat, BankPair, Checkpoint, Misc, DELTA_MISC,
-};
+use tics_vm::persist::{init_control, pack_misc, unpack_misc, BankPair, Checkpoint, Misc};
 use tics_vm::{Machine, VmError};
 
 type Result<T> = std::result::Result<T, VmError>;
@@ -33,14 +31,14 @@ pub(crate) fn init_ctrl(m: &mut Machine, base: Addr) -> Result<()> {
 }
 
 /// Lays out a hardened baseline's persistent area — control block, then
-/// two sealed banks of `max_payload` payload bytes, then the delta
+/// two banks with room for `max_image` image bytes, then the delta
 /// journal — and places `ckpt` on it. Fails with `Load(what)` unless
 /// `extra` more bytes after the journal still fit in FRAM; otherwise
 /// initializes the control block and returns the first byte past the
 /// journal.
 pub(crate) fn attach_hardened(
     m: &mut Machine,
-    max_payload: u32,
+    max_image: u32,
     extra: u32,
     ckpt: &mut Checkpoint,
     what: &str,
@@ -50,8 +48,7 @@ pub(crate) fn attach_hardened(
         base.offset(CTRL_SIZE),
         base.offset(FLAG),
         base.offset(DELTA_BASE),
-        BankFormat::Sealed,
-        max_payload,
+        max_image,
     );
     let (journal, capacity) = banks.journal();
     let end = journal.offset(capacity);
@@ -63,11 +60,11 @@ pub(crate) fn attach_hardened(
     Ok(end)
 }
 
-/// A baseline misc block: the `u32` misc length, the registers, and a
+/// A baseline misc block: an unused zero word, the registers, and a
 /// runtime-defined length word (live stack or frame bytes).
 pub(crate) fn misc(m: &Machine, len: u32) -> Misc {
     let [pc, sp, fp, sr] = m.regs.to_words();
-    pack_misc([DELTA_MISC - 4, pc, sp, fp, sr, len])
+    pack_misc([0, pc, sp, fp, sr, len])
 }
 
 /// The registers and length word of a baseline misc block.

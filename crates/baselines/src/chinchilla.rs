@@ -54,10 +54,9 @@ impl ChinchillaRuntime {
         }
         // A bank holds the registers, the used-stack length, the stack
         // and the entire static area.
-        let max_payload = 16 + 4 + m.mem.layout().sram.len() + m.loaded().program.globals_size;
         bufs::attach_hardened(
             m,
-            max_payload,
+            m.mem.layout().sram.len() + m.loaded().program.globals_size,
             0,
             &mut self.ckpt,
             "chinchilla double buffers do not fit in FRAM (statics too large)",
@@ -104,10 +103,10 @@ impl ChinchillaRuntime {
             })?;
         // An abort (corruption defeated staging, or the commit died on
         // the energy deadline) leaves the previous checkpoint standing.
-        if let CommitOutcome::Committed { delta } = outcome {
+        if let CommitOutcome::Committed { bytes } = outcome {
             m.emit(TraceEvent::CheckpointCommit {
                 cause,
-                bytes: u64::from(delta.unwrap_or(full_bytes)),
+                bytes: u64::from(bytes),
             });
         }
         Ok(())
@@ -163,7 +162,12 @@ impl IntermittentRuntime for ChinchillaRuntime {
         let boot = self.ckpt.boot(m, |m, misc| {
             (Self::regions(m), Self::images(m, bufs::unpack(misc).1))
         })?;
-        let Boot::Restored { misc, restored } = boot else {
+        let Boot::Restored {
+            misc,
+            restored,
+            bytes,
+        } = boot
+        else {
             // No (valid) checkpoint, so the committed image is the
             // pristine load image. Chinchilla's versioned memory
             // discards uncommitted writes — and the promoted locals are
@@ -178,8 +182,7 @@ impl IntermittentRuntime for ChinchillaRuntime {
         m.regs = bufs::unpack(&misc).0;
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let bytes = 20 + restored;
-        let _ = m.charge_atomic(m.mem.costs().restore_cost(bytes));
+        let _ = m.charge_atomic(m.mem.costs().restore_cost(20 + restored));
         m.emit(TraceEvent::Restore {
             bytes: u64::from(bytes),
         });

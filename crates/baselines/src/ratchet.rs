@@ -53,10 +53,9 @@ impl RatchetRuntime {
         // A bank holds the registers, the frame length, and the current
         // frame image — this VM's analog of Ratchet's renamed register
         // set (operand scratch lives in the frame here, not in registers).
-        let max_payload = 16 + 4 + m.loaded().program.max_frame_size();
         let stack_start = bufs::attach_hardened(
             m,
-            max_payload,
+            m.loaded().program.max_frame_size(),
             self.stack_bytes,
             &mut self.ckpt,
             "ratchet FRAM stack does not fit",
@@ -82,9 +81,9 @@ impl RatchetRuntime {
                     c.ckpt_base + u64::from(delta.unwrap_or(frame_len)) / 4
                 })?;
         match outcome {
-            CommitOutcome::Committed { delta } => m.emit(TraceEvent::CheckpointCommit {
+            CommitOutcome::Committed { bytes } => m.emit(TraceEvent::CheckpointCommit {
                 cause,
-                bytes: u64::from(delta.unwrap_or(20 + frame_len)),
+                bytes: u64::from(bytes),
             }),
             // Ratchet's consistency *is* the boundary checkpoint: a
             // skipped commit before a WAR-closing store would silently
@@ -141,22 +140,26 @@ impl IntermittentRuntime for RatchetRuntime {
             let region = [(regs.fp, frame_len)];
             (region, region)
         })?;
-        let restored = match boot {
+        let (restored, bytes) = match boot {
             Boot::Restart(choice) => {
                 return Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
                 })
             }
-            Boot::Restored { misc, restored } => {
+            Boot::Restored {
+                misc,
+                restored,
+                bytes,
+            } => {
                 m.regs = bufs::unpack(&misc).0;
-                restored
+                (restored, bytes)
             }
         };
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
         let _ = m.charge_atomic(m.mem.costs().restore_base + u64::from(restored) / 4);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(20 + restored),
+            bytes: u64::from(bytes),
         });
         Ok(ResumeAction::Restored)
     }

@@ -118,7 +118,7 @@ impl TaskKernel {
         let timestamps = 8 * m.loaded().program.annotated.len() as u32;
         let end = bufs::attach_hardened(
             m,
-            16 + 4 + sram,
+            sram,
             timestamps + 8 * UNDO_CAPACITY,
             &mut self.ckpt,
             "task kernel buffers do not fit in FRAM",
@@ -157,11 +157,11 @@ impl TaskKernel {
         )?;
         // On an abort the undo log keeps privatizing past the boundary,
         // so a reboot rolls back to the still-valid previous checkpoint.
-        if let CommitOutcome::Committed { delta } = outcome {
+        if let CommitOutcome::Committed { bytes } = outcome {
             self.undo.clear(m)?;
             m.emit(TraceEvent::CheckpointCommit {
                 cause: CkptCause::Site,
-                bytes: u64::from(delta.unwrap_or(full_bytes)),
+                bytes: u64::from(bytes),
             });
         }
         Ok(())
@@ -239,21 +239,24 @@ impl IntermittentRuntime for TaskKernel {
             let used = bufs::unpack(misc).1;
             ([(sram.start, sram.len())], [(sram.start, used)])
         })?;
-        let restored = match boot {
+        let (restored, bytes) = match boot {
             Boot::Restart(choice) => {
                 return Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
                 })
             }
-            Boot::Restored { misc, restored } => {
+            Boot::Restored {
+                misc,
+                restored,
+                bytes,
+            } => {
                 m.regs = bufs::unpack(&misc).0;
-                restored
+                (restored, bytes)
             }
         };
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
-        let bytes = 20 + restored;
-        let _ = m.charge_atomic(m.mem.costs().restore_cost(bytes));
+        let _ = m.charge_atomic(m.mem.costs().restore_cost(20 + restored));
         m.emit(TraceEvent::Restore {
             bytes: u64::from(bytes),
         });

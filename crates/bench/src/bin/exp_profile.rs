@@ -157,15 +157,14 @@ fn measure_checkpoint_full(seg: u32) -> Option<(u64, u64)> {
 
 /// Model vs measured cost of *delta-record* commits. A delta is priced
 /// by its payload, not the segment size, so each span's model price is
-/// `checkpoint_cost(bytes − DELTA_HEADER)` for the bytes its own commit
-/// event reports; model and measured are averaged over the same spans.
+/// `checkpoint_cost(bytes)` for the payload bytes its own commit event
+/// reports; model and measured are averaged over the same spans.
 fn measure_checkpoint_delta(seg: u32) -> Option<(u64, u64)> {
     let spans = checkpoint_commit_spans(seg);
     let full = spans.iter().map(|&(_, b)| b).max()?;
     let deltas: Vec<(u64, u64)> = spans.into_iter().filter(|&(_, b)| b < full).collect();
     let model = average(deltas.iter().map(|&(_, b)| {
-        let plen = u32::try_from(b).expect("delta fits u32") - tics_vm::persist::DELTA_HEADER;
-        CostModel::default().checkpoint_cost(plen)
+        CostModel::default().checkpoint_cost(u32::try_from(b).expect("delta fits u32"))
     }))?;
     let measured = average(deltas.iter().map(|&(c, _)| c))?;
     Some((model, measured))

@@ -2,7 +2,7 @@
 
 use tics_mcu::{Addr, Region};
 use tics_minic::program::Program;
-use tics_vm::persist::{BankFormat, BankPair};
+use tics_vm::persist::BankPair;
 
 use crate::config::TicsConfig;
 
@@ -39,10 +39,9 @@ pub mod ctrl {
 pub struct RuntimeLayout {
     /// Control block base.
     pub control: Addr,
-    /// Checkpoint banks A and B: misc-first banks
-    /// ([`BankFormat::MiscFirst`]) of registers, atomic depth, working
-    /// segment, sequence number and CRC, then the segment image. The
-    /// delta journal follows them ([`BankPair::journal`]).
+    /// Checkpoint banks A and B: sealed records whose payload is the misc
+    /// block (registers, atomic depth, working segment) and the segment
+    /// image. The delta journal follows them ([`BankPair::journal`]).
     pub banks: BankPair,
     /// Timestamp table base (`u64` per annotated variable).
     pub timestamps: Addr,
@@ -74,7 +73,6 @@ impl RuntimeLayout {
             control.offset(ctrl::SIZE),
             control.offset(ctrl::CKPT_FLAG),
             control.offset(ctrl::DELTA_BASE),
-            BankFormat::MiscFirst,
             config.seg_size,
         );
         let (journal, journal_capacity) = banks.journal();
@@ -163,10 +161,10 @@ mod tests {
         assert!(l.timestamps < l.undo);
         assert!(l.undo < l.segments);
         assert!(l.segments < l.end);
-        // Checkpoint buffers hold header + a full segment.
-        assert_eq!(l.banks.b.raw() - l.banks.a.raw(), 36 + 256);
+        // Checkpoint buffers hold header, misc block and a full segment.
+        assert_eq!(l.banks.b.raw() - l.banks.a.raw(), 16 + 24 + 256);
         // The journal sits between the banks and the timestamp table.
-        assert_eq!(journal.raw() - l.banks.b.raw(), 36 + 256);
+        assert_eq!(journal.raw() - l.banks.b.raw(), 16 + 24 + 256);
         assert_eq!(l.timestamps.raw() - journal.raw(), journal_capacity);
         assert_eq!(journal_capacity, 1_024);
     }

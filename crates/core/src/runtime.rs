@@ -6,7 +6,7 @@ use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
 use tics_vm::persist::{
     init_control, pack_misc, unpack_misc, BankChoice, Boot, Checkpoint, CommitOutcome, Misc,
-    UndoLog, DELTA_HEADER,
+    UndoLog,
 };
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, ResumeAction, RuntimeCapabilities, TxDriver,
@@ -125,23 +125,24 @@ impl TicsRuntime {
         let m = &mut *span;
         let seg = l.segment(self.working_seg);
         let region = [(seg.start, l.seg_size)];
-        let full_bytes = l.banks.bank_bytes();
+        // The bank size of the earlier misc-first layout: keeps the delta
+        // threshold where it was.
+        let full_bytes = 36 + l.seg_size;
         let misc = self.misc(m);
         let outcome = self
             .ckpt
             .commit(m, &misc, full_bytes, &region, &region, |c, delta| {
                 c.checkpoint_cost(delta.unwrap_or(l.seg_size))
             })?;
-        let CommitOutcome::Committed { delta } = outcome else {
+        let CommitOutcome::Committed { bytes } = outcome else {
             return Ok(outcome);
         };
-        let committed_bytes = u64::from(delta.map_or(full_bytes, |plen| DELTA_HEADER + plen));
         // The log only needs to undo writes newer than this checkpoint.
         self.undo.clear(m)?;
         self.last_ckpt_seg = Some(self.working_seg);
         m.emit(TraceEvent::CheckpointCommit {
             cause,
-            bytes: committed_bytes,
+            bytes: u64::from(bytes),
         });
         // Virtualized I/O: the commit is the transmission point — every
         // buffered send now becomes externally visible, exactly once.
@@ -230,7 +231,7 @@ impl IntermittentRuntime for TicsRuntime {
             let region = [(seg.start, l.seg_size)];
             (region, region)
         })?;
-        let restored = match boot {
+        let (restored, bytes) = match boot {
             Boot::Restart(choice) => {
                 self.working_seg = 0;
                 self.last_ckpt_seg = None;
@@ -238,13 +239,17 @@ impl IntermittentRuntime for TicsRuntime {
                     reinit_globals: choice == BankChoice::FreshStart,
                 });
             }
-            Boot::Restored { misc, restored } => {
+            Boot::Restored {
+                misc,
+                restored,
+                bytes,
+            } => {
                 let [pc, sp, fp, sr, depth, seg] = unpack_misc(&misc);
                 m.regs = Registers::from_words([pc, sp, fp, sr]);
                 self.atomic_depth = depth;
                 self.working_seg = seg;
                 self.last_ckpt_seg = Some(seg);
-                restored
+                (restored, bytes)
             }
         };
         let mut span = m.span(SpanKind::Restore);
@@ -254,7 +259,7 @@ impl IntermittentRuntime for TicsRuntime {
         let cost = m.mem.costs().restore_cost(restored);
         let _completed = m.charge_atomic(cost);
         m.emit(TraceEvent::Restore {
-            bytes: u64::from(l.banks.format.header() + restored),
+            bytes: u64::from(bytes),
         });
         Ok(ResumeAction::Restored)
     }
@@ -612,6 +617,7 @@ mod tests {
     use tics_clock::PerfectClock;
     use tics_energy::{ContinuousPower, PeriodicTrace, RecordedTrace};
     use tics_minic::{compile, opt::OptLevel, passes};
+    use tics_vm::persist::DELTA_HEADER;
     use tics_vm::{Executor, MachineConfig, RunOutcome};
 
     fn tics_machine(src: &str, config: MachineConfig) -> Machine {
@@ -1101,7 +1107,7 @@ mod tests {
 
     fn clobber_bank(m: &mut Machine, rt: &TicsRuntime, which: u32) {
         let l = rt.layout().unwrap();
-        let a = l.banks.bank(which).offset(l.banks.format.header() + 3);
+        let a = l.banks.bank(which).offset(DELTA_HEADER + 3);
         let b = m.mem.peek_slice(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x40]).unwrap();
     }

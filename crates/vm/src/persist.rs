@@ -32,15 +32,20 @@
 //!   logged word and a persistent `u32` count word, rolled back newest
 //!   first at reboot (and, under TICS, at an `@expires` catch).
 //!
-//! # On-FRAM formats
+//! # One on-FRAM record format
 //!
-//! A *sealed record* is `[u64 seq | u32 len | u32 crc]` followed by `len`
-//! payload bytes; the CRC covers sequence, length and payload. Every
-//! delta record is one, with a payload of the [`DELTA_MISC`]-byte misc
-//! block (six caller-defined words: registers and the runtime state a
-//! restore needs) and one `(u32 addr, u32 value)` entry per dirty word.
-//! Full banks come in two [`BankFormat`]s, the only place the families
-//! differ.
+//! Every bank and every delta record is a *sealed record*: `[u64 seq |
+//! u32 len | u32 crc]` followed by `len` payload bytes, staged header
+//! first, then payload; the CRC covers sequence, length and payload. The
+//! payload always starts with the [`DELTA_MISC`]-byte misc block (six
+//! caller-defined words: registers and the runtime state a restore
+//! needs). A bank's payload continues with the full images; a delta
+//! record's, with one `(u32 addr, u32 value)` entry per dirty word.
+//!
+//! One byte rule: a reported byte count is record payload, never
+//! header. [`CommitOutcome::Committed`] carries the published record's
+//! `len` and [`Boot::Restored`] the payload boot read back, so no
+//! runtime does arithmetic on this format.
 //!
 //! # The sequence is here; policy stays with the caller
 //!
@@ -55,10 +60,9 @@
 //!   the newest valid bank, published or not, and past the chain tip.
 //!
 //! The caller opens the spans, supplies its Table 4 cost formula and the
-//! regions its misc block describes, counts the bytes it reports, and
-//! decides what an abort means. Commit and boot allocate nothing in
-//! steady state: the chain owns the staging buffer and the regions are
-//! fixed-size arrays.
+//! regions its misc block describes, and decides what an abort means.
+//! Commit and boot allocate nothing in steady state: the chain owns the
+//! staging buffer and the regions are fixed-size arrays.
 //!
 //! The undo log is the exception: its spans, its Table 4 costs
 //! (`undo_log_cost`, `rollback_cost`) and its trace events are the same
@@ -79,21 +83,16 @@ use crate::Result;
 pub const VERIFY_ATTEMPTS: u32 = 16;
 
 /// Sealed-record header: `u64` sequence, `u32` payload length, `u32`
-/// CRC-32. Public so profilers can recover a delta record's payload
-/// length from its committed byte count.
+/// CRC-32. No reported byte count includes it; it is public so tests
+/// can find the payload of a record they corrupt.
 pub const DELTA_HEADER: u32 = 16;
 
-/// Misc block leading every delta payload (and every bank).
+/// Misc block leading every record payload, bank or delta.
 pub const DELTA_MISC: u32 = 24;
 
 /// A misc block: six little-endian `u32` words whose meaning the caller
 /// defines. The last published record's copy wins at restore.
 pub type Misc = [u8; DELTA_MISC as usize];
-
-/// [`BankFormat::MiscFirst`] offsets: sequence, CRC, image.
-const MF_SEQ: usize = DELTA_MISC as usize;
-const MF_CRC: usize = MF_SEQ + 8;
-const MF_IMAGE: usize = MF_CRC + 4;
 
 /// Packs six words into a misc block.
 #[must_use]
@@ -168,51 +167,25 @@ fn seal(seq: u64, payload: &[u8]) -> [u8; DELTA_HEADER as usize] {
     head
 }
 
-/// Validates the sealed record at `at`: nonzero sequence, payload of at
-/// most `max_payload` bytes, matching CRC. Returns `(seq, len)`.
+/// Stages `payload` as a sealed record under `seq` at `at`: header, then
+/// payload, each verified by read-back. Returns whether both landed.
+fn stage_sealed(m: &mut Machine, at: Addr, seq: u64, payload: &[u8]) -> Result<bool> {
+    Ok(verified_poke(m, at, &seal(seq, payload))?
+        && verified_poke(m, at.offset(DELTA_HEADER), payload)?)
+}
+
+/// Validates the sealed record at `at`: nonzero sequence, a payload of
+/// at least the misc block and at most `max_payload` bytes, matching
+/// CRC. Returns `(seq, len)`.
 fn open_sealed(m: &Machine, at: Addr, max_payload: u32) -> Result<Option<(u64, u32)>> {
     let head = m.mem.peek_slice(at, DELTA_HEADER)?;
     let (seq, len) = (le_u64(head, 0), le_u32(head, 8));
-    if seq == 0 || len > max_payload {
+    if seq == 0 || !(DELTA_MISC..=max_payload).contains(&len) {
         return Ok(None);
     }
     let stored = le_u32(head, 12);
     let payload = m.mem.peek_slice(at.offset(DELTA_HEADER), len)?;
     Ok((le_u32(&seal(seq, payload), 12) == stored).then_some((seq, len)))
-}
-
-/// CRC-32 of a [`BankFormat::MiscFirst`] bank, skipping its own field.
-fn misc_first_crc(bank: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(&bank[..MF_CRC]);
-    h.update(&bank[MF_IMAGE..]);
-    h.finish()
-}
-
-/// The on-FRAM layout of a full bank — the one thing the runtime
-/// families do differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankFormat {
-    /// `[misc | u64 seq | u32 crc | image]` with an image of exactly
-    /// `max_payload` bytes and a CRC over every byte but its own field,
-    /// staged as one poke (TICS).
-    MiscFirst,
-    /// A sealed record whose payload is `misc[4..]` then the image, at
-    /// most `max_payload` bytes, staged as two pokes: header, then
-    /// payload (the hardened baselines, whose misc block starts with a
-    /// `u32` length word that the bank leaves implicit).
-    Sealed,
-}
-
-impl BankFormat {
-    /// Header bytes before the image (`MiscFirst`) or payload (`Sealed`).
-    #[must_use]
-    pub const fn header(self) -> u32 {
-        match self {
-            BankFormat::MiscFirst => MF_IMAGE as u32,
-            BankFormat::Sealed => DELTA_HEADER,
-        }
-    }
 }
 
 /// What [`Checkpoint::boot`]'s bank selection found published.
@@ -235,9 +208,10 @@ pub enum BankChoice {
     FreshStart,
 }
 
-/// Two self-validating full-image banks plus the words naming the
-/// published one. Bank B directly follows bank A; the delta journal
-/// directly follows bank B ([`BankPair::journal`]).
+/// Two full-image banks, each a sealed record of the misc block and the
+/// images, plus the words naming the published one. Bank B directly
+/// follows bank A; the delta journal directly follows bank B
+/// ([`BankPair::journal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankPair {
     /// Bank A (flag value 1).
@@ -249,39 +223,30 @@ pub struct BankPair {
     /// `u64` word: sequence number of the last published bank — the
     /// base the delta chain extends.
     pub published_seq: Addr,
-    /// On-FRAM bank layout.
-    pub format: BankFormat,
-    /// Bytes after each bank's header: the exact image length
-    /// (`MiscFirst`) or the payload cap (`Sealed`).
+    /// Payload cap of a bank: the misc block plus the largest image.
     pub max_payload: u32,
 }
 
 impl BankPair {
-    /// Banks at `a` and right after it, published through `flag` and
+    /// Banks at `a` and right after it, each with room for images of up
+    /// to `max_image` bytes, published through `flag` and
     /// `published_seq`.
     #[must_use]
-    pub fn new(
-        a: Addr,
-        flag: Addr,
-        published_seq: Addr,
-        format: BankFormat,
-        max_payload: u32,
-    ) -> BankPair {
-        let b = a.offset(format.header() + max_payload);
+    pub fn new(a: Addr, flag: Addr, published_seq: Addr, max_image: u32) -> BankPair {
+        let max_payload = DELTA_MISC + max_image;
         BankPair {
             a,
-            b,
+            b: a.offset(DELTA_HEADER + max_payload),
             flag,
             published_seq,
-            format,
             max_payload,
         }
     }
 
-    /// Bytes one bank occupies.
+    /// Bytes one bank occupies: header, misc block and image room.
     #[must_use]
     pub fn bank_bytes(&self) -> u32 {
-        self.format.header() + self.max_payload
+        DELTA_HEADER + self.max_payload
     }
 
     /// The delta journal: its first byte, right after bank B, and its
@@ -306,14 +271,7 @@ impl BankPair {
     /// Validates the bank at `bank`: nonzero sequence number, sane
     /// length, matching CRC. Returns the sequence number if valid.
     fn validate(&self, m: &Machine, bank: Addr) -> Result<Option<u64>> {
-        match self.format {
-            BankFormat::MiscFirst => {
-                let img = m.mem.peek_slice(bank, self.bank_bytes())?;
-                let seq = le_u64(img, MF_SEQ);
-                Ok((seq != 0 && misc_first_crc(img) == le_u32(img, MF_CRC)).then_some(seq))
-            }
-            BankFormat::Sealed => Ok(open_sealed(m, bank, self.max_payload)?.map(|(seq, _)| seq)),
-        }
+        Ok(open_sealed(m, bank, self.max_payload)?.map(|(seq, _)| seq))
     }
 
     /// The higher valid sequence number of the two banks, published or
@@ -360,15 +318,7 @@ impl BankPair {
             // too, and scrub both banks' sequence numbers, so a bank that
             // was staged but never published cannot pass for an older
             // published one after the next publish.
-            let seq_at = match self.format {
-                BankFormat::MiscFirst => MF_SEQ as u32,
-                BankFormat::Sealed => 0,
-            };
-            for word in [
-                self.a.offset(seq_at),
-                self.b.offset(seq_at),
-                self.published_seq,
-            ] {
+            for word in [self.a, self.b, self.published_seq] {
                 m.mem.poke_bytes(word, &0u64.to_le_bytes())?;
             }
             m.mem.poke_bytes(self.flag, &0u32.to_le_bytes())?;
@@ -388,43 +338,6 @@ impl BankPair {
             seq,
         })
     }
-
-    /// Stages a full image into `bank`: the misc block, then each of
-    /// `images` copied out of memory, sealed under `seq`. Returns whether
-    /// read-back verification accepted every byte.
-    fn stage(
-        &self,
-        m: &mut Machine,
-        bank: Addr,
-        seq: u64,
-        misc: &Misc,
-        images: &[(Addr, u32)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<bool> {
-        scratch.clear();
-        match self.format {
-            BankFormat::MiscFirst => {
-                scratch.extend_from_slice(misc);
-                scratch.extend_from_slice(&seq.to_le_bytes());
-                scratch.extend_from_slice(&[0u8; 4]); // CRC, stamped below
-            }
-            BankFormat::Sealed => scratch.extend_from_slice(&misc[4..]),
-        }
-        for &(start, len) in images {
-            if len > 0 {
-                scratch.extend_from_slice(m.mem.peek_slice(start, len)?);
-            }
-        }
-        match self.format {
-            BankFormat::MiscFirst => {
-                let crc = misc_first_crc(scratch);
-                scratch[MF_CRC..MF_IMAGE].copy_from_slice(&crc.to_le_bytes());
-                verified_poke(m, bank, scratch)
-            }
-            BankFormat::Sealed => Ok(verified_poke(m, bank, &seal(seq, scratch))?
-                && verified_poke(m, bank.offset(DELTA_HEADER), scratch)?),
-        }
-    }
 }
 
 /// What [`Checkpoint::commit`] did with one request.
@@ -432,9 +345,8 @@ impl BankPair {
 pub enum CommitOutcome {
     /// Published: the new record or bank is the restore point.
     Committed {
-        /// `Some(payload bytes)` for a delta record, `None` for a full
-        /// bank.
-        delta: Option<u32>,
+        /// The published record's payload length (its `len` field).
+        bytes: u32,
     },
     /// Brown-out corruption defeated every staging attempt. Nothing was
     /// charged or published: the previous checkpoint stands.
@@ -455,9 +367,12 @@ pub enum Boot {
     Restored {
         /// The last published misc block.
         misc: Misc,
-        /// Bytes written back: the bank's images plus the replayed
-        /// records.
+        /// The restore-cost basis: the bank's images plus the replayed
+        /// records as stored, headers included.
         restored: u32,
+        /// Record payload read back: the bank's (misc block and images)
+        /// plus each replayed record's.
+        bytes: u32,
     },
 }
 
@@ -466,10 +381,11 @@ pub enum Boot {
 struct Staged {
     /// Sequence number the stage used up.
     seq: u64,
-    /// `Some(payload bytes)` for a delta record, `None` for a full bank.
-    delta: Option<u32>,
-    /// Flag value that publishes a full bank.
-    target: u32,
+    /// The record's payload length.
+    len: u32,
+    /// `Some(flag value that publishes it)` for a full bank, `None` for
+    /// a delta record.
+    bank: Option<u32>,
 }
 
 /// The delta chain and its write cursor.
@@ -544,30 +460,45 @@ impl DeltaChain {
         let plen = DELTA_MISC + 8 * dirty;
         let seq = self.next_seq;
         let cap = self.capacity.min(full_bytes.max(512));
-        let (delta, target, verified) = if self.anchor == regions.first().copied()
+        let (at, bank) = if self.anchor == regions.first().copied()
             && self.write_off + DELTA_HEADER + plen <= cap
             && 4 * plen < 3 * full_bytes
         {
             self.build_delta(m, misc, regions);
-            let rec = self.journal.offset(self.write_off);
-            let verified = verified_poke(m, rec, &seal(seq, &self.scratch))?
-                && verified_poke(m, rec.offset(DELTA_HEADER), &self.scratch)?;
-            (Some(self.scratch.len() as u32), 0, verified)
+            (self.journal.offset(self.write_off), None)
         } else {
             let flag = m.mem.peek_word(banks.flag)?;
-            let target = if flag == 1 { 2 } else { 1 };
             // A corrupt flag no longer names the published bank, so the
             // stage could overwrite it: refuse until a boot repairs the
             // flag.
-            let verified = flag <= 2
-                && banks.stage(m, banks.bank(target), seq, misc, images, &mut self.scratch)?;
-            (None, target, verified)
+            if flag > 2 {
+                return Ok(None);
+            }
+            let target = if flag == 1 { 2 } else { 1 };
+            self.build_bank(m, misc, images)?;
+            (banks.bank(target), Some(target))
         };
-        if !verified {
+        if !stage_sealed(m, at, seq, &self.scratch)? {
             return Ok(None);
         }
         self.next_seq += 1;
-        Ok(Some(Staged { seq, delta, target }))
+        Ok(Some(Staged {
+            seq,
+            len: self.scratch.len() as u32,
+            bank,
+        }))
+    }
+
+    /// Builds a bank payload: `misc`, then each of `images` copied out of
+    /// memory.
+    fn build_bank(&mut self, m: &Machine, misc: &Misc, images: &[(Addr, u32)]) -> Result<()> {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(misc);
+        for &(start, len) in images.iter().filter(|&&(_, len)| len > 0) {
+            self.scratch
+                .extend_from_slice(m.mem.peek_slice(start, len)?);
+        }
+        Ok(())
     }
 
     /// Builds a delta payload: `misc`, then one `(address, value)` entry
@@ -606,16 +537,16 @@ impl DeltaChain {
         staged: &Staged,
         regions: &[(Addr, u32)],
     ) -> Result<()> {
-        if let Some(plen) = staged.delta {
-            m.mem.poke_bytes(self.tip_word, &staged.seq.to_le_bytes())?;
-            self.write_off += DELTA_HEADER + plen;
-        } else {
-            m.mem.poke_bytes(banks.flag, &staged.target.to_le_bytes())?;
+        if let Some(target) = staged.bank {
+            m.mem.poke_bytes(banks.flag, &target.to_le_bytes())?;
             m.mem
                 .poke_bytes(banks.published_seq, &staged.seq.to_le_bytes())?;
             m.mem.poke_bytes(self.tip_word, &0u64.to_le_bytes())?;
             self.write_off = 0;
             self.anchor = regions.first().copied();
+        } else {
+            m.mem.poke_bytes(self.tip_word, &staged.seq.to_le_bytes())?;
+            self.write_off += DELTA_HEADER + staged.len;
         }
         for &(start, len) in regions {
             m.mem.clear_dirty(start, len);
@@ -623,27 +554,16 @@ impl DeltaChain {
         Ok(())
     }
 
-    /// Reads the bank at `bank`: returns its misc block and keeps its
-    /// image bytes for [`DeltaChain::restore_images`].
-    fn load(&mut self, m: &Machine, banks: &BankPair, bank: Addr) -> Result<Misc> {
-        let mut misc = [0u8; DELTA_MISC as usize];
+    /// Reads the (validated) bank at `bank`: returns its misc block and
+    /// payload length, and keeps its image bytes for
+    /// [`DeltaChain::restore_images`].
+    fn load(&mut self, m: &Machine, bank: Addr) -> Result<(Misc, u32)> {
+        let len = m.mem.peek_word(bank.offset(8))?;
+        let payload = m.mem.peek_slice(bank.offset(DELTA_HEADER), len)?;
+        let (misc, image) = payload.split_at(DELTA_MISC as usize);
         self.scratch.clear();
-        match banks.format {
-            BankFormat::MiscFirst => {
-                let img = m.mem.peek_slice(bank, banks.bank_bytes())?;
-                misc.copy_from_slice(&img[..MF_SEQ]);
-                self.scratch.extend_from_slice(&img[MF_IMAGE..]);
-            }
-            BankFormat::Sealed => {
-                let len = m.mem.peek_word(bank.offset(8))?;
-                let payload = m.mem.peek_slice(bank.offset(DELTA_HEADER), len)?;
-                let (head, image) = payload.split_at(DELTA_MISC as usize - 4);
-                misc[..4].copy_from_slice(&(DELTA_MISC - 4).to_le_bytes());
-                misc[4..].copy_from_slice(head);
-                self.scratch.extend_from_slice(image);
-            }
-        }
-        Ok(misc)
+        self.scratch.extend_from_slice(image);
+        Ok((misc.try_into().expect("misc block"), len))
     }
 
     /// Writes the loaded image back over `images`, in order, with
@@ -672,7 +592,8 @@ impl DeltaChain {
     /// A chain of another bank generation (after a fallback to the
     /// older bank) is ignored. The cursor is primed to extend the chain
     /// only if it was intact; otherwise the next commit is a full image.
-    /// Marks `regions` clean and returns the record bytes replayed.
+    /// Marks `regions` clean and returns the record bytes replayed, as
+    /// stored and as payload.
     fn resume(
         &mut self,
         m: &mut Machine,
@@ -680,10 +601,11 @@ impl DeltaChain {
         bank_seq: u64,
         regions: &[(Addr, u32)],
         misc: &mut Misc,
-    ) -> Result<u32> {
+    ) -> Result<(u32, u32)> {
         let chain_base = m.mem.peek_u64(banks.published_seq)?;
         let tip = m.mem.peek_u64(self.tip_word)?;
         let (mut off, mut last, mut intact) = (0u32, bank_seq, chain_base == bank_seq);
+        let mut payload = 0;
         while intact && last < tip {
             let Some(len) = self.validate_record(m, off, last + 1)? else {
                 m.emit(TraceEvent::Recovery {
@@ -708,13 +630,14 @@ impl DeltaChain {
             }
             last += 1;
             off += DELTA_HEADER + len;
+            payload += len;
         }
         let next = bank_seq.max(chain_base).max(tip).max(last) + 1;
         self.prime(next, off, regions.first().copied().filter(|_| intact));
         for &(start, len) in regions {
             m.mem.clear_dirty(start, len);
         }
-        Ok(off)
+        Ok((off, payload))
     }
 
     /// Validates the record at journal offset `off`: a sealed record in
@@ -727,9 +650,7 @@ impl DeltaChain {
         }
         let room = self.capacity - off - DELTA_HEADER;
         Ok(match open_sealed(m, self.journal.offset(off), room)? {
-            Some((seq, len))
-                if seq == expected && len >= DELTA_MISC && (len - DELTA_MISC).is_multiple_of(8) =>
-            {
+            Some((seq, len)) if seq == expected && (len - DELTA_MISC).is_multiple_of(8) => {
                 Some(len)
             }
             _ => None,
@@ -787,10 +708,10 @@ impl Checkpoint {
     /// Commits one checkpoint over `regions`, two-phase (§4). Stages a
     /// delta record, or a full bank of `misc` plus `images` (see
     /// `full_bytes` below); if read-back verification accepted it,
-    /// charges `cost(costs, delta)` — `delta` is the record's payload
+    /// charges `cost(costs, delta)` — `delta` is a delta record's payload
     /// bytes, `None` for a full bank — atomically against the energy
-    /// deadline; if the charge completes, publishes it and marks
-    /// `regions` clean.
+    /// deadline; if the charge completes, publishes it, marks `regions`
+    /// clean and reports the published record's payload bytes.
     ///
     /// A delta record is taken while the chain is anchored on these very
     /// regions (the first is the anchor), fits the chain's byte cap of
@@ -819,14 +740,13 @@ impl Checkpoint {
         else {
             return Ok(CommitOutcome::VerifyAbort);
         };
-        let cost = cost(m.mem.costs(), staged.delta);
+        let delta = staged.bank.is_none().then_some(staged.len);
+        let cost = cost(m.mem.costs(), delta);
         if !m.charge_atomic(cost) {
             return Ok(CommitOutcome::EnergyAbort);
         }
         self.chain.publish(m, &banks, &staged, regions)?;
-        Ok(CommitOutcome::Committed {
-            delta: staged.delta,
-        })
+        Ok(CommitOutcome::Committed { bytes: staged.len })
     }
 
     /// Boots from the last published checkpoint. Selects a bank (falling
@@ -855,18 +775,19 @@ impl Checkpoint {
                 return Ok(Boot::Restart(choice));
             }
         };
-        let mut misc = self.chain.load(m, &banks, bank)?;
+        let (mut misc, bank_len) = self.chain.load(m, bank)?;
         let (regions, images) = regions_of_misc(m, &misc);
         if !self.chain.restore_images(m, &images)? {
             return Err(VmError::Trap(
                 "checkpoint restore failed read-back verification".into(),
             ));
         }
-        let replayed = self.chain.resume(m, &banks, seq, &regions, &mut misc)?;
+        let (stored, payload) = self.chain.resume(m, &banks, seq, &regions, &mut misc)?;
         let image: u32 = images.iter().map(|&(_, len)| len).sum();
         Ok(Boot::Restored {
             misc,
-            restored: image + replayed,
+            restored: image + stored,
+            bytes: bank_len + payload,
         })
     }
 }

@@ -11,8 +11,9 @@
 //! * an older published state, with a journaled `Recovery`;
 //! * a declared fresh start.
 //!
-//! It must never be a state that was never published. Both bank
-//! layouts run through the same schedule.
+//! It must never be a state that was never published. An exact boot
+//! returns the committed misc block word for word, and every commit
+//! reports the payload length of the record it published.
 //!
 //! The flag word is the commit point itself and carries no CRC: a
 //! clobber to another in-range value (0, 1, 2) is indistinguishable
@@ -25,8 +26,8 @@ use tics_mcu::{Addr, CorruptionModel};
 use tics_minic::{compile, opt::OptLevel};
 use tics_trace::SpanKind;
 use tics_vm::persist::{
-    init_control, pack_misc, BankChoice, BankFormat, BankPair, Boot, Checkpoint, CommitOutcome,
-    Misc, UndoLog, DELTA_MISC,
+    init_control, pack_misc, unpack_misc, BankChoice, BankPair, Boot, Checkpoint, CommitOutcome,
+    Misc, UndoLog, DELTA_HEADER, DELTA_MISC,
 };
 use tics_vm::{Machine, MachineConfig};
 
@@ -71,40 +72,27 @@ struct Rig {
     banks: BankPair,
     ckpt: Checkpoint,
     region: [(Addr, u32); 1],
-    /// Bytes of a full image, as the runtimes of each format count it.
-    full_bytes: u32,
     rng: u64,
 }
 
 impl Rig {
-    fn new(format: BankFormat, seed: u64) -> Rig {
+    fn new(seed: u64) -> Rig {
         let prog = compile("int main() { return 0; }", OptLevel::O1).unwrap();
         let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
         let base = m.runtime_area_base();
         init_control(&mut m, base, MAGIC, CTRL).unwrap();
-        // A sealed bank also stores the misc block minus its length word.
-        let max_payload = match format {
-            BankFormat::MiscFirst => REGION,
-            BankFormat::Sealed => DELTA_MISC - 4 + REGION,
-        };
         let banks = BankPair::new(
             base.offset(CTRL),
             base.offset(FLAG),
             base.offset(PUBLISHED),
-            format,
-            max_payload,
+            REGION,
         );
-        let full_bytes = match format {
-            BankFormat::MiscFirst => banks.bank_bytes(),
-            BankFormat::Sealed => max_payload,
-        };
         let region = [(m.mem.layout().sram.start, REGION)];
         let mut rig = Rig {
             m,
             banks,
             ckpt: Checkpoint::default(),
             region,
-            full_bytes,
             rng: seed,
         };
         rig.lose_power();
@@ -126,15 +114,11 @@ impl Rig {
         self.m.mem.poke_bytes(start, &junk).unwrap();
     }
 
-    /// A misc block for `step`; sealed misc blocks lead with their
-    /// length word.
+    /// A misc block for `step`. Word 0 is random too, so a restore that
+    /// drops it or rebuilds it as a constant shows.
     fn misc(&mut self, step: u32) -> Misc {
         let r = self.next();
-        let lead = match self.banks.format {
-            BankFormat::MiscFirst => r as u32,
-            BankFormat::Sealed => DELTA_MISC - 4,
-        };
-        pack_misc([lead, r as u32, (r >> 32) as u32, step, 7, 9])
+        pack_misc([(r >> 16) as u32, r as u32, (r >> 32) as u32, step, 7, 9])
     }
 
     /// One commit of `misc` over the window under `corruption` of its
@@ -157,7 +141,7 @@ impl Rig {
             .commit(
                 &mut self.m,
                 misc,
-                self.full_bytes,
+                DELTA_MISC + REGION,
                 &region,
                 &region,
                 |_, _| u64::from(starve),
@@ -166,7 +150,45 @@ impl Rig {
         self.m.set_period_deadline(u64::MAX);
         self.m.mem.set_power_cut(None);
         self.m.mem.set_corruption(None);
+        if let CommitOutcome::Committed { bytes } = outcome {
+            assert_eq!(
+                Some(bytes),
+                self.published_len(misc),
+                "a commit reports the len field of the record it published"
+            );
+        }
         outcome
+    }
+
+    /// The chain tip word: the last published delta record's sequence,
+    /// 0 right after a full bank is published.
+    fn tip(&self) -> u64 {
+        let tip = self.m.runtime_area_base().offset(TIP);
+        self.m.mem.peek_u64(tip).unwrap()
+    }
+
+    /// The `len` field of the record just published with `misc`: the
+    /// chain record whose sequence is the tip, or with no tip the bank
+    /// the flag names. A record is recognized by its sequence number and
+    /// the misc block leading its payload.
+    fn published_len(&self, misc: &Misc) -> Option<u32> {
+        let mem = &self.m.mem;
+        let (seq, candidates) = if self.tip() != 0 {
+            let (journal, capacity) = self.banks.journal();
+            let offsets = (0..capacity - DELTA_HEADER - DELTA_MISC).step_by(8);
+            (self.tip(), offsets.map(|off| journal.offset(off)).collect())
+        } else {
+            let flag = mem.peek_word(self.banks.flag).unwrap();
+            let seq = mem.peek_u64(self.banks.published_seq).unwrap();
+            (seq, vec![self.banks.bank(flag)])
+        };
+        candidates.into_iter().find_map(|at: Addr| {
+            let head = mem.peek_slice(at, DELTA_HEADER).unwrap();
+            let lead = mem.peek_slice(at.offset(DELTA_HEADER), DELTA_MISC).unwrap();
+            let found =
+                u64::from_le_bytes(head[..8].try_into().unwrap()) == seq && lead == misc.as_slice();
+            found.then(|| u32::from_le_bytes(head[8..12].try_into().unwrap()))
+        })
     }
 
     /// Boots the window from the last published checkpoint.
@@ -212,8 +234,8 @@ impl Rig {
     }
 }
 
-fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
-    let mut rig = Rig::new(format, seed);
+fn run_schedule(seed: u64, tally: &mut Tally) {
+    let mut rig = Rig::new(seed);
     assert_eq!(rig.boot(), Boot::Restart(BankChoice::None));
     // The restore point boot must reproduce (None = nothing published
     // since the last declared fresh start), and every state ever
@@ -233,8 +255,8 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
                 let model = CorruptionModel::new(u64::MAX, rate * 0.6, rate * 0.4, rig.next());
                 let starve = rig.next().is_multiple_of(8);
                 match rig.commit(&misc, Some(model), starve) {
-                    CommitOutcome::Committed { delta } => {
-                        if delta.is_some() {
+                    CommitOutcome::Committed { .. } => {
+                        if rig.tip() != 0 {
                             tally.delta_commits += 1;
                         } else {
                             tally.full_commits += 1;
@@ -267,7 +289,7 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
                 rig.lose_power();
                 let recoveries = rig.m.stats().recoveries;
                 let fresh = rig.m.stats().fresh_starts;
-                let ctx = format!("{format:?} seed {seed:#x} step {step}");
+                let ctx = format!("seed {seed:#x} step {step}");
                 match rig.boot() {
                     Boot::Restart(BankChoice::FreshStart) => {
                         assert_eq!(rig.m.stats().fresh_starts, fresh + 1, "{ctx}: undeclared");
@@ -282,6 +304,15 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
                     Boot::Restored { misc, .. } => {
                         let got = rig.state(&misc);
                         if rig.m.stats().recoveries == recoveries {
+                            let committed = current
+                                .as_ref()
+                                .map(|s| unpack_misc(s[..DELTA_MISC as usize].try_into().unwrap()));
+                            assert_eq!(
+                                Some(unpack_misc(&misc)),
+                                committed,
+                                "{ctx}: exact boot must return the committed misc block, \
+                                 word 0 included"
+                            );
                             assert_eq!(
                                 Some(&got),
                                 current.as_ref(),
@@ -310,27 +341,25 @@ fn run_schedule(format: BankFormat, seed: u64, tally: &mut Tally) {
 
 #[test]
 fn boot_yields_only_published_states_or_declared_recovery() {
-    for format in [BankFormat::MiscFirst, BankFormat::Sealed] {
-        let mut tally = Tally::default();
-        let mut seeds = 0x9E25_1577_0000_0001u64;
-        for _ in 0..SEEDS {
-            let seed = splitmix64(&mut seeds);
-            run_schedule(format, seed, &mut tally);
-        }
-        // Every outcome class must actually occur, or the schedule is
-        // too gentle to prove anything.
-        let t = &tally;
-        for (what, n) in [
-            ("full commits", t.full_commits),
-            ("delta commits", t.delta_commits),
-            ("unverified stages", t.unverified_stages),
-            ("exact boots", t.exact_boots),
-            ("recoveries to the latest state", t.recovered_latest),
-            ("recoveries to an older state", t.recovered_older),
-            ("declared fresh starts", t.fresh_starts),
-        ] {
-            assert!(n > 0, "{format:?}: no {what} in {t:?}");
-        }
+    let mut tally = Tally::default();
+    let mut seeds = 0x9E25_1577_0000_0001u64;
+    for _ in 0..SEEDS {
+        let seed = splitmix64(&mut seeds);
+        run_schedule(seed, &mut tally);
+    }
+    // Every outcome class must actually occur, or the schedule is too
+    // gentle to prove anything.
+    let t = &tally;
+    for (what, n) in [
+        ("full commits", t.full_commits),
+        ("delta commits", t.delta_commits),
+        ("unverified stages", t.unverified_stages),
+        ("exact boots", t.exact_boots),
+        ("recoveries to the latest state", t.recovered_latest),
+        ("recoveries to an older state", t.recovered_older),
+        ("declared fresh starts", t.fresh_starts),
+    ] {
+        assert!(n > 0, "no {what} in {t:?}");
     }
 }
 
@@ -341,64 +370,55 @@ fn boot_yields_only_published_states_or_declared_recovery() {
 /// last published state.
 #[test]
 fn corruption_only_schedules_never_journal_a_recovery() {
-    for format in [BankFormat::MiscFirst, BankFormat::Sealed] {
-        let (mut dropped, mut delta_commits, mut boots) = (0u64, 0u64, 0u64);
-        let mut seeds = 0x5E9_6A90_0000_0001u64;
-        for _ in 0..16 {
-            let seed = splitmix64(&mut seeds);
-            let mut rig = Rig::new(format, seed);
-            assert_eq!(rig.boot(), Boot::Restart(BankChoice::None));
-            let mut current: Option<Vec<u8>> = None;
-            for step in 0..64u32 {
-                rig.mutate();
-                let misc = rig.misc(step);
-                let drop_all = rig.next().is_multiple_of(3);
-                let model = drop_all.then(|| CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next()));
-                match rig.commit(&misc, model, false) {
-                    CommitOutcome::Committed { delta } => {
-                        assert!(
-                            !drop_all,
-                            "{format:?} step {step}: unverified stage published"
-                        );
-                        delta_commits += u64::from(delta.is_some());
-                        current = Some(rig.state(&misc));
-                    }
-                    outcome => {
-                        assert_eq!(
-                            outcome,
-                            CommitOutcome::VerifyAbort,
-                            "{format:?} step {step}"
-                        );
-                        assert!(drop_all, "{format:?} step {step}: clean stage refused");
-                        dropped += 1;
-                    }
+    let (mut dropped, mut delta_commits, mut boots) = (0u64, 0u64, 0u64);
+    let mut seeds = 0x5E9_6A90_0000_0001u64;
+    for _ in 0..16 {
+        let seed = splitmix64(&mut seeds);
+        let mut rig = Rig::new(seed);
+        assert_eq!(rig.boot(), Boot::Restart(BankChoice::None));
+        let mut current: Option<Vec<u8>> = None;
+        for step in 0..64u32 {
+            rig.mutate();
+            let misc = rig.misc(step);
+            let drop_all = rig.next().is_multiple_of(3);
+            let model = drop_all.then(|| CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next()));
+            match rig.commit(&misc, model, false) {
+                CommitOutcome::Committed { .. } => {
+                    assert!(!drop_all, "step {step}: unverified stage published");
+                    delta_commits += u64::from(rig.tip() != 0);
+                    current = Some(rig.state(&misc));
                 }
-                if step % 5 != 4 {
-                    continue;
+                outcome => {
+                    assert_eq!(outcome, CommitOutcome::VerifyAbort, "step {step}");
+                    assert!(drop_all, "step {step}: clean stage refused");
+                    dropped += 1;
                 }
-                boots += 1;
-                rig.lose_power();
-                let ctx = format!("{format:?} seed {seed:#x} step {step}");
-                let got = match rig.boot() {
-                    Boot::Restored { misc, .. } => Some(rig.state(&misc)),
-                    Boot::Restart(choice) => {
-                        assert_eq!(
-                            choice,
-                            BankChoice::None,
-                            "{ctx}: fresh start without a clobber"
-                        );
-                        None
-                    }
-                };
-                assert_eq!(rig.m.stats().recoveries, 0, "{ctx}: Recovery journaled");
-                assert_eq!(got, current, "{ctx}: not the last published state");
             }
+            if step % 5 != 4 {
+                continue;
+            }
+            boots += 1;
+            rig.lose_power();
+            let ctx = format!("seed {seed:#x} step {step}");
+            let got = match rig.boot() {
+                Boot::Restored { misc, .. } => Some(rig.state(&misc)),
+                Boot::Restart(choice) => {
+                    assert_eq!(
+                        choice,
+                        BankChoice::None,
+                        "{ctx}: fresh start without a clobber"
+                    );
+                    None
+                }
+            };
+            assert_eq!(rig.m.stats().recoveries, 0, "{ctx}: Recovery journaled");
+            assert_eq!(got, current, "{ctx}: not the last published state");
         }
-        assert!(
-            dropped > 0 && delta_commits > 0 && boots > 0,
-            "{format:?}: {dropped} dropped stages, {delta_commits} delta commits, {boots} boots"
-        );
     }
+    assert!(
+        dropped > 0 && delta_commits > 0 && boots > 0,
+        "{dropped} dropped stages, {delta_commits} delta commits, {boots} boots"
+    );
 }
 
 // ---------------------------------------------------------------------
