@@ -29,16 +29,21 @@
 //! on-period) is reported as a *diagnosis*, distinct from a memory
 //! violation — the run never lies about state, it just never advances.
 
+use std::sync::Arc;
+
 use tics_apps::build::{build_program, make_runtime};
 use tics_apps::SystemUnderTest;
+use tics_clock::PerfectClock;
 use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan, Tail};
 use tics_mcu::CorruptionModel;
 use tics_minic::opt::OptLevel;
 use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{
+    Executor, IntermittentRuntime, Machine, MachineConfig, MachineImage, RunOutcome, VmError,
+};
 
-use crate::sweep::{panic_text, splitmix64};
+use crate::sweep::{panic_text, recycled_machine, splitmix64};
 
 /// Outage injected after each planned cut (µs). Strictly positive so
 /// post-reboot events can never share a timestamp with the failure.
@@ -590,73 +595,133 @@ pub fn fault_budget_us(golden: &Golden) -> u64 {
     replay_budget_us(golden.on_cycles)
 }
 
-/// The one faulted replay behind [`run_plan`] and
-/// [`crate::periph::run_periph_plan`]: builds the machine, arms the
-/// plan's brown-out [`CorruptionModel`], and runs the runtime on an
-/// [`AdversarialSupply`] under `budget_us` and the progress guard.
-/// `wire` reads whatever else the caller's oracle needs off the machine
-/// that ran (`None` when the image failed to load).
-pub(crate) fn replay<W>(
-    prog: &Program,
+/// The per-cell replay rig behind every faulted trial ([`run_plan`],
+/// [`crate::periph::run_periph_plan`] and the cell drivers): builds the
+/// cell's [`MachineImage`] once, then keeps one machine and one runtime
+/// and recycles both across trials with [`Machine::reset`] and
+/// [`IntermittentRuntime::recycle`], as the fleet engine does across
+/// devices. A recycled trial is indistinguishable from a fresh one
+/// (`tests/machine_recycling.rs` compares them field for field), so a
+/// cell's verdicts do not depend on how many trials share the rig.
+pub struct ReplayRig<'p> {
+    prog: &'p Program,
     system: SystemUnderTest,
-    plan: &FaultPlan,
-    budget_us: u64,
-    guard_boots: u64,
-    wire: impl FnOnce(&Machine) -> W,
-) -> (Trial, Option<W>) {
-    let mut m = match Machine::new(prog.clone(), MachineConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            let trial = Trial {
-                outcome: Err(e),
-                trace: Vec::new(),
-                power_failures: 0,
-                torn_writes: 0,
-                corrupted_writes: 0,
-                recoveries: 0,
-                cycles: 0,
-            };
-            return (trial, None);
-        }
-    };
-    if let Some(c) = &plan.corruption {
-        m.mem.set_corruption(Some(
-            CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
-                .with_sram_decay(c.sram_decay),
-        ));
-    }
-    let mut rt = make_runtime(system, prog);
-    let mut supply = AdversarialSupply::new(plan.clone());
-    // Executing from hardware-corrupted state can drive the VM somewhere
-    // its own checks never anticipated (a restored register becomes a
-    // wild pc). On silicon that is a fail-stop crash; here the panic is
-    // contained and judged as a loud death rather than taking the
-    // harness thread down.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Executor::new()
-            .with_time_budget(budget_us)
-            .with_progress_guard(guard_boots)
-            .run(&mut m, rt.as_mut(), &mut supply)
-    }))
-    .unwrap_or_else(|payload| {
-        let text = panic_text(payload.as_ref());
-        Err(VmError::Trap(format!(
-            "vm crashed on corrupted state: {text}"
-        )))
-    });
-    let trial = Trial {
-        outcome,
-        trace: m.trace().records().to_vec(),
-        power_failures: m.stats().power_failures,
-        torn_writes: m.mem.stats().torn_writes,
-        corrupted_writes: m.mem.stats().corrupted_writes,
-        recoveries: m.stats().recoveries,
-        cycles: m.cycles(),
-    };
-    (trial, Some(wire(&m)))
+    image: Result<Arc<MachineImage>, VmError>,
+    seed: u64,
+    machine: Option<Machine>,
+    runtime: Option<Box<dyn IntermittentRuntime>>,
 }
 
-/// Replays `prog` under `system` with power dying per `plan`.
+impl<'p> ReplayRig<'p> {
+    /// A rig for `prog` under `system` on [`MachineConfig::default`]. A
+    /// program that does not load is not an error here: every trial
+    /// reports the load error as its outcome.
+    #[must_use]
+    pub fn new(prog: &'p Program, system: SystemUnderTest) -> ReplayRig<'p> {
+        let config = MachineConfig::default();
+        ReplayRig {
+            prog,
+            system,
+            image: MachineImage::build(prog.clone(), &config),
+            seed: config.seed,
+            machine: None,
+            runtime: None,
+        }
+    }
+
+    /// Replays the program with power dying per `plan`.
+    pub fn run(&mut self, plan: &FaultPlan, budget_us: u64, guard_boots: u64) -> Trial {
+        self.replay(plan, budget_us, guard_boots, |_| ()).0
+    }
+
+    /// One faulted replay: recycles (or on first use builds) the machine
+    /// and runtime, arms the plan's brown-out [`CorruptionModel`], and
+    /// runs the runtime on a fresh [`AdversarialSupply`] under
+    /// `budget_us` and the progress guard. `wire` reads whatever else
+    /// the caller's oracle needs off the machine that ran (`None` when
+    /// the image failed to load).
+    pub(crate) fn replay<W>(
+        &mut self,
+        plan: &FaultPlan,
+        budget_us: u64,
+        guard_boots: u64,
+        wire: impl FnOnce(&Machine) -> W,
+    ) -> (Trial, Option<W>) {
+        let loaded = self.image.as_ref().map_err(Clone::clone).and_then(|image| {
+            recycled_machine(&mut self.machine, image, self.seed, || {
+                Box::new(PerfectClock::new())
+            })
+        });
+        let m = match loaded {
+            Ok(m) => m,
+            Err(e) => {
+                let trial = Trial {
+                    outcome: Err(e),
+                    trace: Vec::new(),
+                    power_failures: 0,
+                    torn_writes: 0,
+                    corrupted_writes: 0,
+                    recoveries: 0,
+                    cycles: 0,
+                };
+                return (trial, None);
+            }
+        };
+        let rt = match &mut self.runtime {
+            Some(rt) => {
+                rt.recycle();
+                rt
+            }
+            None => self.runtime.insert(make_runtime(self.system, self.prog)),
+        };
+        if let Some(c) = &plan.corruption {
+            m.mem.set_corruption(Some(
+                CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
+                    .with_sram_decay(c.sram_decay),
+            ));
+        }
+        let mut supply = AdversarialSupply::new(plan.clone());
+        // Executing from hardware-corrupted state can drive the VM somewhere
+        // its own checks never anticipated (a restored register becomes a
+        // wild pc). On silicon that is a fail-stop crash; here the panic is
+        // contained and judged as a loud death rather than taking the
+        // harness thread down.
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Executor::new()
+                .with_time_budget(budget_us)
+                .with_progress_guard(guard_boots)
+                .run(m, rt.as_mut(), &mut supply)
+        }));
+        let crashed = ran.is_err();
+        let outcome = ran.unwrap_or_else(|payload| {
+            let text = panic_text(payload.as_ref());
+            Err(VmError::Trap(format!(
+                "vm crashed on corrupted state: {text}"
+            )))
+        });
+        let trial = Trial {
+            outcome,
+            trace: m.trace().records().to_vec(),
+            power_failures: m.stats().power_failures,
+            torn_writes: m.mem.stats().torn_writes,
+            corrupted_writes: m.mem.stats().corrupted_writes,
+            recoveries: m.stats().recoveries,
+            cycles: m.cycles(),
+        };
+        let wire = wire(m);
+        if crashed {
+            // A panic can leave the machine or the runtime mid-update,
+            // where no reset is proven to reach: the next trial starts
+            // from scratch.
+            self.machine = None;
+            self.runtime = None;
+        }
+        (trial, Some(wire))
+    }
+}
+
+/// Replays `prog` under `system` with power dying per `plan`: a
+/// [`ReplayRig`] used for one trial.
 #[must_use]
 pub fn run_plan(
     prog: &Program,
@@ -665,7 +730,7 @@ pub fn run_plan(
     budget_us: u64,
     guard_boots: u64,
 ) -> Trial {
-    replay(prog, system, plan, budget_us, guard_boots, |_| ()).0
+    ReplayRig::new(prog, system).run(plan, budget_us, guard_boots)
 }
 
 /// The oracle's judgment of one faulted replay.
@@ -900,21 +965,35 @@ pub fn shrink_plan(
     guard_boots: u64,
     strict_completion: bool,
 ) -> FaultPlan {
-    let mut current = plan.clone();
-    let mut changed = true;
-    while changed && current.cuts.len() > 1 {
-        changed = false;
-        for i in 0..current.cuts.len() {
-            let candidate = current.without(i);
-            let trial = run_plan(prog, system, &candidate, budget_us, guard_boots);
-            if judge(golden, &trial).is_violation(strict_completion) {
-                current = candidate;
-                changed = true;
-                break;
+    ReplayRig::new(prog, system).shrink(golden, plan, budget_us, guard_boots, strict_completion)
+}
+
+impl ReplayRig<'_> {
+    /// [`shrink_plan`] on this rig.
+    fn shrink(
+        &mut self,
+        golden: &Golden,
+        plan: &FaultPlan,
+        budget_us: u64,
+        guard_boots: u64,
+        strict_completion: bool,
+    ) -> FaultPlan {
+        let mut current = plan.clone();
+        let mut changed = true;
+        while changed && current.cuts.len() > 1 {
+            changed = false;
+            for i in 0..current.cuts.len() {
+                let candidate = current.without(i);
+                let trial = self.run(&candidate, budget_us, guard_boots);
+                if judge(golden, &trial).is_violation(strict_completion) {
+                    current = candidate;
+                    changed = true;
+                    break;
+                }
             }
         }
+        current
     }
-    current
 }
 
 // ---------------------------------------------------------------------
@@ -1071,8 +1150,9 @@ pub fn run_fault_cell(
         golden_cycles: golden.on_cycles,
         ..CellReport::default()
     };
+    let mut rig = ReplayRig::new(prog, system);
     for plan in &plans {
-        let trial = run_plan(prog, system, plan, budget, GUARD_BOOTS);
+        let trial = rig.run(plan, budget, GUARD_BOOTS);
         let verdict = judge(golden, &trial);
         report.trials += 1;
         report.failures_injected += trial.power_failures;
@@ -1092,7 +1172,7 @@ pub fn run_fault_cell(
         if verdict.is_violation(strict) {
             report.violations += 1;
             if report.first_violation.is_none() {
-                let shrunk = shrink_plan(prog, system, golden, plan, budget, GUARD_BOOTS, strict);
+                let shrunk = rig.shrink(golden, plan, budget, GUARD_BOOTS, strict);
                 report.first_violation = Some(Violation {
                     plan: plan.clone(),
                     shrunk,
@@ -1198,7 +1278,8 @@ impl ChaosReport {
 /// Trial `i`'s plan in a chaos-style cell: `1 + i % 3` cuts drawn from
 /// `seed`'s stream over a golden span of `on_cycles`, with brown-out
 /// corruption at `rate` riding on every cut when `rate` is given.
-pub(crate) fn chaos_plan(seed: u64, i: usize, on_cycles: u64, rate: Option<f64>) -> FaultPlan {
+#[must_use]
+pub fn chaos_plan(seed: u64, i: usize, on_cycles: u64, rate: Option<f64>) -> FaultPlan {
     let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
     let plan = FaultPlan::random(s, on_cycles, 1 + i % 3, OFF_US);
     match rate {
@@ -1222,10 +1303,11 @@ pub fn run_chaos_cell(
     seed: u64,
 ) -> ChaosReport {
     let budget = fault_budget_us(golden);
+    let mut rig = ReplayRig::new(prog, system);
     let mut report = ChaosReport::default();
     for i in 0..trials {
         let plan = chaos_plan(seed, i, golden.on_cycles, Some(rate));
-        let trial = run_plan(prog, system, &plan, budget, GUARD_BOOTS);
+        let trial = rig.run(&plan, budget, GUARD_BOOTS);
         let verdict = judge(golden, &trial);
         report.trials += 1;
         report.failures_injected += trial.power_failures;

@@ -25,8 +25,6 @@
 //!
 //! [`JournalRow::shard`]: crate::journal::JournalRow
 
-use std::sync::Arc;
-
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_minic::opt::OptLevel;
 use tics_trace::SpanKind;
@@ -36,7 +34,9 @@ use tics_vm::{
 
 use crate::json::Json;
 use crate::oracle::count_violations;
-use crate::sweep::{cell_seed, splitmix64, standard_sensor_trace, ClockKind, SupplySpec};
+use crate::sweep::{
+    cell_seed, recycled_machine, splitmix64, standard_sensor_trace, ClockKind, SupplySpec,
+};
 
 /// Offender exemplars kept per shard (and in the merged report).
 pub const RESERVOIR_K: usize = 16;
@@ -692,19 +692,8 @@ pub fn run_shard(spec: &FleetSpec, first: u64, count: u64) -> Result<ShardStats,
     let mut machine: Option<Machine> = None;
     for d in first..first + count {
         let seed = spec.device_seed(d);
-        let m = match machine.as_mut() {
-            None => {
-                machine = Some(
-                    Machine::from_image(Arc::clone(&image), seed, spec.clock.build())
-                        .map_err(|e| e.to_string())?,
-                );
-                machine.as_mut().expect("just built")
-            }
-            Some(m) => {
-                m.reset(seed).map_err(|e| e.to_string())?;
-                m
-            }
-        };
+        let m = recycled_machine(&mut machine, &image, seed, || spec.clock.build())
+            .map_err(|e| e.to_string())?;
         runtime.recycle();
         let mut supply = spec.supply.build(seed);
         let outcome = Executor::new()

@@ -42,7 +42,9 @@ use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{RunOutcome, VmError};
 
-use crate::fault::{chaos_plan, corpus_opt, golden_machine, replay, replay_budget_us, GUARD_BOOTS};
+use crate::fault::{
+    chaos_plan, corpus_opt, golden_machine, replay_budget_us, ReplayRig, GUARD_BOOTS,
+};
 use crate::json::Json;
 
 /// Telemetry frame header byte — the only value ≥ 0x80 a valid frame
@@ -469,9 +471,38 @@ pub fn periph_golden(prog: &Program, system: SystemUnderTest) -> Result<PeriphGo
     })
 }
 
-/// Replays `prog` under `system` with power dying per `plan` (the
-/// [`crate::fault::run_plan`] replay), keeping the device-side wire logs
-/// for the oracle.
+impl ReplayRig<'_> {
+    /// Replays the program with power dying per `plan` (the
+    /// [`ReplayRig::run`] replay), keeping the device-side wire logs for
+    /// the oracle.
+    pub fn run_periph(
+        &mut self,
+        plan: &FaultPlan,
+        budget_us: u64,
+        guard_boots: u64,
+    ) -> PeriphTrial {
+        let (trial, wire) = self.replay(plan, budget_us, guard_boots, |m| {
+            (
+                m.periph.uart.wire().to_vec(),
+                m.periph.i2c.served().to_vec(),
+            )
+        });
+        let (uart_wire, i2c_served) = wire.unwrap_or_default();
+        PeriphTrial {
+            outcome: trial.outcome,
+            trace: trial.trace,
+            power_failures: trial.power_failures,
+            corrupted_writes: trial.corrupted_writes,
+            cycles: trial.cycles,
+            uart_wire,
+            i2c_served,
+        }
+    }
+}
+
+/// Replays `prog` under `system` with power dying per `plan`, keeping
+/// the device-side wire logs for the oracle: a [`ReplayRig`] used for
+/// one trial.
 #[must_use]
 pub fn run_periph_plan(
     prog: &Program,
@@ -480,22 +511,7 @@ pub fn run_periph_plan(
     budget_us: u64,
     guard_boots: u64,
 ) -> PeriphTrial {
-    let (trial, wire) = replay(prog, system, plan, budget_us, guard_boots, |m| {
-        (
-            m.periph.uart.wire().to_vec(),
-            m.periph.i2c.served().to_vec(),
-        )
-    });
-    let (uart_wire, i2c_served) = wire.unwrap_or_default();
-    PeriphTrial {
-        outcome: trial.outcome,
-        trace: trial.trace,
-        power_failures: trial.power_failures,
-        corrupted_writes: trial.corrupted_writes,
-        cycles: trial.cycles,
-        uart_wire,
-        i2c_served,
-    }
+    ReplayRig::new(prog, system).run_periph(plan, budget_us, guard_boots)
 }
 
 /// The faulted-replay budget for a peripheral golden (the same formula
@@ -1007,10 +1023,11 @@ pub fn run_periph_cell(
     seed: u64,
 ) -> PeriphReport {
     let budget = periph_budget_us(golden);
+    let mut rig = ReplayRig::new(prog, system);
     let mut report = PeriphReport::default();
     for i in 0..trials {
         let plan = chaos_plan(seed, i, golden.on_cycles, (rate > 0.0).then_some(rate));
-        let trial = run_periph_plan(prog, system, &plan, budget, GUARD_BOOTS);
+        let trial = rig.run_periph(&plan, budget, GUARD_BOOTS);
         let verdict = judge_periph(workload, golden, &trial);
         report.trials += 1;
         report.failures_injected += trial.power_failures;

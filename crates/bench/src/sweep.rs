@@ -26,7 +26,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tics_apps::build::{build_app, make_runtime, Scale};
@@ -40,7 +40,7 @@ use tics_energy::{
 use tics_minic::opt::OptLevel;
 use tics_minic::Program;
 use tics_trace::SpanKind;
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{Executor, Machine, MachineConfig, MachineImage, RunOutcome, VmError};
 
 use crate::journal::{CellStatus, Journal, JournalRow};
 use crate::json::Json;
@@ -924,6 +924,23 @@ fn write_journal(path: &PathBuf, rows: &[JournalRow]) -> Option<PathBuf> {
             None
         }
     }
+}
+
+/// The one build-or-reset step of every loop that recycles a machine
+/// (`fleet::run_shard` across devices, `fault::ReplayRig` across
+/// trials): instantiates a machine from `image` into an empty `slot`,
+/// or rewinds the one already there with [`Machine::reset`].
+pub(crate) fn recycled_machine<'a>(
+    slot: &'a mut Option<Machine>,
+    image: &Arc<MachineImage>,
+    seed: u64,
+    clock: impl FnOnce() -> Box<dyn Timekeeper>,
+) -> tics_vm::Result<&'a mut Machine> {
+    match slot {
+        Some(m) => m.reset(seed)?,
+        None => *slot = Some(Machine::from_image(Arc::clone(image), seed, clock())?),
+    }
+    Ok(slot.as_mut().expect("filled above"))
 }
 
 pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {

@@ -323,6 +323,13 @@ struct RegionMem {
     start: u32,
     bytes: Vec<u8>,
     dirty: Vec<u64>,
+    /// Dirty limbs below this index may cover written bytes whose dirty
+    /// bits are clear: raised by [`Memory::clear_dirty`] and
+    /// [`Memory::power_fail`], the only two ways a byte changes without
+    /// a set bit to show for it. Every other written byte still has its
+    /// bit set, so [`RegionMem::reset`] zeroes up to the larger of this
+    /// mark and the last non-zero limb.
+    written_limbs: usize,
     read_cost: u64,
     write_cost: u64,
     traffic: Traffic,
@@ -349,15 +356,27 @@ impl RegionMem {
             start: region.start.0,
             bytes: vec![0; region.len() as usize],
             dirty: vec![0; dirty_len(region.len())],
+            written_limbs: 0,
             read_cost,
             write_cost,
             traffic: Traffic::default(),
         }
     }
 
+    /// Zeroes what a run could have written: the bytes and bitmap limbs
+    /// up to the written high-water mark or the last dirty limb,
+    /// whichever is higher. Everything above both is still zero.
     fn reset(&mut self) {
-        self.bytes.fill(0);
-        self.dirty.fill(0);
+        let dirty_end = self
+            .dirty
+            .iter()
+            .rposition(|&l| l != 0)
+            .map_or(0, |l| l + 1);
+        let limbs = self.written_limbs.max(dirty_end);
+        let bytes = (limbs * 64 * 4).min(self.bytes.len());
+        self.bytes[..bytes].fill(0);
+        self.dirty[..limbs].fill(0);
+        self.written_limbs = 0;
         self.traffic = Traffic::default();
     }
 
@@ -453,8 +472,16 @@ impl Memory {
     /// Returns the memory to its exact as-constructed state — zeroed
     /// regions, clear dirty bitmaps, zero cycles and statistics, no
     /// armed cut or corruption model — while keeping every backing
-    /// allocation. Recycling a machine across fleet devices relies on
-    /// this being indistinguishable from a fresh [`Memory::with_costs`].
+    /// allocation. Recycling a machine across fleet devices and crash-
+    /// oracle trials relies on this being indistinguishable from a
+    /// fresh [`Memory::with_costs`].
+    ///
+    /// Only what a run wrote is zeroed. Each region keeps a written
+    /// high-water mark in dirty-bitmap limbs (64 words each), raised by
+    /// [`Memory::clear_dirty`] and [`Memory::power_fail`]; every other
+    /// store leaves its dirty bit set. So a region is zeroed up to the
+    /// higher of its mark and its last dirty limb, and a run that
+    /// touched a few hundred bytes does not pay for a 64 KB fill.
     pub fn reset(&mut self) {
         for r in &mut self.regions {
             r.reset();
@@ -538,7 +565,9 @@ impl Memory {
     /// data remanence of short outages, where stale-but-plausible SRAM
     /// contents are far more dangerous than obvious garbage.
     pub fn power_fail(&mut self) {
-        let sram = &mut self.regions[SRAM].bytes;
+        let region = &mut self.regions[SRAM];
+        region.written_limbs = region.dirty.len();
+        let sram = &mut region.bytes;
         match self.corruption {
             Some(c) if c.sram_decay < 1.0 => {
                 for byte in sram {
@@ -998,11 +1027,10 @@ impl Memory {
         let Some((i, first, last)) = self.dirty_range(addr, len) else {
             return;
         };
-        let fl = (first >> 6) as usize;
-        for (j, limb) in self.regions[i].dirty[fl..=(last >> 6) as usize]
-            .iter_mut()
-            .enumerate()
-        {
+        let (fl, ll) = ((first >> 6) as usize, (last >> 6) as usize);
+        let r = &mut self.regions[i];
+        r.written_limbs = r.written_limbs.max(ll + 1);
+        for (j, limb) in r.dirty[fl..=ll].iter_mut().enumerate() {
             *limb &= !Memory::range_limb(!0u64, fl + j, first, last);
         }
     }

@@ -4,7 +4,7 @@
 //! property) instead of a fuzzing crate, so the suite builds offline and
 //! replays exactly.
 
-use tics_mcu::{Addr, Memory, MemoryLayout};
+use tics_mcu::{Addr, CorruptionModel, Memory, MemoryLayout};
 
 const CASES: u64 = 128;
 
@@ -188,4 +188,132 @@ fn cycles_are_monotone() {
             last = m.cycles();
         }
     }
+}
+
+/// A random address with room for `len` bytes, in SRAM or FRAM, spread
+/// over the whole region so stores reach its top limbs too.
+fn any_addr(rng: &mut Rng, len: u32) -> Addr {
+    let layout = MemoryLayout::default();
+    let region = if rng.bool() { layout.sram } else { layout.fram };
+    region
+        .start
+        .offset(rng.range(0, u64::from(region.len() - len + 1)) as u32)
+}
+
+/// One random step of a device life on `m`: a store in any form, a
+/// dirty clear over a random range, a power failure, or a change to the
+/// armed cut, corruption model, span or cycle count.
+fn random_step(m: &mut Memory, rng: &mut Rng) {
+    let len = rng.range(1, 300) as u32;
+    match rng.range(0, 12) {
+        0 => {
+            let buf: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            m.write_bytes(any_addr(rng, len), &buf).unwrap();
+        }
+        1 => m.fill(any_addr(rng, len), len, rng.next() as u8).unwrap(),
+        2 => {
+            let (src, dst) = (any_addr(rng, len), any_addr(rng, len));
+            m.copy(src, dst, len).unwrap();
+        }
+        3 => {
+            let buf: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            m.poke_bytes(any_addr(rng, len), &buf).unwrap();
+        }
+        4 => m.write_word(any_addr(rng, 4), rng.next() as u32).unwrap(),
+        5 => m.write_i32(any_addr(rng, 4), rng.next() as i32).unwrap(),
+        6 => {
+            let frame_len = 4 * rng.range(1, 16) as u32;
+            let fp = any_addr(rng, frame_len);
+            let mut burst = m.word_burst(fp, frame_len).expect("frame in one region");
+            for _ in 0..rng.range(1, 8) {
+                let off = 4 * rng.range(0, u64::from(frame_len / 4)) as u32;
+                burst.write_frame::<true>(off, rng.next() as u32).unwrap();
+                let addr = any_addr(rng, 4);
+                burst.write_word::<true>(addr, rng.next() as u32).unwrap();
+            }
+            burst.commit();
+        }
+        7 => {
+            let len = rng.range(1, 64 * 1024) as u32;
+            let layout = MemoryLayout::default();
+            let region = if rng.bool() { layout.sram } else { layout.fram };
+            let len = len.min(region.len());
+            let off = rng.range(0, u64::from(region.len() - len + 1)) as u32;
+            m.clear_dirty(region.start.offset(off), len);
+        }
+        8 => m.power_fail(),
+        9 => {
+            let model = CorruptionModel::new(rng.range(0, 5_000), 0.3, 0.2, rng.next());
+            let model = if rng.bool() {
+                model.with_sram_decay(0.5)
+            } else {
+                model
+            };
+            m.set_corruption(rng.bool().then_some(model));
+        }
+        10 => {
+            let cut = m.cycles() + rng.range(0, 400);
+            m.set_power_cut(rng.bool().then_some(cut));
+        }
+        _ => {
+            m.add_cycles(rng.range(0, 100));
+            m.set_span(if rng.bool() {
+                tics_trace::SpanKind::Checkpoint
+            } else {
+                tics_trace::SpanKind::App
+            });
+        }
+    }
+}
+
+/// `reset` after any sequence of stores, dirty clears, power failures
+/// (with and without SRAM decay) and armed corruption leaves both
+/// regions' bytes, the dirty bitmap, the statistics, the cycle and span
+/// counters, the cut and the corruption model exactly as `Memory::new`
+/// builds them — although it zeroes only what the run wrote.
+#[test]
+fn reset_equals_fresh_memory() {
+    let layout = MemoryLayout::default();
+    let fresh = mem();
+    let (mut torn, mut corrupted) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = Rng(0x1AA0_0000 + case);
+        let mut m = mem();
+        // Several lives per case: a recycled memory must reset as well
+        // as a new one.
+        for life in 0..3 {
+            for _ in 0..rng.range(1, 80) {
+                random_step(&mut m, &mut rng);
+            }
+            torn += m.stats().torn_writes;
+            corrupted += m.stats().corrupted_writes;
+            m.reset();
+            for region in [layout.sram, layout.fram] {
+                let got = m.peek_slice(region.start, region.len()).unwrap();
+                let want = fresh.peek_slice(region.start, region.len()).unwrap();
+                let stale = got.iter().zip(want).position(|(g, w)| g != w);
+                assert_eq!(
+                    stale, None,
+                    "case {case} life {life}: byte offset of region {:?} survives reset",
+                    region.start
+                );
+                assert_eq!(
+                    m.count_dirty_words(region.start, region.len()),
+                    0,
+                    "case {case} life {life}: dirty bits at {:?} survive reset",
+                    region.start
+                );
+            }
+            assert_eq!(m.stats(), fresh.stats(), "case {case} life {life}");
+            assert_eq!(m.cycles(), fresh.cycles(), "case {case} life {life}");
+            assert_eq!(m.span_cycles_all(), fresh.span_cycles_all(), "case {case}");
+            assert_eq!(m.current_span(), fresh.current_span(), "case {case}");
+            assert_eq!(m.power_cut(), None, "case {case} life {life}");
+            assert_eq!(m.corruption(), None, "case {case} life {life}");
+        }
+    }
+    assert!(
+        torn > 0 && corrupted > 0,
+        "torn {torn}, corrupted {corrupted}"
+    );
 }

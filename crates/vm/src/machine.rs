@@ -268,8 +268,14 @@ impl Machine {
     /// build with `seed`, reusing every backing allocation (memory
     /// regions, dirty bitmaps, wire logs, stat streams, trace buffers).
     /// The fleet engine recycles one machine across thousands of
-    /// devices; the reset differential test proves the recycled machine
-    /// trace-identical to a fresh construction on both dispatch engines.
+    /// devices, and the crash oracles (fault, chaos, torn-wire) recycle
+    /// one per cell across its trials; the reset differential tests
+    /// prove the recycled machine trace-identical to a fresh
+    /// construction on both dispatch engines and trial for trial. Memory
+    /// is rewound by [`Memory::reset`], which zeroes each region only up
+    /// to the higher of its written high-water mark and its last dirty
+    /// bitmap limb, so the cost of a reset follows what the run wrote,
+    /// not the 66 KB of the two regions.
     ///
     /// # Errors
     ///

@@ -12,15 +12,33 @@
 //! AR-feasible system (stateful runtimes must recycle too), a
 //! stochastic duty-cycle supply *and* an adversarial fault plan whose
 //! cuts land mid-checkpoint.
+//!
+//! The crash oracles (fault, chaos, torn-wire) recycle one machine and
+//! one runtime per cell through `ReplayRig`. The last tests replay
+//! every quick-grid cell of `exp_fault`, `exp_chaos` and `exp_periph`
+//! on one rig and compare each trial with a fresh one-shot replay of
+//! the same plan: outcome, trace, counters, cycles and wire logs. A
+//! trial that follows a corrupted one checks that the corruption RNG,
+//! the peripheral wire state and the supply are re-armed, not carried
+//! over.
 
 use std::sync::Arc;
 
+use tics_bench::fault::{
+    build_fault_program, chaos_plan, fault_budget_us, golden_run, run_plan, FaultProgram,
+    ReplayRig, Strategy, Trial, GUARD_BOOTS as ORACLE_GUARD_BOOTS,
+};
+use tics_bench::periph::{
+    build_periph_program, periph_budget_us, periph_golden, run_periph_plan, PeriphTrial,
+    PeriphWorkload,
+};
 use tics_bench::sweep::standard_sensor_trace;
 use tics_bench::{ClockKind, SupplySpec};
 use tics_repro::apps::build::{build_app, make_runtime, Scale};
 use tics_repro::apps::{App, SystemUnderTest};
 use tics_repro::energy::{AdversarialSupply, FaultPlan, PowerSupply};
 use tics_repro::minic::opt::OptLevel;
+use tics_repro::minic::Program;
 use tics_repro::vm::{DispatchEngine, Executor, Machine, MachineConfig, MachineImage};
 
 const SCALE: u32 = 6;
@@ -219,4 +237,191 @@ fn reset_preserves_the_shared_image() {
     m.reset(2).expect("resets");
     assert_eq!(before, Arc::as_ptr(m.image()), "reset replaced the image");
     assert_eq!(Arc::strong_count(&image), 2, "reset leaked an image clone");
+}
+
+/// Two cell seeds for the oracle cells: seeded plans (random cuts,
+/// chaos cuts and their corruption streams) differ between them.
+const ORACLE_SEEDS: [u64; 2] = [0x5EED_0001, 0xC3050A6F554E4A51];
+
+/// The corpus programs of the quick fault and chaos grids.
+const QUICK_PROGRAMS: [FaultProgram; 2] = [FaultProgram::NvAccumulator, FaultProgram::LcgStream];
+
+/// The quick grids' systems: `exp_fault`'s six (`exp_chaos`'s three
+/// are among them).
+const QUICK_FAULT_SYSTEMS: [SystemUnderTest; 6] = [
+    SystemUnderTest::PlainC,
+    SystemUnderTest::Tics,
+    SystemUnderTest::Mementos,
+    SystemUnderTest::Chinchilla,
+    SystemUnderTest::Ratchet,
+    SystemUnderTest::Alpaca,
+];
+
+const QUICK_CHAOS_SYSTEMS: [SystemUnderTest; 3] = [
+    SystemUnderTest::Tics,
+    SystemUnderTest::Mementos,
+    SystemUnderTest::Ratchet,
+];
+
+const QUICK_PERIPH_SYSTEMS: [SystemUnderTest; 4] = [
+    SystemUnderTest::PlainC,
+    SystemUnderTest::Tics,
+    SystemUnderTest::Mementos,
+    SystemUnderTest::Alpaca,
+];
+
+/// Asserts two replays of one plan equal in every field a cell folds.
+fn assert_same_trial(recycled: &Trial, fresh: &Trial, what: &str) {
+    assert_eq!(recycled.outcome, fresh.outcome, "{what}: outcome");
+    assert_eq!(
+        recycled.power_failures, fresh.power_failures,
+        "{what}: power_failures"
+    );
+    assert_eq!(
+        recycled.torn_writes, fresh.torn_writes,
+        "{what}: torn_writes"
+    );
+    assert_eq!(
+        recycled.corrupted_writes, fresh.corrupted_writes,
+        "{what}: corrupted_writes"
+    );
+    assert_eq!(recycled.recoveries, fresh.recoveries, "{what}: recoveries");
+    assert_eq!(recycled.cycles, fresh.cycles, "{what}: cycles");
+    assert!(
+        recycled.trace == fresh.trace,
+        "{what}: trace streams diverge"
+    );
+}
+
+/// Replays `plans` on one rig and each plan on a fresh machine, and
+/// returns how many trials followed one that corrupted a store.
+fn assert_cell_recycles(
+    prog: &Program,
+    system: SystemUnderTest,
+    plans: &[FaultPlan],
+    budget: u64,
+    cell: &str,
+) -> u64 {
+    let mut rig = ReplayRig::new(prog, system);
+    let mut after_corrupted = 0;
+    let mut previous_corrupted = false;
+    for (i, plan) in plans.iter().enumerate() {
+        let recycled = rig.run(plan, budget, ORACLE_GUARD_BOOTS);
+        let fresh = run_plan(prog, system, plan, budget, ORACLE_GUARD_BOOTS);
+        assert_same_trial(&recycled, &fresh, &format!("{cell} trial {i}"));
+        after_corrupted += u64::from(previous_corrupted);
+        previous_corrupted = fresh.corrupted_writes > 0;
+    }
+    after_corrupted
+}
+
+/// `exp_fault`'s quick grid (stride plans, which no seed moves) plus
+/// its random strategy at both seeds: every recycled trial equals a
+/// fresh one.
+#[test]
+fn fault_cells_recycle_invisibly() {
+    for program in QUICK_PROGRAMS {
+        for system in QUICK_FAULT_SYSTEMS {
+            let prog = build_fault_program(program, system).expect("quick-grid cells build");
+            let golden = golden_run(&prog, system).expect("golden run finishes");
+            let budget = fault_budget_us(&golden);
+            let mut cells = vec![(Strategy::Stride, 0, 40)];
+            cells.extend(ORACLE_SEEDS.map(|seed| (Strategy::Random, seed, 12)));
+            for (strategy, seed, trials) in cells {
+                let plans = strategy.plans(&golden, trials, seed);
+                let cell = format!(
+                    "{} x {system:?} {} seed {seed:#x}",
+                    program.name(),
+                    strategy.name()
+                );
+                assert_cell_recycles(&prog, system, &plans, budget, &cell);
+            }
+        }
+    }
+}
+
+/// `exp_chaos`'s quick grid (brown-out corruption at rate 0.4) at both
+/// seeds, including trials that follow a corrupted trial.
+#[test]
+fn chaos_cells_recycle_invisibly() {
+    let mut after_corrupted = 0;
+    for seed in ORACLE_SEEDS {
+        for program in QUICK_PROGRAMS {
+            for system in QUICK_CHAOS_SYSTEMS {
+                let prog = build_fault_program(program, system).expect("quick-grid cells build");
+                let golden = golden_run(&prog, system).expect("golden run finishes");
+                let plans: Vec<_> = (0..16)
+                    .map(|i| chaos_plan(seed, i, golden.on_cycles, Some(0.4)))
+                    .collect();
+                let cell = format!("{} x {system:?} chaos seed {seed:#x}", program.name());
+                after_corrupted +=
+                    assert_cell_recycles(&prog, system, &plans, fault_budget_us(&golden), &cell);
+            }
+        }
+    }
+    assert!(after_corrupted > 0, "no trial followed a corrupted trial");
+}
+
+/// Asserts two torn-wire replays of one plan equal in every field,
+/// the device-side wire logs included.
+fn assert_same_periph_trial(recycled: &PeriphTrial, fresh: &PeriphTrial, what: &str) {
+    assert_eq!(recycled.outcome, fresh.outcome, "{what}: outcome");
+    assert_eq!(
+        recycled.power_failures, fresh.power_failures,
+        "{what}: power_failures"
+    );
+    assert_eq!(
+        recycled.corrupted_writes, fresh.corrupted_writes,
+        "{what}: corrupted_writes"
+    );
+    assert_eq!(recycled.cycles, fresh.cycles, "{what}: cycles");
+    assert_eq!(recycled.uart_wire, fresh.uart_wire, "{what}: UART wire");
+    assert_eq!(
+        recycled.i2c_served, fresh.i2c_served,
+        "{what}: I2C served log"
+    );
+    assert!(
+        recycled.trace == fresh.trace,
+        "{what}: trace streams diverge"
+    );
+}
+
+/// `exp_periph`'s quick grid (no corruption) at both seeds, plus the
+/// full grid's corruption rate 0.3, so that wire state after a
+/// corrupted trial is checked too.
+#[test]
+fn periph_cells_recycle_invisibly() {
+    let mut after_corrupted = 0;
+    for seed in ORACLE_SEEDS {
+        for workload in [PeriphWorkload::SensorLog, PeriphWorkload::Telemetry] {
+            for system in QUICK_PERIPH_SYSTEMS {
+                let Ok(prog) = build_periph_program(workload, system) else {
+                    continue; // infeasible cell: nothing to replay
+                };
+                let golden = periph_golden(&prog, system).expect("golden run finishes");
+                let budget = periph_budget_us(&golden);
+                for rate in [None, Some(0.3)] {
+                    let mut rig = ReplayRig::new(&prog, system);
+                    let mut previous_corrupted = false;
+                    for i in 0..8 {
+                        let plan = chaos_plan(seed, i, golden.on_cycles, rate);
+                        let recycled = rig.run_periph(&plan, budget, ORACLE_GUARD_BOOTS);
+                        let fresh =
+                            run_periph_plan(&prog, system, &plan, budget, ORACLE_GUARD_BOOTS);
+                        let what = format!(
+                            "{} x {system:?} rate {rate:?} seed {seed:#x} trial {i}",
+                            workload.name()
+                        );
+                        assert_same_periph_trial(&recycled, &fresh, &what);
+                        after_corrupted += u64::from(previous_corrupted);
+                        previous_corrupted = fresh.corrupted_writes > 0;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        after_corrupted > 0,
+        "no periph trial followed a corrupted trial"
+    );
 }
