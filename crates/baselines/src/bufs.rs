@@ -25,6 +25,17 @@ const DELTA_TIP: u32 = 20;
 /// Size of the control block in bytes.
 pub(crate) const CTRL_SIZE: u32 = 28;
 
+/// Bytes a hardened baseline's full-image size adds to its images, for
+/// the delta threshold and Chinchilla's and the task kernels' full-bank
+/// cost: the register header of the bank layout before every bank
+/// became a sealed record. Frozen so simulated cycles do not move;
+/// unifying it with the sealed-record sizes is a re-baseline of its own.
+pub(crate) const FULL_IMAGE_PAD: u32 = 20;
+
+/// Bytes Chinchilla's and the task kernels' restore cost adds to the
+/// restored bytes: the same legacy register header, frozen likewise.
+pub(crate) const RESTORE_PAD: u32 = 20;
+
 /// Initializes the control block at `base` on the first boot of an image.
 pub(crate) fn init_ctrl(m: &mut Machine, base: Addr) -> Result<()> {
     init_control(m, base, MAGIC, CTRL_SIZE)

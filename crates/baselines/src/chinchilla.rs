@@ -3,13 +3,13 @@
 use tics_mcu::Addr;
 use tics_minic::isa::CkptSite;
 use tics_minic::program::{Instrumentation, Program};
-use tics_trace::{CkptCause, SpanKind, TraceEvent};
+use tics_trace::CkptCause;
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
     TxDriver, VmError,
 };
 
-use tics_vm::persist::{Boot, Checkpoint, CommitOutcome};
+use tics_vm::persist::{Boot, Checkpoint};
 
 use crate::bufs;
 
@@ -85,30 +85,25 @@ impl ChinchillaRuntime {
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
         self.attach(m)?;
-        let mut span = m.span(SpanKind::Checkpoint);
-        let m = &mut *span;
         let used = m
             .regs
             .sp
             .raw()
             .saturating_sub(m.mem.layout().sram.start.raw());
-        let full_bytes = 20 + used + m.loaded().program.globals_size;
+        let full_bytes = bufs::FULL_IMAGE_PAD + used + m.loaded().program.globals_size;
         let misc = bufs::misc(m, used);
         let (regions, images) = (Self::regions(m), Self::images(m, used));
         self.last_ckpt_at = m.cycles();
-        let outcome = self
-            .ckpt
-            .commit(m, &misc, full_bytes, &regions, &images, |c, delta| {
-                c.checkpoint_cost(delta.unwrap_or(full_bytes))
-            })?;
         // An abort (corruption defeated staging, or the commit died on
         // the energy deadline) leaves the previous checkpoint standing.
-        if let CommitOutcome::Committed { bytes } = outcome {
-            m.emit(TraceEvent::CheckpointCommit {
-                cause,
-                bytes: u64::from(bytes),
-            });
-        }
+        self.ckpt.commit(
+            m,
+            cause,
+            &misc,
+            full_bytes,
+            (&regions, &images),
+            |c, delta| c.checkpoint_cost(delta.unwrap_or(full_bytes)),
+        )?;
         Ok(())
     }
 }
@@ -159,15 +154,12 @@ impl IntermittentRuntime for ChinchillaRuntime {
         self.last_ckpt_at = m.cycles();
         // Rewriting the live stack prefix and the entire statics area
         // wipes any uncommitted stores there.
-        let boot = self.ckpt.boot(m, |m, misc| {
-            (Self::regions(m), Self::images(m, bufs::unpack(misc).1))
-        })?;
-        let Boot::Restored {
-            misc,
-            restored,
-            bytes,
-        } = boot
-        else {
+        let boot = self.ckpt.boot(
+            m,
+            |m, misc| (Self::regions(m), Self::images(m, bufs::unpack(misc).1)),
+            |c, restored| c.restore_cost(bufs::RESTORE_PAD + restored),
+        )?;
+        let Boot::Restored { misc } = boot else {
             // No (valid) checkpoint, so the committed image is the
             // pristine load image. Chinchilla's versioned memory
             // discards uncommitted writes — and the promoted locals are
@@ -180,12 +172,6 @@ impl IntermittentRuntime for ChinchillaRuntime {
             });
         };
         m.regs = bufs::unpack(&misc).0;
-        let mut span = m.span(SpanKind::Restore);
-        let m = &mut *span;
-        let _ = m.charge_atomic(m.mem.costs().restore_cost(20 + restored));
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(bytes),
-        });
         Ok(ResumeAction::Restored)
     }
 
@@ -194,18 +180,10 @@ impl IntermittentRuntime for ChinchillaRuntime {
     }
 
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()> {
-        // Never checkpoint inside an open peripheral transaction: replay
-        // from such a checkpoint would re-drive wire bytes under the same
-        // attempt number.
-        if self.tx.in_txn() {
-            return Ok(());
-        }
         match kind {
             CheckpointKind::Site(CkptSite::Auto | CkptSite::VoltageCheck)
-            | CheckpointKind::Timer
             | CheckpointKind::Voltage => {
                 let cause = match kind {
-                    CheckpointKind::Timer => CkptCause::Timer,
                     CheckpointKind::Voltage => CkptCause::Voltage,
                     _ => CkptCause::Site,
                 };

@@ -3,7 +3,7 @@
 use tics_mcu::{Addr, Region};
 use tics_minic::isa::CkptSite;
 use tics_minic::program::Instrumentation;
-use tics_trace::{CkptCause, SpanKind, TraceEvent};
+use tics_trace::CkptCause;
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
     TxDriver, VmError,
@@ -66,8 +66,6 @@ impl RatchetRuntime {
 
     fn commit(&mut self, m: &mut Machine, cause: CkptCause) -> Result<()> {
         self.attach(m)?;
-        let mut span = m.span(SpanKind::Checkpoint);
-        let m = &mut *span;
         let frame_len = m.regs.sp.raw().saturating_sub(m.regs.fp.raw());
         // Incremental commit while the frame window is stable: only the
         // words the write monitor saw changing since the last commit.
@@ -75,25 +73,21 @@ impl RatchetRuntime {
         let misc = bufs::misc(m, frame_len);
         // Bounded by the largest frame — effectively constant, unlike
         // stack- or statics-sized checkpoints.
-        let outcome =
-            self.ckpt
-                .commit(m, &misc, 20 + frame_len, &region, &region, |c, delta| {
-                    c.ckpt_base + u64::from(delta.unwrap_or(frame_len)) / 4
-                })?;
-        match outcome {
-            CommitOutcome::Committed { bytes } => m.emit(TraceEvent::CheckpointCommit {
-                cause,
-                bytes: u64::from(bytes),
-            }),
-            // Ratchet's consistency *is* the boundary checkpoint: a
-            // skipped commit before a WAR-closing store would silently
-            // violate idempotence on the next reboot. Die loudly.
-            CommitOutcome::VerifyAbort => {
-                return Err(VmError::Trap(
-                    "Ratchet: boundary checkpoint failed read-back verification".into(),
-                ))
-            }
-            CommitOutcome::EnergyAbort => {}
+        let outcome = self.ckpt.commit(
+            m,
+            cause,
+            &misc,
+            bufs::FULL_IMAGE_PAD + frame_len,
+            (&region, &region),
+            |c, delta| c.ckpt_base + u64::from(delta.unwrap_or(frame_len)) / 4,
+        )?;
+        // Ratchet's consistency *is* the boundary checkpoint: a skipped
+        // commit before a WAR-closing store would silently violate
+        // idempotence on the next reboot. Die loudly.
+        if outcome == CommitOutcome::VerifyAbort {
+            return Err(VmError::Trap(
+                "Ratchet: boundary checkpoint failed read-back verification".into(),
+            ));
         }
         Ok(())
     }
@@ -135,33 +129,24 @@ impl IntermittentRuntime for RatchetRuntime {
         self.attach(m)?;
         // The bank's whole frame window is restored, wiping any
         // uncommitted stores inside it.
-        let boot = self.ckpt.boot(m, |_, misc| {
-            let (regs, frame_len) = bufs::unpack(misc);
-            let region = [(regs.fp, frame_len)];
-            (region, region)
-        })?;
-        let (restored, bytes) = match boot {
-            Boot::Restart(choice) => {
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: choice == BankChoice::FreshStart,
-                })
-            }
-            Boot::Restored {
-                misc,
-                restored,
-                bytes,
-            } => {
+        let boot = self.ckpt.boot(
+            m,
+            |_, misc| {
+                let (regs, frame_len) = bufs::unpack(misc);
+                let region = [(regs.fp, frame_len)];
+                (region, region)
+            },
+            |c, restored| c.restore_base + u64::from(restored) / 4,
+        )?;
+        match boot {
+            Boot::Restart(choice) => Ok(ResumeAction::Restart {
+                reinit_globals: choice == BankChoice::FreshStart,
+            }),
+            Boot::Restored { misc } => {
                 m.regs = bufs::unpack(&misc).0;
-                (restored, bytes)
+                Ok(ResumeAction::Restored)
             }
-        };
-        let mut span = m.span(SpanKind::Restore);
-        let m = &mut *span;
-        let _ = m.charge_atomic(m.mem.costs().restore_base + u64::from(restored) / 4);
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(bytes),
-        });
-        Ok(ResumeAction::Restored)
+        }
     }
 
     // All frames live in the FRAM stack after the persistent area.
@@ -175,12 +160,6 @@ impl IntermittentRuntime for RatchetRuntime {
     }
 
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()> {
-        // Boundaries inside an open peripheral transaction are deferred:
-        // replaying from one would re-drive wire bytes under the same
-        // attempt number.
-        if self.tx.in_txn() {
-            return Ok(());
-        }
         match kind {
             // Every idempotent boundary checkpoints — that is Ratchet.
             CheckpointKind::Site(CkptSite::Auto | CkptSite::Manual) => {

@@ -3,7 +3,7 @@
 use tics_mcu::Addr;
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
-use tics_trace::{CkptCause, SpanKind, TraceEvent};
+use tics_trace::CkptCause;
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
     TxDriver, VmError,
@@ -137,32 +137,26 @@ impl TaskKernel {
     /// state and a fresh dispatcher checkpoint is taken.
     fn commit_boundary(&mut self, m: &mut Machine) -> Result<()> {
         self.attach(m)?;
-        let mut span = m.span(SpanKind::Checkpoint);
-        let m = &mut *span;
         let sram = m.mem.layout().sram;
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
         // The dispatcher checkpoint covers the whole SRAM window (a
         // fixed superset of the live `[0, used)` prefix, so every chain
         // record shares the bank's region).
         let region = [(sram.start, sram.len())];
-        let full_bytes = 20 + used;
+        let full_bytes = bufs::FULL_IMAGE_PAD + used;
         let misc = bufs::misc(m, used);
         let outcome = self.ckpt.commit(
             m,
+            CkptCause::Site,
             &misc,
             full_bytes,
-            &region,
-            &[(sram.start, used)],
+            (&region, &[(sram.start, used)]),
             |c, delta| c.checkpoint_cost(delta.unwrap_or(full_bytes)),
         )?;
         // On an abort the undo log keeps privatizing past the boundary,
         // so a reboot rolls back to the still-valid previous checkpoint.
-        if let CommitOutcome::Committed { bytes } = outcome {
+        if outcome == CommitOutcome::Committed {
             self.undo.clear(m)?;
-            m.emit(TraceEvent::CheckpointCommit {
-                cause: CkptCause::Site,
-                bytes: u64::from(bytes),
-            });
         }
         Ok(())
     }
@@ -234,33 +228,24 @@ impl IntermittentRuntime for TaskKernel {
         // restarts idempotently from its boundary.
         self.undo.load(m)?;
         self.undo.rollback_to(m, 0)?;
-        let boot = self.ckpt.boot(m, |m, misc| {
-            let sram = m.mem.layout().sram;
-            let used = bufs::unpack(misc).1;
-            ([(sram.start, sram.len())], [(sram.start, used)])
-        })?;
-        let (restored, bytes) = match boot {
-            Boot::Restart(choice) => {
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: choice == BankChoice::FreshStart,
-                })
-            }
-            Boot::Restored {
-                misc,
-                restored,
-                bytes,
-            } => {
+        let boot = self.ckpt.boot(
+            m,
+            |m, misc| {
+                let sram = m.mem.layout().sram;
+                let used = bufs::unpack(misc).1;
+                ([(sram.start, sram.len())], [(sram.start, used)])
+            },
+            |c, restored| c.restore_cost(bufs::RESTORE_PAD + restored),
+        )?;
+        match boot {
+            Boot::Restart(choice) => Ok(ResumeAction::Restart {
+                reinit_globals: choice == BankChoice::FreshStart,
+            }),
+            Boot::Restored { misc } => {
                 m.regs = bufs::unpack(&misc).0;
-                (restored, bytes)
+                Ok(ResumeAction::Restored)
             }
-        };
-        let mut span = m.span(SpanKind::Restore);
-        let m = &mut *span;
-        let _ = m.charge_atomic(m.mem.costs().restore_cost(20 + restored));
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(bytes),
-        });
-        Ok(ResumeAction::Restored)
+        }
     }
 
     fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
@@ -290,12 +275,6 @@ impl IntermittentRuntime for TaskKernel {
     }
 
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()> {
-        // A task boundary inside an open peripheral transaction is
-        // deferred (transactions are expected to sit within one task
-        // body; this guards the manual-checkpoint escape hatch).
-        if self.tx.in_txn() {
-            return Ok(());
-        }
         match kind {
             CheckpointKind::Site(CkptSite::TaskBoundary | CkptSite::Manual) => {
                 self.commit_boundary(m)

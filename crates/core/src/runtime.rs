@@ -18,6 +18,12 @@ use crate::layout::{ctrl, RuntimeLayout, MAGIC};
 
 type Result<T> = std::result::Result<T, VmError>;
 
+/// Bytes the full-image size adds to the segment for the delta
+/// threshold: the bank header of the layout before every bank became a
+/// sealed record. Frozen so simulated cycles do not move; unifying it
+/// with the sealed-record sizes is a re-baseline of its own.
+const FULL_IMAGE_PAD: u32 = 36;
+
 #[derive(Debug, Clone, Copy)]
 struct ExpiresBlock {
     catch_pc: u32,
@@ -121,32 +127,28 @@ impl TicsRuntime {
     /// transmits the buffered sends.
     fn commit_checkpoint(&mut self, m: &mut Machine, cause: CkptCause) -> Result<CommitOutcome> {
         let l = self.attach(m)?;
-        let mut span = m.span(SpanKind::Checkpoint);
-        let m = &mut *span;
         let seg = l.segment(self.working_seg);
         let region = [(seg.start, l.seg_size)];
-        // The bank size of the earlier misc-first layout: keeps the delta
-        // threshold where it was.
-        let full_bytes = 36 + l.seg_size;
         let misc = self.misc(m);
-        let outcome = self
-            .ckpt
-            .commit(m, &misc, full_bytes, &region, &region, |c, delta| {
-                c.checkpoint_cost(delta.unwrap_or(l.seg_size))
-            })?;
-        let CommitOutcome::Committed { bytes } = outcome else {
+        let outcome = self.ckpt.commit(
+            m,
+            cause,
+            &misc,
+            FULL_IMAGE_PAD + l.seg_size,
+            (&region, &region),
+            |c, delta| c.checkpoint_cost(delta.unwrap_or(l.seg_size)),
+        )?;
+        if outcome != CommitOutcome::Committed {
             return Ok(outcome);
-        };
+        }
         // The log only needs to undo writes newer than this checkpoint.
         self.undo.clear(m)?;
         self.last_ckpt_seg = Some(self.working_seg);
-        m.emit(TraceEvent::CheckpointCommit {
-            cause,
-            bytes: u64::from(bytes),
-        });
         // Virtualized I/O: the commit is the transmission point — every
         // buffered send now becomes externally visible, exactly once.
         if self.io_count > 0 {
+            let mut span = m.span(SpanKind::Checkpoint);
+            let m = &mut *span;
             for i in 0..self.io_count {
                 let v = m.mem.peek_word(l.io_slot(i))? as i32;
                 m.record_send(v);
@@ -226,42 +228,32 @@ impl IntermittentRuntime for TicsRuntime {
         // harness). The full image restores the *entire* working segment
         // the bank names, wiping every uncommitted store, then the delta
         // chain replays on top of it.
-        let boot = self.ckpt.boot(m, |_, misc| {
-            let seg = l.segment(unpack_misc(misc)[5]);
-            let region = [(seg.start, l.seg_size)];
-            (region, region)
-        })?;
-        let (restored, bytes) = match boot {
+        let boot = self.ckpt.boot(
+            m,
+            |_, misc| {
+                let seg = l.segment(unpack_misc(misc)[5]);
+                let region = [(seg.start, l.seg_size)];
+                (region, region)
+            },
+            |c, restored| c.restore_cost(restored),
+        )?;
+        match boot {
             Boot::Restart(choice) => {
                 self.working_seg = 0;
                 self.last_ckpt_seg = None;
-                return Ok(ResumeAction::Restart {
+                Ok(ResumeAction::Restart {
                     reinit_globals: choice == BankChoice::FreshStart,
-                });
+                })
             }
-            Boot::Restored {
-                misc,
-                restored,
-                bytes,
-            } => {
+            Boot::Restored { misc } => {
                 let [pc, sp, fp, sr, depth, seg] = unpack_misc(&misc);
                 m.regs = Registers::from_words([pc, sp, fp, sr]);
                 self.atomic_depth = depth;
                 self.working_seg = seg;
                 self.last_ckpt_seg = Some(seg);
-                (restored, bytes)
+                Ok(ResumeAction::Restored)
             }
-        };
-        let mut span = m.span(SpanKind::Restore);
-        let m = &mut *span;
-        // A restore whose cost exceeds the on-period dies mid-way; the
-        // executor injects the failure before any instruction runs.
-        let cost = m.mem.costs().restore_cost(restored);
-        let _completed = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(bytes),
-        });
-        Ok(ResumeAction::Restored)
+        }
     }
 
     // Frames live in the FRAM segment array, placed segment by segment
@@ -367,7 +359,7 @@ impl IntermittentRuntime for TicsRuntime {
             // Forced checkpoint to drain the log and guarantee forward
             // progress (§3.1.2).
             match self.commit_checkpoint(m, CkptCause::Forced)? {
-                CommitOutcome::Committed { .. } => {}
+                CommitOutcome::Committed => {}
                 // The device is about to brown out: every subsequent
                 // store tears to nothing, so skipping the (out-of-room)
                 // append cannot lose an old value.
@@ -390,17 +382,10 @@ impl IntermittentRuntime for TicsRuntime {
     }
 
     fn checkpoint(&mut self, m: &mut Machine, kind: CheckpointKind) -> Result<()> {
-        // A checkpoint *inside* an open peripheral transaction would make
-        // replay re-drive wire bytes under the same attempt number; defer
-        // to the next site outside the transaction.
-        if self.tx.in_txn() {
-            return Ok(());
-        }
         match kind {
-            CheckpointKind::Timer | CheckpointKind::Voltage if self.atomic_depth > 0 => Ok(()),
+            CheckpointKind::Voltage if self.atomic_depth > 0 => Ok(()),
             CheckpointKind::Site(CkptSite::VoltageCheck) => Ok(()), // not a TICS site
             CheckpointKind::Site(_) => self.commit_checkpoint(m, CkptCause::Site).map(|_| ()),
-            CheckpointKind::Timer => self.commit_checkpoint(m, CkptCause::Timer).map(|_| ()),
             CheckpointKind::Voltage => self.commit_checkpoint(m, CkptCause::Voltage).map(|_| ()),
         }
     }
@@ -559,7 +544,8 @@ impl IntermittentRuntime for TicsRuntime {
         if self.expires_block.take().is_some() {
             self.atomic_end(m)?;
             // The paper seals time blocks with a checkpoint (deferred if a
-            // peripheral transaction is still open — see `checkpoint`).
+            // peripheral transaction is still open, as the executor defers
+            // checkpoint requests).
             if !self.tx.in_txn() {
                 self.commit_checkpoint(m, CkptCause::Site)?;
             }
@@ -575,7 +561,7 @@ impl IntermittentRuntime for TicsRuntime {
         if self.io_count >= l.io_capacity {
             // Commit to drain the buffer (also publishes it).
             match self.commit_checkpoint(m, CkptCause::Forced)? {
-                CommitOutcome::Committed { .. } => {}
+                CommitOutcome::Committed => {}
                 // The commit died on the energy deadline; the device is
                 // about to brown out — the send is lost with this
                 // execution, exactly as an un-virtualized radio would

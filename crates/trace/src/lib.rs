@@ -115,8 +115,10 @@ impl fmt::Display for SpanKind {
     }
 }
 
-/// Why a checkpoint was committed (the trace-level mirror of the VM's
-/// `CheckpointKind`, kept here so lower layers need not depend on it).
+/// Why a checkpoint was committed: a request the VM hands a runtime as
+/// a `CheckpointKind` (a site or the voltage warning), or one of the
+/// runtime's own commits (timer, forced, ISR). Kept here so lower layers
+/// need not depend on the VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptCause {
     /// An inserted or manual checkpoint site in the code.

@@ -289,7 +289,7 @@ impl Executor {
                 let warned = warn_at.is_some_and(|w| !voltage_fired && m.cycles() >= w);
                 if warned {
                     voltage_fired = true;
-                    rt.checkpoint(m, CheckpointKind::Voltage)?;
+                    request_checkpoint(m, rt, CheckpointKind::Voltage)?;
                 }
                 match mode {
                     PeriodMode::Reference => step(m, rt)?,
@@ -547,7 +547,7 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
             m.push(addr as i32)?;
         }
         Instr::Syscall(sys) => do_syscall(m, rt, sys)?,
-        Instr::Checkpoint(site) => rt.checkpoint(m, CheckpointKind::Site(site))?,
+        Instr::Checkpoint(site) => request_checkpoint(m, rt, CheckpointKind::Site(site))?,
         Instr::AtomicBegin => rt.atomic_begin(m)?,
         Instr::AtomicEnd => rt.atomic_end(m)?,
         Instr::TimestampVar(v) => rt.timestamp_var(m, v)?,
@@ -571,6 +571,21 @@ fn step_after_isr(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<(
     }
 
     Ok(())
+}
+
+/// Hands a checkpoint request to the runtime, unless its transaction
+/// driver has a transaction open: replay from a checkpoint inside one
+/// would re-drive wire bytes under the same attempt number, so the
+/// request is deferred to the next one outside it.
+fn request_checkpoint(
+    m: &mut Machine,
+    rt: &mut dyn IntermittentRuntime,
+    kind: CheckpointKind,
+) -> Result<()> {
+    if rt.tx_driver().is_some_and(|d| d.in_txn()) {
+        return Ok(());
+    }
+    rt.checkpoint(m, kind)
 }
 
 fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -> Result<()> {
@@ -622,7 +637,11 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
             // capture the post-syscall operand stack, since a restore
             // resumes at the next instruction.
             m.push(0)?;
-            rt.checkpoint(m, CheckpointKind::Site(tics_minic::isa::CkptSite::Manual))?;
+            request_checkpoint(
+                m,
+                rt,
+                CheckpointKind::Site(tics_minic::isa::CkptSite::Manual),
+            )?;
         }
         // ---- wire peripherals ----
         //

@@ -43,9 +43,9 @@
 //! record's, with one `(u32 addr, u32 value)` entry per dirty word.
 //!
 //! One byte rule: a reported byte count is record payload, never
-//! header. [`CommitOutcome::Committed`] carries the published record's
-//! `len` and [`Boot::Restored`] the payload boot read back, so no
-//! runtime does arithmetic on this format.
+//! header. A commit's [`TraceEvent::CheckpointCommit`] carries the
+//! published record's `len` and a boot's [`TraceEvent::Restore`] the
+//! payload boot read back, so no runtime does arithmetic on this format.
 //!
 //! # The sequence is here; policy stays with the caller
 //!
@@ -59,10 +59,15 @@
 //! * **One cold floor.** A cold cursor's next sequence number is past
 //!   the newest valid bank, published or not, and past the chain tip.
 //!
-//! The caller opens the spans, supplies its Table 4 cost formula and the
-//! regions its misc block describes, and decides what an abort means.
-//! Commit and boot allocate nothing in steady state: the chain owns the
-//! staging buffer and the regions are fixed-size arrays.
+//! [`Checkpoint`] also owns what a commit and a boot leave in the trace:
+//! each runs in its [`SpanKind::Checkpoint`] or [`SpanKind::Restore`]
+//! span, a publish emits one [`TraceEvent::CheckpointCommit`], and a
+//! restore charges its cost atomically and emits one
+//! [`TraceEvent::Restore`]. The caller supplies the checkpoint's cause,
+//! its Table 4 cost formulas and the regions its misc block describes,
+//! and decides what an abort means. Commit and boot allocate nothing in
+//! steady state: the chain owns the staging buffer and the regions are
+//! fixed-size arrays.
 //!
 //! The undo log is the exception: its spans, its Table 4 costs
 //! (`undo_log_cost`, `rollback_cost`) and its trace events are the same
@@ -71,7 +76,7 @@
 //! where to roll back to.
 
 use tics_mcu::{Addr, CostModel, Crc32};
-use tics_trace::{SpanKind, TraceEvent};
+use tics_trace::{CkptCause, SpanKind, TraceEvent};
 
 use crate::error::VmError;
 use crate::machine::Machine;
@@ -187,6 +192,9 @@ fn open_sealed(m: &Machine, at: Addr, max_payload: u32) -> Result<Option<(u64, u
     let payload = m.mem.peek_slice(at.offset(DELTA_HEADER), len)?;
     Ok((le_u32(&seal(seq, payload), 12) == stored).then_some((seq, len)))
 }
+
+/// A checkpoint region or full-image part: first byte and length.
+pub type Extent = (Addr, u32);
 
 /// What [`Checkpoint::boot`]'s bank selection found published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,11 +351,9 @@ impl BankPair {
 /// What [`Checkpoint::commit`] did with one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitOutcome {
-    /// Published: the new record or bank is the restore point.
-    Committed {
-        /// The published record's payload length (its `len` field).
-        bytes: u32,
-    },
+    /// Published: the new record or bank is the restore point, and a
+    /// [`TraceEvent::CheckpointCommit`] carries its payload length.
+    Committed,
     /// Brown-out corruption defeated every staging attempt. Nothing was
     /// charged or published: the previous checkpoint stands.
     VerifyAbort,
@@ -363,16 +369,11 @@ pub enum Boot {
     /// Nothing to restore: [`BankChoice::None`] or
     /// [`BankChoice::FreshStart`]. The next commit is a full image.
     Restart(BankChoice),
-    /// A bank was restored and the chain extending it replayed.
+    /// A bank was restored, the chain extending it replayed, and the
+    /// restore charged and journaled.
     Restored {
         /// The last published misc block.
         misc: Misc,
-        /// The restore-cost basis: the bank's images plus the replayed
-        /// records as stored, headers included.
-        restored: u32,
-        /// Record payload read back: the bank's (misc block and images)
-        /// plus each replayed record's.
-        bytes: u32,
     },
 }
 
@@ -705,13 +706,16 @@ impl Checkpoint {
             .ok_or_else(|| VmError::Load("checkpoint used before its banks were placed".into()))
     }
 
-    /// Commits one checkpoint over `regions`, two-phase (§4). Stages a
-    /// delta record, or a full bank of `misc` plus `images` (see
-    /// `full_bytes` below); if read-back verification accepted it,
+    /// Commits one checkpoint over `regions`, two-phase (§4), in a
+    /// [`SpanKind::Checkpoint`] span. `(regions, images)` is the pair
+    /// [`Checkpoint::boot`]'s `regions_of_misc` maps a misc block back
+    /// to. Stages a delta record, or a full bank of `misc` plus `images`
+    /// (see `full_bytes` below); if read-back verification accepted it,
     /// charges `cost(costs, delta)` — `delta` is a delta record's payload
     /// bytes, `None` for a full bank — atomically against the energy
     /// deadline; if the charge completes, publishes it, marks `regions`
-    /// clean and reports the published record's payload bytes.
+    /// clean and emits a [`TraceEvent::CheckpointCommit`] of `cause` and
+    /// the published record's payload bytes.
     ///
     /// A delta record is taken while the chain is anchored on these very
     /// regions (the first is the anchor), fits the chain's byte cap of
@@ -724,13 +728,15 @@ impl Checkpoint {
     pub fn commit(
         &mut self,
         m: &mut Machine,
+        cause: CkptCause,
         misc: &Misc,
         full_bytes: u32,
-        regions: &[(Addr, u32)],
-        images: &[(Addr, u32)],
+        (regions, images): (&[Extent], &[Extent]),
         cost: impl FnOnce(&CostModel, Option<u32>) -> u64,
     ) -> Result<CommitOutcome> {
         let banks = self.placed()?;
+        let mut span = m.span(SpanKind::Checkpoint);
+        let m = &mut *span;
         if self.chain.next_seq == 0 {
             self.chain.prime_cold(m, &banks)?;
         }
@@ -746,7 +752,11 @@ impl Checkpoint {
             return Ok(CommitOutcome::EnergyAbort);
         }
         self.chain.publish(m, &banks, &staged, regions)?;
-        Ok(CommitOutcome::Committed { bytes: staged.len })
+        m.emit(TraceEvent::CheckpointCommit {
+            cause,
+            bytes: u64::from(staged.len),
+        });
+        Ok(CommitOutcome::Committed)
     }
 
     /// Boots from the last published checkpoint. Selects a bank (falling
@@ -756,7 +766,13 @@ impl Checkpoint {
     /// the checkpoint regions and the full-image parts, in bank order.
     /// The images are written back first, wiping every unpublished store
     /// in them, then the chain extending the bank is replayed over the
-    /// regions. With nothing to restore, the cursor is primed cold.
+    /// regions. Then, in a [`SpanKind::Restore`] span, the restore is
+    /// charged `restore_cost(costs, restored)` atomically — `restored` is
+    /// the images plus the replayed records as stored, headers included
+    /// (a restore past the energy deadline dies before any instruction
+    /// runs) — and a [`TraceEvent::Restore`] of the payload read back is
+    /// emitted. With nothing to restore, the cursor is primed cold and
+    /// nothing is charged.
     ///
     /// # Errors
     ///
@@ -765,7 +781,8 @@ impl Checkpoint {
     pub fn boot<const R: usize, const I: usize>(
         &mut self,
         m: &mut Machine,
-        regions_of_misc: impl FnOnce(&Machine, &Misc) -> ([(Addr, u32); R], [(Addr, u32); I]),
+        regions_of_misc: impl FnOnce(&Machine, &Misc) -> ([Extent; R], [Extent; I]),
+        restore_cost: impl FnOnce(&CostModel, u32) -> u64,
     ) -> Result<Boot> {
         let banks = self.placed()?;
         let (bank, seq) = match banks.select(m)? {
@@ -784,11 +801,14 @@ impl Checkpoint {
         }
         let (stored, payload) = self.chain.resume(m, &banks, seq, &regions, &mut misc)?;
         let image: u32 = images.iter().map(|&(_, len)| len).sum();
-        Ok(Boot::Restored {
-            misc,
-            restored: image + stored,
-            bytes: bank_len + payload,
-        })
+        let mut span = m.span(SpanKind::Restore);
+        let m = &mut *span;
+        let cost = restore_cost(m.mem.costs(), image + stored);
+        let _completed = m.charge_atomic(cost);
+        m.emit(TraceEvent::Restore {
+            bytes: u64::from(bank_len + payload),
+        });
+        Ok(Boot::Restored { misc })
     }
 }
 

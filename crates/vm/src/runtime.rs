@@ -28,8 +28,6 @@ pub enum ResumeAction {
 pub enum CheckpointKind {
     /// An inserted or manual checkpoint site in the code.
     Site(CkptSite),
-    /// The runtime's periodic timer fired.
-    Timer,
     /// The supply's low-voltage interrupt fired.
     Voltage,
 }
@@ -185,8 +183,11 @@ pub trait IntermittentRuntime {
         Ok(())
     }
 
-    /// A checkpoint site was reached (or the executor's timer/voltage
-    /// event fired). The runtime decides whether to actually commit one.
+    /// A checkpoint site was reached (or the executor's voltage warning
+    /// fired). The runtime decides whether to actually commit one. The
+    /// executor defers every request while the runtime's
+    /// [`tx_driver`](Self::tx_driver) has a transaction open, so no
+    /// request arrives inside one.
     ///
     /// # Errors
     ///
@@ -317,8 +318,8 @@ pub trait IntermittentRuntime {
     /// The runtime's transactional peripheral driver, if it hardens wire
     /// I/O with the FRAM journal ([`crate::driver::TxDriver`]). The
     /// executor uses this to reconcile in-flight transactions at boot, to
-    /// route `tx_begin`/`tx_commit`, and to suppress checkpoints while a
-    /// transaction is open. The default (`None`) is the un-hardened
+    /// route `tx_begin`/`tx_commit`, and to defer checkpoint requests while
+    /// a transaction is open. The default (`None`) is the un-hardened
     /// behavior: `tx_begin` always proceeds with attempt 0 and nothing is
     /// journaled — exactly what legacy code does today.
     fn tx_driver(&mut self) -> Option<&mut crate::driver::TxDriver> {

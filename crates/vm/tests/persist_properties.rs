@@ -12,8 +12,13 @@
 //! * a declared fresh start.
 //!
 //! It must never be a state that was never published. An exact boot
-//! returns the committed misc block word for word, and every commit
-//! reports the payload length of the record it published.
+//! returns the committed misc block word for word.
+//!
+//! The trace records are checked on every call. A publish emits exactly
+//! one `CheckpointCommit` of the caller's cause and the published
+//! record's `len`; an aborted commit emits none. A restore emits exactly
+//! one `Restore` and charges exactly the caller's restore cost, inside
+//! the `Restore` span; a restart emits none and charges nothing.
 //!
 //! The flag word is the commit point itself and carries no CRC: a
 //! clobber to another in-range value (0, 1, 2) is indistinguishable
@@ -24,7 +29,7 @@ use std::collections::HashSet;
 
 use tics_mcu::{Addr, CorruptionModel};
 use tics_minic::{compile, opt::OptLevel};
-use tics_trace::SpanKind;
+use tics_trace::{CkptCause, SpanKind, TraceEvent};
 use tics_vm::persist::{
     init_control, pack_misc, unpack_misc, BankChoice, BankPair, Boot, Checkpoint, CommitOutcome,
     Misc, UndoLog, DELTA_HEADER, DELTA_MISC,
@@ -50,6 +55,10 @@ const TIP: u32 = 16;
 const CTRL: u32 = 24;
 /// Bytes of checkpointed state (a window at the start of SRAM).
 const REGION: u32 = 96;
+
+/// Causes the schedule's commits cycle through, so a commit event that
+/// drops or fixes its cause shows.
+const CAUSES: [CkptCause; 3] = [CkptCause::Site, CkptCause::Forced, CkptCause::Voltage];
 
 const SEEDS: u64 = 64;
 const STEPS: usize = 400;
@@ -121,9 +130,25 @@ impl Rig {
         pack_misc([(r >> 16) as u32, r as u32, (r >> 32) as u32, step, 7, 9])
     }
 
+    /// The `CheckpointCommit` and `Restore` events journaled since the
+    /// trace held `from` records.
+    fn persist_events(&self, from: usize) -> Vec<TraceEvent> {
+        self.m.trace().records()[from..]
+            .iter()
+            .map(|r| r.event)
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::CheckpointCommit { .. } | TraceEvent::Restore { .. }
+                )
+            })
+            .collect()
+    }
+
     /// One commit of `misc` over the window under `corruption` of its
     /// staging stores (with a power cut armed), charged one cycle past
-    /// the energy deadline if `starve`, else nothing.
+    /// the energy deadline if `starve`, else nothing. Checks the commit
+    /// events it journaled.
     fn commit(
         &mut self,
         misc: &Misc,
@@ -131,6 +156,8 @@ impl Rig {
         starve: bool,
     ) -> CommitOutcome {
         let region = self.region;
+        let cause = CAUSES[unpack_misc(misc)[3] as usize % CAUSES.len()];
+        let from = self.m.trace().records().len();
         self.m.mem.set_corruption(corruption);
         self.m.mem.set_power_cut(Some(self.m.cycles() + 1));
         if starve {
@@ -140,22 +167,31 @@ impl Rig {
             .ckpt
             .commit(
                 &mut self.m,
+                cause,
                 misc,
                 DELTA_MISC + REGION,
-                &region,
-                &region,
+                (&region, &region),
                 |_, _| u64::from(starve),
             )
             .unwrap();
         self.m.set_period_deadline(u64::MAX);
         self.m.mem.set_power_cut(None);
         self.m.mem.set_corruption(None);
-        if let CommitOutcome::Committed { bytes } = outcome {
+        let events = self.persist_events(from);
+        if outcome == CommitOutcome::Committed {
+            let len = self
+                .published_len(misc)
+                .expect("a published record carries the committed misc block");
             assert_eq!(
-                Some(bytes),
-                self.published_len(misc),
-                "a commit reports the len field of the record it published"
+                events,
+                [TraceEvent::CheckpointCommit {
+                    cause,
+                    bytes: u64::from(len)
+                }],
+                "a publish journals one commit of its cause and the record's len"
             );
+        } else {
+            assert_eq!(events, [], "{outcome:?} journaled a commit");
         }
         outcome
     }
@@ -191,12 +227,53 @@ impl Rig {
         })
     }
 
-    /// Boots the window from the last published checkpoint.
+    /// Boots the window from the last published checkpoint, with a
+    /// restore cost that depends on the basis boot passes it. Checks the
+    /// restore events it journaled and the cycles it charged.
     fn boot(&mut self) -> Boot {
         let region = self.region;
-        self.ckpt
-            .boot(&mut self.m, |_, _| (region, region))
-            .unwrap()
+        let from = self.m.trace().records().len();
+        let cycles = self.m.cycles();
+        let in_span = self.m.mem.span_cycles(SpanKind::Restore);
+        let mut charged = None;
+        let boot = self
+            .ckpt
+            .boot(
+                &mut self.m,
+                |_, _| (region, region),
+                |c, restored| {
+                    assert!(restored >= REGION, "the basis covers the image");
+                    *charged.insert(c.restore_base + u64::from(restored))
+                },
+            )
+            .unwrap();
+        let events = self.persist_events(from);
+        let spent = self.m.cycles() - cycles;
+        match boot {
+            Boot::Restored { .. } => {
+                let cost = charged.expect("a restore asks for its cost");
+                assert_eq!(events.len(), 1, "one Restore per restore: {events:?}");
+                let TraceEvent::Restore { bytes } = events[0] else {
+                    panic!("a restore journaled {events:?}");
+                };
+                assert!(
+                    bytes >= u64::from(DELTA_MISC + REGION),
+                    "{bytes} B restored"
+                );
+                assert_eq!(spent, cost, "a restore charges the caller's cost");
+                assert_eq!(
+                    self.m.mem.span_cycles(SpanKind::Restore) - in_span,
+                    cost,
+                    "inside the Restore span"
+                );
+            }
+            Boot::Restart(_) => {
+                assert_eq!(charged, None, "a restart asks for no restore cost");
+                assert_eq!(events, [], "a restart journaled a restore");
+                assert_eq!(spent, 0, "a restart charges nothing");
+            }
+        }
+        boot
     }
 
     /// The state a restore must reproduce: misc block plus region bytes.
@@ -255,7 +332,7 @@ fn run_schedule(seed: u64, tally: &mut Tally) {
                 let model = CorruptionModel::new(u64::MAX, rate * 0.6, rate * 0.4, rig.next());
                 let starve = rig.next().is_multiple_of(8);
                 match rig.commit(&misc, Some(model), starve) {
-                    CommitOutcome::Committed { .. } => {
+                    CommitOutcome::Committed => {
                         if rig.tip() != 0 {
                             tally.delta_commits += 1;
                         } else {
@@ -383,7 +460,7 @@ fn corruption_only_schedules_never_journal_a_recovery() {
             let drop_all = rig.next().is_multiple_of(3);
             let model = drop_all.then(|| CorruptionModel::new(u64::MAX, 0.0, 1.0, rig.next()));
             match rig.commit(&misc, model, false) {
-                CommitOutcome::Committed { .. } => {
+                CommitOutcome::Committed => {
                     assert!(!drop_all, "step {step}: unverified stage published");
                     delta_commits += u64::from(rig.tip() != 0);
                     current = Some(rig.state(&misc));
