@@ -45,16 +45,9 @@ use tics_vm::{Executor, Machine, MachineConfig, MachineImage, RunOutcome, VmErro
 use crate::journal::{CellStatus, Journal, JournalRow};
 use crate::json::Json;
 
-/// splitmix64 — the per-cell seed derivation. Small, well-mixed, and
-/// stable across platforms; also reused by the deterministic test
-/// suites in place of the `rand` crate.
-#[must_use]
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// splitmix64 — the per-cell seed derivation, re-exported from
+/// `tics-mcu` so a sweep seed and a device seed mix the same way.
+pub use tics_mcu::splitmix64;
 
 /// Derives the deterministic seed of cell `index` under `sweep_seed`.
 #[must_use]

@@ -655,41 +655,6 @@ mod tests {
         assert!(m.stats().restores > 0);
     }
 
-    /// Batched detail emission must be invisible to any observer: the
-    /// fully detailed trace of an intermittent run is byte-identical to
-    /// the per-event-emission trace, and the derived stats match.
-    #[test]
-    fn batched_emission_matches_per_event_stream() {
-        let src = "int g;
-             int main() {
-                 for (int i = 0; i < 40; i++) { g = g + i; checkpoint(); }
-                 return g;
-             }";
-        let run = |batching: bool| {
-            let mut m = tics_machine(src, MachineConfig::default());
-            m.trace_mut().set_detailed(true);
-            m.set_detail_batching(batching);
-            let mut rt = TicsRuntime::new(TicsConfig::default());
-            let out = Executor::new()
-                .with_time_budget(500_000_000)
-                .run(&mut m, &mut rt, &mut PeriodicTrace::new(3_000, 500))
-                .unwrap();
-            (out, m)
-        };
-        let (out_b, m_b) = run(true);
-        let (out_u, m_u) = run(false);
-        assert_eq!(out_b.exit_code(), Some(780));
-        assert_eq!(out_u.exit_code(), Some(780));
-        assert!(m_b.stats().power_failures > 0, "must exercise outages");
-        assert!(
-            m_b.trace().records().iter().any(|r| r.event.is_detail()),
-            "detailed sink must capture detail events"
-        );
-        assert_eq!(m_b.trace().records(), m_u.trace().records());
-        assert_eq!(m_b.stats().instructions, m_u.stats().instructions);
-        assert_eq!(m_b.stats().checkpoint_bytes, m_u.stats().checkpoint_bytes);
-    }
-
     #[test]
     fn recursion_with_pointers_survives_failures() {
         let mut prog = compile(

@@ -88,7 +88,9 @@ pub struct FaultPlan {
 }
 
 /// `splitmix64` — the standard seed expander; deterministic and
-/// dependency-free.
+/// dependency-free. `tics-energy` depends on no other crate, so this is
+/// its own stateful copy of `tics_mcu::splitmix64`: each call advances
+/// `state` by the golden-ratio increment and mixes it.
 #[must_use]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -50,5 +50,20 @@ pub use periph::{I2c, I2cWireOp, PeripheralBus, ServedRead, Uart, WireByte};
 pub use region::{Addr, Region};
 pub use registers::Registers;
 
+/// The splitmix64 increment (2^64 / golden ratio): a stream seeded with
+/// `s` draws `splitmix64(s)`, `splitmix64(s + SPLITMIX64_GAMMA)`, ...
+pub(crate) const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64 — the seed mixer of the simulator and everything built on
+/// it: brown-out corruption draws, peripheral fates, retry jitter and
+/// per-cell sweep seeds. Small, well-mixed, and stable across platforms.
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, MemoryError>;

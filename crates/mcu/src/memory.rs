@@ -9,6 +9,7 @@ use tics_trace::SpanKind;
 use crate::costs::CostModel;
 use crate::layout::MemoryLayout;
 use crate::region::{Addr, Region};
+use crate::{splitmix64, SPLITMIX64_GAMMA};
 
 /// Pattern written over SRAM on power failure. Deterministic garbage makes
 /// "used stale volatile data" bugs reproducible in tests.
@@ -197,12 +198,11 @@ fn mark_dirty_bits(bits: &mut [u64], off: u32, len: u32) {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The next draw of the splitmix64 stream at `state`, advancing it.
+fn next_draw(state: &mut u64) -> u64 {
+    let draw = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    draw
 }
 
 /// Uniform draw in `[0, 1)` from a 64-bit word (53 mantissa bits).
@@ -571,7 +571,7 @@ impl Memory {
         match self.corruption {
             Some(c) if c.sram_decay < 1.0 => {
                 for byte in sram {
-                    if unit(splitmix64(&mut self.corrupt_rng)) < c.sram_decay {
+                    if unit(next_draw(&mut self.corrupt_rng)) < c.sram_decay {
                         *byte = SRAM_CLOBBER;
                     }
                 }
@@ -609,11 +609,11 @@ impl Memory {
         if len <= ATOMIC_STORE_BYTES || cut.saturating_sub(self.cycles) > c.window {
             return StoreFate::Keep;
         }
-        let draw = unit(splitmix64(&mut self.corrupt_rng));
+        let draw = unit(next_draw(&mut self.corrupt_rng));
         if draw < c.drop_prob {
             StoreFate::Drop
         } else if draw < c.drop_prob + c.flip_prob {
-            let r = splitmix64(&mut self.corrupt_rng);
+            let r = next_draw(&mut self.corrupt_rng);
             StoreFate::Flip {
                 offset: (r >> 8) as usize % len,
                 mask: 1 << (r & 7),
@@ -2109,7 +2109,7 @@ mod tests {
         };
         let (mut sram0, mut fram0) = snapshot(&m);
         for step in 0..400u32 {
-            let r = splitmix64(&mut rng);
+            let r = next_draw(&mut rng);
             let in_fram = r & 1 == 0;
             let (base, limit) = if in_fram {
                 (l.fram.start, l.fram.len())

@@ -20,6 +20,8 @@ use std::collections::VecDeque;
 
 use tics_trace::I2cPhase;
 
+use crate::splitmix64;
+
 /// Cycles (≡ µs at the 1 MHz clock) to clock one UART byte at
 /// ~115200 baud: 10 bit-times of ~8.7 µs.
 pub const UART_BYTE_CYCLES: u64 = 87;
@@ -36,14 +38,6 @@ pub const I2C_SENSOR_ADDR: u8 = 0x40;
 
 /// Bytes in one complete sensor reading.
 pub const I2C_READING_BYTES: u8 = 2;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One byte as the UART device saw it on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -432,7 +432,9 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// The per-machine event buffer.
+/// The per-machine event buffer. The machine pushes each record the
+/// moment the event is emitted, after folding it into its counters, so
+/// the sink never lags the machine.
 ///
 /// Always cheap: the push path is a visibility-counter increment, one
 /// retention branch, and an amortized `Vec` push. Timeline events are

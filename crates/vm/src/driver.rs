@@ -38,7 +38,7 @@
 //! the naive baseline does not, which is exactly the un-hardened control
 //! the `exp_periph` experiment needs.
 
-use tics_mcu::{Addr, Crc32};
+use tics_mcu::{splitmix64, Addr, Crc32};
 use tics_trace::{SpanKind, TraceEvent};
 
 use crate::error::VmError;
@@ -125,15 +125,6 @@ impl BackoffPolicy {
             .map(|a| (self.base_us << a.min(self.cap)) + self.base_us / 4)
             .sum()
     }
-}
-
-/// SplitMix64 — the repo's standard seedable mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One decoded journal slot (host-side view).

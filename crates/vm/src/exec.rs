@@ -209,19 +209,6 @@ impl Executor {
         rt: &mut dyn IntermittentRuntime,
         supply: &mut dyn PowerSupply,
     ) -> Result<RunOutcome> {
-        let out = self.run_loop(m, rt, supply);
-        // Detail events batch until the next observable boundary; the
-        // run-loop exit (on any outcome) is the final one.
-        m.flush_trace();
-        out
-    }
-
-    fn run_loop(
-        &self,
-        m: &mut Machine,
-        rt: &mut dyn IntermittentRuntime,
-        supply: &mut dyn PowerSupply,
-    ) -> Result<RunOutcome> {
         rt.check_program(&m.loaded().program)?;
         let mut unproductive_boots = 0u64;
         let mut stalled_boots = 0u64;

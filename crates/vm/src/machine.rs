@@ -172,11 +172,6 @@ pub struct Machine {
     total_off_us: u64,
     trace: TraceSink,
     torn_reported: u64,
-    /// Detail events batched since the last observable boundary. Fixed
-    /// capacity: the buffer never reallocates; filling it forces a
-    /// flush.
-    pending_detail: Vec<TraceRecord>,
-    detail_batching: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -257,8 +252,6 @@ impl Machine {
             total_off_us: 0,
             trace: TraceSink::new(),
             torn_reported: 0,
-            pending_detail: Vec::with_capacity(64),
-            detail_batching: true,
         };
         machine.init_globals(true)?;
         Ok(machine)
@@ -299,8 +292,6 @@ impl Machine {
         self.total_off_us = 0;
         self.trace.reset();
         self.torn_reported = 0;
-        self.pending_detail.clear();
-        self.detail_batching = true;
         self.init_globals(true)
     }
 
@@ -370,7 +361,8 @@ impl Machine {
         Ok(base.raw() + 4 + bump)
     }
 
-    /// Execution statistics so far.
+    /// Execution statistics so far: every event emitted up to this
+    /// point is already folded in.
     #[must_use]
     pub fn stats(&self) -> &ExecStats {
         &self.stats
@@ -397,57 +389,18 @@ impl Machine {
     }
 
     /// Emits one structured event, stamped with the true wall-clock µs
-    /// and the cycle position. The event is folded into [`ExecStats`]
-    /// and appended to the trace — the single update path shared by the
-    /// VM, the runtimes, and the executor.
-    ///
-    /// High-frequency *detail* events ([`TraceEvent::is_detail`]) are
-    /// batched: the stamped record is parked in a fixed buffer and
-    /// folded in bulk at the next observable boundary — any non-detail
-    /// event (checkpoint commits, I/O, power cuts are all non-detail),
-    /// a full buffer, or an explicit [`Machine::flush_trace`]. The
-    /// timestamp and cycle position are captured *here*, so the drained
-    /// stream is byte-identical to unbatched emission.
+    /// and the cycle position, folds it into [`ExecStats`] and pushes it
+    /// to the trace — the single update path shared by the VM, the
+    /// runtimes, and the executor. Both happen here, so [`Machine::stats`]
+    /// and [`Machine::trace`] never lag the machine.
     pub fn emit(&mut self, event: TraceEvent) {
-        let at_us = self.true_now_us();
-        let cycle = self.mem.cycles();
         let rec = TraceRecord {
-            at_us,
-            cycle,
+            at_us: self.true_now_us(),
+            cycle: self.mem.cycles(),
             event,
         };
-        if self.detail_batching && event.is_detail() {
-            if self.pending_detail.len() == self.pending_detail.capacity() {
-                self.flush_trace();
-            }
-            self.pending_detail.push(rec);
-            return;
-        }
-        // Batched detail events precede this one in emission order.
-        self.flush_trace();
         self.stats.fold_event(&rec.event, rec.at_us);
         self.trace.push(rec);
-    }
-
-    /// Drains the batched detail events into the stats and the trace in
-    /// emission order. The executor calls this at every run-loop exit;
-    /// it is implicit before every non-detail (observable) event.
-    pub fn flush_trace(&mut self) {
-        for i in 0..self.pending_detail.len() {
-            let rec = self.pending_detail[i];
-            self.stats.fold_event(&rec.event, rec.at_us);
-            self.trace.push(rec);
-        }
-        self.pending_detail.clear();
-    }
-
-    /// Enables or disables batched detail emission (on by default).
-    /// With batching off, every event folds and records immediately —
-    /// the differential trace oracle runs both ways to prove the
-    /// streams identical.
-    pub fn set_detail_batching(&mut self, on: bool) {
-        self.flush_trace();
-        self.detail_batching = on;
     }
 
     /// Opens cycle-attribution span `kind`: every cycle charged until
@@ -1007,58 +960,5 @@ mod tests {
             },
         );
         assert!(matches!(r, Err(VmError::Load(_))));
-    }
-
-    /// Detail events park in the pending buffer until the next
-    /// non-detail (observable-boundary) emit, which drains them first so
-    /// the recorded stream is identical to per-event emission.
-    #[test]
-    fn batched_details_flush_at_observable_boundary() {
-        let events = [
-            TraceEvent::UndoAppend { bytes: 4 },
-            TraceEvent::StackGrow,
-            TraceEvent::CheckpointCommit {
-                cause: tics_trace::CkptCause::Site,
-                bytes: 64,
-            },
-            TraceEvent::StackShrink,
-            TraceEvent::Rollback { bytes: 4 },
-        ];
-
-        let mut batched = machine("int main() { return 0; }");
-        batched.trace_mut().set_detailed(true);
-        for (i, ev) in events.iter().enumerate() {
-            batched.mem.add_cycles(10); // distinct timestamps per event
-            batched.emit(*ev);
-            if i == 1 {
-                assert_eq!(
-                    batched.trace().len(),
-                    0,
-                    "detail events must not reach the sink before a boundary"
-                );
-            }
-            if i == 2 {
-                assert_eq!(
-                    batched.trace().len(),
-                    3,
-                    "a boundary event must drain the batch ahead of itself"
-                );
-            }
-        }
-        batched.flush_trace();
-
-        let mut unbatched = machine("int main() { return 0; }");
-        unbatched.trace_mut().set_detailed(true);
-        unbatched.set_detail_batching(false);
-        for ev in &events {
-            unbatched.mem.add_cycles(10);
-            unbatched.emit(*ev);
-        }
-
-        assert_eq!(batched.trace().records(), unbatched.trace().records());
-        assert_eq!(
-            batched.stats().checkpoint_bytes,
-            unbatched.stats().checkpoint_bytes
-        );
     }
 }

@@ -532,7 +532,6 @@ fn undo_log_rollback_restores_the_oldest_value_of_a_twice_logged_word() {
     logged_store(&mut m, &mut log, a, 3);
     assert_eq!(log.len(), 2);
     log.rollback_to(&mut m, 0).unwrap();
-    m.flush_trace();
     assert_eq!(word(&m, a), 1, "newest first: the oldest value wins");
     assert!(log.is_empty());
     assert_eq!(m.stats().undo_log_appends, 2);
@@ -545,6 +544,50 @@ fn undo_log_rollback_restores_the_oldest_value_of_a_twice_logged_word() {
     assert_eq!(
         m.mem.span_cycles(SpanKind::Rollback),
         2 * costs.rollback_cost(4)
+    );
+}
+
+/// The events of the trace, in order.
+fn events(m: &Machine) -> Vec<TraceEvent> {
+    m.trace().records().iter().map(|r| r.event).collect()
+}
+
+#[test]
+fn stats_and_trace_count_each_event_when_it_is_emitted() {
+    let (mut m, mut log, a, _) = undo_rig(8);
+    m.trace_mut().set_detailed(true);
+    let undo = [
+        TraceEvent::SpanEnter {
+            kind: SpanKind::UndoLog,
+        },
+        TraceEvent::UndoAppend { bytes: 4 },
+        TraceEvent::SpanExit {
+            kind: SpanKind::UndoLog,
+        },
+    ];
+    let rollback = [
+        TraceEvent::SpanEnter {
+            kind: SpanKind::Rollback,
+        },
+        TraceEvent::Rollback { bytes: 4 },
+        TraceEvent::SpanExit {
+            kind: SpanKind::Rollback,
+        },
+    ];
+
+    log.append(&mut m, a, 4).unwrap();
+    assert_eq!(m.stats().undo_log_appends, 1);
+    assert_eq!(events(&m), undo);
+
+    log.rollback_to(&mut m, 0).unwrap();
+    assert_eq!(m.stats().undo_rollbacks, 1);
+    assert_eq!(events(&m), [undo, rollback].concat());
+
+    m.emit(TraceEvent::StackGrow);
+    assert_eq!(m.stats().stack_grows, 1);
+    assert_eq!(
+        events(&m),
+        [&undo[..], &rollback[..], &[TraceEvent::StackGrow]].concat()
     );
 }
 
@@ -599,7 +642,6 @@ fn a_full_undo_log_reports_full_and_writes_nothing_past_capacity() {
         m.cycles(),
     );
     assert!(log.append(&mut m, a, 4).is_err());
-    m.flush_trace();
     assert_eq!(
         (
             m.mem.peek_slice(base, 8 + 8 * 2 + 8).unwrap().to_vec(),

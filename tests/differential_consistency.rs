@@ -6,6 +6,7 @@
 use tics_repro::baselines::{NaiveCheckpoint, RatchetRuntime};
 use tics_repro::core::{TicsConfig, TicsRuntime};
 use tics_repro::energy::{ContinuousPower, DutyCycleTrace, PeriodicTrace};
+use tics_repro::mcu::splitmix64;
 use tics_repro::minic::{compile, opt::OptLevel, passes, Program};
 use tics_repro::vm::{Executor, IntermittentRuntime, Machine, MachineConfig};
 
@@ -149,13 +150,6 @@ fn ratchet_matches_continuous_for_corpus() {
         let got = run(build(), &mut RatchetRuntime::default(), Some((10_000, 500)));
         assert_eq!(got, expected, "{name} diverged under ratchet");
     }
-}
-
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Power-failure storms with seeded-random duty cycles, periods, and

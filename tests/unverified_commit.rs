@@ -31,8 +31,7 @@ fn used_stack(m: &Machine) -> u32 {
 }
 
 /// Cycles and committed checkpoints so far.
-fn progress(m: &mut Machine) -> (u64, u64) {
-    m.flush_trace();
+fn progress(m: &Machine) -> (u64, u64) {
     (m.cycles(), m.stats().checkpoints)
 }
 
@@ -62,14 +61,14 @@ fn request_under_total_corruption(
     m.regs.sp = sram.offset(m.loaded().program.max_frame_size());
     let request = CheckpointKind::Site(CkptSite::Manual);
 
-    let before = progress(&mut m);
+    let before = progress(&m);
     let corruption = CorruptionModel::new(u64::MAX, 0.0, 1.0, seed);
     m.mem.set_corruption(Some(corruption));
     m.mem.set_power_cut(Some(m.cycles() + 1));
     let result = rt.checkpoint(&mut m, request);
     m.mem.set_power_cut(None);
     m.mem.set_corruption(None);
-    let moved = progress(&mut m) != before;
+    let moved = progress(&m) != before;
     assert!(
         m.mem.stats().corrupted_writes > 0,
         "{}: the request staged nothing to corrupt",
@@ -78,10 +77,10 @@ fn request_under_total_corruption(
 
     // The same request on clean stores commits, so the corrupted one
     // really reached the commit path.
-    let (cycles, commits) = progress(&mut m);
+    let (cycles, commits) = progress(&m);
     let bytes = m.stats().checkpoint_bytes;
     rt.checkpoint(&mut m, request).unwrap();
-    let (cycles_after, commits_after) = progress(&mut m);
+    let (cycles_after, commits_after) = progress(&m);
     assert_eq!(commits_after, commits + 1, "{}: clean request", rt.name());
     assert!(cycles_after > cycles, "{}: clean request", rt.name());
     assert_eq!(
