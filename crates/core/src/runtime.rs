@@ -343,6 +343,12 @@ impl IntermittentRuntime for TicsRuntime {
         Ok(())
     }
 
+    // The segment array is not a stack the default hooks can run: every
+    // call and return goes through the two hooks above.
+    fn stacked_frames(&mut self, _m: &mut Machine) -> Option<Region> {
+        None
+    }
+
     fn logged_store(&mut self, m: &mut Machine, addr: Addr, len: u32) -> Result<()> {
         let l = self.attach(m)?;
         if l.segment(self.working_seg).contains_range(addr, len) {

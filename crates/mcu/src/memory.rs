@@ -1115,9 +1115,9 @@ impl RegionView<'_> {
 /// so its per-access cost is the interpreter's speed. The view resolves
 /// everything constant for the zone once: region bounds, per-word
 /// costs, the armed power cut, the open span, and which region holds
-/// the zone's frame (`fp` never moves inside a zone). Cycles and
-/// traffic counters accumulate in the view's own fields and
-/// [`WordBurst::commit`] folds them back.
+/// the frame. A call or a return inside the zone moves the frame with
+/// [`WordBurst::move_frame`]. Cycles and traffic counters accumulate in
+/// the view's own fields and [`WordBurst::commit`] folds them back.
 ///
 /// The caller keeps the view in a local of the function that runs the
 /// zone, with every access inlined. The view itself holds the
@@ -1194,6 +1194,22 @@ impl WordBurst<'_> {
             .saturating_add(self.instr_base)
             .saturating_add(op_words.saturating_mul(self.max_word_cost));
         self.cut_at < last_end
+    }
+
+    /// Points the frame accessors at the frame `[fp, fp + frame_len)`,
+    /// as a call or a return moves `fp` inside a zone. Returns `false`,
+    /// changing nothing, unless the frame's region holds the new frame
+    /// too. The views never swap: a swap inside a zone makes the frame
+    /// view loop-variant, and that slowed every plain op.
+    #[inline(always)]
+    pub fn move_frame(&mut self, fp: Addr, frame_len: u32) -> bool {
+        match offset_in(self.frame.start, self.frame.bytes.len(), fp.0, frame_len) {
+            Some(off) => {
+                self.frame_off = off;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Folds the accumulated deltas back into the owning [`Memory`].
@@ -1949,6 +1965,55 @@ mod tests {
         }
         assert!(m.word_burst(Addr(4), FRAME_LEN).is_none());
         assert!(m.word_burst(Addr(u32::MAX - 8), FRAME_LEN).is_none());
+    }
+
+    #[test]
+    fn moved_frames_read_and_write_as_the_generic_path() {
+        // A burst opened over one frame moves to others in the same
+        // region, and refuses frames its region does not hold whole.
+        for in_sram in [true, false] {
+            let mut slow = mem();
+            let mut burst = mem();
+            let l = *slow.layout();
+            let (region, other) = if in_sram {
+                (l.sram, l.fram)
+            } else {
+                (l.fram, l.sram)
+            };
+            let frames = [
+                region.start.offset(FRAME_AT + 64),
+                region.start,
+                Addr(region.end.0 - FRAME_LEN),
+            ];
+            let instr_base = slow.costs().instr_base;
+            let mut bm = burst_at(&mut burst, in_sram);
+            for (i, &fp) in frames.iter().enumerate() {
+                assert!(bm.move_frame(fp, FRAME_LEN), "frame at {fp}");
+                for w in 0..FRAME_LEN / 4 {
+                    let (off, v) = (4 * w, 0xF00D_0000 ^ ((i as u32) << 8) ^ w);
+                    slow.add_cycles(instr_base);
+                    bm.charge_instr();
+                    slow.write_i32(fp.offset(off), v as i32).unwrap();
+                    bm.write_frame::<true>(off, v).unwrap();
+                    assert_eq!(
+                        slow.read_i32(fp.offset(off)).unwrap() as u32,
+                        bm.read_frame(off).unwrap()
+                    );
+                }
+            }
+            for (fp, len) in [
+                (region.end.0 - FRAME_LEN + 4, FRAME_LEN),
+                (region.start.0 - 4, 8),
+                (other.start.0, 8),
+            ] {
+                assert!(!bm.move_frame(Addr(fp), len), "{fp:#x}+{len}");
+            }
+            // The last frame moved to is still the one the accessors use.
+            let last = frames[frames.len() - 1];
+            assert_eq!(bm.peek_frame(0).ok(), slow.peek_word(last).ok());
+            bm.commit();
+            assert_same_memory(&slow, &burst, "moved frames");
+        }
     }
 
     #[test]

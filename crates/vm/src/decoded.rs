@@ -26,7 +26,7 @@
 //! * In an unverified function every slot is [`Op::Ref`].
 
 use tics_minic::isa::{BinOp, Instr, UnOp};
-use tics_minic::program::{Program, FRAME_HEADER_BYTES};
+use tics_minic::program::{Function, Program, FRAME_HEADER_BYTES};
 
 /// A decoded operation. Offsets are pre-resolved: local slots fold in the
 /// [`FRAME_HEADER_BYTES`] so execution is a single add to `fp`; global
@@ -155,11 +155,42 @@ pub enum Op {
         d: u32,
     },
 
-    /// Delegate this pc to the reference interpreter's `step` — used for
-    /// calls, returns, syscalls, runtime-mediated instructions (logged
-    /// stores, checkpoints, atomics, time annotations), `Halt`, and every
-    /// pc of a function the verifier could not prove.
+    /// `Call callee` at a verified pc of function `caller`. A burst zone
+    /// runs it on its open view when the runtime's frames are stacked
+    /// ([`IntermittentRuntime::stacked_frames`](crate::IntermittentRuntime::stacked_frames));
+    /// otherwise, and in every case the zone declines, the reference
+    /// `step` runs it. `caller` lets a later `Ret` to the next pc find
+    /// the caller's frame.
+    Call {
+        /// The called function.
+        callee: u16,
+        /// The function this pc belongs to.
+        caller: u16,
+    },
+    /// `Ret` at a verified pc: run by a zone or the reference `step`,
+    /// as [`Op::Call`] is.
+    Ret,
+
+    /// Delegate this pc to the reference interpreter's `step`. Used for
+    /// syscalls, runtime-mediated instructions (logged stores,
+    /// checkpoints, atomics, time annotations), `Halt`, local slots
+    /// outside the frame, and every pc of a function the verifier could
+    /// not prove. A `Ref` op always ends the burst zone.
     Ref,
+}
+
+/// One function's frame, as a call places it: what a zone needs to run
+/// [`Op::Call`] and [`Op::Ret`] without the function table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// Entry pc.
+    pub entry: u32,
+    /// Frame bytes: header, arguments, locals and operand stack.
+    pub size: u32,
+    /// Argument bytes, copied from the caller's operand stack.
+    pub arg_bytes: u32,
+    /// `sp - fp` at entry, the base of the operand stack.
+    pub sp_entry: u32,
 }
 
 /// Sentinel depth for pcs the verifier never reached (dead code) or pcs
@@ -180,6 +211,14 @@ pub struct DecodedProgram {
     pub verified: Vec<bool>,
     /// Number of superinstruction head slots in `ops` (diagnostics).
     pub fused: usize,
+    /// Per-function frame table, indexed like `Program::functions`.
+    pub frames: Vec<Frame>,
+    /// The most word accesses one op makes: a `Swap` makes 4, a `Ret`
+    /// 5 (the pop, three header reads, the push into the caller), a
+    /// call `2 * n_args + 3` (the argument copy and three header
+    /// writes). [`WordBurst::cut_in_reach`](tics_mcu::WordBurst::cut_in_reach)
+    /// bounds a zone's last op with it.
+    pub max_op_words: u64,
 }
 
 impl DecodedProgram {
@@ -188,11 +227,24 @@ impl DecodedProgram {
     /// already rebased to absolute pcs, one `Halt` appended per function).
     #[must_use]
     pub fn decode(program: &Program, code: &[Instr], entries: &[u32], owner: &[u16]) -> Self {
+        let frames = program
+            .functions
+            .iter()
+            .zip(entries)
+            .map(|(f, &entry)| Frame {
+                entry,
+                size: f.frame_size(),
+                arg_bytes: f.arg_bytes(),
+                sp_entry: FRAME_HEADER_BYTES + f.arg_bytes() + u32::from(f.locals_bytes),
+            })
+            .collect();
         let mut dp = DecodedProgram {
             ops: vec![Op::Ref; code.len()],
             depths: vec![DEPTH_UNKNOWN; code.len()],
             verified: vec![false; program.functions.len()],
             fused: 0,
+            frames,
+            max_op_words: 5,
         };
         for (fi, f) in program.functions.iter().enumerate() {
             let base = entries[fi] as usize;
@@ -201,7 +253,7 @@ impl DecodedProgram {
             debug_assert!(base + len <= code.len() && owner[base] as usize == fi);
             if verify_function(program, fi, &code[base..base + len], base, &mut dp.depths) {
                 dp.verified[fi] = true;
-                lower_function(&code[base..base + len], base, f.frame_size(), &mut dp);
+                lower_function(&code[base..base + len], base, fi as u16, f, &mut dp);
             }
         }
         fuse(code, &mut dp);
@@ -281,25 +333,29 @@ fn verify_function(
     true
 }
 
-/// Lowers one verified function's instructions into plain ops.
-/// Unreachable pcs and instructions outside the fast set stay
-/// [`Op::Ref`].
-fn lower_function(code: &[Instr], base: usize, frame_size: u32, dp: &mut DecodedProgram) {
+/// Lowers the instructions of verified function `fi` into plain ops
+/// and raises `max_op_words` to cover its calls. Unreachable pcs and
+/// instructions outside the fast set stay [`Op::Ref`].
+fn lower_function(code: &[Instr], base: usize, fi: u16, f: &Function, dp: &mut DecodedProgram) {
     for (off, &i) in code.iter().enumerate() {
         let pc = base + off;
         if dp.depths[pc] == DEPTH_UNKNOWN {
             continue;
         }
-        dp.ops[pc] = lower(i, frame_size);
+        dp.ops[pc] = lower(i, fi, f.frame_size());
+        if let Op::Call { callee, .. } = dp.ops[pc] {
+            let args = u64::from(dp.frames[usize::from(callee)].arg_bytes / 4);
+            dp.max_op_words = dp.max_op_words.max(2 * args + 3);
+        }
     }
 }
 
-/// The plain decoding of one instruction in a function whose frame is
-/// `frame_size` bytes. A local load or store lowers to a frame op only
-/// when its word lies inside the frame, so a burst zone's frame
+/// The plain decoding of one instruction of function `fi`, whose frame
+/// is `frame_size` bytes. A local load or store lowers to a frame op
+/// only when its word lies inside the frame, so a burst zone's frame
 /// accessors never leave the frame through a local slot; any other
 /// offset stays [`Op::Ref`].
-fn lower(i: Instr, frame_size: u32) -> Op {
+fn lower(i: Instr, fi: u16, frame_size: u32) -> Op {
     let in_frame = |o: u16| FRAME_HEADER_BYTES + u32::from(o) + 4 <= frame_size;
     match i {
         Instr::Const(v) => Op::Const(v),
@@ -319,8 +375,10 @@ fn lower(i: Instr, frame_size: u32) -> Op {
         Instr::Jmp(t) => Op::Jmp(t),
         Instr::Jz(t) => Op::Jz(t),
         Instr::Jnz(t) => Op::Jnz(t),
-        // Runtime-mediated or frame-changing instructions: the reference
-        // interpreter is the implementation.
+        Instr::Call(callee) => Op::Call { callee, caller: fi },
+        Instr::Ret => Op::Ret,
+        // Runtime-mediated instructions: the reference interpreter is
+        // the implementation.
         _ => Op::Ref,
     }
 }
@@ -460,9 +518,10 @@ mod tests {
                 Op::LdLKBinSt { .. } | Op::LdLKBinBr { .. } | Op::LdGKBinSt { .. } => 4,
                 _ => continue,
             };
+            let fi = loaded.owner[pc];
             let frame_size = loaded.function_at(pc as u32).unwrap().frame_size();
             for p in pc + 1..pc + len {
-                assert_eq!(dp.ops[p], lower(loaded.code[p], frame_size), "pc {p}");
+                assert_eq!(dp.ops[p], lower(loaded.code[p], fi, frame_size), "pc {p}");
             }
         }
     }
@@ -488,17 +547,58 @@ mod tests {
         let (loaded, dp) =
             decode_src("int main() { int x = sample(); send(x); checkpoint(); return 0; }");
         for (pc, i) in loaded.code.iter().enumerate() {
-            if matches!(
-                i,
-                Instr::Syscall(_)
-                    | Instr::Checkpoint(_)
-                    | Instr::Call(_)
-                    | Instr::Ret
-                    | Instr::Halt
-            ) {
+            if matches!(i, Instr::Syscall(_) | Instr::Checkpoint(_) | Instr::Halt) {
                 assert!(matches!(dp.ops[pc], Op::Ref), "pc {pc}: {i:?}");
             }
         }
+    }
+
+    #[test]
+    fn calls_and_returns_lower_in_verified_functions_only() {
+        let src = "int add3(int a, int b, int c) { return a + b + c; }
+                   int twice(int x) { return add3(x, x, 0); }
+                   int main() { return twice(4) + add3(1, 2, 3); }";
+        let (loaded, dp) = decode_src(src);
+        let (mut calls, mut rets) = (0, 0);
+        for (pc, i) in loaded.code.iter().enumerate() {
+            let fi = loaded.owner[pc];
+            match (*i, dp.ops[pc]) {
+                (Instr::Call(f), Op::Call { callee, caller }) => {
+                    assert_eq!((callee, caller), (f, fi), "pc {pc}");
+                    calls += 1;
+                }
+                (Instr::Ret, Op::Ret) => rets += 1,
+                (Instr::Call(_) | Instr::Ret, op) => panic!("pc {pc}: {i:?} lowered to {op:?}"),
+                _ => {}
+            }
+        }
+        assert_eq!((calls, rets), (3, 3));
+        // `add3` is the widest callee: three arguments copied, three
+        // header words written.
+        assert_eq!(dp.max_op_words, 2 * 3 + 3);
+        let (fi, add3) = loaded.program.function("add3").unwrap();
+        let frame = dp.frames[usize::from(fi)];
+        assert_eq!(frame.entry, loaded.entry_of(fi));
+        assert_eq!(frame.size, add3.frame_size());
+        assert_eq!(frame.arg_bytes, 12);
+        assert_eq!(
+            frame.sp_entry,
+            FRAME_HEADER_BYTES + 12 + u32::from(add3.locals_bytes)
+        );
+
+        // An unverified function keeps both on the reference path.
+        let mut bad = compile(src, OptLevel::O2).unwrap();
+        let (twice, _) = bad.function("twice").unwrap();
+        bad.functions[usize::from(twice)].max_ostack = 0;
+        let loaded = LoadedProgram::load(bad).unwrap();
+        let dp = &loaded.decoded;
+        assert!(!dp.verified[usize::from(twice)]);
+        for (pc, i) in loaded.code.iter().enumerate() {
+            if loaded.owner[pc] == twice {
+                assert_eq!(dp.ops[pc], Op::Ref, "pc {pc}: {i:?}");
+            }
+        }
+        assert!(dp.ops.iter().any(|op| matches!(op, Op::Call { .. })));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use tics_energy::PowerSupply;
 use tics_mcu::periph::{I2C_PHASE_CYCLES, UART_BYTE_CYCLES};
-use tics_mcu::{Addr, Registers, WordBurst};
+use tics_mcu::{Addr, Region, Registers, WordBurst, ATOMIC_STORE_BYTES};
 use tics_minic::isa::{Instr, Syscall};
 use tics_minic::program::FRAME_HEADER_BYTES;
 use tics_trace::{I2cPhase, TraceEvent};
@@ -245,13 +245,16 @@ impl Executor {
             if let Some(d) = rt.tx_driver() {
                 d.reconcile(m)?;
             }
-            // Engine choice is fixed per on-period, *after* boot/restore
+            // Engine choice is made per on-period, *after* boot/restore
             // resolved the register file: a restore from a corrupted
             // (un-CRC'd) checkpoint bank can leave registers violating the
             // decoded engine's verified-depth invariant, in which case the
             // period falls back to the reference interpreter — a dispatch
-            // decision only, bit-exact either way.
-            let mode = self.period_mode(m);
+            // decision only, bit-exact either way. A return through a
+            // corrupted frame header can break the invariant mid-period;
+            // `run_burst` then reports it and the rest of the period
+            // falls back the same way.
+            let mut mode = self.period_mode(m, rt);
             let mut voltage_fired = false;
             let warn_at = self
                 .voltage_warning_us
@@ -284,8 +287,8 @@ impl Executor {
                     // after the warning runs even when the checkpoint ran
                     // past the deadline (its stores tear). One reference
                     // step keeps that exact.
-                    PeriodMode::Decoded(_) if warned => step(m, rt)?,
-                    PeriodMode::Decoded(ref decoded) => {
+                    PeriodMode::Decoded(..) if warned => step(m, rt)?,
+                    PeriodMode::Decoded(ref decoded, frames) => {
                         // The decoded loop runs until the nearest stop
                         // boundary; the outer checks above are idempotent
                         // and disambiguate which one fired.
@@ -295,7 +298,9 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, stop_at)?;
+                        if !run_burst(m, rt, decoded, frames, stop_at)? {
+                            mode = PeriodMode::Reference;
+                        }
                     }
                 }
             }
@@ -337,28 +342,36 @@ impl Executor {
 enum PeriodMode {
     /// The original interpreter (engine override or failed boot check).
     Reference,
-    /// The decoded loop, [`run_burst`].
-    Decoded(Arc<DecodedProgram>),
+    /// The decoded loop, [`run_burst`], with the runtime's
+    /// [`stacked_frames`](IntermittentRuntime::stacked_frames) region.
+    Decoded(Arc<DecodedProgram>, Option<Region>),
 }
 
 impl Executor {
     /// Picks the dispatch mode for the period that just booted.
-    fn period_mode(&self, m: &Machine) -> PeriodMode {
-        if self.engine == DispatchEngine::Reference || !boot_state_consistent(m) {
+    fn period_mode(&self, m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> PeriodMode {
+        if self.engine == DispatchEngine::Reference || !state_consistent(m) {
             return PeriodMode::Reference;
         }
-        PeriodMode::Decoded(m.loaded().decoded.clone())
+        // Zones move their frame view between the two memory regions,
+        // never across one's end: a stack no one region holds runs every
+        // call and return on the reference step.
+        let frames = rt
+            .stacked_frames(m)
+            .filter(|s| m.mem.peek_slice(s.start, s.len()).is_ok());
+        PeriodMode::Decoded(m.loaded().decoded.clone(), frames)
     }
 }
 
-/// Checks that the just-booted register file is consistent with the
-/// verifier's depth map: `pc` in range and, when the owning function was
-/// verified at a known depth, `sp` exactly where that depth puts it.
-/// A mismatch means a restore produced a state the reference interpreter
-/// would police with its per-access checks (e.g. a corrupted checkpoint
-/// bank that passed no CRC) — the period then runs on the reference
-/// engine so behavior stays identical.
-fn boot_state_consistent(m: &Machine) -> bool {
+/// Checks that the register file is consistent with the verifier's
+/// depth map: `pc` in range and, when the owning function was verified
+/// at a known depth, `sp` exactly where that depth puts it. A mismatch
+/// means a restore or a return produced a state the reference
+/// interpreter would police with its per-access checks (a corrupted
+/// checkpoint bank that passed no CRC, a corrupted frame header) — the
+/// rest of the period then runs on the reference engine so behavior
+/// stays identical.
+fn state_consistent(m: &Machine) -> bool {
     let loaded = m.loaded();
     let dp = &loaded.decoded;
     let pc = m.regs.pc as usize;
@@ -745,43 +758,59 @@ fn do_syscall(m: &mut Machine, rt: &mut dyn IntermittentRuntime, sys: Syscall) -
 
 /// The decoded loop: dispatches decoded ops until a stop boundary —
 /// period deadline, voltage warning, time budget — or a halt via a
-/// `Ref` op. `Ref` ops (calls, returns, syscalls, runtime-mediated
-/// instructions, and everything in unverified functions) run the
-/// reference body. Two more stops act exactly where the reference
-/// [`step`] polls:
+/// `Ref` op. `Ref` ops (syscalls, runtime-mediated instructions, and
+/// everything in unverified functions) run the reference body, and so
+/// do the calls and returns a zone hands back (see [`run_zone`]). Two
+/// more stops act exactly where the reference [`step`] polls:
 ///
 /// * the ISR fires before the first op that starts at or after
 ///   [`Machine::isr_stop`], which is read again after every firing and
-///   every `Ref` op (only those change the ISR state);
+///   every reference step (only those change the ISR state);
 /// * the runtime acts after the first op that ends at or after its
 ///   [`next_stop`](IntermittentRuntime::next_stop), which is read again
-///   after every `Ref` op, ISR firing and action — even when the period
-///   deadline falls on the same cycle.
+///   after every reference step, ISR firing and action — even when the
+///   period deadline falls on the same cycle.
 ///
-/// Non-`Ref` stretches of `dp.ops` execute as a *burst zone* that ends
+/// Every other stretch of `dp.ops` executes as a *burst zone* that ends
 /// at the nearest stop. A zone's state is local to this function:
-/// [`fast_zone`] and [`exec_op`] inline here, the [`WordBurst`] is a
-/// local, and so is a copy of the registers, taken when the zone opens
-/// and written back at every exit (stop, `Ref` op, trap), together
-/// with the zone's cycle, traffic and instruction counts. The machine
-/// state at every observable point is therefore identical to the
-/// reference interpreter's. The frame is resolved once per zone: a
-/// zone never leaves its function, so `fp` and the frame's region are
-/// fixed. A frame that does not lie inside one region (only corrupted
-/// state produces one) opens no zone; its pc runs one reference step
-/// and a runtime poll, as a `Ref` op does.
+/// [`run_zone`], [`fast_zone`] and [`exec_op`] inline here, the
+/// [`WordBurst`] is a local, and so is a copy of the registers, taken
+/// when the zone opens and written back at every exit (stop, reference
+/// step, trap), together with the zone's cycle, traffic and instruction
+/// counts. The machine state at every observable point is therefore
+/// identical to the reference interpreter's.
+///
+/// `frames` is the runtime's
+/// [`stacked_frames`](IntermittentRuntime::stacked_frames) region, read
+/// once per on-period: with it, zones run calls and returns themselves.
+///
+/// Returns `false` when a reference step that moved `fp` (a call, a
+/// return, an ISR exit) left the registers inconsistent with the
+/// verifier's depth map: only a corrupted frame header does that, and
+/// the rest of the period must run on the reference engine, whose
+/// per-access checks the decoded ops skip.
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
     dp: &DecodedProgram,
+    frames: Option<Region>,
     stop_at: u64,
-) -> Result<()> {
+) -> Result<bool> {
     let data_base = m.data_base().raw();
+    // An argument copy longer than the atomic write buffer draws a
+    // brown-out fate in `Memory::copy` while a corruption model is
+    // armed; a zone's word stores never do, so it hands such calls back.
+    let max_copy = if m.mem.corruption().is_some() {
+        ATOMIC_STORE_BYTES as u32
+    } else {
+        u32::MAX
+    };
+    let frames = frames.map(|stack| Frames { stack, max_copy });
     let mut rt_stop = runtime_stop(m, rt);
     let mut isr_stop = m.isr_stop();
     loop {
         if m.cycles() >= stop_at {
-            return Ok(());
+            return Ok(true);
         }
         if m.cycles() >= isr_stop {
             m.maybe_fire_isr(rt)?;
@@ -792,39 +821,69 @@ fn run_burst(
         let Some(&op) = dp.ops.get(pc as usize) else {
             return Err(VmError::pc_out_of_range(pc));
         };
+        // A zone that hands its pc back ended before its stop, so the
+        // checks above would pass again: the reference step follows at
+        // once.
         if !matches!(op, Op::Ref) {
             let zone_stop = stop_at.min(rt_stop).min(isr_stop);
-            if let Some(done) = run_zone(m, dp, data_base, zone_stop) {
-                done?;
+            if !run_zone(m, dp, data_base, zone_stop, frames)? {
                 if m.cycles() >= rt_stop {
                     rt_stop = poll_runtime(m, rt)?;
                 }
                 continue;
             }
         }
+        let fp = m.regs.fp;
         step_after_isr(m, rt)?;
         rt_stop = poll_runtime(m, rt)?;
         isr_stop = m.isr_stop();
         if m.is_halted() {
-            return Ok(());
+            return Ok(true);
+        }
+        if m.regs.fp != fp && !state_consistent(m) {
+            return Ok(false);
         }
     }
 }
 
-/// The most word accesses one plain op makes (`Swap`: two pops, two
-/// pushes), plus one: the bound [`WordBurst::cut_in_reach`] applies to
-/// a zone's last op.
-const ZONE_OP_WORDS: u64 = 5;
+/// Where zones run calls and returns: the runtime's frame stack, and
+/// the longest argument copy a zone may make.
+#[derive(Debug, Clone, Copy)]
+struct Frames {
+    stack: Region,
+    max_copy: u32,
+}
 
-/// Opens a burst zone at the machine's pc, which holds a plain or fused
-/// op, runs it to `zone_stop` and folds its state back into the
-/// machine. Returns `None`, touching nothing, when the frame does not
-/// lie in one region.
+/// Why [`fast_zone`] returned.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// The zone's stop has passed.
+    Stop,
+    /// The op at pc is [`Op::Ref`].
+    Ref,
+    /// The op at pc is [`Op::Call`].
+    Call(u16),
+    /// The op at pc is [`Op::Ret`].
+    Ret,
+}
+
+/// Opens a burst zone at the machine's pc, which holds a plain, fused,
+/// call or return op, runs it to `zone_stop` and folds its state back
+/// into the machine. Returns whether the op at the new pc must run on
+/// the reference step: a `Ref` op, or a call or return the zone did not
+/// run. A frame that no one region holds (only corrupted state produces
+/// one) opens no zone and returns `true`, touching nothing.
 ///
 /// A zone that cannot reach the armed power cut runs the
 /// `fast_zone::<false>` instance, whose stores skip the torn-store
 /// test. That is every zone but the few that end near a period
-/// deadline.
+/// deadline. With `frames`, that instance also runs calls and returns
+/// on the open view ([`zone_call`], [`zone_ret`]) and re-enters
+/// `fast_zone` until the stop passes. It does not run them as
+/// `fast_zone` arms: the frame view would stop being loop-invariant
+/// there, and every plain op would pay for it. A zone that may tear
+/// hands every call and return back: `Memory::copy` counts a torn
+/// argument copy as one torn store, word stores count each word.
 ///
 /// Optimized builds inline this, [`fast_zone`] and [`exec_op`] into
 /// [`run_burst`]: no call takes the address of the view or of the
@@ -836,27 +895,161 @@ fn run_zone(
     dp: &DecodedProgram,
     data_base: u32,
     zone_stop: u64,
-) -> Option<Result<()>> {
-    let frame_len = m.loaded().function_at(m.regs.pc).ok()?.frame_size();
-    let mut bm = m.mem.word_burst(m.regs.fp, frame_len)?;
+    frames: Option<Frames>,
+) -> Result<bool> {
+    let Ok(f) = m.loaded().function_at(m.regs.pc) else {
+        return Ok(true);
+    };
+    let frame_len = f.frame_size();
+    let isr_fp = match frames {
+        Some(_) => m.isr_frame().map(Addr::raw),
+        None => None,
+    };
+    let Some(mut bm) = m.mem.word_burst(m.regs.fp, frame_len) else {
+        return Ok(true);
+    };
     let mut regs = ZoneRegs::open(&m.regs);
     let mut instr = 0u64;
-    let res = if bm.cut_in_reach(zone_stop, ZONE_OP_WORDS) {
+    let res = if bm.cut_in_reach(zone_stop, dp.max_op_words) {
         fast_zone::<true>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr)
+            .map(|exit| !matches!(exit, Exit::Stop))
     } else {
-        fast_zone::<false>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr)
+        loop {
+            let exit = fast_zone::<false>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr);
+            let ran = match (exit, frames) {
+                (Err(e), _) => break Err(e),
+                (Ok(Exit::Stop), _) => break Ok(false),
+                (Ok(Exit::Call(callee)), Some(fr)) => {
+                    zone_call(&mut bm, &mut regs, dp, fr, callee, &mut instr)
+                }
+                (Ok(Exit::Ret), Some(_)) => zone_ret(&mut bm, &mut regs, dp, isr_fp, &mut instr),
+                (Ok(_), _) => break Ok(true),
+            };
+            match ran {
+                Ok(true) if bm.cycles() < zone_stop => {}
+                Ok(true) => break Ok(false),
+                Ok(false) => break Ok(true),
+                Err(e) => break Err(e),
+            }
+        }
     };
     bm.commit();
     regs.close(&mut m.regs);
     m.stats_mut().instructions += instr;
-    Some(res)
+    res
 }
 
-/// The registers inside a burst zone. A zone never leaves its
-/// function, so `fp` is fixed and `sp` is held as its offset from `fp`:
-/// the offset the frame accessors take. Wrapping arithmetic keeps
+/// Runs the `Call` at `regs.pc` on the open view, exactly as the
+/// reference's [`Machine::call_function`] does with the provided frame
+/// hooks: the new frame starts at `sp` in the runtime's frame stack;
+/// the call charges `instr_base`, copies the arguments (one word read
+/// and one word write each, which is `Memory::copy`'s charge), writes
+/// the three header words, and enters the callee. Returns `false`,
+/// touching nothing, for a call the reference must run: a first frame,
+/// a frame that overflows the stack (the reference raises
+/// `StackOverflow`) or that the view's frame region does not hold, or a
+/// copy longer than `frames.max_copy`. Only zones that cannot tear call
+/// this, so no store tears.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn zone_call(
+    bm: &mut WordBurst<'_>,
+    regs: &mut ZoneRegs,
+    dp: &DecodedProgram,
+    frames: Frames,
+    callee: u16,
+    instr: &mut u64,
+) -> Result<bool> {
+    let f = dp.frames[usize::from(callee)];
+    let new_fp = regs.fp.wrapping_add(regs.sp);
+    if (regs.fp == 0 && regs.sp == 0)
+        || f.arg_bytes > frames.max_copy
+        || !frames.stack.contains_range(Addr(new_fp), f.size)
+        || !bm.move_frame(Addr(new_fp), f.size)
+    {
+        return Ok(false);
+    }
+    regs.pc += 1;
+    *instr += 1;
+    bm.charge_instr();
+    // Offsets from the new `fp`: the arguments lie just below it, in
+    // the caller's frame (its depth covers them: `run_burst` keeps `sp`
+    // where the verifier's depths put it). The two ranges never
+    // overlap, so copying word by word moves what `Memory::copy` moves.
+    for off in (0..f.arg_bytes).step_by(4) {
+        let v = bm.read_frame(off.wrapping_sub(f.arg_bytes))?;
+        bm.write_frame::<false>(FRAME_HEADER_BYTES + off, v)?;
+    }
+    bm.write_frame::<false>(0, regs.pc)?;
+    bm.write_frame::<false>(4, regs.fp)?;
+    bm.write_frame::<false>(8, new_fp.wrapping_sub(f.arg_bytes))?;
+    regs.fp = new_fp;
+    regs.sp = f.sp_entry;
+    regs.pc = f.entry;
+    Ok(true)
+}
+
+/// Runs the `Ret` at `regs.pc` on the open view, exactly as the
+/// reference's [`Machine::do_return`] does with the provided frame
+/// hooks: it charges `instr_base`, pops the value, reads the three
+/// header words and pushes the value into the caller's frame. The
+/// header is peeked first, without charge. Returns `false`, touching
+/// nothing, for a return the reference must run: the return from
+/// interrupt (`isr_fp`'s frame), and any header that does not name a
+/// caller the decoder proved — a return pc that does not follow an
+/// [`Op::Call`] (so [`RET_SENTINEL`](crate::loaded::RET_SENTINEL) and
+/// every pc outside the program), a caller `sp` other than the one the
+/// return site's depth puts it at, or a caller frame the view's frame
+/// region does not hold. After those checks the push cannot overflow
+/// the caller's frame, as the reference's push would test.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn zone_ret(
+    bm: &mut WordBurst<'_>,
+    regs: &mut ZoneRegs,
+    dp: &DecodedProgram,
+    isr_fp: Option<u32>,
+    instr: &mut u64,
+) -> Result<bool> {
+    let (Ok(ret_pc), Ok(caller_fp), Ok(caller_sp)) =
+        (bm.peek_frame(0), bm.peek_frame(4), bm.peek_frame(8))
+    else {
+        return Ok(false);
+    };
+    if isr_fp == Some(regs.fp) {
+        return Ok(false);
+    }
+    let site = ret_pc.wrapping_sub(1) as usize;
+    let Some(&Op::Call { caller, .. }) = dp.ops.get(site) else {
+        return Ok(false);
+    };
+    // The call pushes its result: the return site's depth counts it.
+    let depth = dp.depths[site + 1] as u32;
+    debug_assert!(depth >= 1, "a lowered call's return site is reachable");
+    let f = dp.frames[usize::from(caller)];
+    let sp = f.sp_entry + 4 * (depth - 1);
+    if caller_sp != caller_fp.wrapping_add(sp) || !bm.move_frame(Addr(caller_fp), f.size) {
+        return Ok(false);
+    }
+    regs.pc += 1;
+    *instr += 1;
+    bm.charge_instr();
+    // Offsets from the caller's `fp`, where the view now points.
+    let callee = regs.fp.wrapping_sub(caller_fp);
+    let value = bm.read_frame(callee.wrapping_add(regs.sp).wrapping_sub(4))?;
+    for off in [0, 4, 8] {
+        bm.read_frame(callee.wrapping_add(off))?;
+    }
+    bm.write_frame::<false>(sp, value)?;
+    regs.fp = caller_fp;
+    regs.sp = sp + 4;
+    regs.pc = ret_pc;
+    Ok(true)
+}
+
+/// The registers inside a burst zone. `sp` is held as its offset from
+/// `fp`: the offset the frame accessors take. Wrapping arithmetic keeps
 /// `fp + sp` equal to the absolute `sp` for every value, a corrupted
-/// one included.
+/// one included. A call or return in the zone moves `fp` with the
+/// view's frame.
 #[derive(Debug, Clone, Copy)]
 struct ZoneRegs {
     pc: u32,
@@ -878,6 +1071,7 @@ impl ZoneRegs {
     #[inline(always)]
     fn close(self, r: &mut Registers) {
         r.pc = self.pc;
+        r.fp = Addr(self.fp);
         r.sp = Addr(self.fp.wrapping_add(self.sp));
     }
 }
@@ -900,16 +1094,16 @@ fn poll_runtime(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<u64
 }
 
 /// Executes decoded ops against a [`WordBurst`] until a stop boundary,
-/// a `Ref` op (returned to the caller's slow loop), or a trap. The
-/// boundary is checked after every op and between the sub-ops of a
-/// fused sequence; on trigger the pc already points at the next
-/// sub-instruction's slot (which holds its plain op), so execution
-/// resumes exactly where the reference interpreter would. The first op
-/// runs even when the zone opens at its stop: that happens only after
-/// an ISR entry that ran past the deadline, warning or budget, and the
-/// reference [`step`] runs the instruction after its ISR poll
-/// unconditionally too. `CUT` selects whether stores test the armed
-/// power cut (see [`run_zone`]).
+/// an op it does not run (`Ref`, `Call`, `Ret`: returned to
+/// [`run_zone`]), or a trap. The boundary is checked after every op and
+/// between the sub-ops of a fused sequence; on trigger the pc already
+/// points at the next sub-instruction's slot (which holds its plain
+/// op), so execution resumes exactly where the reference interpreter
+/// would. The first op runs even when the zone opens at its stop: that
+/// happens only after an ISR entry that ran past the deadline, warning
+/// or budget, and the reference [`step`] runs the instruction after its
+/// ISR poll unconditionally too. `CUT` selects whether stores test the
+/// armed power cut (see [`run_zone`]).
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn fast_zone<const CUT: bool>(
     bm: &mut WordBurst<'_>,
@@ -918,13 +1112,13 @@ fn fast_zone<const CUT: bool>(
     data_base: u32,
     stop_at: u64,
     instr: &mut u64,
-) -> Result<()> {
+) -> Result<Exit> {
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
             exec_op::<CUT>(bm, regs, data_base, instr, $first)?;
             $(
                 if bm.cycles() >= stop_at {
-                    return Ok(());
+                    return Ok(Exit::Stop);
                 }
                 exec_op::<CUT>(bm, regs, data_base, instr, $rest)?;
             )+
@@ -936,7 +1130,9 @@ fn fast_zone<const CUT: bool>(
             return Err(VmError::pc_out_of_range(pc));
         };
         match op {
-            Op::Ref => return Ok(()),
+            Op::Ref => return Ok(Exit::Ref),
+            Op::Call { callee, .. } => return Ok(Exit::Call(callee)),
+            Op::Ret => return Ok(Exit::Ret),
             Op::LdLKBin { a, k, op } => {
                 fused!(Op::LoadLocal(a), Op::Const(k), Op::Bin(op));
             }
@@ -994,7 +1190,7 @@ fn fast_zone<const CUT: bool>(
             plain @ Op::Jnz(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
         }
         if bm.cycles() >= stop_at {
-            return Ok(());
+            return Ok(Exit::Stop);
         }
     }
 }
@@ -1112,6 +1308,8 @@ fn exec_op<const CUT: bool>(
             Ok(())
         }
         Op::Ref
+        | Op::Call { .. }
+        | Op::Ret
         | Op::LdLKBin { .. }
         | Op::LdLKBinSt { .. }
         | Op::LdLKBinBr { .. }

@@ -684,6 +684,13 @@ impl Machine {
         self.cycles() + isr.next_at.saturating_sub(now)
     }
 
+    /// The frame pointer of the ISR's frame while an ISR is being
+    /// serviced: a `Ret` from that frame is the return from interrupt.
+    #[must_use]
+    pub fn isr_frame(&self) -> Option<Addr> {
+        self.in_isr.then_some(self.isr_frame_fp)
+    }
+
     /// Fires the configured ISR if its period has elapsed.
     ///
     /// # Errors

@@ -170,6 +170,18 @@ pub trait IntermittentRuntime {
         Ok(())
     }
 
+    /// The region frames are stacked in when the provided
+    /// [`alloc_frame`](Self::alloc_frame) and
+    /// [`free_frame`](Self::free_frame) place and free them, or `None`
+    /// when the runtime overrides either. With `Some`, the decoded
+    /// engine runs calls and returns inside burst zones as those hooks
+    /// would; it asks once per on-period, after
+    /// [`on_boot`](Self::on_boot). Default: [`frame_stack`](Self::frame_stack),
+    /// or `None` if that fails (the reference path then reports it).
+    fn stacked_frames(&mut self, m: &mut Machine) -> Option<Region> {
+        self.frame_stack(m).ok()
+    }
+
     /// An instrumented store is about to write `len` bytes at `addr`
     /// (the old value is still in memory). TICS classifies the address
     /// and undo-logs it, the task kernels privatize task-shared writes;

@@ -4,7 +4,8 @@
 //! A `splitmix64`-seeded generator assembles random programs from
 //! depth-0 block templates (arithmetic chains, local/global RMW
 //! patterns that the decoder fuses into superinstructions, pointer
-//! stores, compare-and-branch blocks, bounded counted loops, calls,
+//! stores, compare-and-branch blocks, bounded counted loops, calls of
+//! one- and three-argument callees and of a callee that calls another,
 //! possible divide-by-zero traps, sends, and peripheral intrinsics —
 //! UART tx/rx pairs and journaled I2C read transactions, so torn wire
 //! bytes, FIFO state, and the `tx_begin`/`tx_commit` no-driver path are
@@ -63,11 +64,10 @@ impl Emitter {
         }
     }
 
-    /// Appends `i`, moving the depth by the ISA's stack effect (the
-    /// only callee, `helper`, takes one argument).
+    /// Appends `i`, moving the depth by the ISA's stack effect.
     fn emit(&mut self, i: Instr) {
         self.code.push(i);
-        let (pops, pushes) = i.stack_effect(|_| 1);
+        let (pops, pushes) = i.stack_effect(|f| u16::from(CALLEE_ARGS[usize::from(f)]));
         self.depth = self.depth - pops + pushes;
         self.max_depth = self.max_depth.max(self.depth);
     }
@@ -76,6 +76,11 @@ impl Emitter {
         self.code.len() as u32
     }
 }
+
+/// Argument counts of the generated functions: `main`, `helper`,
+/// `add3` (its 12-byte argument copy is longer than the atomic write
+/// buffer) and `twice` (which calls `helper`).
+const CALLEE_ARGS: [u8; 4] = [0, 1, 3, 1];
 
 const BINOPS: [BinOp; 12] = [
     BinOp::Add,
@@ -228,11 +233,15 @@ fn emit_block(e: &mut Emitter, rng: &mut u64, locals: u16, globals: u32) {
             e.emit(Instr::Syscall(Syscall::TxCommit));
             e.emit(Instr::Pop);
         }
-        // Call into the helper (runtime-mediated: decoded falls back to
-        // reference dispatch for the Call itself).
+        // Call one of the three callees: decoded runs the call and its
+        // returns inside the zone, except where a cut can tear them or
+        // a corrupting copy is at risk.
         _ => {
-            e.emit(Instr::Const(konst(rng)));
-            e.emit(Instr::Call(1));
+            let callee = 1 + pick(rng, 3) as u16;
+            for _ in 0..CALLEE_ARGS[usize::from(callee)] {
+                e.emit(Instr::Const(konst(rng)));
+            }
+            e.emit(Instr::Call(callee));
             e.emit(Instr::StoreLocal(lslot(rng)));
         }
     }
@@ -240,7 +249,7 @@ fn emit_block(e: &mut Emitter, rng: &mut u64, locals: u16, globals: u32) {
 }
 
 /// A random program: initialized locals/globals, 4–10 template blocks,
-/// a helper function, and a `Ret` of a global.
+/// three callees, and a `Ret` of a global.
 fn gen_program(rng: &mut u64) -> Program {
     let locals: u16 = 2 + pick(rng, 4) as u16;
     let globals: u32 = 2 + pick(rng, 4) as u32;
@@ -288,6 +297,35 @@ fn gen_program(rng: &mut u64) -> Program {
         ],
         entry_checked: false,
     };
+    let add3 = Function {
+        name: "add3".to_string(),
+        n_args: 3,
+        locals_bytes: 0,
+        max_ostack: 2,
+        code: vec![
+            Instr::LoadLocal(0),
+            Instr::LoadLocal(4),
+            Instr::Bin(BinOp::Add),
+            Instr::LoadLocal(8),
+            Instr::Bin(BinOp::Xor),
+            Instr::Ret,
+        ],
+        entry_checked: false,
+    };
+    let twice = Function {
+        name: "twice".to_string(),
+        n_args: 1,
+        locals_bytes: 0,
+        max_ostack: 2,
+        code: vec![
+            Instr::LoadLocal(0),
+            Instr::Call(1),
+            Instr::Const(1),
+            Instr::Bin(BinOp::Add),
+            Instr::Ret,
+        ],
+        entry_checked: false,
+    };
     let global_vars = (0..globals)
         .map(|i| GlobalVar {
             name: format!("g{i}"),
@@ -303,7 +341,7 @@ fn gen_program(rng: &mut u64) -> Program {
         })
         .collect();
     Program {
-        functions: vec![main, helper],
+        functions: vec![main, helper, add3, twice],
         globals: global_vars,
         globals_size: globals * 4,
         entry: 0,

@@ -30,6 +30,7 @@ use tics_energy::{
 };
 use tics_mcu::memory::MemoryStats;
 use tics_mcu::CorruptionModel;
+use tics_minic::isa::Instr;
 use tics_minic::opt::OptLevel;
 use tics_minic::{compile, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent, TraceRecord};
@@ -784,29 +785,39 @@ fn assert_cuts_around_stops_agree(
     (isr.len().min(2), checkpoint.len().min(1))
 }
 
+/// How far past a zone's stop its last op can reach: `instr_base` plus
+/// the program's largest word count for one op (a call copies its
+/// arguments and writes three header words) at the dearest word cost.
+fn zone_reach(prog: &Program) -> u64 {
+    let costs = tics_mcu::CostModel::default();
+    let machine = Machine::new(prog.clone(), MachineConfig::default()).expect("machine");
+    let words = machine.loaded().decoded.max_op_words;
+    costs.instr_base
+        + words
+            * costs
+                .sram_access_per_word
+                .max(costs.fram_read_per_word)
+                .max(costs.fram_write_per_word)
+}
+
 /// Power cuts at every cycle of a window around burst-zone stops. A
 /// zone whose stores cannot reach the armed cut skips the torn-store
-/// test; one whose stores can, runs it. The bound between the two lies
-/// `instr_base + 5 × (dearest word cost)` cycles past the zone's stop,
-/// so windows that wide on both sides of the ISR's stops and of TICS's
-/// checkpoint stops put cuts on both sides of it: both kinds of zone
-/// run, and every store must commit or tear exactly where the
-/// reference's does.
+/// test; one whose stores can, runs it, and hands every call and return
+/// to the reference. The bound between the two lies [`zone_reach`]
+/// cycles past the zone's stop, so windows that wide on both sides of
+/// the ISR's stops and of TICS's checkpoint stops put cuts on both
+/// sides of it: both kinds of zone run, and every store must commit or
+/// tear exactly where the reference's does. The call-heavy program's
+/// three-argument call widens its window.
 #[test]
 fn cuts_around_zone_stops_tear_as_the_reference_does() {
-    let costs = tics_mcu::CostModel::default();
-    let reach = costs.instr_base
-        + 5 * costs
-            .sram_access_per_word
-            .max(costs.fram_read_per_word)
-            .max(costs.fram_write_per_word);
     let (bare, bare_cfg) = short_isr_program(SystemUnderTest::PlainC, 97);
     let found = assert_cuts_around_stops_agree(
         "bare",
         &bare,
         &bare_cfg,
         &|| Box::new(BareRuntime::new()),
-        reach,
+        zone_reach(&bare),
     );
     assert_eq!(found, (2, 0), "bare: zone stops found");
     // TICS runs without the ISR: it checkpoints after every return from
@@ -817,7 +828,441 @@ fn cuts_around_zone_stops_tear_as_the_reference_does() {
         &tics,
         &MachineConfig::default(),
         &|| tics_with_timer(&tics, 331),
-        reach,
+        zone_reach(&tics),
     );
     assert_eq!(found, (0, 1), "tics: zone stops found");
+    let calls = calls_program(SystemUnderTest::PlainC);
+    let reach = zone_reach(&calls);
+    assert!(reach > zone_reach(&bare), "the calls widen the reach");
+    let cfg = MachineConfig {
+        isr: Some(("tick".to_string(), 97)),
+        ..MachineConfig::default()
+    };
+    let found = assert_cuts_around_stops_agree(
+        "calls",
+        &calls,
+        &cfg,
+        &|| Box::new(BareRuntime::new()),
+        reach,
+    );
+    assert_eq!(found, (2, 0), "calls: zone stops found");
+}
+
+// ---------------------------------------------------------------------
+// Calls and returns inside burst zones
+// ---------------------------------------------------------------------
+
+/// A call-heavy program: a three-argument callee (its argument copy is
+/// longer than the atomic write buffer), a helper that calls another,
+/// recursion, and an ISR, `tick`, that calls a helper too.
+const CALLS_SRC: &str = "
+    nv int acc;
+    nv int ticks;
+    int add3(int a, int b, int c) { return a + b * 3 + c; }
+    int leaf(int x) { return x ^ 85; }
+    int mid(int x) { return leaf(x) + leaf(x + 1); }
+    int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+    int tick() { ticks = ticks + leaf(ticks); return 0; }
+    int main() {
+        int s = 0;
+        for (int i = 0; i < 24; i++) {
+            s = s + add3(i, s & 7, mid(i));
+            acc = acc + fib(i % 7);
+        }
+        send(s);
+        send(acc);
+        return s & 65535;
+    }
+";
+
+/// [`CALLS_SRC`] built for `system`.
+fn calls_program(system: SystemUnderTest) -> Program {
+    build_program(system, CALLS_SRC, Err("no task port"), OptLevel::O2)
+        .expect("the call-heavy program builds")
+}
+
+/// Plain C that records where every instruction starts: the reference
+/// engine calls `on_stop` after every instruction, when the cycle
+/// counter and pc are those of the next one.
+struct Recorder(Vec<(u64, u32)>);
+
+impl IntermittentRuntime for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+
+    fn capabilities(&self) -> tics_vm::RuntimeCapabilities {
+        BareRuntime.capabilities()
+    }
+
+    fn instrumentation(&self) -> tics_minic::program::Instrumentation {
+        BareRuntime.instrumentation()
+    }
+
+    fn on_boot(&mut self, m: &mut Machine) -> tics_vm::Result<tics_vm::ResumeAction> {
+        BareRuntime.on_boot(m)
+    }
+
+    fn checkpoint(
+        &mut self,
+        _m: &mut Machine,
+        _kind: tics_vm::CheckpointKind,
+    ) -> tics_vm::Result<()> {
+        Ok(())
+    }
+
+    fn on_stop(&mut self, m: &mut Machine) -> tics_vm::Result<()> {
+        self.0.push((m.cycles(), m.regs.pc));
+        Ok(())
+    }
+}
+
+/// The cycles at which `prog`'s continuous run on the reference engine
+/// starts its first `n` calls and its first `n` returns to a caller
+/// (`main`'s own return excluded).
+fn call_and_return_starts(prog: &Program, n: usize) -> Vec<u64> {
+    let mut m = Machine::new(prog.clone(), MachineConfig::default()).expect("machine");
+    let mut rec = Recorder(Vec::new());
+    let outcome = grid_executor().with_engine(DispatchEngine::Reference).run(
+        &mut m,
+        &mut rec,
+        &mut ContinuousPower::new(),
+    );
+    assert!(
+        matches!(outcome, Ok(RunOutcome::Finished(_))),
+        "{outcome:?}"
+    );
+    let code = &m.loaded().code;
+    let main = m.loaded().owner[m.loaded().entry_of(prog.entry) as usize];
+    let starts = |want: fn(&Instr) -> bool| {
+        rec.0
+            .iter()
+            .filter(|&&(_, pc)| want(&code[pc as usize]))
+            .filter(|&&(_, pc)| {
+                m.loaded().owner[pc as usize] != main || code[pc as usize] != Instr::Ret
+            })
+            .map(|&(c, _)| c)
+            .take(n)
+            .collect::<Vec<_>>()
+    };
+    let mut v = starts(|i| matches!(i, Instr::Call(_)));
+    v.extend(starts(|i| *i == Instr::Ret));
+    assert_eq!(v.len(), 2 * n, "too few calls and returns");
+    v
+}
+
+/// Deep recursion overflows the frame stack from inside a zone: SRAM
+/// under plain C, Ratchet's FRAM stack under Ratchet (whose end is not
+/// the end of FRAM). Both engines raise the same `StackOverflow`.
+#[test]
+fn recursion_overflowing_the_frame_stack_agrees() {
+    let src = "int deep(int n) { int pad[8]; pad[0] = n; if (n == 0) return 0; return deep(n - 1) + pad[0]; }
+               int main() { return deep(400); }";
+    for system in [SystemUnderTest::PlainC, SystemUnderTest::Ratchet] {
+        let prog = build_program(system, src, Err("no task port"), OptLevel::O2)
+            .expect("the recursion builds");
+        let snap = assert_engines_agree(
+            &format!("deep/{system:?}"),
+            &prog,
+            &MachineConfig::default(),
+            &|| make_runtime(system, &prog),
+            &grid_executor(),
+            &Supply::Continuous,
+            Device::default(),
+        );
+        assert!(
+            snap.outcome.contains("stack overflow"),
+            "{system:?}: {}",
+            snap.outcome
+        );
+    }
+}
+
+/// Calls and returns that start exactly on an ISR stop, a period
+/// deadline and a voltage-warning stop, and one cycle to either side:
+/// a zone runs a call or a return only while its stop has not passed.
+#[test]
+fn calls_and_returns_at_stops_agree() {
+    let prog = calls_program(SystemUnderTest::PlainC);
+    let bare = || -> Box<dyn IntermittentRuntime> { Box::new(BareRuntime::new()) };
+    for start in call_and_return_starts(&prog, 3) {
+        for at in start - 1..=start + 1 {
+            let isr = MachineConfig {
+                isr: Some(("tick".to_string(), at)),
+                ..MachineConfig::default()
+            };
+            let label = format!("calls/at-{at}");
+            assert_engines_agree(
+                &format!("{label}/isr"),
+                &prog,
+                &isr,
+                &bare,
+                &grid_executor(),
+                &Supply::Continuous,
+                Device::default(),
+            );
+            assert_engines_agree(
+                &format!("{label}/deadline"),
+                &prog,
+                &MachineConfig::default(),
+                &bare,
+                &grid_executor(),
+                &Supply::Adversarial(FaultPlan::new(vec![at], 150)),
+                Device::default(),
+            );
+            assert_engines_agree(
+                &format!("{label}/voltage"),
+                &prog,
+                &MachineConfig::default(),
+                &bare,
+                &grid_executor().with_voltage_warning(400),
+                &Supply::Adversarial(FaultPlan::new(vec![at + 400], 150)),
+                Device::default(),
+            );
+        }
+    }
+}
+
+/// Plain C whose ISR entry finds `sp` one word low, as a corrupted
+/// restore can leave it, and whose return from interrupt puts it back.
+/// Fired on a return site, the ISR frame's header then names a caller
+/// whose `sp` agrees with that site's depth, so only the ISR-frame rule
+/// keeps the return from interrupt out of the zone.
+struct LowIsrSp;
+
+impl IntermittentRuntime for LowIsrSp {
+    fn name(&self) -> &'static str {
+        "low-isr-sp"
+    }
+
+    fn capabilities(&self) -> tics_vm::RuntimeCapabilities {
+        BareRuntime.capabilities()
+    }
+
+    fn instrumentation(&self) -> tics_minic::program::Instrumentation {
+        BareRuntime.instrumentation()
+    }
+
+    fn on_boot(&mut self, m: &mut Machine) -> tics_vm::Result<tics_vm::ResumeAction> {
+        BareRuntime.on_boot(m)
+    }
+
+    fn checkpoint(
+        &mut self,
+        _m: &mut Machine,
+        _kind: tics_vm::CheckpointKind,
+    ) -> tics_vm::Result<()> {
+        Ok(())
+    }
+
+    fn on_isr_enter(&mut self, m: &mut Machine) -> tics_vm::Result<()> {
+        m.regs.sp = tics_mcu::Addr(m.regs.sp.raw() - 4);
+        Ok(())
+    }
+
+    fn on_isr_exit(&mut self, m: &mut Machine) -> tics_vm::Result<()> {
+        m.regs.sp = m.regs.sp.offset(4);
+        Ok(())
+    }
+}
+
+/// Builds a fresh runtime for one engine's run.
+type RuntimeOf = dyn Fn() -> Box<dyn IntermittentRuntime>;
+
+/// An ISR that calls a helper: the helper's return stays in the zone,
+/// the return from interrupt goes to the reference step. The ISR fires
+/// first right after a return to a call site.
+#[test]
+fn isr_handlers_that_call_helpers_agree() {
+    let prog = calls_program(SystemUnderTest::PlainC);
+    let returns = call_and_return_starts(&prog, 4).split_off(4);
+    let mut m = Machine::new(prog.clone(), MachineConfig::default()).expect("machine");
+    let mut rec = Recorder(Vec::new());
+    grid_executor()
+        .with_engine(DispatchEngine::Reference)
+        .run(&mut m, &mut rec, &mut ContinuousPower::new())
+        .expect("the recording run finishes");
+    // The instruction after each recorded return starts at a return
+    // site: the pc right after a call.
+    let after_returns: Vec<u64> = rec
+        .0
+        .windows(2)
+        .filter(|w| returns.contains(&w[0].0))
+        .map(|w| w[1].0)
+        .collect();
+    assert_eq!(after_returns.len(), returns.len());
+    for (i, at) in after_returns.into_iter().enumerate() {
+        let cfg = MachineConfig {
+            isr: Some(("tick".to_string(), at)),
+            ..MachineConfig::default()
+        };
+        let rts: [(&str, &RuntimeOf); 2] = [
+            ("bare", &|| Box::new(BareRuntime::new())),
+            ("low-sp", &|| Box::new(LowIsrSp)),
+        ];
+        for (name, rt_of) in rts {
+            let snap = assert_engines_agree(
+                &format!("isr-calls/{i}/{name}"),
+                &prog,
+                &cfg,
+                rt_of,
+                &grid_executor(),
+                &Supply::Continuous,
+                Device::default(),
+            );
+            let exits = snap
+                .trace
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::IsrExit))
+                .count();
+            assert!(exits > 0, "isr-calls/{i}/{name}: the ISR never returned");
+        }
+    }
+}
+
+/// The three-argument `add3` copies 12 bytes, more than the atomic
+/// write buffer: under the corruption model such a copy draws a
+/// brown-out fate inside the window before a cut, so zones hand it to
+/// the reference. Cuts land 300 and 1,500 cycles after `add3` calls,
+/// inside the 2,000-cycle window, under plain C, MementOS and Ratchet
+/// (whose frames are in FRAM). The ISR's stops end zones inside that
+/// window but beyond a cut's reach, so zones that skip the torn-store
+/// test meet those calls.
+#[test]
+fn wide_calls_under_corruption_agree() {
+    for system in [
+        SystemUnderTest::PlainC,
+        SystemUnderTest::Mementos,
+        SystemUnderTest::Ratchet,
+    ] {
+        let prog = calls_program(system);
+        let starts = call_and_return_starts(&calls_program(SystemUnderTest::PlainC), 6);
+        let cfg = MachineConfig {
+            isr: Some(("tick".to_string(), 331)),
+            ..MachineConfig::default()
+        };
+        for (i, &start) in starts[..6].iter().enumerate() {
+            for lag in [300, 1_500] {
+                let corruption = Corruption::with_rate(2_000, 0.5, 0xCA11_0000 ^ i as u64);
+                let plan = FaultPlan::new(vec![start + lag, 3 * (start + lag)], 150);
+                assert_engines_agree(
+                    &format!("wide/{system:?}/{i}/lag-{lag}"),
+                    &prog,
+                    &cfg,
+                    &|| make_runtime(system, &prog),
+                    &grid_executor(),
+                    &Supply::Adversarial(plan),
+                    Device {
+                        corruption: Some(&corruption),
+                        ..Device::default()
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Maps a header word's old value to its corrupted one.
+type Rewrite = fn(u32) -> u32;
+
+/// Plain C that rewrites words of the running frame's header at its
+/// first stop: word 0 is the return pc, 1 the caller's `fp`, 2 the
+/// caller's `sp`; `value` maps each old word to its new one.
+struct CorruptHeader {
+    at: u64,
+    words: &'static [u32],
+    value: Rewrite,
+    done: bool,
+}
+
+impl IntermittentRuntime for CorruptHeader {
+    fn name(&self) -> &'static str {
+        "corrupt-header"
+    }
+
+    fn capabilities(&self) -> tics_vm::RuntimeCapabilities {
+        BareRuntime.capabilities()
+    }
+
+    fn instrumentation(&self) -> tics_minic::program::Instrumentation {
+        BareRuntime.instrumentation()
+    }
+
+    fn on_boot(&mut self, m: &mut Machine) -> tics_vm::Result<tics_vm::ResumeAction> {
+        BareRuntime.on_boot(m)
+    }
+
+    fn checkpoint(
+        &mut self,
+        _m: &mut Machine,
+        _kind: tics_vm::CheckpointKind,
+    ) -> tics_vm::Result<()> {
+        Ok(())
+    }
+
+    fn next_stop(&mut self, _m: &mut Machine) -> u64 {
+        if self.done {
+            u64::MAX
+        } else {
+            self.at
+        }
+    }
+
+    fn on_stop(&mut self, m: &mut Machine) -> tics_vm::Result<()> {
+        if !self.done && m.cycles() >= self.at {
+            self.done = true;
+            for &word in self.words {
+                let a = m.regs.fp.offset(4 * word);
+                let old = m.mem.peek_word(a)?;
+                m.mem.poke_i32(a, (self.value)(old) as i32)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Returns whose saved return pc, caller `fp` or caller `sp` was
+/// corrupted while the callee ran: the zone runs only a return whose
+/// header names a caller the decoder proved, and hands every other one
+/// to the reference, which goes wherever the header points.
+#[test]
+fn returns_through_corrupted_headers_agree() {
+    let prog = calls_program(SystemUnderTest::PlainC);
+    // A stop inside a callee: one cycle after each of the first calls.
+    let calls: Vec<u64> = call_and_return_starts(&prog, 6)[..6].to_vec();
+    // Moving the caller's `fp` and `sp` together keeps `sp` where the
+    // return site's depth puts it: a frame 4 bytes up is still in SRAM,
+    // 64 KiB up it is in FRAM, 2 KiB up it is unmapped.
+    let corruptions: [(&str, &[u32], Rewrite); 10] = [
+        ("ret-pc-next", &[0], |pc| pc + 1),
+        ("ret-pc-entry", &[0], |_| 0),
+        ("ret-pc-wild", &[0], |_| 0x7FFF_0000),
+        ("caller-fp-up", &[1], |fp| fp + 4),
+        ("caller-fp-out", &[1], |_| 0x0000_0100),
+        ("caller-sp-up", &[2], |sp| sp + 4),
+        ("caller-sp-down", &[2], |sp| sp - 4),
+        ("caller-frame-up", &[1, 2], |a| a + 4),
+        ("caller-frame-fram", &[1, 2], |a| a + 0x1_0000),
+        ("caller-frame-unmapped", &[1, 2], |a| a + 0x800),
+    ];
+    for &call in &calls {
+        for (name, words, value) in corruptions {
+            assert_engines_agree(
+                &format!("corrupt/{name}/at-{}", call + 1),
+                &prog,
+                &MachineConfig::default(),
+                &|| {
+                    Box::new(CorruptHeader {
+                        at: call + 1,
+                        words,
+                        value,
+                        done: false,
+                    })
+                },
+                &grid_executor(),
+                &Supply::Continuous,
+                Device::default(),
+            );
+        }
+    }
 }
