@@ -1225,6 +1225,14 @@ impl WordBurst<'_> {
         self.other.fold();
     }
 
+    /// The frame pointer the frame accessors take their offsets from:
+    /// the `fp` the view was opened at or last moved to.
+    #[inline(always)]
+    #[must_use]
+    pub fn fp(&self) -> Addr {
+        self.frame_addr(0)
+    }
+
     /// The absolute address `off` bytes into the frame.
     #[inline(always)]
     fn frame_addr(&self, off: u32) -> Addr {

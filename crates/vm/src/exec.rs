@@ -854,19 +854,6 @@ struct Frames {
     max_copy: u32,
 }
 
-/// Why [`fast_zone`] returned.
-#[derive(Debug, Clone, Copy)]
-enum Exit {
-    /// The zone's stop has passed.
-    Stop,
-    /// The op at pc is [`Op::Ref`].
-    Ref,
-    /// The op at pc is [`Op::Call`].
-    Call(u16),
-    /// The op at pc is [`Op::Ret`].
-    Ret,
-}
-
 /// Opens a burst zone at the machine's pc, which holds a plain, fused,
 /// call or return op, runs it to `zone_stop` and folds its state back
 /// into the machine. Returns whether the op at the new pc must run on
@@ -881,7 +868,11 @@ enum Exit {
 /// on the open view ([`zone_call`], [`zone_ret`]) and re-enters
 /// `fast_zone` until the stop passes. It does not run them as
 /// `fast_zone` arms: the frame view would stop being loop-invariant
-/// there, and every plain op would pay for it. A zone that may tear
+/// there, and every plain op would pay for it. `fast_zone` only reports
+/// that it reached an op it does not run; which op that is, this reads
+/// from `dp.ops`. Keeping the zone's state to the view, `pc` and `sp`
+/// (no exit kind, no separate `fp`) is what keeps plain-op dispatch as
+/// fast as in a zone that cannot chain. A zone that may tear
 /// hands every call and return back: `Memory::copy` counts a torn
 /// argument copy as one torn store, word stores count each word.
 ///
@@ -912,18 +903,20 @@ fn run_zone(
     let mut instr = 0u64;
     let res = if bm.cut_in_reach(zone_stop, dp.max_op_words) {
         fast_zone::<true>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr)
-            .map(|exit| !matches!(exit, Exit::Stop))
     } else {
         loop {
-            let exit = fast_zone::<false>(&mut bm, &mut regs, dp, data_base, zone_stop, &mut instr);
-            let ran = match (exit, frames) {
-                (Err(e), _) => break Err(e),
-                (Ok(Exit::Stop), _) => break Ok(false),
-                (Ok(Exit::Call(callee)), Some(fr)) => {
-                    zone_call(&mut bm, &mut regs, dp, fr, callee, &mut instr)
-                }
-                (Ok(Exit::Ret), Some(_)) => zone_ret(&mut bm, &mut regs, dp, isr_fp, &mut instr),
-                (Ok(_), _) => break Ok(true),
+            let ran = match fast_zone::<false>(
+                &mut bm, &mut regs, dp, data_base, zone_stop, &mut instr,
+            ) {
+                Err(e) => break Err(e),
+                Ok(false) => break Ok(false),
+                Ok(true) => match (dp.ops[regs.pc as usize], frames) {
+                    (Op::Call { callee, .. }, Some(fr)) => {
+                        zone_call(&mut bm, &mut regs, dp, fr, callee, &mut instr)
+                    }
+                    (Op::Ret, Some(_)) => zone_ret(&mut bm, &mut regs, dp, isr_fp, &mut instr),
+                    _ => break Ok(true),
+                },
             };
             match ran {
                 Ok(true) if bm.cycles() < zone_stop => {}
@@ -933,8 +926,9 @@ fn run_zone(
             }
         }
     };
+    let fp = bm.fp();
     bm.commit();
-    regs.close(&mut m.regs);
+    regs.close(fp, &mut m.regs);
     m.stats_mut().instructions += instr;
     res
 }
@@ -960,8 +954,9 @@ fn zone_call(
     instr: &mut u64,
 ) -> Result<bool> {
     let f = dp.frames[usize::from(callee)];
-    let new_fp = regs.fp.wrapping_add(regs.sp);
-    if (regs.fp == 0 && regs.sp == 0)
+    let fp = bm.fp().raw();
+    let new_fp = fp.wrapping_add(regs.sp);
+    if (fp == 0 && regs.sp == 0)
         || f.arg_bytes > frames.max_copy
         || !frames.stack.contains_range(Addr(new_fp), f.size)
         || !bm.move_frame(Addr(new_fp), f.size)
@@ -980,9 +975,8 @@ fn zone_call(
         bm.write_frame::<false>(FRAME_HEADER_BYTES + off, v)?;
     }
     bm.write_frame::<false>(0, regs.pc)?;
-    bm.write_frame::<false>(4, regs.fp)?;
+    bm.write_frame::<false>(4, fp)?;
     bm.write_frame::<false>(8, new_fp.wrapping_sub(f.arg_bytes))?;
-    regs.fp = new_fp;
     regs.sp = f.sp_entry;
     regs.pc = f.entry;
     Ok(true)
@@ -1014,7 +1008,8 @@ fn zone_ret(
     else {
         return Ok(false);
     };
-    if isr_fp == Some(regs.fp) {
+    let fp = bm.fp().raw();
+    if isr_fp == Some(fp) {
         return Ok(false);
     }
     let site = ret_pc.wrapping_sub(1) as usize;
@@ -1033,29 +1028,28 @@ fn zone_ret(
     *instr += 1;
     bm.charge_instr();
     // Offsets from the caller's `fp`, where the view now points.
-    let callee = regs.fp.wrapping_sub(caller_fp);
+    let callee = fp.wrapping_sub(caller_fp);
     let value = bm.read_frame(callee.wrapping_add(regs.sp).wrapping_sub(4))?;
     for off in [0, 4, 8] {
         bm.read_frame(callee.wrapping_add(off))?;
     }
     bm.write_frame::<false>(sp, value)?;
-    regs.fp = caller_fp;
     regs.sp = sp + 4;
     regs.pc = ret_pc;
     Ok(true)
 }
 
-/// The registers inside a burst zone. `sp` is held as its offset from
-/// `fp`: the offset the frame accessors take. Wrapping arithmetic keeps
-/// `fp + sp` equal to the absolute `sp` for every value, a corrupted
-/// one included. A call or return in the zone moves `fp` with the
-/// view's frame.
+/// The registers inside a burst zone. `fp` is the view's
+/// ([`WordBurst::fp`]): a call or return in the zone moves it with the
+/// view's frame, and [`ZoneRegs::close`] writes it back. `sp` is held
+/// as its offset from `fp`: the offset the frame accessors take.
+/// Wrapping arithmetic keeps `fp + sp` equal to the absolute `sp` for
+/// every value, a corrupted one included.
 #[derive(Debug, Clone, Copy)]
 struct ZoneRegs {
     pc: u32,
     /// `sp - fp`.
     sp: u32,
-    fp: u32,
 }
 
 impl ZoneRegs {
@@ -1064,15 +1058,14 @@ impl ZoneRegs {
         ZoneRegs {
             pc: r.pc,
             sp: r.sp.raw().wrapping_sub(r.fp.raw()),
-            fp: r.fp.raw(),
         }
     }
 
     #[inline(always)]
-    fn close(self, r: &mut Registers) {
+    fn close(self, fp: Addr, r: &mut Registers) {
         r.pc = self.pc;
-        r.fp = Addr(self.fp);
-        r.sp = Addr(self.fp.wrapping_add(self.sp));
+        r.fp = fp;
+        r.sp = Addr(fp.raw().wrapping_add(self.sp));
     }
 }
 
@@ -1094,8 +1087,8 @@ fn poll_runtime(m: &mut Machine, rt: &mut dyn IntermittentRuntime) -> Result<u64
 }
 
 /// Executes decoded ops against a [`WordBurst`] until a stop boundary,
-/// an op it does not run (`Ref`, `Call`, `Ret`: returned to
-/// [`run_zone`]), or a trap. The boundary is checked after every op and
+/// an op it does not run (`Ref`, `Call`, `Ret`), or a trap, and returns
+/// whether it stopped at such an op (its pc is `regs.pc`). The boundary is checked after every op and
 /// between the sub-ops of a fused sequence; on trigger the pc already
 /// points at the next sub-instruction's slot (which holds its plain
 /// op), so execution resumes exactly where the reference interpreter
@@ -1112,13 +1105,13 @@ fn fast_zone<const CUT: bool>(
     data_base: u32,
     stop_at: u64,
     instr: &mut u64,
-) -> Result<Exit> {
+) -> Result<bool> {
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
             exec_op::<CUT>(bm, regs, data_base, instr, $first)?;
             $(
                 if bm.cycles() >= stop_at {
-                    return Ok(Exit::Stop);
+                    return Ok(false);
                 }
                 exec_op::<CUT>(bm, regs, data_base, instr, $rest)?;
             )+
@@ -1130,9 +1123,7 @@ fn fast_zone<const CUT: bool>(
             return Err(VmError::pc_out_of_range(pc));
         };
         match op {
-            Op::Ref => return Ok(Exit::Ref),
-            Op::Call { callee, .. } => return Ok(Exit::Call(callee)),
-            Op::Ret => return Ok(Exit::Ret),
+            Op::Ref | Op::Call { .. } | Op::Ret => return Ok(true),
             Op::LdLKBin { a, k, op } => {
                 fused!(Op::LoadLocal(a), Op::Const(k), Op::Bin(op));
             }
@@ -1190,7 +1181,7 @@ fn fast_zone<const CUT: bool>(
             plain @ Op::Jnz(_) => exec_op::<CUT>(bm, regs, data_base, instr, plain)?,
         }
         if bm.cycles() >= stop_at {
-            return Ok(Exit::Stop);
+            return Ok(false);
         }
     }
 }
@@ -1236,7 +1227,7 @@ fn exec_op<const CUT: bool>(
             bus.write_frame::<CUT>(off, v as u32)?;
             Ok(())
         }
-        Op::AddrLocal(off) => push::<CUT>(bus, regs, regs.fp.wrapping_add(off) as i32),
+        Op::AddrLocal(off) => push::<CUT>(bus, regs, bus.fp().raw().wrapping_add(off) as i32),
         Op::LoadGlobal(off) => {
             let a = Addr(data_base + off);
             let v = bus.read_word(a)? as i32;
